@@ -8,50 +8,17 @@ set -eu
 echo "== build (release, offline) =="
 cargo build --release --offline
 
-echo "== tests (whole workspace, offline, SERVAL_JOBS=1) =="
-SERVAL_JOBS=1 cargo test -q --workspace --offline
+# Configurations are values, so "the same suite under one flipped knob"
+# is a loop inside tests/config_matrix.rs (part of this run), not a
+# rerun of the suites under an environment variable.
+echo "== tests (whole workspace, offline) =="
+cargo test -q --workspace --offline
 
-echo "== tests (whole workspace, offline, SERVAL_JOBS=4) =="
-SERVAL_JOBS=4 cargo test -q --workspace --offline
-
-echo "== tests (engine + core, incremental sessions off) =="
-SERVAL_INCREMENTAL=0 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, incremental sessions on) =="
-SERVAL_INCREMENTAL=1 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, presolve off) =="
-SERVAL_PRESOLVE=0 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, presolve on) =="
-SERVAL_PRESOLVE=1 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, SAT inprocessing off) =="
-SERVAL_INPROCESS=0 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, SAT inprocessing on) =="
-SERVAL_INPROCESS=1 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, polarity-aware CNF off) =="
-SERVAL_POLARITY=0 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, proof certificates off) =="
-SERVAL_CERT=0 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, proof certificates on) =="
-SERVAL_CERT=1 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, session inprocessing off) =="
-SERVAL_SESSION_INPROCESS=0 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, session inprocessing on) =="
-SERVAL_SESSION_INPROCESS=1 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, certified, LRAT hints off) =="
-SERVAL_CERT=1 SERVAL_LRAT=0 cargo test -q --offline -p serval-engine -p serval-core
-
-echo "== tests (engine + core, certified, LRAT hints on) =="
-SERVAL_CERT=1 SERVAL_LRAT=1 cargo test -q --offline -p serval-engine -p serval-core
+# The benchmark package builds its configurations as struct literals and
+# imports product items by name: this leg proves they still compile and
+# that the smoke workloads still agree with benchmark/expected/.
+echo "== tests (benchmark package, offline) =="
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Deterministic simulation: the pinned regression-seed corpus runs as
 # part of the workspace tests above; this block additionally sweeps

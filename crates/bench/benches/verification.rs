@@ -4,6 +4,7 @@
 //! also emits JSON.
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let mut h = serval_check::bench::Harness::new("verification");
     serval_bench::suites::verification(&mut h);
     h.print_summary();

@@ -25,6 +25,7 @@ use serval_toyrisc::{sign_program, Cpu, ToyRisc};
 use std::time::Instant;
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let budget = SolverConfig {
         conflict_budget: Some(2_000_000),
         ..SolverConfig::default()

@@ -1,16 +1,17 @@
-//! Runs every micro/meso benchmark and writes the results as JSON, so
-//! per-commit `BENCH_*.json` trajectory files can be generated and
-//! diffed.
+//! Runs every micro/meso benchmark and writes the results as JSON. (The
+//! end-to-end workloads and their per-layer counters live in
+//! `benchmark/`; see its README.)
 //!
 //! ```sh
 //! cargo run --release -p serval-bench --bin bench_all            # → bench_results.json
-//! cargo run --release -p serval-bench --bin bench_all -- --out BENCH_pr2.json
+//! cargo run --release -p serval-bench --bin bench_all -- --out /tmp/b.json
 //! SERVAL_BENCH_SAMPLES=3 cargo run --release -p serval-bench --bin bench_all
 //! ```
 
 use std::path::PathBuf;
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let mut out = PathBuf::from("bench_results.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -37,89 +38,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nwrote {} ({} benchmarks)", out.display(), h.results.len());
-
-    // The engine comparison: sequential vs parallel discharge of the
-    // fig11 subset, plus a warm-cache rerun → BENCH_engine.json next to
-    // the main results file.
-    let engine_report = serval_bench::engine_bench::run();
-    engine_report.print_summary();
-    let engine_out = out
-        .parent()
-        .map(|d| d.join("BENCH_engine.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_engine.json"));
-    if let Err(e) = engine_report.write_json(&engine_out) {
-        eprintln!("failed to write {}: {e}", engine_out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", engine_out.display());
-
-    // Fresh-per-sub-query vs incremental sessions on the same workload
-    // → BENCH_incremental.json.
-    let inc_report = serval_bench::incremental_bench::run();
-    inc_report.print_summary();
-    let inc_out = out
-        .parent()
-        .map(|d| d.join("BENCH_incremental.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_incremental.json"));
-    if let Err(e) = inc_report.write_json(&inc_out) {
-        eprintln!("failed to write {}: {e}", inc_out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", inc_out.display());
-
-    // Raw vs presolved queries on the same workload
-    // → BENCH_presolve.json.
-    let pre_report = serval_bench::presolve_bench::run();
-    pre_report.print_summary();
-    let pre_out = out
-        .parent()
-        .map(|d| d.join("BENCH_presolve.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_presolve.json"));
-    if let Err(e) = pre_report.write_json(&pre_out) {
-        eprintln!("failed to write {}: {e}", pre_out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", pre_out.display());
-
-    // Plain CDCL vs inprocessing + polarity-aware CNF on the same
-    // workload → BENCH_sat.json.
-    let sat_report = serval_bench::sat_bench::run();
-    sat_report.print_summary();
-    let sat_out = out
-        .parent()
-        .map(|d| d.join("BENCH_sat.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_sat.json"));
-    if let Err(e) = sat_report.write_json(&sat_out) {
-        eprintln!("failed to write {}: {e}", sat_out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", sat_out.display());
-
-    // Uncertified vs certified discharge on the same workload
-    // → BENCH_cert.json.
-    let cert_report = serval_bench::cert_bench::run();
-    cert_report.print_summary();
-    let cert_out = out
-        .parent()
-        .map(|d| d.join("BENCH_cert.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_cert.json"));
-    if let Err(e) = cert_report.write_json(&cert_out) {
-        eprintln!("failed to write {}: {e}", cert_out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", cert_out.display());
-
-    // In-process vs loopback-server discharge on the same workload
-    // → BENCH_net.json.
-    let net_report = serval_bench::net_bench::run();
-    net_report.print_summary();
-    let net_out = out
-        .parent()
-        .map(|d| d.join("BENCH_net.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_net.json"));
-    if let Err(e) = net_report.write_json(&net_out) {
-        eprintln!("failed to write {}: {e}", net_out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", net_out.display());
 }

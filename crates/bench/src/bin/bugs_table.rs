@@ -14,6 +14,7 @@ use serval_monitors::keystone;
 use serval_smt::solver::SolverConfig;
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let cfg = SolverConfig::default();
 
     println!("== §7 (reproduction): bugs found via verification ==\n");

@@ -18,6 +18,7 @@ use serval_smt::solver::SolverConfig;
 use std::time::Instant;
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let cfg = SolverConfig::default();
     let root = workspace_root().join("crates").join("monitors").join("src");
 

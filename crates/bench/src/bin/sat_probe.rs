@@ -1,22 +1,13 @@
-//! Quick config-matrix probe for the core-solver work: cold runs of
-//! the certikos `-O1` refinement with the discharge mode and solver
-//! features picked by environment variables, printing wall time and
-//! the solver totals on one line per leg. A developer tool for
-//! iterating on inprocessing heuristics without waiting for the full
-//! best-of-N `bench_all` comparison.
-//!
-//! One-shot (leg picked by env):
-//!
-//! ```sh
-//! P_INC=0 P_INP=1 P_POL=1 cargo run --release -p serval-bench --bin sat_probe
-//! ```
-//!
-//! Whole session×inprocess×polarity matrix from one binary — fresh and
-//! session discharge legs, plus session-BVE off/on isolation legs on
-//! the sessioned inprocessing rows:
+//! The knob-ablation tool: cold runs of the certikos `-O1` refinement
+//! over the discharge mode × inprocessing × polarity matrix, plus
+//! session-BVE off/on isolation legs on the sessioned inprocessing
+//! rows, printing wall time and the solver totals on one line per row.
+//! Every row is a struct literal; nothing here reads the environment.
+//! (`tests/config_matrix.rs` checks the same switches for verdict
+//! equality; this prints what they cost.)
 //!
 //! ```sh
-//! cargo run --release -p serval-bench --bin sat_probe -- --session
+//! cargo run --release -p serval-bench --bin sat_probe
 //! ```
 
 use serval_core::OptCfg;
@@ -26,20 +17,11 @@ use serval_monitors::certikos;
 use serval_smt::solver::SolverConfig;
 use std::time::Instant;
 
-fn flag(name: &str, default: bool) -> bool {
-    std::env::var(name).map(|v| v.trim() == "1").unwrap_or(default)
-}
-
-/// One cold refinement run under the given discharge/solver leg.
+/// One cold refinement run under the given discharge/solver row.
 fn probe(inc: bool, inp: bool, pol: bool, sbve: bool) {
     serval_engine::install(EngineCfg {
-        jobs: EngineCfg::from_env().jobs,
-        portfolio: false,
-        disk_cache: None,
-        split: true,
         mode: if inc { DischargeMode::Session } else { DischargeMode::Fresh },
-        presolve: serval_smt::presolve::env_enabled(),
-        cert: EngineCfg::from_env().cert,
+        ..EngineCfg::default()
     });
     let cfg = SolverConfig {
         inprocess: inp,
@@ -74,28 +56,19 @@ fn probe(inc: bool, inp: bool, pol: bool, sbve: bool) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--session") {
-        // The full discharge-mode matrix. Session BVE only exists on
-        // the sessioned inprocessing legs, where it gets an off/on
-        // pair; everywhere else it rides along with `inp` (it is
-        // inert without sessions or inprocessing).
-        for inc in [false, true] {
-            for inp in [false, true] {
-                for pol in [false, true] {
-                    if inc && inp {
-                        probe(inc, inp, pol, false);
-                        probe(inc, inp, pol, true);
-                    } else {
-                        probe(inc, inp, pol, inp);
-                    }
+    // Session BVE only exists on the sessioned inprocessing rows, where
+    // it gets an off/on pair; everywhere else it rides along with `inp`
+    // (it is inert without sessions or inprocessing).
+    for inc in [false, true] {
+        for inp in [false, true] {
+            for pol in [false, true] {
+                if inc && inp {
+                    probe(inc, inp, pol, false);
+                    probe(inc, inp, pol, true);
+                } else {
+                    probe(inc, inp, pol, inp);
                 }
             }
         }
-        return;
     }
-    let inc = flag("P_INC", true);
-    let inp = flag("P_INP", true);
-    let pol = flag("P_POL", true);
-    let sbve = flag("P_SBVE", inp);
-    probe(inc, inp, pol, sbve);
 }

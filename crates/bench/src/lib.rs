@@ -2,81 +2,13 @@
 //! and figure of the paper's evaluation (see EXPERIMENTS.md for the
 //! experiment index and DESIGN.md for the substitutions).
 
-pub mod cert_bench;
-pub mod engine_bench;
-pub mod incremental_bench;
-pub mod net_bench;
-pub mod presolve_bench;
-pub mod sat_bench;
 pub mod suites;
 
 use std::path::{Path, PathBuf};
 
-/// Cache-accounting deltas for one benchmark run — the *shared* code
-/// path every harness uses to report warm-rerun coverage, so cold and
-/// warm rows mean the same thing in every `BENCH_*.json`.
-///
-/// The invariant the warm rows pin down: trivially-discharged queries
-/// never consult the cache, so a genuinely warm rerun has
-/// `hits = queries - trivial` and `misses = 0` — a [`hit_rate`] of 1.0
-/// regardless of discharge mode ([`CacheRow::hit_rate`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheRow {
-    /// Cache hits during the run.
-    pub hits: u64,
-    /// Cache misses during the run.
-    pub misses: u64,
-    /// Queries submitted to the engine during the run.
-    pub queries: u64,
-    /// Queries discharged trivially during preparation (these never
-    /// consult the cache, so hit-rate accounting excludes them).
-    pub trivial: u64,
-}
-
-impl CacheRow {
-    /// Snapshots the engine's cumulative counters; subtract two
-    /// snapshots with [`CacheRow::since`] to get one run's row.
-    pub fn snapshot(engine: &serval_engine::Engine) -> CacheRow {
-        let (hits, misses) = engine.cache_stats();
-        let (queries, trivial) = engine.query_counts();
-        CacheRow { hits, misses, queries, trivial }
-    }
-
-    /// The counters this snapshot added on top of `start`.
-    pub fn since(&self, start: &CacheRow) -> CacheRow {
-        CacheRow {
-            hits: self.hits - start.hits,
-            misses: self.misses - start.misses,
-            queries: self.queries - start.queries,
-            trivial: self.trivial - start.trivial,
-        }
-    }
-
-    /// Cache coverage over the queries that actually consult the cache
-    /// (`queries - trivial`); 1.0 when nothing looked anything up.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.queries.saturating_sub(self.trivial);
-        if lookups == 0 {
-            1.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-
-    /// The row's JSON fields (no braces), spliced into a run object so
-    /// every harness emits identical key names.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"cache_hits\": {}, \"cache_misses\": {}, \"queries\": {}, \"trivial\": {}",
-            self.hits, self.misses, self.queries, self.trivial
-        )
-    }
-}
-
-/// Counts non-empty, non-comment lines of Rust source under `dir`
-/// (the Fig. 7 metric applied to this reproduction).
-pub fn count_loc(dir: &Path) -> usize {
-    let mut total = 0;
+/// Every `.rs` file under `dir` (build output skipped) with its text.
+pub fn rust_sources(dir: &Path) -> Vec<(PathBuf, String)> {
+    let mut found = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&d) else {
@@ -90,20 +22,24 @@ pub fn count_loc(dir: &Path) -> usize {
                 }
                 stack.push(p);
             } else if p.extension().is_some_and(|x| x == "rs") {
-                let Ok(text) = std::fs::read_to_string(&p) else {
-                    continue;
-                };
-                total += text
-                    .lines()
-                    .map(str::trim)
-                    .filter(|l| {
-                        !l.is_empty() && !l.starts_with("//") && !l.starts_with("//!")
-                    })
-                    .count();
+                if let Ok(text) = std::fs::read_to_string(&p) {
+                    found.push((p, text));
+                }
             }
         }
     }
-    total
+    found
+}
+
+/// Counts non-empty, non-comment lines of Rust source under `dir`
+/// (the Fig. 7 metric applied to this reproduction).
+pub fn count_loc(dir: &Path) -> usize {
+    rust_sources(dir)
+        .iter()
+        .flat_map(|(_, text)| text.lines())
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .count()
 }
 
 /// The workspace root (assumes the harness runs inside the repository).
@@ -122,221 +58,4 @@ pub fn print_table(title: &str, rows: &[(String, String)]) {
         println!("  {a:<w$}  {b}");
     }
     println!();
-}
-
-#[cfg(test)]
-mod tests {
-    //! Regression tests for the harnesses' `verdicts_equal` checks:
-    //! they must compare per-theorem verdict vectors in submission
-    //! order, so flipping a single theorem's verdict — totals unchanged
-    //! — must be detected.
-
-    fn verdicts(flip: Option<usize>) -> Vec<(String, bool)> {
-        (0..4)
-            .map(|i| (format!("thm{i}"), Some(i) != flip))
-            .collect()
-    }
-
-    #[test]
-    fn engine_bench_detects_single_flipped_verdict() {
-        use crate::engine_bench::{EngineBenchReport, EngineRun};
-        let run = |flip: Option<usize>| EngineRun {
-            jobs: 1,
-            secs: 1.0,
-            verdicts: verdicts(flip),
-            cache_hits: 0,
-            cache_misses: 4,
-        };
-        let ok = EngineBenchReport {
-            cores: 1,
-            sequential: run(None),
-            parallel: run(None),
-            warm: run(None),
-        };
-        assert!(ok.verdicts_equal());
-        for field in 0..3 {
-            let mut bad = EngineBenchReport {
-                cores: 1,
-                sequential: run(None),
-                parallel: run(None),
-                warm: run(None),
-            };
-            let target = match field {
-                0 => &mut bad.sequential,
-                1 => &mut bad.parallel,
-                _ => &mut bad.warm,
-            };
-            target.verdicts = verdicts(Some(2));
-            assert!(
-                !bad.verdicts_equal(),
-                "flipping one verdict in run {field} must be detected"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_bench_detects_single_flipped_verdict() {
-        use crate::incremental_bench::{IncRun, IncrementalBenchReport};
-        let run = |flip: Option<usize>| IncRun {
-            secs: 1.0,
-            verdicts: verdicts(flip),
-            sat_vars: 0,
-            sat_clauses: 0,
-            reused_clauses: 0,
-            session_theorems: 0,
-            mode_session: 0,
-            mode_fresh: 0,
-            cache: crate::CacheRow { hits: 0, misses: 4, queries: 4, trivial: 0 },
-        };
-        let report = |flip_slot: Option<usize>| IncrementalBenchReport {
-            fresh_cold: run(None),
-            fresh_warm: run((flip_slot == Some(0)).then_some(1)),
-            session_cold: run((flip_slot == Some(1)).then_some(1)),
-            session_warm: run((flip_slot == Some(2)).then_some(1)),
-            inproc_cold: run((flip_slot == Some(3)).then_some(1)),
-            inproc_warm: run((flip_slot == Some(4)).then_some(1)),
-            auto_cold: run((flip_slot == Some(5)).then_some(1)),
-        };
-        assert!(report(None).verdicts_equal());
-        for slot in 0..6 {
-            assert!(
-                !report(Some(slot)).verdicts_equal(),
-                "flipping one verdict in run {slot} must be detected"
-            );
-        }
-    }
-
-    #[test]
-    fn presolve_bench_detects_single_flipped_verdict() {
-        use crate::presolve_bench::{PresolveBenchReport, PresolveRun};
-        let run = |flip: Option<usize>| PresolveRun {
-            secs: 1.0,
-            verdicts: verdicts(flip),
-            sat_vars: 0,
-            sat_clauses: 0,
-            terms_in: 0,
-            terms_out: 0,
-            cache: crate::CacheRow { hits: 0, misses: 4, queries: 4, trivial: 0 },
-        };
-        let ok = PresolveBenchReport {
-            off_cold: run(None),
-            off_warm: run(None),
-            on_cold: run(None),
-            on_warm: run(None),
-        };
-        assert!(ok.verdicts_equal());
-        let bad = PresolveBenchReport {
-            off_cold: run(None),
-            off_warm: run(None),
-            on_cold: run(None),
-            on_warm: run(Some(3)),
-        };
-        assert!(!bad.verdicts_equal());
-    }
-
-    #[test]
-    fn net_bench_detects_single_flipped_verdict() {
-        use crate::net_bench::{NetBenchReport, NetRun, ProbeStats};
-        let run = |flip: Option<usize>| NetRun { secs: 1.0, verdicts: verdicts(flip) };
-        let report = |flip: [Option<usize>; 3]| NetBenchReport {
-            shards: 2,
-            shard_jobs: 1,
-            local: run(flip[0]),
-            remote_cold: run(flip[1]),
-            remote_warm: run(flip[2]),
-            shard_rows: Vec::new(),
-            hot_hits: 0,
-            warm_hit_rate: 1.0,
-            shards_exercised: 2,
-            bytes_sent: 0,
-            bytes_received: 0,
-            probe: ProbeStats { queries: 0, qps: 0.0, p50_micros: 0, p95_micros: 0 },
-        };
-        assert!(report([None, None, None]).verdicts_equal());
-        for slot in 0..3 {
-            let mut flips = [None, None, None];
-            flips[slot] = Some(2);
-            assert!(
-                !report(flips).verdicts_equal(),
-                "flipping one verdict in run {slot} must be detected"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_hit_rate_excludes_trivial_queries() {
-        use crate::CacheRow;
-        // 76 nontrivial lookups all hit: full warm coverage. With the
-        // raw-key warm layer, `trivial` counts only raw-trivial queries,
-        // so both presolve modes report the same row for the same batch.
-        let warm = CacheRow { hits: 76, misses: 0, queries: 1179, trivial: 1103 };
-        assert!((warm.hit_rate() - 1.0).abs() < 1e-9);
-        // A genuinely missing hit shows up as a sub-1.0 rate.
-        let short = CacheRow { hits: 75, ..warm };
-        assert!(short.hit_rate() < 1.0);
-        // Delta arithmetic: cumulative snapshots subtract field-wise.
-        let start = CacheRow { hits: 10, misses: 20, queries: 50, trivial: 5 };
-        let end = CacheRow { hits: 86, misses: 20, queries: 1229, trivial: 1108 };
-        assert_eq!(end.since(&start), warm);
-    }
-
-    #[test]
-    fn sat_bench_detects_single_flipped_verdict() {
-        use crate::sat_bench::{SatBenchReport, SatRun};
-        let run = |flip: Option<usize>| SatRun {
-            secs: 1.0,
-            verdicts: verdicts(flip),
-            sat_vars: 0,
-            sat_clauses: 0,
-            eliminated_vars: 0,
-            subsumed: 0,
-            strengthened: 0,
-            resolvents: 0,
-            conflicts: 0,
-            propagations: 0,
-            certs_checked: 0,
-            certs_rejected: 0,
-        };
-        let ok = SatBenchReport {
-            off_cold: run(None),
-            on_cold: run(None),
-        };
-        assert!(ok.verdicts_equal());
-        let bad = SatBenchReport {
-            off_cold: run(None),
-            on_cold: run(Some(2)),
-        };
-        assert!(!bad.verdicts_equal());
-    }
-
-    #[test]
-    fn cert_bench_detects_single_flipped_verdict() {
-        use crate::cert_bench::{CertBenchReport, CertRun};
-        let run = |flip: Option<usize>| CertRun {
-            secs: 1.0,
-            verdicts: verdicts(flip),
-            cert_steps: 0,
-            cert_secs: 0.0,
-            certs_checked: 0,
-            certs_rejected: 0,
-        };
-        let ok = CertBenchReport {
-            off: run(None),
-            on_unhinted: run(None),
-            on: run(None),
-        };
-        assert!(ok.verdicts_equal());
-        let bad = CertBenchReport {
-            off: run(None),
-            on_unhinted: run(None),
-            on: run(Some(0)),
-        };
-        assert!(!bad.verdicts_equal());
-        let bad_unhinted = CertBenchReport {
-            off: run(None),
-            on_unhinted: run(Some(2)),
-            on: run(None),
-        };
-        assert!(!bad_unhinted.verdicts_equal());
-    }
 }

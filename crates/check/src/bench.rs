@@ -3,8 +3,7 @@
 //! Each benchmark runs a warmup, then `samples` timed iterations, and
 //! reports min / median / p95 / mean wall-clock time. A [`Harness`]
 //! collects results for a suite and can emit them as JSON (hand-rolled —
-//! no serde) so trajectory files like `BENCH_*.json` can be generated
-//! and diffed across commits.
+//! no serde) so result files can be generated and diffed across commits.
 //!
 //! Environment knobs: `SERVAL_BENCH_SAMPLES` and `SERVAL_BENCH_WARMUP`
 //! override the per-bench iteration counts (e.g. `SERVAL_BENCH_SAMPLES=3`

@@ -15,22 +15,28 @@
 //! verdicts regardless of worker count, so `SERVAL_JOBS=1` and
 //! `SERVAL_JOBS=32` differ only in wall time.
 //!
-//! Environment knobs (read once, at first use of the global engine):
+//! Configuration is a value: [`EngineCfg`] (and the per-query
+//! [`SolverConfig`]) decide everything, their `Default`s are constants,
+//! and nothing in this library reads the process environment except
+//! [`EngineCfg::from_env`], which a binary's `main` calls once and hands
+//! to [`install`]. An environment variable exists only for a run setting
+//! a user has a reason to change; algorithm toggles (`split`, `presolve`,
+//! the [`SolverConfig`] switches) are struct fields, flipped by
+//! `tests/config_matrix.rs` as differential oracles.
 //!
 //! | Variable           | Meaning                                            |
 //! |--------------------|----------------------------------------------------|
-//! | `SERVAL_JOBS`      | Worker count (default: available parallelism)      |
-//! | `SERVAL_CACHE`     | `1`/`on` → disk tier under `target/serval-cache/`; a path → disk tier there; unset/`0` → memory tier only |
-//! | `SERVAL_PORTFOLIO` | `1`/`on` → race 3 solver configs per query (the pool shrinks to `jobs / 3` so total solver threads stay ≈ `SERVAL_JOBS`). Verdicts stay deterministic, but which variant's counterexample is reported is a timing race — see [`solve::solve_portfolio`]. |
-//! | `SERVAL_SPLIT`     | `0`/`off` → disable goal conjunction splitting (on by default; see [`form::split_goal`]) |
-//! | `SERVAL_INCREMENTAL` | `0`/`off` → disable incremental discharge sessions, falling back to one fresh solver per sub-query (on by default — the measured winner now that inprocessing runs under live sessions; sub-queries sharing an assumption set are otherwise solved in one live session — see [`solve::solve_session`]). Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
-//! | `SERVAL_MODE`      | `fresh` / `session` / `auto` — names the discharge mode outright and overrides `SERVAL_INCREMENTAL`. `auto` decides per assumption group from predicted reuse (group size × shared-base cone ratio); see [`DischargeMode`]. |
-//! | `SERVAL_PRESOLVE`  | `0`/`off` → disable word-level presolve, handing the solver the raw obligation DAG (on by default; each query's assumption base is otherwise simplified once — equality substitution, known-bits/interval folding, cone-of-influence reduction — and the cache keys on the *simplified* normal form; see [`serval_smt::presolve`]). |
-//! | `SERVAL_CERT`      | `0`/`off` → disable proof certificates (on by default: every solver `Unsat` must present a DRAT-style proof accepted by the independent `serval-drat` checker before it becomes `Proved`; cached `Proved` entries carry the certificate fingerprint and uncertified disk records are ignored; cached `Refuted` hits re-evaluate their stored countermodel against the term semantics and are evicted on mismatch). |
-//! | `SERVAL_INPROCESS` | `0`/`off` → disable SatELite-style SAT inprocessing (on by default: backward subsumption, self-subsuming resolution, and — for fresh solves — bounded variable elimination at level-0 boundaries, every step DRAT-logged so `SERVAL_CERT=1` still accepts the proofs; see [`serval_sat`]). |
-//! | `SERVAL_POLARITY`  | `0`/`off` → disable Plaisted–Greenbaum polarity-aware CNF encoding (on by default: gate definition clauses are emitted only in the implication direction the formula actually uses; see [`serval_smt::solver::SolverConfig`]). |
+//! | `SERVAL_JOBS`      | Worker count, an integer ≥ 1 (default: available parallelism) |
+//! | `SERVAL_CACHE`     | `1`/`on`/`true` → disk tier under `target/serval-cache/`; `0`/`off`/`false` → memory tier only (the default); anything else is a path → disk tier there |
+//! | `SERVAL_PORTFOLIO` | `1`/`on`/`true` → race 3 solver configs per query (the pool shrinks to `jobs / 3` so total solver threads stay ≈ `SERVAL_JOBS`). Verdicts stay deterministic, but which variant's counterexample is reported is a timing race — see [`solve::solve_portfolio`]. Off by default. |
+//! | `SERVAL_MODE`      | `fresh` / `session` / `auto` — the discharge mode for sub-queries sharing an assumption set (default `session`). `auto` decides per assumption group from predicted reuse (group size × shared-base cone ratio); see [`DischargeMode`]. Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
+//! | `SERVAL_CERT`      | `0`/`off`/`false` → disable proof certificates (on by default: every solver `Unsat` must present a DRAT-style proof accepted by the independent `serval-drat` checker before it becomes `Proved`; cached `Proved` entries carry the certificate fingerprint and uncertified disk records are ignored; cached `Refuted` hits re-evaluate their stored countermodel against the term semantics and are evicted on mismatch). |
+//!
+//! Any other value is an error naming the variable and what it accepts
+//! (see [`edge`]).
 
 pub mod cache;
+pub mod edge;
 pub mod form;
 pub mod pool;
 pub mod solve;
@@ -104,9 +110,9 @@ pub struct EngineCfg {
     /// one live incremental session, one fresh solver each, or decided
     /// per group ([`DischargeMode::Auto`]). Defaults to `Session` — the
     /// measured winner on the certikos refinement workload now that
-    /// inprocessing runs under live sessions (see
-    /// `BENCH_incremental.json`). Has no effect when `portfolio` is on,
-    /// since a portfolio races *independent* solvers per query.
+    /// inprocessing runs under live sessions. Has no effect when
+    /// `portfolio` is on, since a portfolio races *independent* solvers
+    /// per query.
     /// Verdicts are identical in every mode — the mode only changes how
     /// much encoding and search work is re-done.
     pub mode: DischargeMode,
@@ -137,59 +143,36 @@ impl Default for EngineCfg {
 }
 
 impl EngineCfg {
-    /// Reads `SERVAL_JOBS`, `SERVAL_PORTFOLIO`, `SERVAL_CACHE`,
-    /// `SERVAL_SPLIT`, `SERVAL_MODE`, `SERVAL_INCREMENTAL`,
-    /// `SERVAL_PRESOLVE`, and `SERVAL_CERT`.
-    pub fn from_env() -> EngineCfg {
-        let jobs = std::env::var("SERVAL_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or_else(default_jobs);
-        let portfolio = std::env::var("SERVAL_PORTFOLIO")
-            .map(|v| matches!(v.trim(), "1" | "on" | "true"))
-            .unwrap_or(false);
-        let disk_cache = match std::env::var("SERVAL_CACHE") {
-            Err(_) => None,
-            Ok(v) => match v.trim() {
-                "" | "0" | "off" | "false" => None,
-                "1" | "on" | "true" => Some(PathBuf::from("target/serval-cache")),
-                path => Some(PathBuf::from(path)),
-            },
-        };
-        let split = std::env::var("SERVAL_SPLIT")
-            .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-            .unwrap_or(true);
-        let incremental = std::env::var("SERVAL_INCREMENTAL")
-            .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-            .unwrap_or(true);
-        // `SERVAL_MODE` names the discharge mode outright and wins;
-        // otherwise the boolean `SERVAL_INCREMENTAL` keeps its meaning
-        // (on → sessions, off → fresh solvers).
-        let mode = match std::env::var("SERVAL_MODE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "fresh" => DischargeMode::Fresh,
-                "session" | "incremental" => DischargeMode::Session,
-                "auto" => DischargeMode::Auto,
-                _ if incremental => DischargeMode::Session,
-                _ => DischargeMode::Fresh,
-            },
-            Err(_) if incremental => DischargeMode::Session,
-            Err(_) => DischargeMode::Fresh,
-        };
-        let presolve = serval_smt::presolve::env_enabled();
-        let cert = std::env::var("SERVAL_CERT")
-            .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-            .unwrap_or(true);
-        EngineCfg {
-            jobs,
-            portfolio,
-            disk_cache,
-            split,
-            mode,
-            presolve,
-            cert,
+    /// [`EngineCfg::default`] overridden by `SERVAL_JOBS`,
+    /// `SERVAL_CACHE`, `SERVAL_PORTFOLIO`, `SERVAL_MODE` and
+    /// `SERVAL_CERT`, parsed strictly ([`edge::parse`]). For `fn main`:
+    /// libraries take the value, they never read the environment.
+    pub fn from_env() -> Result<EngineCfg, String> {
+        use edge::{at_least, parse, switch};
+        let var = |name: &str| std::env::var_os(name);
+        let mut cfg = EngineCfg::default();
+        if let Some(n) = parse(var, "SERVAL_JOBS", edge::POSITIVE, at_least(1))? {
+            cfg.jobs = n;
         }
+        let disk = |v: &str| match switch(v) {
+            Some(true) => Some(Some(PathBuf::from("target/serval-cache"))),
+            Some(false) => Some(None),
+            None if v.is_empty() => Some(None),
+            None => Some(Some(PathBuf::from(v))),
+        };
+        if let Some(dir) = parse(var, "SERVAL_CACHE", "a switch or a path", disk)? {
+            cfg.disk_cache = dir;
+        }
+        if let Some(on) = parse(var, "SERVAL_PORTFOLIO", edge::SWITCH, switch)? {
+            cfg.portfolio = on;
+        }
+        if let Some(mode) = parse(var, "SERVAL_MODE", edge::MODE, edge::mode)? {
+            cfg.mode = mode;
+        }
+        if let Some(on) = parse(var, "SERVAL_CERT", edge::SWITCH, switch)? {
+            cfg.cert = on;
+        }
+        Ok(cfg)
     }
 }
 
@@ -454,8 +437,6 @@ impl Engine {
             post: presolve::Counts,
         }
 
-        let debug = std::env::var("SERVAL_ENGINE_DEBUG").is_ok();
-        let t_prep = std::time::Instant::now();
         let n = queries.len();
         self.submitted.fetch_add(n as u64, Ordering::Relaxed);
         let mut slots: Vec<Option<QueryOutcome>> = (0..n).map(|_| None).collect();
@@ -563,18 +544,6 @@ impl Engine {
                     });
                     let (base, cache) = (&entry.0, &mut entry.1);
                     let goal = presolve::simplify_goal_cached(base, q.goal, cache);
-                    if debug {
-                        let g_pre = presolve::measure([q.goal.0].into_iter());
-                        let g_post = presolve::measure([goal.0].into_iter());
-                        eprintln!(
-                            "[presolve] {:<44} bindings={} goal terms {} -> {} changed={}",
-                            q.label,
-                            base.bindings.len(),
-                            g_pre.terms,
-                            g_post.terms,
-                            goal.0 != q.goal.0
-                        );
-                    }
                     let (kept, dropped) = if self.incremental() {
                         // Sessions share one live solver across the whole
                         // base; dropping per-goal disconnected assumptions
@@ -849,23 +818,7 @@ impl Engine {
             group_sessioned.push(as_session);
         }
 
-        let prep_wall = t_prep.elapsed();
-        let n_tasks = tasks.len();
-        let n_groups = groups.len();
-        let t_pool = std::time::Instant::now();
         let raw: Vec<Result<Vec<RawOutcome>, String>> = self.pool.run_batch(tasks);
-        if debug {
-            let cpu: Duration = raw
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .flatten()
-                .map(|o| o.stats.wall)
-                .sum();
-            eprintln!(
-                "[engine] batch of {n}: prepare {prep_wall:?}, {n_tasks} tasks ({n_groups} sessions) solved in {:?} (task wall sum {cpu:?})",
-                t_pool.elapsed()
-            );
-        }
         // Maps a sub-query's `Work` onto (pool task, outcome index
         // within the task, group backmap if any — the numbering the
         // countermodel comes back in). A sessioned group is one task
@@ -1320,17 +1273,19 @@ fn global_slot() -> &'static Mutex<Option<Arc<Engine>>> {
     GLOBAL.get_or_init(|| Mutex::new(None))
 }
 
-/// The process-wide engine, created from the environment on first use.
+/// The process-wide engine: whatever [`install`] put there, otherwise
+/// one built from [`EngineCfg::default`] on first use.
 pub fn handle() -> Arc<Engine> {
     let mut slot = global_slot().lock().unwrap();
     if slot.is_none() {
-        *slot = Some(Arc::new(Engine::new(EngineCfg::from_env())));
+        *slot = Some(Arc::new(Engine::new(EngineCfg::default())));
     }
     Arc::clone(slot.as_ref().unwrap())
 }
 
-/// Replaces the process-wide engine (benchmarks use this to compare
-/// worker counts within one process). Returns the new engine.
+/// Replaces the process-wide engine: a binary's `main` installs
+/// [`EngineCfg::from_env`], tests install the configuration under test.
+/// Returns the new engine.
 pub fn install(cfg: EngineCfg) -> Arc<Engine> {
     let engine = Arc::new(Engine::new(cfg));
     *global_slot().lock().unwrap() = Some(Arc::clone(&engine));

@@ -20,6 +20,7 @@ use serval_core::report::{ProofReport, Verdict};
 use serval_core::OptCfg;
 use serval_ir::OptLevel;
 use serval_monitors::certikos;
+use serval_net::service::NetCfg;
 use serval_net::wire::ServerStats;
 use serval_net::{Client, RemoteEngine};
 use serval_smt::solver::SolverConfig;
@@ -27,8 +28,8 @@ use serval_smt::{reset_ctx, BV};
 use std::sync::Arc;
 
 fn main() {
-    let mut addr =
-        std::env::var("SERVAL_ADDR").unwrap_or_else(|_| "127.0.0.1:7557".to_string());
+    let cfg = serval_engine::edge::or_exit(NetCfg::from_env());
+    let mut addr = cfg.addr;
     let mut command: Option<String> = None;
     let mut level = OptLevel::O1;
     let mut args = std::env::args().skip(1);
@@ -62,7 +63,11 @@ fn main() {
         Some("stats") => stats(&addr),
         Some("probe") => probe(&addr),
         Some("certikos") => certikos_remote(&addr, level),
-        Some("parity") => parity(&addr, level),
+        Some("parity") => {
+            // The one command that also runs the workload locally.
+            serval_engine::install(cfg.engine);
+            parity(&addr, level)
+        }
         _ => {
             eprintln!("serval-cli: expected one of ping|stats|probe|certikos|parity");
             2

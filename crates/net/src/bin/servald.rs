@@ -21,7 +21,7 @@ use serval_net::Server;
 use std::io::Write;
 
 fn main() {
-    let mut cfg = NetCfg::from_env();
+    let mut cfg = serval_engine::edge::or_exit(NetCfg::from_env());
     let mut addr_file: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -2,7 +2,7 @@
 //! reassemble submission-order verdicts.
 //!
 //! [`Client`] is a blocking, single-connection client. Batches are cut
-//! into bounded chunks (`SERVAL_NET_CHUNK` queries per frame) and
+//! into bounded chunks (`CHUNK` queries per frame) and
 //! pipelined up to the server's advertised in-flight window: the client
 //! keeps at most `max_inflight` unanswered frames, interleaving sends
 //! and receives so neither side's socket buffers can deadlock the
@@ -75,14 +75,14 @@ pub struct ServerInfo {
     pub hot_threshold: u32,
 }
 
-/// Default queries per `Batch` frame (`SERVAL_NET_CHUNK`).
-const DEFAULT_CHUNK: usize = 64;
+/// Queries per `Batch` frame: bounds per-frame memory while keeping the
+/// pipeline full.
+const CHUNK: usize = 64;
 
 /// A blocking servald connection.
 pub struct Client {
     stream: TcpStream,
     max_frame: usize,
-    chunk: usize,
     next_id: u64,
     /// The server's shape.
     pub info: ServerInfo,
@@ -99,15 +99,9 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, NetError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let chunk = std::env::var("SERVAL_NET_CHUNK")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c >= 1)
-            .unwrap_or(DEFAULT_CHUNK);
         let mut client = Client {
             stream,
             max_frame: wire::DEFAULT_MAX_FRAME,
-            chunk,
             next_id: 1,
             info: ServerInfo { shards: 0, shard_jobs: 0, max_inflight: 1, hot_threshold: 0 },
             last_stats: None,
@@ -212,7 +206,7 @@ impl Client {
         let mut current = Vec::new();
         for q in wire_queries {
             current.push(q);
-            if current.len() >= self.chunk {
+            if current.len() >= CHUNK {
                 chunks.push(std::mem::take(&mut current));
             }
         }

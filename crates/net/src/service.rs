@@ -36,7 +36,7 @@ use std::sync::Arc;
 pub struct NetCfg {
     /// Listen / connect address (`SERVAL_ADDR`).
     pub addr: String,
-    /// Worker shard count (`SERVAL_SHARDS`, clamped to at least 1).
+    /// Worker shard count (`SERVAL_SHARDS`, at least 1).
     pub shards: usize,
     /// Per-connection in-flight frame bound (`SERVAL_MAX_INFLIGHT`).
     pub max_inflight: usize,
@@ -64,23 +64,31 @@ impl Default for NetCfg {
 }
 
 impl NetCfg {
-    /// Reads `SERVAL_ADDR`, `SERVAL_SHARDS`, `SERVAL_MAX_INFLIGHT`,
-    /// `SERVAL_HOT_THRESHOLD`, `SERVAL_MAX_FRAME`, and the engine knobs
-    /// ([`EngineCfg::from_env`]).
-    pub fn from_env() -> NetCfg {
-        let d = NetCfg::default();
-        let parse = |name: &str| -> Option<u64> {
-            std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-        };
-        NetCfg {
-            addr: std::env::var("SERVAL_ADDR").unwrap_or(d.addr),
-            shards: parse("SERVAL_SHARDS").map_or(d.shards, |v| (v as usize).max(1)),
-            max_inflight: parse("SERVAL_MAX_INFLIGHT")
-                .map_or(d.max_inflight, |v| (v as usize).max(1)),
-            hot_threshold: parse("SERVAL_HOT_THRESHOLD").map_or(d.hot_threshold, |v| v as u32),
-            max_frame: parse("SERVAL_MAX_FRAME").map_or(d.max_frame, |v| (v as usize).max(1024)),
-            engine: EngineCfg::from_env(),
+    /// [`NetCfg::default`] overridden by `SERVAL_ADDR`, `SERVAL_SHARDS`,
+    /// `SERVAL_MAX_INFLIGHT`, `SERVAL_HOT_THRESHOLD`, `SERVAL_MAX_FRAME`
+    /// and the engine variables ([`EngineCfg::from_env`]), parsed
+    /// strictly. For `fn main` only.
+    pub fn from_env() -> Result<NetCfg, String> {
+        use serval_engine::edge::{at_least, parse, POSITIVE};
+        let var = |name: &str| std::env::var_os(name);
+        let mut cfg = NetCfg { engine: EngineCfg::from_env()?, ..NetCfg::default() };
+        if let Some(addr) = parse(var, "SERVAL_ADDR", "HOST:PORT", |v| Some(v.to_string()))? {
+            cfg.addr = addr;
         }
+        if let Some(n) = parse(var, "SERVAL_SHARDS", POSITIVE, at_least(1))? {
+            cfg.shards = n;
+        }
+        if let Some(n) = parse(var, "SERVAL_MAX_INFLIGHT", POSITIVE, at_least(1))? {
+            cfg.max_inflight = n;
+        }
+        let threshold = |v: &str| v.parse().ok();
+        if let Some(n) = parse(var, "SERVAL_HOT_THRESHOLD", "a 32-bit integer >= 0", threshold)? {
+            cfg.hot_threshold = n;
+        }
+        if let Some(n) = parse(var, "SERVAL_MAX_FRAME", "an integer >= 1024", at_least(1024))? {
+            cfg.max_frame = n;
+        }
+        Ok(cfg)
     }
 }
 

@@ -105,9 +105,6 @@ impl Interp {
                         }
                     }
                     serval_core::PcCases::Opaque => {
-                        if std::env::var("SERVAL_DEBUG_PC").is_ok() {
-                            eprintln!("opaque pc after {steps} steps: {:?}", m.pc);
-                        }
                         return RunOutcome {
                             returned: false,
                             diverged: false,

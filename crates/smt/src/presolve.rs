@@ -81,13 +81,6 @@ const NARROW_MIN_SAVING: u32 = 4;
 /// stay far below this; the cap is a stack-depth backstop.
 const EQ_FUEL: u32 = 512;
 
-/// Whether `SERVAL_PRESOLVE` enables presolve (default: on).
-pub fn env_enabled() -> bool {
-    std::env::var("SERVAL_PRESOLVE")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
 /// DAG size of the term graph reachable from a set of roots.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Counts {

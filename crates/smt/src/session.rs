@@ -171,7 +171,7 @@ impl Session {
             base_mask: Vec::new(),
             planned: None,
             plan: None,
-            presolve: presolve::env_enabled(),
+            presolve: true,
             simp: None,
             goal_cache: presolve::GoalCache::default(),
             goals: 0,

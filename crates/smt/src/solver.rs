@@ -20,41 +20,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Whether `SERVAL_INPROCESS` enables SAT inprocessing (default: on).
-pub fn inprocess_env_enabled() -> bool {
-    std::env::var("SERVAL_INPROCESS")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
-/// Whether `SERVAL_POLARITY` enables Plaisted–Greenbaum polarity-aware
-/// CNF encoding (default: on).
-pub fn polarity_env_enabled() -> bool {
-    std::env::var("SERVAL_POLARITY")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
-/// Whether `SERVAL_SESSION_INPROCESS` lets incremental sessions run
-/// plan-scoped bounded variable elimination (default: on). With it off,
-/// sessions restrict inprocessing to subsumption/strengthening, the
-/// pre-PR-10 behaviour.
-pub fn session_inprocess_env_enabled() -> bool {
-    std::env::var("SERVAL_SESSION_INPROCESS")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
-/// Whether `SERVAL_LRAT` puts LRAT-style antecedent hints on proof
-/// steps (default: on). Hints only change how fast the certificate
-/// checker verifies derived clauses, never which certificates a
-/// fallback-checking verifier accepts.
-pub fn lrat_env_enabled() -> bool {
-    std::env::var("SERVAL_LRAT")
-        .map(|v| !matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(true)
-}
-
 /// Configuration for a solver call.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
@@ -73,19 +38,18 @@ pub struct SolverConfig {
     pub restart_geometric: bool,
     /// Restart-boundary rephasing policy (default: [`Rephase::Off`]).
     pub rephase: Rephase,
-    /// SatELite-style SAT inprocessing (default: `SERVAL_INPROCESS`,
-    /// which is on unless set to `0`/`off`/`false`).
+    /// SatELite-style SAT inprocessing (default: on).
     pub inprocess: bool,
-    /// Plaisted–Greenbaum polarity-aware CNF (default: `SERVAL_POLARITY`,
-    /// which is on unless set to `0`/`off`/`false`).
+    /// Plaisted–Greenbaum polarity-aware CNF (default: on).
     pub polarity: bool,
     /// Plan-scoped variable elimination inside incremental sessions
-    /// (default: `SERVAL_SESSION_INPROCESS`, on unless set to
-    /// `0`/`off`/`false`). Ignored by fresh per-query solves, which
-    /// always eliminate when `inprocess` is on.
+    /// (default: on; off restricts sessions to
+    /// subsumption/strengthening). Ignored by fresh per-query solves,
+    /// which always eliminate when `inprocess` is on.
     pub session_bve: bool,
-    /// LRAT-style antecedent hints on logged proof steps (default:
-    /// `SERVAL_LRAT`, on unless set to `0`/`off`/`false`). Only
+    /// LRAT-style antecedent hints on logged proof steps (default: on).
+    /// Hints only change how fast the certificate checker verifies
+    /// derived clauses, never which certificates it accepts. Only
     /// meaningful with proof logging on.
     pub lrat: bool,
 }
@@ -99,10 +63,10 @@ impl Default for SolverConfig {
             default_phase: false,
             restart_geometric: false,
             rephase: Rephase::Off,
-            inprocess: inprocess_env_enabled(),
-            polarity: polarity_env_enabled(),
-            session_bve: session_inprocess_env_enabled(),
-            lrat: lrat_env_enabled(),
+            inprocess: true,
+            polarity: true,
+            session_bve: true,
+            lrat: true,
         }
     }
 }

@@ -14,6 +14,7 @@ use serval_smt::{reset_ctx, BV};
 use serval_sym::SymCtx;
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let cfg = SolverConfig::default();
 
     // --- 1. The monitor as a concrete machine: spawn two children, yield.

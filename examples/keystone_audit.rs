@@ -9,6 +9,7 @@ use serval_monitors::keystone::{
 use serval_smt::solver::SolverConfig;
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let cfg = SolverConfig::default();
 
     println!("== finding 1: enclave-in-enclave creation ==");

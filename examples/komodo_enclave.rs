@@ -13,6 +13,7 @@ use serval_smt::{reset_ctx, BV};
 use serval_sym::SymCtx;
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     let cfg = SolverConfig::default();
 
     println!("== Komodo^s: enclave lifecycle (concrete) ==");

@@ -18,6 +18,7 @@ use serval_toyrisc::{
 };
 
 fn main() {
+    serval_engine::install(serval_engine::edge::or_exit(serval_engine::EngineCfg::from_env()));
     println!("== Serval quickstart: the ToyRISC sign program (paper §3) ==\n");
     println!("program (Fig. 3):");
     for (i, insn) in sign_program().iter().enumerate() {

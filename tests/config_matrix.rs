@@ -1,0 +1,210 @@
+//! The configuration matrix: every algorithm toggle is a struct field,
+//! so "the same suite under one flipped knob" is a loop over values, not
+//! a CI rerun under an environment variable. Each row builds a fresh
+//! engine from its `EngineCfg`, runs the corpus with its `SolverConfig`
+//! through a checking wrapper at the `Discharge` seam, and must
+//!
+//! - return the baseline row's verdict vector,
+//! - back every `Refuted` with a model that is a counterexample on the
+//!   caller's terms (every assumption true, the goal false),
+//! - under `cert`, give every solver-`Proved` a certificate fingerprint
+//!   and reject no certificate,
+//! - answer a rerun entirely from the cache (`misses` unchanged).
+//!
+//! One `#[test]` in a file of its own: the discharger override is
+//! process-wide, and every integration-test file is its own process.
+
+use serval_engine::{Discharge, DischargeMode, Engine, EngineCfg, Query, QueryOutcome};
+use serval_repro::bpf::{AluOp, Insn as Bpf, Src};
+use serval_repro::core_fw::OptCfg;
+use serval_repro::ir::OptLevel;
+use serval_repro::jit::{check_rv64, check_x86, Rv64Jit, X86Jit};
+use serval_repro::monitors::certikos;
+use serval_repro::monitors::keystone::{
+    audit_ub, prove_isolation, prove_no_nested_creation, KeystoneVariant,
+};
+use serval_repro::smt::solver::{SolverConfig, VerifyResult};
+use serval_repro::smt::{reset_ctx, SBool};
+use serval_repro::toyrisc::{prove_sign_refinement, prove_sign_step_consistency};
+use std::sync::{Arc, Mutex};
+
+struct Row {
+    name: &'static str,
+    engine: EngineCfg,
+    solver: SolverConfig,
+}
+
+/// Two workers whatever the machine has, so the baseline is the same
+/// row everywhere; the `jobs` rows move it.
+fn e() -> EngineCfg {
+    EngineCfg { jobs: 2, ..EngineCfg::default() }
+}
+
+fn rows() -> Vec<Row> {
+    use DischargeMode::{Auto, Fresh};
+    let s = SolverConfig::default;
+    let row = |name, engine, solver| Row { name, engine, solver };
+    vec![
+        row("baseline", e(), s()),
+        // Every single-field flip.
+        row("split=false", EngineCfg { split: false, ..e() }, s()),
+        row("presolve=false", EngineCfg { presolve: false, ..e() }, s()),
+        row("cert=false", EngineCfg { cert: false, ..e() }, s()),
+        row("portfolio", EngineCfg { portfolio: true, ..e() }, s()),
+        row("mode=Fresh", EngineCfg { mode: Fresh, ..e() }, s()),
+        row("mode=Auto", EngineCfg { mode: Auto, ..e() }, s()),
+        row("jobs=1", EngineCfg { jobs: 1, ..e() }, s()),
+        row("jobs=4", EngineCfg { jobs: 4, ..e() }, s()),
+        row("inprocess=false", e(), SolverConfig { inprocess: false, ..s() }),
+        row("polarity=false", e(), SolverConfig { polarity: false, ..s() }),
+        row("session_bve=false", e(), SolverConfig { session_bve: false, ..s() }),
+        // Certified with unhinted proofs: the one pair ci.sh crossed.
+        row("cert x lrat=false", e(), SolverConfig { lrat: false, ..s() }),
+        // Pairs no CI leg ever crossed.
+        row("presolve=false x Fresh", EngineCfg { presolve: false, mode: Fresh, ..e() }, s()),
+        row(
+            "cert=false x inprocess=false",
+            EngineCfg { cert: false, ..e() },
+            SolverConfig { inprocess: false, ..s() },
+        ),
+        row(
+            "Auto x polarity=false",
+            EngineCfg { mode: Auto, ..e() },
+            SolverConfig { polarity: false, ..s() },
+        ),
+        row("portfolio x cert=false", EngineCfg { portfolio: true, cert: false, ..e() }, s()),
+        row("presolve=false x Auto", EngineCfg { presolve: false, mode: Auto, ..e() }, s()),
+        row(
+            "Fresh x inprocess=false x lrat=false",
+            EngineCfg { mode: Fresh, ..e() },
+            SolverConfig { inprocess: false, lrat: false, ..s() },
+        ),
+    ]
+}
+
+fn alu(op: AluOp, is32: bool) -> Bpf {
+    let (src, dst, srcr, imm) = (Src::X, 1, 2, 0);
+    if is32 {
+        Bpf::Alu32 { op, src, dst, srcr, imm }
+    } else {
+        Bpf::Alu64 { op, src, dst, srcr, imm }
+    }
+}
+
+/// ToyRISC, a JIT instruction subset on the fixed and the buggy JITs
+/// (the buggy rv64 JIT mis-extends 32-bit ALU results, the buggy x86-32
+/// JIT gets 64-bit register shifts wrong), the Keystone audit, and the
+/// certikos `-O1` spawn refinement. Verdicts are read at the seam, so
+/// the reports are dropped.
+fn corpus(cfg: SolverConfig) {
+    reset_ctx();
+    drop(prove_sign_refinement(cfg));
+    reset_ctx();
+    drop(prove_sign_step_consistency(cfg));
+    for insn in [alu(AluOp::Add, false), alu(AluOp::Add, true), alu(AluOp::Rsh, true)] {
+        drop(check_rv64(&Rv64Jit::fixed(), insn, cfg));
+        drop(check_rv64(&Rv64Jit::buggy(), insn, cfg));
+    }
+    for insn in [alu(AluOp::Add, false), alu(AluOp::Lsh, false), alu(AluOp::Xor, true)] {
+        drop(check_x86(&X86Jit::fixed(), insn, cfg));
+        drop(check_x86(&X86Jit::buggy(), insn, cfg));
+    }
+    for variant in [KeystoneVariant::AsImplemented, KeystoneVariant::Suggested] {
+        drop(prove_no_nested_creation(variant, cfg));
+    }
+    drop(prove_isolation(KeystoneVariant::Suggested, cfg));
+    drop(audit_ub(true, cfg));
+    drop(audit_ub(false, cfg));
+    drop(certikos::proofs::prove_op(certikos::sys::SPAWN, OptLevel::O1, OptCfg::default(), cfg));
+}
+
+/// Forwards to one row's engine and checks every outcome on the way
+/// back, while the caller's terms are still alive.
+struct Checked {
+    row: &'static str,
+    engine: Engine,
+    verdicts: Mutex<Vec<(String, &'static str)>>,
+}
+
+impl Discharge for Checked {
+    fn submit_batch(&self, queries: Vec<Query>) -> Vec<QueryOutcome> {
+        let claims: Vec<(Vec<SBool>, SBool)> =
+            queries.iter().map(|q| (q.assumptions.clone(), q.goal)).collect();
+        let outs = self.engine.submit_batch(queries);
+        let mut verdicts = self.verdicts.lock().expect("only the test thread submits");
+        for (out, (assumptions, goal)) in outs.iter().zip(&claims) {
+            let (row, label) = (self.row, &out.label);
+            let code = match &out.result {
+                VerifyResult::Proved => {
+                    if self.engine.cert() && out.stats.is_some() {
+                        assert!(out.cert.is_some(), "[{row}] {label}: proved, no certificate");
+                    }
+                    "proved"
+                }
+                VerifyResult::Counterexample(m) => {
+                    assert!(
+                        assumptions.iter().all(|a| m.eval_bool(a.0)) && !m.eval_bool(goal.0),
+                        "[{row}] {label}: the model is not a counterexample"
+                    );
+                    "refuted"
+                }
+                VerifyResult::Unknown => "unknown",
+                VerifyResult::Interrupted => "interrupted",
+            };
+            verdicts.push((out.label.clone(), code));
+        }
+        outs
+    }
+}
+
+#[test]
+fn every_config_row_agrees_with_the_baseline() {
+    let mut baseline: Option<Vec<(String, &'static str)>> = None;
+    for Row { name, engine: cfg, solver } in rows() {
+        let (mode, portfolio) = (cfg.mode, cfg.portfolio);
+        let checked = Arc::new(Checked {
+            row: name,
+            engine: Engine::new(cfg),
+            verdicts: Mutex::new(Vec::new()),
+        });
+        serval_engine::install_discharger(Arc::clone(&checked) as Arc<dyn Discharge>);
+        let take = || std::mem::take(&mut *checked.verdicts.lock().expect("test thread"));
+
+        corpus(solver);
+        let cold = take();
+        let (cold_hits, cold_misses) = checked.engine.cache_stats();
+        let (cold_queries, cold_trivial) = checked.engine.query_counts();
+        corpus(solver);
+        let warm = take();
+        serval_engine::clear_discharger();
+
+        let baseline = baseline.get_or_insert_with(|| {
+            let count = |code| cold.iter().filter(|(_, c)| *c == code).count();
+            assert_eq!(count("proved") + count("refuted"), cold.len(), "baseline is definitive");
+            // 2 rv64 + 1 x86-32 buggy instructions, nested creation as
+            // implemented, and the three undefined-behaviour checks.
+            assert_eq!(count("refuted"), 7, "{cold:?}");
+            cold.clone()
+        });
+        assert_eq!(&cold, baseline, "[{name}] cold verdicts differ from the baseline row");
+        assert_eq!(&warm, baseline, "[{name}] warm verdicts differ from the baseline row");
+        // Trivially discharged queries never consult the cache; every
+        // other query of the rerun must hit it.
+        let (hits, misses) = checked.engine.cache_stats();
+        let (queries, trivial) = checked.engine.query_counts();
+        assert_eq!(misses, cold_misses, "[{name}] the rerun missed the cache");
+        assert_eq!(
+            hits - cold_hits,
+            (queries - cold_queries) - (trivial - cold_trivial),
+            "[{name}] warm hits do not cover every non-trivial query"
+        );
+        assert_eq!(checked.engine.cert_counts().1, 0, "[{name}] a certificate was rejected");
+        let (sessions, fresh) = checked.engine.mode_counts();
+        match mode {
+            _ if portfolio => assert_eq!((sessions, fresh), (0, 0), "[{name}]"),
+            DischargeMode::Fresh => assert_eq!(sessions, 0, "[{name}]"),
+            DischargeMode::Session => assert!(sessions > 0 && fresh == 0, "[{name}]"),
+            DischargeMode::Auto => assert!(sessions > 0 && fresh > 0, "[{name}]"),
+        }
+    }
+}

@@ -141,3 +141,71 @@ fn check_substrate_works() {
     h.bench("noop", || {});
     assert!(h.to_json().contains("\"suite\": \"smoke\""));
 }
+
+/// Lines of `text` outside the body of `pub fn from_env`.
+fn outside_from_env(text: &str) -> Vec<&str> {
+    let mut closing: Option<String> = None;
+    let mut out = Vec::new();
+    for line in text.lines() {
+        match &closing {
+            Some(end) if line == end => closing = None,
+            Some(_) => {}
+            None if line.trim_start().starts_with("pub fn from_env(") => {
+                let indent = &line[..line.len() - line.trim_start().len()];
+                closing = Some(format!("{indent}}}"));
+            }
+            None => out.push(line),
+        }
+    }
+    out
+}
+
+/// Configuration is a value: libraries never read the environment. The
+/// only readers are the two `from_env` constructors a `main` calls, the
+/// test/bench harness inputs in `crates/check`, and the binaries and
+/// examples themselves.
+#[test]
+fn libraries_do_not_read_the_environment() {
+    let root = serval_bench::workspace_root();
+    let rel = |p: &std::path::Path| p.strip_prefix(&root).unwrap().to_string_lossy().into_owned();
+    for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
+        let path = rel(&path);
+        if !path.contains("/src/") || path.contains("/src/bin/") {
+            continue;
+        }
+        let lines = match path.as_str() {
+            "crates/check/src/runner.rs" | "crates/check/src/bench.rs" => continue,
+            "crates/engine/src/lib.rs" | "crates/net/src/service.rs" => outside_from_env(&text),
+            _ => text.lines().collect(),
+        };
+        for line in lines {
+            assert!(!line.contains("env::var"), "{path} reads the environment: {line}");
+        }
+    }
+}
+
+/// The ten variables that lost their environment spelling stay gone:
+/// algorithm toggles are struct fields (`tests/config_matrix.rs` flips
+/// them), not something a shell can change under a proof.
+#[test]
+fn retired_variables_stay_retired() {
+    let root = serval_bench::workspace_root();
+    let retired: Vec<String> = [
+        "SPLIT", "INCREMENTAL", "PRESOLVE", "INPROCESS", "POLARITY", "SESSION_INPROCESS", "LRAT",
+        "NET_CHUNK", "ENGINE_DEBUG", "DEBUG_PC",
+    ]
+    .iter()
+    .map(|suffix| format!("SERVAL_{suffix}"))
+    .collect();
+    let mut texts: Vec<(std::path::PathBuf, String)> = ["crates", "src", "tests", "examples"]
+        .iter()
+        .flat_map(|dir| serval_bench::rust_sources(&root.join(dir)))
+        .collect();
+    let ci = root.join("ci.sh");
+    texts.push((ci.clone(), std::fs::read_to_string(&ci).expect("ci.sh is checked in")));
+    for (path, text) in &texts {
+        for name in &retired {
+            assert!(!text.contains(name.as_str()), "{} mentions retired {name}", path.display());
+        }
+    }
+}
