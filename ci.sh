@@ -10,8 +10,11 @@ cargo build --release --offline
 
 # Configurations are values, so "the same suite under one flipped knob"
 # is a loop inside tests/config_matrix.rs (part of this run), not a
-# rerun of the suites under an environment variable.
-echo "== tests (whole workspace, offline) =="
+# rerun of the suites under an environment variable. Also part of this
+# run: tests/alloc_budget.rs, a binary of its own with a counting global
+# allocator, which fails if a certified session goes back to the heap
+# once per proof step (what made two workers serialise on malloc).
+echo "== tests (whole workspace, offline; incl. config_matrix, alloc_budget) =="
 cargo test -q --workspace --offline
 
 # The benchmark package builds its configurations as struct literals and

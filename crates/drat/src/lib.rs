@@ -1,8 +1,8 @@
 //! An independent checker for the SAT solver's proof certificates.
 //!
 //! `serval-sat` can log every clause it adds, derives, or deletes as a
-//! [`ProofStep`] (see `serval_sat::Solver::set_proof_logging`). This crate
-//! replays such a log against its *own* clause database and unit
+//! step of a [`ProofLog`] (see `serval_sat::Solver::set_proof_logging`).
+//! This crate replays such a log against its *own* clause database and unit
 //! propagation — sharing no solver data structures — and accepts it only
 //! if every `Derived` clause follows by **reverse unit propagation**
 //! (RUP): assert the negation of the clause's literals, propagate, and
@@ -30,7 +30,7 @@
 //! live [`Checker`] the per-goal proof deltas of an incremental SAT
 //! session, calling [`Checker::take_conclusion`] after each goal.
 
-use serval_sat::{Lit, ProofStep};
+use serval_sat::{Lit, ProofLog, Step, StepKind};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -178,23 +178,16 @@ impl Checker {
 
     /// Applies one proof step. Errors leave the checker poisoned for the
     /// caller to discard — partial state after a rejection is unspecified.
-    pub fn apply(&mut self, step: &ProofStep) -> Result<(), CheckError> {
+    pub fn apply(&mut self, step: Step<'_>) -> Result<(), CheckError> {
         let idx = self.steps as usize;
         self.steps += 1;
-        match step {
-            ProofStep::Input(lits) => {
+        let Step { kind, lits, hints } = step;
+        match kind {
+            StepKind::Input => {
                 self.add(lits);
                 Ok(())
             }
-            ProofStep::Derived(lits) => {
-                if !self.rup(lits) {
-                    return Err(CheckError::NotImplied { step: idx });
-                }
-                let cid = self.add(lits);
-                self.last_derived = Some(cid);
-                Ok(())
-            }
-            ProofStep::DerivedHinted(lits, hints) => {
+            StepKind::Derived => {
                 // The hinted walk is an indexed replay of the claimed
                 // propagation chain — far cheaper than watch-driven
                 // RUP, and sound by construction: every literal it
@@ -205,7 +198,9 @@ impl Checker {
                 // acceptance: lenient checking falls back to full RUP
                 // (absent-or-wrong hints change nothing), strict
                 // checking treats it as tamper evidence and rejects.
-                let ok = if self.hinted_rup(lits, hints) {
+                let ok = if hints.is_empty() {
+                    self.rup(lits)
+                } else if self.hinted_rup(lits, hints) {
                     self.hinted_ok += 1;
                     true
                 } else if self.strict_hints {
@@ -221,7 +216,7 @@ impl Checker {
                 self.last_derived = Some(cid);
                 Ok(())
             }
-            ProofStep::Delete(lits) => self.delete(lits, idx),
+            StepKind::Delete => self.delete(lits, idx),
         }
     }
 
@@ -598,9 +593,9 @@ fn value_of(assign: &[i8], l: Lit) -> i8 {
 /// Checks a complete refutation log: applies every step, then requires a
 /// conclusion whose literals are all negated `assumptions` (the empty
 /// clause when `assumptions` is empty).
-pub fn check_refutation(steps: &[ProofStep], assumptions: &[Lit]) -> Result<(), CheckError> {
+pub fn check_refutation(log: &ProofLog, assumptions: &[Lit]) -> Result<(), CheckError> {
     let mut ck = Checker::new();
-    for s in steps {
+    for s in log.iter() {
         ck.apply(s)?;
     }
     match ck.take_conclusion() {
@@ -622,13 +617,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// FNV-1a-64 fingerprint of a proof log (order-sensitive). Certificate
 /// hashes stored in the engine's verdict cache use this; 0 never occurs,
 /// so callers can use 0 for "no certificate".
-pub fn hash_steps(steps: &[ProofStep]) -> u64 {
-    hash_steps_seeded(FNV_OFFSET, steps)
+pub fn hash_steps(log: &ProofLog) -> u64 {
+    hash_steps_seeded(FNV_OFFSET, log)
 }
 
 /// [`hash_steps`] with an explicit seed, for chaining per-goal deltas of
 /// an incremental session into one running certificate hash.
-pub fn hash_steps_seeded(seed: u64, steps: &[ProofStep]) -> u64 {
+pub fn hash_steps_seeded(seed: u64, log: &ProofLog) -> u64 {
     // FNV-1a over u32 units rather than bytes: one xor-multiply per
     // literal/hint. This fingerprint guards against corruption and
     // accidental replacement (bucket hits re-replay the proof), not
@@ -636,29 +631,25 @@ pub fn hash_steps_seeded(seed: u64, steps: &[ProofStep]) -> u64 {
     // certificate — at half a million steps per workload the byte-wise
     // variant was a measurable slice of certified-discharge overhead.
     #[inline]
-    fn byte(h: u64, b: u8) -> u64 {
-        (h ^ b as u64).wrapping_mul(FNV_PRIME)
-    }
-    #[inline]
     fn word(h: u64, w: u32) -> u64 {
         (h ^ w as u64).wrapping_mul(FNV_PRIME)
     }
     let mut h = seed;
-    for s in steps {
-        let (tag, lits) = match s {
-            ProofStep::Input(l) => (1u8, l),
-            ProofStep::Derived(l) => (2u8, l),
-            ProofStep::Delete(l) => (3u8, l),
-            ProofStep::DerivedHinted(l, _) => (4u8, l),
+    for Step { kind, lits, hints } in log.iter() {
+        let tag = match kind {
+            StepKind::Input => 1,
+            StepKind::Derived if hints.is_empty() => 2,
+            StepKind::Delete => 3,
+            StepKind::Derived => 4,
         };
-        h = byte(h, tag);
+        h = word(h, tag);
         h = word(h, lits.len() as u32);
         for l in lits {
             h = word(h, l.0);
         }
         // Hints are part of the certificate: a fingerprint match must
         // mean the cached proof replays identically, hints included.
-        if let ProofStep::DerivedHinted(_, hints) = s {
+        if !hints.is_empty() {
             h = word(h, hints.len() as u32);
             for &id in hints {
                 h = word(h, id);

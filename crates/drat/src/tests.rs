@@ -4,11 +4,26 @@
 
 use crate::{check_refutation, conclusion_covers, hash_steps, hash_steps_seeded, CheckError,
             Checker};
-use serval_sat::{Lit, ProofStep, SolveResult, Solver, Var};
+use serval_sat::{Lit, ProofLog, SolveResult, Solver, Step, StepKind, Var};
+
+/// Whether `st` is a derived clause of at least `n` literals.
+fn derived_of(st: Step<'_>, n: usize) -> bool {
+    st.kind == StepKind::Derived && st.lits.len() >= n
+}
+
+/// An unhinted step over `lits`.
+fn step(kind: StepKind, lits: &[Lit]) -> Step<'_> {
+    Step { kind, lits, hints: &[] }
+}
+
+/// Whether `log` ends in the derived empty clause.
+fn concludes_empty(log: &ProofLog) -> bool {
+    log.last().is_some_and(|st| st.kind == StepKind::Derived && st.lits.is_empty())
+}
 
 /// Solves the pigeonhole formula PHP(holes+1, holes) with proof logging
 /// and returns the certificate.
-fn php_certificate(holes: usize) -> Vec<ProofStep> {
+fn php_certificate(holes: usize) -> ProofLog {
     let pigeons = holes + 1;
     let mut s = Solver::new();
     s.set_proof_logging(true);
@@ -54,14 +69,16 @@ fn session_gadget() -> (Solver, Lit, Lit) {
 #[test]
 fn pigeonhole_certificate_accepted() {
     let proof = php_certificate(4);
-    assert!(proof.iter().any(|s| matches!(s, ProofStep::Derived(_))));
-    assert!(matches!(proof.last(), Some(ProofStep::Derived(l)) if l.is_empty()));
+    assert!(proof.iter().any(|s| derived_of(s, 1)));
+    assert!(concludes_empty(&proof));
     check_refutation(&proof, &[]).unwrap();
 }
 
 #[test]
 fn empty_input_clause_is_a_refutation() {
-    let proof = vec![ProofStep::Input(vec![]), ProofStep::Derived(vec![])];
+    let mut proof = ProofLog::new();
+    proof.push(StepKind::Input, &[], &[]);
+    proof.push(StepKind::Derived, &[], &[]);
     check_refutation(&proof, &[]).unwrap();
 }
 
@@ -70,7 +87,7 @@ fn mutation_dropped_step_rejected() {
     let mut proof = php_certificate(3);
     // Drop the concluding empty clause: the log no longer ends in a
     // refutation.
-    proof.pop();
+    proof.truncate(proof.len() - 1);
     assert!(check_refutation(&proof, &[]).is_err());
 }
 
@@ -79,11 +96,10 @@ fn mutation_flipped_literal_rejected() {
     let mut proof = php_certificate(3);
     // Flip the first literal of every non-empty derived clause; the
     // corrupted lemmas no longer follow by unit propagation.
-    for s in &mut proof {
-        if let ProofStep::Derived(l) | ProofStep::DerivedHinted(l, _) = s {
-            if let Some(first) = l.first_mut() {
-                *first = !*first;
-            }
+    for i in 0..proof.len() {
+        if derived_of(proof.step(i), 1) {
+            let first = &mut proof.lits_mut(i)[0];
+            *first = !*first;
         }
     }
     assert!(check_refutation(&proof, &[]).is_err());
@@ -102,16 +118,19 @@ fn mutation_reordered_deletion_rejected() {
     assert_eq!(s.solve_assuming(&[act1]), SolveResult::Unsat);
     s.retract(act1);
     assert_eq!(s.solve_assuming(&[act2]), SolveResult::Unsat);
-    let mut proof = s.take_proof();
+    let proof = s.take_proof();
     let del = proof
         .iter()
-        .position(|st| matches!(st, ProofStep::Delete(_)))
+        .position(|st| st.kind == StepKind::Delete)
         .expect("retract should sweep satisfied gate clauses");
     // Move the deletion before the clause ever existed.
-    let step = proof.remove(del);
-    proof.insert(0, step);
+    let mut moved = ProofLog::new();
+    for i in std::iter::once(del).chain((0..proof.len()).filter(|&i| i != del)) {
+        let st = proof.step(i);
+        moved.push(st.kind, st.lits, st.hints);
+    }
     assert!(matches!(
-        check_refutation(&proof, &[act2]),
+        check_refutation(&moved, &[act2]),
         Err(CheckError::DeleteMissing { step: 0 })
     ));
 }
@@ -119,8 +138,8 @@ fn mutation_reordered_deletion_rejected() {
 #[test]
 fn delete_of_unknown_clause_rejected() {
     let mut ck = Checker::new();
-    ck.apply(&ProofStep::Input(vec![Lit::pos(Var(0))])).unwrap();
-    let err = ck.apply(&ProofStep::Delete(vec![Lit::neg(Var(0))]));
+    ck.apply(step(StepKind::Input, &[Lit::pos(Var(0))])).unwrap();
+    let err = ck.apply(step(StepKind::Delete, &[Lit::neg(Var(0))]));
     assert!(matches!(err, Err(CheckError::DeleteMissing { step: 1 })));
 }
 
@@ -128,9 +147,9 @@ fn delete_of_unknown_clause_rejected() {
 fn underived_clause_rejected() {
     // {a, b} alone does not imply {a}.
     let mut ck = Checker::new();
-    ck.apply(&ProofStep::Input(vec![Lit::pos(Var(0)), Lit::pos(Var(1))]))
+    ck.apply(step(StepKind::Input, &[Lit::pos(Var(0)), Lit::pos(Var(1))]))
         .unwrap();
-    let err = ck.apply(&ProofStep::Derived(vec![Lit::pos(Var(0))]));
+    let err = ck.apply(step(StepKind::Derived, &[Lit::pos(Var(0))]));
     assert!(matches!(err, Err(CheckError::NotImplied { step: 1 })));
 }
 
@@ -140,7 +159,7 @@ fn session_deltas_check_incrementally() {
     let mut ck = Checker::new();
 
     assert_eq!(s.solve_assuming(&[act1]), SolveResult::Unsat);
-    for st in &s.take_proof() {
+    for st in s.take_proof().iter() {
         ck.apply(st).unwrap();
     }
     let c1 = ck.take_conclusion().expect("goal 1 conclusion");
@@ -150,8 +169,8 @@ fn session_deltas_check_incrementally() {
     assert_eq!(s.solve_assuming(&[act2]), SolveResult::Unsat);
     let delta = s.take_proof();
     // The retraction swept goal 1's satisfied gate clauses.
-    assert!(delta.iter().any(|st| matches!(st, ProofStep::Delete(_))));
-    for st in &delta {
+    assert!(delta.iter().any(|st| st.kind == StepKind::Delete));
+    for st in delta.iter() {
         ck.apply(st).unwrap();
     }
     let c2 = ck.take_conclusion().expect("goal 2 conclusion");
@@ -170,7 +189,7 @@ fn session_deltas_check_incrementally() {
 /// elimination candidate. The later contradiction over `{a, b, c}`
 /// makes the combined log a refutation that *uses* the resolvent.
 /// Returns the log and the index of the logged resolvent.
-fn elimination_certificate() -> (Vec<ProofStep>, usize) {
+fn elimination_certificate() -> (ProofLog, usize) {
     let mut s = Solver::new();
     s.set_proof_logging(true);
     let v = s.new_var();
@@ -185,17 +204,15 @@ fn elimination_certificate() -> (Vec<ProofStep>, usize) {
     let mut proof = s.take_proof();
     let resolvent_at = proof
         .iter()
-        .position(|st| {
-            matches!(st, ProofStep::Derived(l) | ProofStep::DerivedHinted(l, _) if l.len() >= 2)
-        })
+        .position(|st| derived_of(st, 2))
         .expect("a shared-literal resolvent must be logged");
     // Refute through the resolvent: with a and b false the checker's
     // only path to c is the Derived {a, b, c}.
     assert!(s.add_clause(&[Lit::neg(a)]));
     assert!(s.add_clause(&[Lit::neg(b)]));
     assert!(!s.add_clause(&[Lit::neg(c)]));
-    proof.extend(s.take_proof());
-    assert!(matches!(proof.last(), Some(ProofStep::Derived(l)) if l.is_empty()));
+    proof.extend(&s.take_proof());
+    assert!(concludes_empty(&proof));
     (proof, resolvent_at)
 }
 
@@ -203,7 +220,7 @@ fn elimination_certificate() -> (Vec<ProofStep>, usize) {
 fn elimination_certificate_accepted() {
     let (proof, _) = elimination_certificate();
     assert!(
-        !proof.iter().any(|st| matches!(st, ProofStep::Delete(_))),
+        !proof.iter().any(|st| st.kind == StepKind::Delete),
         "parent deletions must be elided from the proof"
     );
     check_refutation(&proof, &[]).unwrap();
@@ -226,25 +243,21 @@ fn elided_elimination_certificate_accepted() {
     assert!(s.stats().eliminated_vars > 0, "the chain must be eliminated");
     let mut proof = s.take_proof();
     assert!(
-        !proof.iter().any(|st| {
-            matches!(st, ProofStep::Derived(l) | ProofStep::DerivedHinted(l, _) if l.len() >= 2)
-        }),
+        !proof.iter().any(|st| derived_of(st, 2)),
         "disjoint-parent resolvents must be elided from the proof"
     );
     // !x15 forces the whole (reintroduced) chain false, conflicting
     // with {x0, x15} at level 0; the conclusion is logged by add_clause.
     assert!(!s.add_clause(&[Lit::neg(v[15])]));
-    proof.extend(s.take_proof());
-    assert!(matches!(proof.last(), Some(ProofStep::Derived(l)) if l.is_empty()));
+    proof.extend(&s.take_proof());
+    assert!(concludes_empty(&proof));
     check_refutation(&proof, &[]).unwrap();
 }
 
 #[test]
 fn mutation_tampered_resolvent_rejected() {
     let (mut proof, at) = elimination_certificate();
-    let (ProofStep::Derived(l) | ProofStep::DerivedHinted(l, _)) = &mut proof[at] else {
-        unreachable!("elimination_certificate returned a non-Derived index")
-    };
+    let l = proof.lits_mut(at);
     l[0] = !l[0];
     // Flipping a literal makes the resolvent satisfiable together with
     // its parents, so RUP at its position finds no conflict.
@@ -260,10 +273,10 @@ fn mutation_tampered_resolvent_rejected() {
 
 /// Index of the first hinted step with a non-empty hint list, or a
 /// panic — the solver must produce hinted steps on PHP.
-fn first_hinted(proof: &[ProofStep]) -> usize {
+fn first_hinted(proof: &ProofLog) -> usize {
     proof
         .iter()
-        .position(|st| matches!(st, ProofStep::DerivedHinted(_, h) if !h.is_empty()))
+        .position(|st| !st.hints.is_empty())
         .expect("PHP certificates must carry hinted derivations")
 }
 
@@ -272,7 +285,7 @@ fn php_certificate_checks_on_the_hinted_fast_path() {
     let proof = php_certificate(4);
     first_hinted(&proof);
     let mut ck = Checker::new();
-    for st in &proof {
+    for st in proof.iter() {
         ck.apply(st).unwrap();
     }
     assert!(ck.take_conclusion().is_some(), "PHP log must conclude");
@@ -287,16 +300,14 @@ fn php_certificate_checks_on_the_hinted_fast_path() {
 #[test]
 fn tampered_hints_fall_back_to_full_rup() {
     let mut proof = php_certificate(4);
-    for st in &mut proof {
-        if let ProofStep::DerivedHinted(_, hints) = st {
-            // Out-of-range ids: the hinted walk dies immediately.
-            for h in hints.iter_mut() {
-                *h = h.wrapping_add(100_000);
-            }
+    for i in 0..proof.len() {
+        // Out-of-range ids: the hinted walk dies immediately.
+        for h in proof.hints_mut(i) {
+            *h = h.wrapping_add(100_000);
         }
     }
     let mut ck = Checker::new();
-    for st in &proof {
+    for st in proof.iter() {
         ck.apply(st).unwrap();
     }
     assert!(ck.take_conclusion().is_some());
@@ -310,9 +321,8 @@ fn tampered_hints_fall_back_to_full_rup() {
 fn tampered_hints_rejected_in_strict_mode() {
     let mut proof = php_certificate(4);
     let at = first_hinted(&proof);
-    if let ProofStep::DerivedHinted(_, hints) = &mut proof[at] {
-        hints[0] = hints[0].wrapping_add(100_000);
-    }
+    let hints = proof.hints_mut(at);
+    hints[0] = hints[0].wrapping_add(100_000);
     let mut ck = Checker::new();
     ck.set_strict_hints(true);
     let err = proof.iter().try_for_each(|st| ck.apply(st));
@@ -331,13 +341,11 @@ fn reordered_hints_rejected_in_strict_mode() {
     // Find a hinted step whose reversal actually changes the order.
     let at = proof
         .iter()
-        .position(|st| matches!(st, ProofStep::DerivedHinted(_, h) if h.len() >= 2 && h[0] != h[h.len() - 1]))
+        .position(|st| st.hints.len() >= 2 && st.hints[0] != st.hints[st.hints.len() - 1])
         .expect("PHP must produce a multi-hint derivation");
-    if let ProofStep::DerivedHinted(_, hints) = &mut proof[at] {
-        hints.reverse();
-    }
+    proof.hints_mut(at).reverse();
     let mut lenient = Checker::new();
-    for st in &proof {
+    for st in proof.iter() {
         lenient.apply(st).unwrap();
     }
     assert!(lenient.hint_stats().1 > 0, "reversal must force a fallback");
@@ -357,9 +365,9 @@ fn hints_cannot_launder_an_underived_clause() {
     for strict in [false, true] {
         let mut ck = Checker::new();
         ck.set_strict_hints(strict);
-        ck.apply(&ProofStep::Input(vec![a, b])).unwrap();
+        ck.apply(step(StepKind::Input, &[a, b])).unwrap();
         // {a, b} alone does not imply {a}, whatever the hints claim.
-        let err = ck.apply(&ProofStep::DerivedHinted(vec![a], vec![0]));
+        let err = ck.apply(Step { kind: StepKind::Derived, lits: &[a], hints: &[0] });
         assert!(
             matches!(err, Err(CheckError::NotImplied { step: 1 })),
             "strict={strict}: fabricated hints must not launder the step, got {err:?}"
@@ -375,9 +383,8 @@ fn hint_lists_are_hashed_into_the_fingerprint() {
     let proof = php_certificate(3);
     let at = first_hinted(&proof);
     let mut doctored = proof.clone();
-    if let ProofStep::DerivedHinted(_, hints) = &mut doctored[at] {
-        hints[0] = hints[0].wrapping_add(1);
-    }
+    let hints = doctored.hints_mut(at);
+    hints[0] = hints[0].wrapping_add(1);
     assert_ne!(hash_steps(&proof), hash_steps(&doctored));
 }
 
@@ -439,13 +446,19 @@ fn hashes_are_stable_and_tamper_sensitive() {
     assert_ne!(h1, 0, "0 is reserved for `no certificate`");
 
     let mut flipped = proof.clone();
-    if let Some(ProofStep::Input(l)) = flipped.first_mut() {
-        l[0] = !l[0];
-    }
+    assert_eq!(flipped.step(0).kind, StepKind::Input);
+    let l = flipped.lits_mut(0);
+    l[0] = !l[0];
     assert_ne!(hash_steps(&flipped), h1);
 
-    // Chained (session) hashing distinguishes delta order.
-    let (a, b) = proof.split_at(proof.len() / 2);
-    let chained = hash_steps_seeded(hash_steps(a), b);
-    assert_ne!(chained, hash_steps(b));
+    // Chaining (session) deltas hashes the whole prefix.
+    let mut a = proof.clone();
+    a.truncate(proof.len() / 2);
+    let mut b = ProofLog::new();
+    for st in proof.iter().skip(a.len()) {
+        b.push(st.kind, st.lits, st.hints);
+    }
+    let chained = hash_steps_seeded(hash_steps(&a), &b);
+    assert_eq!(chained, h1);
+    assert_ne!(chained, hash_steps(&b));
 }

@@ -13,7 +13,13 @@
 //!
 //! Results stream back in deterministic submission order with identical
 //! verdicts regardless of worker count, so `SERVAL_JOBS=1` and
-//! `SERVAL_JOBS=32` differ only in wall time.
+//! `SERVAL_JOBS=32` differ only in wall time — and in certificate
+//! fingerprints: sub-queries sharing an assumption set are one *group*,
+//! a group is discharged as one incremental session or, when workers
+//! would otherwise idle and the assumption set is empty, as several
+//! sessions over contiguous chunks of its goals ([`shard_plan`]), and a
+//! goal's fingerprint chains over the proof deltas of the session it
+//! sat in.
 //!
 //! Configuration is a value: [`EngineCfg`] (and the per-query
 //! [`SolverConfig`]) decide everything, their `Default`s are constants,
@@ -49,7 +55,6 @@ pub use form::Query;
 use cache::{Cache, CachedVerdict};
 use form::{prepare, prepare_session, BackMap};
 use pool::Pool;
-use serval_sat::ProofStep;
 use serval_smt::bv::SBool;
 use serval_smt::model::Model;
 use serval_smt::presolve;
@@ -69,7 +74,8 @@ use std::time::Duration;
 pub enum DischargeMode {
     /// One fresh solver per sub-query.
     Fresh,
-    /// One live incremental session per assumption group (see
+    /// Live incremental sessions: one per assumption group, or one per
+    /// chunk of a group [`shard_plan`] cuts (see
     /// [`solve::solve_session`]).
     Session,
     /// Pick per assumption group from predicted reuse. A group of `n`
@@ -200,6 +206,66 @@ fn session_score(asms: &[SBool], goals: &[SBool]) -> f64 {
         return 0.0;
     }
     (goals.len() - 1) as f64 * (base as f64 / total as f64)
+}
+
+/// Session tasks a shardable group is cut into per pool worker. One:
+/// every session opens with its own inprocessing round and re-encodes
+/// what its goals share with their neighbours, so on the JIT sweeps two
+/// tasks per worker cost 10% more CPU (and wall) than one, and the
+/// halves of a sweep are even enough that stealing has nothing to fix.
+pub const SHARDS_PER_JOB: usize = 1;
+
+/// Fewest goals worth a session of their own: below this, the per-session
+/// set-up (term rebuild, solver and checker construction, re-encoding the
+/// sub-terms goals share across the cut) outweighs the overlap gained.
+pub const MIN_SHARD_GOALS: usize = 16;
+
+/// Plans how one sessioned assumption group is cut into session tasks:
+/// returns the first goal of each task (always starting with 0), tasks
+/// being contiguous, in goal order, and within one goal of equal size.
+///
+/// A group is cut only when the batch would otherwise leave workers idle
+/// (`tasks`, its pool tasks with every group uncut, is below `jobs`) and
+/// only when its assumption set is empty (`base_terms == 0`). Goals over
+/// an empty base share no encoding but their own common sub-terms, so
+/// sessions over disjoint chunks do the same work as one session over
+/// all of them; a non-empty base would be asserted, blasted, simplified
+/// and certified once *per chunk*, which on the refinement proofs costs
+/// more CPU and memory than the overlap buys (see DESIGN.md).
+pub fn shard_plan(goals: usize, base_terms: usize, tasks: usize, jobs: usize) -> Vec<usize> {
+    let shards = if base_terms == 0 && tasks < jobs {
+        (SHARDS_PER_JOB * jobs).min(goals / MIN_SHARD_GOALS).max(1)
+    } else {
+        1
+    };
+    (0..shards).map(|k| k * goals / shards).collect()
+}
+
+/// Every field of a [`SolverConfig`] as a hashable value (`f64` by bit
+/// pattern): the half of a session group's key that keeps a query from
+/// being solved under another query's configuration.
+type CfgKey = (Option<u64>, u64, u64, u8, [bool; 6]);
+
+fn cfg_key(cfg: &SolverConfig) -> CfgKey {
+    let SolverConfig {
+        conflict_budget,
+        restart_base,
+        var_decay,
+        default_phase,
+        restart_geometric,
+        rephase,
+        inprocess,
+        polarity,
+        session_bve,
+        lrat,
+    } = *cfg;
+    (
+        conflict_budget,
+        restart_base,
+        var_decay.to_bits(),
+        rephase as u8,
+        [default_phase, restart_geometric, inprocess, polarity, session_bve, lrat],
+    )
 }
 
 /// The outcome of one discharged query, in submission order.
@@ -598,21 +664,18 @@ impl Engine {
         // under another query's budget.
         let use_session = self.incremental();
         let mut groups: Vec<Group> = Vec::new();
-        let mut group_index: HashMap<(Vec<TermId>, String), usize> = HashMap::new();
+        let mut group_index: HashMap<(Vec<TermId>, CfgKey), usize> = HashMap::new();
         let enqueue = |groups: &mut Vec<Group>,
-                       group_index: &mut HashMap<(Vec<TermId>, String), usize>,
+                       group_index: &mut HashMap<(Vec<TermId>, CfgKey), usize>,
                        assumptions: &[SBool],
                        goal: SBool,
                        cfg: SolverConfig|
          -> Work {
-            let mut ids: Vec<TermId> = Vec::with_capacity(assumptions.len());
-            for a in assumptions {
-                if !a.is_true() && !ids.contains(&a.0) {
-                    ids.push(a.0);
-                }
-            }
+            let mut ids: Vec<TermId> =
+                assumptions.iter().filter(|a| !a.is_true()).map(|a| a.0).collect();
             ids.sort_unstable_by_key(|t| t.0);
-            let key = (ids, format!("{cfg:?}"));
+            ids.dedup();
+            let key = (ids, cfg_key(&cfg));
             let g = match group_index.get(&key) {
                 Some(&g) => g,
                 None => {
@@ -778,62 +841,74 @@ impl Engine {
         }
 
         // Schedule pool work per assumption group. In `Session` mode
-        // every group becomes one task: the group's portable core is
-        // prepared caller-side (it owns the terms) and the worker
-        // rebuilds it once, answering every goal on one live solver. In
-        // `Auto` mode the reuse predictor decides per group — a group
-        // whose predicted reuse is too thin is discharged as one fresh
-        // solver task per goal instead (same verdicts, no session
-        // bookkeeping). `group_tasks[g]` holds the single session task
-        // or the per-goal fresh tasks; `group_backmaps[g]` the matching
-        // backmap(s) for countermodel renumbering.
+        // every group is sessioned: its portable core is prepared
+        // caller-side (it owns the terms) and a worker rebuilds it once,
+        // answering every goal on one live solver. In `Auto` mode the
+        // reuse predictor decides per group — a group whose predicted
+        // reuse is too thin is discharged as one fresh solver task per
+        // goal instead (same verdicts, no session bookkeeping). A
+        // sessioned group is one session task unless [`shard_plan`]
+        // splits it into several over contiguous goal chunks.
+        // `group_starts[g]` holds the first goal of each of group `g`'s
+        // tasks (every goal, for a fresh-discharged group),
+        // `group_tasks[g]` and `group_backmaps[g]` the matching pool task
+        // and the backmap its countermodels come back numbered in.
         let adaptive = self.mode() == DischargeMode::Auto;
+        let sessioned: Vec<bool> = groups
+            .iter()
+            .map(|g| !adaptive || session_score(&g.asms, &g.goals) >= AUTO_SESSION_THRESHOLD)
+            .collect();
+        let unsharded_tasks = tasks.len()
+            + groups
+                .iter()
+                .zip(&sessioned)
+                .map(|(g, &as_session)| if as_session { 1 } else { g.goals.len() })
+                .sum::<usize>();
+        let mut group_starts: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
         let mut group_tasks: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
         let mut group_backmaps: Vec<Vec<BackMap>> = Vec::with_capacity(groups.len());
-        let mut group_sessioned: Vec<bool> = Vec::with_capacity(groups.len());
-        for g in &groups {
-            let as_session =
-                !adaptive || session_score(&g.asms, &g.goals) >= AUTO_SESSION_THRESHOLD;
-            if as_session {
-                let sp = prepare_session(&g.asms, &g.goals);
-                group_backmaps.push(vec![sp.backmap]);
-                let core = Arc::new(sp.core);
-                let cfg = g.cfg;
-                let cert = self.cert;
-                tasks.push(Box::new(move || solve_session(&core, cfg, None, cert)));
-                group_tasks.push(vec![tasks.len() - 1]);
+        for (g, &as_session) in groups.iter().zip(&sessioned) {
+            let starts: Vec<usize> = if as_session {
                 self.groups_session.fetch_add(1, Ordering::Relaxed);
+                shard_plan(g.goals.len(), g.asms.len(), unsharded_tasks, self.jobs())
             } else {
-                let mut ts = Vec::with_capacity(g.goals.len());
-                let mut bms = Vec::with_capacity(g.goals.len());
-                for &goal in &g.goals {
-                    let sp = prepare(&g.asms, goal);
+                self.groups_fresh.fetch_add(1, Ordering::Relaxed);
+                (0..g.goals.len()).collect()
+            };
+            let mut ts = Vec::with_capacity(starts.len());
+            let mut bms = Vec::with_capacity(starts.len());
+            for (k, &start) in starts.iter().enumerate() {
+                let end = starts.get(k + 1).copied().unwrap_or(g.goals.len());
+                if as_session {
+                    let sp = prepare_session(&g.asms, &g.goals[start..end]);
+                    bms.push(sp.backmap);
+                    let core = Arc::new(sp.core);
+                    let (cfg, cert) = (g.cfg, self.cert);
+                    tasks.push(Box::new(move || solve_session(&core, cfg, None, cert)));
+                    ts.push(tasks.len() - 1);
+                } else {
+                    let sp = prepare(&g.asms, g.goals[start]);
                     bms.push(sp.backmap);
                     ts.push(push_task(&mut tasks, sp.core, g.cfg));
                 }
-                group_tasks.push(ts);
-                group_backmaps.push(bms);
-                self.groups_fresh.fetch_add(1, Ordering::Relaxed);
             }
-            group_sessioned.push(as_session);
+            group_starts.push(starts);
+            group_tasks.push(ts);
+            group_backmaps.push(bms);
         }
 
         let raw: Vec<Result<Vec<RawOutcome>, String>> = self.pool.run_batch(tasks);
         // Maps a sub-query's `Work` onto (pool task, outcome index
         // within the task, group backmap if any — the numbering the
-        // countermodel comes back in). A sessioned group is one task
-        // answering every goal under the group backmap; a fresh-
-        // discharged group is one single-outcome task per goal, each
-        // with its own backmap.
+        // countermodel comes back in): the task of a grouped goal is the
+        // last one starting at or before it.
         let locate = |work: Work| -> (usize, usize, Option<(usize, usize)>) {
             match work {
                 Work::Fresh(t) => (t, 0, None),
                 Work::Session { group, goal } => {
-                    if group_sessioned[group] {
-                        (group_tasks[group][0], goal, Some((group, 0)))
-                    } else {
-                        (group_tasks[group][goal], 0, Some((group, goal)))
-                    }
+                    let starts = &group_starts[group];
+                    let k = starts.partition_point(|&s| s <= goal) - 1;
+                    (group_tasks[group][k], goal - starts[k], Some((group, k)))
                 }
             }
         };
@@ -1124,7 +1199,7 @@ fn add_stats(a: QueryStats, b: QueryStats) -> QueryStats {
 fn trivial_cert_hash() -> u64 {
     static HASH: OnceLock<u64> = OnceLock::new();
     *HASH.get_or_init(|| {
-        let steps = [ProofStep::Input(Vec::new()), ProofStep::Derived(Vec::new())];
+        let steps = serval_smt::solver::trivial_refutation();
         serval_drat::check_refutation(&steps, &[])
             .expect("the canonical trivial refutation always checks");
         serval_drat::hash_steps(&steps)

@@ -77,13 +77,14 @@ pub fn solve_one(
     } else {
         check_full(cfg, &rq.roots, cancel)
     };
-    // Buggify: hand the checker a truncated proof (as a flaky solver or
-    // a torn proof log would). The only acceptable outcome is a rejected
-    // certificate demoting the verdict to `Unknown` — never a `Proved`
-    // without a checked proof, and never a panic.
+    // Buggify: hand the checker a proof missing its last step (as a
+    // flaky solver or a torn proof log would). The only acceptable
+    // outcome is a rejected certificate demoting the verdict to
+    // `Unknown` — never a `Proved` without a checked proof, and never a
+    // panic.
     if matches!(out.result, CheckResult::Unsat) && sim::buggify("cert-corrupt-proof") {
         if let Some(proof) = &mut out.proof {
-            proof.pop();
+            proof.truncate(proof.len().saturating_sub(1));
         }
     }
     let mut stats = out.stats;
@@ -151,6 +152,9 @@ fn portable_of_model(
 /// assumptions are asserted (and blasted) once, then every goal is
 /// answered in submission order with per-goal activation literals (see
 /// [`serval_smt::Session`]). Returns one outcome per goal, in order.
+/// A core is all of an assumption group's goals or, when the engine cut
+/// the group across idle workers, one contiguous chunk of them: nothing
+/// here depends on which.
 ///
 /// If a goal is interrupted, the remaining goals are reported
 /// [`RawVerdict::Interrupted`] without solving: the cancel flag is
@@ -164,7 +168,9 @@ fn portable_of_model(
 /// A single rejected step poisons certification for every later goal
 /// (the databases have diverged) — their `Unsat` answers demote to
 /// `Unknown` with the sticky error. Each goal's `cert_hash` chains over
-/// all deltas so far, fingerprinting the whole prefix its proof rests on.
+/// all deltas of *this* session so far, fingerprinting the whole prefix
+/// its proof rests on — so how a group was cut changes its goals'
+/// fingerprints, never their verdicts.
 ///
 /// Must run on a thread whose term context is disposable (a pool
 /// worker): the context is reset first.
@@ -190,7 +196,7 @@ pub fn solve_session(
     session.plan_goals(&rq.neg_goals);
     let mut checker = serval_drat::Checker::new();
     let mut checker_err: Option<String> = None;
-    let mut running_hash = serval_drat::hash_steps(&[]);
+    let mut running_hash = serval_drat::hash_steps(&serval_sat::ProofLog::new());
     let mut out = Vec::with_capacity(rq.neg_goals.len());
     let mut dead = false;
     for &ng in &rq.neg_goals {
@@ -211,7 +217,7 @@ pub fn solve_session(
         if let Some(proof) = &so.proof {
             let t0 = Instant::now();
             if checker_err.is_none() {
-                for st in &proof.steps {
+                for st in proof.steps.iter() {
                     if let Err(e) = checker.apply(st) {
                         checker_err = Some(e.to_string());
                         break;

@@ -1251,3 +1251,134 @@ proptest! {
         }
     }
 }
+
+// -----------------------------------------------------------------
+// Sharding assumption-free session groups
+// -----------------------------------------------------------------
+
+#[test]
+fn shard_plan_cuts_only_idle_assumption_free_groups() {
+    use crate::{shard_plan, MIN_SHARD_GOALS as MIN, SHARDS_PER_JOB as C};
+    // An empty base on an otherwise idle pool: min(c·jobs, n / MIN)
+    // tasks, contiguous and within one goal of equal size.
+    for (goals, jobs) in [(2 * MIN, 2), (113, 2), (113, 4), (10 * MIN + 7, 4), (1000, 3)] {
+        let starts = shard_plan(goals, 0, 1, jobs);
+        assert_eq!(starts.len(), (C * jobs).min(goals / MIN), "{goals} goals, {jobs} jobs");
+        assert_eq!(starts[0], 0);
+        let ends = starts[1..].iter().copied().chain([goals]);
+        let sizes: Vec<usize> = starts.iter().zip(ends).map(|(s, e)| e - s).collect();
+        let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+        assert!(*lo >= MIN && hi - lo <= 1, "{goals} goals, {jobs} jobs: {sizes:?}");
+    }
+    // Everything else plans as one session: a shared base, one worker,
+    // a batch that already fills the pool, a group under two minimum
+    // chunks — and the empty group.
+    assert_eq!(shard_plan(1000, 1, 1, 2), [0]);
+    assert_eq!(shard_plan(1000, 0, 1, 1), [0]);
+    assert_eq!(shard_plan(1000, 0, 2, 2), [0]);
+    assert_eq!(shard_plan(1000, 0, 7, 4), [0]);
+    assert_eq!(shard_plan(2 * MIN - 1, 0, 1, 8), [0]);
+    assert_eq!(shard_plan(0, 0, 1, 8), [0]);
+}
+
+#[test]
+fn group_keys_separate_every_solver_config_field() {
+    use crate::cfg_key;
+    use serval_smt::Rephase;
+    let base = SolverConfig::default();
+    let flips = [
+        SolverConfig { conflict_budget: Some(1), ..base },
+        SolverConfig { restart_base: base.restart_base + 1, ..base },
+        SolverConfig { var_decay: 0.9500000000000001, ..base },
+        SolverConfig { default_phase: !base.default_phase, ..base },
+        SolverConfig { restart_geometric: !base.restart_geometric, ..base },
+        SolverConfig { rephase: Rephase::Invert, ..base },
+        SolverConfig { inprocess: !base.inprocess, ..base },
+        SolverConfig { polarity: !base.polarity, ..base },
+        SolverConfig { session_bve: !base.session_bve, ..base },
+        SolverConfig { lrat: !base.lrat, ..base },
+    ];
+    assert_eq!(cfg_key(&base), cfg_key(&SolverConfig::default()));
+    for (i, a) in flips.iter().enumerate() {
+        assert_ne!(cfg_key(a), cfg_key(&base), "flip {i}");
+        for b in &flips[i + 1..] {
+            assert_ne!(cfg_key(a), cfg_key(b), "flip {i}");
+        }
+    }
+}
+
+/// One assumption-free group, big enough to be cut: goal `i` is the
+/// theorem `x & kᵢ ≤ᵤ x` on even `i` and the non-theorem `x + kᵢ ≤ᵤ x`
+/// on odd `i`, so chunks mix verdicts and every refutation needs a model
+/// renumbered through its own chunk's backmap.
+fn shardable_goals(n: usize) -> Vec<SBool> {
+    let x = BV::fresh(16, "x");
+    (0..n)
+        .map(|i| {
+            let k = BV::lit(16, 3 + i as u128);
+            if i % 2 == 0 {
+                (x & k).ule(x)
+            } else {
+                (x + k).ule(x)
+            }
+        })
+        .collect()
+}
+
+fn batch_of(goals: &[SBool], base: &[SBool]) -> Vec<Query> {
+    goals.iter().enumerate().map(|(i, &g)| q(&format!("g{i}"), base.to_vec(), g)).collect()
+}
+
+#[test]
+fn sharded_groups_answer_like_one_session() {
+    use crate::MIN_SHARD_GOALS as MIN;
+    let n = 4 * MIN + 3;
+    let mut baseline: Option<Vec<bool>> = None;
+    for jobs in [1, 2, 4] {
+        reset_ctx();
+        let goals = shardable_goals(n);
+        let engine = local_engine(jobs);
+        let out = engine.submit_batch(batch_of(&goals, &[]));
+        let proved: Vec<bool> = out
+            .iter()
+            .zip(&goals)
+            .map(|(o, g)| match &o.result {
+                VerifyResult::Proved => {
+                    assert!(o.cert.is_some(), "[jobs={jobs}] {}: no certificate", o.label);
+                    true
+                }
+                VerifyResult::Counterexample(m) => {
+                    assert!(!m.eval_bool(g.0), "[jobs={jobs}] {}: not a counterexample", o.label);
+                    false
+                }
+                other => panic!("[jobs={jobs}] {}: {other:?}", o.label),
+            })
+            .collect();
+        assert_eq!(proved, (0..n).map(|i| i % 2 == 0).collect::<Vec<_>>());
+        assert_eq!(&proved, baseline.get_or_insert_with(|| proved.clone()));
+        // A goal at position 1 opens a session: one per worker, counted
+        // as one group either way.
+        let sessions =
+            out.iter().filter(|o| o.stats.is_some_and(|s| s.session_goals == 1)).count();
+        assert_eq!(sessions, jobs.min(n / MIN), "[jobs={jobs}]");
+        assert_eq!(engine.mode_counts(), (1, 0), "[jobs={jobs}]");
+        assert_eq!(engine.cert_counts().1, 0, "[jobs={jobs}]");
+        // The rerun is answered per goal from the cache.
+        let (hits, misses) = engine.cache_stats();
+        let warm = engine.submit_batch(batch_of(&goals, &[]));
+        assert!(warm.iter().all(|o| o.cache_hit), "[jobs={jobs}]");
+        assert_eq!(engine.cache_stats(), (hits + n as u64, misses), "[jobs={jobs}]");
+    }
+}
+
+#[test]
+fn groups_with_a_base_stay_one_session() {
+    use crate::MIN_SHARD_GOALS as MIN;
+    reset_ctx();
+    let goals = shardable_goals(4 * MIN);
+    let base = BV::fresh(16, "y").ult(BV::lit(16, 9));
+    let out = local_engine(4).submit_batch(batch_of(&goals, &[base]));
+    let positions: Vec<u64> =
+        out.iter().map(|o| o.stats.expect("every goal is solved").session_goals).collect();
+    assert_eq!(positions, (1..=4 * MIN as u64).collect::<Vec<_>>());
+}

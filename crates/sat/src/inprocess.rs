@@ -115,7 +115,7 @@ impl Solver {
         debug_assert_eq!(self.decision_level(), 0);
         if self.propagate().is_some() {
             self.ok = false;
-            self.log(ProofStep::Derived(Vec::new()));
+            self.log(StepKind::Derived, &[], &[]);
             return;
         }
         // Level-0 reasons are never consulted again (conflict analysis
@@ -146,19 +146,6 @@ impl Solver {
         }
     }
 
-    fn mark_deleted(&mut self, ci: usize) {
-        let c = &mut self.clauses[ci];
-        c.deleted = true;
-        if c.learnt {
-            self.num_learnts -= 1;
-        }
-    }
-
-    fn delete_clause(&mut self, ci: usize) {
-        self.log_delete(ci);
-        self.mark_deleted(ci);
-    }
-
     /// Replaces clause `ci`'s literals with `new` (a strict subset of
     /// the current ones), logging the derivation before the deletion so
     /// the new clause is RUP while the old one is live. A one-literal
@@ -168,12 +155,9 @@ impl Solver {
     /// `antecedents` names the clauses whose unit propagations justify
     /// `new` (ordered: the falsified clause last), used as the LRAT
     /// hint when every antecedent is in the proof.
-    fn rewrite_clause(&mut self, ci: usize, mut new: Vec<Lit>, antecedents: &[CRef]) -> bool {
+    fn rewrite_clause(&mut self, ci: usize, new: &mut [Lit], antecedents: &[CRef]) -> bool {
         new.sort_unstable();
-        match self.antecedent_hints(antecedents) {
-            Some(hints) => self.log(ProofStep::DerivedHinted(new.clone(), hints)),
-            None => self.log(ProofStep::Derived(new.clone())),
-        }
+        self.log_derived(new, antecedents);
         if new.is_empty() {
             self.ok = false;
             return false;
@@ -186,7 +170,7 @@ impl Solver {
                     LBool::True => true,
                     LBool::False => {
                         self.ok = false;
-                        self.log(ProofStep::Derived(Vec::new()));
+                        self.log(StepKind::Derived, &[], &[]);
                         false
                     }
                     LBool::Undef => {
@@ -197,7 +181,7 @@ impl Solver {
             }
             _ => {
                 let start = self.clauses[ci].start as usize;
-                self.lit_arena[start..start + new.len()].copy_from_slice(&new);
+                self.lit_arena[start..start + new.len()].copy_from_slice(new);
                 self.clauses[ci].len = new.len() as u32;
                 // The derivation above put the new literal set in the
                 // proof, even if the old clause was an unlogged
@@ -208,24 +192,27 @@ impl Solver {
         }
     }
 
+    /// Logs `lits` as a `Derived` step, hinted with `antecedents` (the
+    /// clauses whose unit propagations justify it, the falsified one
+    /// last) when every one of them can be named to the checker.
+    fn log_derived(&mut self, lits: &[Lit], antecedents: &[CRef]) {
+        let hints: &[u32] =
+            if self.antecedent_hints(antecedents) { &self.hint_ids } else { &[] };
+        log_to(&mut self.proof, &mut self.proof_adds, StepKind::Derived, lits, hints);
+    }
+
     /// Maps antecedent clause refs to their proof-log ids for an LRAT
-    /// hint; an antecedent that was never logged (an elided elimination
-    /// resolvent) is spliced into its stored parent expansion. `None`
-    /// when hints are off or an elided antecedent has no expansion
-    /// either — the step still RUP-checks from that resolvent's live
-    /// parents, just not by the direct walk.
-    fn antecedent_hints(&self, antecedents: &[CRef]) -> Option<Vec<u32>> {
+    /// hint, into `self.hint_ids`; an antecedent that was never logged
+    /// (an elided elimination resolvent) is spliced into its stored
+    /// parent expansion. `false` when hints are off or an elided
+    /// antecedent has no expansion either — the step still RUP-checks
+    /// from that resolvent's live parents, just not by the direct walk.
+    fn antecedent_hints(&mut self, antecedents: &[CRef]) -> bool {
         if !self.lrat || self.proof.is_none() || antecedents.is_empty() {
-            return None;
+            return false;
         }
-        let mut ids = Vec::with_capacity(antecedents.len());
-        for &c in antecedents {
-            match self.clauses[c as usize].proof_id {
-                NO_PROOF_ID => ids.extend_from_slice(self.elided_hints.get(&c)?),
-                pid => ids.push(pid),
-            }
-        }
-        Some(ids)
+        self.hint_ids.clear();
+        antecedents.iter().all(|&c| self.push_hint_ids(c))
     }
 
     /// Hint expansion for an elided resolvent of `parents = [P, N]` on
@@ -297,15 +284,20 @@ impl Solver {
                 continue;
             }
             if false_lits > 0 {
-                let live: Vec<Lit> = self.lit_arena[range]
-                    .iter()
-                    .copied()
-                    .filter(|&l| value_of(&self.assign, l) == LBool::Undef)
-                    .collect();
+                let mut live = std::mem::take(&mut self.add_buf);
+                live.clear();
+                live.extend(
+                    self.lit_arena[range]
+                        .iter()
+                        .copied()
+                        .filter(|&l| value_of(&self.assign, l) == LBool::Undef),
+                );
                 // Hint: the old clause itself — its stripped literals
                 // are false by the checker's persistent level-0 facts,
                 // so asserting the new clause's negation falsifies it.
-                if !self.rewrite_clause(ci, live, &[ci as CRef]) {
+                let ok = self.rewrite_clause(ci, &mut live, &[ci as CRef]);
+                self.add_buf = live;
+                if !ok {
                     return false;
                 }
                 if self.clauses[ci].deleted {
@@ -335,6 +327,7 @@ impl Solver {
     /// policy already trims; sweeping them too made candidate lists an
     /// order of magnitude longer for marginal deletions).
     fn subsume_sweep(&mut self, st: &mut OccState) {
+        let mut ci_lits: Vec<Lit> = Vec::new();
         for ci in 0..self.clauses.len() {
             if ci % SUBSUME_POLL == 0 && self.interrupted() {
                 return;
@@ -358,7 +351,8 @@ impl Solver {
             if cost > SUBSUME_CAND_CAP {
                 continue;
             }
-            let ci_lits = self.lit_arena[self.clauses[ci].range()].to_vec();
+            ci_lits.clear();
+            ci_lits.extend_from_slice(&self.lit_arena[self.clauses[ci].range()]);
             let ci_sig = st.sig[ci];
             for cand_lit in [bl, !bl] {
                 // Index loop: the occurrence list is only appended to
@@ -382,16 +376,21 @@ impl Solver {
                         Some(Some(la)) => {
                             // Resolving ci and cj on `la` yields
                             // cj \ {!la}: strengthen cj in place.
-                            let new: Vec<Lit> = self.lit_arena
-                                [self.clauses[cj].range()]
-                            .iter()
-                            .copied()
-                            .filter(|&l| l != !la)
-                            .collect();
+                            let mut new = std::mem::take(&mut self.add_buf);
+                            new.clear();
+                            new.extend(
+                                self.lit_arena[self.clauses[cj].range()]
+                                    .iter()
+                                    .copied()
+                                    .filter(|&l| l != !la),
+                            );
                             // Hint: under the strengthened clause's
                             // negation, `ci` is unit on `la` and `cj`
                             // is then falsified.
-                            if !self.rewrite_clause(cj, new, &[ci as CRef, cj as CRef]) {
+                            let ok =
+                                self.rewrite_clause(cj, &mut new, &[ci as CRef, cj as CRef]);
+                            self.add_buf = new;
+                            if !ok {
                                 return;
                             }
                             self.stats.strengthened += 1;
@@ -670,20 +669,17 @@ impl Solver {
                     0 => {
                         // Both parents were units — cannot happen with a
                         // unit-free database, but conclude soundly.
-                        self.log(ProofStep::Derived(Vec::new()));
+                        self.log(StepKind::Derived, &[], &[]);
                         self.ok = false;
                         return false;
                     }
                     1 => {
-                        match self.antecedent_hints(&parents) {
-                            Some(h) => self.log(ProofStep::DerivedHinted(r.to_vec(), h)),
-                            None => self.log(ProofStep::Derived(r.to_vec())),
-                        }
+                        self.log_derived(r, &parents);
                         match value_of(&self.assign, r[0]) {
                             LBool::True => {}
                             LBool::False => {
                                 self.ok = false;
-                                self.log(ProofStep::Derived(Vec::new()));
+                                self.log(StepKind::Derived, &[], &[]);
                                 return false;
                             }
                             LBool::Undef => self.unchecked_enqueue(r[0], None),
@@ -691,10 +687,7 @@ impl Solver {
                     }
                     _ => {
                         let pid = if shared {
-                            match self.antecedent_hints(&parents) {
-                                Some(h) => self.log(ProofStep::DerivedHinted(r.to_vec(), h)),
-                                None => self.log(ProofStep::Derived(r.to_vec())),
-                            }
+                            self.log_derived(r, &parents);
                             self.last_proof_id()
                         } else {
                             NO_PROOF_ID
@@ -773,7 +766,7 @@ impl Solver {
         self.qhead = 0;
         if self.propagate().is_some() {
             self.ok = false;
-            self.log(ProofStep::Derived(Vec::new()));
+            self.log(StepKind::Derived, &[], &[]);
         }
     }
 

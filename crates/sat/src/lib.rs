@@ -42,7 +42,7 @@ mod proof;
 mod solver;
 mod types;
 
-pub use proof::ProofStep;
+pub use proof::{ProofLog, Step, StepKind};
 pub use solver::{Rephase, Solver, SolverStats};
 pub use types::{Lit, SolveResult, Var};
 

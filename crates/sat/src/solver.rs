@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::heap::VarHeap;
 use crate::luby::luby;
-use crate::proof::ProofStep;
+use crate::proof::{ProofLog, StepKind};
 use crate::types::{LBool, Lit, SolveResult, Var};
 
 /// SatELite-style inprocessing (subsumption, self-subsuming resolution,
@@ -42,7 +42,7 @@ struct Clause {
     /// deletions of such clauses must not be logged either, or the
     /// checker would reject the `Delete` of a clause it never saw.
     /// Logged clauses' ids are what LRAT-style antecedent hints are
-    /// made of (see [`crate::ProofStep::DerivedHinted`]).
+    /// made of (see [`crate::Step::hints`]).
     proof_id: u32,
 }
 
@@ -150,6 +150,8 @@ pub enum Rephase {
 /// A CDCL SAT solver. See the crate documentation for an overview.
 pub struct Solver {
     clauses: Vec<Clause>,
+    /// Clauses in `clauses` not marked deleted.
+    live_clauses: usize,
     /// Flat literal storage for all clauses; see [`Clause`].
     lit_arena: Vec<Lit>,
     watches: Vec<Vec<Watch>>,
@@ -198,7 +200,7 @@ pub struct Solver {
     eliminable: Option<Vec<bool>>,
     /// DRAT-style proof log; `None` = logging off (see
     /// [`Solver::set_proof_logging`]).
-    proof: Option<Vec<ProofStep>>,
+    proof: Option<ProofLog>,
     /// Count of *added* steps (`Input`/`Derived`) in the proof log since
     /// logging began — the next added step's checker clause id. `Delete`
     /// steps do not count. Not reset by `take_proof`: an incremental
@@ -216,6 +218,19 @@ pub struct Solver {
     /// sorted ascending before emission so the checker's hinted walk
     /// makes each antecedent unit in turn.
     hint_buf: Vec<(u32, CRef)>,
+    /// The checker ids `take_hints` made of `hint_buf`.
+    hint_ids: Vec<u32>,
+    /// The clause the last `analyze` call learnt (asserting literal
+    /// first, second-highest-level literal second).
+    learnt: Vec<Lit>,
+    /// Scratch owned by the solver so that adding a clause and analyzing
+    /// a conflict never allocate: the clause being normalized by
+    /// `add_clause`, the variables marked `seen` by an analysis, the
+    /// minimization DFS stack, and the level set an LBD is counted from.
+    add_buf: Vec<Lit>,
+    marked: Vec<Var>,
+    min_stack: Vec<Lit>,
+    lbd_levels: Vec<u32>,
     /// Trail position each variable was (last) assigned at; only read
     /// for currently-assigned variables during hint collection.
     trail_pos: Vec<u32>,
@@ -299,6 +314,7 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             clauses: Vec::new(),
+            live_clauses: 0,
             lit_arena: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
@@ -329,6 +345,12 @@ impl Solver {
             lrat: true,
             collect_hints: false,
             hint_buf: Vec::new(),
+            hint_ids: Vec::new(),
+            learnt: Vec::new(),
+            add_buf: Vec::new(),
+            marked: Vec::new(),
+            min_stack: Vec::new(),
+            lbd_levels: Vec::new(),
             trail_pos: Vec::new(),
             elided_hints: HashMap::new(),
             stats: SolverStats::default(),
@@ -372,7 +394,7 @@ impl Solver {
 
     /// Number of clauses added (including learnt, excluding deleted).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.live_clauses
     }
 
     /// Limits the search to `conflicts` conflicts; `solve` returns
@@ -396,16 +418,30 @@ impl Solver {
     /// shared base; retired goals' gates are exactly such extensions.
     /// `Sat` then means "every in-scope variable assigned, no conflict",
     /// which under that contract extends to a total model.
-    pub fn set_decision_scope(&mut self, scope: Option<Vec<bool>>) {
-        self.decision_scope = scope;
+    pub fn set_decision_scope(&mut self, scope: Option<&[bool]>) {
+        set_mask(&mut self.decision_scope, scope);
         // Variables popped and skipped under an earlier scope are gone
-        // from the order heap; re-offer every unassigned variable so the
-        // new scope starts complete (insert is a no-op for present vars).
+        // from the order heap; re-offer every unassigned variable the
+        // new scope can decide, so it starts complete (insert is a no-op
+        // for present vars). Offering the others would only make
+        // `pick_branch` pop and discard them one by one.
         for i in 0..self.assign.len() {
-            if self.assign[i] == LBool::Undef {
+            if self.assign[i] == LBool::Undef && self.decidable(i) {
                 self.order.insert(Var(i as u32), &self.activity);
             }
         }
+    }
+
+    /// Whether VSIDS may branch on variable `v`: not eliminated (absent
+    /// from every live clause, so deciding it would only pad the trail)
+    /// and inside the decision scope, if one is installed.
+    #[inline]
+    fn decidable(&self, v: usize) -> bool {
+        !self.elim[v]
+            && self
+                .decision_scope
+                .as_ref()
+                .is_none_or(|s| s.get(v).copied().unwrap_or(false))
     }
 
     /// Installs a cooperative cancellation flag. While set, `solve`
@@ -470,8 +506,8 @@ impl Solver {
     /// `add_clause`/`solve_assuming` transparently reintroduce its
     /// stored clauses first — but each such round trip is churn, so the
     /// mask should only admit variables with no planned future use.
-    pub fn set_eliminable(&mut self, mask: Option<Vec<bool>>) {
-        self.eliminable = mask;
+    pub fn set_eliminable(&mut self, mask: Option<&[bool]>) {
+        set_mask(&mut self.eliminable, mask);
         if self.eliminable.is_some() {
             self.bve_saturated = false;
         }
@@ -508,7 +544,7 @@ impl Solver {
     /// from it would claim unsatisfiability of the wrong formula.
     /// Enabling clears any previous log.
     pub fn set_proof_logging(&mut self, on: bool) {
-        self.proof = if on { Some(Vec::new()) } else { None };
+        self.proof = on.then(ProofLog::new);
         self.proof_adds = 0;
         // Stored expansions name checker ids of the old log.
         self.elided_hints.clear();
@@ -532,27 +568,39 @@ impl Solver {
     /// Drains the proof steps logged since the last call (empty when
     /// logging is off). Incremental sessions drain once per goal, so the
     /// per-goal delta ends exactly at that goal's concluding clause.
-    pub fn take_proof(&mut self) -> Vec<ProofStep> {
+    pub fn take_proof(&mut self) -> ProofLog {
         self.proof.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     #[inline]
-    fn log(&mut self, step: ProofStep) {
-        if let Some(p) = &mut self.proof {
-            if !matches!(step, ProofStep::Delete(_)) {
-                self.proof_adds += 1;
-            }
-            p.push(step);
-        }
+    fn log(&mut self, kind: StepKind, lits: &[Lit], hints: &[u32]) {
+        log_to(&mut self.proof, &mut self.proof_adds, kind, lits, hints);
     }
 
     /// Logs the deletion of clause `ci` (caller marks it deleted).
     /// No-op for clauses the proof log never saw (unlogged resolvents).
     fn log_delete(&mut self, ci: usize) {
-        if self.proof.is_some() && self.clauses[ci].proof_id != NO_PROOF_ID {
-            let lits = self.lit_arena[self.clauses[ci].range()].to_vec();
-            self.log(ProofStep::Delete(lits));
+        let c = &self.clauses[ci];
+        if c.proof_id != NO_PROOF_ID {
+            let lits = &self.lit_arena[c.range()];
+            log_to(&mut self.proof, &mut self.proof_adds, StepKind::Delete, lits, &[]);
         }
+    }
+
+    /// Marks clause `ci` deleted (watch lists drop it lazily; the next
+    /// `compact_deleted` reclaims its storage).
+    fn mark_deleted(&mut self, ci: usize) {
+        let c = &mut self.clauses[ci];
+        c.deleted = true;
+        if c.learnt {
+            self.num_learnts -= 1;
+        }
+        self.live_clauses -= 1;
+    }
+
+    fn delete_clause(&mut self, ci: usize) {
+        self.log_delete(ci);
+        self.mark_deleted(ci);
     }
 
     /// The checker clause id of the most recently logged added step
@@ -583,69 +631,74 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut c: Vec<Lit> = lits.to_vec();
+        // The nested `add_clause` calls of a reintroduction have
+        // returned by now, so the scratch clause is free.
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
+        let ok = self.add_normalized(&mut c);
+        self.add_buf = c;
+        ok
+    }
+
+    /// The rest of [`Solver::add_clause`], on the solver's own copy of
+    /// the clause (sorted, deduped and stripped of level-0-false
+    /// literals in place).
+    fn add_normalized(&mut self, c: &mut Vec<Lit>) -> bool {
         c.sort_unstable();
         c.dedup();
-        // Tautologies constrain nothing and are not logged.
-        for i in 0..c.len() {
-            if i + 1 < c.len() && c[i + 1] == !c[i] {
-                return true; // l and !l adjacent after sort
-            }
+        // Tautologies constrain nothing and are not logged (l and !l
+        // are adjacent after the sort).
+        if c.windows(2).any(|w| w[1] == !w[0]) {
+            return true;
         }
         // The clause as given (post sort/dedup) is part of the formula;
         // the level-0 strengthening below is re-derived by the checker
         // from the logged level-0 units.
-        if self.proof.is_some() {
-            self.log(ProofStep::Input(c.clone()));
-        }
+        self.log(StepKind::Input, c, &[]);
         // Drop literals already false at level 0; detect clauses already
         // satisfied at level 0.
-        let mut out = Vec::with_capacity(c.len());
-        for &l in &c {
-            match self.value_lbool(l) {
-                LBool::True => return true,
-                LBool::False => {}
-                LBool::Undef => out.push(l),
-            }
+        if c.iter().any(|&l| self.value_lbool(l) == LBool::True) {
+            return true;
         }
-        if self.proof.is_some() && out != c {
-            if out.is_empty() {
-                // The conclusion of a refutation stays a plain
-                // `Derived([])` — the checker accepts it from its
-                // contradiction flag, and downstream consumers match
-                // the unhinted form.
-                self.log(ProofStep::Derived(out.clone()));
+        let given = c.len();
+        c.retain(|&l| value_of(&self.assign, l) == LBool::Undef);
+        if c.len() != given {
+            if c.is_empty() {
+                // The conclusion of a refutation stays an unhinted
+                // `Derived []` — the checker accepts it from its
+                // contradiction flag.
+                self.log(StepKind::Derived, &[], &[]);
             } else {
                 // The one antecedent is the Input step just logged:
-                // after the checker negates `out`, the input's
-                // remaining literals are exactly the level-0-false
-                // ones it already holds persistently, so the clause is
-                // falsified outright and the hinted walk concludes in
-                // one indexed lookup (a full RUP pass re-derives the
-                // same thing if the hint ever misses).
+                // after the checker negates the strengthened clause, the
+                // input's remaining literals are exactly the
+                // level-0-false ones it already holds persistently, so
+                // the clause is falsified outright and the hinted walk
+                // concludes in one indexed lookup (a full RUP pass
+                // re-derives the same thing if the hint ever misses).
                 let input_id = self.last_proof_id();
-                self.log(ProofStep::DerivedHinted(out.clone(), vec![input_id]));
+                self.log(StepKind::Derived, c, &[input_id]);
             }
         }
-        match out.len() {
+        match c.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(out[0], None);
+                self.unchecked_enqueue(c[0], None);
                 self.ok = self.propagate().is_none();
                 if !self.ok {
-                    self.log(ProofStep::Derived(Vec::new()));
+                    self.log(StepKind::Derived, &[], &[]);
                 }
                 self.ok
             }
             _ => {
-                let cref = self.attach_new_clause(&out, false);
-                // The clause content in the database is `out` — the id
-                // of the step that introduced those exact literals
-                // (the strengthened `Derived` when one was logged,
-                // otherwise the `Input` itself).
+                let cref = self.attach_new_clause(c, false);
+                // The clause's id is that of the step that introduced
+                // its exact literals (the strengthened `Derived` when
+                // one was logged, otherwise the `Input` itself).
                 self.clauses[cref as usize].proof_id = self.last_proof_id();
                 true
             }
@@ -692,7 +745,7 @@ impl Solver {
         }
         if self.propagate().is_some() {
             self.ok = false;
-            self.log(ProofStep::Derived(Vec::new()));
+            self.log(StepKind::Derived, &[], &[]);
             return;
         }
         // Level-0 assignments are permanent facts: their reason clauses
@@ -712,12 +765,7 @@ impl Solver {
                 .iter()
                 .any(|&l| value_of(&self.assign, l) == LBool::True);
             if satisfied {
-                self.log_delete(ci);
-                let c = &mut self.clauses[ci];
-                c.deleted = true;
-                if c.learnt {
-                    self.num_learnts -= 1;
-                }
+                self.delete_clause(ci);
             }
         }
         self.compact_deleted();
@@ -757,12 +805,7 @@ impl Solver {
                 .iter()
                 .any(|l| garbage.get(l.var().index()).copied().unwrap_or(false));
             if hit {
-                self.log_delete(ci);
-                let c = &mut self.clauses[ci];
-                c.deleted = true;
-                if c.learnt {
-                    self.num_learnts -= 1;
-                }
+                self.delete_clause(ci);
             }
         }
         // An eliminated variable whose stored clauses mention garbage
@@ -799,12 +842,7 @@ impl Solver {
                     .iter()
                     .any(|l| garbage.get(l.var().index()).copied().unwrap_or(false));
                 if hit {
-                    self.log_delete(ci);
-                    let c = &mut self.clauses[ci];
-                    c.deleted = true;
-                    if c.learnt {
-                        self.num_learnts -= 1;
-                    }
+                    self.delete_clause(ci);
                 }
             }
         }
@@ -850,6 +888,7 @@ impl Solver {
             }
         }
         self.clauses.truncate(next);
+        debug_assert_eq!(next, self.live_clauses);
         self.lit_arena.truncate(arena_next);
         if !self.elided_hints.is_empty() {
             self.elided_hints = std::mem::take(&mut self.elided_hints)
@@ -887,7 +926,7 @@ impl Solver {
             // The empty clause was already derived in an earlier call;
             // re-log it so this call's proof delta still ends in the
             // concluding clause (trivially accepted by the checker).
-            self.log(ProofStep::Derived(Vec::new()));
+            self.log(StepKind::Derived, &[], &[]);
             return SolveResult::Unsat;
         }
         // An assumption over an eliminated variable reactivates it (its
@@ -895,10 +934,11 @@ impl Solver {
         // would otherwise constrain nothing).
         self.reintroduce_touched(assumptions);
         if !self.ok {
-            self.log(ProofStep::Derived(Vec::new()));
+            self.log(StepKind::Derived, &[], &[]);
             return SolveResult::Unsat;
         }
-        self.assumptions = assumptions.to_vec();
+        self.assumptions.clear();
+        self.assumptions.extend_from_slice(assumptions);
         let result = self.search_loop();
         if result == SolveResult::Sat {
             // Extend the model over eliminated variables before the
@@ -1026,29 +1066,33 @@ impl Solver {
                 }
                 if self.decision_level() == 0 {
                     self.ok = false;
-                    self.log(ProofStep::Derived(Vec::new()));
+                    self.log(StepKind::Derived, &[], &[]);
                     return Some(SolveResult::Unsat);
                 }
-                let (learnt, back_level, lbd) = self.analyze(confl);
+                let (back_level, lbd) = self.analyze(confl);
                 if self.proof.is_some() {
-                    match self.take_hints(confl) {
-                        Some(hints) => {
-                            self.log(ProofStep::DerivedHinted(learnt.clone(), hints))
-                        }
-                        None => self.log(ProofStep::Derived(learnt.clone())),
-                    }
+                    let hints: &[u32] =
+                        if self.take_hints(confl) { &self.hint_ids } else { &[] };
+                    log_to(
+                        &mut self.proof,
+                        &mut self.proof_adds,
+                        StepKind::Derived,
+                        &self.learnt,
+                        hints,
+                    );
                 }
                 self.backtrack(back_level);
+                let learnt = std::mem::take(&mut self.learnt);
                 if learnt.len() == 1 {
                     debug_assert_eq!(self.decision_level(), 0);
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
-                    let first = learnt[0];
                     let cref = self.attach_new_clause(&learnt, true);
                     self.clauses[cref as usize].lbd = lbd;
                     self.clauses[cref as usize].proof_id = self.last_proof_id();
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(learnt[0], Some(cref));
                 }
+                self.learnt = learnt;
                 self.decay_activities();
                 if self.num_learnts as f64 > self.max_learnts {
                     self.reduce_db();
@@ -1067,9 +1111,11 @@ impl Solver {
                             // The conflict core A ⊆ assumptions was refuted:
                             // the clause {!a : a ∈ A} is implied by the
                             // database and concludes this solve's proof.
-                            let core: Vec<Lit> =
-                                self.conflict_core.iter().map(|&a| !a).collect();
-                            self.log(ProofStep::Derived(core));
+                            let mut core = std::mem::take(&mut self.add_buf);
+                            core.clear();
+                            core.extend(self.conflict_core.iter().map(|&a| !a));
+                            self.log(StepKind::Derived, &core, &[]);
+                            self.add_buf = core;
                         }
                         return Some(SolveResult::Unsat);
                     }
@@ -1100,20 +1146,10 @@ impl Solver {
         }
         // Then VSIDS.
         while let Some(v) = self.order.pop(&self.activity) {
-            // Eliminated variables are absent from every live clause;
-            // deciding them would only pad the trail (reintroduction
-            // re-offers them to the heap).
-            if self.elim[v.index()] {
-                continue;
-            }
-            // Out-of-scope variables are dropped for the rest of this
-            // solve (set_decision_scope re-offers them to the heap).
-            if let Some(scope) = &self.decision_scope {
-                if !scope.get(v.index()).copied().unwrap_or(false) {
-                    continue;
-                }
-            }
-            if self.assign[v.index()] == LBool::Undef {
+            // Variables eliminated, or left out of scope by a new mask,
+            // while they sat in the heap are dropped here (reintroduction
+            // and `set_decision_scope` re-offer them).
+            if self.decidable(v.index()) && self.assign[v.index()] == LBool::Undef {
                 let lit = Lit::new(v, !self.phase[v.index()]);
                 self.trail_lim.push(self.trail.len());
                 self.unchecked_enqueue(lit, None);
@@ -1240,7 +1276,9 @@ impl Solver {
             let v = self.trail[i].var();
             self.assign[v.index()] = LBool::Undef;
             self.reason[v.index()] = None;
-            self.order.insert(v, &self.activity);
+            if self.decidable(v.index()) {
+                self.order.insert(v, &self.activity);
+            }
         }
         self.trail.truncate(keep);
         self.trail_lim.truncate(target as usize);
@@ -1251,12 +1289,16 @@ impl Solver {
     // Conflict analysis
     // ------------------------------------------------------------------
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first, second-highest-level literal second), the backtrack
-    /// level, and the clause LBD.
-    fn analyze(&mut self, confl: CRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 for the UIP
-        let mut marked: Vec<Var> = Vec::new();
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first, second-highest-level
+    /// literal second) and returns the backtrack level and the clause
+    /// LBD. Reason clauses are read in place, by arena index.
+    fn analyze(&mut self, confl: CRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut marked = std::mem::take(&mut self.marked);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot 0 for the UIP
+        marked.clear();
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
@@ -1267,21 +1309,20 @@ impl Solver {
         self.collect_hints = self.lrat && self.proof.is_some();
         self.hint_buf.clear();
         loop {
-            {
-                let start = if p.is_some() { 1 } else { 0 };
-                let range = self.clauses[cref as usize].range();
-                let clause_lits = self.lit_arena[range][start..].to_vec();
-                for q in clause_lits {
-                    let v = q.var();
-                    if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                        self.seen[v.index()] = true;
-                        marked.push(v);
-                        self.bump_var(v);
-                        if self.level[v.index()] >= self.decision_level() {
-                            counter += 1;
-                        } else {
-                            learnt.push(q);
-                        }
+            let range = self.clauses[cref as usize].range();
+            // A reason clause's first literal is the one it implied.
+            let skip = usize::from(p.is_some());
+            for k in range.start + skip..range.end {
+                let q = self.lit_arena[k];
+                let v = q.var();
+                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = true;
+                    marked.push(v);
+                    self.bump_var(v);
+                    if self.level[v.index()] >= self.decision_level() {
+                        counter += 1;
+                    } else {
+                        learnt.push(q);
                     }
                 }
             }
@@ -1296,8 +1337,8 @@ impl Solver {
             let lit = self.trail[idx];
             self.seen[lit.var().index()] = false;
             counter -= 1;
+            p = Some(lit);
             if counter == 0 {
-                p = Some(lit);
                 break;
             }
             cref = self.reason[lit.var().index()]
@@ -1305,9 +1346,8 @@ impl Solver {
             if self.collect_hints {
                 self.hint_buf.push((idx as u32, cref));
             }
-            p = Some(lit);
         }
-        learnt[0] = !p.unwrap();
+        learnt[0] = !p.expect("the loop ran once");
 
         // Clause minimization: drop literals whose negations are implied
         // by the rest of the clause, following reason chains recursively
@@ -1316,7 +1356,7 @@ impl Solver {
         let abstract_levels = learnt[1..]
             .iter()
             .fold(0u32, |acc, l| acc | abstract_level(self.level[l.var().index()]));
-        let mut kept: Vec<Lit> = Vec::with_capacity(learnt.len() - 1);
+        let mut kept = 1;
         for i in 1..learnt.len() {
             let l = learnt[i];
             if self.reason[l.var().index()].is_some()
@@ -1324,11 +1364,11 @@ impl Solver {
             {
                 self.stats.minimized_lits += 1;
             } else {
-                kept.push(l);
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        learnt.truncate(1);
-        learnt.extend(kept);
+        learnt.truncate(kept);
 
         // Compute backtrack level (second-highest level in the clause) and
         // move that literal to position 1 for watching.
@@ -1346,61 +1386,57 @@ impl Solver {
         }
 
         // LBD: number of distinct decision levels in the clause.
-        let mut levels: Vec<u32> = learnt
-            .iter()
-            .map(|l| self.level[l.var().index()])
-            .collect();
+        let levels = &mut self.lbd_levels;
+        levels.clear();
+        levels.extend(learnt.iter().map(|l| self.level[l.var().index()]));
         levels.sort_unstable();
         levels.dedup();
         let lbd = levels.len() as u32;
 
         // Clear every mark set during this analysis, including literals
         // dropped by minimization (a stale mark corrupts later analyses).
-        for v in marked {
+        for v in &marked {
             self.seen[v.index()] = false;
         }
-        (learnt, back_level, lbd)
+        self.learnt = learnt;
+        self.marked = marked;
+        (back_level, lbd)
     }
 
     /// Converts the antecedents collected by the last `analyze` call
-    /// into an LRAT hint: checker clause ids ordered so that, with the
-    /// learnt clause's negation asserted, each antecedent in turn is
-    /// unit (ascending trail position of its implied literal) and the
-    /// conflict clause — last — is falsified. An antecedent unknown to
-    /// the proof log (an elided elimination resolvent) is spliced into
-    /// its stored parent expansion, which simulates it under the
-    /// checker's skip-tolerant walk; returns `None` only when an elided
-    /// antecedent has no expansion either (the step is then logged
-    /// unhinted rather than with a hint the checker would only fall
-    /// back from).
-    fn take_hints(&mut self, confl: CRef) -> Option<Vec<u32>> {
+    /// into an LRAT hint in `self.hint_ids`: checker clause ids ordered
+    /// so that, with the learnt clause's negation asserted, each
+    /// antecedent in turn is unit (ascending trail position of its
+    /// implied literal) and the conflict clause — last — is falsified.
+    /// An antecedent unknown to the proof log (an elided elimination
+    /// resolvent) is spliced into its stored parent expansion, which
+    /// simulates it under the checker's skip-tolerant walk; returns
+    /// `false` when hints are off or an elided antecedent has no
+    /// expansion either (the step is then logged unhinted rather than
+    /// with a hint the checker would only fall back from).
+    fn take_hints(&mut self, confl: CRef) -> bool {
         if !self.collect_hints {
-            return None;
+            return false;
         }
         self.collect_hints = false;
-        let mut buf = std::mem::take(&mut self.hint_buf);
-        buf.sort_unstable_by_key(|&(pos, _)| pos);
-        let mut ids: Vec<u32> = Vec::with_capacity(buf.len() + 1);
-        let mut ok = true;
-        for &(_, cref) in buf.iter().chain(std::iter::once(&(u32::MAX, confl))) {
-            match self.clauses[cref as usize].proof_id {
-                NO_PROOF_ID => match self.elided_hints.get(&cref) {
-                    Some(exp) => ids.extend_from_slice(exp),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                },
-                pid => ids.push(pid),
-            }
+        self.hint_buf.sort_unstable_by_key(|&(pos, _)| pos);
+        self.hint_ids.clear();
+        (0..self.hint_buf.len()).all(|i| self.push_hint_ids(self.hint_buf[i].1))
+            && self.push_hint_ids(confl)
+    }
+
+    /// Appends to `self.hint_ids` what names clause `c` to the checker:
+    /// its proof id, or the stored parent expansion of an elided
+    /// elimination resolvent. `false` when it has neither.
+    fn push_hint_ids(&mut self, c: CRef) -> bool {
+        match self.clauses[c as usize].proof_id {
+            NO_PROOF_ID => match self.elided_hints.get(&c) {
+                Some(exp) => self.hint_ids.extend_from_slice(exp),
+                None => return false,
+            },
+            pid => self.hint_ids.push(pid),
         }
-        buf.clear();
-        self.hint_buf = buf;
-        if ok {
-            Some(ids)
-        } else {
-            None
-        }
+        true
     }
 
     /// Whether learnt-clause literal `l` is redundant: following reason
@@ -1417,8 +1453,11 @@ impl Solver {
     fn lit_redundant(&mut self, l: Lit, abstract_levels: u32, marked: &mut Vec<Var>) -> bool {
         let top = marked.len();
         let hint_top = self.hint_buf.len();
-        let mut stack: Vec<Lit> = vec![l];
-        while let Some(p) = stack.pop() {
+        let mut stack = std::mem::take(&mut self.min_stack);
+        stack.clear();
+        stack.push(l);
+        let mut redundant = true;
+        'walk: while let Some(p) = stack.pop() {
             let cref = self.reason[p.var().index()]
                 .expect("only literals with reasons are pushed");
             if self.collect_hints {
@@ -1427,9 +1466,8 @@ impl Solver {
                 // re-propagates it (recorded only if this call succeeds).
                 self.hint_buf.push((self.trail_pos[p.var().index()], cref));
             }
-            let range = self.clauses[cref as usize].range();
-            let clause_lits = self.lit_arena[range].to_vec();
-            for q in clause_lits {
+            for k in self.clauses[cref as usize].range() {
+                let q = self.lit_arena[k];
                 let v = q.var();
                 if v == p.var() || self.seen[v.index()] || self.level[v.index()] == 0 {
                     continue;
@@ -1442,14 +1480,16 @@ impl Solver {
                     }
                     marked.truncate(top);
                     self.hint_buf.truncate(hint_top);
-                    return false;
+                    redundant = false;
+                    break 'walk;
                 }
                 self.seen[v.index()] = true;
                 marked.push(v);
                 stack.push(q);
             }
         }
-        true
+        self.min_stack = stack;
+        redundant
     }
 
     /// Builds the unsat core when assumption `failed` is falsified by the
@@ -1460,7 +1500,8 @@ impl Solver {
         if self.decision_level() == 0 {
             return;
         }
-        let mut marked: Vec<Var> = Vec::new();
+        let mut marked = std::mem::take(&mut self.marked);
+        marked.clear();
         self.seen[failed.var().index()] = true;
         marked.push(failed.var());
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
@@ -1488,9 +1529,10 @@ impl Solver {
                 }
             }
         }
-        for v in marked {
+        for v in &marked {
             self.seen[v.index()] = false;
         }
+        self.marked = marked;
         self.conflict_core.sort_unstable();
         self.conflict_core.dedup();
     }
@@ -1524,6 +1566,7 @@ impl Solver {
         if learnt {
             self.num_learnts += 1;
         }
+        self.live_clauses += 1;
         let start = self.lit_arena.len() as u32;
         self.lit_arena.extend_from_slice(lits);
         self.clauses.push(Clause {
@@ -1571,9 +1614,7 @@ impl Solver {
                 value_of(&self.assign, l) == LBool::True && self.level[l.var().index()] == 0
             });
             if dead {
-                self.log_delete(c);
-                self.clauses[c].deleted = true;
-                self.num_learnts -= 1;
+                self.delete_clause(c);
             } else if cl.len > 2 {
                 learnt_refs.push(c as CRef);
             }
@@ -1581,11 +1622,34 @@ impl Solver {
         learnt_refs.sort_by_key(|&c| std::cmp::Reverse(self.clauses[c as usize].lbd));
         let to_delete = learnt_refs.len() / 2;
         for &c in &learnt_refs[..to_delete] {
-            self.log_delete(c as usize);
-            self.clauses[c as usize].deleted = true;
-            self.num_learnts -= 1;
+            self.delete_clause(c as usize);
         }
         // Deleted clauses are dropped from watch lists lazily in propagate.
+    }
+}
+
+/// [`Solver::log`] over the two fields it touches, for steps whose
+/// literals are borrowed from another field of the solver.
+#[inline]
+fn log_to(proof: &mut Option<ProofLog>, adds: &mut u32, kind: StepKind, lits: &[Lit], hints: &[u32]) {
+    if let Some(p) = proof {
+        if kind != StepKind::Delete {
+            *adds += 1;
+        }
+        p.push(kind, lits, hints);
+    }
+}
+
+/// Copies `src` into `dst`, keeping `dst`'s buffer: sessions install a
+/// fresh mask per goal.
+fn set_mask(dst: &mut Option<Vec<bool>>, src: Option<&[bool]>) {
+    match src {
+        Some(src) => {
+            let buf = dst.get_or_insert_with(Vec::new);
+            buf.clear();
+            buf.extend_from_slice(src);
+        }
+        None => *dst = None,
     }
 }
 

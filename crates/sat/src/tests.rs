@@ -770,3 +770,117 @@ fn pigeonhole_unsat_exercises_recursive_minimization() {
         stats.conflicts
     );
 }
+
+// -----------------------------------------------------------------
+// The flat proof log, the live-clause counter, decision scopes
+// -----------------------------------------------------------------
+
+#[test]
+fn proof_log_steps_round_trip_and_truncate_whole() {
+    use crate::{ProofLog, Step, StepKind};
+    let (a, b, c) = (Lit::pos(Var(0)), Lit::neg(Var(1)), Lit::pos(Var(2)));
+    let mut log = ProofLog::new();
+    log.push(StepKind::Input, &[a, b], &[]);
+    log.push(StepKind::Input, &[], &[]);
+    log.push(StepKind::Derived, &[c, a, b], &[0, 1]);
+    log.push(StepKind::Delete, &[a, b], &[]);
+    log.push(StepKind::Derived, &[c], &[]);
+    let steps: Vec<Step<'_>> = log.iter().collect();
+    assert_eq!(steps.len(), 5);
+    assert_eq!(steps[0], Step { kind: StepKind::Input, lits: &[a, b], hints: &[] });
+    assert_eq!(steps[1], Step { kind: StepKind::Input, lits: &[], hints: &[] });
+    assert_eq!(steps[2], Step { kind: StepKind::Derived, lits: &[c, a, b], hints: &[0, 1] });
+    assert_eq!(steps[3], Step { kind: StepKind::Delete, lits: &[a, b], hints: &[] });
+    assert_eq!(log.last(), Some(Step { kind: StepKind::Derived, lits: &[c], hints: &[] }));
+
+    // A torn log loses whole steps: the survivors read back unchanged.
+    let mut torn = log.clone();
+    torn.truncate(3);
+    assert_eq!(torn.iter().collect::<Vec<_>>(), steps[..3]);
+    torn.truncate(7);
+    assert_eq!(torn.len(), 3);
+    torn.push(StepKind::Derived, &[b], &[2]);
+    assert_eq!(torn.last(), Some(Step { kind: StepKind::Derived, lits: &[b], hints: &[2] }));
+    torn.truncate(0);
+    assert!(torn.is_empty() && torn.last().is_none());
+
+    let mut unhinted = log.clone();
+    unhinted.drop_hints();
+    assert!(unhinted.iter().zip(&steps).all(|(u, s)| u.kind == s.kind && u.lits == s.lits));
+    assert!(unhinted.iter().all(|u| u.hints.is_empty()));
+
+    let mut twice = log.clone();
+    twice.extend(&log);
+    assert_eq!(twice.len(), 10);
+    assert_eq!(twice.step(7), steps[2]);
+}
+
+#[test]
+fn num_clauses_counts_live_clauses_through_every_deletion_path() {
+    // Pigeonhole behind an activation literal: the rows carry `!act`,
+    // the at-most-one clauses do not. Retraction sweeps the rows and
+    // every learnt clause (each resolves through a row, so holds `!act`);
+    // a purge then takes one column's at-most-one clauses. With
+    // inprocessing on, the same walk runs subsumption and elimination
+    // deletions past the counter too (test builds assert it against the
+    // clause array at every compaction).
+    let holes = 5;
+    let rows = holes + 1;
+    let per_column = rows * (rows - 1) / 2;
+    for inprocess in [false, true] {
+        let mut s = Solver::new();
+        s.set_inprocess(inprocess, inprocess);
+        let act = Lit::pos(s.new_var());
+        let p: Vec<Vec<Var>> = (0..rows).map(|_| lits(&mut s, holes)).collect();
+        for row in &p {
+            let mut c: Vec<Lit> = row.iter().map(|&v| Lit::pos(v)).collect();
+            c.push(!act);
+            s.add_clause(&c);
+        }
+        for j in 0..holes {
+            for i in 0..rows {
+                for k in i + 1..rows {
+                    s.add_clause(&[Lit::neg(p[i][j]), Lit::neg(p[k][j])]);
+                }
+            }
+        }
+        assert_eq!(s.num_clauses(), rows + holes * per_column);
+        assert_eq!(s.solve_assuming(&[act]), SolveResult::Unsat);
+        assert!(s.num_clauses() > 0);
+        assert!(s.retract(act));
+        let mut garbage = vec![false; s.num_vars()];
+        for row in &p {
+            garbage[row[0].index()] = true;
+        }
+        if inprocess {
+            assert!(s.num_clauses() <= holes * per_column);
+            s.purge_vars(&garbage);
+        } else {
+            assert_eq!(s.num_clauses(), holes * per_column);
+            s.purge_vars(&garbage);
+            assert_eq!(s.num_clauses(), (holes - 1) * per_column);
+        }
+        assert_eq!(s.solve(), SolveResult::Sat);
+    }
+}
+
+#[test]
+fn scoped_search_decides_only_in_scope_variables() {
+    // 64 unconstrained variables out of scope, 3 in scope: a model needs
+    // exactly the in-scope decisions, and out-of-scope variables stay
+    // unassigned instead of being offered and discarded.
+    let mut s = Solver::new();
+    let vs = lits(&mut s, 67);
+    s.add_clause(&[Lit::pos(vs[64]), Lit::pos(vs[65]), Lit::pos(vs[66])]);
+    let mut scope = vec![false; 67];
+    scope[64..].iter_mut().for_each(|b| *b = true);
+    s.set_decision_scope(Some(&scope));
+    assert_eq!(s.solve(), SolveResult::Sat);
+    assert!(s.stats().decisions <= 3, "{} decisions", s.stats().decisions);
+    assert!(vs[..64].iter().all(|&v| s.value(v).is_none()));
+    assert!(vs[64..].iter().any(|&v| s.value(v) == Some(true)));
+    // Lifting the scope re-offers everything.
+    s.set_decision_scope(None);
+    assert_eq!(s.solve(), SolveResult::Sat);
+    assert!(vs.iter().all(|&v| s.value(v).is_some()));
+}

@@ -33,13 +33,24 @@ use crate::with_ctx;
 use serval_sat::{Lit, Solver, Var};
 use std::collections::{HashMap, HashSet};
 
+/// Most clauses any gate primitive defines itself by (`xor`, `mux`).
+const GATE_CLAUSES: usize = 4;
+/// Most literals in one of them.
+const GATE_WIDTH: usize = 3;
+
 /// Pending definition clauses of one Tseitin gate, bucketed by the output
-/// polarity that needs them (see the module docs).
+/// polarity that needs them (see the module docs). Stored inline — every
+/// gate variable gets one of these, and a vector per bucket and per
+/// clause made gate registration the blaster's dominant allocation cost.
+#[derive(Clone, Copy)]
 struct Gate {
-    /// Clauses containing the *negated* output: `out → definition`.
-    fwd: Vec<Vec<Lit>>,
-    /// Clauses containing the *positive* output: `definition → out`.
-    bwd: Vec<Vec<Lit>>,
+    clauses: [[Lit; GATE_WIDTH]; GATE_CLAUSES],
+    /// Literals used in each clause; 0 past the last clause.
+    lens: [u8; GATE_CLAUSES],
+    /// Bit `i`: clause `i` contains the *negated* output (`out →
+    /// definition`, the forward bucket); otherwise it contains the
+    /// positive output (`definition → out`, the backward bucket).
+    fwd: u8,
     /// Bit 1: fwd emitted; bit 2: bwd emitted.
     emitted: u8,
 }
@@ -75,6 +86,8 @@ pub struct Blaster {
     gates: HashMap<Var, Gate>,
     /// Whether to defer gate clauses by polarity (see the module docs).
     polarity: bool,
+    /// Worklist of [`Blaster::use_lit`], kept for its buffer.
+    use_work: Vec<Lit>,
 }
 
 impl Default for Blaster {
@@ -98,6 +111,7 @@ impl Blaster {
             divrem_owner: HashMap::new(),
             gates: HashMap::new(),
             polarity: false,
+            use_work: Vec::new(),
         }
     }
 
@@ -121,17 +135,20 @@ impl Blaster {
             }
             return;
         }
-        let mut fwd = Vec::new();
-        let mut bwd = Vec::new();
-        for c in clauses {
-            let negated_out = c.iter().any(|l| l.var() == out && l.is_neg());
-            if negated_out {
-                fwd.push(c.to_vec());
-            } else {
-                bwd.push(c.to_vec());
+        let mut gate = Gate {
+            clauses: [[Lit(0); GATE_WIDTH]; GATE_CLAUSES],
+            lens: [0; GATE_CLAUSES],
+            fwd: 0,
+            emitted: 0,
+        };
+        for (i, c) in clauses.iter().enumerate() {
+            gate.clauses[i][..c.len()].copy_from_slice(c);
+            gate.lens[i] = c.len() as u8;
+            if c.iter().any(|l| l.var() == out && l.is_neg()) {
+                gate.fwd |= 1 << i;
             }
         }
-        self.gates.insert(out, Gate { fwd, bwd, emitted: 0 });
+        self.gates.insert(out, gate);
     }
 
     /// Records that literal `l` occurs in an emitted clause, flushing the
@@ -142,7 +159,9 @@ impl Blaster {
         if !self.polarity {
             return;
         }
-        let mut work = vec![l];
+        let mut work = std::mem::take(&mut self.use_work);
+        work.clear();
+        work.push(l);
         while let Some(l) = work.pop() {
             let v = l.var();
             let Some(gate) = self.gates.get_mut(&v) else {
@@ -153,20 +172,20 @@ impl Blaster {
                 continue;
             }
             gate.emitted |= bit;
-            let bucket = if l.is_neg() {
-                std::mem::take(&mut gate.bwd)
-            } else {
-                std::mem::take(&mut gate.fwd)
-            };
-            for c in bucket {
-                sat.add_clause(&c);
-                for &x in &c {
-                    if x.var() != v {
-                        work.push(x);
-                    }
+            let gate = *gate;
+            // A positive use needs the forward bucket, a negative use
+            // the backward one.
+            let want_fwd = !l.is_neg();
+            for i in 0..GATE_CLAUSES {
+                let c = &gate.clauses[i][..gate.lens[i] as usize];
+                if c.is_empty() || (gate.fwd >> i & 1 == 1) != want_fwd {
+                    continue;
                 }
+                sat.add_clause(c);
+                work.extend(c.iter().filter(|x| x.var() != v));
             }
         }
+        self.use_work = work;
     }
 
     /// Adds a non-definition clause (an assertion, guard, or congruence

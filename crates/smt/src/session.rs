@@ -42,7 +42,7 @@ use crate::presolve::{self, BaseSimp};
 use crate::solver::{extract_model, CheckResult, QueryStats, SolverConfig};
 use crate::term::TermId;
 use serval_check::sim;
-use serval_sat::{Lit, ProofStep, SolveResult, Solver, SolverStats};
+use serval_sat::{Lit, ProofLog, SolveResult, Solver, SolverStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -72,7 +72,7 @@ pub struct SessionOutcome {
 #[derive(Debug)]
 pub struct SessionProof {
     /// Proof steps logged since the previous goal's delta was drained.
-    pub steps: Vec<ProofStep>,
+    pub steps: ProofLog,
     /// The goal's activation literal. `None` for the constant-false
     /// fast path, where the verdict needs no derived conclusion (the
     /// delta still carries any pending base-encoding steps).
@@ -95,6 +95,13 @@ pub struct Session {
     base_visited: HashSet<TermId>,
     /// Decision-scope mask for the base cone's SAT variables.
     base_mask: Vec<bool>,
+    /// Per-goal buffers, kept across goals so a goal costs its own cone
+    /// and two mask copies, not fresh session-sized allocations: the
+    /// goal's decision scope, the walk memo of its cone, and a
+    /// variable mask shared by the eliminability and purge computations.
+    scope: Vec<bool>,
+    goal_visited: HashSet<TermId>,
+    var_mask: Vec<bool>,
     /// Negated-goal roots announced via [`Session::plan_goals`], waiting
     /// for the base cone to be computed before building the plan.
     planned: Option<Vec<TermId>>,
@@ -169,6 +176,9 @@ impl Session {
             base_asserted: false,
             base_visited: HashSet::new(),
             base_mask: Vec::new(),
+            scope: Vec::new(),
+            goal_visited: HashSet::new(),
+            var_mask: Vec::new(),
             planned: None,
             plan: None,
             presolve: true,
@@ -357,7 +367,9 @@ impl Session {
         if bucket.is_empty() {
             return;
         }
-        let mut mask = vec![false; self.sat.num_vars()];
+        let mask = &mut self.var_mask;
+        mask.clear();
+        mask.resize(self.sat.num_vars(), false);
         let mut any = false;
         for t in bucket {
             // A term sharing allocated variables with a still-live term
@@ -374,7 +386,7 @@ impl Session {
             if let Some(m) = defer_to {
                 plan.expiry[m].push(t);
             } else {
-                any |= self.blaster.mark_term_vars(t, &mut mask);
+                any |= self.blaster.mark_term_vars(t, mask);
                 // Drop the blaster's memo entry along with the solver
                 // clauses: an off-plan re-mention of this term then
                 // re-encodes it with fresh variables instead of
@@ -383,7 +395,7 @@ impl Session {
             }
         }
         if any {
-            self.sat.purge_vars(&mask);
+            self.sat.purge_vars(mask);
         }
     }
 
@@ -473,16 +485,17 @@ impl Session {
             // encoding, possibly constrained in one direction only —
             // weaker still), so Sat over the scope extends to a total
             // model; see `Solver::set_decision_scope` for the contract.
-            let mut mask = self.base_mask.clone();
-            mask.resize(self.sat.num_vars(), false);
-            let mut visited = HashSet::new();
+            self.scope.clear();
+            self.scope.extend_from_slice(&self.base_mask);
+            self.scope.resize(self.sat.num_vars(), false);
+            self.goal_visited.clear();
             self.blaster.mark_cone_vars_skipping(
                 std::iter::once(neg_goal.0),
-                &mut visited,
+                &mut self.goal_visited,
                 &self.base_visited,
-                &mut mask,
+                &mut self.scope,
             );
-            self.sat.set_decision_scope(Some(mask));
+            self.sat.set_decision_scope(Some(&self.scope));
             // Plan-scoped eliminability: a variable becomes eliminable
             // once no future goal's encoding can mention its literals
             // (`mention_until` ≤ the goal just blasted). This admits the
@@ -500,16 +513,24 @@ impl Session {
             // unsound verdict.
             if self.cfg.inprocess && self.cfg.session_bve {
                 let i = (self.goals - 1) as usize;
-                let elig = self.plan.as_ref().map(|plan| {
-                    let mut keep = vec![false; self.sat.num_vars()];
-                    for (&t, &until) in &plan.mention_until {
-                        if until > i {
-                            self.blaster.mark_term_vars(t, &mut keep);
+                match &self.plan {
+                    Some(plan) => {
+                        let mask = &mut self.var_mask;
+                        mask.clear();
+                        mask.resize(self.sat.num_vars(), false);
+                        for (&t, &until) in &plan.mention_until {
+                            if until > i {
+                                self.blaster.mark_term_vars(t, mask);
+                            }
                         }
+                        // Marked = still mentioned; eliminable = the rest.
+                        for m in mask.iter_mut() {
+                            *m = !*m;
+                        }
+                        self.sat.set_eliminable(Some(mask));
                     }
-                    keep.iter().map(|&k| !k).collect()
-                });
-                self.sat.set_eliminable(elig);
+                    None => self.sat.set_eliminable(None),
+                }
             }
             // The budget is per *goal*: the solver's budget check is
             // against cumulative conflicts, so rebase it each time.

@@ -14,7 +14,7 @@ use crate::bv::SBool;
 use crate::model::Model;
 use crate::term::{with_ctx, Op, Sort, TermId};
 use serval_check::sim;
-use serval_sat::{ProofStep, Rephase, SolveResult, Solver};
+use serval_sat::{ProofLog, Rephase, SolveResult, Solver, StepKind};
 use std::collections::HashSet;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -214,7 +214,7 @@ pub struct CheckOutcome {
     pub stats: QueryStats,
     /// DRAT-style proof log backing an `Unsat` verdict; present only
     /// when the check ran via [`check_full_proof`].
-    pub proof: Option<Vec<ProofStep>>,
+    pub proof: Option<ProofLog>,
 }
 
 /// A [`VerifyResult`] paired with its solve statistics.
@@ -256,18 +256,23 @@ pub fn check_full_proof(
     check_full_impl(cfg, assertions, interrupt, true)
 }
 
+/// The certificate of a query with a constant-false assertion: the
+/// formula contains the empty clause, which refutes it outright.
+pub fn trivial_refutation() -> ProofLog {
+    let mut steps = ProofLog::new();
+    steps.push(StepKind::Input, &[], &[]);
+    steps.push(StepKind::Derived, &[], &[]);
+    steps
+}
+
 /// Buggify: strip the LRAT hints off every hinted proof step, as a
 /// solver version skew or torn hint encoding would. Hints are a
 /// performance contract only — the checker must fall back to full RUP
 /// and accept the certificate with identical verdicts; the sim sweep
 /// pins that.
-pub(crate) fn buggify_drop_hints(steps: &mut [ProofStep]) {
+pub(crate) fn buggify_drop_hints(steps: &mut ProofLog) {
     if sim::buggify("lrat-drop-hint") {
-        for s in steps.iter_mut() {
-            if let ProofStep::DerivedHinted(lits, _) = s {
-                *s = ProofStep::Derived(std::mem::take(lits));
-            }
-        }
+        steps.drop_hints();
     }
 }
 
@@ -302,8 +307,7 @@ fn check_full_impl(
         // contains the empty clause, which refutes it outright.
         if a.is_false() {
             stats.wall = start.elapsed();
-            let proof = log_proof
-                .then(|| vec![ProofStep::Input(Vec::new()), ProofStep::Derived(Vec::new())]);
+            let proof = log_proof.then(trivial_refutation);
             return CheckOutcome { result: CheckResult::Unsat, stats, proof };
         }
         blaster.assert_true(&mut sat, a.0);

@@ -11,14 +11,22 @@
 //!   and reject no certificate,
 //! - answer a rerun entirely from the cache (`misses` unchanged).
 //!
+//! A second, smaller matrix runs whole JIT sweeps — each one batch, one
+//! assumption-free session group — at 1, 2 and 4 workers: the engine
+//! cuts such a group into one session per idle worker, and that must
+//! change nothing a caller can see except which session a goal sat in.
+//!
 //! One `#[test]` in a file of its own: the discharger override is
 //! process-wide, and every integration-test file is its own process.
 
-use serval_engine::{Discharge, DischargeMode, Engine, EngineCfg, Query, QueryOutcome};
+use serval_engine::{
+    Discharge, DischargeMode, Engine, EngineCfg, Query, QueryOutcome, MIN_SHARD_GOALS,
+    SHARDS_PER_JOB,
+};
 use serval_repro::bpf::{AluOp, Insn as Bpf, Src};
 use serval_repro::core_fw::OptCfg;
 use serval_repro::ir::OptLevel;
-use serval_repro::jit::{check_rv64, check_x86, Rv64Jit, X86Jit};
+use serval_repro::jit::{check_rv64, check_x86, sweep_rv64, sweep_x86, Rv64Jit, X86Jit};
 use serval_repro::monitors::certikos;
 use serval_repro::monitors::keystone::{
     audit_ub, prove_isolation, prove_no_nested_creation, KeystoneVariant,
@@ -118,12 +126,28 @@ fn corpus(cfg: SolverConfig) {
     drop(certikos::proofs::prove_op(certikos::sys::SPAWN, OptLevel::O1, OptCfg::default(), cfg));
 }
 
+/// Both JITs' full sweeps, fixed and buggy: four batches (208, 208, 160
+/// and 160 checks), none with an assumption, 75 checks refuted. A row's
+/// engine answers the checks the buggy JIT gets right from the fixed
+/// sweep's cache entries, so the four session groups differ in size.
+fn sweeps(cfg: SolverConfig) {
+    for jit in [Rv64Jit::fixed(), Rv64Jit::buggy()] {
+        drop(sweep_rv64(&jit, cfg));
+    }
+    for jit in [X86Jit::fixed(), X86Jit::buggy()] {
+        drop(sweep_x86(&jit, cfg));
+    }
+}
+
 /// Forwards to one row's engine and checks every outcome on the way
 /// back, while the caller's terms are still alive.
 struct Checked {
     row: &'static str,
     engine: Engine,
     verdicts: Mutex<Vec<(String, &'static str)>>,
+    /// Per batch, the deepest position any goal had in its session
+    /// (0 when nothing reached a solver).
+    deepest: Mutex<Vec<u64>>,
 }
 
 impl Discharge for Checked {
@@ -153,25 +177,32 @@ impl Discharge for Checked {
             };
             verdicts.push((out.label.clone(), code));
         }
+        let deepest = outs.iter().filter_map(|o| o.stats).map(|s| s.session_goals).max();
+        self.deepest.lock().expect("only the test thread submits").push(deepest.unwrap_or(0));
         outs
     }
 }
 
-#[test]
-fn every_config_row_agrees_with_the_baseline() {
+/// Runs `corpus` cold and warm under every row and holds each row to
+/// the contract in the module docs. Returns, per row, the cold run's
+/// deepest session position per batch.
+fn check_rows(rows: Vec<Row>, corpus: fn(SolverConfig), refuted: usize) -> Vec<Vec<u64>> {
     let mut baseline: Option<Vec<(String, &'static str)>> = None;
-    for Row { name, engine: cfg, solver } in rows() {
+    let mut depths = Vec::new();
+    for Row { name, engine: cfg, solver } in rows {
         let (mode, portfolio) = (cfg.mode, cfg.portfolio);
         let checked = Arc::new(Checked {
             row: name,
             engine: Engine::new(cfg),
             verdicts: Mutex::new(Vec::new()),
+            deepest: Mutex::new(Vec::new()),
         });
         serval_engine::install_discharger(Arc::clone(&checked) as Arc<dyn Discharge>);
         let take = || std::mem::take(&mut *checked.verdicts.lock().expect("test thread"));
 
         corpus(solver);
         let cold = take();
+        depths.push(std::mem::take(&mut *checked.deepest.lock().expect("test thread")));
         let (cold_hits, cold_misses) = checked.engine.cache_stats();
         let (cold_queries, cold_trivial) = checked.engine.query_counts();
         corpus(solver);
@@ -181,9 +212,7 @@ fn every_config_row_agrees_with_the_baseline() {
         let baseline = baseline.get_or_insert_with(|| {
             let count = |code| cold.iter().filter(|(_, c)| *c == code).count();
             assert_eq!(count("proved") + count("refuted"), cold.len(), "baseline is definitive");
-            // 2 rv64 + 1 x86-32 buggy instructions, nested creation as
-            // implemented, and the three undefined-behaviour checks.
-            assert_eq!(count("refuted"), 7, "{cold:?}");
+            assert_eq!(count("refuted"), refuted, "{cold:?}");
             cold.clone()
         });
         assert_eq!(&cold, baseline, "[{name}] cold verdicts differ from the baseline row");
@@ -206,5 +235,42 @@ fn every_config_row_agrees_with_the_baseline() {
             DischargeMode::Session => assert!(sessions > 0 && fresh == 0, "[{name}]"),
             DischargeMode::Auto => assert!(sessions > 0 && fresh > 0, "[{name}]"),
         }
+    }
+    depths
+}
+
+#[test]
+fn every_config_row_agrees_with_the_baseline() {
+    // 2 rv64 + 1 x86-32 buggy instructions, nested creation as
+    // implemented, and the three undefined-behaviour checks.
+    check_rows(rows(), corpus, 7);
+
+    // Sharding: at one worker each sweep is one session, so its deepest
+    // position is its goal count; with idle workers it is cut into
+    // sessions within one goal of equal size.
+    let workers = [1, 2, 4];
+    let row = |name, jobs| Row {
+        name,
+        engine: EngineCfg { jobs, ..EngineCfg::default() },
+        solver: SolverConfig::default(),
+    };
+    let shard_rows =
+        vec![row("sweeps jobs=1", 1), row("sweeps jobs=2", 2), row("sweeps jobs=4", 4)];
+    let depths = check_rows(shard_rows, sweeps, 75);
+    let goals = &depths[0];
+    assert_eq!(goals.len(), 4, "one batch per sweep");
+    assert!(
+        goals.iter().any(|&n| n as usize >= 4 * MIN_SHARD_GOALS),
+        "some sweep is big enough to cut 4 ways: {goals:?}"
+    );
+    for (jobs, deepest) in workers.into_iter().zip(&depths) {
+        let cut: Vec<u64> = goals
+            .iter()
+            .map(|&n| {
+                let sessions = (SHARDS_PER_JOB * jobs).min(n as usize / MIN_SHARD_GOALS).max(1);
+                n.div_ceil(sessions as u64)
+            })
+            .collect();
+        assert_eq!(deepest, &cut, "[sweeps jobs={jobs}] sessions per sweep");
     }
 }
