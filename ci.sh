@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI gate for the Serval reproduction. Everything runs with --offline:
 # the workspace has zero external dependencies (see crates/check for the
-# from-scratch proptest/rand/criterion replacement), and this script is
+# from-scratch proptest/rand replacement), and this script is
 # the proof that resolution never reaches for a registry.
 set -eu
 
@@ -13,7 +13,9 @@ cargo build --release --offline
 # rerun of the suites under an environment variable. Also part of this
 # run: tests/alloc_budget.rs, a binary of its own with a counting global
 # allocator, which fails if a certified session goes back to the heap
-# once per proof step (what made two workers serialise on malloc).
+# once per proof step (what made two workers serialise on malloc); and
+# tests/workspace.rs's discharge_path_functions_stay_small, which fails
+# if a function of the engine's staged discharge path outgrows 120 lines.
 echo "== tests (whole workspace, offline; incl. config_matrix, alloc_budget) =="
 cargo test -q --workspace --offline
 

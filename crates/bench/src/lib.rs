@@ -1,8 +1,7 @@
-//! Shared helpers for the benchmark harness that regenerates every table
-//! and figure of the paper's evaluation (see EXPERIMENTS.md for the
-//! experiment index and DESIGN.md for the substitutions).
-
-pub mod suites;
+//! Shared helpers for the binaries that regenerate the tables and
+//! figures of the paper's evaluation (see EXPERIMENTS.md for the
+//! experiment index and DESIGN.md for the substitutions). Timing lives
+//! in `benchmark/`, a package of its own.
 
 use std::path::{Path, PathBuf};
 

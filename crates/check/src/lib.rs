@@ -1,11 +1,10 @@
 //! serval-check: a self-contained, deterministic property-based testing
-//! and micro-benchmarking substrate.
+//! substrate.
 //!
 //! The workspace's charter is to build every substrate from scratch — the
 //! SAT solver stands in for Z3, the SMT layer for Rosette, and this crate
-//! for `proptest` + `rand` + `criterion`, which are unreachable in an
-//! offline build and, unlike this crate, not seed-deterministic by
-//! default.
+//! for `proptest` + `rand`, which are unreachable in an offline build
+//! and, unlike this crate, not seed-deterministic by default.
 //!
 //! Architecture (Hypothesis-style integrated shrinking):
 //!
@@ -39,11 +38,7 @@
 //! }
 //! # addition_commutes();
 //! ```
-//!
-//! The [`bench`] module is the criterion replacement: warmup + N timed
-//! samples, min/median/p95/mean, JSON emission for trajectory files.
 
-pub mod bench;
 pub mod data;
 pub mod rng;
 pub mod runner;

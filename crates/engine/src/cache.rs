@@ -84,7 +84,9 @@ struct Segment {
     dir: PathBuf,
 }
 
-/// The two-tier cache.
+/// The verdict cache: a memory tier over an optional disk tier. The
+/// engine probes it under a query's raw key, its normal form and its
+/// conjuncts' keys, and stores under all of them (see `Engine::probe`).
 pub struct Cache {
     mem: Mutex<HashMap<Vec<u8>, CachedVerdict>>,
     disk: Option<Mutex<Segment>>,

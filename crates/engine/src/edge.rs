@@ -11,7 +11,7 @@ pub const SWITCH: &str = "1|on|true|0|off|false";
 /// What [`at_least`]`(1)` accepts.
 pub const POSITIVE: &str = "an integer >= 1";
 /// What [`mode`] accepts.
-pub const MODE: &str = "fresh|session|auto";
+pub const MODE: &str = "fresh|session";
 
 /// Looks variable `name` up with `var` (the process environment in a
 /// `from_env`, a closure in tests) and parses its value with `accept`.
@@ -49,7 +49,6 @@ pub fn mode(v: &str) -> Option<DischargeMode> {
     match v {
         "fresh" => Some(DischargeMode::Fresh),
         "session" => Some(DischargeMode::Session),
-        "auto" => Some(DischargeMode::Auto),
         _ => None,
     }
 }
@@ -97,8 +96,8 @@ mod tests {
 
     #[test]
     fn modes_are_spelt_exactly() {
-        assert_eq!(parse(set("auto"), "SERVAL_MODE", MODE, mode), Ok(Some(DischargeMode::Auto)));
-        for v in ["sesion", "incremental", "Session"] {
+        assert_eq!(parse(set("fresh"), "SERVAL_MODE", MODE, mode), Ok(Some(DischargeMode::Fresh)));
+        for v in ["sesion", "incremental", "Session", "auto"] {
             let err = parse(set(v), "SERVAL_MODE", MODE, mode).unwrap_err();
             assert!(err.contains("SERVAL_MODE") && err.contains(MODE), "{err}");
         }

@@ -239,7 +239,7 @@ pub struct SessionCore {
 /// A session reduced to its portable core plus the caller-side back map.
 ///
 /// There is deliberately no cache key here: sessions are never cached as
-/// a unit — the engine consults the two-tier cache per sub-query (using
+/// a unit — the engine consults the cache per sub-query (using
 /// each sub-query's own [`Prepared::key`]) before deciding what reaches
 /// a session at all.
 pub struct SessionPrepared {

@@ -7,9 +7,13 @@
 //! the two: a [`Query`] (assumptions + goal + label) is re-serialized
 //! into a portable, alpha-invariant normal form ([`form`]), solved on a
 //! from-scratch work-stealing thread pool ([`pool`]), memoized in a
-//! two-tier cache keyed on the normal form ([`cache`]), and optionally
-//! raced across several solver configurations with cooperative
-//! cancellation ([`solve`]).
+//! verdict cache probed raw key → normal form → whole goal, over an
+//! optional disk tier ([`cache`]), and optionally raced across several
+//! solver configurations with cooperative cancellation ([`solve`]).
+//!
+//! [`Engine::submit_batch`] is a short driver over typed stages on plain
+//! data — `Prepared → Keyed → Planned → Discharged → Recombined` — each
+//! a function a test drives alone (DESIGN.md, "Engine", has the table).
 //!
 //! Results stream back in deterministic submission order with identical
 //! verdicts regardless of worker count, so `SERVAL_JOBS=1` and
@@ -35,7 +39,7 @@
 //! | `SERVAL_JOBS`      | Worker count, an integer ≥ 1 (default: available parallelism) |
 //! | `SERVAL_CACHE`     | `1`/`on`/`true` → disk tier under `target/serval-cache/`; `0`/`off`/`false` → memory tier only (the default); anything else is a path → disk tier there |
 //! | `SERVAL_PORTFOLIO` | `1`/`on`/`true` → race 3 solver configs per query (the pool shrinks to `jobs / 3` so total solver threads stay ≈ `SERVAL_JOBS`). Verdicts stay deterministic, but which variant's counterexample is reported is a timing race — see [`solve::solve_portfolio`]. Off by default. |
-//! | `SERVAL_MODE`      | `fresh` / `session` / `auto` — the discharge mode for sub-queries sharing an assumption set (default `session`). `auto` decides per assumption group from predicted reuse (group size × shared-base cone ratio); see [`DischargeMode`]. Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
+//! | `SERVAL_MODE`      | `fresh` / `session` — how sub-queries sharing an assumption set are discharged (default `session`, which every workload runs). `fresh` solves each goal on a solver of its own: the reference path `tests/config_matrix.rs` compares sessions against; see [`DischargeMode`]. Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
 //! | `SERVAL_CERT`      | `0`/`off`/`false` → disable proof certificates (on by default: every solver `Unsat` must present a DRAT-style proof accepted by the independent `serval-drat` checker before it becomes `Proved`; cached `Proved` entries carry the certificate fingerprint and uncertified disk records are ignored; cached `Refuted` hits re-evaluate their stored countermodel against the term semantics and are evicted on mismatch). |
 //!
 //! Any other value is an error naming the variable and what it accepts
@@ -58,8 +62,8 @@ use pool::Pool;
 use serval_smt::bv::SBool;
 use serval_smt::model::Model;
 use serval_smt::presolve;
-use serval_smt::solver::{CheckResult, QueryStats, SolverConfig, VerifyResult};
-use serval_smt::term::TermId;
+use serval_smt::solver::{QueryStats, SolverConfig, VerifyResult};
+use serval_smt::term::{Sort, TermId};
 use solve::{solve_one, solve_portfolio, solve_session, PortableModel, RawOutcome, RawVerdict};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -72,29 +76,15 @@ use std::time::Duration;
 /// assumption set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DischargeMode {
-    /// One fresh solver per sub-query.
+    /// One fresh solver per sub-query: the same groups, planned as one
+    /// task per goal. No workload runs it; it stays as the reference
+    /// path `tests/config_matrix.rs` holds sessions to.
     Fresh,
     /// Live incremental sessions: one per assumption group, or one per
     /// chunk of a group [`shard_plan`] cuts (see
     /// [`solve::solve_session`]).
     Session,
-    /// Pick per assumption group from predicted reuse. A group of `n`
-    /// goals whose shared base is a fraction `r` of the group's whole
-    /// encoding cone saves roughly `(n - 1) · r` of the work fresh
-    /// discharge would redo; the group is sessioned when that score
-    /// clears [`AUTO_SESSION_THRESHOLD`]. Small groups over thin bases
-    /// (where session bookkeeping outweighs reuse) fall back to fresh
-    /// solvers. The decision is a pure function of the batch's terms,
-    /// so same batch ⇒ same mode choices.
-    Auto,
 }
-
-/// Minimum predicted-reuse score (`(group size - 1) × shared-base cone
-/// ratio`) for [`DischargeMode::Auto`] to discharge a group as a
-/// session. `0.5` means: a two-goal group sessions only when at least
-/// half its encoding cone is the shared base; single-goal groups
-/// (score 0) always go fresh.
-pub const AUTO_SESSION_THRESHOLD: f64 = 0.5;
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
@@ -113,14 +103,13 @@ pub struct EngineCfg {
     /// batch's critical path.
     pub split: bool,
     /// Whether sub-queries sharing an assumption set are discharged in
-    /// one live incremental session, one fresh solver each, or decided
-    /// per group ([`DischargeMode::Auto`]). Defaults to `Session` — the
-    /// measured winner on the certikos refinement workload now that
-    /// inprocessing runs under live sessions. Has no effect when
-    /// `portfolio` is on, since a portfolio races *independent* solvers
-    /// per query.
-    /// Verdicts are identical in every mode — the mode only changes how
-    /// much encoding and search work is re-done.
+    /// one live incremental session (the default, and what every
+    /// workload runs) or on one fresh solver each (the differential
+    /// reference). Has no effect when `portfolio` is on, since a
+    /// portfolio races *independent* solvers per query.
+    /// Verdicts, cache keys and cache traffic are identical in both
+    /// modes — the mode only changes how much encoding and search work
+    /// is re-done.
     pub mode: DischargeMode,
     /// Run the word-level presolve pipeline ([`serval_smt::presolve`])
     /// on each query before normalization and blasting: the assumption
@@ -186,26 +175,6 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-}
-
-/// Predicted-reuse score for one assumption group under
-/// [`DischargeMode::Auto`]: `(group size - 1) × shared-base cone
-/// ratio`. The base ratio is how much of the group's whole encoding
-/// cone (assumptions + every goal, term-counted on the hash-consed DAG)
-/// is the shared assumption base — the part a session encodes once and
-/// fresh discharge re-encodes per goal. Deterministic: term counts are
-/// a pure function of the batch.
-fn session_score(asms: &[SBool], goals: &[SBool]) -> f64 {
-    if goals.len() < 2 {
-        return 0.0;
-    }
-    let base = presolve::measure(asms.iter().map(|a| a.0)).terms;
-    let total =
-        presolve::measure(asms.iter().map(|a| a.0).chain(goals.iter().map(|g| g.0))).terms;
-    if total == 0 {
-        return 0.0;
-    }
-    (goals.len() - 1) as f64 * (base as f64 / total as f64)
 }
 
 /// Session tasks a shardable group is cut into per pool worker. One:
@@ -282,7 +251,8 @@ pub struct QueryOutcome {
     pub wall: Duration,
     /// Whether the verdict came from the cache.
     pub cache_hit: bool,
-    /// Which portfolio variant won (0 when portfolio is off).
+    /// Which portfolio variant won (0 when portfolio is off, and for
+    /// split queries, whose conjuncts each had a winner of their own).
     pub variant: usize,
     /// Fingerprint of the checker-accepted proof certificate backing a
     /// `Proved` verdict (for split queries: the chained fingerprint over
@@ -294,11 +264,301 @@ pub struct QueryOutcome {
     pub error: Option<String>,
 }
 
+/// The one place a [`QueryOutcome`] is built: an outcome that took no
+/// solving (`cert` 0 = none). Recombination overrides the solver fields.
+fn outcome(label: String, result: VerifyResult, cert: u64, cache_hit: bool) -> QueryOutcome {
+    QueryOutcome {
+        label,
+        result,
+        stats: None,
+        wall: Duration::ZERO,
+        cache_hit,
+        variant: 0,
+        cert: (cert != 0).then_some(cert),
+        error: None,
+    }
+}
+
+/// The outcome of a query resolved without solving — trivially, or from
+/// the cache — with its verdict translated into the caller's terms.
+fn resolved(label: String, verdict: CachedVerdict, backmap: &BackMap, hit: bool) -> QueryOutcome {
+    match verdict {
+        CachedVerdict::Proved { cert } => outcome(label, VerifyResult::Proved, cert, hit),
+        CachedVerdict::Refuted(pm) => {
+            let model = caller_model(&pm, backmap);
+            outcome(label, VerifyResult::Counterexample(Box::new(model)), 0, hit)
+        }
+    }
+}
+
 /// Cap on conjuncts produced by goal splitting, to bound per-conjunct
 /// preparation overhead on pathologically wide conjunctions.
 const SPLIT_CAP: usize = 512;
 
-/// The proof-discharge engine: pool + cache + portfolio switch.
+// ---------------------------------------------------------------------------
+// Stage types. `submit_batch` threads a batch through
+//
+//   Vec<Query> → Prepared → Keyed → Planned → Discharged → Vec<QueryOutcome>
+//
+// and every arrow is one function below: plain data in, plain data out,
+// so a test builds any stage's input by hand and drives it alone.
+// ---------------------------------------------------------------------------
+
+/// One pool task: a worker-side solve answering one chunk of a group,
+/// one outcome per goal.
+type Task = Box<dyn FnOnce() -> Vec<RawOutcome> + Send + 'static>;
+
+/// What presolve did to a live query, for finalization: shrink counts
+/// onto the stats, eliminated variables back into a countermodel.
+pub(crate) struct PresolveInfo {
+    base: Rc<presolve::BaseSimp>,
+    pre: presolve::Counts,
+    post: presolve::Counts,
+}
+
+/// What finalization needs to know about a query no warm layer answered.
+pub(crate) struct Fixup {
+    /// The query's position in the batch.
+    pub(crate) slot: usize,
+    /// Its pre-presolve key and backmap, recorded once the outcome is
+    /// definitive so the next run's raw-key probe answers it. `None`
+    /// with presolve off: the normal form is then the only key.
+    pub(crate) raw: Option<(Vec<u8>, BackMap)>,
+    pub(crate) presolve: Option<PresolveInfo>,
+}
+
+/// A query still to be keyed (as presolve rewrote it), with its fix-up.
+pub(crate) struct Live {
+    pub(crate) query: Query,
+    pub(crate) fixup: Fixup,
+}
+
+/// Stage 1 output: one slot per submitted query — filled where the
+/// raw-key layer answered — and the queries it did not answer.
+pub(crate) struct Prepared {
+    pub(crate) slots: Vec<Option<QueryOutcome>>,
+    pub(crate) live: Vec<Live>,
+}
+
+/// Sub-queries sharing an assumption set and a solver configuration:
+/// the unit of planning, discharged as sessions or goal by goal.
+pub(crate) struct Group {
+    pub(crate) asms: Vec<SBool>,
+    pub(crate) goals: Vec<SBool>,
+    pub(crate) cfg: SolverConfig,
+}
+
+/// One sub-query of a pending query: a conjunct, or the whole goal.
+pub(crate) enum Sub {
+    /// Resolved without solving (trivial, or cached).
+    Ready {
+        verdict: CachedVerdict,
+        backmap: BackMap,
+        hit: bool,
+    },
+    /// Waiting on goal `goal` of group `group`; `key` is where its
+    /// verdict is stored.
+    Wait {
+        group: usize,
+        goal: usize,
+        backmap: BackMap,
+        key: Vec<u8>,
+    },
+}
+
+/// A query waiting on solver work.
+pub(crate) struct Pending {
+    pub(crate) slot: usize,
+    pub(crate) label: String,
+    /// The whole goal's key, for a query split into conjuncts: stored
+    /// once every conjunct proved. `None` for an unsplit query, whose
+    /// one sub-query *is* the whole goal, key and certificate alike.
+    pub(crate) whole_key: Option<Vec<u8>>,
+    pub(crate) subs: Vec<Sub>,
+}
+
+/// Stage 2 output. Groups are in order of first use and goals in order
+/// of submission, so a session sees its goals in the caller's order.
+pub(crate) struct Keyed {
+    pub(crate) pending: Vec<Pending>,
+    pub(crate) groups: Vec<Group>,
+    pub(crate) fixups: Vec<Fixup>,
+}
+
+/// One pool task's share of a group: goals `start..` up to the next
+/// chunk's start, answered by `task` with countermodels numbered in
+/// `backmap`.
+pub(crate) struct Chunk {
+    pub(crate) start: usize,
+    pub(crate) task: usize,
+    pub(crate) backmap: BackMap,
+}
+
+/// Stage 3 output: the pool tasks, and per group the chunks they answer.
+pub(crate) struct Planned {
+    pub(crate) tasks: Vec<Task>,
+    pub(crate) chunks: Vec<Vec<Chunk>>,
+}
+
+/// Stage 4 output: what the pool returned, by task (`Err` carries a
+/// worker's panic message), beside the plan that says whose it is.
+pub(crate) struct Discharged {
+    pub(crate) chunks: Vec<Vec<Chunk>>,
+    pub(crate) raw: Vec<Result<Vec<RawOutcome>, String>>,
+}
+
+impl Discharged {
+    /// The answer to goal `goal` of group `group` and the backmap its
+    /// countermodel is numbered in: a goal's chunk is the last one
+    /// starting at or before it.
+    fn locate(&self, group: usize, goal: usize) -> (Result<&RawOutcome, &str>, &BackMap) {
+        let chunks = &self.chunks[group];
+        let chunk = &chunks[chunks.partition_point(|c| c.start <= goal) - 1];
+        let out = match &self.raw[chunk.task] {
+            Ok(outs) => Ok(&outs[goal - chunk.start]),
+            Err(msg) => Err(msg.as_str()),
+        };
+        (out, &chunk.backmap)
+    }
+}
+
+/// The groups of a batch under construction. Sub-queries are grouped by
+/// their *exact* assumption set: terms are hash-consed, so within one
+/// batch structural equality of assumptions is `TermId` equality, and
+/// the sorted dedup'd id vector identifies the set regardless of
+/// submission order. (Alpha-equivalent-but-distinct sets stay in
+/// separate groups — a missed grouping costs reuse, never correctness.)
+/// The solver config is part of the key so a budgeted query is never
+/// solved under another query's budget.
+#[derive(Default)]
+struct Groups {
+    groups: Vec<Group>,
+    index: HashMap<(Vec<TermId>, CfgKey), usize>,
+}
+
+impl Groups {
+    /// Appends `goal` to the group of `assumptions` under `cfg`, opening
+    /// it on first use; returns (group, goal position within it).
+    fn enqueue(&mut self, assumptions: &[SBool], goal: SBool, cfg: SolverConfig) -> (usize, usize) {
+        let mut ids: Vec<TermId> = assumptions
+            .iter()
+            .filter(|a| !a.is_true())
+            .map(|a| a.0)
+            .collect();
+        ids.sort_unstable_by_key(|t| t.0);
+        ids.dedup();
+        let key = (ids, cfg_key(&cfg));
+        let g = match self.index.get(&key) {
+            Some(&g) => g,
+            None => {
+                let g = self.groups.len();
+                self.groups.push(Group {
+                    asms: key.0.iter().map(|&t| SBool(t)).collect(),
+                    goals: Vec::new(),
+                    cfg,
+                });
+                self.index.insert(key, g);
+                g
+            }
+        };
+        self.groups[g].goals.push(goal);
+        (g, self.groups[g].goals.len() - 1)
+    }
+}
+
+/// Prepared stage, second half — word-level presolve: simplify each live
+/// query before normalization, so everything downstream — cache keys,
+/// splitting, grouping, blasting — sees the shrunken form. The base is
+/// presolved once per distinct assumption set and shared across the
+/// batch (certikos-style batches phrase hundreds of queries over a
+/// handful of invariant sets), and every query keeps its *whole*
+/// presolved base whatever the discharge mode: grouping and cache keys
+/// then never depend on the mode, and no verdict rests on assumptions
+/// set aside and checked elsewhere.
+fn presolve_live(live: &mut [Live]) {
+    type BaseEntry = (Rc<presolve::BaseSimp>, presolve::GoalCache);
+    let mut bases: HashMap<Vec<TermId>, BaseEntry> = HashMap::new();
+    for Live { query: q, fixup } in live {
+        let pre = presolve::measure(q.assumptions.iter().map(|a| a.0).chain([q.goal.0]));
+        let mut key: Vec<TermId> = q.assumptions.iter().map(|a| a.0).collect();
+        key.sort_unstable_by_key(|t| t.0);
+        key.dedup();
+        let (base, cache) = bases.entry(key).or_insert_with(|| {
+            (
+                Rc::new(presolve::presolve_base(&q.assumptions)),
+                presolve::GoalCache::default(),
+            )
+        });
+        q.goal = presolve::simplify_goal_cached(base, q.goal, cache);
+        q.assumptions = base.roots.clone();
+        let post = presolve::measure(q.assumptions.iter().map(|a| a.0).chain([q.goal.0]));
+        fixup.presolve = Some(PresolveInfo {
+            base: Rc::clone(base),
+            pre,
+            post,
+        });
+    }
+}
+
+/// Planned stage: turns groups into pool tasks. A sessioned group's
+/// portable core is prepared here, caller-side (the caller owns the
+/// terms); a worker rebuilds it once and answers every goal on one live
+/// solver. It is one session unless [`shard_plan`] cuts it into several
+/// over contiguous goal chunks. Fresh discharge (`sessions` off, and
+/// `portfolio`, which races independent solvers) is the degenerate
+/// plan: every goal starts a chunk of its own.
+pub(crate) fn plan(
+    groups: &[Group],
+    sessions: bool,
+    portfolio: bool,
+    jobs: usize,
+    cert: bool,
+) -> Planned {
+    let mut tasks: Vec<Task> = Vec::new();
+    let chunks = groups
+        .iter()
+        .map(|g| {
+            let starts: Vec<usize> = if sessions {
+                shard_plan(g.goals.len(), g.asms.len(), groups.len(), jobs)
+            } else {
+                (0..g.goals.len()).collect()
+            };
+            let cfg = g.cfg;
+            let chunk = |(k, &start): (usize, &usize)| {
+                let end = starts.get(k + 1).copied().unwrap_or(g.goals.len());
+                let (task, backmap): (Task, BackMap) = if sessions {
+                    let sp = prepare_session(&g.asms, &g.goals[start..end]);
+                    (
+                        Box::new(move || solve_session(&sp.core, cfg, None, cert)),
+                        sp.backmap,
+                    )
+                } else {
+                    let sp = prepare(&g.asms, g.goals[start]);
+                    let solve = if portfolio {
+                        solve_portfolio
+                    } else {
+                        solve_one
+                    };
+                    (
+                        Box::new(move || vec![solve(&sp.core, cfg, None, cert)]),
+                        sp.backmap,
+                    )
+                };
+                tasks.push(task);
+                Chunk {
+                    start,
+                    task: tasks.len() - 1,
+                    backmap,
+                }
+            };
+            starts.iter().enumerate().map(chunk).collect()
+        })
+        .collect();
+    Planned { tasks, chunks }
+}
+
+/// The proof-discharge engine: a worker pool and a verdict cache around
+/// the staged pipeline of [`Engine::submit_batch`].
 pub struct Engine {
     pool: Pool,
     cache: Cache,
@@ -320,7 +580,7 @@ pub struct Engine {
     certs_rejected: AtomicU64,
     /// Assumption groups discharged as live sessions.
     groups_session: AtomicU64,
-    /// Assumption groups `Auto` sent to fresh solvers instead.
+    /// Assumption groups discharged on one fresh solver per goal.
     groups_fresh: AtomicU64,
 }
 
@@ -360,41 +620,19 @@ impl Engine {
         self.pool.jobs()
     }
 
-    /// Whether portfolio mode is on.
-    pub fn portfolio(&self) -> bool {
-        self.portfolio
-    }
-
-    /// Whether incremental discharge sessions are in use (mode is
-    /// `Session` or `Auto` *and* not preempted by portfolio mode).
+    /// Whether incremental discharge sessions are in use (the mode is
+    /// `Session` *and* not preempted by portfolio mode).
     pub fn incremental(&self) -> bool {
-        self.mode != DischargeMode::Fresh && !self.portfolio
-    }
-
-    /// The effective discharge mode (portfolio preempts sessions, so it
-    /// resolves to `Fresh` regardless of the configured mode).
-    pub fn mode(&self) -> DischargeMode {
-        if self.portfolio {
-            DischargeMode::Fresh
-        } else {
-            self.mode
-        }
+        self.mode == DischargeMode::Session && !self.portfolio
     }
 
     /// (session-discharged, fresh-discharged) assumption-group counts
-    /// since construction. Under `Session` mode every group counts as a
-    /// session; under `Auto` the split shows what the reuse predictor
-    /// actually chose.
+    /// since construction: all on one side, by [`Engine::incremental`].
     pub fn mode_counts(&self) -> (u64, u64) {
         (
             self.groups_session.load(Ordering::Relaxed),
             self.groups_fresh.load(Ordering::Relaxed),
         )
-    }
-
-    /// Whether word-level presolve is on.
-    pub fn presolve(&self) -> bool {
-        self.presolve
     }
 
     /// Whether proof certificates are required.
@@ -461,306 +699,157 @@ impl Engine {
     /// conjunction). For split queries `wall` is the parallel critical
     /// path (max over conjuncts) and `stats` the sum.
     pub fn submit_batch(&self, queries: Vec<Query>) -> Vec<QueryOutcome> {
-        /// Where a sub-query's verdict will come from: its own fresh
-        /// pool task, or one goal slot of a shared session task.
-        #[derive(Clone, Copy)]
-        enum Work {
-            Fresh(usize),
-            Session { group: usize, goal: usize },
-        }
-        enum Sub {
-            /// Conjunct resolved without solving (trivial, or cached).
-            Ready { verdict: CachedVerdict, backmap: BackMap, hit: bool },
-            /// Conjunct waiting on solver work.
-            Wait { work: Work, backmap: BackMap, key: Vec<u8> },
-        }
-        enum Pending {
-            /// Whole query waiting on solver work.
-            Unit { slot: usize, work: Work, backmap: BackMap, key: Vec<u8> },
-            /// Split query waiting on its conjuncts.
-            Split { slot: usize, whole_key: Vec<u8>, subs: Vec<Sub> },
-        }
-        /// One incremental session under construction: sub-queries that
-        /// share an assumption set (and solver config), accumulated
-        /// during the batch walk and scheduled as a single pool task.
-        struct Group {
-            asms: Vec<SBool>,
-            goals: Vec<SBool>,
-            cfg: SolverConfig,
-        }
-
-        /// Presolve bookkeeping for one slot: what the finalization pass
-        /// needs to fix up the outcome (counts onto stats, dropped-cone
-        /// side-check and model completion onto counterexamples).
-        struct PresolveInfo {
-            base: Rc<presolve::BaseSimp>,
-            /// Assumptions split off by cone-of-influence reduction
-            /// (always empty in session mode — sessions key on the full
-            /// base so grouping and cache keys stay consistent).
-            dropped: Vec<SBool>,
-            cfg: SolverConfig,
-            pre: presolve::Counts,
-            post: presolve::Counts,
-        }
-
-        let n = queries.len();
-        self.submitted.fetch_add(n as u64, Ordering::Relaxed);
-        let mut slots: Vec<Option<QueryOutcome>> = (0..n).map(|_| None).collect();
-
-        // Raw-key warm layer (presolve mode only): the cache is *also*
-        // keyed on the pre-presolve normal form, so a warm rerun
-        // resolves on one normalization + one lookup and never pays the
-        // presolve pipeline again. (Without this, warm runs re-derived
-        // every binding and rewrite only to hit on the simplified key —
-        // the 2.5× warm-path slowdown in BENCH_presolve/_incremental.)
-        // Raw-trivial queries short-circuit here exactly like the
-        // presolve-off fast path; queries presolve later folds to
-        // trivial are *not* counted trivial, because they did consult
-        // the cache (and their raw key is inserted, so they hit warm).
-        let mut raw_infos: Vec<Option<(Vec<u8>, BackMap)>> = (0..n).map(|_| None).collect();
-        let queries: Vec<Query> = if self.presolve {
-            let mut kept: Vec<Query> = Vec::with_capacity(n);
-            for (i, q) in queries.into_iter().enumerate() {
-                let raw = prepare(&q.assumptions, q.goal);
-                if raw.core.trivially_unsat {
-                    self.trivial.fetch_add(1, Ordering::Relaxed);
-                    slots[i] = Some(QueryOutcome {
-                        label: q.label,
-                        result: VerifyResult::Proved,
-                        stats: None,
-                        wall: Duration::ZERO,
-                        cache_hit: false,
-                        variant: 0,
-                        cert: self.cert.then(trivial_cert_hash),
-                        error: None,
-                    });
-                    continue;
-                }
-                let mut cached = self.cache.lookup(&raw.key);
-                if self.cert {
-                    if let Some(CachedVerdict::Refuted(pm)) = &cached {
-                        if !countermodel_valid(pm, &raw.backmap, &q.assumptions, q.goal) {
-                            self.cache.evict(&raw.key);
-                            cached = None;
-                        }
-                    }
-                }
-                if let Some(cached) = cached {
-                    let cert = match &cached {
-                        CachedVerdict::Proved { cert } => (*cert != 0).then_some(*cert),
-                        CachedVerdict::Refuted(_) => None,
-                    };
-                    slots[i] = Some(QueryOutcome {
-                        label: q.label,
-                        result: rehydrate(cached, &raw.backmap),
-                        stats: None,
-                        wall: Duration::ZERO,
-                        cache_hit: true,
-                        variant: 0,
-                        cert,
-                        error: None,
-                    });
-                    continue;
-                }
-                raw_infos[i] = Some((raw.key, raw.backmap));
-                kept.push(q);
-            }
-            kept
+        self.submitted
+            .fetch_add(queries.len() as u64, Ordering::Relaxed);
+        let Prepared { mut slots, live } = self.prepare_batch(queries);
+        let Keyed {
+            pending,
+            groups,
+            fixups,
+        } = self.key_batch(live, &mut slots);
+        let sessions = self.incremental();
+        let counter = if sessions {
+            &self.groups_session
         } else {
-            queries
+            &self.groups_fresh
         };
-        // Indices (into `slots`) of the queries that survived the raw
-        // layer, in the order `queries` now holds them.
-        let live: Vec<usize> = if self.presolve {
-            raw_infos
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.as_ref().map(|_| i))
-                .collect()
-        } else {
-            (0..n).collect()
+        counter.fetch_add(groups.len() as u64, Ordering::Relaxed);
+        let Planned { tasks, chunks } =
+            plan(&groups, sessions, self.portfolio, self.jobs(), self.cert);
+        let discharged = Discharged {
+            chunks,
+            raw: self.pool.run_batch(tasks),
         };
+        for p in pending {
+            let slot = p.slot;
+            slots[slot] = Some(self.recombine(p, &discharged));
+        }
+        self.finalize(fixups, &mut slots);
+        slots
+            .into_iter()
+            .map(|s| s.expect("every slot resolved"))
+            .collect()
+    }
 
-        // Word-level presolve: simplify each query before normalization,
-        // so everything downstream — cache keys, splitting, session
-        // grouping, blasting — sees the shrunken form. The base is
-        // presolved once per distinct assumption set and shared across
-        // the batch (certikos-style batches phrase hundreds of queries
-        // over a handful of invariant sets).
-        let mut presolve_infos: Vec<Option<PresolveInfo>> = (0..n).map(|_| None).collect();
-        let queries: Vec<Query> = if self.presolve {
-            type BaseEntry = (Rc<presolve::BaseSimp>, presolve::GoalCache);
-            let mut bases: HashMap<Vec<TermId>, BaseEntry> = HashMap::new();
-            queries
-                .into_iter()
-                .enumerate()
-                .map(|(k, mut q)| {
-                    let i = live[k];
-                    let pre = presolve::measure(
-                        q.assumptions.iter().map(|a| a.0).chain([q.goal.0]),
-                    );
-                    let mut key: Vec<TermId> = q.assumptions.iter().map(|a| a.0).collect();
-                    key.sort_unstable_by_key(|t| t.0);
-                    key.dedup();
-                    let entry = bases.entry(key).or_insert_with(|| {
-                        (
-                            Rc::new(presolve::presolve_base(&q.assumptions)),
-                            presolve::GoalCache::default(),
-                        )
-                    });
-                    let (base, cache) = (&entry.0, &mut entry.1);
-                    let goal = presolve::simplify_goal_cached(base, q.goal, cache);
-                    let (kept, dropped) = if self.incremental() {
-                        // Sessions share one live solver across the whole
-                        // base; dropping per-goal disconnected assumptions
-                        // would fracture the grouping.
-                        (base.roots.clone(), Vec::new())
-                    } else {
-                        presolve::cone_split(&base.roots, goal)
-                    };
-                    let post =
-                        presolve::measure(kept.iter().map(|a| a.0).chain([goal.0]));
-                    presolve_infos[i] = Some(PresolveInfo {
-                        base: Rc::clone(base),
-                        dropped,
-                        cfg: q.cfg,
-                        pre,
-                        post,
-                    });
-                    q.assumptions = kept;
-                    q.goal = goal;
-                    q
-                })
-                .collect()
+    /// The one cache probe, shared by the raw-key, normal-form and
+    /// per-conjunct layers. A warm `Refuted` hit is a claim: under
+    /// `cert` the stored countermodel is re-evaluated against the term
+    /// semantics, and an entry that no longer refutes this query is
+    /// evicted and reported as a miss (the caller falls through to a
+    /// fresh solve). `counted` says whether this is the query's one
+    /// lookup that shows in [`Engine::cache_stats`]; a query that
+    /// already missed under its raw key probes its normal form
+    /// uncounted.
+    fn probe(
+        &self,
+        key: &[u8],
+        backmap: &BackMap,
+        assumptions: &[SBool],
+        goal: SBool,
+        counted: bool,
+    ) -> Option<CachedVerdict> {
+        let found = if counted {
+            self.cache.lookup(key)
         } else {
-            queries
+            self.cache.probe(key)
         };
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut tasks: Vec<Box<dyn FnOnce() -> Vec<RawOutcome> + Send + 'static>> = Vec::new();
-        let push_task = |tasks: &mut Vec<Box<dyn FnOnce() -> Vec<RawOutcome> + Send + 'static>>,
-                             core: form::FormCore,
-                             cfg: SolverConfig|
-         -> usize {
-            let core = Arc::new(core);
-            let portfolio = self.portfolio;
-            let cert = self.cert;
-            tasks.push(Box::new(move || {
-                vec![if portfolio {
-                    solve_portfolio(&core, cfg, None, cert)
+        match &found {
+            Some(CachedVerdict::Refuted(pm))
+                if self.cert && !countermodel_valid(pm, backmap, assumptions, goal) =>
+            {
+                if counted {
+                    self.cache.evict(key);
                 } else {
-                    solve_one(&core, cfg, None, cert)
-                }]
-            }));
-            tasks.len() - 1
-        };
-
-        // Sessions group sub-queries by their *exact* assumption set:
-        // terms are hash-consed, so within one batch structural equality
-        // of assumptions is `TermId` equality, and the sorted dedup'd id
-        // vector identifies the set regardless of submission order.
-        // (Alpha-equivalent-but-distinct sets stay in separate groups —
-        // a missed grouping costs reuse, never correctness.) The solver
-        // config is part of the key so a budgeted query is never solved
-        // under another query's budget.
-        let use_session = self.incremental();
-        let mut groups: Vec<Group> = Vec::new();
-        let mut group_index: HashMap<(Vec<TermId>, CfgKey), usize> = HashMap::new();
-        let enqueue = |groups: &mut Vec<Group>,
-                       group_index: &mut HashMap<(Vec<TermId>, CfgKey), usize>,
-                       assumptions: &[SBool],
-                       goal: SBool,
-                       cfg: SolverConfig|
-         -> Work {
-            let mut ids: Vec<TermId> =
-                assumptions.iter().filter(|a| !a.is_true()).map(|a| a.0).collect();
-            ids.sort_unstable_by_key(|t| t.0);
-            ids.dedup();
-            let key = (ids, cfg_key(&cfg));
-            let g = match group_index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = groups.len();
-                    groups.push(Group {
-                        asms: key.0.iter().map(|&t| SBool(t)).collect(),
-                        goals: Vec::new(),
-                        cfg,
-                    });
-                    group_index.insert(key, g);
-                    g
+                    self.cache.evict_uncounted(key);
                 }
-            };
-            let goal_idx = groups[g].goals.len();
-            groups[g].goals.push(goal);
-            Work::Session { group: g, goal: goal_idx }
-        };
+                None
+            }
+            _ => found,
+        }
+    }
 
-        for (k, q) in queries.into_iter().enumerate() {
-            let i = live[k];
-            // In presolve mode every query reaching this loop already
-            // missed under its raw key (hits and trivial short-circuits
-            // resolved in the pre-pass above); its counted lookup is
-            // spent, so everything below probes uncounted.
-            let raw_missed = raw_infos[i].is_some();
-            let prepared = prepare(&q.assumptions, q.goal);
-            if prepared.core.trivially_unsat {
-                // Only counted trivial if it never consulted the cache
-                // (see [`Engine::query_counts`]): a query that presolve
-                // *folded* to trivial did miss under its raw key, and
-                // gets that key recorded at finalization so warm reruns
-                // hit instead. Even this fast path's certificate is
-                // checker-backed: the canonical two-step refutation of a
-                // formula containing the empty clause.
-                if !raw_missed {
+    /// Resolves a prepared (sub-)query without solving when that is
+    /// possible: trivially (a constant-false root makes it `Proved`,
+    /// under the canonical trivial certificate), or by the cache.
+    /// Returns the verdict and whether it was a cache hit.
+    fn resolve(
+        &self,
+        p: &form::Prepared,
+        assumptions: &[SBool],
+        goal: SBool,
+        counted: bool,
+    ) -> Option<(CachedVerdict, bool)> {
+        if p.core.trivially_unsat {
+            let cert = if self.cert { trivial_cert_hash() } else { 0 };
+            return Some((CachedVerdict::Proved { cert }, false));
+        }
+        let found = self.probe(&p.key, &p.backmap, assumptions, goal, counted)?;
+        Some((found, true))
+    }
+
+    /// Prepared stage: the raw-key warm layer, then presolve of what it
+    /// left. With presolve on the cache is *also* keyed on the
+    /// pre-presolve normal form, so a warm rerun resolves on one
+    /// normalization + one lookup per query and never pays the presolve
+    /// pipeline again. Raw-trivial queries short-circuit here and are
+    /// the only ones counted trivial: a query presolve later folds to
+    /// trivial did consult the cache (and its raw key is recorded at
+    /// finalization, so it hits warm). With presolve off there is no
+    /// second key, and every query goes on to be keyed as submitted.
+    pub(crate) fn prepare_batch(&self, queries: Vec<Query>) -> Prepared {
+        let mut slots: Vec<Option<QueryOutcome>> = Vec::with_capacity(queries.len());
+        let mut live: Vec<Live> = Vec::new();
+        for (slot, query) in queries.into_iter().enumerate() {
+            let mut raw = None;
+            if self.presolve {
+                let p = prepare(&query.assumptions, query.goal);
+                if p.core.trivially_unsat {
                     self.trivial.fetch_add(1, Ordering::Relaxed);
                 }
-                slots[i] = Some(QueryOutcome {
-                    label: q.label,
-                    result: VerifyResult::Proved,
-                    stats: None,
-                    wall: Duration::ZERO,
-                    cache_hit: false,
-                    variant: 0,
-                    cert: self.cert.then(trivial_cert_hash),
-                    error: None,
-                });
-                continue;
-            }
-            let mut cached = if raw_missed {
-                self.cache.probe(&prepared.key)
-            } else {
-                self.cache.lookup(&prepared.key)
-            };
-            if self.cert {
-                // A warm `Refuted` hit is a claim: re-evaluate the stored
-                // countermodel against the term semantics, and evict the
-                // entry (falling through to a fresh solve) if it no
-                // longer refutes this query.
-                if let Some(CachedVerdict::Refuted(pm)) = &cached {
-                    if !countermodel_valid(pm, &prepared.backmap, &q.assumptions, q.goal) {
-                        if raw_missed {
-                            self.cache.evict_uncounted(&prepared.key);
-                        } else {
-                            self.cache.evict(&prepared.key);
-                        }
-                        cached = None;
-                    }
+                if let Some((verdict, hit)) = self.resolve(&p, &query.assumptions, query.goal, true)
+                {
+                    slots.push(Some(resolved(query.label, verdict, &p.backmap, hit)));
+                    continue;
                 }
+                raw = Some((p.key, p.backmap));
             }
-            if let Some(cached) = cached {
-                let cert = match &cached {
-                    CachedVerdict::Proved { cert } => (*cert != 0).then_some(*cert),
-                    CachedVerdict::Refuted(_) => None,
-                };
-                slots[i] = Some(QueryOutcome {
-                    label: q.label,
-                    result: rehydrate(cached, &prepared.backmap),
-                    stats: None,
-                    wall: Duration::ZERO,
-                    cache_hit: true,
-                    variant: 0,
-                    cert,
-                    error: None,
-                });
+            slots.push(None);
+            live.push(Live {
+                query,
+                fixup: Fixup {
+                    slot,
+                    raw,
+                    presolve: None,
+                },
+            });
+        }
+        if self.presolve {
+            presolve_live(&mut live);
+        }
+        Prepared { slots, live }
+    }
+
+    /// Keyed stage: normalizes each live query, answers what the cache
+    /// can under the normal-form key (whole goal, then per conjunct),
+    /// and files every sub-query still open under its assumption group.
+    /// Groups open and goals append in submission order.
+    pub(crate) fn key_batch(&self, live: Vec<Live>, slots: &mut [Option<QueryOutcome>]) -> Keyed {
+        let mut groups = Groups::default();
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut fixups: Vec<Fixup> = Vec::with_capacity(live.len());
+        for Live { query: q, fixup } in live {
+            // A query that missed under its raw key has spent its
+            // counted lookup, and is not counted trivial if presolve
+            // folded it to a constant since (see `prepare_batch`).
+            let counted = fixup.raw.is_none();
+            let slot = fixup.slot;
+            fixups.push(fixup);
+            let whole = prepare(&q.assumptions, q.goal);
+            if whole.core.trivially_unsat && counted {
+                self.trivial.fetch_add(1, Ordering::Relaxed);
+            }
+            if let Some((verdict, hit)) = self.resolve(&whole, &q.assumptions, q.goal, counted) {
+                slots[slot] = Some(resolved(q.label, verdict, &whole.backmap, hit));
                 continue;
             }
             let conjuncts = if self.split {
@@ -768,394 +857,217 @@ impl Engine {
             } else {
                 vec![q.goal]
             };
-            if conjuncts.len() > 1 {
-                let mut subs = Vec::with_capacity(conjuncts.len());
-                for c in conjuncts {
+            let (whole_key, subs) = if conjuncts.len() > 1 {
+                let sub = |c: SBool| {
                     let sp = prepare(&q.assumptions, c);
-                    if sp.core.trivially_unsat {
-                        subs.push(Sub::Ready {
-                            verdict: CachedVerdict::Proved {
-                                cert: if self.cert { trivial_cert_hash() } else { 0 },
-                            },
+                    match self.resolve(&sp, &q.assumptions, c, true) {
+                        Some((verdict, hit)) => Sub::Ready {
+                            verdict,
                             backmap: sp.backmap,
-                            hit: false,
-                        });
-                        continue;
-                    }
-                    let mut cached = self.cache.lookup(&sp.key);
-                    if self.cert {
-                        if let Some(CachedVerdict::Refuted(pm)) = &cached {
-                            if !countermodel_valid(pm, &sp.backmap, &q.assumptions, c) {
-                                self.cache.evict(&sp.key);
-                                cached = None;
+                            hit,
+                        },
+                        None => {
+                            let (group, goal) = groups.enqueue(&q.assumptions, c, q.cfg);
+                            Sub::Wait {
+                                group,
+                                goal,
+                                backmap: sp.backmap,
+                                key: sp.key,
                             }
                         }
                     }
-                    if let Some(cached) = cached {
-                        subs.push(Sub::Ready {
-                            verdict: cached,
-                            backmap: sp.backmap,
-                            hit: true,
-                        });
-                    } else {
-                        let work = if use_session {
-                            enqueue(&mut groups, &mut group_index, &q.assumptions, c, q.cfg)
-                        } else {
-                            Work::Fresh(push_task(&mut tasks, sp.core, q.cfg))
-                        };
-                        subs.push(Sub::Wait {
-                            work,
-                            backmap: sp.backmap,
-                            key: sp.key,
-                        });
-                    }
-                }
-                pending.push(Pending::Split {
-                    slot: i,
-                    whole_key: prepared.key,
-                    subs,
-                });
-            } else {
-                let work = if use_session {
-                    enqueue(&mut groups, &mut group_index, &q.assumptions, q.goal, q.cfg)
-                } else {
-                    Work::Fresh(push_task(&mut tasks, prepared.core, q.cfg))
                 };
-                pending.push(Pending::Unit {
-                    slot: i,
-                    work,
-                    backmap: prepared.backmap,
-                    key: prepared.key,
-                });
-            }
-            slots[i] = Some(QueryOutcome {
+                (Some(whole.key), conjuncts.into_iter().map(sub).collect())
+            } else {
+                let (group, goal) = groups.enqueue(&q.assumptions, q.goal, q.cfg);
+                let sub = Sub::Wait {
+                    group,
+                    goal,
+                    backmap: whole.backmap,
+                    key: whole.key,
+                };
+                (None, vec![sub])
+            };
+            pending.push(Pending {
+                slot,
                 label: q.label,
-                result: VerifyResult::Unknown,
-                stats: None,
-                wall: Duration::ZERO,
-                cache_hit: false,
-                variant: 0,
-                cert: None,
-                error: None,
+                whole_key,
+                subs,
             });
         }
-
-        // Schedule pool work per assumption group. In `Session` mode
-        // every group is sessioned: its portable core is prepared
-        // caller-side (it owns the terms) and a worker rebuilds it once,
-        // answering every goal on one live solver. In `Auto` mode the
-        // reuse predictor decides per group — a group whose predicted
-        // reuse is too thin is discharged as one fresh solver task per
-        // goal instead (same verdicts, no session bookkeeping). A
-        // sessioned group is one session task unless [`shard_plan`]
-        // splits it into several over contiguous goal chunks.
-        // `group_starts[g]` holds the first goal of each of group `g`'s
-        // tasks (every goal, for a fresh-discharged group),
-        // `group_tasks[g]` and `group_backmaps[g]` the matching pool task
-        // and the backmap its countermodels come back numbered in.
-        let adaptive = self.mode() == DischargeMode::Auto;
-        let sessioned: Vec<bool> = groups
-            .iter()
-            .map(|g| !adaptive || session_score(&g.asms, &g.goals) >= AUTO_SESSION_THRESHOLD)
-            .collect();
-        let unsharded_tasks = tasks.len()
-            + groups
-                .iter()
-                .zip(&sessioned)
-                .map(|(g, &as_session)| if as_session { 1 } else { g.goals.len() })
-                .sum::<usize>();
-        let mut group_starts: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
-        let mut group_tasks: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
-        let mut group_backmaps: Vec<Vec<BackMap>> = Vec::with_capacity(groups.len());
-        for (g, &as_session) in groups.iter().zip(&sessioned) {
-            let starts: Vec<usize> = if as_session {
-                self.groups_session.fetch_add(1, Ordering::Relaxed);
-                shard_plan(g.goals.len(), g.asms.len(), unsharded_tasks, self.jobs())
-            } else {
-                self.groups_fresh.fetch_add(1, Ordering::Relaxed);
-                (0..g.goals.len()).collect()
-            };
-            let mut ts = Vec::with_capacity(starts.len());
-            let mut bms = Vec::with_capacity(starts.len());
-            for (k, &start) in starts.iter().enumerate() {
-                let end = starts.get(k + 1).copied().unwrap_or(g.goals.len());
-                if as_session {
-                    let sp = prepare_session(&g.asms, &g.goals[start..end]);
-                    bms.push(sp.backmap);
-                    let core = Arc::new(sp.core);
-                    let (cfg, cert) = (g.cfg, self.cert);
-                    tasks.push(Box::new(move || solve_session(&core, cfg, None, cert)));
-                    ts.push(tasks.len() - 1);
-                } else {
-                    let sp = prepare(&g.asms, g.goals[start]);
-                    bms.push(sp.backmap);
-                    ts.push(push_task(&mut tasks, sp.core, g.cfg));
-                }
-            }
-            group_starts.push(starts);
-            group_tasks.push(ts);
-            group_backmaps.push(bms);
+        Keyed {
+            pending,
+            groups: groups.groups,
+            fixups,
         }
+    }
 
-        let raw: Vec<Result<Vec<RawOutcome>, String>> = self.pool.run_batch(tasks);
-        // Maps a sub-query's `Work` onto (pool task, outcome index
-        // within the task, group backmap if any — the numbering the
-        // countermodel comes back in): the task of a grouped goal is the
-        // last one starting at or before it.
-        let locate = |work: Work| -> (usize, usize, Option<(usize, usize)>) {
-            match work {
-                Work::Fresh(t) => (t, 0, None),
-                Work::Session { group, goal } => {
-                    let starts = &group_starts[group];
-                    let k = starts.partition_point(|&s| s <= goal) - 1;
-                    (group_tasks[group][k], goal - starts[k], Some((group, k)))
+    /// Recombined stage: folds a pending query's sub-verdicts — cached,
+    /// or located in what the pool returned — into its outcome. Proved
+    /// iff every sub-query proved; refuted with the first refuted one's
+    /// countermodel; otherwise `Unknown` (a budget, a rejected
+    /// certificate, a worker panic) before `Interrupted`. Every solved
+    /// sub-query's certificate is tallied and its definitive verdict
+    /// stored under its own key on the way.
+    pub(crate) fn recombine(&self, p: Pending, d: &Discharged) -> QueryOutcome {
+        let Pending {
+            label,
+            whole_key,
+            subs,
+            ..
+        } = p;
+        let mut stats: Option<QueryStats> = None;
+        let mut wall = Duration::ZERO;
+        let mut variant = 0;
+        let mut all_hit = true;
+        let mut refuted: Option<Model> = None;
+        let (mut unknown, mut interrupted) = (false, false);
+        let mut error: Option<String> = None;
+        let mut certs: Vec<u64> = Vec::with_capacity(subs.len());
+        for sub in subs {
+            let (verdict, backmap) = match sub {
+                Sub::Ready {
+                    verdict,
+                    backmap,
+                    hit,
+                } => {
+                    all_hit &= hit;
+                    (verdict, backmap)
                 }
-            }
-        };
-        for p in pending {
-            match p {
-                Pending::Unit { slot, work, backmap, key } => {
-                    let slot = slots[slot].as_mut().expect("pending slot was initialized");
-                    let (task, idx, sgroup) = locate(work);
-                    match &raw[task] {
-                        Err(msg) => {
-                            slot.result = VerifyResult::Unknown;
-                            slot.error = Some(msg.clone());
+                Sub::Wait {
+                    group,
+                    goal,
+                    backmap,
+                    key,
+                } => {
+                    all_hit = false;
+                    let (out, numbering) = d.locate(group, goal);
+                    let out = match out {
+                        Ok(out) => out,
+                        Err(panic) => {
+                            unknown = true;
+                            error.get_or_insert_with(|| panic.to_string());
+                            continue;
                         }
-                        Ok(outs) => {
-                            let RawOutcome { verdict, stats, variant, cert_hash, cert_error } =
-                                outs[idx].clone();
-                            slot.stats = Some(stats);
-                            slot.wall = stats.wall;
-                            slot.variant = variant;
-                            self.count_cert(cert_hash, &cert_error);
-                            match verdict {
-                                RawVerdict::Proved => {
-                                    self.cache
-                                        .insert(key, CachedVerdict::Proved { cert: cert_hash });
-                                    slot.cert = (cert_hash != 0).then_some(cert_hash);
-                                    slot.result = VerifyResult::Proved;
-                                }
-                                RawVerdict::Refuted(pm) => {
-                                    let pm = match sgroup {
-                                        Some((g, b)) => remap_portable(
-                                            &pm,
-                                            &group_backmaps[g][b],
-                                            &backmap,
-                                        ),
-                                        None => pm,
-                                    };
-                                    slot.result = VerifyResult::Counterexample(Box::new(
-                                        portable_to_model(&pm, &backmap),
-                                    ));
-                                    self.cache.insert(key, CachedVerdict::Refuted(pm));
-                                }
-                                RawVerdict::Unknown => {
-                                    slot.result = VerifyResult::Unknown;
-                                    if slot.error.is_none() {
-                                        slot.error = cert_error;
-                                    }
-                                }
-                                RawVerdict::Interrupted => {
-                                    slot.result = VerifyResult::Interrupted
-                                }
-                            }
-                        }
-                    }
-                }
-                Pending::Split { slot, whole_key, subs } => {
-                    let mut agg = QueryStats::default();
-                    let mut solved_any = false;
-                    let mut wall = Duration::ZERO;
-                    let mut all_hit = true;
-                    let mut all_proved = true;
-                    let mut refuted: Option<Model> = None;
-                    let mut any_unknown = false;
-                    let mut error: Option<String> = None;
-                    let mut sub_certs: Vec<u64> = Vec::new();
-                    for sub in subs {
-                        match sub {
-                            Sub::Ready { verdict, backmap, hit } => {
-                                all_hit &= hit;
-                                match verdict {
-                                    CachedVerdict::Proved { cert } => sub_certs.push(cert),
-                                    CachedVerdict::Refuted(pm) => {
-                                        all_proved = false;
-                                        if refuted.is_none() {
-                                            refuted = Some(portable_to_model(&pm, &backmap));
-                                        }
-                                    }
-                                }
-                            }
-                            Sub::Wait { work, backmap, key } => {
-                                all_hit = false;
-                                let (task, idx, sgroup) = locate(work);
-                                match &raw[task] {
-                                    Err(msg) => {
-                                        all_proved = false;
-                                        any_unknown = true;
-                                        if error.is_none() {
-                                            error = Some(msg.clone());
-                                        }
-                                    }
-                                    Ok(outs) => {
-                                        let RawOutcome {
-                                            verdict,
-                                            stats,
-                                            cert_hash,
-                                            cert_error,
-                                            ..
-                                        } = outs[idx].clone();
-                                        solved_any = true;
-                                        agg = add_stats(agg, stats);
-                                        wall = wall.max(stats.wall);
-                                        self.count_cert(cert_hash, &cert_error);
-                                        match verdict {
-                                            RawVerdict::Proved => {
-                                                self.cache.insert(
-                                                    key,
-                                                    CachedVerdict::Proved { cert: cert_hash },
-                                                );
-                                                sub_certs.push(cert_hash);
-                                            }
-                                            RawVerdict::Refuted(pm) => {
-                                                let pm = match sgroup {
-                                                    Some((g, b)) => remap_portable(
-                                                        &pm,
-                                                        &group_backmaps[g][b],
-                                                        &backmap,
-                                                    ),
-                                                    None => pm,
-                                                };
-                                                all_proved = false;
-                                                if refuted.is_none() {
-                                                    refuted = Some(portable_to_model(
-                                                        &pm, &backmap,
-                                                    ));
-                                                }
-                                                self.cache
-                                                    .insert(key, CachedVerdict::Refuted(pm));
-                                            }
-                                            RawVerdict::Unknown => {
-                                                all_proved = false;
-                                                any_unknown = true;
-                                                if error.is_none() {
-                                                    error = cert_error;
-                                                }
-                                            }
-                                            RawVerdict::Interrupted => {
-                                                all_proved = false;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let out = slots[slot].as_mut().expect("pending slot was initialized");
-                    out.stats = solved_any.then_some(agg);
-                    out.wall = wall;
-                    out.cache_hit = all_hit;
-                    out.error = error;
-                    out.result = if let Some(model) = refuted {
-                        VerifyResult::Counterexample(Box::new(model))
-                    } else if all_proved {
-                        // The conjunction itself is now a proved key, so
-                        // future runs hit on the whole goal directly. Its
-                        // certificate is the chained fingerprint over the
-                        // per-conjunct certificates — nonzero only when
-                        // every conjunct was itself certified.
-                        let combined = if self.cert && sub_certs.iter().all(|&h| h != 0) {
-                            combine_cert_hashes(&sub_certs)
-                        } else {
-                            0
-                        };
-                        self.cache
-                            .insert(whole_key, CachedVerdict::Proved { cert: combined });
-                        out.cert = (combined != 0).then_some(combined);
-                        VerifyResult::Proved
-                    } else if any_unknown {
-                        VerifyResult::Unknown
-                    } else {
-                        VerifyResult::Interrupted
                     };
-                }
-            }
-        }
-        // Presolve finalization: attach the shrink counts to whatever
-        // stats the solve produced, and repair counterexamples. A
-        // countermodel of the *reduced* query (solver result or cache
-        // hit alike) only refutes the original once (a) the assumptions
-        // cone-of-influence dropped are themselves satisfiable — their
-        // model merges in over disjoint variables — and (b) the
-        // variables presolve eliminated are re-derived from their
-        // bindings. If the dropped partition is unsatisfiable the
-        // original base is contradictory, so the verdict flips to
-        // Proved no matter what the reduced query said.
-        for (slot, info) in slots.iter_mut().zip(presolve_infos.iter()) {
-            let Some(info) = info else { continue };
-            let out = slot.as_mut().expect("every slot resolved");
-            if let Some(stats) = &mut out.stats {
-                stats.presolve_terms_in = info.pre.terms;
-                stats.presolve_terms_out = info.post.terms;
-                stats.presolve_vars_in = info.pre.vars;
-                stats.presolve_vars_out = info.post.vars;
-            }
-            if !matches!(out.result, VerifyResult::Counterexample(_)) {
-                continue;
-            }
-            if !info.dropped.is_empty() {
-                match serval_smt::check_full(info.cfg, &info.dropped, None).result {
-                    CheckResult::Sat(dm) => {
-                        if let VerifyResult::Counterexample(m) = &mut out.result {
-                            // Disjoint by construction: the partitions
-                            // share no variables and no UFs.
-                            m.bv_values.extend(dm.bv_values);
-                            m.bool_values.extend(dm.bool_values);
-                            m.uf_tables.extend(dm.uf_tables);
+                    stats = Some(add_stats(stats.unwrap_or_default(), out.stats));
+                    wall = wall.max(out.stats.wall);
+                    if whole_key.is_none() {
+                        variant = out.variant;
+                    }
+                    self.count_cert(out.cert_hash, &out.cert_error);
+                    let verdict = match &out.verdict {
+                        RawVerdict::Proved => CachedVerdict::Proved {
+                            cert: out.cert_hash,
+                        },
+                        RawVerdict::Refuted(pm) => {
+                            CachedVerdict::Refuted(remap_portable(pm, numbering, &backmap))
                         }
-                    }
-                    CheckResult::Unsat => {
-                        out.result = VerifyResult::Proved;
-                        continue;
-                    }
-                    CheckResult::Unknown | CheckResult::Interrupted => {
-                        out.result = VerifyResult::Unknown;
-                        continue;
+                        RawVerdict::Unknown => {
+                            unknown = true;
+                            if error.is_none() {
+                                error = out.cert_error.clone();
+                            }
+                            continue;
+                        }
+                        RawVerdict::Interrupted => {
+                            interrupted = true;
+                            continue;
+                        }
+                    };
+                    self.cache.insert(key, verdict.clone());
+                    (verdict, backmap)
+                }
+            };
+            match verdict {
+                CachedVerdict::Proved { cert } => certs.push(cert),
+                CachedVerdict::Refuted(pm) => {
+                    if refuted.is_none() {
+                        refuted = Some(caller_model(&pm, &backmap));
                     }
                 }
             }
-            if let VerifyResult::Counterexample(m) = &mut out.result {
-                presolve::complete_model(m, &info.base.bindings);
-            }
         }
+        let mut cert = 0;
+        let result = if let Some(model) = refuted {
+            VerifyResult::Counterexample(Box::new(model))
+        } else if unknown {
+            VerifyResult::Unknown
+        } else if interrupted {
+            VerifyResult::Interrupted
+        } else {
+            cert = match whole_key {
+                // The conjunction itself is now a proved key, so future
+                // runs hit on the whole goal directly. Its certificate
+                // is the chained fingerprint over the per-conjunct
+                // certificates — nonzero only when every conjunct was
+                // itself certified.
+                Some(key) => {
+                    let chained = if self.cert && certs.iter().all(|&h| h != 0) {
+                        combine_cert_hashes(&certs)
+                    } else {
+                        0
+                    };
+                    self.cache
+                        .insert(key, CachedVerdict::Proved { cert: chained });
+                    chained
+                }
+                // Unsplit: the one sub-query's store above was the whole
+                // goal's, and its certificate passes through unchanged.
+                None => certs.first().copied().unwrap_or(0),
+            };
+            VerifyResult::Proved
+        };
+        QueryOutcome {
+            stats,
+            wall,
+            variant,
+            error,
+            ..outcome(label, result, cert, all_hit)
+        }
+    }
 
-        // Raw-key write side: only now are the outcomes definitive and
-        // their countermodels repaired (dropped-cone merge and binding
-        // completion above), so each solved query is recorded under its
-        // *pre-presolve* key too — next run's raw-layer lookup then
-        // resolves it before ever entering the presolve pipeline, and a
-        // stored countermodel already refutes the original query as-is.
-        for (i, raw) in raw_infos.iter().enumerate() {
-            let Some((raw_key, raw_backmap)) = raw else { continue };
-            let out = slots[i].as_ref().expect("every slot resolved");
+    /// Last stage: presolve fix-ups, then the raw-key write side. The
+    /// shrink counts go onto whatever stats the solve produced, and a
+    /// countermodel of the simplified query (solver result or cache hit
+    /// alike) has the variables presolve eliminated re-derived from
+    /// their bindings, so it refutes the query as submitted. Only now
+    /// are outcomes definitive, so each is recorded under its
+    /// *pre-presolve* key too — next run's raw-key probe then resolves
+    /// it before ever entering the presolve pipeline, and a stored
+    /// countermodel refutes the original query as-is.
+    fn finalize(&self, fixups: Vec<Fixup>, slots: &mut [Option<QueryOutcome>]) {
+        for Fixup {
+            slot,
+            raw,
+            presolve,
+        } in fixups
+        {
+            let out = slots[slot].as_mut().expect("every live slot was resolved");
+            if let Some(info) = presolve {
+                if let Some(stats) = &mut out.stats {
+                    stats.presolve_terms_in = info.pre.terms;
+                    stats.presolve_terms_out = info.post.terms;
+                    stats.presolve_vars_in = info.pre.vars;
+                    stats.presolve_vars_out = info.post.vars;
+                }
+                if let VerifyResult::Counterexample(m) = &mut out.result {
+                    presolve::complete_model(m, &info.base.bindings);
+                }
+            }
+            let Some((key, backmap)) = raw else { continue };
             match &out.result {
-                VerifyResult::Proved => self.cache.insert(
-                    raw_key.clone(),
-                    CachedVerdict::Proved { cert: out.cert.unwrap_or(0) },
-                ),
-                VerifyResult::Counterexample(m) => self.cache.insert(
-                    raw_key.clone(),
-                    CachedVerdict::Refuted(portable_of_caller_model(m, raw_backmap)),
-                ),
+                VerifyResult::Proved => {
+                    let cert = out.cert.unwrap_or(0);
+                    self.cache.insert(key, CachedVerdict::Proved { cert });
+                }
+                VerifyResult::Counterexample(m) => {
+                    let pm = portable_of_caller_model(m, &backmap);
+                    self.cache.insert(key, CachedVerdict::Refuted(pm));
+                }
                 VerifyResult::Unknown | VerifyResult::Interrupted => {}
             }
         }
-
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot resolved"))
-            .collect()
     }
 }
 
@@ -1226,16 +1138,17 @@ fn combine_cert_hashes(hashes: &[u64]) -> u64 {
 /// Re-evaluates a cached countermodel against the query it claims to
 /// refute: every assumption must evaluate true and the goal false under
 /// the stored assignment (missing variables default like the solver's
-/// don't-cares). A cache entry failing this check is corrupt or stale
-/// and must be evicted, never returned.
+/// don't-cares). A cache entry failing this check — or not even naming
+/// this query's variables — is corrupt or stale and must be evicted,
+/// never returned.
 fn countermodel_valid(
     pm: &PortableModel,
     backmap: &BackMap,
     assumptions: &[SBool],
     goal: SBool,
 ) -> bool {
-    let m = portable_to_model(pm, backmap);
-    assumptions.iter().all(|a| m.eval_bool(a.0)) && !m.eval_bool(goal.0)
+    portable_to_model(pm, backmap)
+        .is_some_and(|m| assumptions.iter().all(|a| m.eval_bool(a.0)) && !m.eval_bool(goal.0))
 }
 
 /// Renumbers a portable model from one back map's canonical indices to
@@ -1288,8 +1201,7 @@ fn remap_portable(pm: &PortableModel, from: &BackMap, to: &BackMap) -> PortableM
 /// Projects a caller-context model onto a back map's canonical indices —
 /// the inverse of [`portable_to_model`], used to record a finalized
 /// countermodel under the query's *raw* (pre-presolve) cache key. Every
-/// variable presolve eliminated or dropped was re-derived by
-/// finalization, so the raw back map covers everything the model needs;
+/// variable presolve eliminated was re-derived by finalization, so the raw back map covers everything the model needs;
 /// model entries the map doesn't reach are don't-cares and stay out. UF
 /// rows are sorted so the portable form (and hence the cache bytes) is
 /// deterministic.
@@ -1314,32 +1226,35 @@ pub fn portable_of_caller_model(m: &Model, backmap: &BackMap) -> PortableModel {
     pm
 }
 
-/// Translates a cached verdict into the caller's term context.
-fn rehydrate(cached: CachedVerdict, backmap: &BackMap) -> VerifyResult {
-    match cached {
-        CachedVerdict::Proved { .. } => VerifyResult::Proved,
-        CachedVerdict::Refuted(pm) => {
-            VerifyResult::Counterexample(Box::new(portable_to_model(&pm, backmap)))
-        }
-    }
-}
-
-/// Maps a portable model onto the submitting thread's terms.
-pub fn portable_to_model(pm: &PortableModel, backmap: &BackMap) -> Model {
+/// Maps a portable model onto the submitting thread's terms, or `None`
+/// if it is not a model over `backmap` at all: an index past the map, a
+/// bitvector value for a boolean variable or the reverse. A model may
+/// come off the wire (`serval-net`'s client), so nothing here trusts it.
+pub fn portable_to_model(pm: &PortableModel, backmap: &BackMap) -> Option<Model> {
+    let var = |k: u32, want_bool: bool| {
+        let origin = backmap.vars.get(k as usize)?;
+        (matches!(origin.sort, Sort::Bool) == want_bool).then_some(origin.term)
+    };
     let mut m = Model::default();
     for &(k, v) in &pm.bvs {
-        m.set_bv(backmap.vars[k as usize].term, v);
+        m.set_bv(var(k, false)?, v);
     }
     for &(k, b) in &pm.bools {
-        m.set_bool(backmap.vars[k as usize].term, b);
+        m.set_bool(var(k, true)?, b);
     }
     for (k, rows) in &pm.ufs {
         m.uf_tables.insert(
-            backmap.ufs[*k as usize],
+            *backmap.ufs.get(*k as usize)?,
             rows.iter().cloned().collect(),
         );
     }
-    m
+    Some(m)
+}
+
+/// [`portable_to_model`] for a model this engine produced or has just
+/// revalidated, numbered in `backmap` by construction.
+fn caller_model(pm: &PortableModel, backmap: &BackMap) -> Model {
+    portable_to_model(pm, backmap).expect("an in-process model indexes its own backmap")
 }
 
 static GLOBAL: OnceLock<Mutex<Option<Arc<Engine>>>> = OnceLock::new();
@@ -1383,11 +1298,6 @@ pub trait Discharge: Send + Sync {
         self.submit_batch(vec![query])
             .pop()
             .expect("one query in, one outcome out")
-    }
-
-    /// Human-readable description for reports and diagnostics.
-    fn describe(&self) -> String {
-        "in-process engine".to_string()
     }
 }
 

@@ -1,8 +1,12 @@
 //! Engine tests: canonicalization, pool determinism and poisoning,
-//! cache behavior, and end-to-end agreement with direct `smt::verify`.
+//! cache behavior, end-to-end agreement with direct `smt::verify`, and
+//! each stage of `submit_batch` driven alone on hand-built input.
 
+use crate::cache::CachedVerdict;
 use crate::form::{cache_key, prepare, split_goal, Query};
 use crate::pool::Pool;
+use crate::solve::{PortableModel, RawOutcome, RawVerdict};
+use crate::{Chunk, Discharged, Fixup, Live, Pending, Sub};
 use crate::{DischargeMode, Engine, EngineCfg};
 use serval_check::prelude::*;
 use serval_smt::solver::{SolverConfig, VerifyResult};
@@ -29,20 +33,6 @@ fn local_engine_fresh(jobs: usize) -> Engine {
         disk_cache: None,
         split: true,
         mode: DischargeMode::Fresh,
-        presolve: true,
-        cert: true,
-    })
-}
-
-/// Like [`local_engine`] but with adaptive discharge: the engine picks
-/// session vs fresh per assumption group from the predicted-reuse score.
-fn local_engine_auto(jobs: usize) -> Engine {
-    Engine::new(EngineCfg {
-        jobs,
-        portfolio: false,
-        disk_cache: None,
-        split: true,
-        mode: DischargeMode::Auto,
         presolve: true,
         cert: true,
     })
@@ -519,40 +509,45 @@ fn uncertified_disk_records_are_ignored_by_certified_engines() {
 
 #[test]
 fn poisoned_refuted_entry_is_evicted_and_resolved() {
-    use crate::cache::CachedVerdict;
-    use crate::form::prepare;
-    use crate::solve::PortableModel;
-
-    reset_ctx();
-    let x = BV::fresh(16, "x");
-    let y = BV::fresh(16, "y");
-    // Presolve off so the key computed here matches the engine's (the
-    // engine keys on the presolved form).
-    let engine = local_engine_raw(1, true);
-    // Provable goal; poison its cache slot with a bogus "countermodel".
-    let goal = (x & y).ule(x);
-    let prepared = prepare(&[], goal);
-    let mut bogus = PortableModel::default();
-    for (i, _) in prepared.backmap.vars.iter().enumerate() {
-        bogus.bvs.push((i as u32, 7));
+    // A provable goal whose cache slot holds a bogus "countermodel", on
+    // each layer the one probe serves: the raw key (presolve on), the
+    // normal form (presolve off: the only key), and a conjunct's key.
+    for (layer, presolve, conjunct) in
+        [("raw key", true, false), ("normal form", false, false), ("conjunct", true, true)]
+    {
+        reset_ctx();
+        let x = BV::fresh(16, "x");
+        let y = BV::fresh(16, "y");
+        let engine = cert_matrix_engine(true, true, presolve, true);
+        let poisoned = (x & y).ule(x);
+        let goal = if conjunct { poisoned & (x | y).uge(x) } else { poisoned };
+        let prepared = prepare(&[], poisoned);
+        let mut bogus = PortableModel::default();
+        for (i, _) in prepared.backmap.vars.iter().enumerate() {
+            bogus.bvs.push((i as u32, 7));
+        }
+        engine.cache.insert(prepared.key.clone(), CachedVerdict::Refuted(bogus));
+        // The hit revalidates the stored model against the term
+        // semantics, finds it does not refute the goal, evicts, and
+        // re-solves.
+        let o = engine.submit(q("p", vec![], goal));
+        assert!(
+            matches!(o.result, VerifyResult::Proved),
+            "[{layer}] poisoned Refuted entry must not surface, got {:?}",
+            o.result
+        );
+        assert!(!o.cache_hit, "[{layer}]");
+        assert!(o.cert.is_some(), "[{layer}] the re-solve is certified");
+        assert_eq!(engine.cache_stats().0, 0, "[{layer}] the eviction reclassifies the hit");
+        // The poisoned entry is gone: the slot now holds the proved verdict.
+        assert!(
+            matches!(engine.cache.probe(&prepared.key), Some(CachedVerdict::Proved { .. })),
+            "[{layer}]"
+        );
+        let o = engine.submit(q("p", vec![], goal));
+        assert!(o.cache_hit, "[{layer}]");
+        assert!(matches!(o.result, VerifyResult::Proved), "[{layer}]");
     }
-    engine
-        .cache
-        .insert(prepared.key.clone(), CachedVerdict::Refuted(bogus));
-    // The hit revalidates the stored model against the term semantics,
-    // finds it does not refute the goal, evicts, and re-solves.
-    let o = engine.submit(q("p", vec![], goal));
-    assert!(
-        matches!(o.result, VerifyResult::Proved),
-        "poisoned Refuted entry must not surface, got {:?}",
-        o.result
-    );
-    assert!(!o.cache_hit, "the eviction reclassifies the hit as a miss");
-    assert!(o.cert.is_some(), "the re-solve is certified");
-    // The poisoned entry is gone: the slot now holds the proved verdict.
-    let o = engine.submit(q("p", vec![], goal));
-    assert!(o.cache_hit);
-    assert!(matches!(o.result, VerifyResult::Proved));
 }
 
 #[test]
@@ -763,7 +758,7 @@ fn portfolio_agrees_with_single_config() {
 
 #[test]
 fn portfolio_external_cancel_interrupts_mid_solve() {
-    use crate::solve::{solve_portfolio, RawVerdict};
+    use crate::solve::solve_portfolio;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -911,73 +906,6 @@ fn incremental_and_fresh_engines_agree() {
     };
     assert!(!m.eval_bool(x.ult(y).0), "model must refute the goal");
     for a in &asms {
-        assert!(m.eval_bool(a.0), "model must satisfy the assumptions");
-    }
-}
-
-#[test]
-fn adaptive_mode_is_deterministic_and_splits_by_reuse() {
-    reset_ctx();
-    let x = BV::fresh(16, "x");
-    let y = BV::fresh(16, "y");
-    let z = BV::fresh(16, "z");
-    // Rich group: a fat shared base (the assumption cone dominates the
-    // group's whole encoding) amortized over three small goals, so the
-    // predicted-reuse score `(3 - 1) × base/total` clears the auto
-    // threshold and the group is sessioned.
-    let rich_asms = vec![
-        ((x * y) + (y * z)).ult((x | y | z) * BV::lit(16, 3)),
-        ((x ^ y) & (y ^ z)).ule(x + y + z),
-        x.ult(BV::lit(16, 500)),
-    ];
-    // Thin group: a single goal scores 0 and always goes fresh.
-    let queries = || {
-        vec![
-            q("rich-1", rich_asms.clone(), x.ule(x | y)),
-            q("rich-2", rich_asms.clone(), (x & y).ule(x)),
-            q("rich-3", rich_asms.clone(), x.ult(y)),
-            q("thin", vec![], z.ule(z | BV::lit(16, 1))),
-        ]
-    };
-    let auto_a = local_engine_auto(2);
-    let auto_b = local_engine_auto(2);
-    let out_a = auto_a.submit_batch(queries());
-    let out_b = auto_b.submit_batch(queries());
-    // Same batch ⇒ same mode choices: the score is a pure function of
-    // the batch's terms, independent of scheduling.
-    assert_eq!(auto_a.mode_counts(), auto_b.mode_counts());
-    let (sessions, fresh) = auto_a.mode_counts();
-    assert_eq!(
-        (sessions, fresh),
-        (1, 1),
-        "auto must session the rich group and fresh-solve the thin one"
-    );
-    // A pure Session engine counts every group as a session; verdicts
-    // must nonetheless agree query-for-query with the adaptive runs.
-    let session_engine = local_engine(2);
-    let out_s = session_engine.submit_batch(queries());
-    assert_eq!(session_engine.mode_counts(), (2, 0));
-    for ((a, b), s) in out_a.iter().zip(&out_b).zip(&out_s) {
-        assert_eq!(
-            a.result.is_proved(),
-            b.result.is_proved(),
-            "auto runs disagree on {}",
-            a.label
-        );
-        assert_eq!(
-            a.result.is_proved(),
-            s.result.is_proved(),
-            "auto and session disagree on {}",
-            a.label
-        );
-    }
-    // The rich group's counterexample (x < y is refutable) must still be
-    // a real countermodel over the caller's terms.
-    let VerifyResult::Counterexample(m) = &out_a[2].result else {
-        panic!("expected counterexample, got {:?}", out_a[2].result);
-    };
-    assert!(!m.eval_bool(x.ult(y).0), "model must refute the goal");
-    for a in &rich_asms {
         assert!(m.eval_bool(a.0), "model must satisfy the assumptions");
     }
 }
@@ -1144,47 +1072,49 @@ fn presolve_terminates_on_substitution_cycles() {
 
 #[test]
 fn coi_keeps_uf_linked_assumptions() {
-    reset_ctx();
     // The goal needs the assumption through a *function application*,
-    // not a shared variable: cone-of-influence reduction must treat two
-    // applications of the same UF as connected.
-    let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![8], 8));
-    let f0 = BV(serval_smt::build::uf_apply(f, &[BV::lit(8, 0).0]));
-    let asms = vec![f0.eq_(BV::lit(8, 5))];
-    let goal = f0.ult(BV::lit(8, 6));
-    // Fresh mode exercises cone_split (sessions keep every root).
-    let out = local_engine_fresh(1).submit_batch(vec![q("uf", asms, goal)]);
-    assert!(
-        matches!(out[0].result, VerifyResult::Proved),
-        "f(0) = 5 must stay in the cone of f(0) < 6, got {:?}",
-        out[0].result
-    );
+    // not a shared variable. Every query keeps its whole assumption
+    // base, so the link cannot be lost in either discharge mode.
+    for engine in [local_engine(1), local_engine_fresh(1)] {
+        reset_ctx();
+        let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![8], 8));
+        let f0 = BV(serval_smt::build::uf_apply(f, &[BV::lit(8, 0).0]));
+        let asms = vec![f0.eq_(BV::lit(8, 5))];
+        let goal = f0.ult(BV::lit(8, 6));
+        let out = engine.submit_batch(vec![q("uf", asms, goal)]);
+        assert!(
+            matches!(out[0].result, VerifyResult::Proved),
+            "f(0) = 5 must reach f(0) < 6, got {:?}",
+            out[0].result
+        );
+    }
 }
 
 #[test]
 fn dropped_contradictory_partition_flips_refuted() {
-    reset_ctx();
-    let x = BV::fresh(16, "x");
-    let w = BV::fresh(16, "w");
     // `w = w + 1` is unsatisfiable but shares no variables with the
-    // goal, so cone-of-influence reduction drops it. The raw query is
-    // vacuously proved; the reduced query alone would refute. The
-    // engine's dropped-partition side-solve must restore the verdict.
-    let asms = vec![x.ult(BV::lit(16, 10)), w.eq_(w + BV::lit(16, 1))];
-    let goal = x.ult(BV::lit(16, 5));
-    let out = local_engine_fresh(1).submit_batch(vec![q("vacuous", asms.clone(), goal)]);
-    assert!(
-        matches!(out[0].result, VerifyResult::Proved),
-        "contradictory dropped partition must flip Refuted to Proved, got {:?}",
-        out[0].result
-    );
-    // Sanity: without the contradiction the same goal really refutes.
-    let out = local_engine_fresh(1).submit_batch(vec![q(
-        "refutes",
-        vec![asms[0]],
-        goal,
-    )]);
-    assert!(matches!(out[0].result, VerifyResult::Counterexample(_)));
+    // goal: the query is vacuously proved although the goal alone, under
+    // the assumption it does share variables with, refutes. The solver
+    // sees the whole base in both modes, so the verdict is `Proved` and
+    // certified like any other — nothing is set aside and side-checked.
+    for fresh in [false, true] {
+        let engine = || if fresh { local_engine_fresh(1) } else { local_engine(1) };
+        reset_ctx();
+        let x = BV::fresh(16, "x");
+        let w = BV::fresh(16, "w");
+        let asms = vec![x.ult(BV::lit(16, 10)), w.eq_(w + BV::lit(16, 1))];
+        let goal = x.ult(BV::lit(16, 5));
+        let out = engine().submit_batch(vec![q("vacuous", asms.clone(), goal)]);
+        assert!(
+            matches!(out[0].result, VerifyResult::Proved),
+            "[fresh={fresh}] a contradictory base proves any goal, got {:?}",
+            out[0].result
+        );
+        assert!(out[0].cert.is_some(), "[fresh={fresh}] the vacuous proof is certified");
+        // Sanity: without the contradiction the same goal really refutes.
+        let out = engine().submit_batch(vec![q("refutes", vec![asms[0]], goal)]);
+        assert!(matches!(out[0].result, VerifyResult::Counterexample(_)), "[fresh={fresh}]");
+    }
 }
 
 proptest! {
@@ -1382,3 +1312,318 @@ fn groups_with_a_base_stay_one_session() {
         out.iter().map(|o| o.stats.expect("every goal is solved").session_goals).collect();
     assert_eq!(positions, (1..=4 * MIN as u64).collect::<Vec<_>>());
 }
+
+// -----------------------------------------------------------------
+// The stages of `submit_batch`, each driven alone on hand-built input
+// -----------------------------------------------------------------
+
+fn live(slot: usize, query: Query) -> Live {
+    Live { query, fixup: Fixup { slot, raw: None, presolve: None } }
+}
+
+#[test]
+fn prepared_stage_answers_raw_trivial_queries_and_presolves_the_rest() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let engine = local_engine(1);
+    let prepared = engine.prepare_batch(vec![
+        q("trivial", vec![x.ult(BV::lit(16, 0))], x.eq_(y)),
+        q("live", vec![x.eq_(BV::lit(16, 5))], (x & y).ule(y)),
+    ]);
+    let slots: Vec<bool> = prepared.slots.iter().map(Option::is_some).collect();
+    assert_eq!(slots, [true, false]);
+    assert_eq!(engine.query_counts().1, 1, "only the raw-trivial query counts as trivial");
+    assert_eq!(engine.cache_stats(), (0, 1), "the live query spent its one counted lookup");
+    let [l] = &prepared.live[..] else { panic!("one query stays live") };
+    assert_eq!(l.fixup.slot, 1);
+    assert!(l.fixup.raw.is_some() && l.fixup.presolve.is_some());
+    // Presolve inlined `x = 5` and dropped the defining assumption.
+    assert!(l.query.assumptions.is_empty());
+    assert_eq!(l.query.goal, (BV::lit(16, 5) & y).ule(y));
+    // With presolve off there is no raw key, and everything stays live.
+    let prepared = local_engine_raw(1, true).prepare_batch(vec![q("p", vec![], x.eq_(x))]);
+    assert!(prepared.slots[0].is_none() && prepared.live[0].fixup.raw.is_none());
+}
+
+#[test]
+fn keyed_stage_keeps_submission_order() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let (a, b) = (vec![x.ult(y)], vec![y.ult(x)]);
+    let budgeted = SolverConfig { conflict_budget: Some(10), ..SolverConfig::default() };
+    let (c1, c2) = ((x & y).ule(x), (x | y).uge(y));
+    let goals = [(x + y).uge(x), (x - y).ule(x), c1 & c2, x.ule(x ^ y)];
+    let engine = local_engine(1);
+    let mut slots: Vec<Option<crate::QueryOutcome>> = (0..4).map(|_| None).collect();
+    let keyed = engine.key_batch(
+        vec![
+            live(0, q("a0", a.clone(), goals[0])),
+            live(1, q("b0", b.clone(), goals[1])),
+            live(2, q("a-conj", a.clone(), goals[2])),
+            live(3, Query { cfg: budgeted, ..q("a-budget", a.clone(), goals[3]) }),
+        ],
+        &mut slots,
+    );
+    assert!(slots.iter().all(Option::is_none), "nothing here is trivial or cached");
+    // Groups open in order of first use — the budgeted query gets its
+    // own — and a group's goals are in submission order, conjuncts
+    // left to right.
+    let groups: Vec<(&[SBool], &[SBool])> =
+        keyed.groups.iter().map(|g| (&g.asms[..], &g.goals[..])).collect();
+    assert_eq!(
+        groups,
+        [(&a[..], &[goals[0], c1, c2][..]), (&b[..], &[goals[1]][..]), (&a[..], &[goals[3]][..])]
+    );
+    assert_eq!(keyed.groups[2].cfg.conflict_budget, Some(10));
+    let waits: Vec<(usize, Vec<(usize, usize)>)> = keyed
+        .pending
+        .iter()
+        .map(|p| {
+            let at = |s: &Sub| match s {
+                Sub::Wait { group, goal, .. } => (*group, *goal),
+                Sub::Ready { .. } => panic!("{}: nothing is resolved", p.label),
+            };
+            (p.slot, p.subs.iter().map(at).collect())
+        })
+        .collect();
+    assert_eq!(
+        waits,
+        [(0, vec![(0, 0)]), (1, vec![(1, 0)]), (2, vec![(0, 1), (0, 2)]), (3, vec![(2, 0)])]
+    );
+    // Only the split query has a whole-goal key of its own.
+    let split: Vec<bool> = keyed.pending.iter().map(|p| p.whole_key.is_some()).collect();
+    assert_eq!(split, [false, false, true, false]);
+    assert_eq!(keyed.fixups.iter().map(|f| f.slot).collect::<Vec<_>>(), [0, 1, 2, 3]);
+}
+
+#[test]
+fn planned_stage_makes_one_task_per_session_or_per_goal() {
+    use crate::{plan, Group, MIN_SHARD_GOALS as MIN};
+    reset_ctx();
+    let y = BV::fresh(16, "y");
+    let cfg = SolverConfig::default();
+    let based = Group { asms: vec![y.ult(BV::lit(16, 9))], goals: shardable_goals(3), cfg };
+    let free = || Group { asms: vec![], goals: shardable_goals(2 * MIN), cfg };
+    let shape = |p: &crate::Planned| -> Vec<Vec<(usize, usize)>> {
+        p.chunks.iter().map(|g| g.iter().map(|c| (c.start, c.task)).collect()).collect()
+    };
+    // Sessions: one task per group; an assumption-free group alone on an
+    // idle pool is cut, tasks numbered group-major.
+    let p = plan(&[based, free()], true, false, 2, true);
+    assert_eq!((p.tasks.len(), shape(&p)), (2, vec![vec![(0, 0)], vec![(0, 1)]]));
+    let p = plan(&[free()], true, false, 2, true);
+    assert_eq!((p.tasks.len(), shape(&p)), (2, vec![vec![(0, 0), (MIN, 1)]]));
+    // Fresh discharge is the degenerate plan: every goal its own chunk.
+    let p = plan(&[free(), free()], false, false, 2, true);
+    let per_goal = |first: usize| (0..2 * MIN).map(|i| (i, first + i)).collect::<Vec<_>>();
+    assert_eq!((p.tasks.len(), shape(&p)), (4 * MIN, vec![per_goal(0), per_goal(2 * MIN)]));
+}
+
+fn raw(verdict: RawVerdict, cert_hash: u64, variant: usize) -> RawOutcome {
+    RawOutcome { verdict, stats: Default::default(), variant, cert_hash, cert_error: None }
+}
+
+#[test]
+fn recombined_stage_folds_sub_verdicts() {
+    use crate::combine_cert_hashes;
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let goal = x.ult(BV::lit(16, 9));
+    let backmap = prepare(&[], goal).backmap;
+    let x_is = |v: u128| PortableModel { bvs: vec![(0, v)], ..Default::default() };
+    // Sub-query `i` waits on goal `i` of the one group, whose one task
+    // returned `outs` (or panicked); `ready` sub-queries come first.
+    let fold = |ready: Vec<CachedVerdict>,
+                outs: Result<Vec<RawOutcome>, &str>,
+                split: bool|
+     -> (crate::QueryOutcome, Engine) {
+        let engine = local_engine(1);
+        let n = outs.as_ref().map_or(1, Vec::len);
+        let mut subs: Vec<Sub> = ready
+            .into_iter()
+            .map(|verdict| Sub::Ready { verdict, backmap: backmap.clone(), hit: true })
+            .collect();
+        subs.extend((0..n).map(|goal| Sub::Wait {
+            group: 0,
+            goal,
+            backmap: backmap.clone(),
+            key: vec![b'k', goal as u8],
+        }));
+        let p = Pending {
+            slot: 0,
+            label: "p".to_string(),
+            whole_key: split.then(|| b"whole".to_vec()),
+            subs,
+        };
+        let d = Discharged {
+            chunks: vec![vec![Chunk { start: 0, task: 0, backmap: backmap.clone() }]],
+            raw: vec![outs.map_err(str::to_string)],
+        };
+        (engine.recombine(p, &d), engine)
+    };
+    let proved = |h: u64| raw(RawVerdict::Proved, h, 0);
+    let model_x = |o: &crate::QueryOutcome| match &o.result {
+        VerifyResult::Counterexample(m) => m.eval_bv(x.0),
+        other => panic!("expected a counterexample, got {other:?}"),
+    };
+
+    // Proved iff all proved; the chained certificate needs every link.
+    let (o, e) = fold(vec![], Ok(vec![proved(11), proved(12)]), true);
+    assert!(o.result.is_proved() && !o.cache_hit);
+    assert_eq!(o.cert, Some(combine_cert_hashes(&[11, 12])));
+    assert_eq!((e.cache().len(), e.cert_counts()), (3, (2, 0)), "two conjuncts and the whole");
+    let (o, e) = fold(vec![CachedVerdict::Proved { cert: 0 }], Ok(vec![proved(12)]), true);
+    assert!(o.result.is_proved() && o.cert.is_none());
+    assert!(matches!(e.cache().probe(b"whole"), Some(CachedVerdict::Proved { cert: 0 })));
+
+    // The first refuted conjunct's model wins, cached or solved.
+    let refuted = |v| raw(RawVerdict::Refuted(x_is(v)), 0, 0);
+    let (o, e) = fold(vec![CachedVerdict::Refuted(x_is(1))], Ok(vec![refuted(2)]), true);
+    assert_eq!(model_x(&o), 1);
+    assert!(e.cache().probe(b"whole").is_none(), "a refuted goal stores no whole-goal key");
+    let (o, _) = fold(vec![], Ok(vec![proved(11), refuted(2), refuted(3)]), true);
+    assert_eq!(model_x(&o), 2);
+
+    // Unknown beats Interrupted, and carries the rejected certificate's
+    // reason; a worker panic is Unknown with the panic message.
+    let rejected = RawOutcome {
+        cert_error: Some("rejected".to_string()),
+        ..raw(RawVerdict::Unknown, 0, 0)
+    };
+    let interrupted = || raw(RawVerdict::Interrupted, 0, 0);
+    let (o, e) = fold(vec![], Ok(vec![interrupted(), rejected, proved(11)]), true);
+    assert!(matches!(o.result, VerifyResult::Unknown));
+    assert_eq!((o.error.as_deref(), e.cert_counts()), (Some("rejected"), (1, 1)));
+    let (o, _) = fold(vec![], Ok(vec![proved(11), interrupted()]), true);
+    assert!(matches!(o.result, VerifyResult::Interrupted) && o.error.is_none());
+    let (o, e) = fold(vec![], Err("boom"), false);
+    assert!(matches!(o.result, VerifyResult::Unknown) && o.stats.is_none());
+    assert_eq!((o.error.as_deref(), e.cache().len()), (Some("boom"), 0));
+
+    // One sub-query is the whole goal: its certificate and variant pass
+    // through, and its one store is the goal's.
+    let (o, e) = fold(vec![], Ok(vec![raw(RawVerdict::Proved, 11, 2)]), false);
+    assert!(o.result.is_proved() && o.stats.is_some());
+    assert_eq!((o.cert, o.variant, e.cache().len()), (Some(11), 2, 1));
+    let (o, _) = fold(vec![], Ok(vec![raw(RawVerdict::Proved, 11, 2), proved(12)]), true);
+    assert_eq!(o.variant, 0, "a split query has no single winning variant");
+}
+
+#[test]
+fn uncounted_probes_leave_the_cache_counters_alone() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let z = BV::fresh(16, "z");
+    let engine = local_engine(1);
+    let goal = (x & z).ule(z);
+    let p = prepare(&[], goal);
+    let bogus = PortableModel { bvs: vec![(0, 7), (1, 7)], ..Default::default() };
+    engine.cache().insert(b"stored".to_vec(), CachedVerdict::Proved { cert: 9 });
+    engine.cache().insert(p.key.clone(), CachedVerdict::Refuted(bogus));
+    assert!(engine.probe(b"stored", &p.backmap, &[], goal, false).is_some());
+    assert!(engine.probe(b"absent", &p.backmap, &[], goal, false).is_none());
+    assert!(engine.probe(&p.key, &p.backmap, &[], goal, false).is_none(), "evicted, not returned");
+    assert_eq!((engine.cache_stats(), engine.cache().len()), ((0, 0), 1));
+    assert!(engine.probe(b"stored", &p.backmap, &[], goal, true).is_some());
+    assert!(engine.probe(b"absent", &p.backmap, &[], goal, true).is_none());
+    assert_eq!(engine.cache_stats(), (1, 1));
+
+    // End to end: `with` misses under its raw key, presolve rewrites it
+    // into `bare`'s normal form, and the uncounted probe answers it — a
+    // cache hit the counters never saw. The rerun then resolves both on
+    // their raw keys: hits == submitted − trivial, misses unchanged.
+    let engine = local_engine(1);
+    let five = BV::lit(16, 5);
+    let bare = || q("bare", vec![], ((five & z) + (five | z)).eq_(five + z));
+    let with = || q("with", vec![x.eq_(five)], ((x & z) + (x | z)).eq_(x + z));
+    assert!(!engine.submit(bare()).cache_hit);
+    assert!(engine.submit(with()).cache_hit);
+    assert_eq!(engine.cache_stats(), (0, 2));
+    let warm = engine.submit_batch(vec![bare(), with()]);
+    assert!(warm.iter().all(|o| o.cache_hit && o.result.is_proved()));
+    assert_eq!((engine.cache_stats(), engine.query_counts()), ((2, 2), (4, 0)));
+}
+
+#[test]
+fn finalize_records_raw_keys_and_completes_countermodels() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let engine = local_engine(1);
+    // `y`'s defining assumption is presolved away, so a model of the
+    // simplified query says nothing about it.
+    let query = || q("r", vec![y.eq_(x + BV::lit(16, 1))], y.ult(BV::lit(16, 3)));
+    let crate::Prepared { mut slots, live } = engine.prepare_batch(vec![query()]);
+    let fixups: Vec<Fixup> = live.into_iter().map(|l| l.fixup).collect();
+    let mut model = serval_smt::model::Model::default();
+    model.set_bv(x.0, 40);
+    slots[0] = Some(crate::outcome(
+        "r".to_string(),
+        VerifyResult::Counterexample(Box::new(model)),
+        0,
+        false,
+    ));
+    engine.finalize(fixups, &mut slots);
+    let VerifyResult::Counterexample(m) = &slots[0].as_ref().unwrap().result else {
+        panic!("finalization keeps the verdict")
+    };
+    assert_eq!(m.eval_bv(y.0), 41, "y is re-derived from its binding");
+    // The completed model is what the raw key now answers with.
+    let warm = engine.submit(query());
+    assert!(warm.cache_hit && matches!(warm.result, VerifyResult::Counterexample(_)));
+}
+
+#[test]
+fn session_fingerprints_match_the_pinned_values() {
+    // Certificate fingerprints chain over the proof deltas of the
+    // session a goal sat in, so they move if groups open in another
+    // order, goals reach a session in another order, or a chunk is cut
+    // elsewhere. Values taken at the commit before `submit_batch` was
+    // staged.
+    use crate::{combine_cert_hashes, MIN_SHARD_GOALS as MIN};
+    let fingerprints = |jobs: usize, sweep: usize, monitor: bool| -> Vec<u64> {
+        reset_ctx();
+        let x = BV::fresh(16, "x");
+        let y = BV::fresh(16, "y");
+        let asms = vec![x.ult(BV::lit(16, 1000)), y.uge(BV::lit(16, 4))];
+        let mut batch = Vec::new();
+        if monitor {
+            batch = vec![
+                q("p-unit", asms.clone(), ((x & y) + (x | y)).eq_(x + y)),
+                q("r-unit", asms.clone(), x.ult(y)),
+                q(
+                    "p-conj",
+                    asms.clone(),
+                    (x & y).ule(x) & (x ^ y).eq_((x | y) & !(x & y)) & y.uge(BV::lit(16, 3)),
+                ),
+                q("p-alone", vec![y.ult(BV::lit(16, 9))], (y & x).ule(BV::lit(16, 8))),
+                q("p-trivial", vec![x.ult(BV::lit(16, 0))], x.eq_(y)),
+            ];
+        }
+        batch.extend(batch_of(&shardable_goals(sweep), &[]));
+        let out = local_engine(jobs).submit_batch(batch);
+        out.iter().map(|o| o.cert.unwrap_or(0)).collect()
+    };
+    let mixed = fingerprints(1, 4, true);
+    assert_eq!(mixed, PINNED_MIXED, "{mixed:#x?}");
+    for (jobs, pinned) in [(1, PINNED_SWEEP_1), (2, PINNED_SWEEP_2)] {
+        let digest = combine_cert_hashes(&fingerprints(jobs, 2 * MIN, false));
+        assert_eq!(digest, pinned, "[jobs={jobs}] {digest:#x}");
+    }
+}
+
+const PINNED_MIXED: [u64; 9] = [
+    0x3dd3912984b4afc0,
+    0,
+    0xfea264bdeb046a41,
+    0xad319677479e1db6,
+    0xad319677479e1db6,
+    0xe114152adfe1659a,
+    0,
+    0xaef091849d485ab2,
+    0,
+];
+const PINNED_SWEEP_1: u64 = 0x5a971bba88f396f7;
+const PINNED_SWEEP_2: u64 = 0xb1973ddd85097597;

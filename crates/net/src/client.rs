@@ -250,13 +250,24 @@ impl Client {
 }
 
 /// Translates one wire outcome back into the caller's term context
-/// (shared by [`Client`] and the sim scenario's in-memory client).
+/// (shared by [`Client`] and the sim scenario's in-memory client). The
+/// countermodel's indices come straight off the wire: one that does not
+/// fit the query's own variables is the server's fault, reported as
+/// `Unknown` — never a panic, never a `Counterexample`.
 pub fn outcome_of_wire(label: String, out: WireOutcome, backmap: &BackMap) -> QueryOutcome {
+    let mut error = out.error;
     let result = match out.verdict {
         WireVerdict::Proved => VerifyResult::Proved,
-        WireVerdict::Refuted(pm) => VerifyResult::Counterexample(Box::new(
-            serval_engine::portable_to_model(&pm, backmap),
-        )),
+        WireVerdict::Refuted(pm) => match serval_engine::portable_to_model(&pm, backmap) {
+            Some(model) => VerifyResult::Counterexample(Box::new(model)),
+            None => {
+                error = Some(
+                    "net: malformed countermodel (an index or sort outside the query's variables)"
+                        .to_string(),
+                );
+                VerifyResult::Unknown
+            }
+        },
         WireVerdict::Unknown => VerifyResult::Unknown,
         WireVerdict::Interrupted => VerifyResult::Interrupted,
     };
@@ -268,7 +279,7 @@ pub fn outcome_of_wire(label: String, out: WireOutcome, backmap: &BackMap) -> Qu
         cache_hit: out.cache_hit,
         variant: 0,
         cert: (out.cert != 0).then_some(out.cert),
-        error: out.error,
+        error,
     }
 }
 
@@ -330,14 +341,6 @@ impl Discharge for RemoteEngine {
                     error: Some(format!("net: {e}")),
                 })
                 .collect(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        let c = self.client.lock().unwrap_or_else(|p| p.into_inner());
-        match c.stream.peer_addr() {
-            Ok(addr) => format!("remote servald at {addr}"),
-            Err(_) => "remote servald".to_string(),
         }
     }
 }

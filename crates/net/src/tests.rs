@@ -277,6 +277,65 @@ fn eof_position_distinguishes_clean_close_from_truncation() {
 }
 
 // ----------------------------------------------------------------------------
+// Reply translation
+// ----------------------------------------------------------------------------
+
+/// A `Refuted` reply whose countermodel does not fit the query's own
+/// variables — the frame decoder checks framing, not indices — degrades
+/// to `Unknown` with the reason: a broken or hostile server can neither
+/// panic the client nor hand it a "counterexample".
+#[test]
+fn malformed_countermodel_degrades_to_unknown() {
+    use crate::client::outcome_of_wire;
+    use crate::wire::WireOutcome;
+    use serval_engine::solve::PortableModel;
+
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let b = SBool::fresh("b");
+    let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![32], 32));
+    let fx = BV(serval_smt::build::uf_apply(f, &[x.0]));
+    let goal = b | fx.ult(x);
+    let backmap = form::prepare_wire(&[], goal).backmap;
+    let bv_var = backmap.vars.iter().position(|v| v.term == x.0).unwrap() as u32;
+    let bool_var = backmap.vars.iter().position(|v| v.term == b.0).unwrap() as u32;
+    let reply = |pm: PortableModel| {
+        let out = WireOutcome {
+            verdict: WireVerdict::Refuted(pm),
+            cert: 0,
+            cache_hit: false,
+            shard: 0,
+            wall_micros: 0,
+            stats: None,
+            error: None,
+        };
+        outcome_of_wire("q".to_string(), out, &backmap)
+    };
+    let malformed = [
+        PortableModel { bvs: vec![(u32::MAX, 0)], ..Default::default() },
+        PortableModel { bools: vec![(backmap.vars.len() as u32, true)], ..Default::default() },
+        PortableModel { ufs: vec![(backmap.ufs.len() as u32, vec![])], ..Default::default() },
+        PortableModel { bools: vec![(bv_var, true)], ..Default::default() },
+        PortableModel { bvs: vec![(bool_var, 1)], ..Default::default() },
+    ];
+    for pm in malformed {
+        let what = format!("{pm:?}");
+        let o = reply(pm);
+        assert!(matches!(o.result, VerifyResult::Unknown), "{what}: {:?}", o.result);
+        let error = o.error.expect("the reason is reported");
+        assert!(error.starts_with("net: malformed countermodel"), "{what}: {error}");
+    }
+    // A model that does fit is still a counterexample on the caller's terms.
+    let o = reply(PortableModel {
+        bvs: vec![(bv_var, 7)],
+        bools: vec![(bool_var, false)],
+        ufs: vec![(0, vec![(vec![7], 9)])],
+    });
+    let VerifyResult::Counterexample(m) = &o.result else { panic!("{:?}", o.result) };
+    assert!(!m.eval_bool(goal.0) && o.error.is_none());
+}
+
+// ----------------------------------------------------------------------------
 // TCP loopback integration
 // ----------------------------------------------------------------------------
 

@@ -144,8 +144,8 @@ pub struct ShardStatsRow {
     /// Proof certificates checked by this shard's engine.
     pub cert_checked: u64,
     /// Assumption groups this shard's engine discharged as live
-    /// sessions vs fresh solvers (the discharge-mode split; see
-    /// `serval_engine::DischargeMode`).
+    /// sessions vs fresh solvers (one side is zero: see
+    /// `serval_engine::Engine::mode_counts`).
     pub mode_session: u64,
     /// See [`ShardStatsRow::mode_session`].
     pub mode_fresh: u64,

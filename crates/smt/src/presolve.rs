@@ -5,7 +5,7 @@
 //! time, so every *global* fact implied by the assumption base — an
 //! asserted equality, a range bound on a variable, a boolean assumption
 //! deciding an `ite` arm — is otherwise rediscovered bit-by-bit inside
-//! CDCL. This module runs four word-level passes to a fixpoint on the
+//! CDCL. This module runs three word-level passes to a fixpoint on the
 //! hash-consed term DAG:
 //!
 //! 1. **Equality substitution** — `var = term` / `var = const`
@@ -25,11 +25,6 @@
 //!    assumption root is a fact: any *interior* occurrence of it (or of
 //!    its negation) elsewhere in the query folds to a constant. Bare
 //!    boolean assumptions become `var := true/false` bindings.
-//! 4. **Cone-of-influence reduction** ([`cone_split`]) — assumptions
-//!    sharing no symbolic constants and no uninterpreted functions
-//!    (transitively) with the goal cannot influence an UNSAT verdict and
-//!    are split off. UF links count because Ackermann congruence couples
-//!    applications of the same function across assumptions.
 //!
 //! # Soundness
 //!
@@ -46,12 +41,6 @@
 //! - fact folding matches the *pre-rewrite* id of an interior subterm,
 //!   and a strict subterm of a hash-consed term can never equal the
 //!   term itself, so a root cannot fold to `true` through its own entry.
-//!
-//! Cone-of-influence splitting is verdict-preserving for *proved*
-//! queries only (removing assumptions can only weaken UNSAT into SAT,
-//! never the reverse); a *refuted* reduced query needs the split-off
-//! partition checked separately — see [`cone_split`] and the engine's
-//! `Refuted` side-solve.
 //!
 //! # Termination
 //!
@@ -1151,91 +1140,6 @@ pub fn simplify_goal_cached(simp: &BaseSimp, goal: SBool, cache: &mut GoalCache)
 /// [`simplify_goal_cached`] without a persistent cache.
 pub fn simplify_goal(simp: &BaseSimp, goal: SBool) -> SBool {
     simplify_goal_cached(simp, goal, &mut GoalCache::default())
-}
-
-/// Support of a term: its symbolic constants and uninterpreted functions.
-fn support(root: TermId, vars: &mut HashSet<TermId>, ufs: &mut HashSet<u32>) {
-    let mut seen: HashSet<TermId> = HashSet::new();
-    let mut stack = vec![root];
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t) {
-            continue;
-        }
-        let (op, children, _) = fetch(t);
-        match op {
-            Op::Var(_) => {
-                vars.insert(t);
-            }
-            Op::UfApply(uf) => {
-                ufs.insert(uf.0);
-                stack.extend(children);
-            }
-            _ => stack.extend(children),
-        }
-    }
-}
-
-/// Cone-of-influence split: partitions `roots` into assumptions
-/// (transitively) connected to the goal through shared variables or
-/// shared uninterpreted functions, and disconnected ones.
-///
-/// Dropping the disconnected partition preserves *proved* verdicts
-/// (`kept ∧ ¬goal` UNSAT implies the original UNSAT). A *refuted*
-/// reduced query does not decide the original: if the dropped partition
-/// is itself UNSAT the original query is proved, so the caller must
-/// check the dropped conjunction before trusting a countermodel — see
-/// the engine's `Refuted` side-solve. Constant roots (notably a
-/// `false` from a contradictory base) are always kept.
-pub fn cone_split(roots: &[SBool], goal: SBool) -> (Vec<SBool>, Vec<SBool>) {
-    let mut reached_vars: HashSet<TermId> = HashSet::new();
-    let mut reached_ufs: HashSet<u32> = HashSet::new();
-    support(goal.0, &mut reached_vars, &mut reached_ufs);
-    let supports: Vec<(HashSet<TermId>, HashSet<u32>)> = roots
-        .iter()
-        .map(|r| {
-            let mut v = HashSet::new();
-            let mut u = HashSet::new();
-            support(r.0, &mut v, &mut u);
-            (v, u)
-        })
-        .collect();
-    let mut kept_mask = vec![false; roots.len()];
-    // Ground roots (no vars, no UFs) are constants after folding —
-    // `false` must stay to keep a contradictory base contradictory.
-    for (i, (v, u)) in supports.iter().enumerate() {
-        if v.is_empty() && u.is_empty() {
-            kept_mask[i] = true;
-        }
-    }
-    loop {
-        let mut grew = false;
-        for (i, (v, u)) in supports.iter().enumerate() {
-            if kept_mask[i] || (v.is_empty() && u.is_empty()) {
-                continue;
-            }
-            if v.iter().any(|t| reached_vars.contains(t))
-                || u.iter().any(|f| reached_ufs.contains(f))
-            {
-                kept_mask[i] = true;
-                grew = true;
-                reached_vars.extend(v.iter().copied());
-                reached_ufs.extend(u.iter().copied());
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    let mut kept = Vec::new();
-    let mut dropped = Vec::new();
-    for (i, &r) in roots.iter().enumerate() {
-        if kept_mask[i] {
-            kept.push(r);
-        } else {
-            dropped.push(r);
-        }
-    }
-    (kept, dropped)
 }
 
 /// Extends a countermodel of the simplified query to the original:

@@ -130,16 +130,12 @@ fn jit_checker_accepts_fixed_jit() {
 
 #[test]
 fn check_substrate_works() {
-    use serval_check::bench::{BenchConfig, Harness};
     use serval_check::prelude::*;
     use serval_check::runner::run_property;
     let cfg = ProptestConfig::with_cases(64);
     run_property(&cfg, "smoke", &(0u32..100, any::<bool>()), |(x, _b)| {
         prop_assert!(x < 100);
     });
-    let mut h = Harness::with_config("smoke", BenchConfig { warmup: 0, samples: 2 });
-    h.bench("noop", || {});
-    assert!(h.to_json().contains("\"suite\": \"smoke\""));
 }
 
 /// Lines of `text` outside the body of `pub fn from_env`.
@@ -162,7 +158,7 @@ fn outside_from_env(text: &str) -> Vec<&str> {
 
 /// Configuration is a value: libraries never read the environment. The
 /// only readers are the two `from_env` constructors a `main` calls, the
-/// test/bench harness inputs in `crates/check`, and the binaries and
+/// property-test runner's inputs in `crates/check`, and the binaries and
 /// examples themselves.
 #[test]
 fn libraries_do_not_read_the_environment() {
@@ -174,7 +170,7 @@ fn libraries_do_not_read_the_environment() {
             continue;
         }
         let lines = match path.as_str() {
-            "crates/check/src/runner.rs" | "crates/check/src/bench.rs" => continue,
+            "crates/check/src/runner.rs" => continue,
             "crates/engine/src/lib.rs" | "crates/net/src/service.rs" => outside_from_env(&text),
             _ => text.lines().collect(),
         };
@@ -186,7 +182,8 @@ fn libraries_do_not_read_the_environment() {
 
 /// The ten variables that lost their environment spelling stay gone:
 /// algorithm toggles are struct fields (`tests/config_matrix.rs` flips
-/// them), not something a shell can change under a proof.
+/// them), not something a shell can change under a proof. So do the
+/// identifiers of mechanisms no workload ran.
 #[test]
 fn retired_variables_stay_retired() {
     let root = serval_bench::workspace_root();
@@ -208,4 +205,48 @@ fn retired_variables_stay_retired() {
             assert!(!text.contains(name.as_str()), "{} mentions retired {name}", path.display());
         }
     }
+    // Mechanisms deleted by measurement stay deleted too: the adaptive
+    // discharge score, cone-of-influence dropping and the second
+    // scheduling path beside the group planner.
+    let gone = ["session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh"];
+    for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
+        for name in gone {
+            assert!(!text.contains(name), "{} brings back {name}", path.display());
+        }
+    }
+}
+
+/// (name, line count) of every `fn` in `text` longer than `max` lines,
+/// counted on rustfmt's layout: from the `fn` line to the closing brace
+/// at the same indent.
+fn long_functions(text: &str, max: usize) -> Vec<(String, usize)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut long = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let head = line.trim_start();
+        let indent = &line[..line.len() - head.len()];
+        let Some(at) = head.find("fn ") else { continue };
+        let is_item = head[..at].split(' ').all(|w| w.is_empty() || w.starts_with("pub"));
+        if !is_item || head.ends_with('}') || head.ends_with(';') {
+            continue;
+        }
+        let closing = format!("{indent}}}");
+        let len = lines[i..].iter().position(|l| *l == closing).map_or(0, |n| n + 1);
+        if len > max {
+            let name = head[at + 3..].split(|c: char| !c.is_alphanumeric() && c != '_').next();
+            long.push((name.unwrap_or("?").to_string(), len));
+        }
+    }
+    long
+}
+
+/// `Engine::submit_batch` is a driver over stages a test can drive alone
+/// (DESIGN.md, "Engine"); a function on the discharge path that outgrows
+/// 120 lines is a stage growing a second job.
+#[test]
+fn discharge_path_functions_stay_small() {
+    let lib = serval_bench::workspace_root().join("crates/engine/src/lib.rs");
+    let text = std::fs::read_to_string(&lib).expect("the engine's lib.rs is checked in");
+    assert!(text.contains("fn submit_batch("), "the discharge path moved: point this guard at it");
+    assert_eq!(long_functions(&text, 120), [], "{}", lib.display());
 }
