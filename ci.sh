@@ -15,7 +15,9 @@ cargo build --release --offline
 # allocator, which fails if a certified session goes back to the heap
 # once per proof step (what made two workers serialise on malloc); and
 # tests/workspace.rs's discharge_path_functions_stay_small, which fails
-# if a function of the engine's staged discharge path outgrows 120 lines.
+# if a function of the engine's staged discharge path outgrows 120 lines,
+# and design_lists_every_buggify_point, which fails if the buggify points
+# planted under crates/*/src and DESIGN.md's hand-kept list disagree.
 echo "== tests (whole workspace, offline; incl. config_matrix, alloc_budget) =="
 cargo test -q --workspace --offline
 

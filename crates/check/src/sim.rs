@@ -24,10 +24,11 @@
 //! is therefore a *replayable seed*, not a heisenbug.
 //!
 //! Concurrency model: the context is a global `Mutex`. Determinism does
-//! not come from the mutex — it comes from the simulated executor
-//! serializing all work (one scheduler thread choosing steps, one
-//! runner thread executing the chosen job to completion), so the order
-//! of draws from the decision stream is a pure function of the seed.
+//! not come from the mutex — it comes from the engine's batch executor
+//! serializing all work under a sim context (the submitting thread
+//! chooses the next task and waits for it to run to completion), so the
+//! order of draws from the decision stream is a pure function of the
+//! seed.
 
 use crate::rng::{hash_name, Xoshiro256};
 use std::sync::{Mutex, MutexGuard};
@@ -62,9 +63,9 @@ impl SimConfig {
 /// One observable step of a simulated schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// The scheduler stepped virtual worker `worker`, which claimed a
-    /// job from `source` (`"own"`, `"injector"`, or `"steal"`).
-    Step { worker: usize, source: &'static str, vtime: u64 },
+    /// The scheduler ran task `task` (its submission index) of the
+    /// current batch to completion.
+    Step { task: usize, vtime: u64 },
     /// A buggify point was consulted and fired.
     Buggify { point: &'static str, vtime: u64 },
     /// An IO fault was injected (`kind` ∈ torn/flip/crash/lost-rename).
@@ -183,14 +184,14 @@ pub fn mark(label: impl Into<String>) {
     }
 }
 
-/// Records that the simulated scheduler stepped `worker`, claiming from
-/// `source`, and advances the clock one scheduling quantum.
-pub fn trace_step(worker: usize, source: &'static str) {
+/// Records that the simulated scheduler ran `task` of the current
+/// batch, and advances the clock one scheduling quantum.
+pub fn trace_step(task: usize) {
     let mut guard = slot();
     if let Some(s) = guard.as_mut() {
         s.vclock += 1_000;
         let vtime = s.vclock;
-        s.trace.push(TraceEvent::Step { worker, source, vtime });
+        s.trace.push(TraceEvent::Step { task, vtime });
     }
 }
 

@@ -14,8 +14,7 @@
 //! Each cache instance appends to its **own segment file**
 //! (`seg-<pid>-<n>.bin`), created invisibly as a temp file and
 //! published with an atomic rename once its header and first record are
-//! down. Loading reads every segment (plus the legacy `proved.bin`).
-//! Consequences:
+//! down. Loading reads every segment. Consequences:
 //!
 //! - Two engine *processes* sharing `SERVAL_CACHE` never write the same
 //!   file, so concurrent appends cannot interleave inside each other's
@@ -35,9 +34,11 @@
 //! (`SERVAL_CERT`), records whose stored certificate fingerprint is 0
 //! (written by an uncertified run) are dropped on load for the same
 //! reason: a hit must never launder an unchecked verdict into a
-//! certified one. Callers evict entries that fail their own semantic
+//! certified one. Callers remove entries that fail their own semantic
 //! revalidation (e.g. a cached countermodel that no longer evaluates
-//! false on the goal) via [`Cache::evict`].
+//! false on the goal) via [`Cache::remove`]. The cache is a map: what
+//! counts as a hit or a miss is the engine's definition, and the engine
+//! counts it (`Engine::probe`).
 //!
 //! ## Lock poisoning
 //!
@@ -90,17 +91,13 @@ struct Segment {
 pub struct Cache {
     mem: Mutex<HashMap<Vec<u8>, CachedVerdict>>,
     disk: Option<Mutex<Segment>>,
-    /// Drop proved records without a certificate fingerprint on load.
-    require_cert: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl Cache {
     /// Creates a cache; with `Some(dir)`, proved keys persist to
-    /// per-process segment files under `dir` and every segment (plus
-    /// the legacy `proved.bin`) is preloaded here. With `require_cert`,
-    /// disk records lacking a certificate fingerprint are ignored.
+    /// per-process segment files under `dir` and every segment is
+    /// preloaded here. With `require_cert`, disk records lacking a
+    /// certificate fingerprint are ignored.
     pub fn new(disk_dir: Option<PathBuf>, require_cert: bool) -> Cache {
         let mut mem = HashMap::new();
         let disk = disk_dir.map(|dir| {
@@ -117,9 +114,6 @@ impl Cache {
         Cache {
             mem: Mutex::new(mem),
             disk,
-            require_cert,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -129,46 +123,17 @@ impl Cache {
         self.mem.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks `key` up, counting a hit or a miss.
-    pub fn lookup(&self, key: &[u8]) -> Option<CachedVerdict> {
-        let found = self.mem_lock().get(key).cloned();
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Looks `key` up *without* counting a hit or a miss. This is the
-    /// secondary post-presolve probe: the counted lookup for the query
-    /// already happened (and missed) under its raw pre-presolve key, but
-    /// alpha-distinct raw queries can simplify to the same form, so the
-    /// simplified key is still worth an uncounted peek before solving.
-    pub fn probe(&self, key: &[u8]) -> Option<CachedVerdict> {
+    /// The verdict stored under `key`, if any.
+    pub fn get(&self, key: &[u8]) -> Option<CachedVerdict> {
         self.mem_lock().get(key).cloned()
     }
 
-    /// Removes `key` without touching the hit/miss counters — the evict
-    /// partner of [`Cache::probe`], whose lookup was never counted.
-    pub fn evict_uncounted(&self, key: &[u8]) {
-        self.mem_lock().remove(key);
-    }
-
-    /// Removes `key` after its cached verdict failed revalidation,
-    /// reclassifying the hit its lookup just counted as a miss (the
+    /// Removes `key` after its cached verdict failed revalidation (the
     /// caller falls through to a fresh solve). The disk tier is
     /// append-only; the re-solve's insert appends a superseding record,
     /// and load's later-record-wins rule retires the bad one.
-    pub fn evict(&self, key: &[u8]) {
-        if self.mem_lock().remove(key).is_some() {
-            self.hits.fetch_sub(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+    pub fn remove(&self, key: &[u8]) {
+        self.mem_lock().remove(key);
     }
 
     /// Records a definitive verdict; proved keys also go to disk when
@@ -185,19 +150,6 @@ impl Cache {
                 append_proved(&mut seg, &key, cert);
             }
         }
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Whether proved entries must carry a certificate fingerprint.
-    pub fn requires_cert(&self) -> bool {
-        self.require_cert
     }
 
     /// Number of cached entries.
@@ -240,15 +192,14 @@ fn checksum(len_le: [u8; 4], key: &[u8], cert_le: [u8; 8]) -> u64 {
     h
 }
 
-/// Loads every proved-key file under `dir`: the legacy shared
-/// `proved.bin` first, then each `seg-*.bin` in filename order (a
-/// deterministic merge; proved records never conflict on meaning, so
-/// any order is sound — filename order makes reloads reproducible).
+/// Loads every proved-key file under `dir`: each `seg-*.bin` in
+/// filename order (a deterministic merge; proved records never conflict
+/// on meaning, so any order is sound — filename order makes reloads
+/// reproducible).
 /// Stale `tmp-*` files (a crash before the publishing rename) are
 /// deleted: their writer died before claiming them visible.
 fn load_dir(dir: &Path) -> Vec<(Vec<u8>, u64)> {
     let mut entries = Vec::new();
-    load_file(&dir.join("proved.bin"), &mut entries);
     let mut segs: Vec<PathBuf> = Vec::new();
     if let Ok(rd) = std::fs::read_dir(dir) {
         for e in rd.flatten() {

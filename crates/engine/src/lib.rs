@@ -5,8 +5,8 @@
 //! queries, and the JIT checker emits one query per BPF opcode — but the
 //! term DAG they are phrased over is *thread-local*. This crate bridges
 //! the two: a [`Query`] (assumptions + goal + label) is re-serialized
-//! into a portable, alpha-invariant normal form ([`form`]), solved on a
-//! from-scratch work-stealing thread pool ([`pool`]), memoized in a
+//! into a portable, alpha-invariant normal form ([`form`]), solved on
+//! scratch threads scoped to the batch ([`pool`]), memoized in a
 //! verdict cache probed raw key → normal form → whole goal, over an
 //! optional disk tier ([`cache`]), and optionally raced across several
 //! solver configurations with cooperative cancellation ([`solve`]).
@@ -36,7 +36,7 @@
 //!
 //! | Variable           | Meaning                                            |
 //! |--------------------|----------------------------------------------------|
-//! | `SERVAL_JOBS`      | Worker count, an integer ≥ 1 (default: available parallelism) |
+//! | `SERVAL_JOBS`      | Solver threads per batch, an integer ≥ 1 (default: available parallelism) |
 //! | `SERVAL_CACHE`     | `1`/`on`/`true` → disk tier under `target/serval-cache/`; `0`/`off`/`false` → memory tier only (the default); anything else is a path → disk tier there |
 //! | `SERVAL_PORTFOLIO` | `1`/`on`/`true` → race 3 solver configs per query (the pool shrinks to `jobs / 3` so total solver threads stay ≈ `SERVAL_JOBS`). Verdicts stay deterministic, but which variant's counterexample is reported is a timing race — see [`solve::solve_portfolio`]. Off by default. |
 //! | `SERVAL_MODE`      | `fresh` / `session` — how sub-queries sharing an assumption set are discharged (default `session`, which every workload runs). `fresh` solves each goal on a solver of its own: the reference path `tests/config_matrix.rs` compares sessions against; see [`DischargeMode`]. Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
@@ -89,7 +89,7 @@ pub enum DischargeMode {
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
 pub struct EngineCfg {
-    /// Worker thread count (clamped to at least 1).
+    /// Solver threads per batch (clamped to at least 1).
     pub jobs: usize,
     /// Race [`solve::portfolio_variants`] per query instead of solving
     /// each query once.
@@ -181,7 +181,7 @@ fn default_jobs() -> usize {
 /// every session opens with its own inprocessing round and re-encodes
 /// what its goals share with their neighbours, so on the JIT sweeps two
 /// tasks per worker cost 10% more CPU (and wall) than one, and the
-/// halves of a sweep are even enough that stealing has nothing to fix.
+/// halves of a sweep are even enough that a finer cut has nothing to fix.
 pub const SHARDS_PER_JOB: usize = 1;
 
 /// Fewest goals worth a session of their own: below this, the per-session
@@ -557,8 +557,8 @@ pub(crate) fn plan(
     Planned { tasks, chunks }
 }
 
-/// The proof-discharge engine: a worker pool and a verdict cache around
-/// the staged pipeline of [`Engine::submit_batch`].
+/// The proof-discharge engine: a thread budget and a verdict cache
+/// around the staged pipeline of [`Engine::submit_batch`].
 pub struct Engine {
     pool: Pool,
     cache: Cache,
@@ -567,6 +567,10 @@ pub struct Engine {
     mode: DischargeMode,
     presolve: bool,
     cert: bool,
+    /// Counted probes a revalidated entry answered, and those nothing
+    /// did (see [`Engine::probe`]).
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
     /// Queries submitted (before trivial/cache short-circuits).
     submitted: AtomicU64,
     /// Queries answered `Proved` without solving *or* cache lookup
@@ -585,7 +589,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine (spawns the worker threads eagerly).
+    /// Builds an engine. No thread starts here: workers are scoped to
+    /// each batch ([`pool`]), so `jobs` bounds solver threads per batch.
     ///
     /// With portfolio mode on, every pool task spawns one solver thread
     /// per [`solve::portfolio_variants`] variant, so the pool is shrunk
@@ -606,6 +611,8 @@ impl Engine {
             mode: cfg.mode,
             presolve: cfg.presolve,
             cert: cfg.cert,
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             trivial: AtomicU64::new(0),
             certs_checked: AtomicU64::new(0),
@@ -615,7 +622,7 @@ impl Engine {
         }
     }
 
-    /// Worker thread count.
+    /// Solver threads per batch.
     pub fn jobs(&self) -> usize {
         self.pool.jobs()
     }
@@ -642,7 +649,10 @@ impl Engine {
 
     /// Cache (hits, misses) since engine construction.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        (
+            self.cache_hits.load(Ordering::Relaxed),
+            self.cache_misses.load(Ordering::Relaxed),
+        )
     }
 
     /// The engine's verdict cache (sim scenarios and tests inspect it).
@@ -735,11 +745,13 @@ impl Engine {
     /// per-conjunct layers. A warm `Refuted` hit is a claim: under
     /// `cert` the stored countermodel is re-evaluated against the term
     /// semantics, and an entry that no longer refutes this query is
-    /// evicted and reported as a miss (the caller falls through to a
+    /// removed and reported as a miss (the caller falls through to a
     /// fresh solve). `counted` says whether this is the query's one
-    /// lookup that shows in [`Engine::cache_stats`]; a query that
-    /// already missed under its raw key probes its normal form
-    /// uncounted.
+    /// lookup that shows in [`Engine::cache_stats`] — a hit only once
+    /// the entry survived revalidation; a query that already missed
+    /// under its raw key probes its normal form uncounted (alpha-distinct
+    /// raw queries can simplify to the same form, so the simplified key
+    /// is still worth a look before solving).
     fn probe(
         &self,
         key: &[u8],
@@ -748,24 +760,24 @@ impl Engine {
         goal: SBool,
         counted: bool,
     ) -> Option<CachedVerdict> {
-        let found = if counted {
-            self.cache.lookup(key)
-        } else {
-            self.cache.probe(key)
-        };
-        match &found {
+        let found = match self.cache.get(key) {
             Some(CachedVerdict::Refuted(pm))
-                if self.cert && !countermodel_valid(pm, backmap, assumptions, goal) =>
+                if self.cert && !countermodel_valid(&pm, backmap, assumptions, goal) =>
             {
-                if counted {
-                    self.cache.evict(key);
-                } else {
-                    self.cache.evict_uncounted(key);
-                }
+                self.cache.remove(key);
                 None
             }
-            _ => found,
+            found => found,
+        };
+        if counted {
+            let counter = if found.is_some() {
+                &self.cache_hits
+            } else {
+                &self.cache_misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
+        found
     }
 
     /// Resolves a prepared (sub-)query without solving when that is

@@ -1,360 +1,110 @@
-//! A from-scratch work-stealing thread pool (std-only), with a pluggable
-//! executor seam for deterministic simulation.
+//! The batch executor: scratch threads over one cursor (std-only).
 //!
-//! Jobs are pushed round-robin onto per-worker deques; an idle worker
-//! first drains its own deque LIFO (cache-friendly), then the shared
-//! injector, then steals FIFO from its siblings, so an imbalanced batch
-//! still keeps every core busy. A `Mutex<usize>`/`Condvar` pair counts
-//! unclaimed jobs and parks idle workers without busy-waiting.
+//! [`Pool::run_batch`] opens a [`std::thread::scope`], spawns
+//! `min(jobs, tasks)` threads, and each claims the next task index from
+//! one atomic cursor, in submission order, until the batch is spent.
+//! Nothing lives between batches: an empty batch — every warm batch —
+//! spawns nothing. That is all the traffic needs: a task is a whole
+//! solver session (milliseconds to seconds) and a batch never holds more
+//! than a handful of them (DESIGN.md, "Engine", has the counts).
 //!
-//! Lock ordering: the `ready` counter lock is always acquired *before*
-//! any deque lock, by both [`Pool::submit`] and the worker-side claim
-//! path. That makes the counter an exact count of queued jobs at every
-//! point where it is observed — a claimer can never pop a job whose
-//! increment has not landed yet (which would underflow the counter),
-//! and a submitter can never publish a job a parked worker misses.
-//!
-//! ## The executor seam
-//!
-//! The queue discipline above ([`Shared`]: submit, grab, steal, the
-//! ready counter) is one body of code with **two drivers**:
-//!
-//! - **Threads** (production): `jobs` OS workers loop over
-//!   [`grab`]/park, racing each other for real.
-//! - **Sim** (active when a [`serval_check::sim`] context is installed
-//!   at construction): no workers race. A single scheduler loop draws
-//!   *which virtual worker steps next* from the sim's seeded decision
-//!   stream, claims through the very same [`grab`] path (so the
-//!   lock-order and counter invariants are exercised, not bypassed),
-//!   and executes the claimed job to completion on one dedicated runner
-//!   thread — dedicated so the job's `reset_ctx()` cannot destroy the
-//!   submitting thread's term context. Every step is appended to the
-//!   sim trace: same seed ⇒ same claim order ⇒ same trace.
-//!
-//! Buggify points ([`serval_check::sim::buggify`]) sit on the shared
-//! paths — submit-to-injector and steal-first claim reordering — so a
-//! hostile sim run visits queue states a healthy schedule never would.
-//!
-//! [`Pool::run_batch`] is the engine's workhorse: it submits a batch,
-//! catches panics per job (a poisoned query fails alone, the pool keeps
-//! draining), and returns results **in submission order** regardless of
+//! A task never runs on the submitting thread, even with `jobs = 1`:
+//! tasks `reset_ctx()` to rebuild their query, and the caller owns live
+//! terms. Each task runs under `catch_unwind`, so a poisoned query fails
+//! alone, and results come back **in submission order** whatever the
 //! completion order or worker count — the basis of the engine's
 //! determinism guarantee.
+//!
+//! Under a [`serval_check::sim`] context the same function runs the
+//! tasks one at a time, each on its own scratch thread, in an order
+//! drawn from the sim's seeded decision stream, and logs one trace step
+//! per task: same seed ⇒ same execution order ⇒ same trace.
 
 use serval_check::sim;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread::Builder;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+type Task<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
-struct Shared {
-    injector: Mutex<VecDeque<Job>>,
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Count of queued-but-unclaimed jobs; guards the condvar.
-    ready: Mutex<usize>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-    /// Round-robin submission cursor.
-    cursor: AtomicUsize,
-}
-
-/// How the shared queue discipline is driven: racing OS threads, or the
-/// sim's single-threaded seeded scheduler.
-enum Exec {
-    Threads(Vec<JoinHandle<()>>),
-    Sim(SimExec),
-}
-
-/// The simulated executor: a runner thread that executes one chosen job
-/// at a time, and a worker count for the scheduler to draw from.
-struct SimExec {
-    workers: usize,
-    /// Jobs chosen by the scheduler go down this channel...
-    run_tx: Mutex<Option<mpsc::Sender<Job>>>,
-    /// ...and completion comes back here before the next step is chosen,
-    /// so job execution is strictly serialized.
-    done_rx: Mutex<mpsc::Receiver<()>>,
-    runner: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// The pool. Dropping it shuts the workers down (pending jobs are still
-/// drained first — see `Drop`).
+/// How many threads a batch may use; the threads themselves are scoped
+/// to [`Pool::run_batch`].
 pub struct Pool {
-    shared: Arc<Shared>,
-    exec: Exec,
+    jobs: usize,
 }
 
 impl Pool {
-    /// Spawns a pool with `jobs` workers (clamped to at least 1). If a
-    /// simulation context is active, no workers are spawned: the pool
-    /// becomes a deterministic single-threaded executor over the same
-    /// queue discipline, scheduled by the sim's seed.
+    /// A pool running at most `jobs` tasks at once (at least 1).
     pub fn new(jobs: usize) -> Pool {
-        let jobs = jobs.max(1);
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-            ready: Mutex::new(0),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            cursor: AtomicUsize::new(0),
-        });
-        if sim::active() {
-            let (run_tx, run_rx) = mpsc::channel::<Job>();
-            let (done_tx, done_rx) = mpsc::channel::<()>();
-            let runner = std::thread::Builder::new()
-                .name("serval-sim-runner".to_string())
-                .spawn(move || {
-                    for job in run_rx {
-                        job();
-                        if done_tx.send(()).is_err() {
-                            return;
-                        }
-                    }
-                })
-                .expect("spawn sim runner");
-            return Pool {
-                shared,
-                exec: Exec::Sim(SimExec {
-                    workers: jobs,
-                    run_tx: Mutex::new(Some(run_tx)),
-                    done_rx: Mutex::new(done_rx),
-                    runner: Mutex::new(Some(runner)),
-                }),
-            };
-        }
-        let workers = (0..jobs)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serval-engine-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
-                    .expect("spawn engine worker")
-            })
-            .collect();
-        Pool { shared, exec: Exec::Threads(workers) }
+        Pool { jobs: jobs.max(1) }
     }
 
-    /// Number of (possibly virtual) worker slots.
+    /// Concurrent tasks per batch.
     pub fn jobs(&self) -> usize {
-        match &self.exec {
-            Exec::Threads(w) => w.len(),
-            Exec::Sim(s) => s.workers,
-        }
-    }
-
-    /// Whether this pool is the simulated executor.
-    pub fn simulated(&self) -> bool {
-        matches!(self.exec, Exec::Sim(_))
-    }
-
-    /// Enqueues one job. Under simulation the job is only queued; it
-    /// runs when the scheduler drives the queue (see [`Pool::drain_sim`]
-    /// and [`Pool::run_batch`]).
-    pub fn submit(&self, job: Job) {
-        let n = self.shared.locals.len();
-        let slot = self.shared.cursor.fetch_add(1, Ordering::Relaxed) % n;
-        // Rare-branch injection: a submitter that cannot reach its local
-        // deque (imagine contention backoff) publishes to the shared
-        // injector instead — legal under the claim order, and it forces
-        // the injector path to carry real traffic in hostile sims.
-        let to_injector = sim::buggify("pool-submit-injector");
-        // Push and increment under the ready lock (ready → deque order,
-        // matching `grab`) so no claimer can pop the job before the
-        // counter accounts for it.
-        let mut ready = self.shared.ready.lock().unwrap();
-        if to_injector {
-            self.shared.injector.lock().unwrap().push_back(job);
-        } else {
-            self.shared.locals[slot].lock().unwrap().push_back(job);
-        }
-        *ready += 1;
-        drop(ready);
-        self.shared.cv.notify_one();
+        self.jobs
     }
 
     /// Runs a batch of tasks and returns their results in submission
     /// order. A panicking task yields `Err(panic message)` for its slot
     /// only; the rest of the batch completes normally.
-    pub fn run_batch<T: Send + 'static>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<Result<T, String>> {
+    pub fn run_batch<T: Send + 'static>(&self, tasks: Vec<Task<T>>) -> Vec<Result<T, String>> {
         let n = tasks.len();
-        let (tx, rx) = mpsc::channel::<(usize, Result<T, String>)>();
-        for (i, task) in tasks.into_iter().enumerate() {
-            let tx = tx.clone();
-            self.submit(Box::new(move || {
-                let r = catch_unwind(AssertUnwindSafe(task)).map_err(panic_message);
-                let _ = tx.send((i, r));
-            }));
+        // Slot `i` holds task `i` until a thread claims it, then its
+        // result. No lock is held while a task runs, so a panic cannot
+        // poison one.
+        let todo: Vec<Mutex<Option<Task<T>>>> =
+            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let done: Vec<Mutex<Option<Result<T, String>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        let run = |i: usize| {
+            let task = todo[i]
+                .lock()
+                .expect("no task runs under a slot lock")
+                .take();
+            let task = task.expect("the cursor hands out each index once");
+            let result = catch_unwind(AssertUnwindSafe(task)).map_err(panic_message);
+            *done[i].lock().expect("no task runs under a slot lock") = Some(result);
+        };
+        if sim::active() {
+            let mut left: Vec<usize> = (0..n).collect();
+            while !left.is_empty() {
+                let i = left.remove(sim::choose(left.len()));
+                sim::trace_step(i);
+                std::thread::scope(|s| {
+                    let name = "serval-sim-task".to_string();
+                    Builder::new()
+                        .name(name)
+                        .spawn_scoped(s, || run(i))
+                        .expect("spawn sim task");
+                });
+            }
+        } else {
+            // Relaxed: the cursor only hands out distinct indices; the
+            // slots are published by the spawn and collected by the join.
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for w in 0..self.jobs.min(n) {
+                    let work = || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        run(i);
+                    };
+                    let name = format!("serval-engine-{w}");
+                    Builder::new()
+                        .name(name)
+                        .spawn_scoped(s, work)
+                        .expect("spawn engine worker");
+                }
+            });
         }
-        drop(tx);
-        if let Exec::Sim(s) = &self.exec {
-            // The scheduler IS this call: drive the queue until every
-            // submitted job (ours and any stragglers) has executed.
-            drive_sim(&self.shared, s);
-        }
-        let mut out: Vec<Option<Result<T, String>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, r) = rx.recv().expect("engine worker dropped a batch result");
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|o| o.expect("every batch slot reports exactly once"))
+        done.into_iter()
+            .map(|slot| slot.into_inner().expect("no task runs under a slot lock"))
+            .map(|r| r.expect("every batch slot reports exactly once"))
             .collect()
     }
-
-    /// Executes everything currently queued (simulated pools only; a
-    /// no-op for threaded pools, whose workers drain on their own).
-    pub fn drain_sim(&self) {
-        if let Exec::Sim(s) = &self.exec {
-            drive_sim(&self.shared, s);
-        }
-    }
-}
-
-/// The sim scheduler: while jobs are queued, draw a virtual worker from
-/// the decision stream, claim through the shared [`grab`] path, and run
-/// the job to completion on the runner thread. Strict alternation
-/// (choose → run → wait) keeps every draw — scheduling, buggify, IO
-/// fault — in a seed-determined total order.
-fn drive_sim(shared: &Shared, s: &SimExec) {
-    loop {
-        if *shared.ready.lock().unwrap() == 0 {
-            return;
-        }
-        let me = sim::choose(shared.locals.len());
-        let Some((job, source)) = grab(shared, me) else {
-            return;
-        };
-        sim::trace_step(me, source);
-        let tx = s.run_tx.lock().unwrap();
-        let tx = tx.as_ref().expect("sim runner alive while pool alive");
-        tx.send(job).expect("sim runner accepts jobs");
-        s.done_rx
-            .lock()
-            .unwrap()
-            .recv()
-            .expect("sim runner reports completion");
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &mut self.exec {
-            Exec::Threads(workers) => {
-                self.shared.cv.notify_all();
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
-            Exec::Sim(s) => {
-                // Parity with the threaded drop: drain queued jobs
-                // first, then retire the runner.
-                drive_sim(&self.shared, s);
-                drop(s.run_tx.lock().unwrap().take());
-                if let Some(h) = s.runner.lock().unwrap().take() {
-                    let _ = h.join();
-                }
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, me: usize) {
-    loop {
-        if let Some((job, _source)) = grab(shared, me) {
-            job();
-            continue;
-        }
-        let mut ready = shared.ready.lock().unwrap();
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // Drain anything still queued before exiting so a
-                // shutdown never strands submitted work.
-                drop(ready);
-                while let Some((job, _)) = grab(shared, me) {
-                    job();
-                }
-                return;
-            }
-            if *ready > 0 {
-                break;
-            }
-            let (guard, _timeout) = shared
-                .cv
-                .wait_timeout(ready, Duration::from_millis(50))
-                .unwrap();
-            ready = guard;
-        }
-    }
-}
-
-/// Claims one job: own deque LIFO, then injector, then steal FIFO.
-/// Returns where the job came from, for the sim trace.
-///
-/// Holds the ready lock across the whole claim (ready → deque order,
-/// matching `submit`): while we hold it no push or rival pop can land,
-/// so a nonzero counter guarantees the scan finds a job, and the
-/// decrement pairs exactly with the pop that earned it.
-fn grab(shared: &Shared, me: usize) -> Option<(Job, &'static str)> {
-    let mut ready = shared.ready.lock().unwrap();
-    if *ready == 0 {
-        return None;
-    }
-    // Rare-branch injection: a claimer that loses its own deque's lock
-    // race (in a real pool, a sibling mid-steal) scans in steal-first
-    // order. Same set of deques, different order — the counter
-    // invariant must hold either way.
-    let steal_first = sim::buggify("pool-claim-steal-first");
-    let own = |src: &mut Option<&'static str>| {
-        let j = shared.locals[me].lock().unwrap().pop_back();
-        if j.is_some() {
-            *src = Some("own");
-        }
-        j
-    };
-    let injector = |src: &mut Option<&'static str>| {
-        let j = shared.injector.lock().unwrap().pop_front();
-        if j.is_some() {
-            *src = Some("injector");
-        }
-        j
-    };
-    let steal = |src: &mut Option<&'static str>| {
-        let j = shared
-            .locals
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != me)
-            .find_map(|(_, other)| other.lock().unwrap().pop_front());
-        if j.is_some() {
-            *src = Some("steal");
-        }
-        j
-    };
-    let mut source = None;
-    let job = if steal_first {
-        injector(&mut source)
-            .or_else(|| steal(&mut source))
-            .or_else(|| own(&mut source))
-    } else {
-        own(&mut source)
-            .or_else(|| injector(&mut source))
-            .or_else(|| steal(&mut source))
-    };
-    debug_assert!(job.is_some(), "ready counter out of sync with deques");
-    if job.is_some() {
-        *ready -= 1;
-    }
-    job.map(|j| (j, source.expect("claimed job has a source")))
 }
 
 fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {

@@ -183,9 +183,6 @@ pub fn solve_session(
     reset_ctx();
     let rq = rebuild_session(core);
     let mut session = Session::new(cfg, cancel);
-    // The engine presolves queries caller-side, before forming session
-    // cores; presolving the rebuilt core again would be wasted work.
-    session.set_presolve(false);
     session.set_proof_logging(cert);
     for &a in &rq.base {
         session.assume(a);

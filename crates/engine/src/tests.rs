@@ -241,6 +241,71 @@ fn poisoned_worker_fails_alone() {
     assert_eq!(*again[0].as_ref().unwrap(), 1);
 }
 
+#[test]
+fn pool_threads_are_bounded_by_the_batch_not_by_jobs() {
+    // A pool that spawned `jobs` threads whatever the batch holds would
+    // not come back from this: an empty batch spawns none, three tasks
+    // at most three.
+    let pool = Pool::new(usize::MAX);
+    assert!(pool.run_batch(Vec::<Box<dyn FnOnce() -> u8 + Send>>::new()).is_empty());
+    let tasks: Vec<Box<dyn FnOnce() -> u8 + Send>> =
+        (0..3u8).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> u8 + Send>).collect();
+    assert_eq!(pool.run_batch(tasks), vec![Ok(0), Ok(1), Ok(2)]);
+}
+
+#[test]
+fn pool_never_runs_a_task_on_the_callers_thread() {
+    // Tasks reset their thread's term context; the caller's terms must
+    // outlive the batch even when one worker would do.
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let y = BV::fresh(32, "y");
+    let goal = (x + y).eq_(y + x) & x.ule(x | y);
+    let key = prepare(&[x.ult(y)], goal).key;
+    let tasks: Vec<Box<dyn FnOnce() -> bool + Send>> = (0..4u32)
+        .map(|i| {
+            Box::new(move || {
+                reset_ctx();
+                let z = BV::fresh(8 + i, "z");
+                verify(&[], (z & z).eq_(z)).is_proved()
+            }) as Box<dyn FnOnce() -> bool + Send>
+        })
+        .collect();
+    assert_eq!(Pool::new(1).run_batch(tasks), vec![Ok(true); 4]);
+    assert_eq!(prepare(&[x.ult(y)], goal).key, key, "the caller's terms survived");
+    assert!(verify(&[x.ult(y)], goal).is_proved());
+}
+
+#[test]
+fn pool_runs_at_most_jobs_tasks_at_once() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Barrier};
+    let running = Arc::new(AtomicUsize::new(0));
+    let high_water = Arc::new(AtomicUsize::new(0));
+    // Tasks 0 and 1 meet at a barrier, so the two workers provably
+    // overlap; a third concurrent task would push the mark past 2.
+    let meet = Arc::new(Barrier::new(2));
+    let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
+        .map(|i| {
+            let (running, high_water, meet) =
+                (Arc::clone(&running), Arc::clone(&high_water), Arc::clone(&meet));
+            Box::new(move || {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                if i < 2 {
+                    meet.wait();
+                }
+                std::thread::yield_now();
+                running.fetch_sub(1, Ordering::SeqCst);
+                i
+            }) as Box<dyn FnOnce() -> usize + Send>
+        })
+        .collect();
+    let results = Pool::new(2).run_batch(tasks);
+    assert_eq!(results, (0..8).map(Ok).collect::<Vec<_>>());
+    assert_eq!(high_water.load(Ordering::SeqCst), 2);
+}
+
 // -----------------------------------------------------------------
 // Engine end-to-end
 // -----------------------------------------------------------------
@@ -541,7 +606,7 @@ fn poisoned_refuted_entry_is_evicted_and_resolved() {
         assert_eq!(engine.cache_stats().0, 0, "[{layer}] the eviction reclassifies the hit");
         // The poisoned entry is gone: the slot now holds the proved verdict.
         assert!(
-            matches!(engine.cache.probe(&prepared.key), Some(CachedVerdict::Proved { .. })),
+            matches!(engine.cache.get(&prepared.key), Some(CachedVerdict::Proved { .. })),
             "[{layer}]"
         );
         let o = engine.submit(q("p", vec![], goal));
@@ -1476,13 +1541,13 @@ fn recombined_stage_folds_sub_verdicts() {
     assert_eq!((e.cache().len(), e.cert_counts()), (3, (2, 0)), "two conjuncts and the whole");
     let (o, e) = fold(vec![CachedVerdict::Proved { cert: 0 }], Ok(vec![proved(12)]), true);
     assert!(o.result.is_proved() && o.cert.is_none());
-    assert!(matches!(e.cache().probe(b"whole"), Some(CachedVerdict::Proved { cert: 0 })));
+    assert!(matches!(e.cache().get(b"whole"), Some(CachedVerdict::Proved { cert: 0 })));
 
     // The first refuted conjunct's model wins, cached or solved.
     let refuted = |v| raw(RawVerdict::Refuted(x_is(v)), 0, 0);
     let (o, e) = fold(vec![CachedVerdict::Refuted(x_is(1))], Ok(vec![refuted(2)]), true);
     assert_eq!(model_x(&o), 1);
-    assert!(e.cache().probe(b"whole").is_none(), "a refuted goal stores no whole-goal key");
+    assert!(e.cache().get(b"whole").is_none(), "a refuted goal stores no whole-goal key");
     let (o, _) = fold(vec![], Ok(vec![proved(11), refuted(2), refuted(3)]), true);
     assert_eq!(model_x(&o), 2);
 

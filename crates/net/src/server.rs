@@ -21,7 +21,7 @@
 //! outcomes are reassembled into submission order by slot index —
 //! whichever order the shards finish in ([`collect_batch`]).
 
-use crate::service::{NetCfg, RoutedQuery, ServerCore};
+use crate::service::{NetCfg, RoutedQuery, ServerCore, Step};
 use crate::wire::{self, Msg, WireOutcome, WireVerdict, SHARD_HOT};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -29,6 +29,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long the accept loop waits after a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// One routed bucket headed for a shard thread, with the reply channel
 /// the connection writer is collecting from.
@@ -186,7 +190,12 @@ impl Server {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        let Ok(stream) = stream else { continue };
+                        // A failing accept (EMFILE, say) keeps failing
+                        // until something closes: back off, don't spin.
+                        let Ok(stream) = stream else {
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                            continue;
+                        };
                         let watch = match stream.try_clone() {
                             Ok(w) => w,
                             Err(_) => continue,
@@ -197,7 +206,12 @@ impl Server {
                             .name("servald-conn".to_string())
                             .spawn(move || connection(stream, core, txs))
                             .expect("spawn connection thread");
-                        conns.lock().unwrap_or_else(|p| p.into_inner()).push((watch, handle));
+                        // Reap on every accept: a finished connection's
+                        // entry holds a descriptor (the watch clone), and a
+                        // server outlives any number of short-lived clients.
+                        let mut conns = conns.lock().unwrap_or_else(|p| p.into_inner());
+                        conns.retain(|(_, conn)| !conn.is_finished());
+                        conns.push((watch, handle));
                     }
                 })
                 .expect("spawn accept thread")
@@ -222,6 +236,13 @@ impl Server {
     /// The service core (stats, shards).
     pub fn core(&self) -> &Arc<ServerCore> {
         &self.core
+    }
+
+    /// Connections the accept loop still tracks (live, or finished since
+    /// the last accept).
+    #[cfg(test)]
+    pub(crate) fn tracked_connections(&self) -> usize {
+        self.conns.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     fn stop_inner(&mut self) {
@@ -317,55 +338,13 @@ fn connection(stream: TcpStream, core: Arc<ServerCore>, shard_txs: Vec<Sender<Sh
                 break;
             }
         };
-        let msg = match wire::decode_msg(&payload) {
-            Ok(m) => m,
-            Err(e) => {
-                core.note_protocol_error();
-                let _ = reply_tx.send(Reply::CloseAfter(Msg::Error { msg: e.to_string() }));
+        let reply = match core.on_frame(&mut greeted, &payload) {
+            Step::Reply(msg) => Reply::Now(msg),
+            Step::Close(msg) => {
+                let _ = reply_tx.send(Reply::CloseAfter(msg));
                 break;
             }
-        };
-        core.note_frame();
-        match msg {
-            Msg::Hello { version } if version == wire::PROTO_VERSION => {
-                greeted = true;
-                if reply_tx.send(Reply::Now(core.hello_ack())).is_err() {
-                    break;
-                }
-            }
-            Msg::Hello { version } => {
-                core.note_protocol_error();
-                let _ = reply_tx.send(Reply::CloseAfter(Msg::Error {
-                    msg: format!("unsupported protocol version {version}"),
-                }));
-                break;
-            }
-            _ if !greeted => {
-                core.note_protocol_error();
-                let _ = reply_tx.send(Reply::CloseAfter(Msg::Error {
-                    msg: "first frame must be Hello".to_string(),
-                }));
-                break;
-            }
-            Msg::Ping { token } => {
-                if reply_tx.send(Reply::Now(Msg::Pong { token })).is_err() {
-                    break;
-                }
-            }
-            Msg::StatsReq => {
-                let msg = Msg::StatsReply { stats: core.stats() };
-                if reply_tx.send(Reply::Now(msg)).is_err() {
-                    break;
-                }
-            }
-            Msg::Batch { id, queries } => {
-                // Validate before burning an in-flight slot: garbage is a
-                // protocol error, not a queued job.
-                if let Err(why) = core.check_batch(&queries) {
-                    core.note_protocol_error();
-                    let _ = reply_tx.send(Reply::CloseAfter(Msg::Error { msg: why }));
-                    break;
-                }
+            Step::Dispatch { id, queries } => {
                 if !gate.acquire() {
                     break; // writer is gone
                 }
@@ -395,21 +374,11 @@ fn connection(stream: TcpStream, core: Arc<ServerCore>, shard_txs: Vec<Sender<Sh
                     }
                 }
                 drop(tx);
-                if reply_tx.send(Reply::Batch { id, slots, rx }).is_err() {
-                    break;
-                }
+                Reply::Batch { id, slots, rx }
             }
-            Msg::HelloAck { .. }
-            | Msg::BatchReply { .. }
-            | Msg::Pong { .. }
-            | Msg::StatsReply { .. }
-            | Msg::Error { .. } => {
-                core.note_protocol_error();
-                let _ = reply_tx.send(Reply::CloseAfter(Msg::Error {
-                    msg: "unexpected message direction".to_string(),
-                }));
-                break;
-            }
+        };
+        if reply_tx.send(reply).is_err() {
+            break;
         }
     }
     drop(reply_tx);

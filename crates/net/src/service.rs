@@ -9,8 +9,9 @@
 //! ([`crate::server`]) layers connections and backpressure on top; the
 //! deterministic simulator (`crates/sim`'s `net_batch` scenario) drives
 //! this core directly through [`ServerCore::handle_payload`] with the
-//! real codec, so the protocol logic is exercised under seeded hostile
-//! schedules without real sockets.
+//! real codec; both go through the one request state machine,
+//! [`ServerCore::on_frame`], so the protocol `servald` speaks is the one
+//! exercised under seeded hostile schedules without real sockets.
 //!
 //! Shard discharge runs on a scratch thread per shard
 //! (`std::thread::scope`), never on the caller's thread: rebuilding a
@@ -245,6 +246,16 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// What one client frame asks of the connection that received it.
+pub(crate) enum Step {
+    /// Write this message.
+    Reply(Msg),
+    /// Write this message, then close the connection.
+    Close(Msg),
+    /// A validated batch: discharge it and answer with a `BatchReply`.
+    Dispatch { id: u64, queries: Vec<WireQuery> },
+}
+
 /// The sharded discharge service (everything but the sockets).
 pub struct ServerCore {
     cfg: NetCfg,
@@ -310,10 +321,9 @@ impl ServerCore {
         (fnv64(core_bytes) % self.shards.len() as u64) as usize
     }
 
-    /// Validates every query core in a batch (front ends call this
-    /// before dispatch so garbage becomes a protocol error, not a
-    /// queued job).
-    pub fn check_batch(&self, queries: &[WireQuery]) -> Result<(), String> {
+    /// Validates every query core in a batch, so garbage becomes a
+    /// protocol error, not a queued job.
+    fn check_batch(&self, queries: &[WireQuery]) -> Result<(), String> {
         for (i, q) in queries.iter().enumerate() {
             form::wire_from_bytes(&q.core_bytes)
                 .map_err(|why| format!("query {i} ({}): {why}", q.label))?;
@@ -399,71 +409,75 @@ impl ServerCore {
         }
     }
 
-    /// Counts one accepted frame (front ends call this per frame).
-    pub fn note_frame(&self) {
+    /// Counts one decoded frame.
+    fn note_frame(&self) {
         self.frames.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one protocol error.
-    pub fn note_protocol_error(&self) {
+    /// Counts one protocol error (the TCP reader counts framing errors,
+    /// which never reach [`ServerCore::on_frame`]).
+    pub(crate) fn note_protocol_error(&self) {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Handles one decoded frame payload end to end and returns the
-    /// reply payload plus whether the connection must close. This is the
-    /// whole request state machine minus sockets and threading — the sim
-    /// scenario's in-memory connections and the loopback tests share it.
-    pub fn handle_payload(&self, payload: &[u8]) -> (Vec<u8>, bool) {
+    /// The request state machine: what one client frame asks of the
+    /// connection it arrived on, whose handshake state is `greeted`.
+    /// Every driver — the TCP reader ([`crate::server`]) and
+    /// [`ServerCore::handle_payload`] — goes through here, so the rules
+    /// (first frame must be a versioned `Hello`, cores validated before
+    /// a batch is queued, every frame and protocol error counted) exist
+    /// once.
+    pub(crate) fn on_frame(&self, greeted: &mut bool, payload: &[u8]) -> Step {
+        let refuse = |msg: String| {
+            self.note_protocol_error();
+            Step::Close(Msg::Error { msg })
+        };
         let msg = match wire::decode_msg(payload) {
             Ok(m) => m,
-            Err(e) => {
-                self.note_protocol_error();
-                return (wire::encode_msg(&Msg::Error { msg: e.to_string() }), true);
-            }
+            Err(e) => return refuse(e.to_string()),
         };
         self.note_frame();
         match msg {
             Msg::Hello { version } if version == wire::PROTO_VERSION => {
-                (wire::encode_msg(&self.hello_ack()), false)
+                *greeted = true;
+                Step::Reply(self.hello_ack())
             }
-            Msg::Hello { version } => {
-                self.note_protocol_error();
-                (
-                    wire::encode_msg(&Msg::Error {
-                        msg: format!("unsupported protocol version {version}"),
-                    }),
-                    true,
-                )
-            }
-            Msg::Batch { id, queries } => {
-                if let Err(why) = self.check_batch(&queries) {
-                    self.note_protocol_error();
-                    return (wire::encode_msg(&Msg::Error { msg: why }), true);
-                }
-                let results = self.discharge(queries);
-                (
-                    wire::encode_msg(&Msg::BatchReply { id, results, stats: self.stats() }),
-                    false,
-                )
-            }
-            Msg::Ping { token } => (wire::encode_msg(&Msg::Pong { token }), false),
-            Msg::StatsReq => {
-                (wire::encode_msg(&Msg::StatsReply { stats: self.stats() }), false)
-            }
-            _ => {
-                self.note_protocol_error();
-                (
-                    wire::encode_msg(&Msg::Error {
-                        msg: "unexpected message direction".to_string(),
-                    }),
-                    true,
-                )
-            }
+            Msg::Hello { version } => refuse(format!("unsupported protocol version {version}")),
+            _ if !*greeted => refuse("first frame must be Hello".to_string()),
+            Msg::Ping { token } => Step::Reply(Msg::Pong { token }),
+            Msg::StatsReq => Step::Reply(Msg::StatsReply { stats: self.stats() }),
+            // Validate before the driver spends an in-flight slot:
+            // garbage is a protocol error, not a queued job.
+            Msg::Batch { id, queries } => match self.check_batch(&queries) {
+                Ok(()) => Step::Dispatch { id, queries },
+                Err(why) => refuse(why),
+            },
+            Msg::HelloAck { .. }
+            | Msg::BatchReply { .. }
+            | Msg::Pong { .. }
+            | Msg::StatsReply { .. }
+            | Msg::Error { .. } => refuse("unexpected message direction".to_string()),
         }
     }
 
+    /// Handles one frame payload end to end — [`ServerCore::on_frame`]
+    /// plus the synchronous [`ServerCore::discharge`] — and returns the
+    /// reply payload and whether the connection must close. The sim
+    /// scenario's in-memory connections drive the service through this.
+    pub fn handle_payload(&self, greeted: &mut bool, payload: &[u8]) -> (Vec<u8>, bool) {
+        let (reply, close) = match self.on_frame(greeted, payload) {
+            Step::Reply(msg) => (msg, false),
+            Step::Close(msg) => (msg, true),
+            Step::Dispatch { id, queries } => {
+                let results = self.discharge(queries);
+                (Msg::BatchReply { id, results, stats: self.stats() }, false)
+            }
+        };
+        (wire::encode_msg(&reply), close)
+    }
+
     /// The server's `HelloAck`.
-    pub fn hello_ack(&self) -> Msg {
+    fn hello_ack(&self) -> Msg {
         Msg::HelloAck {
             version: wire::PROTO_VERSION,
             shards: self.shards.len() as u32,

@@ -483,21 +483,71 @@ fn loopback_mid_batch_disconnect_leaves_server_healthy() {
 }
 
 /// The first frame must be a versioned `Hello`; anything else (or a
-/// version mismatch) is answered with `Error` and a close.
+/// version mismatch) is answered with `Error` and a close — over TCP and
+/// through `handle_payload` alike, since both drive `on_frame`.
 #[test]
 fn loopback_handshake_is_mandatory() {
     let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
     let addr = server.local_addr().to_string();
 
-    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
-    wire::write_frame(&mut raw, &encode_msg(&Msg::Ping { token: 1 })).unwrap();
-    let reply = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap().unwrap();
-    assert!(matches!(decode_msg(&reply), Ok(Msg::Error { .. })));
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let batch = encode_msg(&Msg::Batch {
+        id: 1,
+        queries: vec![WireQuery {
+            label: "early".to_string(),
+            cfg: SolverConfig::default(),
+            core_bytes: form::wire_bytes(&form::prepare_wire(&[], x.eq_(x)).core),
+        }],
+    });
+    let ping = encode_msg(&Msg::Ping { token: 1 });
+    let skewed = encode_msg(&Msg::Hello { version: 999 });
+    for first in [&batch, &ping, &skewed] {
+        let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+        wire::write_frame(&mut raw, first).unwrap();
+        let reply = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert!(matches!(decode_msg(&reply), Ok(Msg::Error { .. })));
+        assert_eq!(wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap(), None);
 
-    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
-    wire::write_frame(&mut raw, &encode_msg(&Msg::Hello { version: 999 })).unwrap();
-    let reply = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap().unwrap();
-    assert!(matches!(decode_msg(&reply), Ok(Msg::Error { .. })));
+        let mut greeted = false;
+        let (reply, close) = server.core().handle_payload(&mut greeted, first);
+        assert!(matches!(decode_msg(&reply), Ok(Msg::Error { .. })));
+        assert!(close && !greeted);
+    }
+    let stats = server.core().stats();
+    assert_eq!(stats.shards.iter().map(|row| row.queued).sum::<u64>(), 0, "nothing was queued");
+    server.shutdown();
+}
+
+/// Regression: the accept loop kept a socket clone and a join handle per
+/// connection ever accepted — one leaked descriptor each, until
+/// `ulimit -n` stopped the server accepting for good. Finished
+/// connections are now reaped on every accept.
+#[test]
+fn loopback_finished_connections_are_reaped() {
+    let server = Server::bind("127.0.0.1:0", test_cfg(1, 0)).unwrap();
+    let addr = server.local_addr().to_string();
+    let cycle = || {
+        let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+        wire::write_frame(&mut raw, &encode_msg(&Msg::Hello { version: wire::PROTO_VERSION }))
+            .unwrap();
+        let reply = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert!(matches!(decode_msg(&reply), Ok(Msg::HelloAck { .. })));
+    };
+    for _ in 0..64 {
+        cycle();
+    }
+    // Reaping happens on accept, and a connection's thread outlives its
+    // socket by a moment: give the tail a bounded number of further
+    // accepts to drain (the parent tracks 64 and counting).
+    for _ in 0..50 {
+        if server.tracked_connections() <= 1 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        cycle();
+    }
+    assert!(server.tracked_connections() <= 1, "{} tracked", server.tracked_connections());
     server.shutdown();
 }
 

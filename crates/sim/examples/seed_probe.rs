@@ -26,8 +26,7 @@ fn main() {
                 match ev {
                     TraceEvent::Buggify { point, .. } => tags.push(format!("b:{point}")),
                     TraceEvent::IoFault { kind, .. } => tags.push(format!("io:{kind}")),
-                    TraceEvent::Step { source, .. } => tags.push(format!("s:{source}")),
-                    TraceEvent::Mark { .. } => {}
+                    TraceEvent::Step { .. } | TraceEvent::Mark { .. } => {}
                 }
             }
             tags.sort();

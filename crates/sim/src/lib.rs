@@ -2,12 +2,13 @@
 //! engine.
 //!
 //! FoundationDB-style testing: each scenario exercises one concurrent
-//! subsystem — the work-stealing pool, the batch engine, the portfolio
-//! race, the shared disk cache, the certificate checker — under a
-//! [`sim`] context that owns scheduling, time, and IO failure. A
-//! scenario is a pure function of its seed: the schedule trace and the
-//! verdict summary are bit-identical across same-seed runs, so any
-//! failing schedule is a *replayable seed*, not a heisenbug.
+//! subsystem — the batch executor, the batch engine, the portfolio
+//! race, the shared disk cache, the certificate checker, the network
+//! service — under a [`sim`] context that owns scheduling, time, and IO
+//! failure. A scenario is a pure function of its seed: the schedule
+//! trace and the verdict summary are bit-identical across same-seed
+//! runs, so any failing schedule is a *replayable seed*, not a
+//! heisenbug.
 //!
 //! Two knobs per run ([`SimConfig`]): `buggify` arms the rare-branch
 //! hooks planted in production code (lock-order edges, fallback paths,
@@ -83,12 +84,16 @@ impl ScenarioReport {
             .any(|ev| matches!(ev, TraceEvent::IoFault { kind: k, .. } if *k == kind))
     }
 
-    /// Whether any worker claimed a job from `source` (`own`,
-    /// `injector`, or `steal`).
-    pub fn claimed_from(&self, source: &str) -> bool {
+    /// The order the simulated scheduler ran tasks in, as their
+    /// submission indices, batch after batch.
+    pub fn task_order(&self) -> Vec<usize> {
         self.trace
             .iter()
-            .any(|ev| matches!(ev, TraceEvent::Step { source: s, .. } if *s == source))
+            .filter_map(|ev| match ev {
+                TraceEvent::Step { task, .. } => Some(*task),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -243,13 +248,11 @@ fn check_verdicts(
 // Scenarios
 // -----------------------------------------------------------------
 
-/// The work-stealing pool under a seeded scheduler: whatever order the
-/// virtual workers claim jobs in (own/injector/steal, reordered by
-/// buggify), results must come back in submission order, twice in a row
-/// on the same pool.
+/// The batch executor under a seeded scheduler: whatever order the sim
+/// runs the tasks in, results must come back in submission order, twice
+/// in a row on the same pool.
 fn pool_determinism(_cfg: &SimConfig) -> String {
     let pool = Pool::new(4);
-    assert!(pool.simulated(), "pool must take the sim executor under a sim context");
     for (round, n) in [(0usize, 16usize), (1, 5)] {
         sim::mark(format!("pool-batch-{round}"));
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..n)
@@ -405,7 +408,7 @@ fn cache_writers(cfg: &SimConfig) -> String {
     let reloaded = Cache::new(Some(dir.clone()), false);
     let mut survived = 0usize;
     for (key, cert) in &expected {
-        match reloaded.probe(key) {
+        match reloaded.get(key) {
             Some(CachedVerdict::Proved { cert: c }) => {
                 assert_eq!(
                     c, *cert,
@@ -500,11 +503,12 @@ fn cert_demotion(cfg: &SimConfig) -> String {
 }
 
 /// The networked discharge service end to end, minus sockets: three
-/// in-memory clients stream chunked query batches through the real wire
-/// codec (frame writer → `FrameReader` → `ServerCore::handle_payload`)
-/// against one sharded core. The query set is fixed — only scheduling
-/// varies with the seed — so plain-mode routing and hot-tier behavior
-/// are invariants, not probabilities:
+/// in-memory clients open with `Hello` and stream chunked query batches
+/// through the real wire codec (frame writer → `FrameReader` →
+/// `ServerCore::handle_payload`, the request state machine `servald`'s
+/// TCP reader drives too) against one sharded core. The query set is
+/// fixed — only scheduling varies with the seed — so plain-mode routing
+/// and hot-tier behavior are invariants, not probabilities:
 ///
 /// - Three forms are submitted verbatim by all three clients; with the
 ///   hot threshold at 2, the third submission of each must be served by
@@ -536,12 +540,15 @@ fn net_batch(cfg: &SimConfig) -> String {
 
     // A hostile frame first: it must earn an Error reply plus a close
     // verdict, and leave the server fit to serve everything below.
-    let (reply, close) = core.handle_payload(b"\x99garbage frame");
-    assert!(close, "garbage frame must close the connection");
-    assert!(
-        matches!(nwire::decode_msg(&reply), Ok(Msg::Error { .. })),
-        "garbage frame must be answered with an Error message"
-    );
+    let refused = |reply: Vec<u8>, close: bool, what: &str| {
+        assert!(close, "{what} must close the connection");
+        assert!(
+            matches!(nwire::decode_msg(&reply), Ok(Msg::Error { .. })),
+            "{what} must be answered with an Error message"
+        );
+    };
+    let (reply, close) = core.handle_payload(&mut false, b"\x99garbage frame");
+    refused(reply, close, "garbage frame");
 
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
@@ -628,6 +635,18 @@ fn net_batch(cfg: &SimConfig) -> String {
         queues.push(frames);
     }
 
+    // A connection that skips the handshake is refused before anything
+    // is queued; the three real clients open with `Hello`.
+    let (reply, close) = core.handle_payload(&mut false, &queues[0][0].1);
+    refused(reply, close, "a Batch before Hello");
+    let mut greeted = [false; 3];
+    let hello = nwire::encode_msg(&Msg::Hello { version: nwire::PROTO_VERSION });
+    for g in &mut greeted {
+        let (reply, close) = core.handle_payload(g, &hello);
+        assert!(!close && *g, "a versioned Hello opens the connection");
+        assert!(matches!(nwire::decode_msg(&reply), Ok(Msg::HelloAck { .. })));
+    }
+
     // Deliver frames interleaved under the seeded scheduler. Client 2
     // may be "slow" (stalled until the others drain); a frame may be
     // "dropped" (retransmitted in place, bounded per client so the run
@@ -666,7 +685,7 @@ fn net_batch(cfg: &SimConfig) -> String {
             continue;
         }
         let (id, payload, expect) = queues[pick].pop_front().expect("ready implies nonempty");
-        let (reply, close) = core.handle_payload(&payload);
+        let (reply, close) = core.handle_payload(&mut greeted[pick], &payload);
         assert!(!close, "a well-formed batch must not close the connection");
         match nwire::decode_msg(&reply).expect("reply must decode") {
             Msg::BatchReply { id: rid, results, stats } => {
@@ -698,7 +717,7 @@ fn net_batch(cfg: &SimConfig) -> String {
     }
 
     let stats = core.stats();
-    assert!(stats.protocol_errors >= 1, "the garbage probe must be counted");
+    assert!(stats.protocol_errors >= 2, "both refused probes must be counted");
     let exercised = stats.shards.iter().filter(|row| row.queued > 0).count();
     if !cfg.buggify && !cfg.io_faults {
         assert!(

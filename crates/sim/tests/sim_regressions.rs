@@ -116,13 +116,13 @@ fn corrupted_proofs_demote_to_unknown() {
 }
 
 /// Regression: dropping the portfolio's first definitive finisher
-/// ("portfolio-drop-winner") may cost a verdict, never flip one. Seed 2
+/// ("portfolio-drop-winner") may cost a verdict, never flip one. Seed 16
 /// drops a winner and a later variant still recovers every verdict;
 /// seed 17 corrupts a proof (with hints also stripped) and degrades one
 /// query to Unknown.
 #[test]
 fn dropped_portfolio_winner_degrades_but_never_flips() {
-    let recovered = run("portfolio_cancel", SimConfig::hostile(2));
+    let recovered = run("portfolio_cancel", SimConfig::hostile(16));
     assert!(
         recovered.fired("portfolio-drop-winner"),
         "pinned seed no longer drops a winner"
@@ -135,31 +135,45 @@ fn dropped_portfolio_winner_degrades_but_never_flips() {
     assert_eq!(degraded.summary, "verdicts=PUR variants=210");
 }
 
-/// Regression: buggified queue discipline (submit diverted to the
-/// injector, claims forced to steal-first) reorders execution across
-/// all three claim sources — results must still come back in
-/// submission order.
+/// Regression: a hostile seed that permutes the execution order keeps
+/// submission order. The scenario's oracle asserts the result order;
+/// here the pinned seed must really run both batches (16 tasks, then 5)
+/// out of order, every task exactly once.
 #[test]
-fn buggified_pool_keeps_submission_order() {
+fn permuted_execution_keeps_submission_order() {
     let r = run("pool_determinism", SimConfig::hostile(0));
-    assert!(r.fired("pool-submit-injector"));
-    assert!(r.fired("pool-claim-steal-first"));
-    for source in ["own", "injector", "steal"] {
-        assert!(r.claimed_from(source), "pinned seed no longer claims from {source}");
+    let order = r.task_order();
+    let (first, second) = order.split_at(16);
+    for (batch, n) in [(first, 16), (second, 5)] {
+        let mut sorted = batch.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "every task runs exactly once");
+        assert_ne!(batch, sorted, "pinned seed no longer permutes a batch of {n}");
     }
+}
+
+/// The executor's sim contract: the task order is a function of the
+/// seed — the same seed replays it, and different seeds explore
+/// different orders.
+#[test]
+fn task_order_is_a_function_of_the_seed() {
+    let order = |seed| run("pool_determinism", SimConfig::plain(seed)).task_order();
+    let orders: Vec<Vec<usize>> = (0..32).map(order).collect();
+    for (seed, o) in orders.iter().enumerate().step_by(8) {
+        assert_eq!(*o, order(seed as u64), "seed {seed} replays another order");
+    }
+    assert!(orders.iter().any(|o| *o != orders[0]), "32 seeds, one order");
 }
 
 /// Regression: the warm-rerun accounting identity (misses = 0,
 /// hits = submitted - trivial) must survive a hostile schedule that
-/// skips session purging and reroutes pool claims. The engine_batch
-/// oracle checks the identity itself in plain mode; here the pinned
-/// hostile seed must still land full warm coverage.
+/// skips session purging and permutes the execution order. The
+/// engine_batch oracle checks the identity itself in plain mode; here
+/// the pinned hostile seed must still land full warm coverage.
 #[test]
 fn warm_accounting_survives_hostile_schedule() {
-    let r = run("engine_batch", SimConfig::hostile(18));
+    let r = run("engine_batch", SimConfig::hostile(0));
     assert!(r.fired("session-skip-purge"), "pinned seed no longer skips a purge");
-    assert!(r.fired("pool-claim-steal-first"));
-    assert!(r.fired("pool-submit-injector"));
     assert_eq!(r.summary, "cold=PPRPP warm=PPRPP acct=4h/0m/5q/1t");
 }
 
@@ -183,10 +197,10 @@ fn skipped_inprocessing_never_flips_a_verdict() {
 /// turns plan-scoped BVE into subsumption-only maintenance) must never
 /// flip a verdict — eliminated clauses are retraction-safe rewrites of
 /// the plan's own cone, so skipping the whole pass only costs speed.
-/// Seed 5 skips elimination inside the cold run's live session.
+/// Seed 41 skips elimination inside the cold run's live session.
 #[test]
 fn skipped_session_elimination_never_flips_a_verdict() {
-    let r = run("engine_batch", SimConfig::hostile(5));
+    let r = run("engine_batch", SimConfig::hostile(41));
     assert!(
         r.fired("session-eliminate-skip"),
         "pinned seed no longer skips session elimination"

@@ -38,7 +38,6 @@
 
 use crate::blast::Blaster;
 use crate::bv::SBool;
-use crate::presolve::{self, BaseSimp};
 use crate::solver::{extract_model, CheckResult, QueryStats, SolverConfig};
 use crate::term::TermId;
 use serval_check::sim;
@@ -107,14 +106,6 @@ pub struct Session {
     planned: Option<Vec<TermId>>,
     /// The retirement plan, built lazily on the first goal.
     plan: Option<Plan>,
-    /// Whether the base is presolved once and each goal simplified
-    /// against it before blasting (see [`crate::presolve`]).
-    presolve: bool,
-    /// The presolved base environment, built at base-assert time.
-    simp: Option<BaseSimp>,
-    /// Goal-rewrite caches shared across the session's goals (they
-    /// share the base environment, so rewrites are reusable verbatim).
-    goal_cache: presolve::GoalCache,
     goals: u64,
 }
 
@@ -181,28 +172,8 @@ impl Session {
             var_mask: Vec::new(),
             planned: None,
             plan: None,
-            presolve: true,
-            simp: None,
-            goal_cache: presolve::GoalCache::default(),
             goals: 0,
         }
-    }
-
-    /// Enables or disables word-level presolve for this session. The
-    /// engine turns it off — it presolves queries itself, before forming
-    /// session cores, so presolving again here would be wasted work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base is already asserted (the simplified base is
-    /// what got blasted; changing the setting afterwards would desync
-    /// plan cones and goal rewrites from the solver's clauses).
-    pub fn set_presolve(&mut self, on: bool) {
-        assert!(
-            !self.base_asserted,
-            "set_presolve must precede the first goal"
-        );
-        self.presolve = on;
     }
 
     /// Enables or disables DRAT-style proof logging for the whole
@@ -259,19 +230,10 @@ impl Session {
     }
 
     /// Builds the retirement plan once the base cone is known.
-    ///
-    /// `roots` are the goals as *announced* (pre-presolve) — the on-plan
-    /// check in [`Session::solve_negated`] compares against what callers
-    /// present. The cones walked are those of the terms actually
-    /// blasted, i.e. the presolved forms when presolve is on.
     fn build_plan(&mut self, roots: Vec<TermId>) {
-        let eff: Vec<TermId> = roots
-            .iter()
-            .map(|&r| self.effective_goal(SBool(r)).0)
-            .collect();
         let mut last_use: HashMap<TermId, usize> = HashMap::new();
         let mut stack: Vec<TermId> = Vec::new();
-        for (i, &r) in eff.iter().enumerate() {
+        for (i, &r) in roots.iter().enumerate() {
             // Walk goal i's cone, overwriting earlier last-use entries;
             // base-cone terms never expire.
             let mut seen: HashSet<TermId> = HashSet::new();
@@ -308,7 +270,7 @@ impl Session {
         let mut mention_until: HashMap<TermId, usize> = HashMap::new();
         let mut encoded: HashSet<TermId> = self.base_visited.clone();
         let mut walk: Vec<TermId> = Vec::new();
-        for (i, &r) in eff.iter().enumerate() {
+        for (i, &r) in roots.iter().enumerate() {
             // (A mention recorded at a term's own blast goal is
             // equivalent to no entry: the eliminability mask is built
             // after that goal's encoding, so `until == i` never keeps.)
@@ -335,17 +297,6 @@ impl Session {
             expiry,
             mention_until,
         });
-    }
-
-    /// The form of a (negated) goal actually blasted: its presolved
-    /// rewrite when presolve is on, the goal itself otherwise.
-    fn effective_goal(&mut self, g: SBool) -> SBool {
-        match &self.simp {
-            Some(simp) if self.presolve => {
-                presolve::simplify_goal_cached(simp, g, &mut self.goal_cache)
-            }
-            _ => g,
-        }
     }
 
     /// Purges terms whose last planned use was the goal just answered.
@@ -414,17 +365,6 @@ impl Session {
         let prev = self.sat.stats();
         if !self.base_asserted {
             let base = std::mem::take(&mut self.base);
-            let base = if self.presolve {
-                // Presolve the shared base once; the simplified roots
-                // are what gets blasted, and each goal is rewritten
-                // against the same environment before encoding.
-                let simp = presolve::presolve_base(&base);
-                let roots = simp.roots.clone();
-                self.simp = Some(simp);
-                roots
-            } else {
-                base
-            };
             // Deliberately *not* short-circuiting a constant-false base
             // assumption: asserting it makes the solver permanently
             // unsat, which answers every goal `Unsat` — the same verdict
@@ -453,10 +393,6 @@ impl Session {
             }
         }
         self.goals += 1;
-
-        // The plan was checked against the goal as presented; what gets
-        // blasted is its presolved form.
-        let neg_goal = self.effective_goal(neg_goal);
 
         let (result, proof) = if neg_goal.is_false() {
             // Mirrors `check_full`'s constant-false fast path. The delta
@@ -562,12 +498,7 @@ impl Session {
                         .copied()
                         .chain([neg_goal.0])
                         .collect();
-                    let mut model =
-                        extract_model(&self.blaster, &self.sat, roots.into_iter());
-                    if let Some(simp) = &self.simp {
-                        // Re-derive the variables presolve eliminated.
-                        presolve::complete_model(&mut model, &simp.bindings);
-                    }
+                    let model = extract_model(&self.blaster, &self.sat, roots.into_iter());
                     self.sat.retract(act);
                     CheckResult::Sat(Box::new(model))
                 }

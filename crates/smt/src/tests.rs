@@ -486,6 +486,7 @@ proptest! {
 // Incremental discharge sessions
 // ---------------------------------------------------------------------
 
+use crate::presolve;
 use crate::session::Session;
 use crate::solver::CheckOutcome;
 
@@ -697,34 +698,55 @@ proptest! {
             })
             .collect();
 
-        let mut session = Session::new(SolverConfig::default(), None);
-        for &a in &assumptions {
-            session.assume(a);
-        }
-        // Announce the stream so the property also exercises goal
-        // retirement (plan-driven purging), exactly as the engine does.
-        let neg: Vec<SBool> = goals.iter().map(|&g| !g).collect();
-        session.plan_goals(&neg);
-        for (i, &g) in goals.iter().enumerate() {
-            let out = session.solve_goal(g);
-            prop_assert_eq!(out.stats.session_goals, i as u64 + 1);
-            let fresh = fresh_check(&assumptions, g);
-            match (&out.result, &fresh.result) {
-                (CheckResult::Unsat, CheckResult::Unsat) => {}
-                (CheckResult::Sat(m), CheckResult::Sat(_)) => {
-                    for &a in &assumptions {
+        // Both ways the engine feeds a session: the query as given, and
+        // presolved caller-side — the base once, each goal rewritten
+        // against it, and the variables presolve eliminated put back
+        // into a countermodel. A session blasts what it is handed.
+        for presolved in [false, true] {
+            let base = presolved.then(|| presolve::presolve_base(&assumptions));
+            let mut rewrites = presolve::GoalCache::default();
+            let mut session = Session::new(SolverConfig::default(), None);
+            for &a in base.as_ref().map_or(&assumptions, |b| &b.roots) {
+                session.assume(a);
+            }
+            // Announce the stream so the property also exercises goal
+            // retirement (plan-driven purging), exactly as the engine does.
+            let neg: Vec<SBool> = goals
+                .iter()
+                .map(|&g| match &base {
+                    Some(b) => !presolve::simplify_goal_cached(b, g, &mut rewrites),
+                    None => !g,
+                })
+                .collect();
+            session.plan_goals(&neg);
+            for (i, (&g, &ng)) in goals.iter().zip(&neg).enumerate() {
+                let mut out = session.solve_negated(ng);
+                if let (CheckResult::Sat(m), Some(b)) = (&mut out.result, &base) {
+                    presolve::complete_model(m, &b.bindings);
+                }
+                prop_assert_eq!(out.stats.session_goals, i as u64 + 1);
+                let fresh = fresh_check(&assumptions, g);
+                match (&out.result, &fresh.result) {
+                    (CheckResult::Unsat, CheckResult::Unsat) => {}
+                    (CheckResult::Sat(m), CheckResult::Sat(_)) => {
+                        for &a in &assumptions {
+                            prop_assert!(
+                                m.eval_bool(a.0),
+                                "goal {}: session model violates an assumption", i
+                            );
+                        }
                         prop_assert!(
-                            m.eval_bool(a.0),
-                            "goal {}: session model violates an assumption", i
+                            !m.eval_bool(g.0),
+                            "goal {}: session model does not refute the goal", i
                         );
                     }
-                    prop_assert!(
-                        !m.eval_bool(g.0),
-                        "goal {}: session model does not refute the goal", i
-                    );
-                }
-                (s, f) => {
-                    prop_assert!(false, "goal {}: session {:?} vs fresh {:?}", i, s, f);
+                    (s, f) => {
+                        prop_assert!(
+                            false,
+                            "goal {} (presolved: {}): session {:?} vs fresh {:?}",
+                            i, presolved, s, f
+                        );
+                    }
                 }
             }
         }

@@ -208,12 +208,47 @@ fn retired_variables_stay_retired() {
     // Mechanisms deleted by measurement stay deleted too: the adaptive
     // discharge score, cone-of-influence dropping and the second
     // scheduling path beside the group planner.
-    let gone = ["session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh"];
+    // ... and the queue ceremony of the old pool, the session's own
+    // presolve switch, and the cache's second evict.
+    let gone = [
+        "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
+        "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
+        "evict_uncounted",
+    ];
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
         for name in gone {
             assert!(!text.contains(name), "{} brings back {name}", path.display());
         }
     }
+}
+
+/// DESIGN.md's "Buggify" paragraph is hand-kept: its bullets must name
+/// exactly the points planted under `crates/*/src`.
+#[test]
+fn design_lists_every_buggify_point() {
+    use std::collections::BTreeSet;
+    let root = serval_bench::workspace_root();
+    let mut planted = BTreeSet::new();
+    for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
+        if !path.to_string_lossy().contains("/src/") {
+            continue;
+        }
+        for (at, call) in text.match_indices("buggify(\"") {
+            let name = &text[at + call.len()..];
+            planted.insert(name[..name.find('"').expect("a closed literal")].to_string());
+        }
+    }
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is checked in");
+    let paragraph = design.split("**Buggify.**").nth(1).expect("DESIGN.md has a Buggify paragraph");
+    let listed: BTreeSet<String> = paragraph
+        .split("\n**")
+        .next()
+        .expect("split yields a first piece")
+        .lines()
+        .filter_map(|line| line.strip_prefix("- `"))
+        .map(|rest| rest[..rest.find('`').expect("a closed code span")].to_string())
+        .collect();
+    assert_eq!(planted, listed, "planted under crates/*/src vs listed in DESIGN.md");
 }
 
 /// (name, line count) of every `fn` in `text` longer than `max` lines,
