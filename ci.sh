@@ -15,9 +15,10 @@ cargo build --release --offline
 # allocator, which fails if a certified session goes back to the heap
 # once per proof step (what made two workers serialise on malloc); and
 # tests/workspace.rs's discharge_path_functions_stay_small, which fails
-# if a function of the engine's staged discharge path outgrows 120 lines,
-# and design_lists_every_buggify_point, which fails if the buggify points
-# planted under crates/*/src and DESIGN.md's hand-kept list disagree.
+# if a function of the engine's staged discharge path (the keyer's
+# included) outgrows 120 lines, and design_lists_every_buggify_point,
+# which fails if the buggify points planted under crates/*/src and
+# DESIGN.md's hand-kept list disagree.
 echo "== tests (whole workspace, offline; incl. config_matrix, alloc_budget) =="
 cargo test -q --workspace --offline
 
@@ -40,8 +41,11 @@ SERVAL_BUGGIFY=1 SERVAL_SIM_SWEEP=500 \
 # then discharge the whole certikos -O1 refinement through serval-cli
 # and compare against an in-process run. `parity` exits nonzero on any
 # verdict mismatch or if fewer than 2 shards did work. The net_batch
-# scenario is already covered by the hostile sweep above.
+# scenario is already covered by the hostile sweep above. The root build
+# at the top builds only the root package, so the two binaries are built
+# here.
 echo "== verification service (loopback smoke) =="
+cargo build --release --offline -p serval-net --bins
 rm -f target/servald.addr
 ./target/release/servald --addr 127.0.0.1:0 --addr-file target/servald.addr --shards 2 &
 SERVALD_PID=$!

@@ -17,11 +17,22 @@
 //! per-root local key, and two distinct roots with identical local keys
 //! keep their submission order, so symmetric queries may occasionally
 //! miss the cache. A miss is only a wasted solve, never a wrong verdict.
+//!
+//! There is one traversal of the caller's term DAG in this file,
+//! [`Keyer::walk`], and one owner of its scratch, the [`Keyer`]: a
+//! batch-scoped value (`Engine::submit_batch` and the network client
+//! each make one per batch) that keys query after query without
+//! touching the allocator once its buffers are warm. A warm batch is
+//! then *fold → key → probe*: [`folds`] answers a query a constant
+//! already proves before any of this runs, the keyer walks the rest
+//! once per root under one context borrow and leaves the key bytes in
+//! its own buffer, and a [`FormCore`] is built only for a caller that
+//! asks ([`Keyer::core`]). [`prepare`], [`prepare_session`] and
+//! [`prepare_wire`] are one-shot wrappers over the same keyer.
 
 use serval_smt::bv::SBool;
 use serval_smt::solver::SolverConfig;
 use serval_smt::term::{with_ctx, Ctx, Op, Sort, Term, TermId, UfId};
-use std::collections::HashMap;
 
 /// A verification query: prove `goal` under `assumptions`.
 ///
@@ -100,120 +111,374 @@ pub struct Prepared {
     pub key: Vec<u8>,
 }
 
-/// Postorder-normalization state shared by [`prepare`] (one root set) and
-/// [`prepare_session`] (base roots plus a stream of negated-goal roots):
-/// one global numbering across every root fed in, with vars and UFs
-/// renumbered by first encounter.
-#[derive(Default)]
-struct Normalizer {
-    node_of: HashMap<TermId, u32>,
+/// Whether a constant already proves the query: some assumption is the
+/// constant `false`, or the goal is the constant `true` (so its negation
+/// is a constant-false root). Exactly [`FormCore::trivially_unsat`], read
+/// off the roots alone — nothing is interned, nothing is walked, and a
+/// caller that folds on it never needs the query's key.
+pub fn folds(assumptions: &[SBool], goal: SBool) -> bool {
+    goal.is_true() || assumptions.iter().any(|a| a.is_false())
+}
+
+/// A dense map from small ids (term ids, var ordinals, UF ids) to `u32`
+/// that empties in O(1): an entry counts only while it carries the
+/// current stamp (0 is a slot never written). Grows on insert; reads
+/// past the end are misses, so terms interned since the last walk need
+/// no special care.
+struct Stamped {
+    slots: Vec<(u32, u32)>,
+    stamp: u32,
+}
+
+impl Default for Stamped {
+    fn default() -> Stamped {
+        Stamped { slots: Vec::new(), stamp: 1 }
+    }
+}
+
+impl Stamped {
+    /// Forgets every entry.
+    fn clear(&mut self) {
+        if self.stamp == u32::MAX {
+            self.slots.fill((0, 0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+    }
+
+    fn get(&self, id: u32) -> Option<u32> {
+        match self.slots.get(id as usize) {
+            Some(&(stamp, v)) if stamp == self.stamp => Some(v),
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, id: u32, v: u32) {
+        let i = id as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, (0, 0));
+        }
+        self.slots[i] = (self.stamp, v);
+    }
+}
+
+/// What the three portable cores share: the node array and the
+/// declarations its canonical indices refer to.
+struct Parts {
     nodes: Vec<FormNode>,
-    var_of: HashMap<u32, u32>,
-    uf_of: HashMap<u32, u32>,
-    backmap: BackMap,
     var_sorts: Vec<Sort>,
     uf_sigs: Vec<(Vec<u32>, u32)>,
 }
 
-impl Normalizer {
-    /// Serializes the DAG under `root` (skipping already-numbered nodes)
-    /// and returns the root's node index.
-    fn add_root(&mut self, root: TermId) -> u32 {
-        let mut stack = vec![root];
-        while let Some(&t) = stack.last() {
-            if self.node_of.contains_key(&t) {
-                stack.pop();
-                continue;
-            }
-            let (op, children, sort) = fetch(t);
-            let pending: Vec<TermId> = children
-                .iter()
-                .copied()
-                .filter(|c| !self.node_of.contains_key(c))
-                .collect();
-            if !pending.is_empty() {
-                stack.extend(pending);
-                continue;
-            }
-            let op = match op {
-                Op::Var(ord) => {
-                    let k = match self.var_of.get(&ord) {
-                        Some(&k) => k,
-                        None => {
-                            let k = self.var_sorts.len() as u32;
-                            self.backmap.vars.push(VarOrigin { term: t, sort });
-                            self.var_sorts.push(sort);
-                            self.var_of.insert(ord, k);
-                            k
-                        }
-                    };
-                    Op::Var(k)
-                }
-                Op::UfApply(uf) => {
-                    let k = match self.uf_of.get(&uf.0) {
-                        Some(&k) => k,
-                        None => {
-                            let k = self.uf_sigs.len() as u32;
-                            let (args, result) =
-                                with_ctx(|c| (c.uf_sig(uf).args.clone(), c.uf_sig(uf).result));
-                            self.backmap.ufs.push(uf);
-                            self.uf_sigs.push((args, result));
-                            self.uf_of.insert(uf.0, k);
-                            k
-                        }
-                    };
-                    Op::UfApply(UfId(k))
-                }
-                other => other,
-            };
-            let children: Vec<u32> = children.iter().map(|c| self.node_of[c]).collect();
-            self.node_of.insert(t, self.nodes.len() as u32);
-            self.nodes.push(FormNode { op, children, sort });
-            stack.pop();
-        }
-        self.node_of[&root]
-    }
+/// The one normalizer: keys, wire-encodes and (on request) builds the
+/// portable core of query after query over one set of scratch buffers.
+///
+/// Lifetime: one batch on one thread. The memo of per-root local keys
+/// is indexed by `TermId`, so a keyer must not outlive a `reset_ctx`,
+/// and nothing of it is kept between batches. After [`Keyer::key`] or
+/// [`Keyer::wire`], [`Keyer::bytes`], [`Keyer::backmap`] and the core
+/// builders describe that query until the next one is keyed.
+#[derive(Default)]
+pub struct Keyer {
+    // Numbering of the walk in progress: term → node index, var ordinal
+    // → canonical var, UF id → canonical UF.
+    node_of: Stamped,
+    var_of: Stamped,
+    uf_of: Stamped,
+    stack: Vec<TermId>,
+    kids: Vec<u32>,
+    // The walk's flat output: node index → term, the encoded nodes, the
+    // encoded declarations, and the way back to the caller's terms.
+    order: Vec<TermId>,
+    node_bytes: Vec<u8>,
+    sort_bytes: Vec<u8>,
+    sig_bytes: Vec<u8>,
+    backmap: BackMap,
+    // Root ordering: the query's distinct roots with the span of each
+    // one's local key in `local`, and the batch's memo of assumption
+    // roots' spans (root → index into `spans`).
+    roots: Vec<(TermId, u32, u32)>,
+    local: Vec<u8>,
+    local_of: Stamped,
+    spans: Vec<(u32, u32)>,
+    // The keyed query: node index of every root (the canonically
+    // ordered ones, then the appended ones), whether a constant-false
+    // root was seen, and the assembled key or wire bytes.
+    root_ids: Vec<u32>,
+    ordered: usize,
+    trivially_unsat: bool,
+    bytes: Vec<u8>,
 }
 
-/// Deduplicates the non-trivial roots in `roots` and orders them by their
-/// per-root alpha-invariant key, so submission order cannot influence the
-/// normal form.
-fn canonical_roots(roots: impl Iterator<Item = SBool>) -> Vec<TermId> {
-    let mut uniq: Vec<TermId> = Vec::new();
-    for a in roots {
-        // Constant-true roots constrain nothing; drop them so queries
-        // differing only in vacuous assumptions normalize identically.
-        if !a.is_true() && !uniq.contains(&a.0) {
-            uniq.push(a.0);
+impl Keyer {
+    /// A keyer with empty scratch.
+    pub fn new() -> Keyer {
+        Keyer::default()
+    }
+
+    /// Starts a walk: a fresh numbering and empty output.
+    fn begin(&mut self) {
+        self.node_of.clear();
+        self.var_of.clear();
+        self.uf_of.clear();
+        self.order.clear();
+        self.node_bytes.clear();
+        self.sort_bytes.clear();
+        self.sig_bytes.clear();
+        self.backmap.vars.clear();
+        self.backmap.ufs.clear();
+    }
+
+    /// Numbers the DAG under `root`, skipping what this walk has already
+    /// numbered, and appends each new node's encoding; returns the
+    /// root's node index. Children come before parents and a node's last
+    /// child is visited first — the order every stored key was written
+    /// in. Vars and UFs are renumbered by first encounter.
+    fn walk(&mut self, c: &Ctx, root: TermId) -> u32 {
+        self.stack.push(root);
+        while let Some(&t) = self.stack.last() {
+            if self.node_of.get(t.0).is_some() {
+                self.stack.pop();
+                continue;
+            }
+            let term = c.term(t);
+            let open = self.stack.len();
+            for ch in &term.children {
+                if self.node_of.get(ch.0).is_none() {
+                    self.stack.push(*ch);
+                }
+            }
+            if self.stack.len() > open {
+                continue;
+            }
+            self.stack.pop();
+            let canonical;
+            let op = match term.op {
+                Op::Var(ord) => {
+                    let k = self.var_of.get(ord).unwrap_or_else(|| {
+                        let k = self.backmap.vars.len() as u32;
+                        self.backmap.vars.push(VarOrigin { term: t, sort: term.sort });
+                        encode_sort(term.sort, &mut self.sort_bytes);
+                        self.var_of.insert(ord, k);
+                        k
+                    });
+                    canonical = Op::Var(k);
+                    &canonical
+                }
+                Op::UfApply(uf) => {
+                    let k = self.uf_of.get(uf.0).unwrap_or_else(|| {
+                        let k = self.backmap.ufs.len() as u32;
+                        self.backmap.ufs.push(uf);
+                        let sig = c.uf_sig(uf);
+                        encode_sig(&sig.args, sig.result, &mut self.sig_bytes);
+                        self.uf_of.insert(uf.0, k);
+                        k
+                    });
+                    canonical = Op::UfApply(UfId(k));
+                    &canonical
+                }
+                ref other => other,
+            };
+            self.kids.clear();
+            for ch in &term.children {
+                self.kids.push(self.node_of.get(ch.0).expect("children are numbered first"));
+            }
+            encode_node(op, &self.kids, term.sort, &mut self.node_bytes);
+            self.node_of.insert(t.0, self.order.len() as u32);
+            self.order.push(t);
+        }
+        self.node_of.get(root.0).expect("the walk numbers its root")
+    }
+
+    /// Fills `roots` with the distinct non-trivial roots among
+    /// `assumptions` and `extra`, ordered by their per-root
+    /// alpha-invariant local key (each root walked alone under a
+    /// numbering of its own), so submission order cannot influence the
+    /// normal form; equal keys keep submission order. An assumption
+    /// root's local key is computed once per batch — a discharge batch
+    /// phrases hundreds of queries over one base — while `extra`'s (a
+    /// negated goal, seen once) is dropped after the sort.
+    fn order_roots(&mut self, c: &Ctx, assumptions: &[SBool], extra: Option<TermId>) {
+        self.roots.clear();
+        self.trivially_unsat = false;
+        // The node table is free until the walk begins: it is the
+        // seen-set here.
+        self.node_of.clear();
+        let mut shared = 0;
+        for (i, t) in assumptions.iter().map(|a| a.0).chain(extra).enumerate() {
+            match c.term(t).op {
+                // Constant-true roots constrain nothing; drop them so
+                // queries differing only in vacuous assumptions
+                // normalize identically.
+                Op::BoolConst(true) => continue,
+                Op::BoolConst(false) => self.trivially_unsat = true,
+                _ => {}
+            }
+            if self.node_of.get(t.0).is_none() {
+                self.node_of.insert(t.0, 0);
+                self.roots.push((t, 0, 0));
+                if i < assumptions.len() {
+                    shared += 1;
+                }
+            }
+        }
+        if self.roots.len() < 2 {
+            return;
+        }
+        let mut transient = None;
+        for i in 0..self.roots.len() {
+            let root = self.roots[i].0;
+            let span = match self.local_of.get(root.0) {
+                Some(k) => self.spans[k as usize],
+                None => {
+                    self.begin();
+                    self.walk(c, root);
+                    let start = self.local.len() as u32;
+                    self.local.extend_from_slice(&self.node_bytes);
+                    let span = (start, self.local.len() as u32);
+                    if i < shared {
+                        self.local_of.insert(root.0, self.spans.len() as u32);
+                        self.spans.push(span);
+                    } else {
+                        transient = Some(start as usize);
+                    }
+                    span
+                }
+            };
+            self.roots[i] = (root, span.0, span.1);
+        }
+        let local = &self.local;
+        self.roots
+            .sort_by(|a, b| local[a.1 as usize..a.2 as usize].cmp(&local[b.1 as usize..b.2 as usize]));
+        if let Some(start) = transient {
+            self.local.truncate(start);
         }
     }
-    let mut keyed: Vec<(Vec<u8>, TermId)> =
-        uniq.into_iter().map(|r| (local_key(r), r)).collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.into_iter().map(|(_, r)| r).collect()
+
+    /// The one query walk: canonically ordered roots, then `appended`
+    /// ones in the order given, under one numbering.
+    fn walk_query(
+        &mut self,
+        c: &Ctx,
+        assumptions: &[SBool],
+        extra: Option<TermId>,
+        appended: &[TermId],
+    ) {
+        self.order_roots(c, assumptions, extra);
+        self.begin();
+        self.root_ids.clear();
+        self.ordered = self.roots.len();
+        for i in 0..self.ordered {
+            let id = self.walk(c, self.roots[i].0);
+            self.root_ids.push(id);
+        }
+        for &t in appended {
+            let id = self.walk(c, t);
+            self.root_ids.push(id);
+        }
+    }
+
+    /// The encoded declarations: var sorts, then UF signatures.
+    fn decls(&self, out: &mut Vec<u8>) {
+        push_u32(out, self.backmap.vars.len() as u32);
+        out.extend_from_slice(&self.sort_bytes);
+        push_u32(out, self.backmap.ufs.len() as u32);
+        out.extend_from_slice(&self.sig_bytes);
+    }
+
+    /// Keys `assumptions ∧ ¬goal`: the cache key of [`prepare`], left
+    /// in the keyer's buffer.
+    ///
+    /// Must run on the thread that owns the terms.
+    pub fn key(&mut self, assumptions: &[SBool], goal: SBool) -> &[u8] {
+        let negated_goal = !goal;
+        with_ctx(|c| self.walk_query(c, assumptions, Some(negated_goal.0), &[]));
+        let mut out = std::mem::take(&mut self.bytes);
+        out.clear();
+        out.extend_from_slice(KEY_MAGIC);
+        push_u32(&mut out, self.order.len() as u32);
+        out.extend_from_slice(&self.node_bytes);
+        push_u32s(&mut out, &self.root_ids);
+        self.decls(&mut out);
+        out.push(self.trivially_unsat as u8);
+        self.bytes = out;
+        &self.bytes
+    }
+
+    /// Wire-encodes `(assumptions, goal)`: the bytes of [`wire_bytes`]
+    /// over [`prepare_wire`]'s core, left in the keyer's buffer.
+    ///
+    /// Must run on the thread that owns the terms.
+    pub fn wire(&mut self, assumptions: &[SBool], goal: SBool) -> &[u8] {
+        with_ctx(|c| self.walk_query(c, assumptions, None, &[goal.0]));
+        let mut out = std::mem::take(&mut self.bytes);
+        out.clear();
+        out.extend_from_slice(WIRE_MAGIC);
+        self.decls(&mut out);
+        push_u32(&mut out, self.order.len() as u32);
+        out.extend_from_slice(&self.node_bytes);
+        push_u32s(&mut out, &self.root_ids[..self.ordered]);
+        push_u32(&mut out, self.root_ids[self.ordered]);
+        self.bytes = out;
+        &self.bytes
+    }
+
+    /// The bytes the last [`Keyer::key`] or [`Keyer::wire`] assembled.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Canonical-index → caller-term translation of the last query.
+    pub fn backmap(&self) -> &BackMap {
+        &self.backmap
+    }
+
+    /// The last query's walk as owned nodes and declarations. The flat
+    /// scratch holds everything but the operators, which are read back
+    /// from the context.
+    fn parts(&self) -> Parts {
+        let numbered = "the walk numbered everything it emitted";
+        with_ctx(|c| {
+            let node = |&t: &TermId| {
+                let term = c.term(t);
+                let op = match term.op {
+                    Op::Var(ord) => Op::Var(self.var_of.get(ord).expect(numbered)),
+                    Op::UfApply(uf) => Op::UfApply(UfId(self.uf_of.get(uf.0).expect(numbered))),
+                    ref other => other.clone(),
+                };
+                let child = |ch: &TermId| self.node_of.get(ch.0).expect(numbered);
+                FormNode { op, children: term.children.iter().map(child).collect(), sort: term.sort }
+            };
+            let sig = |&uf: &UfId| (c.uf_sig(uf).args.clone(), c.uf_sig(uf).result);
+            Parts {
+                nodes: self.order.iter().map(node).collect(),
+                var_sorts: self.backmap.vars.iter().map(|v| v.sort).collect(),
+                uf_sigs: self.backmap.ufs.iter().map(sig).collect(),
+            }
+        })
+    }
+
+    /// The portable core of the query [`Keyer::key`] last keyed: only a
+    /// caller about to solve it (or ship it to a worker) needs one.
+    pub fn core(&self) -> FormCore {
+        let Parts { nodes, var_sorts, uf_sigs } = self.parts();
+        FormCore {
+            nodes,
+            roots: self.root_ids.clone(),
+            var_sorts,
+            uf_sigs,
+            trivially_unsat: self.trivially_unsat,
+        }
+    }
 }
 
 /// Extracts the normal form of `assumptions ∧ ¬goal`.
 ///
 /// Must run on the thread that owns the terms.
 pub fn prepare(assumptions: &[SBool], goal: SBool) -> Prepared {
-    let negated_goal = !goal;
-    let all = || assumptions.iter().copied().chain([negated_goal]);
-    let trivially_unsat = all().any(|a| a.is_false());
-    let mut nz = Normalizer::default();
-    let root_ids: Vec<u32> = canonical_roots(all())
-        .into_iter()
-        .map(|r| nz.add_root(r))
-        .collect();
-    let core = FormCore {
-        nodes: nz.nodes,
-        roots: root_ids,
-        var_sorts: nz.var_sorts,
-        uf_sigs: nz.uf_sigs,
-        trivially_unsat,
-    };
-    let key = cache_key(&core);
-    Prepared { core, backmap: nz.backmap, key }
+    let mut keyer = Keyer::new();
+    let key = keyer.key(assumptions, goal).to_vec();
+    Prepared { core: keyer.core(), backmap: keyer.backmap, key }
 }
 
 /// The portable normal form of an incremental discharge session: the
@@ -256,21 +521,14 @@ pub struct SessionPrepared {
 ///
 /// Must run on the thread that owns the terms.
 pub fn prepare_session(assumptions: &[SBool], goals: &[SBool]) -> SessionPrepared {
-    let mut nz = Normalizer::default();
-    let base_roots: Vec<u32> = canonical_roots(assumptions.iter().copied())
-        .into_iter()
-        .map(|r| nz.add_root(r))
-        .collect();
-    let goal_roots: Vec<u32> = goals.iter().map(|&g| nz.add_root((!g).0)).collect();
+    let negated: Vec<TermId> = goals.iter().map(|&g| (!g).0).collect();
+    let mut keyer = Keyer::new();
+    with_ctx(|c| keyer.walk_query(c, assumptions, None, &negated));
+    let Parts { nodes, var_sorts, uf_sigs } = keyer.parts();
+    let goal_roots = keyer.root_ids.split_off(keyer.ordered);
     SessionPrepared {
-        core: SessionCore {
-            nodes: nz.nodes,
-            base_roots,
-            goal_roots,
-            var_sorts: nz.var_sorts,
-            uf_sigs: nz.uf_sigs,
-        },
-        backmap: nz.backmap,
+        core: SessionCore { nodes, base_roots: keyer.root_ids, goal_roots, var_sorts, uf_sigs },
+        backmap: keyer.backmap,
     }
 }
 
@@ -369,46 +627,8 @@ pub fn rebuild_session(core: &SessionCore) -> SessionRebuilt {
     })
 }
 
-/// Per-root alpha-invariant key, used only to order assertion roots.
-fn local_key(root: TermId) -> Vec<u8> {
-    let mut local: HashMap<TermId, u32> = HashMap::new();
-    let mut var_of: HashMap<u32, u32> = HashMap::new();
-    let mut uf_of: HashMap<u32, u32> = HashMap::new();
-    let mut out = Vec::new();
-    let mut stack = vec![root];
-    while let Some(&t) = stack.last() {
-        if local.contains_key(&t) {
-            stack.pop();
-            continue;
-        }
-        let (op, children, sort) = fetch(t);
-        let pending: Vec<TermId> = children
-            .iter()
-            .copied()
-            .filter(|c| !local.contains_key(c))
-            .collect();
-        if !pending.is_empty() {
-            stack.extend(pending);
-            continue;
-        }
-        let op = match op {
-            Op::Var(ord) => {
-                let n = var_of.len() as u32;
-                Op::Var(*var_of.entry(ord).or_insert(n))
-            }
-            Op::UfApply(uf) => {
-                let n = uf_of.len() as u32;
-                Op::UfApply(UfId(*uf_of.entry(uf.0).or_insert(n)))
-            }
-            other => other,
-        };
-        let ids: Vec<u32> = children.iter().map(|c| local[c]).collect();
-        encode_node(&op, &ids, sort, &mut out);
-        local.insert(t, local.len() as u32);
-        stack.pop();
-    }
-    out
-}
+/// Cache key version tag. Bump when the node encoding changes.
+const KEY_MAGIC: &[u8; 4] = b"SQ1\0";
 
 /// The cache key: a versioned, deterministic byte serialization of the
 /// whole core. The solver configuration is deliberately *not* part of
@@ -416,27 +636,10 @@ fn local_key(root: TermId) -> Vec<u8> {
 /// those are independent of search parameters.
 pub fn cache_key(core: &FormCore) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(b"SQ1\0");
-    push_u32(&mut out, core.nodes.len() as u32);
-    for n in &core.nodes {
-        encode_node(&n.op, &n.children, n.sort, &mut out);
-    }
-    push_u32(&mut out, core.roots.len() as u32);
-    for &r in &core.roots {
-        push_u32(&mut out, r);
-    }
-    push_u32(&mut out, core.var_sorts.len() as u32);
-    for &s in &core.var_sorts {
-        encode_sort(s, &mut out);
-    }
-    push_u32(&mut out, core.uf_sigs.len() as u32);
-    for (args, result) in &core.uf_sigs {
-        push_u32(&mut out, args.len() as u32);
-        for &a in args {
-            push_u32(&mut out, a);
-        }
-        push_u32(&mut out, *result);
-    }
+    out.extend_from_slice(KEY_MAGIC);
+    encode_nodes(&core.nodes, &mut out);
+    push_u32s(&mut out, &core.roots);
+    encode_decls(&core.var_sorts, &core.uf_sigs, &mut out);
     out.push(core.trivially_unsat as u8);
     out
 }
@@ -454,20 +657,20 @@ pub fn cache_key(core: &FormCore) -> Vec<u8> {
 ///
 /// Must run on the thread that owns the terms.
 pub fn split_goal(goal: SBool, cap: usize) -> Vec<SBool> {
-    let mut out: Vec<SBool> = Vec::new();
-    let mut stack = vec![goal.0];
-    while let Some(t) = stack.pop() {
-        let (op, children, _) = fetch(t);
-        if matches!(op, Op::And) && out.len() + stack.len() + children.len() <= cap {
-            // Reversed push keeps the conjuncts in left-to-right order.
-            for &ch in children.iter().rev() {
-                stack.push(ch);
+    with_ctx(|c| {
+        let mut out: Vec<SBool> = Vec::new();
+        let mut stack = vec![goal.0];
+        while let Some(t) = stack.pop() {
+            let term = c.term(t);
+            if term.op == Op::And && out.len() + stack.len() + term.children.len() <= cap {
+                // Reversed push keeps the conjuncts in left-to-right order.
+                stack.extend(term.children.iter().rev());
+            } else {
+                out.push(SBool(t));
             }
-        } else {
-            out.push(SBool(t));
         }
-    }
-    out
+        out
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -517,21 +720,13 @@ pub struct WirePrepared {
 ///
 /// Must run on the thread that owns the terms.
 pub fn prepare_wire(assumptions: &[SBool], goal: SBool) -> WirePrepared {
-    let mut nz = Normalizer::default();
-    let asm_roots: Vec<u32> = canonical_roots(assumptions.iter().copied())
-        .into_iter()
-        .map(|r| nz.add_root(r))
-        .collect();
-    let goal_root = nz.add_root(goal.0);
+    let mut keyer = Keyer::new();
+    keyer.wire(assumptions, goal);
+    let Parts { nodes, var_sorts, uf_sigs } = keyer.parts();
+    let goal_root = keyer.root_ids.pop().expect("the goal is the last root walked");
     WirePrepared {
-        core: WireCore {
-            nodes: nz.nodes,
-            asm_roots,
-            goal_root,
-            var_sorts: nz.var_sorts,
-            uf_sigs: nz.uf_sigs,
-        },
-        backmap: nz.backmap,
+        core: WireCore { nodes, asm_roots: keyer.root_ids, goal_root, var_sorts, uf_sigs },
+        backmap: keyer.backmap,
     }
 }
 
@@ -578,26 +773,9 @@ const WIRE_MAGIC: &[u8; 4] = b"SW1\0";
 pub fn wire_bytes(core: &WireCore) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(WIRE_MAGIC);
-    push_u32(&mut out, core.var_sorts.len() as u32);
-    for &s in &core.var_sorts {
-        encode_sort(s, &mut out);
-    }
-    push_u32(&mut out, core.uf_sigs.len() as u32);
-    for (args, result) in &core.uf_sigs {
-        push_u32(&mut out, args.len() as u32);
-        for &a in args {
-            push_u32(&mut out, a);
-        }
-        push_u32(&mut out, *result);
-    }
-    push_u32(&mut out, core.nodes.len() as u32);
-    for n in &core.nodes {
-        encode_node(&n.op, &n.children, n.sort, &mut out);
-    }
-    push_u32(&mut out, core.asm_roots.len() as u32);
-    for &r in &core.asm_roots {
-        push_u32(&mut out, r);
-    }
+    encode_decls(&core.var_sorts, &core.uf_sigs, &mut out);
+    encode_nodes(&core.nodes, &mut out);
+    push_u32s(&mut out, &core.asm_roots);
     push_u32(&mut out, core.goal_root);
     out
 }
@@ -921,15 +1099,16 @@ pub fn wire_from_bytes(bytes: &[u8]) -> Result<WireCore, &'static str> {
     Ok(WireCore { nodes, asm_roots, goal_root, var_sorts, uf_sigs })
 }
 
-fn fetch(t: TermId) -> (Op, Vec<TermId>, Sort) {
-    with_ctx(|c| {
-        let n = c.term(t);
-        (n.op.clone(), n.children.clone(), n.sort)
-    })
-}
-
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A length-prefixed run of indices.
+fn push_u32s(out: &mut Vec<u8>, vs: &[u32]) {
+    push_u32(out, vs.len() as u32);
+    for &v in vs {
+        push_u32(out, v);
+    }
 }
 
 fn push_u128(out: &mut Vec<u8>, v: u128) {
@@ -991,10 +1170,32 @@ fn encode_node(op: &Op, children: &[u32], sort: Sort, out: &mut Vec<u8>) {
         }
     }
     encode_sort(sort, out);
-    push_u32(out, children.len() as u32);
-    for &c in children {
-        push_u32(out, c);
+    push_u32s(out, children);
+}
+
+/// A length-prefixed node array, as both encodings carry it.
+fn encode_nodes(nodes: &[FormNode], out: &mut Vec<u8>) {
+    push_u32(out, nodes.len() as u32);
+    for n in nodes {
+        encode_node(&n.op, &n.children, n.sort, out);
     }
+}
+
+/// Var sorts, then UF signatures: the declarations of a core.
+fn encode_decls(var_sorts: &[Sort], uf_sigs: &[(Vec<u32>, u32)], out: &mut Vec<u8>) {
+    push_u32(out, var_sorts.len() as u32);
+    for &s in var_sorts {
+        encode_sort(s, out);
+    }
+    push_u32(out, uf_sigs.len() as u32);
+    for (args, result) in uf_sigs {
+        encode_sig(args, *result, out);
+    }
+}
+
+fn encode_sig(args: &[u32], result: u32, out: &mut Vec<u8>) {
+    push_u32s(out, args);
+    push_u32(out, result);
 }
 
 fn encode_sort(s: Sort, out: &mut Vec<u8>) {

@@ -14,6 +14,12 @@
 //! [`Engine::submit_batch`] is a short driver over typed stages on plain
 //! data — `Prepared → Keyed → Planned → Discharged → Recombined` — each
 //! a function a test drives alone (DESIGN.md, "Engine", has the table).
+//! The first two resolve what needs no solver, and everywhere they do it
+//! the order is *fold → key → probe*: a query a constant already proves
+//! ([`form::folds`], most of a monitor's obligations) is answered before
+//! anything is normalized; the rest are keyed through one
+//! [`form::Keyer`] made for the batch, whose buffers hold the key the
+//! probe reads; and a portable core is built only for what is planned.
 //!
 //! Results stream back in deterministic submission order with identical
 //! verdicts regardless of worker count, so `SERVAL_JOBS=1` and
@@ -57,7 +63,7 @@ mod tests;
 pub use form::Query;
 
 use cache::{Cache, CachedVerdict};
-use form::{prepare, prepare_session, BackMap};
+use form::{prepare, prepare_session, BackMap, Keyer};
 use pool::Pool;
 use serval_smt::bv::SBool;
 use serval_smt::model::Model;
@@ -277,6 +283,14 @@ fn outcome(label: String, result: VerifyResult, cert: u64, cache_hit: bool) -> Q
         cert: (cert != 0).then_some(cert),
         error: None,
     }
+}
+
+/// The outcome of a query [`form::folds`] answers, for a discharger that
+/// folds before it ships (`serval-net`'s client): what this engine
+/// returns for it under the default configuration — `Proved`, no stats,
+/// not a cache hit, the canonical trivial certificate.
+pub fn folded_outcome(label: String) -> QueryOutcome {
+    outcome(label, VerifyResult::Proved, trivial_cert_hash(), false)
 }
 
 /// The outcome of a query resolved without solving — trivially, or from
@@ -711,12 +725,13 @@ impl Engine {
     pub fn submit_batch(&self, queries: Vec<Query>) -> Vec<QueryOutcome> {
         self.submitted
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let Prepared { mut slots, live } = self.prepare_batch(queries);
+        let mut keyer = Keyer::new();
+        let Prepared { mut slots, live } = self.prepare_batch(queries, &mut keyer);
         let Keyed {
             pending,
             groups,
             fixups,
-        } = self.key_batch(live, &mut slots);
+        } = self.key_batch(live, &mut slots, &mut keyer);
         let sessions = self.incremental();
         let counter = if sessions {
             &self.groups_session
@@ -780,22 +795,26 @@ impl Engine {
         found
     }
 
-    /// Resolves a prepared (sub-)query without solving when that is
-    /// possible: trivially (a constant-false root makes it `Proved`,
-    /// under the canonical trivial certificate), or by the cache.
-    /// Returns the verdict and whether it was a cache hit.
+    /// Resolves a (sub-)query without solving when that is possible —
+    /// fold, key, probe, in that order. A query a constant already
+    /// proves ([`form::folds`]) is `Proved` under the canonical trivial
+    /// certificate before anything is interned or walked; any other is
+    /// keyed (the key and backmap stay in `keyer` for the caller to keep
+    /// on a miss) and looked up once. Returns the verdict and whether
+    /// the cache gave it: `false` means folded.
     fn resolve(
         &self,
-        p: &form::Prepared,
+        keyer: &mut Keyer,
         assumptions: &[SBool],
         goal: SBool,
         counted: bool,
     ) -> Option<(CachedVerdict, bool)> {
-        if p.core.trivially_unsat {
+        if form::folds(assumptions, goal) {
             let cert = if self.cert { trivial_cert_hash() } else { 0 };
             return Some((CachedVerdict::Proved { cert }, false));
         }
-        let found = self.probe(&p.key, &p.backmap, assumptions, goal, counted)?;
+        keyer.key(assumptions, goal);
+        let found = self.probe(keyer.bytes(), keyer.backmap(), assumptions, goal, counted)?;
         Some((found, true))
     }
 
@@ -803,27 +822,25 @@ impl Engine {
     /// left. With presolve on the cache is *also* keyed on the
     /// pre-presolve normal form, so a warm rerun resolves on one
     /// normalization + one lookup per query and never pays the presolve
-    /// pipeline again. Raw-trivial queries short-circuit here and are
+    /// pipeline again. Raw-trivial queries fold here, unkeyed, and are
     /// the only ones counted trivial: a query presolve later folds to
     /// trivial did consult the cache (and its raw key is recorded at
     /// finalization, so it hits warm). With presolve off there is no
     /// second key, and every query goes on to be keyed as submitted.
-    pub(crate) fn prepare_batch(&self, queries: Vec<Query>) -> Prepared {
+    pub(crate) fn prepare_batch(&self, queries: Vec<Query>, keyer: &mut Keyer) -> Prepared {
         let mut slots: Vec<Option<QueryOutcome>> = Vec::with_capacity(queries.len());
         let mut live: Vec<Live> = Vec::new();
         for (slot, query) in queries.into_iter().enumerate() {
             let mut raw = None;
             if self.presolve {
-                let p = prepare(&query.assumptions, query.goal);
-                if p.core.trivially_unsat {
-                    self.trivial.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some((verdict, hit)) = self.resolve(&p, &query.assumptions, query.goal, true)
+                if let Some((verdict, hit)) =
+                    self.resolve(keyer, &query.assumptions, query.goal, true)
                 {
-                    slots.push(Some(resolved(query.label, verdict, &p.backmap, hit)));
+                    self.trivial.fetch_add(!hit as u64, Ordering::Relaxed);
+                    slots.push(Some(resolved(query.label, verdict, keyer.backmap(), hit)));
                     continue;
                 }
-                raw = Some((p.key, p.backmap));
+                raw = Some((keyer.bytes().to_vec(), keyer.backmap().clone()));
             }
             slots.push(None);
             live.push(Live {
@@ -841,11 +858,17 @@ impl Engine {
         Prepared { slots, live }
     }
 
-    /// Keyed stage: normalizes each live query, answers what the cache
-    /// can under the normal-form key (whole goal, then per conjunct),
-    /// and files every sub-query still open under its assumption group.
-    /// Groups open and goals append in submission order.
-    pub(crate) fn key_batch(&self, live: Vec<Live>, slots: &mut [Option<QueryOutcome>]) -> Keyed {
+    /// Keyed stage: folds or normalizes each live query, answers what
+    /// the cache can under the normal-form key (whole goal, then per
+    /// conjunct), and files every sub-query still open under its
+    /// assumption group. Groups open and goals append in submission
+    /// order.
+    pub(crate) fn key_batch(
+        &self,
+        live: Vec<Live>,
+        slots: &mut [Option<QueryOutcome>],
+        keyer: &mut Keyer,
+    ) -> Keyed {
         let mut groups = Groups::default();
         let mut pending: Vec<Pending> = Vec::new();
         let mut fixups: Vec<Fixup> = Vec::with_capacity(live.len());
@@ -856,47 +879,46 @@ impl Engine {
             let counted = fixup.raw.is_none();
             let slot = fixup.slot;
             fixups.push(fixup);
-            let whole = prepare(&q.assumptions, q.goal);
-            if whole.core.trivially_unsat && counted {
-                self.trivial.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some((verdict, hit)) = self.resolve(&whole, &q.assumptions, q.goal, counted) {
-                slots[slot] = Some(resolved(q.label, verdict, &whole.backmap, hit));
+            if let Some((verdict, hit)) = self.resolve(keyer, &q.assumptions, q.goal, counted) {
+                self.trivial.fetch_add((!hit && counted) as u64, Ordering::Relaxed);
+                slots[slot] = Some(resolved(q.label, verdict, keyer.backmap(), hit));
                 continue;
             }
+            let whole_key = keyer.bytes().to_vec();
             let conjuncts = if self.split {
                 form::split_goal(q.goal, SPLIT_CAP)
             } else {
                 vec![q.goal]
             };
             let (whole_key, subs) = if conjuncts.len() > 1 {
-                let sub = |c: SBool| {
-                    let sp = prepare(&q.assumptions, c);
-                    match self.resolve(&sp, &q.assumptions, c, true) {
-                        Some((verdict, hit)) => Sub::Ready {
-                            verdict,
-                            backmap: sp.backmap,
-                            hit,
+                let mut sub = |c: SBool| match self.resolve(keyer, &q.assumptions, c, true) {
+                    Some((verdict, hit)) => Sub::Ready {
+                        // Only a countermodel is numbered in a backmap.
+                        backmap: match verdict {
+                            CachedVerdict::Refuted(_) => keyer.backmap().clone(),
+                            CachedVerdict::Proved { .. } => BackMap::default(),
                         },
-                        None => {
-                            let (group, goal) = groups.enqueue(&q.assumptions, c, q.cfg);
-                            Sub::Wait {
-                                group,
-                                goal,
-                                backmap: sp.backmap,
-                                key: sp.key,
-                            }
+                        verdict,
+                        hit,
+                    },
+                    None => {
+                        let (group, goal) = groups.enqueue(&q.assumptions, c, q.cfg);
+                        Sub::Wait {
+                            group,
+                            goal,
+                            backmap: keyer.backmap().clone(),
+                            key: keyer.bytes().to_vec(),
                         }
                     }
                 };
-                (Some(whole.key), conjuncts.into_iter().map(sub).collect())
+                (Some(whole_key), conjuncts.into_iter().map(&mut sub).collect())
             } else {
                 let (group, goal) = groups.enqueue(&q.assumptions, q.goal, q.cfg);
                 let sub = Sub::Wait {
                     group,
                     goal,
-                    backmap: whole.backmap,
-                    key: whole.key,
+                    backmap: keyer.backmap().clone(),
+                    key: whole_key,
                 };
                 (None, vec![sub])
             };

@@ -3,7 +3,7 @@
 //! each stage of `submit_batch` driven alone on hand-built input.
 
 use crate::cache::CachedVerdict;
-use crate::form::{cache_key, prepare, split_goal, Query};
+use crate::form::{cache_key, prepare, split_goal, Keyer, Query};
 use crate::pool::Pool;
 use crate::solve::{PortableModel, RawOutcome, RawVerdict};
 use crate::{Chunk, Discharged, Fixup, Live, Pending, Sub};
@@ -180,6 +180,150 @@ fn cache_key_is_the_full_serialization() {
     let y = BV::fresh(32, "y");
     let p = prepare(&[x.ult(y)], (x + y).eq_(y + x));
     assert_eq!(p.key, cache_key(&p.core));
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Hand-built queries covering what the key and wire encoders must not
+/// move: one fresh context, so ordinals and term ids are fixed too.
+fn golden_queries() -> Vec<(&'static str, Vec<SBool>, SBool)> {
+    reset_ctx();
+    let _decoy = BV::fresh(8, "decoy");
+    let x = BV::fresh(32, "x");
+    let y = BV::fresh(32, "y");
+    let z = BV::fresh(32, "z");
+    let w = BV::fresh(32, "w");
+    let wide = BV::fresh(128, "wide");
+    let p = SBool::fresh("p");
+    let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![32], 32));
+    let g = serval_smt::with_ctx(|c| c.declare_uf("g", vec![32, 32], 8));
+    let ap = |uf, args: &[BV]| {
+        BV(serval_smt::build::uf_apply(uf, &args.iter().map(|a| a.0).collect::<Vec<_>>()))
+    };
+    vec![
+        ("shared-var", vec![x.ult(y), y.ult(z)], x.ult(z)),
+        ("uf-base-and-goal", vec![ap(f, &[x]).eq_(y)], ap(f, &[y]).ule(ap(f, &[x]))),
+        ("two-ufs", vec![ap(g, &[x, y]).ult(BV::lit(8, 9))], ap(g, &[ap(f, &[y]), x]).eq_(ap(g, &[x, y]))),
+        ("dup-and-true", vec![x.ult(y), SBool::lit(true), x.ult(y)], (x & y).ule(y)),
+        ("equal-local-keys", vec![x.ult(y), z.ult(w)], (x + z).ule(y + w)),
+        ("equal-local-keys-rev", vec![z.ult(w), x.ult(y)], (x + z).ule(y + w)),
+        ("goal-sorts-first", vec![x.ult(y), (y ^ z).ule(w)], x.ult(BV::lit(32, 5))),
+        ("const-128", vec![], wide.ult(BV::lit(128, u128::MAX - 5)) | wide.eq_(BV::lit(128, 1 << 100))),
+        ("extract", vec![p], x.extract(15, 8).eq_(y.extract(7, 0)) | !p),
+        ("wide-mix", vec![], p.select(x.extract(31, 16).concat(y.trunc(16)), z.trunc(8).sext(32)).sle(w)),
+        ("false-assumption", vec![x.ult(BV::lit(32, 0)), y.ult(z)], x.eq_(y)),
+        ("true-goal", vec![x.ult(y)], SBool::lit(true)),
+    ]
+}
+
+#[test]
+fn key_and_wire_bytes_match_the_pinned_digests() {
+    // FNV-1a of `prepare(..).key` and of the wire bytes, taken at the
+    // commit before the three walkers in `form.rs` became one keyer:
+    // disk caches, hot-tier keys and shard routing all hang off these
+    // bytes.
+    use crate::form::{prepare_wire, wire_bytes};
+    let got: Vec<(&str, u64, u64)> = golden_queries()
+        .into_iter()
+        .map(|(name, asms, goal)| {
+            let key = fnv1a(&prepare(&asms, goal).key);
+            (name, key, fnv1a(&wire_bytes(&prepare_wire(&asms, goal).core)))
+        })
+        .collect();
+    assert_eq!(got, PINNED_BYTES, "{got:#x?}");
+}
+
+const PINNED_BYTES: [(&str, u64, u64); 12] = [
+    ("shared-var", 0xc6ff9cdba8131cc7, 0x1f3389092e45f0e9),
+    ("uf-base-and-goal", 0x2264eef946c554ee, 0xd02dc67d4b7ca32a),
+    ("two-ufs", 0xe4aa3db6e9e3e90c, 0x36f22fbd223c798e),
+    ("dup-and-true", 0x8cbe55657967ff33, 0x76ed1e1af8555c78),
+    ("equal-local-keys", 0xd6740101a1bf08ff, 0xeae954461fffa2c2),
+    ("equal-local-keys-rev", 0x5e4d02c3b3e83e9f, 0x5597a5770b8d1562),
+    ("goal-sorts-first", 0x2828096de41dd94a, 0x42896154e30cf2b1),
+    ("const-128", 0x8b36f6d7e017fc74, 0xc1fc0ede60871fe2),
+    ("extract", 0x9a375c025a83c455, 0x9e0ea0904c6698ad),
+    ("wide-mix", 0x98d7fcee04ee601c, 0xdc4bfade87ca80e6),
+    ("false-assumption", 0x17ba2100d4c7e2e6, 0x707901bd0aa4ced6),
+    ("true-goal", 0x122da2cbd4eebfcc, 0x86f65abb92d0638d),
+];
+
+#[test]
+fn duplicate_roots_cost_one_pass_and_key_like_their_deduplicated_self() {
+    // 4 096 distinct assumptions, each submitted twice: the seen-set is
+    // the keyer's stamped table, not a scan of the roots kept so far
+    // (2 M compares here before the first walk started).
+    reset_ctx();
+    let once: Vec<SBool> = (0..4096).map(|_| SBool::fresh("p")).collect();
+    let twice: Vec<SBool> = once.iter().chain(&once).copied().collect();
+    let goal = SBool::fresh("g");
+    assert_eq!(prepare(&twice, goal).key, prepare(&once, goal).key);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One keyer over 64 queries of one context — fresh variables and
+    /// terms interned between queries, assumption roots shared across
+    /// them, duplicates, constants, a goal that negates to an assumption
+    /// — agrees with a one-shot `prepare` per query on key, backmap and
+    /// core, and with `prepare_wire` on the wire bytes: a stale stamp, a
+    /// stale local-key memo or a table that did not grow would not.
+    #[test]
+    fn prop_a_reused_keyer_matches_one_shot_prepare(
+        picks in prop::collection::vec(any::<u8>(), 64 * 6),
+    ) {
+        use crate::form::{prepare_wire, wire_bytes};
+        reset_ctx();
+        let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![16], 16));
+        let mut pool = vec![BV::fresh(16, "v"), BV::fresh(16, "v")];
+        let mut asms = vec![pool[0].ule(pool[1])];
+        let mut keyer = Keyer::new();
+        for p in picks.chunks(6) {
+            if p[0] % 3 == 0 {
+                pool.push(BV::fresh(16, "v"));
+            }
+            let at = |i: u8| pool[i as usize % pool.len()];
+            let (a, b, k) = (at(p[1]), at(p[2]), BV::lit(16, u128::from(p[3])));
+            let t = match p[4] % 6 {
+                0 => a + b,
+                1 => a & k,
+                2 => (a ^ b) | k,
+                3 => BV(serval_smt::build::uf_apply(f, &[a.0])),
+                4 => a.extract(7, 0).zext(16),
+                _ => a - b,
+            };
+            pool.push(t);
+            asms.push(if p[5] % 2 == 0 { t.ule(a) } else { b.ult(t ^ k) });
+            let asm = |i: u8| asms[i as usize % asms.len()];
+            let assumptions = [asm(p[5]), asm(p[1]), SBool::lit(p[2] % 7 != 0), asm(p[5])];
+            let goal = match p[0] % 5 {
+                0 => t.ult(b),
+                1 => t.eq_(a),
+                2 => !asm(p[1]),
+                3 => asm(p[3]),
+                _ => SBool::lit(p[2] % 2 == 0),
+            };
+            let one = prepare(&assumptions, goal);
+            prop_assert_eq!(keyer.key(&assumptions, goal), &one.key[..]);
+            let origins = |m: &crate::form::BackMap| {
+                let vars: Vec<_> = m.vars.iter().map(|v| (v.term, v.sort)).collect();
+                (vars, m.ufs.clone())
+            };
+            prop_assert_eq!(origins(keyer.backmap()), origins(&one.backmap));
+            let core = keyer.core();
+            prop_assert_eq!(
+                (&core.nodes, &core.roots, &core.var_sorts, &core.uf_sigs, core.trivially_unsat),
+                (&one.core.nodes, &one.core.roots, &one.core.var_sorts, &one.core.uf_sigs, one.core.trivially_unsat)
+            );
+            let wire = wire_bytes(&prepare_wire(&assumptions, goal).core);
+            prop_assert_eq!(keyer.wire(&assumptions, goal), &wire[..]);
+        }
+    }
 }
 
 // -----------------------------------------------------------------
@@ -1395,7 +1539,7 @@ fn prepared_stage_answers_raw_trivial_queries_and_presolves_the_rest() {
     let prepared = engine.prepare_batch(vec![
         q("trivial", vec![x.ult(BV::lit(16, 0))], x.eq_(y)),
         q("live", vec![x.eq_(BV::lit(16, 5))], (x & y).ule(y)),
-    ]);
+    ], &mut Keyer::new());
     let slots: Vec<bool> = prepared.slots.iter().map(Option::is_some).collect();
     assert_eq!(slots, [true, false]);
     assert_eq!(engine.query_counts().1, 1, "only the raw-trivial query counts as trivial");
@@ -1407,8 +1551,73 @@ fn prepared_stage_answers_raw_trivial_queries_and_presolves_the_rest() {
     assert!(l.query.assumptions.is_empty());
     assert_eq!(l.query.goal, (BV::lit(16, 5) & y).ule(y));
     // With presolve off there is no raw key, and everything stays live.
-    let prepared = local_engine_raw(1, true).prepare_batch(vec![q("p", vec![], x.eq_(x))]);
+    let prepared = local_engine_raw(1, true).prepare_batch(vec![q("p", vec![], x.eq_(x))], &mut Keyer::new());
     assert!(prepared.slots[0].is_none() && prepared.live[0].fixup.raw.is_none());
+}
+
+#[test]
+fn folded_queries_touch_neither_the_context_nor_the_cache() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let base: Vec<SBool> = (0..64).map(|i| (x + BV::lit(16, i)).ule(y ^ BV::lit(16, 3 * i))).collect();
+    let real = ((x & y) + (x | y)).eq_(x + y);
+    let folded = |n: usize| (0..n).map(|i| q(&format!("t{i}"), base.clone(), SBool::lit(true)));
+    let engine = local_engine(1);
+    let batch: Vec<Query> = folded(32).collect();
+    let terms = serval_smt::with_ctx(|c| c.num_terms());
+    let out = engine.submit_batch(batch);
+    assert_eq!(
+        serval_smt::with_ctx(|c| c.num_terms()),
+        terms,
+        "no `!goal` interned, nothing walked"
+    );
+    let trivial = crate::folded_outcome(String::new()).cert;
+    for o in &out {
+        assert!(o.result.is_proved() && !o.cache_hit && o.stats.is_none());
+        assert_eq!(o.cert, trivial);
+    }
+    assert_eq!((engine.query_counts(), engine.cache_stats()), ((32, 32), (0, 0)));
+    // Mixed with real queries, cold then warm: the rerun's counted
+    // lookups are exactly the queries that did not fold.
+    let mixed = || {
+        let mut batch: Vec<Query> = folded(8).collect();
+        batch.insert(3, q("real", base.clone(), real));
+        batch.push(q("refuted", vec![], x.ult(y)));
+        batch
+    };
+    engine.submit_batch(mixed());
+    let (cold_counts, cold_stats) = (engine.query_counts(), engine.cache_stats());
+    let warm = engine.submit_batch(mixed());
+    assert_eq!(warm.iter().filter(|o| o.cache_hit).count(), 2);
+    let ((submitted, trivial), (hits, misses)) = (engine.query_counts(), engine.cache_stats());
+    assert_eq!(
+        (hits - cold_stats.0, misses - cold_stats.1),
+        ((submitted - cold_counts.0) - (trivial - cold_counts.1), 0),
+        "hits + misses = submitted - trivial on the warm rerun"
+    );
+}
+
+#[test]
+fn a_presolve_fold_is_answered_in_the_keyed_stage_unwalked_and_uncounted() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let engine = local_engine(1);
+    // Not a constant as submitted; `9 <= 12` once presolve inlines x.
+    let query = || q("p", vec![x.eq_(BV::lit(16, 9))], x.ule(BV::lit(16, 12)));
+    let crate::Prepared { mut slots, live } = engine.prepare_batch(vec![query()], &mut Keyer::new());
+    assert!(slots[0].is_none() && live[0].query.goal.is_true(), "presolve folded the goal");
+    let mut keyer = Keyer::new();
+    let keyed = engine.key_batch(live, &mut slots, &mut keyer);
+    assert!(keyer.bytes().is_empty(), "answered without a normal-form walk");
+    assert!(keyed.pending.is_empty() && keyed.groups.is_empty());
+    let o = slots[0].as_ref().expect("answered in the keyed stage");
+    assert!(o.result.is_proved() && !o.cache_hit);
+    assert_eq!(engine.query_counts().1, 0, "its counted lookup was the raw-key miss");
+    // Its raw key is stored at finalization, so the rerun hits.
+    engine.finalize(keyed.fixups, &mut slots);
+    assert!(engine.submit(query()).cache_hit);
+    assert_eq!((engine.query_counts(), engine.cache_stats()), ((1, 0), (1, 1)));
 }
 
 #[test]
@@ -1430,6 +1639,7 @@ fn keyed_stage_keeps_submission_order() {
             live(3, Query { cfg: budgeted, ..q("a-budget", a.clone(), goals[3]) }),
         ],
         &mut slots,
+        &mut Keyer::new(),
     );
     assert!(slots.iter().all(Option::is_none), "nothing here is trivial or cached");
     // Groups open in order of first use — the budgeted query gets its
@@ -1620,7 +1830,7 @@ fn finalize_records_raw_keys_and_completes_countermodels() {
     // `y`'s defining assumption is presolved away, so a model of the
     // simplified query says nothing about it.
     let query = || q("r", vec![y.eq_(x + BV::lit(16, 1))], y.ult(BV::lit(16, 3)));
-    let crate::Prepared { mut slots, live } = engine.prepare_batch(vec![query()]);
+    let crate::Prepared { mut slots, live } = engine.prepare_batch(vec![query()], &mut Keyer::new());
     let fixups: Vec<Fixup> = live.into_iter().map(|l| l.fixup).collect();
     let mut model = serval_smt::model::Model::default();
     model.set_bv(x.0, 40);

@@ -477,8 +477,10 @@ fn loopback_mid_batch_disconnect_leaves_server_healthy() {
     let mut client = Client::connect(&addr).unwrap();
     reset_ctx();
     let x = BV::fresh(32, "x");
-    let outcomes = client.submit_batch(vec![query("survivor", vec![], x.eq_(x))]).unwrap();
+    let m = BV::fresh(32, "m");
+    let outcomes = client.submit_batch(vec![query("survivor", vec![], (x & m).ule(x))]).unwrap();
     assert!(matches!(outcomes[0].result, VerifyResult::Proved));
+    assert!(client.bytes_received > 0 && outcomes[0].stats.is_some(), "the server answered it");
     server.shutdown();
 }
 
@@ -602,5 +604,121 @@ fn loopback_hot_hits_report_sentinel_shard() {
     assert!(matches!(second[0].verdict, WireVerdict::Proved));
     assert_eq!(second[0].shard, SHARD_HOT);
     assert!(second[0].cache_hit);
+    server.shutdown();
+}
+
+// ----------------------------------------------------------------------------
+// The client-side fold
+// ----------------------------------------------------------------------------
+
+/// A query a constant already proves never leaves the client: it is
+/// answered as a local engine would answer it, in its submission slot,
+/// and a batch of nothing else sends no frame at all.
+#[test]
+fn loopback_folded_queries_never_leave_the_client() {
+    use serval_engine::Discharge;
+    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let remote = crate::RemoteEngine::connect(&server.local_addr().to_string()).unwrap();
+
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let m = BV::fresh(32, "m");
+    let never = x.ult(BV::lit(32, 0));
+    assert!(never.is_false());
+    let refutable = x.ult(BV::lit(32, 10));
+    let asm = x.uge(BV::lit(32, 3));
+    let trivial = |label: &str, by_goal: bool| {
+        if by_goal {
+            query(label, vec![asm], SBool::lit(true))
+        } else {
+            query(label, vec![asm, never], refutable)
+        }
+    };
+    let local = serval_engine::Engine::new(test_cfg(1, 0).engine).submit(trivial("ref", true));
+    let folded = |o: &serval_engine::QueryOutcome| {
+        assert!(matches!(o.result, VerifyResult::Proved), "{}: {:?}", o.label, o.result);
+        assert!(!o.cache_hit && o.stats.is_none() && o.error.is_none(), "{}", o.label);
+        assert_eq!(o.cert, local.cert, "{}: the trivial fingerprint", o.label);
+        assert!(o.cert.is_some());
+    };
+
+    let before = remote.bytes();
+    let out = remote.submit_batch(vec![trivial("a0", true), trivial("a1", false)]);
+    assert_eq!(remote.bytes(), before, "an all-trivial batch sends no frame");
+    assert_eq!(out.iter().map(|o| &o.label[..]).collect::<Vec<_>>(), ["a0", "a1"]);
+    out.iter().for_each(folded);
+
+    let out = remote.submit_batch(vec![
+        trivial("m0", false),
+        query("m1", vec![], (x & m).ule(x)),
+        trivial("m2", true),
+        query("m3", vec![asm], refutable),
+        trivial("m4", false),
+    ]);
+    assert_eq!(out.iter().map(|o| &o.label[..]).collect::<Vec<_>>(), ["m0", "m1", "m2", "m3", "m4"]);
+    for i in [0, 2, 4] {
+        folded(&out[i]);
+    }
+    assert!(matches!(out[1].result, VerifyResult::Proved) && out[1].stats.is_some());
+    let VerifyResult::Counterexample(model) = &out[3].result else {
+        panic!("m3: expected a countermodel, got {:?}", out[3].result)
+    };
+    assert!(model.eval_bool(asm.0) && !model.eval_bool(refutable.0));
+    assert!(remote.bytes().0 > before.0);
+    let queued: u64 = server.core().stats().shards.iter().map(|row| row.queued).sum();
+    assert_eq!(queued, 2, "only the two real queries reached a shard");
+    server.shutdown();
+
+    // With the server gone, what needed it is `Unknown` with the reason;
+    // what was folded never needed it.
+    let out = remote.submit_batch(vec![trivial("d0", true), query("d1", vec![asm], refutable)]);
+    folded(&out[0]);
+    assert!(matches!(out[1].result, VerifyResult::Unknown), "{:?}", out[1].result);
+    assert!(out[1].error.as_deref().is_some_and(|e| e.starts_with("net: ")), "{:?}", out[1].error);
+}
+
+/// A frame carries what ships of one window of 64 submitted queries, so
+/// the server's batches are cut where they were before the fold; a
+/// window that folds entirely has no frame.
+#[test]
+fn frames_are_cut_by_submission_window() {
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let queries: Vec<Query> = (0..200u128)
+        .map(|i| {
+            let real = i % 2 == 0 && !(64..128).contains(&i);
+            let goal = if real { x.ult(BV::lit(32, i + 1)) } else { SBool::lit(true) };
+            query(&format!("w/{i}"), vec![], goal)
+        })
+        .collect();
+    let (batch, frames) = crate::client::encode_batch(queries);
+    assert_eq!(frames.iter().map(Vec::len).collect::<Vec<_>>(), [32, 32, 4]);
+    assert_eq!(batch.shipped(), 68);
+    assert_eq!(frames[1][0].label, "w/128");
+}
+
+/// The fold is also where it always was: a frame from a client that
+/// ships everything — trivially proved queries included — is answered
+/// by the server's own engine, with the same trivial certificate.
+#[test]
+fn unfolded_frames_from_an_old_client_are_still_answered() {
+    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let never = x.ult(BV::lit(32, 0));
+    let wq = |label: &str, assumptions: &[SBool], goal: SBool| WireQuery {
+        label: label.to_string(),
+        cfg: SolverConfig::default(),
+        core_bytes: form::wire_bytes(&form::prepare_wire(assumptions, goal).core),
+    };
+    let out = server.core().discharge(vec![
+        wq("by-goal", &[x.uge(BV::lit(32, 3))], SBool::lit(true)),
+        wq("by-assumption", &[never], x.ult(BV::lit(32, 10))),
+    ]);
+    let trivial = serval_engine::folded_outcome(String::new()).cert.expect("certified");
+    for o in &out {
+        assert!(matches!(o.verdict, WireVerdict::Proved) && !o.cache_hit && o.stats.is_none());
+        assert_eq!(o.cert, trivial);
+    }
     server.shutdown();
 }

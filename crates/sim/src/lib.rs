@@ -511,12 +511,18 @@ fn cert_demotion(cfg: &SimConfig) -> String {
 /// and hot-tier behavior are invariants, not probabilities:
 ///
 /// - Three forms are submitted verbatim by all three clients; with the
-///   hot threshold at 2, the third submission of each must be served by
-///   the replicated hot tier.
+///   hot threshold at 2, the third submission of each one that reaches
+///   the server must be served by the replicated hot tier.
 /// - Two forms per client pin `x` to a client-unique constant and claim
 ///   false, so the only countermodel carries that constant: a lost,
 ///   duplicated, misrouted, or reordered batch entry is caught by the
 ///   countermodel oracle, not just by labels.
+/// - One of the shared forms, `x + y = y + x`, is already the constant
+///   `true` when the term builder hands it over, mid-batch: the
+///   client's encode path (`serval_net::client::encode_batch`, the one
+///   `Client` uses) folds it, so it is never framed, and its outcome
+///   must still come back in its submission slot whatever the schedule
+///   does to the rest.
 /// - The `net-frame-drop` buggify point makes the transport drop a
 ///   frame (the client retransmits it, preserving per-connection
 ///   order); `net-slow-client` stalls client 2 until the others have
@@ -524,10 +530,9 @@ fn cert_demotion(cfg: &SimConfig) -> String {
 ///   client provably never blocks the rest. `net-route-rehash` and
 ///   `net-hot-skip` fire inside the core itself.
 fn net_batch(cfg: &SimConfig) -> String {
-    use serval_engine::form::{self, BackMap};
-    use serval_net::client::outcome_of_wire;
+    use serval_net::client::{encode_batch, Encoded};
     use serval_net::service::{NetCfg, ServerCore};
-    use serval_net::wire::{self as nwire, Msg, WireQuery};
+    use serval_net::wire::{self as nwire, Msg, WireOutcome, WireQuery};
     use std::collections::VecDeque;
 
     reset_ctx();
@@ -579,27 +584,26 @@ fn net_batch(cfg: &SimConfig) -> String {
         })
         .collect();
 
-    // Serialize each client's batch into chunked Batch frames, then push
-    // the frames through the byte-stream codec in seed-sized slices (as
-    // a TCP reader would see them) before delivery.
-    let mut labels: Vec<Vec<String>> = Vec::new();
-    let mut backmaps: Vec<Vec<BackMap>> = Vec::new();
+    // Encode each client's batch as `Client` would, cut what ships into
+    // chunked Batch frames, then push the frames through the byte-stream
+    // codec in seed-sized slices (as a TCP reader would see them) before
+    // delivery.
+    let mut batches: Vec<Encoded> = Vec::new();
     let mut queues: Vec<VecDeque<(u64, Vec<u8>, usize)>> = Vec::new();
     for (c, oracle) in oracles.iter().enumerate() {
-        let mut wire_queries = Vec::new();
-        let mut my_labels = Vec::new();
-        let mut my_backmaps = Vec::new();
-        for (i, (assumptions, goal, _)) in oracle.iter().enumerate() {
-            let label = format!("net-c{c}q{i}");
-            let wp = form::prepare_wire(assumptions, *goal);
-            wire_queries.push(WireQuery {
-                label: label.clone(),
+        let queries = oracle
+            .iter()
+            .enumerate()
+            .map(|(i, (assumptions, goal, _))| Query {
+                label: format!("net-c{c}q{i}"),
+                assumptions: assumptions.clone(),
+                goal: *goal,
                 cfg: SolverConfig::default(),
-                core_bytes: form::wire_bytes(&wp.core),
-            });
-            my_labels.push(label);
-            my_backmaps.push(wp.backmap);
-        }
+            })
+            .collect();
+        let (batch, frames) = encode_batch(queries);
+        let wire_queries: Vec<WireQuery> = frames.into_iter().flatten().collect();
+        assert_eq!(batch.shipped(), oracle.len() - 1, "the folded query is not shipped");
         let chunk = sim::choose(3) + 1;
         let mut frames: VecDeque<(u64, Vec<u8>, usize)> = VecDeque::new();
         let mut queries = wire_queries.into_iter().peekable();
@@ -630,8 +634,7 @@ fn net_batch(cfg: &SimConfig) -> String {
             frames.iter().map(|(_, p, _)| p.clone()).collect::<Vec<_>>(),
             "byte-chunked reassembly must reproduce the frames exactly"
         );
-        labels.push(my_labels);
-        backmaps.push(my_backmaps);
+        batches.push(batch);
         queues.push(frames);
     }
 
@@ -652,8 +655,7 @@ fn net_batch(cfg: &SimConfig) -> String {
     // "dropped" (retransmitted in place, bounded per client so the run
     // terminates).
     let slow = sim::buggify("net-slow-client");
-    let mut outcomes: Vec<Vec<serval_engine::QueryOutcome>> =
-        (0..3).map(|_| Vec::new()).collect();
+    let mut replies: Vec<Vec<WireOutcome>> = (0..3).map(|_| Vec::new()).collect();
     let mut drops = [0usize; 3];
     let mut slow_checked = false;
     sim::mark("net-deliver");
@@ -668,14 +670,14 @@ fn net_batch(cfg: &SimConfig) -> String {
         let pick = ready[sim::choose(ready.len())];
         if slow && pick == 2 && !slow_checked {
             // The slow client is only scheduled once everyone else is
-            // done — and they must actually be done, with full,
-            // submission-ordered outcome vectors: a stalled connection
-            // never blocks other clients.
+            // done — and they must actually be done, every shipped
+            // query answered: a stalled connection never blocks other
+            // clients.
             slow_checked = true;
             for c in 0..2 {
                 assert_eq!(
-                    outcomes[c].len(),
-                    oracles[c].len(),
+                    replies[c].len(),
+                    batches[c].shipped(),
                     "client {c} incomplete while the slow client stalls"
                 );
             }
@@ -692,14 +694,7 @@ fn net_batch(cfg: &SimConfig) -> String {
                 assert_eq!(rid, id, "reply id must echo the batch frame id");
                 assert_eq!(results.len(), expect, "one outcome per query, always");
                 assert_eq!(stats.shards.len(), 3, "stats must carry every shard's row");
-                let at = outcomes[pick].len();
-                for (j, out) in results.into_iter().enumerate() {
-                    outcomes[pick].push(outcome_of_wire(
-                        labels[pick][at + j].clone(),
-                        out,
-                        &backmaps[pick][at + j],
-                    ));
-                }
+                replies[pick].extend(results);
             }
             other => panic!("expected BatchReply, got {other:?}"),
         }
@@ -707,13 +702,16 @@ fn net_batch(cfg: &SimConfig) -> String {
 
     // Verdict safety + submission order, per client.
     let mut verdicts = Vec::new();
-    for c in 0..3 {
-        assert_eq!(outcomes[c].len(), oracles[c].len(), "client {c} lost outcomes");
-        for (i, o) in outcomes[c].iter().enumerate() {
-            assert_eq!(o.label, labels[c][i], "client {c} outcomes out of submission order");
+    for (c, (batch, replies)) in batches.into_iter().zip(replies).enumerate() {
+        assert_eq!(replies.len(), batch.shipped(), "client {c} lost outcomes");
+        let outcomes = batch.decode(replies);
+        assert_eq!(outcomes.len(), oracles[c].len(), "client {c} lost folded outcomes");
+        for (i, o) in outcomes.iter().enumerate() {
+            let label = format!("net-c{c}q{i}");
+            assert_eq!(o.label, label, "client {c} outcomes out of submission order");
         }
-        check_verdicts(&outcomes[c], &oracles[c], cfg);
-        verdicts.push(outcomes[c].iter().map(|o| letter(&o.result)).collect::<String>());
+        check_verdicts(&outcomes, &oracles[c], cfg);
+        verdicts.push(outcomes.iter().map(|o| letter(&o.result)).collect::<String>());
     }
 
     let stats = core.stats();

@@ -1,4 +1,4 @@
-//! The allocation budget of a certified session.
+//! The allocation budgets of a certified session and of a warm batch.
 //!
 //! Two pool workers can only run two sessions side by side if the
 //! sessions stay out of the allocator: under one malloc arena (the
@@ -10,15 +10,24 @@
 //! so heap calls per proof step stay under one (what is left is watch
 //! lists growing, a call or two per variable).
 //!
-//! The count is exact — one thread, a fixed input, no hash-order
-//! dependence in what is counted — so the bound needs no noise margin,
-//! only headroom for honest growth. A binary of its own: the counting
-//! `#[global_allocator]` is process-wide.
+//! The second test pins the warm path the same way: re-proving an item
+//! against a warm engine is fold → key → probe per obligation over one
+//! batch-scoped keyer's buffers, so `submit_batch` makes about one heap
+//! call per obligation where it used to make fifty.
+//!
+//! The counts are exact to within a call or two — a fixed input, no
+//! hash-order dependence in what is counted, the tests serialized, and
+//! only the harness's own thread beside them — so the bounds need no
+//! noise margin, only headroom for honest growth. A binary of its own:
+//! the counting `#[global_allocator]` is process-wide.
 
 use serval_engine::form::{prepare_session, SessionCore};
 use serval_engine::solve::{solve_session, RawVerdict};
-use serval_engine::{Discharge, Query, QueryOutcome};
+use serval_engine::{Discharge, Engine, EngineCfg, Query, QueryOutcome};
+use serval_repro::core_fw::OptCfg;
+use serval_repro::ir::OptLevel;
 use serval_repro::jit::{sweep_rv64, Rv64Jit};
+use serval_repro::monitors::certikos;
 use serval_repro::smt::solver::{SolverConfig, VerifyResult};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,6 +39,20 @@ use std::time::Duration;
 /// under this same test: 5.40). The bound is the measurement with 2×
 /// headroom.
 const CALLS_PER_STEP_BOUND: f64 = 1.7;
+
+/// `malloc + realloc` calls allowed per obligation of a warm
+/// resubmission, every obligation answered by a fold or the raw-key
+/// probe. Measured on the fixed rv64 JIT sweep: 1.05 per obligation (218
+/// calls over 208 obligations, 116 of them folded; the parent commit
+/// under this same test: 49.89) — interning `!goal` for the 92 keyed
+/// ones, and the keyer's buffers growing to size once. On one certikos
+/// `-O1` call (`spawn`), per obligation that is keyed at all: 3.48 (115
+/// calls, 33 keyed of 565; the parent: 3837.09, all but a sliver of it
+/// normalizing the 532 queries a constant already proves). The bounds
+/// are the measurements with 2× headroom, both more than 10× under the
+/// parent's figures.
+const WARM_SWEEP_BOUND: f64 = 2.1;
+const WARM_MONITOR_BOUND: f64 = 7.0;
 
 struct Counting;
 
@@ -98,8 +121,13 @@ impl Discharge for Capture {
     }
 }
 
+/// Runs tests one at a time: the counter and the installed discharger
+/// are process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn a_certified_session_stays_out_of_the_allocator() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SolverConfig::default();
     let capture = Arc::new(Capture(Mutex::new(None)));
     serval_engine::install_discharger(Arc::clone(&capture) as Arc<dyn Discharge>);
@@ -116,7 +144,7 @@ fn a_certified_session_stays_out_of_the_allocator() {
     let outcomes = solve_session(&core, cfg, None, true);
     COUNTING.store(false, Ordering::Relaxed);
 
-    let calls = CALLS.load(Ordering::Relaxed);
+    let calls = CALLS.swap(0, Ordering::Relaxed);
     assert!(
         outcomes
             .iter()
@@ -133,5 +161,108 @@ fn a_certified_session_stays_out_of_the_allocator() {
     assert!(
         per_step <= CALLS_PER_STEP_BOUND,
         "{per_step:.3} malloc+realloc calls per proof step, bound {CALLS_PER_STEP_BOUND}"
+    );
+}
+
+/// An engine at the seam that counts heap calls inside `submit_batch`
+/// once `warm` is set, and how many obligations those calls answered.
+struct Counted {
+    engine: Engine,
+    warm: AtomicBool,
+    obligations: AtomicU64,
+    folded: AtomicU64,
+}
+
+impl Discharge for Counted {
+    fn submit_batch(&self, queries: Vec<Query>) -> Vec<QueryOutcome> {
+        let warm = self.warm.load(Ordering::Relaxed);
+        COUNTING.store(warm, Ordering::Relaxed);
+        let out = self.engine.submit_batch(queries);
+        COUNTING.store(false, Ordering::Relaxed);
+        if warm {
+            let folded = out
+                .iter()
+                .filter(|o| o.stats.is_none() && !o.cache_hit)
+                .count();
+            assert!(
+                out.iter()
+                    .all(|o| o.stats.is_none() && o.result.is_proved()),
+                "a warm rerun of a proved item solves nothing"
+            );
+            self.obligations
+                .fetch_add(out.len() as u64, Ordering::Relaxed);
+            self.folded.fetch_add(folded as u64, Ordering::Relaxed);
+        }
+        out
+    }
+}
+
+/// Proves `item` cold, then again warm with the allocator counted:
+/// (heap calls, obligations, trivially folded obligations) of the warm
+/// pass's `submit_batch` calls.
+fn warm_calls(item: impl Fn()) -> (u64, u64, u64) {
+    let counted = Arc::new(Counted {
+        engine: Engine::new(EngineCfg {
+            jobs: 1,
+            ..EngineCfg::default()
+        }),
+        warm: AtomicBool::new(false),
+        obligations: AtomicU64::new(0),
+        folded: AtomicU64::new(0),
+    });
+    serval_engine::install_discharger(Arc::clone(&counted) as Arc<dyn Discharge>);
+    item();
+    counted.warm.store(true, Ordering::Relaxed);
+    item();
+    serval_engine::clear_discharger();
+    (
+        CALLS.swap(0, Ordering::Relaxed),
+        counted.obligations.load(Ordering::Relaxed),
+        counted.folded.load(Ordering::Relaxed),
+    )
+}
+
+#[test]
+fn a_warm_batch_stays_out_of_the_allocator() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = SolverConfig::default();
+
+    let (calls, obligations, folded) = warm_calls(|| drop(sweep_rv64(&Rv64Jit::fixed(), cfg)));
+    let per_obligation = calls as f64 / obligations as f64;
+    println!(
+        "alloc_budget: warm rv64 sweep: {calls} malloc+realloc calls / {obligations} obligations \
+         ({folded} folded) = {per_obligation:.2}"
+    );
+    assert!(
+        obligations - folded > 50,
+        "the sweep keys real queries: {folded} of {obligations} fold"
+    );
+    assert!(
+        per_obligation <= WARM_SWEEP_BOUND,
+        "{per_obligation:.2} malloc+realloc calls per warm sweep obligation, bound {WARM_SWEEP_BOUND}"
+    );
+
+    let spawn = || {
+        drop(certikos::proofs::prove_op(
+            certikos::sys::SPAWN,
+            OptLevel::O1,
+            OptCfg::default(),
+            cfg,
+        ))
+    };
+    let (calls, obligations, folded) = warm_calls(spawn);
+    let keyed = obligations - folded;
+    let per_keyed = calls as f64 / keyed as f64;
+    println!(
+        "alloc_budget: warm certikos -O1 spawn: {calls} malloc+realloc calls / {keyed} non-trivial \
+         of {obligations} obligations = {per_keyed:.2}"
+    );
+    assert!(
+        keyed > 20 && folded > keyed,
+        "most of a refinement batch folds: {folded} of {obligations}"
+    );
+    assert!(
+        per_keyed <= WARM_MONITOR_BOUND,
+        "{per_keyed:.2} malloc+realloc calls per non-trivial warm obligation, bound {WARM_MONITOR_BOUND}"
     );
 }

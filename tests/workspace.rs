@@ -220,6 +220,13 @@ fn retired_variables_stay_retired() {
             assert!(!text.contains(name), "{} brings back {name}", path.display());
         }
     }
+    // ... and the second and third walker of the normal form: the keyer's
+    // is the one traversal of the caller's DAG in `form.rs`.
+    let form = root.join("crates/engine/src/form.rs");
+    let text = std::fs::read_to_string(&form).expect("the engine's form.rs is checked in");
+    for name in ["fn fetch(", "fn local_key(", "struct Normalizer"] {
+        assert!(!text.contains(name), "{} brings back {name}", form.display());
+    }
 }
 
 /// DESIGN.md's "Buggify" paragraph is hand-kept: its bullets must name
@@ -277,11 +284,18 @@ fn long_functions(text: &str, max: usize) -> Vec<(String, usize)> {
 
 /// `Engine::submit_batch` is a driver over stages a test can drive alone
 /// (DESIGN.md, "Engine"); a function on the discharge path that outgrows
-/// 120 lines is a stage growing a second job.
+/// 120 lines is a stage growing a second job. The keyer every stage keys
+/// through is on that path too: its walk, its root ordering and its two
+/// assemblers stay functions of their own.
 #[test]
 fn discharge_path_functions_stay_small() {
-    let lib = serval_bench::workspace_root().join("crates/engine/src/lib.rs");
-    let text = std::fs::read_to_string(&lib).expect("the engine's lib.rs is checked in");
-    assert!(text.contains("fn submit_batch("), "the discharge path moved: point this guard at it");
-    assert_eq!(long_functions(&text, 120), [], "{}", lib.display());
+    let src = serval_bench::workspace_root().join("crates/engine/src");
+    let lib = std::fs::read_to_string(src.join("lib.rs")).expect("the engine's lib.rs is checked in");
+    assert!(lib.contains("fn submit_batch("), "the discharge path moved: point this guard at it");
+    assert_eq!(long_functions(&lib, 120), [], "crates/engine/src/lib.rs");
+    let form = std::fs::read_to_string(src.join("form.rs")).expect("the engine's form.rs is checked in");
+    let keyer = form.split("\nimpl Keyer {\n").nth(1).expect("form.rs has the keyer's impl block");
+    let keyer = keyer.split("\n}\n").next().expect("split yields a first piece");
+    assert!(keyer.contains("fn walk(") && keyer.contains("fn key("), "the keyer's functions moved");
+    assert_eq!(long_functions(keyer, 120), [], "crates/engine/src/form.rs, impl Keyer");
 }
