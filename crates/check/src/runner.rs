@@ -54,7 +54,11 @@ pub struct Failure<V> {
     pub shrink_iters: u32,
 }
 
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic (`catch_unwind`'s or `join`'s `Err`):
+/// the `&str` or `String` it was raised with. The one such downcast in
+/// the workspace; the engine pool, the net shards and the simulator
+/// report a panicked task through it.
+pub fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = e.downcast_ref::<String>() {

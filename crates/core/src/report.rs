@@ -83,30 +83,10 @@ impl ProofReport {
     pub fn solver_totals(&self) -> QueryStats {
         let mut total = QueryStats::default();
         for t in self.theorems.iter().filter_map(|t| t.stats.as_ref()) {
-            total.conflicts += t.conflicts;
-            total.decisions += t.decisions;
-            total.propagations += t.propagations;
-            total.restarts += t.restarts;
-            total.learnts += t.learnts;
-            total.clauses += t.clauses;
-            total.vars += t.vars;
-            total.reused_clauses += t.reused_clauses;
-            total.reused_vars += t.reused_vars;
-            total.reused_learnts += t.reused_learnts;
+            total.absorb(t);
             // Count of theorems discharged inside a live session, not a
             // positional sum (per-theorem it is a 1-based position).
             total.session_goals += (t.session_goals > 0) as u64;
-            total.presolve_terms_in += t.presolve_terms_in;
-            total.presolve_terms_out += t.presolve_terms_out;
-            total.presolve_vars_in += t.presolve_vars_in;
-            total.presolve_vars_out += t.presolve_vars_out;
-            total.eliminated_vars += t.eliminated_vars;
-            total.subsumed += t.subsumed;
-            total.strengthened += t.strengthened;
-            total.resolvents += t.resolvents;
-            total.cert_steps += t.cert_steps;
-            total.cert_wall += t.cert_wall;
-            total.wall += t.wall;
         }
         total
     }

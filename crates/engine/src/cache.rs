@@ -1,6 +1,7 @@
-//! The query cache: an in-memory tier keyed on the query normal form,
-//! plus an optional on-disk tier so repeated fig11/ablation runs skip
-//! already-proven obligations.
+//! The query cache: an in-memory tier keyed on normal-form bytes — the
+//! engine stores under a query's raw key and under the keys of a split
+//! goal's conjuncts, nothing else — plus an optional on-disk tier so
+//! repeated runs skip already-proven obligations.
 //!
 //! Only definitive verdicts are cached: `Proved` (with the fingerprint
 //! of its checker-accepted proof certificate), and `Refuted` with its
@@ -86,8 +87,8 @@ struct Segment {
 }
 
 /// The verdict cache: a memory tier over an optional disk tier. The
-/// engine probes it under a query's raw key, its normal form and its
-/// conjuncts' keys, and stores under all of them (see `Engine::probe`).
+/// engine probes it under a query's raw key and under the keys of a
+/// split goal's conjuncts, and stores under both (see `Engine::probe`).
 pub struct Cache {
     mem: Mutex<HashMap<Vec<u8>, CachedVerdict>>,
     disk: Option<Mutex<Segment>>,

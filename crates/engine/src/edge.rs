@@ -3,15 +3,12 @@
 //! value a variable does not accept is an error, never a silent default:
 //! `SERVAL_CERT=no` used to mean *on* and `SERVAL_JOBS=abc` was ignored.
 
-use crate::DischargeMode;
 use std::ffi::OsString;
 
 /// What [`switch`] accepts.
 pub const SWITCH: &str = "1|on|true|0|off|false";
 /// What [`at_least`]`(1)` accepts.
 pub const POSITIVE: &str = "an integer >= 1";
-/// What [`mode`] accepts.
-pub const MODE: &str = "fresh|session";
 
 /// Looks variable `name` up with `var` (the process environment in a
 /// `from_env`, a closure in tests) and parses its value with `accept`.
@@ -44,15 +41,6 @@ pub fn at_least(min: usize) -> impl Fn(&str) -> Option<usize> {
     move |v| v.parse().ok().filter(|&n| n >= min)
 }
 
-/// A discharge mode: exactly [`MODE`].
-pub fn mode(v: &str) -> Option<DischargeMode> {
-    match v {
-        "fresh" => Some(DischargeMode::Fresh),
-        "session" => Some(DischargeMode::Session),
-        _ => None,
-    }
-}
-
 /// For `fn main`: unwraps a `from_env` result, or prints the error and
 /// exits with status 2.
 pub fn or_exit<T>(cfg: Result<T, String>) -> T {
@@ -77,10 +65,10 @@ mod tests {
             assert_eq!(parse(set(v), "SERVAL_CERT", SWITCH, switch), Ok(Some(want)));
         }
         assert_eq!(parse(|_| None, "SERVAL_CERT", SWITCH, switch), Ok(None));
-        // Both used to be read as their opposite.
-        for (name, v) in [("SERVAL_CERT", "no"), ("SERVAL_PORTFOLIO", "yes"), ("SERVAL_CERT", "")] {
-            let err = parse(set(v), name, SWITCH, switch).unwrap_err();
-            assert!(err.contains(name) && err.contains(SWITCH), "{err}");
+        // `no` used to be read as on.
+        for v in ["no", "yes", ""] {
+            let err = parse(set(v), "SERVAL_CERT", SWITCH, switch).unwrap_err();
+            assert!(err.contains("SERVAL_CERT") && err.contains(SWITCH), "{err}");
         }
     }
 
@@ -91,15 +79,6 @@ mod tests {
         for v in ["0", "abc", "-1", "2.5", ""] {
             let err = parse(set(v), "SERVAL_JOBS", POSITIVE, at_least(1)).unwrap_err();
             assert!(err.contains("SERVAL_JOBS") && err.contains(POSITIVE), "{err}");
-        }
-    }
-
-    #[test]
-    fn modes_are_spelt_exactly() {
-        assert_eq!(parse(set("fresh"), "SERVAL_MODE", MODE, mode), Ok(Some(DischargeMode::Fresh)));
-        for v in ["sesion", "incremental", "Session", "auto"] {
-            let err = parse(set(v), "SERVAL_MODE", MODE, mode).unwrap_err();
-            assert!(err.contains("SERVAL_MODE") && err.contains(MODE), "{err}");
         }
     }
 

@@ -7,14 +7,24 @@
 //! the two: a [`Query`] (assumptions + goal + label) is re-serialized
 //! into a portable, alpha-invariant normal form ([`form`]), solved on
 //! scratch threads scoped to the batch ([`pool`]), memoized in a
-//! verdict cache probed raw key → normal form → whole goal, over an
-//! optional disk tier ([`cache`]), and optionally raced across several
-//! solver configurations with cooperative cancellation ([`solve`]).
+//! verdict cache over an optional disk tier ([`cache`]), and optionally
+//! raced across several solver configurations with cooperative
+//! cancellation ([`solve`]).
+//!
+//! The cache is keyed two ways, each with one job. A query's *raw key*
+//! (its normal form as submitted) answers a resubmission: every query
+//! is probed under it before anything else happens, and every
+//! definitive outcome is stored under it. A *conjunct's key* (the
+//! normal form of one conjunct of a split goal, after presolve) shares
+//! work between goals: two conjunctions with a conjunct in common solve
+//! it once. Nothing else is keyed — in particular not the whole goal
+//! after presolve, a layer that answered none of its probes on the
+//! benchmark's five workloads (DESIGN.md, "Which layer answers").
 //!
 //! [`Engine::submit_batch`] is a short driver over typed stages on plain
 //! data — `Prepared → Keyed → Planned → Discharged → Recombined` — each
 //! a function a test drives alone (DESIGN.md, "Engine", has the table).
-//! The first two resolve what needs no solver, and everywhere they do it
+//! The first two resolve what needs no solver, and at both keying sites
 //! the order is *fold → key → probe*: a query a constant already proves
 //! ([`form::folds`], most of a monitor's obligations) is answered before
 //! anything is normalized; the rest are keyed through one
@@ -37,15 +47,13 @@
 //! [`EngineCfg::from_env`], which a binary's `main` calls once and hands
 //! to [`install`]. An environment variable exists only for a run setting
 //! a user has a reason to change; algorithm toggles (`split`, `presolve`,
-//! the [`SolverConfig`] switches) are struct fields, flipped by
-//! `tests/config_matrix.rs` as differential oracles.
+//! `mode`, `portfolio`, the [`SolverConfig`] switches) are struct fields,
+//! flipped by `tests/config_matrix.rs` as differential oracles.
 //!
 //! | Variable           | Meaning                                            |
 //! |--------------------|----------------------------------------------------|
 //! | `SERVAL_JOBS`      | Solver threads per batch, an integer ≥ 1 (default: available parallelism) |
 //! | `SERVAL_CACHE`     | `1`/`on`/`true` → disk tier under `target/serval-cache/`; `0`/`off`/`false` → memory tier only (the default); anything else is a path → disk tier there |
-//! | `SERVAL_PORTFOLIO` | `1`/`on`/`true` → race 3 solver configs per query (the pool shrinks to `jobs / 3` so total solver threads stay ≈ `SERVAL_JOBS`). Verdicts stay deterministic, but which variant's counterexample is reported is a timing race — see [`solve::solve_portfolio`]. Off by default. |
-//! | `SERVAL_MODE`      | `fresh` / `session` — how sub-queries sharing an assumption set are discharged (default `session`, which every workload runs). `fresh` solves each goal on a solver of its own: the reference path `tests/config_matrix.rs` compares sessions against; see [`DischargeMode`]. Ignored when `SERVAL_PORTFOLIO` is on: a portfolio race needs independent solvers. |
 //! | `SERVAL_CERT`      | `0`/`off`/`false` → disable proof certificates (on by default: every solver `Unsat` must present a DRAT-style proof accepted by the independent `serval-drat` checker before it becomes `Proved`; cached `Proved` entries carry the certificate fingerprint and uncertified disk records are ignored; cached `Refuted` hits re-evaluate their stored countermodel against the term semantics and are evicted on mismatch). |
 //!
 //! Any other value is an error naming the variable and what it accepts
@@ -120,8 +128,8 @@ pub struct EngineCfg {
     /// Run the word-level presolve pipeline ([`serval_smt::presolve`])
     /// on each query before normalization and blasting: the assumption
     /// base is simplified once per distinct assumption set, every goal
-    /// is rewritten against it, and the verdict cache keys on the
-    /// simplified normal form. On by default.
+    /// is rewritten against it, and a split goal's conjuncts are keyed
+    /// on the simplified form. On by default.
     pub presolve: bool,
     /// Require a checker-accepted DRAT proof certificate before any
     /// solver `Unsat` becomes `Proved`, and revalidate cached verdicts
@@ -145,9 +153,9 @@ impl Default for EngineCfg {
 
 impl EngineCfg {
     /// [`EngineCfg::default`] overridden by `SERVAL_JOBS`,
-    /// `SERVAL_CACHE`, `SERVAL_PORTFOLIO`, `SERVAL_MODE` and
-    /// `SERVAL_CERT`, parsed strictly ([`edge::parse`]). For `fn main`:
-    /// libraries take the value, they never read the environment.
+    /// `SERVAL_CACHE` and `SERVAL_CERT`, parsed strictly
+    /// ([`edge::parse`]). For `fn main`: libraries take the value, they
+    /// never read the environment.
     pub fn from_env() -> Result<EngineCfg, String> {
         use edge::{at_least, parse, switch};
         let var = |name: &str| std::env::var_os(name);
@@ -163,12 +171,6 @@ impl EngineCfg {
         };
         if let Some(dir) = parse(var, "SERVAL_CACHE", "a switch or a path", disk)? {
             cfg.disk_cache = dir;
-        }
-        if let Some(on) = parse(var, "SERVAL_PORTFOLIO", edge::SWITCH, switch)? {
-            cfg.portfolio = on;
-        }
-        if let Some(mode) = parse(var, "SERVAL_MODE", edge::MODE, edge::mode)? {
-            cfg.mode = mode;
         }
         if let Some(on) = parse(var, "SERVAL_CERT", edge::SWITCH, switch)? {
             cfg.cert = on;
@@ -330,14 +332,15 @@ pub(crate) struct PresolveInfo {
     post: presolve::Counts,
 }
 
-/// What finalization needs to know about a query no warm layer answered.
+/// What finalization needs to know about a query its raw key did not
+/// answer.
 pub(crate) struct Fixup {
     /// The query's position in the batch.
     pub(crate) slot: usize,
-    /// Its pre-presolve key and backmap, recorded once the outcome is
-    /// definitive so the next run's raw-key probe answers it. `None`
-    /// with presolve off: the normal form is then the only key.
-    pub(crate) raw: Option<(Vec<u8>, BackMap)>,
+    /// Its key and backmap as submitted: the outcome is stored under it
+    /// once definitive, so a resubmission is answered by the raw-key
+    /// probe.
+    pub(crate) raw: (Vec<u8>, BackMap),
     pub(crate) presolve: Option<PresolveInfo>,
 }
 
@@ -362,32 +365,31 @@ pub(crate) struct Group {
     pub(crate) cfg: SolverConfig,
 }
 
-/// One sub-query of a pending query: a conjunct, or the whole goal.
+/// One sub-query of a pending query: a conjunct of a split goal, or the
+/// whole of an unsplit one.
 pub(crate) enum Sub {
-    /// Resolved without solving (trivial, or cached).
+    /// A conjunct resolved without solving (trivial, or cached).
     Ready {
         verdict: CachedVerdict,
         backmap: BackMap,
         hit: bool,
     },
-    /// Waiting on goal `goal` of group `group`; `key` is where its
-    /// verdict is stored.
+    /// Waiting on goal `goal` of group `group`. A conjunct carries the
+    /// key its verdict is stored under and the backmap a countermodel
+    /// stored there is numbered in; an unsplit query carries neither —
+    /// its raw key is its only key.
     Wait {
         group: usize,
         goal: usize,
-        backmap: BackMap,
-        key: Vec<u8>,
+        conjunct: Option<(Vec<u8>, BackMap)>,
     },
 }
 
-/// A query waiting on solver work.
+/// A query waiting on solver work: the conjuncts of a goal that split
+/// (two or more), or one [`Sub::Wait`] for a goal that did not.
 pub(crate) struct Pending {
     pub(crate) slot: usize,
     pub(crate) label: String,
-    /// The whole goal's key, for a query split into conjuncts: stored
-    /// once every conjunct proved. `None` for an unsplit query, whose
-    /// one sub-query *is* the whole goal, key and certificate alike.
-    pub(crate) whole_key: Option<Vec<u8>>,
     pub(crate) subs: Vec<Sub>,
 }
 
@@ -481,14 +483,14 @@ impl Groups {
 }
 
 /// Prepared stage, second half — word-level presolve: simplify each live
-/// query before normalization, so everything downstream — cache keys,
-/// splitting, grouping, blasting — sees the shrunken form. The base is
-/// presolved once per distinct assumption set and shared across the
-/// batch (certikos-style batches phrase hundreds of queries over a
-/// handful of invariant sets), and every query keeps its *whole*
-/// presolved base whatever the discharge mode: grouping and cache keys
-/// then never depend on the mode, and no verdict rests on assumptions
-/// set aside and checked elsewhere.
+/// query, so everything downstream — splitting, conjunct keys, grouping,
+/// blasting — sees the shrunken form. The base is presolved once per
+/// distinct assumption set and shared across the batch (certikos-style
+/// batches phrase hundreds of queries over a handful of invariant sets),
+/// and every query keeps its *whole* presolved base whatever the
+/// discharge mode: grouping and conjunct keys then never depend on the
+/// mode, and no verdict rests on assumptions set aside and checked
+/// elsewhere.
 fn presolve_live(live: &mut [Live]) {
     type BaseEntry = (Rc<presolve::BaseSimp>, presolve::GoalCache);
     let mut bases: HashMap<Vec<TermId>, BaseEntry> = HashMap::new();
@@ -581,8 +583,8 @@ pub struct Engine {
     mode: DischargeMode,
     presolve: bool,
     cert: bool,
-    /// Counted probes a revalidated entry answered, and those nothing
-    /// did (see [`Engine::probe`]).
+    /// Probes a revalidated entry answered, and those nothing did (see
+    /// [`Engine::probe`]).
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     /// Queries submitted (before trivial/cache short-circuits).
@@ -756,24 +758,18 @@ impl Engine {
             .collect()
     }
 
-    /// The one cache probe, shared by the raw-key, normal-form and
-    /// per-conjunct layers. A warm `Refuted` hit is a claim: under
-    /// `cert` the stored countermodel is re-evaluated against the term
-    /// semantics, and an entry that no longer refutes this query is
-    /// removed and reported as a miss (the caller falls through to a
-    /// fresh solve). `counted` says whether this is the query's one
-    /// lookup that shows in [`Engine::cache_stats`] — a hit only once
-    /// the entry survived revalidation; a query that already missed
-    /// under its raw key probes its normal form uncounted (alpha-distinct
-    /// raw queries can simplify to the same form, so the simplified key
-    /// is still worth a look before solving).
+    /// The one cache probe, shared by the raw-key and per-conjunct
+    /// layers, and counted in [`Engine::cache_stats`] every time. A warm
+    /// `Refuted` hit is a claim: under `cert` the stored countermodel is
+    /// re-evaluated against the term semantics, and an entry that no
+    /// longer refutes this query is removed and reported — and counted —
+    /// as a miss (the caller falls through to a fresh solve).
     fn probe(
         &self,
         key: &[u8],
         backmap: &BackMap,
         assumptions: &[SBool],
         goal: SBool,
-        counted: bool,
     ) -> Option<CachedVerdict> {
         let found = match self.cache.get(key) {
             Some(CachedVerdict::Refuted(pm))
@@ -784,70 +780,70 @@ impl Engine {
             }
             found => found,
         };
-        if counted {
-            let counter = if found.is_some() {
-                &self.cache_hits
-            } else {
-                &self.cache_misses
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if found.is_some() {
+            &self.cache_hits
+        } else {
+            &self.cache_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Resolves a (sub-)query without solving when that is possible —
-    /// fold, key, probe, in that order. A query a constant already
-    /// proves ([`form::folds`]) is `Proved` under the canonical trivial
-    /// certificate before anything is interned or walked; any other is
-    /// keyed (the key and backmap stay in `keyer` for the caller to keep
-    /// on a miss) and looked up once. Returns the verdict and whether
-    /// the cache gave it: `false` means folded.
+    /// The certificate of a query [`form::folds`] answers: the canonical
+    /// trivial one (0 with certification off).
+    fn trivial_cert(&self) -> u64 {
+        if self.cert {
+            trivial_cert_hash()
+        } else {
+            0
+        }
+    }
+
+    /// Resolves a query or a conjunct without solving when that is
+    /// possible — fold, key, probe, in that order. One a constant
+    /// already proves ([`form::folds`]) is `Proved` under the canonical
+    /// trivial certificate before anything is interned or walked; any
+    /// other is keyed (the key and backmap stay in `keyer` for the
+    /// caller to keep on a miss) and looked up once. Returns the verdict
+    /// and whether the cache gave it: `false` means folded.
     fn resolve(
         &self,
         keyer: &mut Keyer,
         assumptions: &[SBool],
         goal: SBool,
-        counted: bool,
     ) -> Option<(CachedVerdict, bool)> {
         if form::folds(assumptions, goal) {
-            let cert = if self.cert { trivial_cert_hash() } else { 0 };
+            let cert = self.trivial_cert();
             return Some((CachedVerdict::Proved { cert }, false));
         }
         keyer.key(assumptions, goal);
-        let found = self.probe(keyer.bytes(), keyer.backmap(), assumptions, goal, counted)?;
+        let found = self.probe(keyer.bytes(), keyer.backmap(), assumptions, goal)?;
         Some((found, true))
     }
 
-    /// Prepared stage: the raw-key warm layer, then presolve of what it
-    /// left. With presolve on the cache is *also* keyed on the
-    /// pre-presolve normal form, so a warm rerun resolves on one
-    /// normalization + one lookup per query and never pays the presolve
-    /// pipeline again. Raw-trivial queries fold here, unkeyed, and are
-    /// the only ones counted trivial: a query presolve later folds to
-    /// trivial did consult the cache (and its raw key is recorded at
-    /// finalization, so it hits warm). With presolve off there is no
-    /// second key, and every query goes on to be keyed as submitted.
+    /// Prepared stage: the raw-key layer, then presolve of what it left.
+    /// Every query is folded, keyed and probed *as submitted*, whether
+    /// or not presolve is on, so a resubmission resolves on one
+    /// normalization + one lookup and never pays the presolve pipeline
+    /// again. Queries that fold here, unkeyed, are the only ones counted
+    /// trivial: one presolve later folds to a constant did consult the
+    /// cache (and its raw key is recorded at finalization, so it hits
+    /// warm).
     pub(crate) fn prepare_batch(&self, queries: Vec<Query>, keyer: &mut Keyer) -> Prepared {
         let mut slots: Vec<Option<QueryOutcome>> = Vec::with_capacity(queries.len());
         let mut live: Vec<Live> = Vec::new();
         for (slot, query) in queries.into_iter().enumerate() {
-            let mut raw = None;
-            if self.presolve {
-                if let Some((verdict, hit)) =
-                    self.resolve(keyer, &query.assumptions, query.goal, true)
-                {
-                    self.trivial.fetch_add(!hit as u64, Ordering::Relaxed);
-                    slots.push(Some(resolved(query.label, verdict, keyer.backmap(), hit)));
-                    continue;
-                }
-                raw = Some((keyer.bytes().to_vec(), keyer.backmap().clone()));
+            if let Some((verdict, hit)) = self.resolve(keyer, &query.assumptions, query.goal) {
+                self.trivial.fetch_add(!hit as u64, Ordering::Relaxed);
+                slots.push(Some(resolved(query.label, verdict, keyer.backmap(), hit)));
+                continue;
             }
             slots.push(None);
             live.push(Live {
                 query,
                 fixup: Fixup {
                     slot,
-                    raw,
+                    raw: (keyer.bytes().to_vec(), keyer.backmap().clone()),
                     presolve: None,
                 },
             });
@@ -858,11 +854,13 @@ impl Engine {
         Prepared { slots, live }
     }
 
-    /// Keyed stage: folds or normalizes each live query, answers what
-    /// the cache can under the normal-form key (whole goal, then per
-    /// conjunct), and files every sub-query still open under its
-    /// assumption group. Groups open and goals append in submission
-    /// order.
+    /// Keyed stage: a live query is its conjuncts. One presolve folded
+    /// to a constant is answered unwalked; a goal that splits has each
+    /// conjunct folded, keyed and probed, so a conjunct another goal
+    /// already proved is not solved again; and every sub-query still
+    /// open — an unanswered conjunct, or the whole of a goal that did
+    /// not split, which gets no key here — is filed under its assumption
+    /// group. Groups open and goals append in submission order.
     pub(crate) fn key_batch(
         &self,
         live: Vec<Live>,
@@ -873,25 +871,22 @@ impl Engine {
         let mut pending: Vec<Pending> = Vec::new();
         let mut fixups: Vec<Fixup> = Vec::with_capacity(live.len());
         for Live { query: q, fixup } in live {
-            // A query that missed under its raw key has spent its
-            // counted lookup, and is not counted trivial if presolve
-            // folded it to a constant since (see `prepare_batch`).
-            let counted = fixup.raw.is_none();
             let slot = fixup.slot;
             fixups.push(fixup);
-            if let Some((verdict, hit)) = self.resolve(keyer, &q.assumptions, q.goal, counted) {
-                self.trivial.fetch_add((!hit && counted) as u64, Ordering::Relaxed);
-                slots[slot] = Some(resolved(q.label, verdict, keyer.backmap(), hit));
+            // Not counted trivial: its counted lookup was the raw-key
+            // miss (see `prepare_batch`).
+            if form::folds(&q.assumptions, q.goal) {
+                let cert = self.trivial_cert();
+                slots[slot] = Some(outcome(q.label, VerifyResult::Proved, cert, false));
                 continue;
             }
-            let whole_key = keyer.bytes().to_vec();
             let conjuncts = if self.split {
                 form::split_goal(q.goal, SPLIT_CAP)
             } else {
                 vec![q.goal]
             };
-            let (whole_key, subs) = if conjuncts.len() > 1 {
-                let mut sub = |c: SBool| match self.resolve(keyer, &q.assumptions, c, true) {
+            let subs = if conjuncts.len() > 1 {
+                let sub = |c: SBool| match self.resolve(keyer, &q.assumptions, c) {
                     Some((verdict, hit)) => Sub::Ready {
                         // Only a countermodel is numbered in a backmap.
                         backmap: match verdict {
@@ -903,29 +898,26 @@ impl Engine {
                     },
                     None => {
                         let (group, goal) = groups.enqueue(&q.assumptions, c, q.cfg);
+                        let conjunct = (keyer.bytes().to_vec(), keyer.backmap().clone());
                         Sub::Wait {
                             group,
                             goal,
-                            backmap: keyer.backmap().clone(),
-                            key: keyer.bytes().to_vec(),
+                            conjunct: Some(conjunct),
                         }
                     }
                 };
-                (Some(whole_key), conjuncts.into_iter().map(&mut sub).collect())
+                conjuncts.into_iter().map(sub).collect()
             } else {
                 let (group, goal) = groups.enqueue(&q.assumptions, q.goal, q.cfg);
-                let sub = Sub::Wait {
+                vec![Sub::Wait {
                     group,
                     goal,
-                    backmap: keyer.backmap().clone(),
-                    key: whole_key,
-                };
-                (None, vec![sub])
+                    conjunct: None,
+                }]
             };
             pending.push(Pending {
                 slot,
                 label: q.label,
-                whole_key,
                 subs,
             });
         }
@@ -941,15 +933,14 @@ impl Engine {
     /// iff every sub-query proved; refuted with the first refuted one's
     /// countermodel; otherwise `Unknown` (a budget, a rejected
     /// certificate, a worker panic) before `Interrupted`. Every solved
-    /// sub-query's certificate is tallied and its definitive verdict
-    /// stored under its own key on the way.
+    /// sub-query's certificate is tallied, and a solved conjunct's
+    /// definitive verdict is stored under the conjunct's key, on the
+    /// way. A worker's countermodel is numbered in its chunk's session
+    /// core; it becomes a model over the caller's terms once, and a
+    /// conjunct stores that model's projection onto its own variables.
     pub(crate) fn recombine(&self, p: Pending, d: &Discharged) -> QueryOutcome {
-        let Pending {
-            label,
-            whole_key,
-            subs,
-            ..
-        } = p;
+        let Pending { label, subs, .. } = p;
+        let split = subs.len() > 1;
         let mut stats: Option<QueryStats> = None;
         let mut wall = Duration::ZERO;
         let mut variant = 0;
@@ -959,67 +950,70 @@ impl Engine {
         let mut error: Option<String> = None;
         let mut certs: Vec<u64> = Vec::with_capacity(subs.len());
         for sub in subs {
-            let (verdict, backmap) = match sub {
+            let (group, goal, conjunct) = match sub {
                 Sub::Ready {
                     verdict,
                     backmap,
                     hit,
                 } => {
                     all_hit &= hit;
-                    (verdict, backmap)
+                    match verdict {
+                        CachedVerdict::Proved { cert } => certs.push(cert),
+                        CachedVerdict::Refuted(pm) => {
+                            refuted.get_or_insert_with(|| caller_model(&pm, &backmap));
+                        }
+                    }
+                    continue;
                 }
                 Sub::Wait {
                     group,
                     goal,
-                    backmap,
-                    key,
-                } => {
-                    all_hit = false;
-                    let (out, numbering) = d.locate(group, goal);
-                    let out = match out {
-                        Ok(out) => out,
-                        Err(panic) => {
-                            unknown = true;
-                            error.get_or_insert_with(|| panic.to_string());
-                            continue;
-                        }
-                    };
-                    stats = Some(add_stats(stats.unwrap_or_default(), out.stats));
-                    wall = wall.max(out.stats.wall);
-                    if whole_key.is_none() {
-                        variant = out.variant;
-                    }
-                    self.count_cert(out.cert_hash, &out.cert_error);
-                    let verdict = match &out.verdict {
-                        RawVerdict::Proved => CachedVerdict::Proved {
-                            cert: out.cert_hash,
-                        },
-                        RawVerdict::Refuted(pm) => {
-                            CachedVerdict::Refuted(remap_portable(pm, numbering, &backmap))
-                        }
-                        RawVerdict::Unknown => {
-                            unknown = true;
-                            if error.is_none() {
-                                error = out.cert_error.clone();
-                            }
-                            continue;
-                        }
-                        RawVerdict::Interrupted => {
-                            interrupted = true;
-                            continue;
-                        }
-                    };
-                    self.cache.insert(key, verdict.clone());
-                    (verdict, backmap)
+                    conjunct,
+                } => (group, goal, conjunct),
+            };
+            all_hit = false;
+            let (out, numbering) = d.locate(group, goal);
+            let out = match out {
+                Ok(out) => out,
+                Err(panic) => {
+                    unknown = true;
+                    error.get_or_insert_with(|| panic.to_string());
+                    continue;
                 }
             };
-            match verdict {
-                CachedVerdict::Proved { cert } => certs.push(cert),
-                CachedVerdict::Refuted(pm) => {
-                    if refuted.is_none() {
-                        refuted = Some(caller_model(&pm, &backmap));
+            let total = stats.get_or_insert_with(QueryStats::default);
+            // Deepest session position among the sub-queries: a rough
+            // "how incremental was this" indicator, not a sum.
+            total.session_goals = total.session_goals.max(out.stats.session_goals);
+            total.absorb(&out.stats);
+            wall = wall.max(out.stats.wall);
+            if !split {
+                variant = out.variant;
+            }
+            self.count_cert(out.cert_hash, &out.cert_error);
+            match &out.verdict {
+                RawVerdict::Proved => {
+                    let cert = out.cert_hash;
+                    if let Some((key, _)) = conjunct {
+                        self.cache.insert(key, CachedVerdict::Proved { cert });
+                    }
+                    certs.push(cert);
+                }
+                RawVerdict::Refuted(pm) => {
+                    let model = caller_model(pm, numbering);
+                    if let Some((key, backmap)) = conjunct {
+                        let pm = portable_of_caller_model(&model, &backmap);
+                        self.cache.insert(key, CachedVerdict::Refuted(pm));
+                    }
+                    refuted.get_or_insert(model);
+                }
+                RawVerdict::Unknown => {
+                    unknown = true;
+                    if error.is_none() {
+                        error = out.cert_error.clone();
                     }
                 }
+                RawVerdict::Interrupted => interrupted = true,
             }
         }
         let mut cert = 0;
@@ -1030,25 +1024,17 @@ impl Engine {
         } else if interrupted {
             VerifyResult::Interrupted
         } else {
-            cert = match whole_key {
-                // The conjunction itself is now a proved key, so future
-                // runs hit on the whole goal directly. Its certificate
-                // is the chained fingerprint over the per-conjunct
+            cert = if !split {
+                // The one sub-query is the whole goal, and its
+                // certificate passes through unchanged.
+                certs[0]
+            } else if self.cert && certs.iter().all(|&h| h != 0) {
+                // The chained fingerprint over the per-conjunct
                 // certificates — nonzero only when every conjunct was
                 // itself certified.
-                Some(key) => {
-                    let chained = if self.cert && certs.iter().all(|&h| h != 0) {
-                        combine_cert_hashes(&certs)
-                    } else {
-                        0
-                    };
-                    self.cache
-                        .insert(key, CachedVerdict::Proved { cert: chained });
-                    chained
-                }
-                // Unsplit: the one sub-query's store above was the whole
-                // goal's, and its certificate passes through unchanged.
-                None => certs.first().copied().unwrap_or(0),
+                combine_cert_hashes(&certs)
+            } else {
+                0
             };
             VerifyResult::Proved
         };
@@ -1063,17 +1049,17 @@ impl Engine {
 
     /// Last stage: presolve fix-ups, then the raw-key write side. The
     /// shrink counts go onto whatever stats the solve produced, and a
-    /// countermodel of the simplified query (solver result or cache hit
-    /// alike) has the variables presolve eliminated re-derived from
+    /// countermodel of the simplified query (solver result or conjunct
+    /// hit alike) has the variables presolve eliminated re-derived from
     /// their bindings, so it refutes the query as submitted. Only now
-    /// are outcomes definitive, so each is recorded under its
-    /// *pre-presolve* key too — next run's raw-key probe then resolves
-    /// it before ever entering the presolve pipeline, and a stored
-    /// countermodel refutes the original query as-is.
+    /// are outcomes definitive, so each is recorded under the query's
+    /// raw key — a resubmission's probe then resolves it before ever
+    /// entering the presolve pipeline, and a stored countermodel refutes
+    /// the original query as-is.
     fn finalize(&self, fixups: Vec<Fixup>, slots: &mut [Option<QueryOutcome>]) {
         for Fixup {
             slot,
-            raw,
+            raw: (key, backmap),
             presolve,
         } in fixups
         {
@@ -1089,7 +1075,6 @@ impl Engine {
                     presolve::complete_model(m, &info.base.bindings);
                 }
             }
-            let Some((key, backmap)) = raw else { continue };
             match &out.result {
                 VerifyResult::Proved => {
                     let cert = out.cert.unwrap_or(0);
@@ -1102,38 +1087,6 @@ impl Engine {
                 VerifyResult::Unknown | VerifyResult::Interrupted => {}
             }
         }
-    }
-}
-
-/// Component-wise sum of two stats blocks (used to aggregate split
-/// sub-queries; `wall` is summed here, the outcome reports critical-path
-/// wall separately).
-fn add_stats(a: QueryStats, b: QueryStats) -> QueryStats {
-    QueryStats {
-        conflicts: a.conflicts + b.conflicts,
-        decisions: a.decisions + b.decisions,
-        propagations: a.propagations + b.propagations,
-        restarts: a.restarts + b.restarts,
-        learnts: a.learnts + b.learnts,
-        clauses: a.clauses + b.clauses,
-        vars: a.vars + b.vars,
-        reused_clauses: a.reused_clauses + b.reused_clauses,
-        reused_vars: a.reused_vars + b.reused_vars,
-        reused_learnts: a.reused_learnts + b.reused_learnts,
-        // Deepest session position among the aggregated sub-queries: a
-        // rough "how incremental was this" indicator, not a sum.
-        session_goals: a.session_goals.max(b.session_goals),
-        presolve_terms_in: a.presolve_terms_in + b.presolve_terms_in,
-        presolve_terms_out: a.presolve_terms_out + b.presolve_terms_out,
-        presolve_vars_in: a.presolve_vars_in + b.presolve_vars_in,
-        presolve_vars_out: a.presolve_vars_out + b.presolve_vars_out,
-        eliminated_vars: a.eliminated_vars + b.eliminated_vars,
-        subsumed: a.subsumed + b.subsumed,
-        strengthened: a.strengthened + b.strengthened,
-        resolvents: a.resolvents + b.resolvents,
-        cert_steps: a.cert_steps + b.cert_steps,
-        cert_wall: a.cert_wall + b.cert_wall,
-        wall: a.wall + b.wall,
     }
 }
 
@@ -1175,7 +1128,7 @@ fn combine_cert_hashes(hashes: &[u64]) -> u64 {
 /// don't-cares). A cache entry failing this check — or not even naming
 /// this query's variables — is corrupt or stale and must be evicted,
 /// never returned.
-fn countermodel_valid(
+pub fn countermodel_valid(
     pm: &PortableModel,
     backmap: &BackMap,
     assumptions: &[SBool],
@@ -1183,53 +1136,6 @@ fn countermodel_valid(
 ) -> bool {
     portable_to_model(pm, backmap)
         .is_some_and(|m| assumptions.iter().all(|a| m.eval_bool(a.0)) && !m.eval_bool(goal.0))
-}
-
-/// Renumbers a portable model from one back map's canonical indices to
-/// another's, matching vars and UFs through their caller-side identity
-/// (both maps were built on the submitting thread, over the same terms).
-///
-/// Session countermodels need this: the model a session worker returns
-/// is numbered in the session core's first-encounter order (across the
-/// base and *every* goal), while the per-sub-query cache key and caller
-/// translation use the sub-query's own normal form. Vars of the session
-/// not reachable from this sub-query are dropped; extra UF rows (from
-/// sibling goals' applications) are kept — they come from one consistent
-/// SAT model, so they agree with the sub-query's own applications.
-fn remap_portable(pm: &PortableModel, from: &BackMap, to: &BackMap) -> PortableModel {
-    let bvs: HashMap<u32, u128> = pm.bvs.iter().copied().collect();
-    let bools: HashMap<u32, bool> = pm.bools.iter().copied().collect();
-    let from_var: HashMap<TermId, u32> = from
-        .vars
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.term, i as u32))
-        .collect();
-    let mut out = PortableModel::default();
-    for (k, origin) in to.vars.iter().enumerate() {
-        if let Some(&fi) = from_var.get(&origin.term) {
-            if let Some(&v) = bvs.get(&fi) {
-                out.bvs.push((k as u32, v));
-            }
-            if let Some(&b) = bools.get(&fi) {
-                out.bools.push((k as u32, b));
-            }
-        }
-    }
-    let from_uf: HashMap<serval_smt::term::UfId, u32> = from
-        .ufs
-        .iter()
-        .enumerate()
-        .map(|(i, &u)| (u, i as u32))
-        .collect();
-    for (k, uf) in to.ufs.iter().enumerate() {
-        if let Some(fi) = from_uf.get(uf) {
-            if let Some((_, rows)) = pm.ufs.iter().find(|(i, _)| i == fi) {
-                out.ufs.push((k as u32, rows.clone()));
-            }
-        }
-    }
-    out
 }
 
 /// Projects a caller-context model onto a back map's canonical indices —

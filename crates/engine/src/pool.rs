@@ -20,6 +20,7 @@
 //! drawn from the sim's seeded decision stream, and logs one trace step
 //! per task: same seed ⇒ same execution order ⇒ same trace.
 
+use serval_check::runner::panic_message;
 use serval_check::sim;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,15 +105,5 @@ impl Pool {
             .map(|slot| slot.into_inner().expect("no task runs under a slot lock"))
             .map(|r| r.expect("every batch slot reports exactly once"))
             .collect()
-    }
-}
-
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "query panicked".to_string()
     }
 }

@@ -299,7 +299,7 @@ pub fn portfolio_variants(base: SolverConfig) -> Vec<SolverConfig> {
 /// verdict, which one wins is a timing race. The *verdict kind*
 /// (proved vs. refuted) is identical across variants, but for refuted
 /// queries the reported counterexample model — and the `variant` stat —
-/// can differ run to run. `SERVAL_PORTFOLIO` therefore preserves
+/// can differ run to run. `EngineCfg::portfolio` therefore preserves
 /// verdict determinism, not model determinism; see DESIGN.md.
 pub fn solve_portfolio(
     core: &FormCore,

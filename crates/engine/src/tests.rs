@@ -1128,8 +1128,9 @@ fn session_countermodel_translation_handles_index_skew() {
     let asms = vec![x.ult(BV::lit(16, 50))];
     // The first goal drags `y` into the session's canonical numbering
     // before `z`; the second goal's own normal form contains only x and
-    // z, so its canonical indices differ from the session's — exactly
-    // the skew `remap_portable` has to fix.
+    // z, so its canonical indices differ from the session's — the skew
+    // that going through the caller's terms (the session's backmap in,
+    // the query's raw backmap out) has to absorb.
     let g1 = (x + y).uge(x); // refuted by wraparound (large y)
     let g2 = x.ult(z); // refuted by z <= x
     let out = local_engine(1).submit_batch(vec![
@@ -1227,15 +1228,106 @@ fn split_conjunction_caches_whole_goal() {
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
     let goal = (x & y).ule(x) & (x | y).uge(x);
-    let engine = local_engine(2);
-    let cold = engine.submit_batch(vec![q("conj", vec![], goal)]);
-    assert!(matches!(cold[0].result, VerifyResult::Proved));
-    assert!(!cold[0].cache_hit);
-    // All conjuncts proved → the whole-goal key is inserted, so a rerun
-    // is a single cache hit rather than a re-split.
-    let warm = engine.submit_batch(vec![q("conj", vec![], goal)]);
-    assert!(warm[0].cache_hit, "whole conjunction must hit on rerun");
-    assert!(matches!(warm[0].result, VerifyResult::Proved));
+    // The raw key is unconditional: presolve on or off, the proved
+    // conjunction is stored under it, so a rerun is a single cache hit
+    // rather than a re-split.
+    for engine in [local_engine(2), local_engine_raw(2, true)] {
+        let cold = engine.submit_batch(vec![q("conj", vec![], goal)]);
+        assert!(matches!(cold[0].result, VerifyResult::Proved));
+        assert!(!cold[0].cache_hit);
+        let before = engine.cache_stats();
+        let warm = engine.submit_batch(vec![q("conj", vec![], goal)]);
+        assert!(warm[0].cache_hit, "whole conjunction must hit on rerun");
+        assert!(matches!(warm[0].result, VerifyResult::Proved));
+        assert_eq!(engine.cache_stats(), (before.0 + 1, before.1), "one probe, one hit");
+    }
+}
+
+// -----------------------------------------------------------------
+// The two kinds of key, each with its one job
+// -----------------------------------------------------------------
+
+#[test]
+fn an_unsplit_query_is_stored_under_one_key() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let w = BV::fresh(16, "w");
+    // Presolve inlines `w = 5`, so the form that is solved is not the
+    // form that was submitted: the whole-goal layer used to store the
+    // verdict under both (2 entries at the commit that deleted it).
+    let base = || vec![w.eq_(BV::lit(16, 5)), x.ult(y)];
+    let proved = || q("p", base(), ((x & w) + (x | w)).eq_(x + w));
+    let refuted = || q("r", base(), (x + w).uge(x));
+    let queries: [&dyn Fn() -> Query; 2] = [&proved, &refuted];
+    for query in queries {
+        let engine = local_engine(1);
+        let cold = engine.submit(query());
+        assert!(!cold.cache_hit && cold.stats.is_some(), "solved, not folded");
+        assert_eq!(engine.cache().len(), 1, "the raw key is the query's only key");
+        let warm = engine.submit(query());
+        assert!(warm.cache_hit && warm.result.is_proved() == cold.result.is_proved());
+        assert_eq!((warm.cert, engine.cache_stats()), (cold.cert, (1, 1)));
+    }
+}
+
+#[test]
+fn a_split_goal_stores_its_conjuncts_and_its_raw_key() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let w = BV::fresh(16, "w");
+    // Presolve inlines `w = 5`: the raw key and the presolved whole
+    // goal's are different bytes (`conjuncts + 2` entries when the
+    // latter was still stored).
+    let base = || vec![w.eq_(BV::lit(16, 5)), x.ult(y)];
+    let goal = (x & w).ule(x) & (x | y).uge(y) & (x ^ y).ule(x | y);
+    let conjuncts = split_goal(goal, 512).len();
+    assert_eq!(conjuncts, 3);
+    let engine = local_engine(1);
+    let cold = engine.submit(q("conj", base(), goal));
+    assert!(cold.result.is_proved() && !cold.cache_hit);
+    assert_eq!(engine.cache().len(), conjuncts + 1, "one key per conjunct, and the raw key");
+    assert_eq!(engine.cache_stats(), (0, 1 + conjuncts as u64));
+    // The rerun is one raw-key hit carrying the same chained certificate.
+    let warm = engine.submit(q("conj", base(), goal));
+    assert!(warm.cache_hit && warm.result.is_proved());
+    assert_eq!((warm.cert, engine.cache_stats()), (cold.cert, (1, 1 + conjuncts as u64)));
+    assert_eq!(engine.cache().len(), conjuncts + 1);
+}
+
+#[test]
+fn shared_conjuncts_are_solved_once_across_batches() {
+    reset_ctx();
+    let x = BV::fresh(16, "x");
+    let y = BV::fresh(16, "y");
+    let base = vec![x.ult(y)];
+    let (c1, c2, c3) = ((x & y).ule(x), (x | y).uge(y), (x ^ y).ule(x | y));
+    let engine = local_engine(1);
+    let first = engine.submit(q("c1&c2", base.clone(), c1 & c2));
+    assert!(first.result.is_proved() && !first.cache_hit);
+    assert_eq!(engine.cache_stats(), (0, 3), "the raw key and two conjuncts missed");
+    // A different goal under the same base: its raw key misses, `c1` is
+    // answered by the first goal's conjunct store, only `c3` is solved.
+    let mut keyer = Keyer::new();
+    let crate::Prepared { mut slots, live } =
+        engine.prepare_batch(vec![q("c1&c3", base.clone(), c1 & c3)], &mut keyer);
+    assert!(slots[0].is_none(), "a new goal: no raw-key hit");
+    let keyed = engine.key_batch(live, &mut slots, &mut keyer);
+    let [p] = &keyed.pending[..] else { panic!("one query pending") };
+    assert!(matches!(
+        p.subs[..],
+        [Sub::Ready { hit: true, .. }, Sub::Wait { conjunct: Some(_), .. }]
+    ));
+    let goals: Vec<usize> = keyed.groups.iter().map(|g| g.goals.len()).collect();
+    assert_eq!(goals, [1], "one goal reaches a session");
+    assert_eq!(engine.cache_stats(), (1, 5));
+    // The same through the front door: solved stats for one goal, and a
+    // partial hit is not reported as a cache hit.
+    let second = engine.submit(q("c1&c3", base.clone(), c1 & c3));
+    assert!(second.result.is_proved() && !second.cache_hit);
+    assert_eq!(second.stats.expect("c3 was solved").session_goals, 1);
+    assert_eq!(engine.cache_stats(), (2, 7));
 }
 
 // -----------------------------------------------------------------
@@ -1527,7 +1619,8 @@ fn groups_with_a_base_stay_one_session() {
 // -----------------------------------------------------------------
 
 fn live(slot: usize, query: Query) -> Live {
-    Live { query, fixup: Fixup { slot, raw: None, presolve: None } }
+    let raw = (vec![b'r', slot as u8], Default::default());
+    Live { query, fixup: Fixup { slot, raw, presolve: None } }
 }
 
 #[test]
@@ -1546,13 +1639,25 @@ fn prepared_stage_answers_raw_trivial_queries_and_presolves_the_rest() {
     assert_eq!(engine.cache_stats(), (0, 1), "the live query spent its one counted lookup");
     let [l] = &prepared.live[..] else { panic!("one query stays live") };
     assert_eq!(l.fixup.slot, 1);
-    assert!(l.fixup.raw.is_some() && l.fixup.presolve.is_some());
+    assert!(!l.fixup.raw.0.is_empty() && l.fixup.presolve.is_some());
     // Presolve inlined `x = 5` and dropped the defining assumption.
     assert!(l.query.assumptions.is_empty());
     assert_eq!(l.query.goal, (BV::lit(16, 5) & y).ule(y));
-    // With presolve off there is no raw key, and everything stays live.
-    let prepared = local_engine_raw(1, true).prepare_batch(vec![q("p", vec![], x.eq_(x))], &mut Keyer::new());
-    assert!(prepared.slots[0].is_none() && prepared.live[0].fixup.raw.is_none());
+    // With presolve off a query is folded, keyed and probed all the
+    // same; only the rewrite is skipped.
+    let engine = local_engine_raw(1, true);
+    let prepared = engine.prepare_batch(
+        vec![
+            q("trivial", vec![x.ult(BV::lit(16, 0))], x.eq_(y)),
+            q("live", vec![x.eq_(BV::lit(16, 5))], (x & y).ule(y)),
+        ],
+        &mut Keyer::new(),
+    );
+    assert!(prepared.slots[0].is_some() && prepared.slots[1].is_none());
+    assert_eq!((engine.query_counts().1, engine.cache_stats()), (1, (0, 1)));
+    let [l] = &prepared.live[..] else { panic!("one query stays live") };
+    assert!(!l.fixup.raw.0.is_empty() && l.fixup.presolve.is_none());
+    assert_eq!(l.query.assumptions.len(), 1, "as submitted");
 }
 
 #[test]
@@ -1667,9 +1772,14 @@ fn keyed_stage_keeps_submission_order() {
         waits,
         [(0, vec![(0, 0)]), (1, vec![(1, 0)]), (2, vec![(0, 1), (0, 2)]), (3, vec![(2, 0)])]
     );
-    // Only the split query has a whole-goal key of its own.
-    let split: Vec<bool> = keyed.pending.iter().map(|p| p.whole_key.is_some()).collect();
-    assert_eq!(split, [false, false, true, false]);
+    // Only the conjuncts of the split query are keyed.
+    let keyed_subs: Vec<Vec<bool>> = keyed
+        .pending
+        .iter()
+        .map(|p| p.subs.iter().map(|s| matches!(s, Sub::Wait { conjunct: Some(_), .. })).collect())
+        .collect();
+    assert_eq!(keyed_subs, [vec![false], vec![false], vec![true, true], vec![false]]);
+    assert_eq!(engine.cache_stats(), (0, 2), "one counted probe per conjunct, no other");
     assert_eq!(keyed.fixups.iter().map(|f| f.slot).collect::<Vec<_>>(), [0, 1, 2, 3]);
 }
 
@@ -1709,7 +1819,8 @@ fn recombined_stage_folds_sub_verdicts() {
     let backmap = prepare(&[], goal).backmap;
     let x_is = |v: u128| PortableModel { bvs: vec![(0, v)], ..Default::default() };
     // Sub-query `i` waits on goal `i` of the one group, whose one task
-    // returned `outs` (or panicked); `ready` sub-queries come first.
+    // returned `outs` (or panicked); `ready` sub-queries come first. The
+    // conjuncts of a split goal carry a key, an unsplit goal does not.
     let fold = |ready: Vec<CachedVerdict>,
                 outs: Result<Vec<RawOutcome>, &str>,
                 split: bool|
@@ -1723,15 +1834,10 @@ fn recombined_stage_folds_sub_verdicts() {
         subs.extend((0..n).map(|goal| Sub::Wait {
             group: 0,
             goal,
-            backmap: backmap.clone(),
-            key: vec![b'k', goal as u8],
+            conjunct: split.then(|| (vec![b'k', goal as u8], backmap.clone())),
         }));
-        let p = Pending {
-            slot: 0,
-            label: "p".to_string(),
-            whole_key: split.then(|| b"whole".to_vec()),
-            subs,
-        };
+        assert_eq!(subs.len() > 1, split, "a goal splits into two or more");
+        let p = Pending { slot: 0, label: "p".to_string(), subs };
         let d = Discharged {
             chunks: vec![vec![Chunk { start: 0, task: 0, backmap: backmap.clone() }]],
             raw: vec![outs.map_err(str::to_string)],
@@ -1748,18 +1854,25 @@ fn recombined_stage_folds_sub_verdicts() {
     let (o, e) = fold(vec![], Ok(vec![proved(11), proved(12)]), true);
     assert!(o.result.is_proved() && !o.cache_hit);
     assert_eq!(o.cert, Some(combine_cert_hashes(&[11, 12])));
-    assert_eq!((e.cache().len(), e.cert_counts()), (3, (2, 0)), "two conjuncts and the whole");
+    assert_eq!((e.cache().len(), e.cert_counts()), (2, (2, 0)), "two conjuncts, nothing else");
     let (o, e) = fold(vec![CachedVerdict::Proved { cert: 0 }], Ok(vec![proved(12)]), true);
     assert!(o.result.is_proved() && o.cert.is_none());
-    assert!(matches!(e.cache().get(b"whole"), Some(CachedVerdict::Proved { cert: 0 })));
+    assert!(matches!(e.cache().get(b"k\0"), Some(CachedVerdict::Proved { cert: 12 })));
 
     // The first refuted conjunct's model wins, cached or solved.
     let refuted = |v| raw(RawVerdict::Refuted(x_is(v)), 0, 0);
     let (o, e) = fold(vec![CachedVerdict::Refuted(x_is(1))], Ok(vec![refuted(2)]), true);
     assert_eq!(model_x(&o), 1);
-    assert!(e.cache().get(b"whole").is_none(), "a refuted goal stores no whole-goal key");
-    let (o, _) = fold(vec![], Ok(vec![proved(11), refuted(2), refuted(3)]), true);
+    // A solved conjunct's countermodel is stored under the conjunct's
+    // key, renumbered through the caller's terms.
+    let stored_x = |e: &Engine, key: &[u8]| match e.cache().get(key) {
+        Some(CachedVerdict::Refuted(pm)) => pm.bvs.clone(),
+        other => panic!("expected a stored countermodel, got {other:?}"),
+    };
+    assert_eq!((stored_x(&e, b"k\0"), e.cache().len()), (vec![(0, 2)], 1));
+    let (o, e) = fold(vec![], Ok(vec![proved(11), refuted(2), refuted(3)]), true);
     assert_eq!(model_x(&o), 2);
+    assert_eq!((stored_x(&e, b"k\x01"), stored_x(&e, b"k\x02")), (vec![(0, 2)], vec![(0, 3)]));
 
     // Unknown beats Interrupted, and carries the rejected certificate's
     // reason; a worker panic is Unknown with the panic message.
@@ -1777,17 +1890,20 @@ fn recombined_stage_folds_sub_verdicts() {
     assert!(matches!(o.result, VerifyResult::Unknown) && o.stats.is_none());
     assert_eq!((o.error.as_deref(), e.cache().len()), (Some("boom"), 0));
 
-    // One sub-query is the whole goal: its certificate and variant pass
-    // through, and its one store is the goal's.
+    // One sub-query is the whole goal: its certificate, variant and
+    // countermodel pass through, and nothing is stored here — its only
+    // key is the raw key, which finalization writes.
     let (o, e) = fold(vec![], Ok(vec![raw(RawVerdict::Proved, 11, 2)]), false);
     assert!(o.result.is_proved() && o.stats.is_some());
-    assert_eq!((o.cert, o.variant, e.cache().len()), (Some(11), 2, 1));
+    assert_eq!((o.cert, o.variant, e.cache().len()), (Some(11), 2, 0));
+    let (o, e) = fold(vec![], Ok(vec![refuted(4)]), false);
+    assert_eq!((model_x(&o), e.cache().len()), (4, 0));
     let (o, _) = fold(vec![], Ok(vec![raw(RawVerdict::Proved, 11, 2), proved(12)]), true);
     assert_eq!(o.variant, 0, "a split query has no single winning variant");
 }
 
 #[test]
-fn uncounted_probes_leave_the_cache_counters_alone() {
+fn every_probe_is_counted_and_a_presolved_twin_is_solved() {
     reset_ctx();
     let x = BV::fresh(16, "x");
     let z = BV::fresh(16, "z");
@@ -1797,25 +1913,27 @@ fn uncounted_probes_leave_the_cache_counters_alone() {
     let bogus = PortableModel { bvs: vec![(0, 7), (1, 7)], ..Default::default() };
     engine.cache().insert(b"stored".to_vec(), CachedVerdict::Proved { cert: 9 });
     engine.cache().insert(p.key.clone(), CachedVerdict::Refuted(bogus));
-    assert!(engine.probe(b"stored", &p.backmap, &[], goal, false).is_some());
-    assert!(engine.probe(b"absent", &p.backmap, &[], goal, false).is_none());
-    assert!(engine.probe(&p.key, &p.backmap, &[], goal, false).is_none(), "evicted, not returned");
-    assert_eq!((engine.cache_stats(), engine.cache().len()), ((0, 0), 1));
-    assert!(engine.probe(b"stored", &p.backmap, &[], goal, true).is_some());
-    assert!(engine.probe(b"absent", &p.backmap, &[], goal, true).is_none());
+    assert!(engine.probe(b"stored", &p.backmap, &[], goal).is_some());
+    assert!(engine.probe(b"absent", &p.backmap, &[], goal).is_none());
     assert_eq!(engine.cache_stats(), (1, 1));
+    assert!(engine.probe(&p.key, &p.backmap, &[], goal).is_none(), "evicted, not returned");
+    assert_eq!((engine.cache_stats(), engine.cache().len()), ((1, 2), 1), "an evicted entry is a miss");
 
-    // End to end: `with` misses under its raw key, presolve rewrites it
-    // into `bare`'s normal form, and the uncounted probe answers it — a
-    // cache hit the counters never saw. The rerun then resolves both on
-    // their raw keys: hits == submitted − trivial, misses unchanged.
+    // End to end: `with` misses under its raw key and presolve rewrites
+    // it into `bare`'s form — but an unsplit query has no key but its
+    // raw one, so `with` is solved, not answered from `bare`'s verdict
+    // (measured: no query of the benchmark's five workloads was ever
+    // answered that way). Every query spent exactly one counted
+    // lookup, and the rerun resolves both on their raw keys: hits ==
+    // submitted − trivial, misses unchanged.
     let engine = local_engine(1);
     let five = BV::lit(16, 5);
     let bare = || q("bare", vec![], ((five & z) + (five | z)).eq_(five + z));
     let with = || q("with", vec![x.eq_(five)], ((x & z) + (x | z)).eq_(x + z));
     assert!(!engine.submit(bare()).cache_hit);
-    assert!(engine.submit(with()).cache_hit);
-    assert_eq!(engine.cache_stats(), (0, 2));
+    let solved = engine.submit(with());
+    assert!(!solved.cache_hit && solved.stats.is_some() && solved.result.is_proved());
+    assert_eq!((engine.cache_stats(), engine.cache().len()), ((0, 2), 2));
     let warm = engine.submit_batch(vec![bare(), with()]);
     assert!(warm.iter().all(|o| o.cache_hit && o.result.is_proved()));
     assert_eq!((engine.cache_stats(), engine.query_counts()), ((2, 2), (4, 0)));

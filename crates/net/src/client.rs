@@ -18,7 +18,7 @@
 
 use crate::wire::{self, Msg, ServerStats, WireOutcome, WireQuery, WireVerdict};
 use serval_engine::form::{self, BackMap};
-use serval_engine::{Discharge, Query, QueryOutcome};
+use serval_engine::{countermodel_valid, Discharge, Query, QueryOutcome};
 use serval_smt::solver::VerifyResult;
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -230,8 +230,9 @@ pub struct Encoded {
     /// One slot per submitted query: the outcome of a query a constant
     /// already proved, `None` for one that was shipped.
     slots: Vec<Option<QueryOutcome>>,
-    /// Label and countermodel translation of each shipped query.
-    shipped: Vec<(String, BackMap)>,
+    /// Each shipped query — a countermodel that comes back is checked
+    /// against it — and its countermodel translation.
+    shipped: Vec<(Query, BackMap)>,
 }
 
 /// The client's one encode path (shared by [`Client`] and the sim
@@ -270,7 +271,7 @@ pub fn encode_batch(queries: Vec<Query>) -> (Encoded, Vec<Vec<WireQuery>>) {
             cfg: q.cfg,
             core_bytes: keyer.wire(&q.assumptions, q.goal).to_vec(),
         });
-        shipped.push((q.label, keyer.backmap().clone()));
+        shipped.push((q, keyer.backmap().clone()));
         slots.push(None);
     }
     (Encoded { slots, shipped }, frames)
@@ -287,15 +288,15 @@ impl Encoded {
     /// query, in submission order.
     fn interleave(
         self,
-        mut answer: impl FnMut(String, BackMap) -> QueryOutcome,
+        mut answer: impl FnMut(Query, BackMap) -> QueryOutcome,
     ) -> Vec<QueryOutcome> {
         let mut shipped = self.shipped.into_iter();
         self.slots
             .into_iter()
             .map(|slot| {
                 slot.unwrap_or_else(|| {
-                    let (label, backmap) = shipped.next().expect("one entry per shipped query");
-                    answer(label, backmap)
+                    let (query, backmap) = shipped.next().expect("one entry per shipped query");
+                    answer(query, backmap)
                 })
             })
             .collect()
@@ -306,17 +307,17 @@ impl Encoded {
     pub fn decode(self, replies: Vec<WireOutcome>) -> Vec<QueryOutcome> {
         assert_eq!(replies.len(), self.shipped.len(), "one reply per shipped query");
         let mut replies = replies.into_iter();
-        self.interleave(|label, backmap| {
+        self.interleave(|query, backmap| {
             let out = replies.next().expect("lengths were checked");
-            outcome_of_wire(label, out, &backmap)
+            outcome_of_wire(query, out, &backmap)
         })
     }
 
     /// The batch's outcomes when the exchange failed: what was folded is
     /// still proved, everything shipped is `Unknown` carrying the error.
     fn fail(self, why: &NetError) -> Vec<QueryOutcome> {
-        self.interleave(|label, _| QueryOutcome {
-            label,
+        self.interleave(|query, _| QueryOutcome {
+            label: query.label,
             result: VerifyResult::Unknown,
             stats: None,
             wall: Duration::ZERO,
@@ -328,29 +329,35 @@ impl Encoded {
     }
 }
 
-/// Translates one wire outcome back into the caller's term context. The
-/// countermodel's indices come straight off the wire: one that does not
-/// fit the query's own variables is the server's fault, reported as
-/// `Unknown` — never a panic, never a `Counterexample`.
-pub fn outcome_of_wire(label: String, out: WireOutcome, backmap: &BackMap) -> QueryOutcome {
+/// Translates the server's answer to `query` back into the caller's
+/// term context. A countermodel off the wire is a claim, not a fact:
+/// one whose indices do not fit the query's own variables, or that fits
+/// but does not refute the query when evaluated (the check the engine
+/// makes of a cached countermodel, [`serval_engine::countermodel_valid`]),
+/// is the server's fault, reported as `Unknown` — never a panic, never
+/// a `Counterexample`.
+pub fn outcome_of_wire(query: Query, out: WireOutcome, backmap: &BackMap) -> QueryOutcome {
     let mut error = out.error;
+    let mut unknown = |why: &str| {
+        error = Some(why.to_string());
+        VerifyResult::Unknown
+    };
     let result = match out.verdict {
         WireVerdict::Proved => VerifyResult::Proved,
         WireVerdict::Refuted(pm) => match serval_engine::portable_to_model(&pm, backmap) {
-            Some(model) => VerifyResult::Counterexample(Box::new(model)),
-            None => {
-                error = Some(
-                    "net: malformed countermodel (an index or sort outside the query's variables)"
-                        .to_string(),
-                );
-                VerifyResult::Unknown
+            None => unknown(
+                "net: malformed countermodel (an index or sort outside the query's variables)",
+            ),
+            Some(_) if !countermodel_valid(&pm, backmap, &query.assumptions, query.goal) => {
+                unknown("net: countermodel does not refute the query")
             }
+            Some(model) => VerifyResult::Counterexample(Box::new(model)),
         },
         WireVerdict::Unknown => VerifyResult::Unknown,
         WireVerdict::Interrupted => VerifyResult::Interrupted,
     };
     QueryOutcome {
-        label,
+        label: query.label,
         result,
         stats: out.stats,
         wall: Duration::from_micros(out.wall_micros),

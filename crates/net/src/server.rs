@@ -22,7 +22,7 @@
 //! whichever order the shards finish in ([`collect_batch`]).
 
 use crate::service::{NetCfg, RoutedQuery, ServerCore, Step};
-use crate::wire::{self, Msg, WireOutcome, WireVerdict, SHARD_HOT};
+use crate::wire::{self, Msg, WireOutcome, SHARD_HOT};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,15 +122,7 @@ fn collect_batch(
     slots
         .into_iter()
         .map(|s| {
-            s.unwrap_or(WireOutcome {
-                verdict: WireVerdict::Unknown,
-                cert: 0,
-                cache_hit: false,
-                shard: SHARD_HOT,
-                wall_micros: 0,
-                stats: None,
-                error: Some("server shutting down".to_string()),
-            })
+            s.unwrap_or_else(|| WireOutcome::unknown(SHARD_HOT, "server shutting down".to_string()))
         })
         .collect()
 }
@@ -361,15 +353,8 @@ fn connection(stream: TcpStream, core: Arc<ServerCore>, shard_txs: Vec<Sender<Sh
                         // bucket with error outcomes instead of dropping
                         // the queries on the floor.
                         for rq in job.batch {
-                            slots[rq.slot] = Some(WireOutcome {
-                                verdict: WireVerdict::Unknown,
-                                cert: 0,
-                                cache_hit: false,
-                                shard: home as u32,
-                                wall_micros: 0,
-                                stats: None,
-                                error: Some("shard unavailable".to_string()),
-                            });
+                            let why = "shard unavailable".to_string();
+                            slots[rq.slot] = Some(WireOutcome::unknown(home as u32, why));
                         }
                     }
                 }
@@ -389,6 +374,7 @@ fn connection(stream: TcpStream, core: Arc<ServerCore>, shard_txs: Vec<Sender<Sh
 #[cfg(test)]
 mod reassembly_tests {
     use super::*;
+    use crate::wire::WireVerdict;
 
     fn out(shard: u32) -> WireOutcome {
         WireOutcome {

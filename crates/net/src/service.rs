@@ -24,8 +24,9 @@ use crate::wire::{
     self, Msg, ServerStats, ShardStatsRow, WireOutcome, WireQuery, WireVerdict, SHARD_HOT,
 };
 use crate::fnv64;
+use serval_check::runner::panic_message;
 use serval_check::sim;
-use serval_engine::form;
+use serval_engine::form::{self, WireCore};
 use serval_engine::{Engine, EngineCfg, Query};
 use serval_smt::solver::VerifyResult;
 use serval_smt::term::reset_ctx;
@@ -99,6 +100,9 @@ pub struct RoutedQuery {
     pub slot: usize,
     /// The query.
     pub query: WireQuery,
+    /// Its core as admission decoded it: a shard never sees bytes that
+    /// were not validated.
+    pub core: WireCore,
     /// Whether the repeat counter crossed the hot threshold at
     /// submission (the shard promotes the verdict after solving).
     pub hot: bool,
@@ -153,10 +157,11 @@ impl Shard {
         })) {
             Ok(out) => out,
             Err(panic) => {
-                let why = panic_message(&panic);
+                let why = format!("shard panicked: {}", panic_message(panic));
+                let shard = self.index as u32;
                 slots
                     .into_iter()
-                    .map(|slot| (slot, self.error_outcome(format!("shard panicked: {why}"))))
+                    .map(|slot| (slot, WireOutcome::unknown(shard, why.clone())))
                     .collect()
             }
         }
@@ -169,24 +174,14 @@ impl Shard {
         let mut queries: Vec<Query> = Vec::new();
         let mut pending: Vec<(usize, form::BackMap, Vec<u8>, bool)> = Vec::new();
         for rq in batch {
-            match form::wire_from_bytes(&rq.query.core_bytes) {
-                Err(why) => {
-                    // The front end validates cores before dispatch, so
-                    // this is a second line of defense, not a code path
-                    // clients can rely on.
-                    ready.push((rq.slot, self.error_outcome(format!("malformed core: {why}"))));
-                }
-                Ok(core) => {
-                    let wr = form::rebuild_wire(&core);
-                    queries.push(Query {
-                        label: rq.query.label,
-                        assumptions: wr.assumptions,
-                        goal: wr.goal,
-                        cfg: rq.query.cfg,
-                    });
-                    pending.push((rq.slot, wr.backmap, rq.query.core_bytes, rq.hot));
-                }
-            }
+            let wr = form::rebuild_wire(&rq.core);
+            queries.push(Query {
+                label: rq.query.label,
+                assumptions: wr.assumptions,
+                goal: wr.goal,
+                cfg: rq.query.cfg,
+            });
+            pending.push((rq.slot, wr.backmap, rq.query.core_bytes, rq.hot));
         }
         let outcomes = self.engine.submit_batch(queries);
         for (outcome, (slot, backmap, core_bytes, hot)) in outcomes.into_iter().zip(pending) {
@@ -222,28 +217,6 @@ impl Shard {
         }
         ready
     }
-
-    fn error_outcome(&self, why: String) -> WireOutcome {
-        WireOutcome {
-            verdict: WireVerdict::Unknown,
-            cert: 0,
-            cache_hit: false,
-            shard: self.index as u32,
-            wall_micros: 0,
-            stats: None,
-            error: Some(why),
-        }
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
 }
 
 /// What one client frame asks of the connection that received it.
@@ -252,8 +225,9 @@ pub(crate) enum Step {
     Reply(Msg),
     /// Write this message, then close the connection.
     Close(Msg),
-    /// A validated batch: discharge it and answer with a `BatchReply`.
-    Dispatch { id: u64, queries: Vec<WireQuery> },
+    /// A validated batch, each query beside its decoded core: discharge
+    /// it and answer with a `BatchReply`.
+    Dispatch { id: u64, queries: Vec<(WireQuery, WireCore)> },
 }
 
 /// The sharded discharge service (everything but the sockets).
@@ -321,26 +295,27 @@ impl ServerCore {
         (fnv64(core_bytes) % self.shards.len() as u64) as usize
     }
 
-    /// Validates every query core in a batch, so garbage becomes a
-    /// protocol error, not a queued job.
-    fn check_batch(&self, queries: &[WireQuery]) -> Result<(), String> {
-        for (i, q) in queries.iter().enumerate() {
-            form::wire_from_bytes(&q.core_bytes)
-                .map_err(|why| format!("query {i} ({}): {why}", q.label))?;
-        }
-        Ok(())
+    /// Decodes every query core in a batch — the one validation a core
+    /// gets; what it yields travels with the query from here on — so
+    /// garbage becomes a protocol error, not a queued job.
+    fn decode_batch(queries: Vec<WireQuery>) -> Result<Vec<(WireQuery, WireCore)>, String> {
+        let decode = |(i, q): (usize, WireQuery)| match form::wire_from_bytes(&q.core_bytes) {
+            Ok(core) => Ok((q, core)),
+            Err(why) => Err(format!("query {i} ({}): {why}", q.label)),
+        };
+        queries.into_iter().enumerate().map(decode).collect()
     }
 
-    /// Routes a batch: hot-tier hits are answered in place, the rest
-    /// bucketed by home shard.
+    /// Routes a decoded batch: hot-tier hits are answered in place, the
+    /// rest bucketed by home shard.
     pub fn place(
         &self,
-        queries: Vec<WireQuery>,
+        queries: Vec<(WireQuery, WireCore)>,
     ) -> (Vec<Option<WireOutcome>>, Vec<Vec<RoutedQuery>>) {
         let mut slots: Vec<Option<WireOutcome>> = (0..queries.len()).map(|_| None).collect();
         let mut buckets: Vec<Vec<RoutedQuery>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (slot, query) in queries.into_iter().enumerate() {
+        for (slot, (query, core)) in queries.into_iter().enumerate() {
             let hot = self.hot.note(&query.core_bytes);
             if let Some(entry) = self.hot.get(&query.core_bytes) {
                 slots[slot] = Some(WireOutcome {
@@ -355,17 +330,43 @@ impl ServerCore {
                 continue;
             }
             let home = self.route(&query.core_bytes);
-            buckets[home].push(RoutedQuery { slot, query, hot });
+            buckets[home].push(RoutedQuery { slot, query, core, hot });
         }
         (slots, buckets)
     }
 
-    /// Discharges a batch synchronously: shards run one after another,
-    /// each on a scratch thread (the caller's term context survives).
-    /// The TCP server uses long-lived shard threads instead; this path
-    /// serves the simulator (deterministic by construction), tests, and
-    /// `handle_payload`.
+    /// Discharges a batch that did not come through
+    /// [`ServerCore::on_frame`] (tests and the simulator call this
+    /// directly), so it decodes the cores for itself: a malformed one is
+    /// answered with an error outcome in its slot, the rest go through
+    /// [`ServerCore::discharge_decoded`].
     pub fn discharge(&self, queries: Vec<WireQuery>) -> Vec<WireOutcome> {
+        let mut out: Vec<Option<WireOutcome>> = Vec::with_capacity(queries.len());
+        let mut decoded = Vec::new();
+        for q in queries {
+            match form::wire_from_bytes(&q.core_bytes) {
+                Ok(core) => {
+                    decoded.push((q, core));
+                    out.push(None);
+                }
+                Err(why) => {
+                    let why = format!("malformed core: {why}");
+                    out.push(Some(WireOutcome::unknown(SHARD_HOT, why)));
+                }
+            }
+        }
+        let mut answers = self.discharge_decoded(decoded).into_iter();
+        out.into_iter()
+            .map(|o| o.unwrap_or_else(|| answers.next().expect("one answer per decoded query")))
+            .collect()
+    }
+
+    /// Discharges a decoded batch synchronously: shards run one after
+    /// another, each on a scratch thread (the caller's term context
+    /// survives). The TCP server uses long-lived shard threads instead;
+    /// this path serves the simulator (deterministic by construction),
+    /// tests, and `handle_payload`.
+    fn discharge_decoded(&self, queries: Vec<(WireQuery, WireCore)>) -> Vec<WireOutcome> {
         let (mut slots, buckets) = self.place(queries);
         for (home, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
@@ -385,14 +386,8 @@ impl ServerCore {
         slots
             .into_iter()
             .map(|s| {
-                s.unwrap_or(WireOutcome {
-                    verdict: WireVerdict::Unknown,
-                    cert: 0,
-                    cache_hit: false,
-                    shard: SHARD_HOT,
-                    wall_micros: 0,
-                    stats: None,
-                    error: Some("shard dropped the query".to_string()),
+                s.unwrap_or_else(|| {
+                    WireOutcome::unknown(SHARD_HOT, "shard dropped the query".to_string())
                 })
             })
             .collect()
@@ -448,8 +443,8 @@ impl ServerCore {
             Msg::StatsReq => Step::Reply(Msg::StatsReply { stats: self.stats() }),
             // Validate before the driver spends an in-flight slot:
             // garbage is a protocol error, not a queued job.
-            Msg::Batch { id, queries } => match self.check_batch(&queries) {
-                Ok(()) => Step::Dispatch { id, queries },
+            Msg::Batch { id, queries } => match Self::decode_batch(queries) {
+                Ok(queries) => Step::Dispatch { id, queries },
                 Err(why) => refuse(why),
             },
             Msg::HelloAck { .. }
@@ -469,7 +464,7 @@ impl ServerCore {
             Step::Reply(msg) => (msg, false),
             Step::Close(msg) => (msg, true),
             Step::Dispatch { id, queries } => {
-                let results = self.discharge(queries);
+                let results = self.discharge_decoded(queries);
                 (Msg::BatchReply { id, results, stats: self.stats() }, false)
             }
         };

@@ -309,7 +309,7 @@ fn malformed_countermodel_degrades_to_unknown() {
             stats: None,
             error: None,
         };
-        outcome_of_wire("q".to_string(), out, &backmap)
+        outcome_of_wire(query("q", vec![], goal), out, &backmap)
     };
     let malformed = [
         PortableModel { bvs: vec![(u32::MAX, 0)], ..Default::default() },
@@ -333,6 +333,43 @@ fn malformed_countermodel_degrades_to_unknown() {
     });
     let VerifyResult::Counterexample(m) = &o.result else { panic!("{:?}", o.result) };
     assert!(!m.eval_bool(goal.0) && o.error.is_none());
+}
+
+/// A `Refuted` reply whose countermodel fits the query's variables but
+/// does not refute it is a claim that failed its check: the in-process
+/// engine re-evaluates a stored countermodel before returning it, and
+/// so does the client — a buggy or hostile server cannot hand the caller
+/// a "counterexample" that satisfies the goal.
+#[test]
+fn forged_countermodel_degrades_to_unknown() {
+    use crate::client::outcome_of_wire;
+    use crate::wire::WireOutcome;
+    use serval_engine::solve::PortableModel;
+
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let base = vec![x.ult(BV::lit(32, 100))];
+    let goal = x.ult(BV::lit(32, 10));
+    let backmap = form::prepare_wire(&base, goal).backmap;
+    let x_is = |v: u128| {
+        let pm = PortableModel { bvs: vec![(0, v)], ..Default::default() };
+        let out = WireOutcome {
+            verdict: WireVerdict::Refuted(pm),
+            error: None,
+            ..WireOutcome::unknown(0, String::new())
+        };
+        outcome_of_wire(query("q", base.clone(), goal), out, &backmap)
+    };
+    // In range and well sorted, but x = 3 satisfies the goal, and
+    // x = 500 breaks the assumption: neither refutes the query.
+    for forged in [3, 500] {
+        let o = x_is(forged);
+        assert!(matches!(o.result, VerifyResult::Unknown), "x = {forged}: {:?}", o.result);
+        assert_eq!(o.error.as_deref(), Some("net: countermodel does not refute the query"));
+    }
+    let o = x_is(42);
+    let VerifyResult::Counterexample(m) = &o.result else { panic!("{:?}", o.result) };
+    assert!(m.eval_bool(base[0].0) && !m.eval_bool(goal.0) && o.error.is_none());
 }
 
 // ----------------------------------------------------------------------------
@@ -578,6 +615,35 @@ fn loopback_malformed_core_rejected_at_admission() {
         Ok(Msg::Error { msg }) => assert!(msg.contains("bogus"), "error should name the query: {msg}"),
         other => panic!("expected Error frame, got {other:?}"),
     }
+    server.shutdown();
+}
+
+/// `ServerCore::discharge` is also called without `on_frame` in front
+/// of it (tests, the simulator), so it decodes for itself: a malformed
+/// core is answered in its slot with an error outcome, and its
+/// neighbours are discharged as usual.
+#[test]
+fn discharge_answers_a_malformed_core_with_an_error_outcome() {
+    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let wq = |label: &str, core_bytes: Vec<u8>| WireQuery {
+        label: label.to_string(),
+        cfg: SolverConfig::default(),
+        core_bytes,
+    };
+    let good = |goal: SBool| form::wire_bytes(&form::prepare_wire(&[], goal).core);
+    let out = server.core().discharge(vec![
+        wq("proved", good((x & BV::lit(32, 1)).ule(BV::lit(32, 1)))),
+        wq("bogus", b"SW1\0garbage".to_vec()),
+        wq("refuted", good(x.ult(BV::lit(32, 9)))),
+    ]);
+    assert!(matches!(out[0].verdict, WireVerdict::Proved) && out[0].error.is_none());
+    assert!(matches!(out[1].verdict, WireVerdict::Unknown) && out[1].cert == 0);
+    let why = out[1].error.as_deref().expect("the reason is reported");
+    assert!(why.starts_with("malformed core"), "{why}");
+    assert!(matches!(out[2].verdict, WireVerdict::Refuted(_)));
+    assert_eq!(server.core().stats().shards.iter().map(|s| s.queued).sum::<u64>(), 2);
     server.shutdown();
 }
 

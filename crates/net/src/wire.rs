@@ -129,6 +129,23 @@ pub struct WireOutcome {
     pub error: Option<String>,
 }
 
+impl WireOutcome {
+    /// The outcome of a query the server could not answer — a malformed
+    /// core, a panicked or unavailable shard, a shutdown: `Unknown`,
+    /// attributed to `shard`, carrying the reason.
+    pub fn unknown(shard: u32, why: String) -> WireOutcome {
+        WireOutcome {
+            verdict: WireVerdict::Unknown,
+            cert: 0,
+            cache_hit: false,
+            shard,
+            wall_micros: 0,
+            stats: None,
+            error: Some(why),
+        }
+    }
+}
+
 /// Per-shard counters, surfaced in every batch reply so clients see how
 /// work spread across the shards.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -29,6 +29,7 @@
 //! `tests/sim_regressions.rs` pins one named seed per bug this harness
 //! has caught, plus the same-seed determinism contract.
 
+use serval_check::runner::panic_message;
 use serval_check::sim::{self, SimConfig, TraceEvent};
 use serval_engine::cache::{Cache, CachedVerdict};
 use serval_engine::pool::Pool;
@@ -159,7 +160,7 @@ pub fn run_scenario(name: &str, cfg: SimConfig) -> Result<ScenarioReport, Scenar
         Err(p) => Err(ScenarioFailure {
             name: name.to_string(),
             seed,
-            message: panic_text(p),
+            message: panic_message(p),
             trace_tail: report
                 .trace
                 .iter()
@@ -169,16 +170,6 @@ pub fn run_scenario(name: &str, cfg: SimConfig) -> Result<ScenarioReport, Scenar
                 .cloned()
                 .collect(),
         }),
-    }
-}
-
-fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "scenario panicked".to_string()
     }
 }
 

@@ -128,6 +128,59 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// Adds `other`'s counters and wall times onto `self`: the one sum
+    /// of this struct. `session_goals` is a position, not a count, and
+    /// is left to the caller — the engine keeps the deepest, the reports
+    /// count how many queries ran inside a session.
+    pub fn absorb(&mut self, other: &QueryStats) {
+        // Destructured so a new field cannot be left out silently.
+        let QueryStats {
+            conflicts,
+            decisions,
+            propagations,
+            restarts,
+            learnts,
+            clauses,
+            vars,
+            reused_clauses,
+            reused_vars,
+            reused_learnts,
+            session_goals: _,
+            presolve_terms_in,
+            presolve_terms_out,
+            presolve_vars_in,
+            presolve_vars_out,
+            eliminated_vars,
+            subsumed,
+            strengthened,
+            resolvents,
+            cert_steps,
+            cert_wall,
+            wall,
+        } = *other;
+        self.conflicts += conflicts;
+        self.decisions += decisions;
+        self.propagations += propagations;
+        self.restarts += restarts;
+        self.learnts += learnts;
+        self.clauses += clauses;
+        self.vars += vars;
+        self.reused_clauses += reused_clauses;
+        self.reused_vars += reused_vars;
+        self.reused_learnts += reused_learnts;
+        self.presolve_terms_in += presolve_terms_in;
+        self.presolve_terms_out += presolve_terms_out;
+        self.presolve_vars_in += presolve_vars_in;
+        self.presolve_vars_out += presolve_vars_out;
+        self.eliminated_vars += eliminated_vars;
+        self.subsumed += subsumed;
+        self.strengthened += strengthened;
+        self.resolvents += resolvents;
+        self.cert_steps += cert_steps;
+        self.cert_wall += cert_wall;
+        self.wall += wall;
+    }
+
     /// One-line rendering used by proof reports and the profiler.
     pub fn render(&self) -> String {
         let mut line = format!(

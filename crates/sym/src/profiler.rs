@@ -60,23 +60,12 @@ pub struct Profiler {
     total_splits: u64,
     total_merges: u64,
     // Solver-side totals, recorded through `&self` (discharge only holds
-    // a shared borrow of the context), hence the `Cell`s.
+    // a shared borrow of the context), hence the `Cell`s: the sum of the
+    // recorded queries' stats, how many there were, and how many of them
+    // ran inside a live session.
+    solver: Cell<QueryStats>,
     solver_queries: Cell<u64>,
-    solver_conflicts: Cell<u64>,
-    solver_decisions: Cell<u64>,
-    solver_propagations: Cell<u64>,
-    solver_learnts: Cell<u64>,
-    solver_clauses: Cell<u64>,
-    solver_reused_clauses: Cell<u64>,
-    solver_reused_learnts: Cell<u64>,
-    solver_session_goals: Cell<u64>,
-    solver_presolve_terms_in: Cell<u64>,
-    solver_presolve_terms_out: Cell<u64>,
-    solver_eliminated_vars: Cell<u64>,
-    solver_subsumed: Cell<u64>,
-    solver_strengthened: Cell<u64>,
-    solver_resolvents: Cell<u64>,
-    solver_wall_ns: Cell<u64>,
+    solver_session_queries: Cell<u64>,
 }
 
 impl Default for Profiler {
@@ -93,60 +82,22 @@ impl Profiler {
             frames: Vec::new(),
             total_splits: 0,
             total_merges: 0,
+            solver: Cell::new(QueryStats::default()),
             solver_queries: Cell::new(0),
-            solver_conflicts: Cell::new(0),
-            solver_decisions: Cell::new(0),
-            solver_propagations: Cell::new(0),
-            solver_learnts: Cell::new(0),
-            solver_clauses: Cell::new(0),
-            solver_reused_clauses: Cell::new(0),
-            solver_reused_learnts: Cell::new(0),
-            solver_session_goals: Cell::new(0),
-            solver_presolve_terms_in: Cell::new(0),
-            solver_presolve_terms_out: Cell::new(0),
-            solver_eliminated_vars: Cell::new(0),
-            solver_subsumed: Cell::new(0),
-            solver_strengthened: Cell::new(0),
-            solver_resolvents: Cell::new(0),
-            solver_wall_ns: Cell::new(0),
+            solver_session_queries: Cell::new(0),
         }
     }
 
     /// Folds one discharged query's solver statistics into the totals.
     pub fn record_solver(&self, stats: &QueryStats) {
+        let mut total = self.solver.get();
+        total.absorb(stats);
+        self.solver.set(total);
         self.solver_queries.set(self.solver_queries.get() + 1);
-        self.solver_conflicts
-            .set(self.solver_conflicts.get() + stats.conflicts);
-        self.solver_decisions
-            .set(self.solver_decisions.get() + stats.decisions);
-        self.solver_propagations
-            .set(self.solver_propagations.get() + stats.propagations);
-        self.solver_learnts
-            .set(self.solver_learnts.get() + stats.learnts);
-        self.solver_clauses
-            .set(self.solver_clauses.get() + stats.clauses as u64);
-        self.solver_reused_clauses
-            .set(self.solver_reused_clauses.get() + stats.reused_clauses as u64);
-        self.solver_reused_learnts
-            .set(self.solver_reused_learnts.get() + stats.reused_learnts);
         if stats.session_goals > 0 {
-            self.solver_session_goals
-                .set(self.solver_session_goals.get() + 1);
+            self.solver_session_queries
+                .set(self.solver_session_queries.get() + 1);
         }
-        self.solver_presolve_terms_in
-            .set(self.solver_presolve_terms_in.get() + stats.presolve_terms_in as u64);
-        self.solver_presolve_terms_out
-            .set(self.solver_presolve_terms_out.get() + stats.presolve_terms_out as u64);
-        self.solver_eliminated_vars
-            .set(self.solver_eliminated_vars.get() + stats.eliminated_vars);
-        self.solver_subsumed
-            .set(self.solver_subsumed.get() + stats.subsumed);
-        self.solver_strengthened
-            .set(self.solver_strengthened.get() + stats.strengthened);
-        self.solver_resolvents
-            .set(self.solver_resolvents.get() + stats.resolvents);
-        self.solver_wall_ns
-            .set(self.solver_wall_ns.get() + stats.wall.as_nanos() as u64);
     }
 
     /// Number of solver queries recorded via [`Profiler::record_solver`].
@@ -252,30 +203,30 @@ impl Profiler {
             ));
         }
         if self.solver_queries.get() > 0 {
+            let total = self.solver.get();
             out.push_str(&format!(
                 "solver: {} queries, {} conflicts, {} decisions, {} propagations, \
                  {} learned, {} clauses blasted, {:.1} ms\n",
                 self.solver_queries.get(),
-                self.solver_conflicts.get(),
-                self.solver_decisions.get(),
-                self.solver_propagations.get(),
-                self.solver_learnts.get(),
-                self.solver_clauses.get(),
-                self.solver_wall_ns.get() as f64 / 1e6,
+                total.conflicts,
+                total.decisions,
+                total.propagations,
+                total.learnts,
+                total.clauses,
+                total.wall.as_nanos() as f64 / 1e6,
             ));
-            if self.solver_session_goals.get() > 0 {
+            if self.solver_session_queries.get() > 0 {
                 out.push_str(&format!(
                     "incremental: {} of {} queries in live sessions, \
                      {} clauses and {} learnts reused\n",
-                    self.solver_session_goals.get(),
+                    self.solver_session_queries.get(),
                     self.solver_queries.get(),
-                    self.solver_reused_clauses.get(),
-                    self.solver_reused_learnts.get(),
+                    total.reused_clauses,
+                    total.reused_learnts,
                 ));
             }
-            if self.solver_presolve_terms_in.get() > 0 {
-                let tin = self.solver_presolve_terms_in.get();
-                let tout = self.solver_presolve_terms_out.get();
+            if total.presolve_terms_in > 0 {
+                let (tin, tout) = (total.presolve_terms_in, total.presolve_terms_out);
                 out.push_str(&format!(
                     "presolve: {} terms in -> {} out ({:.0}% shrink)\n",
                     tin,
@@ -283,18 +234,13 @@ impl Profiler {
                     (1.0 - tout as f64 / tin as f64) * 100.0,
                 ));
             }
-            let inproc = self.solver_eliminated_vars.get()
-                + self.solver_subsumed.get()
-                + self.solver_strengthened.get()
-                + self.solver_resolvents.get();
+            let inproc =
+                total.eliminated_vars + total.subsumed + total.strengthened + total.resolvents;
             if inproc > 0 {
                 out.push_str(&format!(
                     "inprocess: {} vars eliminated ({} resolvents), \
                      {} clauses subsumed, {} strengthened\n",
-                    self.solver_eliminated_vars.get(),
-                    self.solver_resolvents.get(),
-                    self.solver_subsumed.get(),
-                    self.solver_strengthened.get(),
+                    total.eliminated_vars, total.resolvents, total.subsumed, total.strengthened,
                 ));
             }
         }
