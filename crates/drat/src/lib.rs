@@ -362,10 +362,7 @@ impl Checker {
             // Verify the literal set exactly within the bucket (watch
             // handling permutes stored clauses, so compare as sets —
             // both sides are deduped, so length + membership suffices).
-            let matches = |meta: ClauseMeta, lits: &[Lit]| {
-                let stored = &lits[meta.range()];
-                stored.len() == norm.len() && norm.iter().all(|l| stored.contains(l))
-            };
+            let matches = |meta: ClauseMeta, lits: &[Lit]| same_set(&lits[meta.range()], &norm);
             // Most-recent first, mirroring the old LIFO pop.
             for i in (0..bucket.rest.len()).rev() {
                 if matches(self.clauses[bucket.rest[i] as usize], &self.lits) {
@@ -392,6 +389,27 @@ impl Checker {
         // Watch lists drop deleted clauses lazily in propagate; persistent
         // facts already derived stay in force (drat-trim convention).
         Ok(())
+    }
+
+    /// A live clause with the literal set of the deleted clause `dead`,
+    /// if any. A solver may hold two clauses with one literal set and
+    /// delete one of them; `delete` matches by literal set, so it may
+    /// have dropped the id a later hint names while its twin lives on.
+    /// The twin serves the hinted walk as well: the walk reads only the
+    /// clause's literals.
+    fn live_twin(&mut self, dead: ClauseMeta) -> Option<ClauseMeta> {
+        let mut norm = std::mem::take(&mut self.scratch);
+        norm.clear();
+        norm.extend_from_slice(&self.lits[dead.range()]);
+        norm.sort_unstable();
+        let twin = self.by_key.get(&fp_lits(&norm)).and_then(|bucket| {
+            std::iter::once(bucket.first)
+                .chain(bucket.rest.iter().copied())
+                .map(|cid| self.clauses[cid as usize])
+                .find(|meta| same_set(&self.lits[meta.range()], &norm))
+        });
+        self.scratch = norm;
+        twin
     }
 
     // ------------------------------------------------------------------
@@ -545,9 +563,14 @@ impl Checker {
                 let Some(&meta) = self.clauses.get(h as usize) else {
                     break;
                 };
-                if meta.deleted {
-                    break;
-                }
+                let meta = if meta.deleted {
+                    match self.live_twin(meta) {
+                        Some(twin) => twin,
+                        None => break,
+                    }
+                } else {
+                    meta
+                };
                 let mut free: Option<Lit> = None;
                 for k in meta.range() {
                     let l = self.lits[k];
@@ -578,6 +601,12 @@ impl Checker {
         self.qhead = checkpoint;
         implied
     }
+}
+
+/// Whether a stored clause holds exactly the literals of `norm`. Both
+/// sides are deduped, so length plus membership suffices.
+fn same_set(stored: &[Lit], norm: &[Lit]) -> bool {
+    stored.len() == norm.len() && norm.iter().all(|l| stored.contains(l))
 }
 
 #[inline]

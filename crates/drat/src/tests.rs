@@ -375,6 +375,33 @@ fn hints_cannot_launder_an_underived_clause() {
     }
 }
 
+/// A hint naming a deleted clause walks that clause's live twin (same
+/// literal set), and only a live one: `Delete` matches by literal set,
+/// so with two copies live it drops the most recent id even when the
+/// solver meant the other.
+#[test]
+fn a_hint_to_a_deleted_clause_walks_its_live_twin() {
+    let [a, b, c] = [0, 1, 2].map(|v| Lit::pos(Var(v)));
+    let derive = Step { kind: StepKind::Derived, lits: &[b, c], hints: &[1, 2] };
+    for deletes in [1, 2] {
+        let mut ck = Checker::new();
+        ck.set_strict_hints(true);
+        ck.apply(step(StepKind::Input, &[a, b, c])).unwrap(); // id 0
+        ck.apply(step(StepKind::Input, &[c, b, a])).unwrap(); // id 1, its twin
+        for _ in 0..deletes {
+            ck.apply(step(StepKind::Delete, &[a, b, c])).unwrap(); // id 1 first
+        }
+        ck.apply(step(StepKind::Input, &[!a, b])).unwrap(); // id 2
+        let got = ck.apply(derive);
+        if deletes == 1 {
+            assert_eq!(got, Ok(()));
+            assert_eq!(ck.hint_stats(), (1, 0));
+        } else {
+            assert_eq!(got, Err(CheckError::NotImplied { step: 5 }), "no live twin left");
+        }
+    }
+}
+
 /// Hints are part of the certificate fingerprint: the same clause
 /// stream with different hints hashes differently, so a cached verdict
 /// cannot be replayed under a doctored hint list.
@@ -423,6 +450,82 @@ mod inprocessed_replay {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Certificates after chronological backtracking
+// ---------------------------------------------------------------------
+
+/// The refutation of a deep-backjump instance, or `None` when it is
+/// satisfiable: a random 3-CNF over 12 core variables (30..70 clauses,
+/// from `seed`) plus 200 padding clauses on two fresh variables each.
+/// The core's variables come first, so the all-zero-activity order heap
+/// decides variable 0, then the padding, then the rest of the core:
+/// learnt clauses ask for backjumps of ~200 levels and the solver
+/// backtracks chronologically. The same construction drives the
+/// solver's own brute-force test. With `inprocess` on, the padding is
+/// frozen so elimination cannot dissolve it. Also returns the solver's
+/// chronological-backtrack count.
+fn deep_refutation(seed: u64, inprocess: bool) -> (Option<ProofLog>, u64) {
+    let mut rng = serval_check::rng::Xoshiro256::from_seed(seed);
+    let mut s = Solver::new();
+    s.set_inprocess(inprocess, inprocess);
+    s.set_proof_logging(true);
+    let core: Vec<Var> = (0..12).map(|_| s.new_var()).collect();
+    let clauses = 30 + rng.next_u64() as usize % 40;
+    let mut cnf: Vec<Vec<Lit>> = (0..clauses)
+        .map(|_| {
+            (0..3)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    Lit::new(core[(r % 12) as usize], r & (1 << 32) != 0)
+                })
+                .collect()
+        })
+        .collect();
+    for _ in 0..200 {
+        let (a, b) = (s.new_var(), s.new_var());
+        s.freeze_var(a);
+        s.freeze_var(b);
+        cnf.push(vec![Lit::pos(a), Lit::pos(b)]);
+    }
+    for c in &cnf {
+        s.add_clause(c);
+    }
+    let unsat = s.solve() == SolveResult::Unsat;
+    (unsat.then(|| s.take_proof()), s.stats().chrono_backtracks)
+}
+
+#[test]
+fn chronological_refutations_check_on_their_hints() {
+    let (mut refuted, mut chrono) = (0, 0);
+    for seed in 0..200 {
+        let (proof, c) = deep_refutation(seed, false);
+        chrono += c;
+        let Some(proof) = proof else { continue };
+        refuted += 1;
+        assert!(check_refutation(&proof, &[]).is_ok(), "seed {seed}: refutation rejected");
+        let mut strict = Checker::new();
+        strict.set_strict_hints(true);
+        for st in proof.iter() {
+            strict.apply(st).unwrap_or_else(|e| panic!("seed {seed}: strict hints: {e:?}"));
+        }
+        assert_eq!(strict.hint_stats().1, 0, "seed {seed}");
+    }
+    assert!(refuted > 0 && chrono > 0, "{refuted} refutations, {chrono} chronological backtracks");
+}
+
+#[test]
+fn inprocessed_chronological_refutations_check() {
+    let (mut refuted, mut chrono) = (0, 0);
+    for seed in 0..200 {
+        let (proof, c) = deep_refutation(seed, true);
+        chrono += c;
+        let Some(proof) = proof else { continue };
+        refuted += 1;
+        assert!(check_refutation(&proof, &[]).is_ok(), "seed {seed}: refutation rejected");
+    }
+    assert!(refuted > 0 && chrono > 0, "{refuted} refutations, {chrono} chronological backtracks");
 }
 
 #[test]

@@ -108,8 +108,10 @@ fn subsume_check(a: &[Lit], b: &[Lit]) -> Option<Option<Lit>> {
 }
 
 impl Solver {
-    /// Runs one inprocessing round. Must be called at decision level 0;
-    /// on unsatisfiability (`ok` drops) the concluding empty clause has
+    /// Runs one inprocessing round. Must be called at decision level 0
+    /// (after `backtrack(0)`, so the trail holds level-0 literals only,
+    /// in order, whatever chronological backtracking left before); on
+    /// unsatisfiability (`ok` drops) the concluding empty clause has
     /// been logged.
     pub(super) fn inprocess(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
@@ -174,7 +176,7 @@ impl Solver {
                         false
                     }
                     LBool::Undef => {
-                        self.unchecked_enqueue(new[0], None);
+                        self.enqueue_at(new[0], 0, None);
                         true
                     }
                 }
@@ -682,7 +684,7 @@ impl Solver {
                                 self.log(StepKind::Derived, &[], &[]);
                                 return false;
                             }
-                            LBool::Undef => self.unchecked_enqueue(r[0], None),
+                            LBool::Undef => self.enqueue_at(r[0], 0, None),
                         }
                     }
                     _ => {

@@ -10,6 +10,15 @@
 //!
 //! - two-watched-literal unit propagation,
 //! - first-UIP conflict analysis with clause minimization,
+//! - chronological backtracking: a conflict whose backjump would undo
+//!   more than 100 levels backtracks one level instead, and the learnt
+//!   clause asserts its literal at its own lower level. The trail may
+//!   then hold *out-of-order* literals (a literal's level below that of
+//!   the segment it sits in); every reason's literals still sit earlier
+//!   on the trail at no higher level, and `backtrack` keeps the literals
+//!   at or below its target, in trail order. A `Sat` answer means what
+//!   it meant on an in-order trail: every in-scope variable assigned
+//!   and no conflict,
 //! - exponential VSIDS variable activities with a binary-heap order,
 //! - phase saving (with optional restart-boundary rephasing),
 //! - Luby-sequence restarts (or a geometric series, for portfolio

@@ -129,6 +129,10 @@ pub struct SolverStats {
     pub strengthened: u64,
     /// Resolvent clauses added by variable elimination.
     pub resolvents: u64,
+    /// Conflicts answered with a one-level backtrack instead of the
+    /// computed backjump, because the backjump would have undone more
+    /// than [`CHRONO_LEVELS`] levels (see [`Solver::backtrack`]).
+    pub chrono_backtracks: u64,
 }
 
 /// Restart-boundary phase policy (see [`Solver::set_rephase`]): what to
@@ -161,6 +165,13 @@ pub struct Solver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
+    /// Whether the trail may hold *out-of-order* literals: literals
+    /// assigned at a level below the decision level they were placed
+    /// under (by chronological backtracking, or a learnt clause asserted
+    /// below the current level). While false, every literal's level is
+    /// that of its trail segment, and `propagate`/`backtrack` take their
+    /// cheap in-order paths. Cleared by `backtrack(0)`.
+    out_of_order: bool,
     activity: Vec<f64>,
     var_inc: f64,
     order: VarHeap,
@@ -299,6 +310,13 @@ const SWEEP_GRANULARITY: usize = 4096;
 const INPROCESS_INTERVAL: u64 = 4000;
 /// Restarts between applications of the [`Rephase`] policy.
 const REPHASE_PERIOD: u64 = 10;
+/// Longest backjump taken as is: a conflict whose first-UIP backjump
+/// would undo more levels than this backtracks one level instead and
+/// asserts the learnt literal out of order at its own (lower) level
+/// (chronological backtracking, Nadel & Ryvchin SAT 2018). Sessions
+/// over a large shared base otherwise undo and re-decide hundreds of
+/// base levels, to the same saved phases, after every conflict.
+const CHRONO_LEVELS: u32 = 100;
 /// Geometric restart growth factor (per restart, starting from
 /// `restart_base`), the classic MiniSat-style alternative to Luby.
 const GEOMETRIC_FACTOR: f64 = 1.2;
@@ -323,6 +341,7 @@ impl Solver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
+            out_of_order: false,
             activity: Vec::new(),
             var_inc: 1.0,
             order: VarHeap::default(),
@@ -417,7 +436,12 @@ impl Solver {
     /// guarantee this by scoping to the cone of the live goal plus the
     /// shared base; retired goals' gates are exactly such extensions.
     /// `Sat` then means "every in-scope variable assigned, no conflict",
-    /// which under that contract extends to a total model.
+    /// which under that contract extends to a total model. That holds
+    /// on an out-of-order trail too (see the crate docs): propagation
+    /// reaches the same fixpoint whatever levels the literals carry,
+    /// and chronological backtracking keeps an assigned literal only
+    /// together with its reason, so a `Sat` trail is still a
+    /// conflict-free assignment closed under unit propagation.
     pub fn set_decision_scope(&mut self, scope: Option<&[bool]>) {
         set_mask(&mut self.decision_scope, scope);
         // Variables popped and skipped under an earlier scope are gone
@@ -687,7 +711,7 @@ impl Solver {
                 false
             }
             1 => {
-                self.unchecked_enqueue(c[0], None);
+                self.enqueue_at(c[0], 0, None);
                 self.ok = self.propagate().is_none();
                 if !self.ok {
                     self.log(StepKind::Derived, &[], &[]);
@@ -734,7 +758,9 @@ impl Solver {
 
     /// Removes clauses satisfied at decision level 0 from the database.
     /// Safe at any time: the solver backtracks to level 0 first (wiping
-    /// any Sat model trail). Polls the cooperative-interrupt flag every
+    /// any Sat model trail, and leaving only level-0 literals, in
+    /// order; `retract` and `purge_vars` rely on the same). Polls the
+    /// cooperative-interrupt flag every
     /// [`SWEEP_GRANULARITY`] clauses and bails early when set — an
     /// incomplete sweep leaves extra satisfied clauses behind, which is
     /// only a missed cleanup, never unsound.
@@ -1064,11 +1090,27 @@ impl Solver {
                 if conflicts_here % INTERRUPT_GRANULARITY == 0 && self.interrupted() {
                     return Some(SolveResult::Interrupted);
                 }
-                if self.decision_level() == 0 {
+                // On an out-of-order trail the conflict may sit below the
+                // current level: analysis runs at the clause's own level.
+                let (confl_level, missed) = self.conflict_level(confl);
+                if confl_level == 0 {
                     self.ok = false;
                     self.log(StepKind::Derived, &[], &[]);
                     return Some(SolveResult::Unsat);
                 }
+                if missed {
+                    // One literal at its level: the clause implied that
+                    // literal's negation below it, and propagation got
+                    // there late. Undo the level and assert the literal
+                    // from this very clause. Learning a copy instead
+                    // would put a twin in the database, and the checker,
+                    // deleting by literal set, may drop the id a later
+                    // hint names.
+                    self.backtrack(confl_level - 1);
+                    self.assert_missed(confl);
+                    continue;
+                }
+                self.backtrack(confl_level);
                 let (back_level, lbd) = self.analyze(confl);
                 if self.proof.is_some() {
                     let hints: &[u32] =
@@ -1081,16 +1123,24 @@ impl Solver {
                         hints,
                     );
                 }
-                self.backtrack(back_level);
+                // A deep backjump would undo levels whose decisions phase
+                // saving re-makes verbatim: step back one level instead;
+                // the asserting literal still gets its own level, below
+                // the trail's (a unit lands at level 0).
+                if confl_level - back_level > CHRONO_LEVELS {
+                    self.stats.chrono_backtracks += 1;
+                    self.backtrack(confl_level - 1);
+                } else {
+                    self.backtrack(back_level);
+                }
                 let learnt = std::mem::take(&mut self.learnt);
                 if learnt.len() == 1 {
-                    debug_assert_eq!(self.decision_level(), 0);
-                    self.unchecked_enqueue(learnt[0], None);
+                    self.enqueue_at(learnt[0], 0, None);
                 } else {
                     let cref = self.attach_new_clause(&learnt, true);
                     self.clauses[cref as usize].lbd = lbd;
                     self.clauses[cref as usize].proof_id = self.last_proof_id();
-                    self.unchecked_enqueue(learnt[0], Some(cref));
+                    self.enqueue_at(learnt[0], back_level, Some(cref));
                 }
                 self.learnt = learnt;
                 self.decay_activities();
@@ -1138,7 +1188,7 @@ impl Solver {
                 LBool::False => return Decision::AssumptionConflict(a),
                 LBool::Undef => {
                     self.trail_lim.push(self.trail.len());
-                    self.unchecked_enqueue(a, None);
+                    self.enqueue_at(a, self.decision_level(), None);
                     self.stats.decisions += 1;
                     return Decision::Took;
                 }
@@ -1152,7 +1202,7 @@ impl Solver {
             if self.decidable(v.index()) && self.assign[v.index()] == LBool::Undef {
                 let lit = Lit::new(v, !self.phase[v.index()]);
                 self.trail_lim.push(self.trail.len());
-                self.unchecked_enqueue(lit, None);
+                self.enqueue_at(lit, self.decision_level(), None);
                 self.stats.decisions += 1;
                 return Decision::Took;
             }
@@ -1165,6 +1215,7 @@ impl Solver {
     // ------------------------------------------------------------------
 
     fn propagate(&mut self) -> Option<CRef> {
+        let from = self.qhead;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -1229,9 +1280,22 @@ impl Solver {
                     conflict = Some(cref);
                     self.qhead = self.trail.len();
                     break;
-                } else {
-                    self.unchecked_enqueue(first, Some(cref));
                 }
+                // In order, every false literal sits at or below the
+                // current level and `false_lit` at it. Out of order, the
+                // implied literal belongs at the highest level among
+                // the others (all false), so `backtrack` keeps it
+                // exactly as long as its reason.
+                let level = if self.out_of_order {
+                    lits[1..]
+                        .iter()
+                        .map(|l| self.level[l.var().index()])
+                        .max()
+                        .unwrap_or(0)
+                } else {
+                    self.decision_level()
+                };
+                self.enqueue_at(first, level, Some(cref));
             }
             // Merge back: propagation may have appended new watches for
             // false_lit (self-watch is impossible, but keep it robust).
@@ -1241,6 +1305,7 @@ impl Solver {
                 return conflict;
             }
         }
+        self.debug_check_trail(from);
         None
     }
 
@@ -1248,15 +1313,19 @@ impl Solver {
         value_of(&self.assign, l)
     }
 
-    fn unchecked_enqueue(&mut self, l: Lit, from: Option<CRef>) {
+    /// Assigns `l` at `level` (at most the decision level; below it the
+    /// trail becomes out of order) with reason `from`.
+    fn enqueue_at(&mut self, l: Lit, level: u32, from: Option<CRef>) {
         debug_assert_eq!(self.value_lbool(l), LBool::Undef);
+        debug_assert!(level <= self.decision_level());
+        self.out_of_order |= level < self.decision_level();
         let v = l.var();
         self.assign[v.index()] = if l.is_neg() {
             LBool::False
         } else {
             LBool::True
         };
-        self.level[v.index()] = self.decision_level();
+        self.level[v.index()] = level;
         self.reason[v.index()] = from;
         self.phase[v.index()] = !l.is_neg();
         self.trail_pos[v.index()] = self.trail.len() as u32;
@@ -1267,6 +1336,12 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
+    /// Undoes every assignment above level `target`. Literals of level
+    /// at most `target` placed after its segment (out-of-order ones) stay
+    /// assigned: they slide down, in trail order, to just past the kept
+    /// prefix, `trail_pos` following them (LRAT hints sort by it), and
+    /// are propagated again — whatever justified their watches' state
+    /// above `target` is gone. In place: no allocation.
     fn backtrack(&mut self, target: u32) {
         if self.decision_level() <= target {
             return;
@@ -1274,15 +1349,110 @@ impl Solver {
         let keep = self.trail_lim[target as usize];
         for i in (keep..self.trail.len()).rev() {
             let v = self.trail[i].var();
-            self.assign[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
-            if self.decidable(v.index()) {
-                self.order.insert(v, &self.activity);
+            if self.level[v.index()] > target {
+                self.assign[v.index()] = LBool::Undef;
+                self.reason[v.index()] = None;
+                if self.decidable(v.index()) {
+                    self.order.insert(v, &self.activity);
+                }
             }
         }
-        self.trail.truncate(keep);
+        let mut kept = keep;
+        if self.out_of_order {
+            for i in keep..self.trail.len() {
+                let l = self.trail[i];
+                if self.assign[l.var().index()] != LBool::Undef {
+                    self.trail[kept] = l;
+                    self.trail_pos[l.var().index()] = kept as u32;
+                    kept += 1;
+                }
+            }
+        }
+        self.trail.truncate(kept);
         self.trail_lim.truncate(target as usize);
-        self.qhead = keep;
+        self.qhead = self.qhead.min(keep);
+        // Level 0 is one segment: nothing on it can be out of order.
+        self.out_of_order &= target > 0;
+        self.debug_check_trail(keep);
+    }
+
+    /// The level a conflict is analyzed at — the highest level among the
+    /// clause's (all false) literals — and whether exactly one literal
+    /// sits there. On an in-order trail: the decision level, and never
+    /// one (both watches were assigned at it).
+    fn conflict_level(&self, confl: CRef) -> (u32, bool) {
+        if !self.out_of_order {
+            return (self.decision_level(), false);
+        }
+        let (mut level, mut at_level) = (0, 0);
+        for l in &self.lit_arena[self.clauses[confl as usize].range()] {
+            let lv = self.level[l.var().index()];
+            if lv > level {
+                (level, at_level) = (lv, 1);
+            } else if lv == level {
+                at_level += 1;
+            }
+        }
+        (level, at_level == 1)
+    }
+
+    /// Asserts the one unassigned literal of `confl` (after `search`
+    /// undid the level of its single top-level literal) with `confl` as
+    /// its reason, at the highest level among the others. The clause is
+    /// rewatched on that literal and one of that level, as propagation
+    /// would have left it: re-propagating the kept literals need not
+    /// revisit it, since its other watch may sit below the kept suffix.
+    fn assert_missed(&mut self, confl: CRef) {
+        let lits = &mut self.lit_arena[self.clauses[confl as usize].range()];
+        let old = [lits[0], lits[1]];
+        let free = lits.iter().position(|&l| value_of(&self.assign, l) == LBool::Undef);
+        lits.swap(0, free.expect("the undone literal is unassigned"));
+        let (top, level) = (1..lits.len())
+            .map(|k| (k, self.level[lits[k].var().index()]))
+            .max_by_key(|&(_, lv)| lv)
+            .expect("a conflict clause has two literals");
+        lits.swap(1, top);
+        let new = [lits[0], lits[1]];
+        for l in old.into_iter().filter(|l| !new.contains(l)) {
+            self.watches[l.index()].retain(|w| w.cref != confl);
+        }
+        for (i, l) in new.into_iter().enumerate().filter(|(_, l)| !old.contains(l)) {
+            self.watches[l.index()].push(Watch { cref: confl, blocker: new[1 - i] });
+        }
+        self.enqueue_at(new[0], level, Some(confl));
+    }
+
+    /// Debug builds: the trail invariants chronological backtracking
+    /// rests on, over the positions from `from` on (earlier positions
+    /// were checked when placed, and neither `backtrack` nor
+    /// `propagate` moves them). Each assigned literal sits at its
+    /// `trail_pos`, at a level no higher than the segment it was placed
+    /// in (so every `trail_lim` prefix holds no literal above its
+    /// level), and its reason implies it from literals that sit earlier
+    /// on the trail at no higher level. Skipped while the trail is in
+    /// order, where all of it holds by construction.
+    fn debug_check_trail(&self, from: usize) {
+        if !cfg!(debug_assertions) || !self.out_of_order {
+            return;
+        }
+        for i in from..self.trail.len() {
+            let l = self.trail[i];
+            let v = l.var().index();
+            let segment = self.trail_lim.partition_point(|&lim| lim <= i) as u32;
+            assert_eq!(self.value_lbool(l), LBool::True, "trail literal not true");
+            assert_eq!(self.trail_pos[v] as usize, i, "stale trail_pos");
+            assert!(self.level[v] <= segment, "literal above its segment's level");
+            if let Some(cref) = self.reason[v] {
+                let lits = &self.lit_arena[self.clauses[cref as usize].range()];
+                assert_eq!(lits[0], l, "reason does not imply its literal first");
+                for &q in &lits[1..] {
+                    let qv = q.var().index();
+                    assert_eq!(self.value_lbool(q), LBool::False, "reason literal not false");
+                    assert!((self.trail_pos[qv] as usize) < i, "reason literal placed later");
+                    assert!(self.level[qv] <= self.level[v], "reason literal above the level");
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1293,6 +1463,13 @@ impl Solver {
     /// `self.learnt` (asserting literal first, second-highest-level
     /// literal second) and returns the backtrack level and the clause
     /// LBD. Reason clauses are read in place, by arena index.
+    ///
+    /// Runs at the conflict clause's level (`search` backtracks there
+    /// first). On an out-of-order trail, literals of that level need not
+    /// be contiguous, and seen literals of lower levels may sit between
+    /// them, so the trail walk skips any seen literal below the level.
+    /// Reverse trail order is still a reverse implication order: every
+    /// reason's literals sit earlier on the trail.
     fn analyze(&mut self, confl: CRef) -> (u32, u32) {
         let mut learnt = std::mem::take(&mut self.learnt);
         let mut marked = std::mem::take(&mut self.marked);
@@ -1330,7 +1507,8 @@ impl Solver {
             // current decision level.
             loop {
                 idx -= 1;
-                if self.seen[self.trail[idx].var().index()] {
+                let v = self.trail[idx].var().index();
+                if self.seen[v] && self.level[v] == self.decision_level() {
                     break;
                 }
             }
@@ -1450,6 +1628,12 @@ impl Solver {
     /// recorded in `marked` for end-of-analysis cleanup) so overlapping
     /// chains are walked once; on failure the marks added by this call
     /// are rolled back.
+    ///
+    /// Reads levels and reasons only, never trail order, so an
+    /// out-of-order trail changes nothing: an implied literal's level is
+    /// the highest of its reason's, so a chain never leaves the levels
+    /// it started in for a higher one, and the level filter stays
+    /// exact. Hint positions are `trail_pos`, current after compaction.
     fn lit_redundant(&mut self, l: Lit, abstract_levels: u32, marked: &mut Vec<Var>) -> bool {
         let top = marked.len();
         let hint_top = self.hint_buf.len();
@@ -1494,10 +1678,16 @@ impl Solver {
 
     /// Builds the unsat core when assumption `failed` is falsified by the
     /// earlier assumptions: traces reasons back to assumption decisions.
+    ///
+    /// Out of order, the reverse trail walk is still a reverse
+    /// implication order, and a level-0 literal can sit past
+    /// `trail_lim[0]` (a learnt unit asserted mid-search): it is never
+    /// marked, and a `failed` falsified at level 0 needs no other
+    /// assumption, whatever the decision level.
     fn analyze_final(&mut self, failed: Lit) {
         self.conflict_core.clear();
         self.conflict_core.push(failed);
-        if self.decision_level() == 0 {
+        if self.level[failed.var().index()] == 0 {
             return;
         }
         let mut marked = std::mem::take(&mut self.marked);
@@ -1591,6 +1781,10 @@ impl Solver {
     ///
     /// Polls the cooperative-interrupt flag every [`SWEEP_GRANULARITY`]
     /// clauses; an interrupted sweep just reduces less.
+    ///
+    /// The locked test reads `reason` per variable, not the trail: an
+    /// out-of-order literal kept by `backtrack` keeps its reason, and an
+    /// unassigned variable has none. The dead test reads levels.
     fn reduce_db(&mut self) {
         let locked: Vec<bool> = {
             let mut locked = vec![false; self.clauses.len()];

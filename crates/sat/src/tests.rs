@@ -884,3 +884,127 @@ fn scoped_search_decides_only_in_scope_variables() {
     assert_eq!(s.solve(), SolveResult::Sat);
     assert!(vs.iter().all(|&v| s.value(v).is_some()));
 }
+
+// ---------------------------------------------------------------------
+// Chronological backtracking: deep backjumps against brute force
+// ---------------------------------------------------------------------
+
+/// Core variables of a deep-backjump instance (brute-forced).
+const DEEP_CORE_VARS: usize = 12;
+/// Padding clauses of a deep-backjump instance: each on two fresh
+/// variables of its own, so each costs one decision level and none
+/// takes part in a conflict.
+const DEEP_PADDING: usize = 200;
+
+/// A random 3-CNF over the deep-backjump core, 30..70 clauses (both
+/// verdicts occur), from a fixed seed.
+fn deep_core(seed: u64) -> Vec<Vec<(usize, bool)>> {
+    let mut rng = serval_check::rng::Xoshiro256::from_seed(seed);
+    let clauses = 30 + rng.next_u64() as usize % 40;
+    (0..clauses)
+        .map(|_| {
+            (0..3)
+                .map(|_| {
+                    let r = rng.next_u64();
+                    ((r % DEEP_CORE_VARS as u64) as usize, r & (1 << 32) != 0)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Loads `core` plus the padding into a fresh solver with inprocessing
+/// off (elimination would remove the padding). The core's variables
+/// come first, so with every activity still zero the order heap hands
+/// out variable 0, then the padding (highest index first), then the
+/// rest of the core: conflicts surface ~200 levels above a core
+/// literal, and their learnt clauses ask for backjumps of that depth.
+/// Returns the core's variables and every clause loaded.
+fn load_deep(s: &mut Solver, core: &[Vec<(usize, bool)>]) -> (Vec<Var>, Vec<Vec<Lit>>) {
+    s.set_inprocess(false, false);
+    let vars = lits(s, DEEP_CORE_VARS);
+    let mut cnf: Vec<Vec<Lit>> = core
+        .iter()
+        .map(|c| c.iter().map(|&(v, neg)| Lit::new(vars[v], neg)).collect())
+        .collect();
+    for _ in 0..DEEP_PADDING {
+        cnf.push(vec![Lit::pos(s.new_var()), Lit::pos(s.new_var())]);
+    }
+    for c in &cnf {
+        s.add_clause(c);
+    }
+    (vars, cnf)
+}
+
+#[test]
+fn deep_backjumps_backtrack_chronologically_and_agree_with_brute_force() {
+    let mut chrono = 0;
+    let (mut sat, mut unsat) = (0, 0);
+    for seed in 0..200u64 {
+        let core = deep_core(seed);
+        let mut s = Solver::new();
+        let (vars, cnf) = load_deep(&mut s, &core);
+        let expected = brute_force_sat(DEEP_CORE_VARS, &core);
+        let got = s.solve();
+        assert_eq!(got == SolveResult::Sat, expected, "seed {seed}");
+        if got == SolveResult::Sat {
+            sat += 1;
+            for c in &cnf {
+                assert!(c.iter().any(|&l| s.value_lit(l) == Some(true)), "seed {seed}: {c:?}");
+            }
+        } else {
+            unsat += 1;
+        }
+        chrono += s.stats().chrono_backtracks;
+
+        // Under assumptions over the core, on a fresh solver so the
+        // assumption levels sit below the padding.
+        let asm: Vec<(usize, bool)> = (0..1 + seed as usize % 3)
+            .map(|i| ((seed as usize * 5 + i * 7) % DEEP_CORE_VARS, (seed >> i) & 1 == 1))
+            .collect();
+        let asml: Vec<Lit> = asm.iter().map(|&(v, neg)| Lit::new(vars[v], neg)).collect();
+        let mut s = Solver::new();
+        load_deep(&mut s, &core);
+        let mut full = core.clone();
+        full.extend(asm.iter().map(|&a| vec![a]));
+        let got = s.solve_assuming(&asml);
+        assert_eq!(got == SolveResult::Sat, brute_force_sat(DEEP_CORE_VARS, &full), "seed {seed}");
+        if got == SolveResult::Sat {
+            for c in cnf.iter().map(Vec::as_slice).chain(asml.iter().map(std::slice::from_ref)) {
+                assert!(c.iter().any(|&l| s.value_lit(l) == Some(true)), "seed {seed}: {c:?}");
+            }
+        } else {
+            let mut refuted = core.clone();
+            for &l in s.unsat_core() {
+                let i = asml.iter().position(|&a| a == l).expect("core outside the assumptions");
+                refuted.push(vec![asm[i]]);
+            }
+            assert!(!brute_force_sat(DEEP_CORE_VARS, &refuted), "seed {seed}: core is satisfiable");
+        }
+        chrono += s.stats().chrono_backtracks;
+    }
+    assert!(sat > 0 && unsat > 0, "{sat} sat / {unsat} unsat: the set must hold both");
+    assert!(chrono > 0, "no conflict took a chronological backtrack");
+    eprintln!("deep backjumps: {sat} sat, {unsat} unsat, {chrono} chronological backtracks");
+}
+
+#[test]
+fn an_assumption_refuted_by_a_deep_unit_is_its_own_core() {
+    // 120 free assumptions, then `x`, which the formula refutes alone.
+    // Placing `x` at level 121 conflicts, the learnt unit `!x` would
+    // backjump 121 levels, so it lands at level 0 with the trail kept —
+    // and the next placement of `x` fails on a level-0 literal while the
+    // decision level is 120.
+    let mut s = Solver::new();
+    s.set_inprocess(false, false);
+    let free = lits(&mut s, 120);
+    let x = s.new_var();
+    let y = s.new_var();
+    s.add_clause(&[Lit::neg(x), Lit::pos(y)]);
+    s.add_clause(&[Lit::neg(x), Lit::neg(y)]);
+    let mut asm: Vec<Lit> = free.iter().map(|&v| Lit::pos(v)).collect();
+    asm.push(Lit::pos(x));
+    assert_eq!(s.solve_assuming(&asm), SolveResult::Unsat);
+    assert_eq!(s.stats().chrono_backtracks, 1);
+    assert_eq!(s.unsat_core(), &[Lit::pos(x)]);
+}

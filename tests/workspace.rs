@@ -304,3 +304,28 @@ fn discharge_path_functions_stay_small() {
     assert!(keyer.contains("fn walk(") && keyer.contains("fn key("), "the keyer's functions moved");
     assert_eq!(long_functions(keyer, 120), [], "crates/engine/src/form.rs, impl Keyer");
 }
+
+/// `SolverConfig`'s fields, pinned by name. The CDCL loop's policies
+/// (chronological backtracking among them) are constants of
+/// `crates/sat`, not switches: a change that makes one switchable has to
+/// change this list, and argue for the new field in review.
+#[test]
+fn solver_config_fields_are_pinned() {
+    let path = serval_bench::workspace_root().join("crates/smt/src/solver.rs");
+    let text = std::fs::read_to_string(&path).expect("the smt solver.rs is checked in");
+    let body = text.split("pub struct SolverConfig {\n").nth(1).expect("SolverConfig is defined there");
+    let body = body.split("\n}\n").next().expect("split yields a first piece");
+    let fields: Vec<&str> = body
+        .lines()
+        .filter_map(|line| line.strip_prefix("    pub "))
+        .map(|rest| &rest[..rest.find(':').expect("a field has a type")])
+        .collect();
+    assert_eq!(
+        fields,
+        [
+            "conflict_budget", "restart_base", "var_decay", "default_phase", "restart_geometric",
+            "rephase", "inprocess", "polarity", "session_bve", "lrat",
+        ],
+        "SolverConfig's fields changed",
+    );
+}
