@@ -1050,7 +1050,7 @@ impl Engine {
     /// Last stage: presolve fix-ups, then the raw-key write side. The
     /// shrink counts go onto whatever stats the solve produced, and a
     /// countermodel of the simplified query (solver result or conjunct
-    /// hit alike) has the variables presolve eliminated re-derived from
+    /// hit alike) has the variables presolve narrowed re-derived from
     /// their bindings, so it refutes the query as submitted. Only now
     /// are outcomes definitive, so each is recorded under the query's
     /// raw key — a resubmission's probe then resolves it before ever
@@ -1141,7 +1141,7 @@ pub fn countermodel_valid(
 /// Projects a caller-context model onto a back map's canonical indices —
 /// the inverse of [`portable_to_model`], used to record a finalized
 /// countermodel under the query's *raw* (pre-presolve) cache key. Every
-/// variable presolve eliminated was re-derived by finalization, so the raw back map covers everything the model needs;
+/// variable presolve narrowed was re-derived by finalization, so the raw back map covers everything the model needs;
 /// model entries the map doesn't reach are don't-cares and stay out. UF
 /// rows are sorted so the portable form (and hence the cache bytes) is
 /// deterministic.

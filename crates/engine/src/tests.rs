@@ -1253,10 +1253,11 @@ fn an_unsplit_query_is_stored_under_one_key() {
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
     let w = BV::fresh(16, "w");
-    // Presolve inlines `w = 5`, so the form that is solved is not the
-    // form that was submitted: the whole-goal layer used to store the
-    // verdict under both (2 entries at the commit that deleted it).
-    let base = || vec![w.eq_(BV::lit(16, 5)), x.ult(y)];
+    // Presolve narrows `w` to four bits, so the form that is solved is
+    // not the form that was submitted: the whole-goal layer used to
+    // store the verdict under both (2 entries at the commit that
+    // deleted it).
+    let base = || vec![w.ult(BV::lit(16, 16)), x.ult(y)];
     let proved = || q("p", base(), ((x & w) + (x | w)).eq_(x + w));
     let refuted = || q("r", base(), (x + w).uge(x));
     let queries: [&dyn Fn() -> Query; 2] = [&proved, &refuted];
@@ -1277,10 +1278,10 @@ fn a_split_goal_stores_its_conjuncts_and_its_raw_key() {
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
     let w = BV::fresh(16, "w");
-    // Presolve inlines `w = 5`: the raw key and the presolved whole
-    // goal's are different bytes (`conjuncts + 2` entries when the
-    // latter was still stored).
-    let base = || vec![w.eq_(BV::lit(16, 5)), x.ult(y)];
+    // Presolve narrows `w`: the raw key and the presolved whole goal's
+    // are different bytes (`conjuncts + 2` entries when the latter was
+    // still stored).
+    let base = || vec![w.ult(BV::lit(16, 16)), x.ult(y)];
     let goal = (x & w).ule(x) & (x | y).uge(y) & (x ^ y).ule(x | y);
     let conjuncts = split_goal(goal, 512).len();
     assert_eq!(conjuncts, 3);
@@ -1348,21 +1349,21 @@ fn local_engine_raw(jobs: usize, incremental: bool) -> Engine {
 }
 
 #[test]
-fn presolve_terminates_on_substitution_cycles() {
+fn equality_cycles_in_the_base_reach_the_solver_intact() {
     reset_ctx();
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
     let one = BV::lit(16, 1);
-    // `x = y + 1` and `y = x + 1` form a substitution cycle; chasing it
-    // naively never terminates. The set is contradictory mod 2^16
-    // (subtracting gives 1 = -1), so any goal proves vacuously.
+    // Presolve substitutes no equalities, so `x = y + 1` and
+    // `y = x + 1` reach the solver as asserted. The set is
+    // contradictory mod 2^16 (subtracting gives 1 = -1), so any goal
+    // proves vacuously.
     let asms = vec![x.eq_(y + one), y.eq_(x + one)];
     let out = local_engine(1).submit_batch(vec![q("cycle", asms, x.ult(y))]);
     assert!(matches!(out[0].result, VerifyResult::Proved));
 
     // A benign cycle: `x = y` and `y = x`. The goal restates one of the
-    // assumptions, so it must prove — and presolve must not loop while
-    // orienting the equalities.
+    // assumptions, so it must prove.
     reset_ctx();
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
@@ -1440,14 +1441,19 @@ proptest! {
             x.ult(BV::lit(16, 1 + c0 as u128)),
             y.eq_(x + BV::lit(16, (c1 % 16) as u128)),
         ];
+        // Narrowing rewrites `x` (bounded by the first assumption) to a
+        // short variable; the `ite` spines and the `zext` comparison
+        // exercise the structural equality splits and the narrowed `ult`.
         let menu = |p: u8| -> SBool {
-            match p % 6 {
+            match p % 8 {
                 0 => (x & y).ule(x),
                 1 => x.ult(y),
                 2 => y.uge(x),
                 3 => x.eq_(z),
                 4 => (x ^ y).eq_((x | y) & !(x & y)),
-                _ => z.ult(BV::lit(16, 3)),
+                5 => z.ult(BV::lit(16, 3)),
+                6 => x.ult(y).select(x, z).eq_(z.ult(y).select(x, z + BV::lit(16, c1 as u128))),
+                _ => x.zext(32).ult(BV::lit(32, c1 as u128)),
             }
         };
         let queries = || -> Vec<Query> {
@@ -1470,7 +1476,7 @@ proptest! {
                     b.result.is_proved(),
                     "incremental={} goal {}",
                     incremental,
-                    p % 6
+                    p % 8
                 );
                 if let VerifyResult::Counterexample(m) = &a.result {
                     prop_assert!(!m.eval_bool(menu(p).0));
@@ -1631,7 +1637,7 @@ fn prepared_stage_answers_raw_trivial_queries_and_presolves_the_rest() {
     let engine = local_engine(1);
     let prepared = engine.prepare_batch(vec![
         q("trivial", vec![x.ult(BV::lit(16, 0))], x.eq_(y)),
-        q("live", vec![x.eq_(BV::lit(16, 5))], (x & y).ule(y)),
+        q("live", vec![y.ult(BV::lit(16, 16))], (x & y).ule(y)),
     ], &mut Keyer::new());
     let slots: Vec<bool> = prepared.slots.iter().map(Option::is_some).collect();
     assert_eq!(slots, [true, false]);
@@ -1640,16 +1646,19 @@ fn prepared_stage_answers_raw_trivial_queries_and_presolves_the_rest() {
     let [l] = &prepared.live[..] else { panic!("one query stays live") };
     assert_eq!(l.fixup.slot, 1);
     assert!(!l.fixup.raw.0.is_empty() && l.fixup.presolve.is_some());
-    // Presolve inlined `x = 5` and dropped the defining assumption.
+    // Presolve narrowed `y` to four bits, which made the bounding
+    // assumption `true`, so it was dropped.
     assert!(l.query.assumptions.is_empty());
-    assert_eq!(l.query.goal, (BV::lit(16, 5) & y).ule(y));
+    let info = l.fixup.presolve.as_ref().expect("presolved");
+    let [(v, narrow)] = info.base.bindings[..] else { panic!("one narrowed variable") };
+    assert_eq!((v, l.query.goal), (y.0, (x & BV(narrow)).ule(BV(narrow))));
     // With presolve off a query is folded, keyed and probed all the
     // same; only the rewrite is skipped.
     let engine = local_engine_raw(1, true);
     let prepared = engine.prepare_batch(
         vec![
             q("trivial", vec![x.ult(BV::lit(16, 0))], x.eq_(y)),
-            q("live", vec![x.eq_(BV::lit(16, 5))], (x & y).ule(y)),
+            q("live", vec![y.ult(BV::lit(16, 16))], (x & y).ule(y)),
         ],
         &mut Keyer::new(),
     );
@@ -1708,8 +1717,9 @@ fn a_presolve_fold_is_answered_in_the_keyed_stage_unwalked_and_uncounted() {
     reset_ctx();
     let x = BV::fresh(16, "x");
     let engine = local_engine(1);
-    // Not a constant as submitted; `9 <= 12` once presolve inlines x.
-    let query = || q("p", vec![x.eq_(BV::lit(16, 9))], x.ule(BV::lit(16, 12)));
+    // Not a constant as submitted; once presolve narrows `x` to four
+    // bits, `x + 3` lies in [3, 18] and the ranges decide the goal.
+    let query = || q("p", vec![x.ult(BV::lit(16, 10))], (x + BV::lit(16, 3)).ult(BV::lit(16, 20)));
     let crate::Prepared { mut slots, live } = engine.prepare_batch(vec![query()], &mut Keyer::new());
     assert!(slots[0].is_none() && live[0].query.goal.is_true(), "presolve folded the goal");
     let mut keyer = Keyer::new();
@@ -1919,17 +1929,17 @@ fn every_probe_is_counted_and_a_presolved_twin_is_solved() {
     assert!(engine.probe(&p.key, &p.backmap, &[], goal).is_none(), "evicted, not returned");
     assert_eq!((engine.cache_stats(), engine.cache().len()), ((1, 2), 1), "an evicted entry is a miss");
 
-    // End to end: `with` misses under its raw key and presolve rewrites
-    // it into `bare`'s form — but an unsplit query has no key but its
-    // raw one, so `with` is solved, not answered from `bare`'s verdict
-    // (measured: no query of the benchmark's five workloads was ever
-    // answered that way). Every query spent exactly one counted
-    // lookup, and the rerun resolves both on their raw keys: hits ==
-    // submitted − trivial, misses unchanged.
+    // End to end: `with` misses under its raw key and presolve narrows
+    // its `x` into `bare`'s form up to renaming — but an unsplit query
+    // has no key but its raw one, so `with` is solved, not answered
+    // from `bare`'s verdict (measured: no query of the benchmark's five
+    // workloads was ever answered that way). Every query spent exactly
+    // one counted lookup, and the rerun resolves both on their raw
+    // keys: hits == submitted − trivial, misses unchanged.
     let engine = local_engine(1);
-    let five = BV::lit(16, 5);
-    let bare = || q("bare", vec![], ((five & z) + (five | z)).eq_(five + z));
-    let with = || q("with", vec![x.eq_(five)], ((x & z) + (x | z)).eq_(x + z));
+    let short = BV::fresh(4, "short").zext(16);
+    let bare = || q("bare", vec![], ((short & z) + (short | z)).eq_(short + z));
+    let with = || q("with", vec![x.ult(BV::lit(16, 16))], ((x & z) + (x | z)).eq_(x + z));
     assert!(!engine.submit(bare()).cache_hit);
     let solved = engine.submit(with());
     assert!(!solved.cache_hit && solved.stats.is_some() && solved.result.is_proved());
@@ -1942,16 +1952,18 @@ fn every_probe_is_counted_and_a_presolved_twin_is_solved() {
 #[test]
 fn finalize_records_raw_keys_and_completes_countermodels() {
     reset_ctx();
-    let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
     let engine = local_engine(1);
-    // `y`'s defining assumption is presolved away, so a model of the
-    // simplified query says nothing about it.
-    let query = || q("r", vec![y.eq_(x + BV::lit(16, 1))], y.ult(BV::lit(16, 3)));
+    // Presolve narrows `y` to a fresh four-bit variable, so a model of
+    // the simplified query says nothing about `y` itself.
+    let query = || q("r", vec![y.ult(BV::lit(16, 16))], y.ult(BV::lit(16, 3)));
     let crate::Prepared { mut slots, live } = engine.prepare_batch(vec![query()], &mut Keyer::new());
     let fixups: Vec<Fixup> = live.into_iter().map(|l| l.fixup).collect();
+    let info = fixups[0].presolve.as_ref().expect("presolved");
+    let [(_, narrow)] = info.base.bindings[..] else { panic!("one narrowed variable") };
+    let short = serval_smt::with_ctx(|c| c.term(narrow).children[0]);
     let mut model = serval_smt::model::Model::default();
-    model.set_bv(x.0, 40);
+    model.set_bv(short, 9);
     slots[0] = Some(crate::outcome(
         "r".to_string(),
         VerifyResult::Counterexample(Box::new(model)),
@@ -1962,7 +1974,7 @@ fn finalize_records_raw_keys_and_completes_countermodels() {
     let VerifyResult::Counterexample(m) = &slots[0].as_ref().unwrap().result else {
         panic!("finalization keeps the verdict")
     };
-    assert_eq!(m.eval_bv(y.0), 41, "y is re-derived from its binding");
+    assert_eq!(m.eval_bv(y.0), 9, "y is re-derived from its binding");
     // The completed model is what the raw key now answers with.
     let warm = engine.submit(query());
     assert!(warm.cache_hit && matches!(warm.result, VerifyResult::Counterexample(_)));
@@ -1974,7 +1986,9 @@ fn session_fingerprints_match_the_pinned_values() {
     // session a goal sat in, so they move if groups open in another
     // order, goals reach a session in another order, or a chunk is cut
     // elsewhere. Values taken at the commit before `submit_batch` was
-    // staged.
+    // staged; entries 2 and 3 re-taken when presolve stopped deriving
+    // variable ranges from the base, so `y ≥ 4 ⊢ y ≥ 3` (a conjunct of
+    // "p-conj") and "p-alone" reach the solver instead of folding.
     use crate::{combine_cert_hashes, MIN_SHARD_GOALS as MIN};
     let fingerprints = |jobs: usize, sweep: usize, monitor: bool| -> Vec<u64> {
         reset_ctx();
@@ -2010,8 +2024,8 @@ fn session_fingerprints_match_the_pinned_values() {
 const PINNED_MIXED: [u64; 9] = [
     0x3dd3912984b4afc0,
     0,
-    0xfea264bdeb046a41,
-    0xad319677479e1db6,
+    0x9842b9e0f79ecdba,
+    0xcd077f790ebb94a6,
     0xad319677479e1db6,
     0xe114152adfe1659a,
     0,

@@ -23,9 +23,9 @@
 //! - [`session`]: incremental discharge sessions — one live solver and
 //!   blaster answering a stream of goals under a shared assumption set,
 //!   with per-goal activation literals and learnt-clause reuse.
-//! - [`presolve`]: a word-level query-simplification pipeline (equality
-//!   substitution, known-bits/interval dataflow, assumption-guided
-//!   constant propagation, cone-of-influence reduction) run on
+//! - [`presolve`]: one word-level simplification pass (narrowing of
+//!   bounded variables, known-bits/interval folding, structural `ite`
+//!   equality splits, folding of restated assumptions) run on
 //!   `(assumptions, goal)` queries before normalization and blasting.
 //!
 //! # Examples

@@ -232,6 +232,19 @@ fn retired_variables_stay_retired() {
     for name in ["fn fetch(", "fn local_key(", "struct Normalizer"] {
         assert!(!text.contains(name), "{} brings back {name}", form.display());
     }
+    // ... and the presolve rules that fired on none of the five
+    // workloads: equality substitution and its occurs check, negated
+    // facts, the signed range comparisons, the shift-equality rule, the
+    // fixpoint loop, the rewriter's root mode and the uncached goal
+    // entry point.
+    let presolve = root.join("crates/smt/src/presolve.rs");
+    let text = std::fs::read_to_string(&presolve).expect("the smt presolve.rs is checked in");
+    for name in [
+        "fn occurs(", "neg_facts", "rewrite_top_protected", "scmp_abs", "as_shl_const",
+        "MAX_ROUNDS", "root_mode", "fn simplify_goal(",
+    ] {
+        assert!(!text.contains(name), "{} brings back {name}", presolve.display());
+    }
 }
 
 /// DESIGN.md's "Buggify" paragraph is hand-kept: its bullets must name
@@ -291,7 +304,9 @@ fn long_functions(text: &str, max: usize) -> Vec<(String, usize)> {
 /// (DESIGN.md, "Engine"); a function on the discharge path that outgrows
 /// 120 lines is a stage growing a second job. The keyer every stage keys
 /// through is on that path too: its walk, its root ordering and its two
-/// assemblers stay functions of their own.
+/// assemblers stay functions of their own. So is presolve, which rewrites
+/// every live query before it is keyed: its abstract walk and its
+/// transfer functions stay apart, and so do its harvest and its pass.
 #[test]
 fn discharge_path_functions_stay_small() {
     let src = serval_bench::workspace_root().join("crates/engine/src");
@@ -303,6 +318,10 @@ fn discharge_path_functions_stay_small() {
     let keyer = keyer.split("\n}\n").next().expect("split yields a first piece");
     assert!(keyer.contains("fn walk(") && keyer.contains("fn key("), "the keyer's functions moved");
     assert_eq!(long_functions(keyer, 120), [], "crates/engine/src/form.rs, impl Keyer");
+    let presolve = serval_bench::workspace_root().join("crates/smt/src/presolve.rs");
+    let text = std::fs::read_to_string(presolve).expect("the smt presolve.rs is checked in");
+    assert!(text.contains("pub fn presolve_base("), "presolve moved: point this guard at it");
+    assert_eq!(long_functions(&text, 120), [], "crates/smt/src/presolve.rs");
 }
 
 /// `SolverConfig`'s fields, pinned by name. The CDCL loop's policies
