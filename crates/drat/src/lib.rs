@@ -28,7 +28,8 @@
 //!
 //! The checker is incremental: `serval-engine`'s session mode feeds one
 //! live [`Checker`] the per-goal proof deltas of an incremental SAT
-//! session, calling [`Checker::take_conclusion`] after each goal.
+//! session, calling [`Checker::take_conclusion`] after each goal, on a
+//! thread of its own that trails the solving thread.
 
 use serval_sat::{Lit, ProofLog, Step, StepKind};
 use std::collections::HashMap;
@@ -71,11 +72,13 @@ impl std::fmt::Display for CheckError {
     }
 }
 
+/// One clause of the arena in 8 bytes: the checker holds hundreds of
+/// thousands of these per session, so the record is a `u32` start and a
+/// `u32` holding the length above the deleted bit.
 #[derive(Clone, Copy)]
 struct ClauseMeta {
-    start: usize,
-    len: usize,
-    deleted: bool,
+    start: u32,
+    len_deleted: u32,
 }
 
 /// Live clause ids sharing one literal-set fingerprint. Almost every
@@ -87,8 +90,22 @@ struct Bucket {
 }
 
 impl ClauseMeta {
+    fn new(start: usize, len: usize) -> ClauseMeta {
+        let fit = |n: usize| u32::try_from(n).expect("checker arenas are indexed by u32");
+        ClauseMeta { start: fit(start), len_deleted: fit(len << 1) }
+    }
+
     fn range(&self) -> Range<usize> {
-        self.start..self.start + self.len
+        let start = self.start as usize;
+        start..start + (self.len_deleted >> 1) as usize
+    }
+
+    fn deleted(&self) -> bool {
+        self.len_deleted & 1 == 1
+    }
+
+    fn delete(&mut self) {
+        self.len_deleted |= 1;
     }
 }
 
@@ -294,7 +311,7 @@ impl Checker {
         let cid = self.clauses.len() as u32;
         let start = self.lits.len();
         self.lits.extend_from_slice(&norm);
-        self.clauses.push(ClauseMeta { start, len: norm.len(), deleted: false });
+        self.clauses.push(ClauseMeta::new(start, norm.len()));
         match self.by_key.entry(fp_lits(&norm)) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(Bucket { first: cid, rest: Vec::new() });
@@ -385,7 +402,7 @@ impl Checker {
         let Some(cid) = deleted else {
             return Err(CheckError::DeleteMissing { step });
         };
-        self.clauses[cid as usize].deleted = true;
+        self.clauses[cid as usize].delete();
         // Watch lists drop deleted clauses lazily in propagate; persistent
         // facts already derived stay in force (drat-trim convention).
         Ok(())
@@ -438,7 +455,7 @@ impl Checker {
             let mut conflict = false;
             while i < ws.len() {
                 let cid = ws[i] as usize;
-                if self.clauses[cid].deleted {
+                if self.clauses[cid].deleted() {
                     ws.swap_remove(i);
                     continue;
                 }
@@ -563,7 +580,7 @@ impl Checker {
                 let Some(&meta) = self.clauses.get(h as usize) else {
                     break;
                 };
-                let meta = if meta.deleted {
+                let meta = if meta.deleted() {
                     match self.live_twin(meta) {
                         Some(twin) => twin,
                         None => break,

@@ -7,6 +7,10 @@
 //! spawns nothing. That is all the traffic needs: a task is a whole
 //! solver session (milliseconds to seconds) and a batch never holds more
 //! than a handful of them (DESIGN.md, "Engine", has the counts).
+//! A certified session task is two threads: it opens a scope of its own
+//! for the checker that trails its solver (`solve::solve_session`), so
+//! `jobs` bounds the *solving* threads, and each certified session adds
+//! one mostly idle checker beside its solver.
 //!
 //! A task never runs on the submitting thread, even with `jobs = 1`:
 //! tasks `reset_ctx()` to rebuild their query, and the caller owns live

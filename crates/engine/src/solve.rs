@@ -3,14 +3,17 @@
 //! shape. Portfolio mode races several solver configurations for one
 //! query and cancels the losers through the CDCL interrupt flag.
 
-use crate::form::{rebuild, rebuild_session, FormCore, SessionCore};
+use crate::form::{rebuild, rebuild_session, FormCore, SessionCore, SessionRebuilt};
 use serval_check::sim;
+use serval_sat::{ProofLog, StepKind};
 use serval_smt::model::Model;
-use serval_smt::session::Session;
+use serval_smt::session::{Session, SessionProof};
 use serval_smt::solver::{check_full, check_full_proof, CheckResult, QueryStats, SolverConfig};
 use serval_smt::term::{reset_ctx, Sort, TermId, UfId};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
+use std::thread::Builder;
 use std::time::{Duration, Instant};
 
 /// A model expressed over canonical var/UF indices — valid on any
@@ -148,6 +151,24 @@ fn portable_of_model(
     pm
 }
 
+/// Goal deltas a certified session may hand its checker ahead of the
+/// check. The solver blocks only when the checker trails it by this many
+/// goals, which bounds the proof held in flight.
+const CHECK_AHEAD: usize = 4;
+
+/// One goal's certificate check, as [`check_deltas`] reports it.
+#[derive(Debug)]
+pub(crate) struct GoalCert {
+    /// The chained fingerprint backing an accepted `Unsat` (0 otherwise).
+    pub(crate) hash: u64,
+    /// Why the goal's `Unsat` was rejected, if it was.
+    pub(crate) error: Option<String>,
+    /// Steps in the goal's delta.
+    pub(crate) steps: u64,
+    /// Time spent checking and hashing the delta.
+    pub(crate) wall: Duration,
+}
+
 /// Discharges a whole session core on one live solver: the shared
 /// assumptions are asserted (and blasted) once, then every goal is
 /// answered in submission order with per-goal activation literals (see
@@ -160,17 +181,16 @@ fn portable_of_model(
 /// [`RawVerdict::Interrupted`] without solving: the cancel flag is
 /// sticky, so re-asking the dead solver would only burn time.
 ///
-/// With `cert` on, one live `serval-drat` checker consumes each goal's
-/// proof-log delta in order: the checker's clause database mirrors the
-/// session solver's (modulo clauses it keeps longer), so a goal's
-/// `Unsat` is upgraded to `Proved` only if its delta checks out *and*
-/// concludes in a clause over the goal's negated activation literal.
-/// A single rejected step poisons certification for every later goal
-/// (the databases have diverged) — their `Unsat` answers demote to
-/// `Unknown` with the sticky error. Each goal's `cert_hash` chains over
-/// all deltas of *this* session so far, fingerprinting the whole prefix
-/// its proof rests on — so how a group was cut changes its goals'
-/// fingerprints, never their verdicts.
+/// With `cert` on, the certificate check trails the solver: a checker
+/// thread, scoped to this call, runs [`check_deltas`] over the goal
+/// deltas the solving thread streams to it through a bounded channel,
+/// so the solver moves on to the next goal while the last one is
+/// checked. Verdicts are built after the checker is joined: a goal's
+/// `Unsat` becomes `Proved` only if the checker accepted it, and
+/// demotes to `Unknown` with the checker's reason otherwise. If the
+/// solving thread unwinds, dropping the sender ends the checker's loop
+/// and the scope joins it, so a panic fails only its own pool slot.
+/// With `cert` off, no thread is spawned.
 ///
 /// Must run on a thread whose term context is disposable (a pool
 /// worker): the context is reset first.
@@ -180,6 +200,47 @@ pub fn solve_session(
     cancel: Option<Arc<AtomicBool>>,
     cert: bool,
 ) -> Vec<RawOutcome> {
+    let (rq, mut session) = open_session(core, cfg, cancel, cert);
+    let (mut out, certs) = if cert {
+        std::thread::scope(|s| {
+            let (tx, rx) = sync_channel(CHECK_AHEAD);
+            let checker = Builder::new()
+                .name("serval-engine-check".to_string())
+                .spawn_scoped(s, move || check_deltas(rx))
+                .expect("spawn certificate checker");
+            let out = solve_goals(&mut session, core, &rq, |delta| {
+                // A send fails only if the checker died; its join says so.
+                let _ = tx.send(delta);
+            });
+            drop(tx);
+            let certs = checker.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            (out, certs)
+        })
+    } else {
+        (solve_goals(&mut session, core, &rq, |_| {}), Vec::new())
+    };
+    // A logging session sends one delta per solved goal, in order; the
+    // goals skipped after an interrupt sent none.
+    for (o, c) in out.iter_mut().zip(certs) {
+        if c.error.is_some() && matches!(o.verdict, RawVerdict::Proved) {
+            o.verdict = RawVerdict::Unknown;
+        }
+        o.cert_hash = c.hash;
+        o.cert_error = c.error;
+        o.stats.cert_steps = c.steps;
+        o.stats.cert_wall = c.wall;
+    }
+    out
+}
+
+/// Rebuilds `core` in a fresh term context and opens its session: the
+/// base assumed, the goal stream announced.
+pub(crate) fn open_session(
+    core: &SessionCore,
+    cfg: SolverConfig,
+    cancel: Option<Arc<AtomicBool>>,
+    cert: bool,
+) -> (SessionRebuilt, Session) {
     reset_ctx();
     let rq = rebuild_session(core);
     let mut session = Session::new(cfg, cancel);
@@ -191,9 +252,19 @@ pub fn solve_session(
     // terms after their last use — purging dead goals' gate clauses
     // keeps long sessions' watch lists near the live-cone size.
     session.plan_goals(&rq.neg_goals);
-    let mut checker = serval_drat::Checker::new();
-    let mut checker_err: Option<String> = None;
-    let mut running_hash = serval_drat::hash_steps(&serval_sat::ProofLog::new());
+    (rq, session)
+}
+
+/// The solving half of [`solve_session`]: answers each goal on the live
+/// session and hands its proof delta, if logged, to `on_delta` together
+/// with whether the goal came back `Unsat`. An `Unsat` is reported
+/// `Proved` here; a certified caller demotes it if the check fails.
+pub(crate) fn solve_goals(
+    session: &mut Session,
+    core: &SessionCore,
+    rq: &SessionRebuilt,
+    mut on_delta: impl FnMut((SessionProof, bool)),
+) -> Vec<RawOutcome> {
     let mut out = Vec::with_capacity(rq.neg_goals.len());
     let mut dead = false;
     for &ng in &rq.neg_goals {
@@ -208,44 +279,20 @@ pub fn solve_session(
             continue;
         }
         let so = session.solve_negated(ng);
-        let mut stats = so.stats;
-        let mut cert_hash = 0u64;
-        let mut cert_error: Option<String> = None;
-        if let Some(proof) = &so.proof {
-            let t0 = Instant::now();
-            if checker_err.is_none() {
-                for st in proof.steps.iter() {
-                    if let Err(e) = checker.apply(st) {
-                        checker_err = Some(e.to_string());
-                        break;
-                    }
-                }
+        let unsat = matches!(so.result, CheckResult::Unsat);
+        if let Some(mut proof) = so.proof {
+            // Buggify: hand the checker a goal delta missing its
+            // conclusion, as a torn stream would. Drawn here, not on the
+            // checker thread, which runs outside the sim's schedule.
+            // The goal must demote to `Unknown`, and so must every later
+            // `Unsat` goal of this session — never a `Proved` without a
+            // checked proof.
+            if unsat && sim::buggify("cert-corrupt-delta") {
+                drop_conclusion(&mut proof.steps);
             }
-            // Every goal drains the conclusion, so a goal that derives
-            // nothing cannot inherit its predecessor's.
-            let conclusion = checker.take_conclusion();
-            running_hash = serval_drat::hash_steps_seeded(running_hash, &proof.steps);
-            if matches!(so.result, CheckResult::Unsat) {
-                match (&checker_err, proof.act) {
-                    (Some(e), _) => cert_error = Some(e.clone()),
-                    // Constant-false goal: no derived conclusion needed.
-                    (None, None) => cert_hash = running_hash,
-                    (None, Some(act)) => match conclusion {
-                        Some(conc) if serval_drat::conclusion_covers(&conc, &[act]) => {
-                            cert_hash = running_hash;
-                        }
-                        _ => {
-                            cert_error =
-                                Some("session goal concluded no clause over !act".to_string());
-                        }
-                    },
-                }
-            }
-            stats.cert_steps = proof.steps.len() as u64;
-            stats.cert_wall = t0.elapsed();
+            on_delta((proof, unsat));
         }
         let verdict = match so.result {
-            CheckResult::Unsat if cert_error.is_some() => RawVerdict::Unknown,
             CheckResult::Unsat => RawVerdict::Proved,
             CheckResult::Unknown => RawVerdict::Unknown,
             CheckResult::Interrupted => {
@@ -259,9 +306,78 @@ pub fn solve_session(
                 &rq.uf_ids,
             )),
         };
-        out.push(RawOutcome { verdict, stats, variant: 0, cert_hash, cert_error });
+        let stats = so.stats;
+        out.push(RawOutcome { verdict, stats, variant: 0, cert_hash: 0, cert_error: None });
     }
     out
+}
+
+/// Drops a goal delta's conclusion: its trailing `Derived` steps, since
+/// a goal refuted under its activation literal often derives its
+/// concluding clause twice (learnt in search, then as the assumption
+/// core), and dropping one copy would leave the other to conclude.
+pub(crate) fn drop_conclusion(steps: &mut ProofLog) {
+    while steps.last().is_some_and(|s| s.kind == StepKind::Derived) {
+        steps.truncate(steps.len() - 1);
+    }
+}
+
+/// The checking half of [`solve_session`]: checks a session's goal
+/// deltas, each with whether its goal came back `Unsat`, in order on one
+/// live `serval-drat` checker, and returns one [`GoalCert`] per delta.
+///
+/// The checker's clause database mirrors the session solver's (modulo
+/// clauses it keeps longer), so an `Unsat` is accepted only if its delta
+/// checks out *and* concludes in a clause over the goal's negated
+/// activation literal. The first rejection — a step that does not
+/// check, or an `Unsat` goal without its conclusion — poisons the rest
+/// of the session (the databases have diverged): every later `Unsat` is
+/// rejected with the same error. An accepted goal's hash chains over all
+/// deltas of *this* session so far, fingerprinting the whole prefix its
+/// proof rests on — so how a group was cut changes its goals'
+/// fingerprints, never their verdicts.
+pub(crate) fn check_deltas(
+    deltas: impl IntoIterator<Item = (SessionProof, bool)>,
+) -> Vec<GoalCert> {
+    let mut checker = serval_drat::Checker::new();
+    let mut poison: Option<String> = None;
+    let mut running_hash = serval_drat::hash_steps(&ProofLog::new());
+    let mut certs = Vec::new();
+    for (proof, unsat) in deltas {
+        let t0 = Instant::now();
+        if poison.is_none() {
+            for st in proof.steps.iter() {
+                if let Err(e) = checker.apply(st) {
+                    poison = Some(e.to_string());
+                    break;
+                }
+            }
+        }
+        // Every goal drains the conclusion, so a goal that derives
+        // nothing cannot inherit its predecessor's.
+        let conclusion = checker.take_conclusion();
+        running_hash = serval_drat::hash_steps_seeded(running_hash, &proof.steps);
+        if unsat && poison.is_none() {
+            let concluded = match proof.act {
+                // Constant-false goal: no derived conclusion needed.
+                None => true,
+                Some(act) => {
+                    conclusion.is_some_and(|c| serval_drat::conclusion_covers(&c, &[act]))
+                }
+            };
+            if !concluded {
+                poison = Some("session goal concluded no clause over !act".to_string());
+            }
+        }
+        let (hash, error) = match (unsat, &poison) {
+            (false, _) => (0, None),
+            (true, Some(e)) => (0, Some(e.clone())),
+            (true, None) => (running_hash, None),
+        };
+        let steps = proof.steps.len() as u64;
+        certs.push(GoalCert { hash, error, steps, wall: t0.elapsed() });
+    }
+    certs
 }
 
 /// The portfolio: the base configuration (Luby restarts) plus two

@@ -2034,3 +2034,104 @@ const PINNED_MIXED: [u64; 9] = [
 ];
 const PINNED_SWEEP_1: u64 = 0x5a971bba88f396f7;
 const PINNED_SWEEP_2: u64 = 0xb1973ddd85097597;
+
+// -----------------------------------------------------------------
+// The certificate stream: the checking half driven alone
+// -----------------------------------------------------------------
+
+/// A session core with a base, so it stays one session whatever the
+/// worker count: goal `i` proves on even `i` and refutes on odd `i`.
+fn certified_core() -> crate::form::SessionCore {
+    reset_ctx();
+    let base = BV::fresh(16, "y").ult(BV::lit(16, 9));
+    crate::form::prepare_session(&[base], &shardable_goals(8)).core
+}
+
+/// Runs `f` on a scratch thread, as a pool worker would: opening a
+/// session resets the thread's term context.
+fn on_worker<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().expect("the worker does not panic"))
+}
+
+#[test]
+fn the_trailing_checker_matches_an_in_thread_check_and_poisons_what_follows() {
+    use crate::solve::{check_deltas, open_session, solve_goals, solve_session};
+    use serval_sat::{Lit, ProofLog, StepKind, Var};
+    use serval_smt::SessionProof;
+    let core = certified_core();
+    let cfg = SolverConfig::default();
+    let deltas = on_worker(|| {
+        let (rq, mut session) = open_session(&core, cfg, None, true);
+        let mut deltas = Vec::new();
+        solve_goals(&mut session, &core, &rq, |d| deltas.push(d));
+        deltas
+    });
+    let unsat: Vec<bool> = deltas.iter().map(|d| d.1).collect();
+    assert_eq!(unsat, (0..8).map(|i| i % 2 == 0).collect::<Vec<_>>());
+    let copy = || -> Vec<(SessionProof, bool)> {
+        let clone = |p: &SessionProof| SessionProof { steps: p.steps.clone(), act: p.act };
+        deltas.iter().map(|(p, u)| (clone(p), *u)).collect()
+    };
+
+    // In-thread and trailing, the same fingerprints and no error.
+    let clean = check_deltas(copy());
+    let streamed = on_worker(|| solve_session(&core, cfg, None, true));
+    assert_eq!(clean.len(), streamed.len());
+    for (i, (c, o)) in clean.iter().zip(&streamed).enumerate() {
+        assert_eq!((c.hash, &c.error), (o.cert_hash, &o.cert_error), "goal {i}");
+        assert_eq!((c.hash != 0, c.error.is_none()), (unsat[i], true), "goal {i}");
+        assert_eq!(matches!(o.verdict, RawVerdict::Proved), unsat[i], "goal {i}");
+    }
+
+    // Corrupt delta k: drop its conclusion (what `cert-corrupt-delta`
+    // does), or open it with the deletion of a clause never added.
+    let k = 2;
+    let corruptions: [(&str, fn(&mut ProofLog)); 2] = [
+        ("concluded no clause over !act", crate::solve::drop_conclusion),
+        ("deleted clause is not in the database", |p| {
+            let mut q = ProofLog::new();
+            q.push(StepKind::Delete, &[Lit::pos(Var(1 << 20))], &[]);
+            q.extend(p);
+            *p = q;
+        }),
+    ];
+    for (reason, corrupt) in corruptions {
+        let mut bad = copy();
+        corrupt(&mut bad[k].0.steps);
+        let certs = check_deltas(bad);
+        let error = certs[k].error.clone().expect("the corrupted goal is rejected");
+        assert!(error.contains(reason), "{error}");
+        for (i, c) in certs.iter().enumerate() {
+            let expect = match i {
+                _ if i < k => (clean[i].hash, clean[i].error.clone()),
+                _ if unsat[i] => (0, Some(error.clone())),
+                _ => (0, None),
+            };
+            assert_eq!((c.hash, c.error.clone()), expect, "[{reason}] goal {i}");
+        }
+    }
+}
+
+#[test]
+fn a_cancelled_certified_session_neither_hangs_nor_drops_a_goal() {
+    use crate::solve::solve_session;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    let core = certified_core();
+    let n = core.goal_roots.len();
+    // Not scoped: if the session hung, the test must fail, not wait.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cancel = Arc::new(AtomicBool::new(true));
+        let _ = tx.send(solve_session(&core, SolverConfig::default(), Some(cancel), true));
+    });
+    // Returning at all means the scope joined the checker thread.
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a cancelled certified session returns");
+    assert_eq!(out.len(), n, "one outcome per goal");
+    for (i, o) in out.iter().enumerate() {
+        assert!(matches!(o.verdict, RawVerdict::Interrupted), "goal {i}: {:?}", o.verdict);
+        assert_eq!((o.cert_hash, &o.cert_error), (0, &None), "goal {i}");
+    }
+}

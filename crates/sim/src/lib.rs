@@ -435,11 +435,21 @@ fn cache_writers(cfg: &SimConfig) -> String {
 /// checker sees them, a solver `Unsat` must come back `Proved` *with a
 /// checked certificate* or demote to `Unknown` with the rejection
 /// reason — never an unchecked `Proved`, never a flip to `Refuted`.
+/// Two legs: fresh solves (`cert-corrupt-proof`), then one session whose
+/// goal deltas stream to its checker (`cert-corrupt-delta`).
 fn cert_demotion(cfg: &SimConfig) -> String {
     reset_ctx();
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
     let z = BV::fresh(32, "z");
+    let fresh = cert_demotion_fresh(cfg, x, y, z);
+    let session = cert_demotion_session(cfg, x, y, z);
+    format!("{fresh} session={session}")
+}
+
+/// `cert_demotion`'s fresh leg: a fresh solver per query, each proof
+/// checked whole.
+fn cert_demotion_fresh(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
     let engine = Engine::new(EngineCfg {
         jobs: 2,
         portfolio: false,
@@ -491,6 +501,75 @@ fn cert_demotion(cfg: &SimConfig) -> String {
         "every rejected certificate is exactly one demoted outcome"
     );
     format!("proved={proved} demoted={demoted}")
+}
+
+/// `cert_demotion`'s session leg: six theorems under one base form one
+/// group, so they are answered in submission order on one live solver
+/// whose checker trails it. A corrupted delta demotes its goal to
+/// `Unknown` with the rejection reason and poisons the session: every
+/// later goal (all are theorems, so all `Unsat`) demotes with the same
+/// error, while every earlier goal keeps its certificate.
+fn cert_demotion_session(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
+    let engine = Engine::new(EngineCfg {
+        jobs: 2,
+        portfolio: false,
+        disk_cache: None,
+        split: false,
+        mode: DischargeMode::Session,
+        presolve: true,
+        cert: true,
+    });
+    let base = y.ult(x);
+    let oracle: Vec<(Vec<SBool>, SBool, bool)> = (0..6u128)
+        .map(|i| {
+            let k = BV::lit(32, 3 + i);
+            let goal = if i % 2 == 0 {
+                (x & k).ule(x)
+            } else {
+                y.ult(x | (z & k))
+            };
+            (vec![base], goal, true)
+        })
+        .collect();
+    let queries: Vec<Query> = oracle
+        .iter()
+        .enumerate()
+        .map(|(i, (a, g, _))| q(&format!("session{i}"), a.clone(), *g))
+        .collect();
+    let out = engine.submit_batch(queries);
+    check_verdicts(&out, &oracle, cfg);
+    assert_eq!(engine.mode_counts(), (1, 0), "the six goals form one session");
+    let k = out
+        .iter()
+        .position(|o| !matches!(o.result, VerifyResult::Proved))
+        .unwrap_or(out.len());
+    for o in &out[..k] {
+        assert!(o.cert.is_some(), "{}: Proved without a certificate", o.label);
+    }
+    if let Some(first) = out.get(k) {
+        assert!(
+            matches!(first.result, VerifyResult::Unknown) && first.error.is_some(),
+            "{}: a rejected delta demotes to Unknown with the reason, got {:?}",
+            first.label,
+            first.result
+        );
+        for o in &out[k + 1..] {
+            assert!(
+                matches!(o.result, VerifyResult::Unknown) && o.error == first.error,
+                "{}: a goal after a rejected delta demotes with the same error, got {:?} / {:?}",
+                o.label,
+                o.result,
+                o.error
+            );
+        }
+    }
+    let (_accepted, rejected) = engine.cert_counts();
+    assert_eq!(
+        rejected as usize,
+        out.len() - k,
+        "every rejected certificate is exactly one demoted outcome"
+    );
+    out.iter().map(|o| letter(&o.result)).collect()
 }
 
 /// The networked discharge service end to end, minus sockets: three

@@ -104,7 +104,8 @@ fn skipped_truncation_still_rejects_bad_records() {
 /// Regression: a corrupted proof certificate (buggify pops the final
 /// proof step) must demote the verdict to Unknown with the rejection
 /// reason — never surface as an unchecked Proved, never flip to
-/// Refuted. Seed 19 corrupts two of four proofs.
+/// Refuted. Seed 19 corrupts two of four proofs on the fresh leg (its
+/// session leg corrupts the first goal's delta).
 #[test]
 fn corrupted_proofs_demote_to_unknown() {
     let r = run("cert_demotion", SimConfig::hostile(19));
@@ -112,7 +113,24 @@ fn corrupted_proofs_demote_to_unknown() {
         r.fired("cert-corrupt-proof"),
         "pinned seed no longer corrupts a proof"
     );
-    assert_eq!(r.summary, "proved=2 demoted=2");
+    assert_eq!(r.summary, "proved=2 demoted=2 session=UUUUUU");
+}
+
+/// The session twin: a goal delta streamed to the session's trailing
+/// checker without its conclusion ("cert-corrupt-delta") demotes that
+/// goal to Unknown and poisons the session — every later goal demotes
+/// with the same error (the scenario's oracle checks the error), while
+/// the goals before it keep their certificates. Seed 27 corrupts the
+/// third of six goals and no fresh proof.
+#[test]
+fn a_corrupted_session_delta_demotes_its_goal_and_every_later_one() {
+    let r = run("cert_demotion", SimConfig::hostile(27));
+    assert!(
+        r.fired("cert-corrupt-delta"),
+        "pinned seed no longer corrupts a session delta"
+    );
+    assert!(!r.fired("cert-corrupt-proof"));
+    assert_eq!(r.summary, "proved=4 demoted=0 session=PPUUUU");
 }
 
 /// Regression: dropping the portfolio's first definitive finisher
@@ -197,10 +215,10 @@ fn skipped_inprocessing_never_flips_a_verdict() {
 /// turns plan-scoped BVE into subsumption-only maintenance) must never
 /// flip a verdict — eliminated clauses are retraction-safe rewrites of
 /// the plan's own cone, so skipping the whole pass only costs speed.
-/// Seed 41 skips elimination inside the cold run's live session.
+/// Seed 3 skips elimination inside the cold run's live session.
 #[test]
 fn skipped_session_elimination_never_flips_a_verdict() {
-    let r = run("engine_batch", SimConfig::hostile(41));
+    let r = run("engine_batch", SimConfig::hostile(3));
     assert!(
         r.fired("session-eliminate-skip"),
         "pinned seed no longer skips session elimination"

@@ -19,7 +19,8 @@
 //! hash-order dependence in what is counted, the tests serialized, and
 //! only the harness's own thread beside them — so the bounds need no
 //! noise margin, only headroom for honest growth. A binary of its own:
-//! the counting `#[global_allocator]` is process-wide.
+//! the counting `#[global_allocator]` is process-wide, so it also counts
+//! the checker thread a certified session streams its proof to.
 
 use serval_engine::form::{prepare_session, SessionCore};
 use serval_engine::solve::{solve_session, RawVerdict};
@@ -141,6 +142,8 @@ fn a_certified_session_stays_out_of_the_allocator() {
         .expect("the sweep submitted a batch");
 
     COUNTING.store(true, Ordering::Relaxed);
+    // The session's checker thread is joined before this returns, so the
+    // count read below includes every call it made.
     let outcomes = solve_session(&core, cfg, None, true);
     COUNTING.store(false, Ordering::Relaxed);
 

@@ -307,6 +307,9 @@ fn long_functions(text: &str, max: usize) -> Vec<(String, usize)> {
 /// assemblers stay functions of their own. So is presolve, which rewrites
 /// every live query before it is keyed: its abstract walk and its
 /// transfer functions stay apart, and so do its harvest and its pass.
+/// The worker side is on it too: a certified session solves on one
+/// thread and checks on another, so `solve_session` hands proof steps to
+/// the checking function and never applies one itself.
 #[test]
 fn discharge_path_functions_stay_small() {
     let src = serval_bench::workspace_root().join("crates/engine/src");
@@ -322,6 +325,12 @@ fn discharge_path_functions_stay_small() {
     let text = std::fs::read_to_string(presolve).expect("the smt presolve.rs is checked in");
     assert!(text.contains("pub fn presolve_base("), "presolve moved: point this guard at it");
     assert_eq!(long_functions(&text, 120), [], "crates/smt/src/presolve.rs");
+    let solve = std::fs::read_to_string(src.join("solve.rs")).expect("the engine's solve.rs is checked in");
+    assert_eq!(long_functions(&solve, 120), [], "crates/engine/src/solve.rs");
+    let body = solve.split("\npub fn solve_session(").nth(1).expect("solve.rs defines solve_session");
+    let body = body.split("\n}\n").next().expect("split yields a first piece");
+    assert!(body.contains("check_deltas"), "solve_session streams to the checking function");
+    assert!(!body.contains(".apply("), "solve_session applies proof steps itself");
 }
 
 /// `SolverConfig`'s fields, pinned by name. The CDCL loop's policies
