@@ -32,7 +32,7 @@
 
 use serval_smt::bv::SBool;
 use serval_smt::solver::SolverConfig;
-use serval_smt::term::{with_ctx, Ctx, Op, Sort, Term, TermId, UfId};
+use serval_smt::term::{with_ctx, Ctx, Op, Sort, TermId, UfId};
 
 /// A verification query: prove `goal` under `assumptions`.
 ///
@@ -557,8 +557,10 @@ fn materialize(
         .collect();
     let mut var_terms: Vec<TermId> = vec![TermId(0); var_sorts.len()];
     let mut ids: Vec<TermId> = Vec::with_capacity(nodes.len());
+    let mut children: Vec<TermId> = Vec::new();
     for node in nodes {
-        let children: Vec<TermId> = node.children.iter().map(|&i| ids[i as usize]).collect();
+        children.clear();
+        children.extend(node.children.iter().map(|&i| ids[i as usize]));
         let id = match node.op {
             // Each canonical var appears as exactly one node, so this
             // assigns every `var_terms` slot exactly once.
@@ -567,16 +569,8 @@ fn materialize(
                 var_terms[k as usize] = t;
                 t
             }
-            Op::UfApply(UfId(k)) => c.intern(Term {
-                op: Op::UfApply(uf_ids[k as usize]),
-                children,
-                sort: node.sort,
-            }),
-            ref op => c.intern(Term {
-                op: op.clone(),
-                children,
-                sort: node.sort,
-            }),
+            Op::UfApply(UfId(k)) => c.intern(Op::UfApply(uf_ids[k as usize]), &children, node.sort),
+            ref op => c.intern(op.clone(), &children, node.sort),
         };
         ids.push(id);
     }

@@ -252,6 +252,37 @@ const PINNED_BYTES: [(&str, u64, u64); 12] = [
     ("true-goal", 0x122da2cbd4eebfcc, 0x86f65abb92d0638d),
 ];
 
+/// A decoded frame whose goal is one `And` of 10^5 variables rebuilds
+/// into a single spilled node with every child in frame order.
+#[test]
+fn a_wide_and_decodes_into_one_spilled_node() {
+    use crate::form::{rebuild_wire, wire_bytes, wire_from_bytes, FormNode, WireCore};
+    use serval_smt::term::{Op, Sort};
+    const N: u32 = 100_000;
+    let var = |k: u32| FormNode { op: Op::Var(k), children: vec![], sort: Sort::Bool };
+    let mut nodes: Vec<FormNode> = (0..N).map(var).collect();
+    nodes.push(FormNode { op: Op::And, children: (0..N).collect(), sort: Sort::Bool });
+    let core = WireCore {
+        nodes,
+        asm_roots: vec![],
+        goal_root: N,
+        var_sorts: vec![Sort::Bool; N as usize],
+        uf_sigs: Vec::<(Vec<u32>, u32)>::new(),
+    };
+    let bytes = wire_bytes(&core);
+    let decoded = wire_from_bytes(&bytes).expect("a wide And is a valid frame");
+    reset_ctx();
+    let rebuilt = rebuild_wire(&decoded);
+    serval_smt::with_ctx(|c| {
+        let goal = c.term(rebuilt.goal.0);
+        assert_eq!(goal.op, Op::And);
+        let vars: Vec<_> = rebuilt.backmap.vars.iter().map(|v| v.term).collect();
+        assert_eq!(&goal.children[..], &vars[..]);
+        assert_eq!(c.num_terms(), N as usize + 1);
+    });
+    reset_ctx();
+}
+
 #[test]
 fn duplicate_roots_cost_one_pass_and_key_like_their_deduplicated_self() {
     // 4 096 distinct assumptions, each submitted twice: the seen-set is

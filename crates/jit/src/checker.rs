@@ -38,7 +38,7 @@ pub struct CheckRow {
 /// A check that built its equivalence query but has not solved it yet.
 /// The query's terms live in the building thread's term context, which
 /// must stay intact (no `reset_ctx`) until the verdict comes back.
-enum PreparedCheck {
+pub(crate) enum PreparedCheck {
     /// The check failed before solving (encode/decode/run error).
     Done(CheckRow),
     /// A solver query, ready for the engine.
@@ -55,7 +55,7 @@ enum PreparedCheck {
 /// solving it. Returns `None` when the JIT does not cover the
 /// instruction. Does not reset the term context, so many checks can be
 /// prepared back-to-back and discharged as one batch.
-fn prepare_rv64(jit: &Rv64Jit, insn: Bpf) -> Option<PreparedCheck> {
+pub(crate) fn prepare_rv64(jit: &Rv64Jit, insn: Bpf) -> Option<PreparedCheck> {
     let seq = jit.emit(insn)?;
     let mut ctx = SymCtx::new();
     // Full fidelity: the emitted instructions go through machine-code

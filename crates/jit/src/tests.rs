@@ -2,11 +2,13 @@
 //! is found with a counterexample; differential testing against concrete
 //! execution cross-checks the checker itself.
 
-use crate::checker::{check_rv64, sweep_rv64, sweep_x86};
+use crate::checker::{check_rv64, prepare_rv64, sweep_rv64, sweep_x86, PreparedCheck};
 use crate::rv64::{Rv64Jit, RvBug};
 use crate::x86jit::{X86Bug, X86Jit};
 use serval_bpf::{AluOp, Insn as Bpf, Src};
-use serval_smt::solver::SolverConfig;
+use serval_engine::{Engine, EngineCfg, Query};
+use serval_smt::reset_ctx;
+use serval_smt::solver::{SolverConfig, VerifyResult};
 
 fn cfg() -> SolverConfig {
     SolverConfig::default()
@@ -103,6 +105,30 @@ fn buggy_shift32_counterexample_is_concrete() {
     assert!(!row.ok);
     assert!(row.cex.as_deref().unwrap_or("").contains("counterexample"));
 }
+
+/// A refuted query's countermodel renders byte for byte as it did when
+/// the term store kept one `String` per variable: `"{name}#{ordinal}"`,
+/// one line per variable, sorted.
+#[test]
+fn refuted_rv64_countermodel_renders_as_pinned() {
+    let mut jit = Rv64Jit::fixed();
+    jit.bugs.insert(RvBug::Shift32Lsh);
+    let insn = Bpf::Alu32 { op: AluOp::Lsh, src: Src::X, dst: 1, srcr: 2, imm: 0 };
+    reset_ctx();
+    let Some(PreparedCheck::Pending { assumptions, goal, .. }) = prepare_rv64(&jit, insn) else {
+        panic!("the shift is covered and runs to completion");
+    };
+    let engine = Engine::new(EngineCfg { jobs: 1, ..EngineCfg::default() });
+    let label = "rv64 lsh32".to_string();
+    let mut out = engine.submit_batch(vec![Query { label, assumptions, goal, cfg: cfg() }]);
+    let VerifyResult::Counterexample(model) = out.remove(0).result else {
+        panic!("the 64-bit shift bug is refuted");
+    };
+    assert_eq!(model.render(), PINNED_RENDER);
+}
+
+/// The rendering before variable names were formatted on demand.
+const PINNED_RENDER: &str = "  bpf.r1#1 = 0x1 (64 bits)\n  bpf.r2#2 = 0x20 (64 bits)";
 
 /// Differential testing: for random concrete inputs, the JIT-emitted code
 /// and the BPF interpreter agree on the fixed JIT (a sanity check on the

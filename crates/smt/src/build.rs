@@ -14,16 +14,10 @@
 //! - `ite` conditions are never negations: `ite(!c, t, e) → ite(c, e, t)`.
 
 use crate::semantics;
-use crate::term::{mask, with_ctx, Op, Sort, Term, TermId, UfId};
+use crate::term::{mask, with_ctx, Op, Sort, TermId, UfId};
 
-fn intern(op: Op, children: Vec<TermId>, sort: Sort) -> TermId {
-    with_ctx(|c| {
-        c.intern(Term {
-            op,
-            children,
-            sort,
-        })
-    })
+fn intern(op: Op, children: &[TermId], sort: Sort) -> TermId {
+    with_ctx(|c| c.intern(op, children, sort))
 }
 
 /// The sort of `t`.
@@ -102,13 +96,13 @@ pub fn as_urem(t: TermId) -> Option<(TermId, TermId)> {
 
 /// Boolean constant term.
 pub fn bool_const(b: bool) -> TermId {
-    intern(Op::BoolConst(b), vec![], Sort::Bool)
+    intern(Op::BoolConst(b), &[], Sort::Bool)
 }
 
 /// Bitvector constant term of width `w`.
 pub fn bv_const(w: u32, v: u128) -> TermId {
     assert!((1..=128).contains(&w), "unsupported width {w}");
-    intern(Op::BvConst(mask(w, v)), vec![], Sort::BitVec(w))
+    intern(Op::BvConst(mask(w, v)), &[], Sort::BitVec(w))
 }
 
 /// Fresh symbolic boolean.
@@ -143,7 +137,7 @@ pub fn not(a: TermId) -> TermId {
     if let Some(x) = inner {
         return x;
     }
-    intern(Op::Not, vec![a], Sort::Bool)
+    intern(Op::Not, &[a], Sort::Bool)
 }
 
 /// Logical conjunction.
@@ -160,7 +154,7 @@ pub fn and(a: TermId, b: TermId) -> TermId {
     if a == not(b) {
         return bool_const(false);
     }
-    intern(Op::And, sorted2(a, b), Sort::Bool)
+    intern(Op::And, &sorted2(a, b), Sort::Bool)
 }
 
 /// Logical disjunction.
@@ -177,7 +171,7 @@ pub fn or(a: TermId, b: TermId) -> TermId {
     if a == not(b) {
         return bool_const(true);
     }
-    intern(Op::Or, sorted2(a, b), Sort::Bool)
+    intern(Op::Or, &sorted2(a, b), Sort::Bool)
 }
 
 /// Exclusive or.
@@ -193,7 +187,7 @@ pub fn xor(a: TermId, b: TermId) -> TermId {
     if a == b {
         return bool_const(false);
     }
-    intern(Op::Xor, sorted2(a, b), Sort::Bool)
+    intern(Op::Xor, &sorted2(a, b), Sort::Bool)
 }
 
 /// Boolean equivalence.
@@ -234,7 +228,7 @@ pub fn ite_bool(c: TermId, t: TermId, e: TermId) -> TermId {
     if let Some(c2) = negated {
         return ite_bool(c2, e, t);
     }
-    intern(Op::IteBool, vec![c, t, e], Sort::Bool)
+    intern(Op::IteBool, &[c, t, e], Sort::Bool)
 }
 
 // ---------------------------------------------------------------------
@@ -273,7 +267,7 @@ pub fn eq(a: TermId, b: TermId) -> TermId {
             }
         }
     }
-    intern(Op::Eq, sorted2(a, b), Sort::Bool)
+    intern(Op::Eq, &sorted2(a, b), Sort::Bool)
 }
 
 /// Distinctness of two bitvectors.
@@ -310,7 +304,7 @@ fn cmp(op: Op, a: TermId, b: TermId) -> TermId {
         }
         _ => {}
     }
-    intern(op, vec![a, b], Sort::Bool)
+    intern(op, &[a, b], Sort::Bool)
 }
 
 /// Unsigned less-than.
@@ -342,7 +336,7 @@ fn bv_unop(op: Op, a: TermId) -> TermId {
     if let Some(x) = as_bv_const(a) {
         return bv_const(w, semantics::unop_const(&op, w, x));
     }
-    intern(op, vec![a], Sort::BitVec(w))
+    intern(op, &[a], Sort::BitVec(w))
 }
 
 /// Bitwise complement.
@@ -392,7 +386,7 @@ pub fn bvadd(a: TermId, b: TermId) -> TermId {
             return bvadd(bvadd(a, base), off);
         }
     }
-    intern(Op::BvAdd, sorted2_keep_const_right(a, b), Sort::BitVec(w))
+    intern(Op::BvAdd, &sorted2_keep_const_right(a, b), Sort::BitVec(w))
 }
 
 /// Subtraction (wrapping).
@@ -411,7 +405,7 @@ pub fn bvsub(a: TermId, b: TermId) -> TermId {
             return bvneg(b);
         }
     }
-    intern(Op::BvSub, vec![a, b], Sort::BitVec(w))
+    intern(Op::BvSub, &[a, b], Sort::BitVec(w))
 }
 
 /// Multiplication (wrapping).
@@ -425,7 +419,7 @@ pub fn bvmul(a: TermId, b: TermId) -> TermId {
         (None, Some(1)) => return a,
         _ => {}
     }
-    intern(Op::BvMul, sorted2_keep_const_right(a, b), Sort::BitVec(w))
+    intern(Op::BvMul, &sorted2_keep_const_right(a, b), Sort::BitVec(w))
 }
 
 fn bv_binop_raw(op: Op, a: TermId, b: TermId) -> TermId {
@@ -434,7 +428,7 @@ fn bv_binop_raw(op: Op, a: TermId, b: TermId) -> TermId {
     if let (Some(x), Some(y)) = (as_bv_const(a), as_bv_const(b)) {
         return bv_const(w, semantics::binop_const(&op, w, x, y));
     }
-    intern(op, vec![a, b], Sort::BitVec(w))
+    intern(op, &[a, b], Sort::BitVec(w))
 }
 
 /// Bitwise and.
@@ -598,7 +592,7 @@ pub fn concat(hi: TermId, lo: TermId) -> TermId {
     if let Some((h1, l2, x)) = merged {
         return extract(h1, l2, x);
     }
-    intern(Op::Concat, vec![hi, lo], Sort::BitVec(w))
+    intern(Op::Concat, &[hi, lo], Sort::BitVec(w))
 }
 
 /// Bit extraction `[hi:lo]`, inclusive, producing `hi - lo + 1` bits.
@@ -656,7 +650,7 @@ pub fn extract(hi: u32, lo: u32, a: TermId) -> TermId {
         }
         _ => {}
     }
-    intern(Op::Extract(hi, lo), vec![a], Sort::BitVec(w))
+    intern(Op::Extract(hi, lo), &[a], Sort::BitVec(w))
 }
 
 /// Zero-extends `a` to `to` bits.
@@ -669,7 +663,7 @@ pub fn zext(to: u32, a: TermId) -> TermId {
     if let Some(x) = as_bv_const(a) {
         return bv_const(to, x);
     }
-    intern(Op::ZeroExt, vec![a], Sort::BitVec(to))
+    intern(Op::ZeroExt, &[a], Sort::BitVec(to))
 }
 
 /// Sign-extends `a` to `to` bits.
@@ -683,7 +677,7 @@ pub fn sext(to: u32, a: TermId) -> TermId {
         let s = crate::term::to_signed(wa, x) as u128;
         return bv_const(to, s);
     }
-    intern(Op::SignExt, vec![a], Sort::BitVec(to))
+    intern(Op::SignExt, &[a], Sort::BitVec(to))
 }
 
 /// Bitvector if-then-else.
@@ -719,7 +713,7 @@ pub fn ite_bv(c: TermId, t: TermId, e: TermId) -> TermId {
         }
     }
     let w = width_of(t);
-    intern(Op::IteBv, vec![c, t, e], Sort::BitVec(w))
+    intern(Op::IteBv, &[c, t, e], Sort::BitVec(w))
 }
 
 /// Applies uninterpreted function `uf` to `args`.
@@ -733,23 +727,23 @@ pub fn uf_apply(uf: UfId, args: &[TermId]) -> TermId {
         let expect = with_ctx(|c| c.uf_sig(uf).args[i]);
         assert_eq!(width_of(a), expect, "uf arg {i} width mismatch");
     }
-    intern(Op::UfApply(uf), args.to_vec(), Sort::BitVec(result))
+    intern(Op::UfApply(uf), args, Sort::BitVec(result))
 }
 
 /// Orders commutative children canonically to improve sharing.
-fn sorted2(a: TermId, b: TermId) -> Vec<TermId> {
+fn sorted2(a: TermId, b: TermId) -> [TermId; 2] {
     if a <= b {
-        vec![a, b]
+        [a, b]
     } else {
-        vec![b, a]
+        [b, a]
     }
 }
 
 /// Like [`sorted2`], but never moves a constant to the left: the
 /// "constant on the right" canonical form is part of this module's API.
-fn sorted2_keep_const_right(a: TermId, b: TermId) -> Vec<TermId> {
+fn sorted2_keep_const_right(a: TermId, b: TermId) -> [TermId; 2] {
     if as_bv_const(b).is_some() {
-        vec![a, b]
+        [a, b]
     } else {
         sorted2(a, b)
     }

@@ -48,7 +48,7 @@
 use crate::build;
 use crate::bv::SBool;
 use crate::model::Model;
-use crate::term::{mask, with_ctx, Op, Sort, TermId};
+use crate::term::{mask, with_ctx, Children, Op, Sort, TermId};
 use std::collections::{HashMap, HashSet};
 
 /// Minimum width saving (in bits) before a bounded variable is narrowed.
@@ -161,7 +161,7 @@ impl Abs {
     }
 }
 
-fn fetch(t: TermId) -> (Op, Vec<TermId>, Sort) {
+fn fetch(t: TermId) -> (Op, Children, Sort) {
     with_ctx(|c| {
         let n = c.term(t);
         (n.op.clone(), n.children.clone(), n.sort)

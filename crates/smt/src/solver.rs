@@ -459,7 +459,7 @@ pub(crate) fn extract_model(
                 }
             }
         }
-        stack.extend(children);
+        stack.extend(children.iter().copied());
     }
     // UF interpretations from the Ackermann expansion (cone apps only —
     // in a session, retired goals' apps may be only partially assigned).

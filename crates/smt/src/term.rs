@@ -4,9 +4,28 @@
 //! Hash-consing guarantees structural sharing: building the same term twice
 //! yields the same id, which keeps symbolic evaluation of straight-line
 //! machine code polynomial in practice and makes equality checks O(1).
+//!
+//! The store is one flat arena, `terms`, indexed by an open-addressing
+//! table of `(hash, id + 1)` pairs probed linearly. A node's children sit
+//! inline in it (up to three; see [`Children`]), so interning a new node
+//! allocates nothing once the buffers have grown, and a hit allocates
+//! nothing at all. Ids are handed out in interning order, so the same
+//! sequence of constructor calls yields the same ids on every run.
+//!
+//! The hash is a folded multiply (128-bit product, halves xored) over the
+//! operator's tag and payload, the sort, the child count and the
+//! children. It is keyed once per process from the standard library's
+//! `RandomState`: `servald` interns terms decoded from client frames, and
+//! an unkeyed hash would let a client pick colliding terms that turn
+//! every probe into a scan. [`reset_ctx`] clears the store in place, so
+//! the next item reuses the capacity the last one grew.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// The sort of a term: boolean or a fixed-width bitvector.
 ///
@@ -108,13 +127,79 @@ pub enum Op {
     UfApply(UfId),
 }
 
+/// A node's child ids. Up to three are stored inline, which covers every
+/// smart constructor in [`crate::build`]; a longer list (an n-ary `And`
+/// or `Or` decoded from a wire frame, a UF of more than three arguments)
+/// spills to one boxed slice. Dereferences to `[TermId]`, and compares
+/// and hashes as that slice.
+#[derive(Clone)]
+pub struct Children(Kids);
+
+#[derive(Clone)]
+enum Kids {
+    Inline(u8, [TermId; 3]),
+    Spill(Box<[TermId]>),
+}
+
+impl From<&[TermId]> for Children {
+    fn from(ids: &[TermId]) -> Self {
+        Children(match *ids {
+            [] => Kids::Inline(0, [TermId(0); 3]),
+            [a] => Kids::Inline(1, [a, TermId(0), TermId(0)]),
+            [a, b] => Kids::Inline(2, [a, b, TermId(0)]),
+            [a, b, c] => Kids::Inline(3, [a, b, c]),
+            _ => Kids::Spill(ids.into()),
+        })
+    }
+}
+
+impl Deref for Children {
+    type Target = [TermId];
+
+    fn deref(&self) -> &[TermId] {
+        match &self.0 {
+            Kids::Inline(n, ids) => &ids[..*n as usize],
+            Kids::Spill(ids) => ids,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Children {
+    type Item = &'a TermId;
+    type IntoIter = std::slice::Iter<'a, TermId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Children {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Children {}
+
+impl Hash for Children {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl fmt::Debug for Children {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// A term node: operator, children, and sort.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Term {
     /// The operator at this node.
     pub op: Op,
     /// Child term ids, in operator-specific order.
-    pub children: Vec<TermId>,
+    pub children: Children,
     /// The node's sort.
     pub sort: Sort,
 }
@@ -131,24 +216,169 @@ pub struct UfSig {
 }
 
 /// The per-thread term store.
-#[derive(Default)]
+///
+/// `terms` is the only copy of each node; `slots` indexes it by a keyed
+/// hash (see the module doc). A slot is `(low 32 bits of the hash,
+/// id + 1)`, `(_, 0)` when empty; the table's size is a power of two and
+/// it doubles before it is half full.
 pub struct Ctx {
     terms: Vec<Term>,
-    intern: HashMap<Term, TermId>,
-    var_names: Vec<String>,
+    slots: Vec<(u32, u32)>,
+    key: [u64; 2],
+    /// Every variable's name, concatenated; `name_ends[v]` is where
+    /// ordinal `v`'s ends.
+    names: String,
+    name_ends: Vec<u32>,
     ufs: Vec<UfSig>,
 }
 
-impl Ctx {
-    /// Interns `t`, returning the id of the canonical copy.
-    pub fn intern(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.intern.get(&t) {
-            return id;
+impl Default for Ctx {
+    fn default() -> Self {
+        static KEY: OnceLock<[u64; 2]> = OnceLock::new();
+        let key = *KEY.get_or_init(|| {
+            let s = RandomState::new();
+            [s.hash_one(0u8), s.hash_one(1u8) | 1]
+        });
+        Ctx {
+            terms: Vec::new(),
+            slots: Vec::new(),
+            key,
+            names: String::new(),
+            name_ends: Vec::new(),
+            ufs: Vec::new(),
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(t.clone());
-        self.intern.insert(t, id);
-        id
+    }
+}
+
+/// Multiplies `a` by `b` into 128 bits and folds the halves together.
+#[inline]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = a as u128 * b as u128;
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// The keyed folded-multiply hash: one multiply per word written.
+struct FoldHasher {
+    h: u64,
+    k: u64,
+}
+
+impl FoldHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.h = fold_mul(self.h ^ w, self.k);
+    }
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.word(v as u64)
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.word(v as u64)
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.word(v)
+    }
+    fn write_u128(&mut self, v: u128) {
+        self.word(v as u64);
+        self.word((v >> 64) as u64);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64)
+    }
+    fn finish(&self) -> u64 {
+        self.h
+    }
+}
+
+impl Ctx {
+    /// The keyed hash of a node: the operator (tag and payload), then
+    /// the sort and child count in one word, then the children two ids
+    /// to a word.
+    fn hash(&self, op: &Op, children: &[TermId], sort: Sort) -> u64 {
+        let mut h = FoldHasher {
+            h: self.key[0],
+            k: self.key[1],
+        };
+        op.hash(&mut h);
+        let sort = match sort {
+            Sort::Bool => 0,
+            Sort::BitVec(w) => w as u64 + 1,
+        };
+        h.word(sort | (children.len() as u64) << 32);
+        for pair in children.chunks(2) {
+            let hi = pair.get(1).map_or(0, |t| t.0 as u64);
+            h.word(pair[0].0 as u64 | hi << 32);
+        }
+        h.finish()
+    }
+
+    /// Interns the node `(op, children, sort)`, returning the id of its
+    /// one copy: the existing id if the node was built before, else the
+    /// next id in order.
+    pub fn intern(&mut self, op: Op, children: &[TermId], sort: Sort) -> TermId {
+        if 2 * (self.terms.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let h = self.hash(&op, children, sort);
+        let mask = self.slots.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            let (tag, slot) = self.slots[i];
+            if slot == 0 {
+                break;
+            }
+            if tag == h as u32 {
+                let t = &self.terms[slot as usize - 1];
+                if t.op == op && t.sort == sort && *t.children == *children {
+                    return TermId(slot - 1);
+                }
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.terms.len() as u32;
+        self.slots[i] = (h as u32, id + 1);
+        self.terms.push(Term {
+            op,
+            children: children.into(),
+            sort,
+        });
+        TermId(id)
+    }
+
+    /// Doubles the index and re-places every slot by its stored hash.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(64);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); size]);
+        let mask = size - 1;
+        for (tag, slot) in old.into_iter().filter(|s| s.1 != 0) {
+            let mut i = tag as usize & mask;
+            while self.slots[i].1 != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (tag, slot);
+        }
+    }
+
+    /// The longest probe sequence any interned term takes to be found.
+    #[cfg(test)]
+    pub(crate) fn max_probe(&self) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut longest = 0;
+        for (i, &(tag, slot)) in self.slots.iter().enumerate() {
+            if slot != 0 {
+                longest = longest.max((i.wrapping_sub(tag as usize) & mask) + 1);
+            }
+        }
+        longest
     }
 
     /// The term node for `id`.
@@ -163,19 +393,23 @@ impl Ctx {
 
     /// Allocates a fresh symbolic constant of the given sort.
     pub fn fresh_var(&mut self, sort: Sort, name: &str) -> TermId {
-        let ordinal = self.var_names.len() as u32;
-        self.var_names.push(format!("{name}#{ordinal}"));
-        // Vars are unique by ordinal, so interning always allocates.
-        self.intern(Term {
-            op: Op::Var(ordinal),
-            children: Vec::new(),
-            sort,
-        })
+        let ordinal = self.name_ends.len() as u32;
+        self.names.push_str(name);
+        self.name_ends.push(self.names.len() as u32);
+        // Vars are unique by ordinal, so interning always adds a node.
+        self.intern(Op::Var(ordinal), &[], sort)
     }
 
-    /// The diagnostic name of variable ordinal `v`.
-    pub fn var_name(&self, v: u32) -> &str {
-        &self.var_names[v as usize]
+    /// The diagnostic name of variable ordinal `v`: its name as given to
+    /// [`Ctx::fresh_var`], then `#` and the ordinal.
+    pub fn var_name(&self, v: u32) -> String {
+        let v = v as usize;
+        let start = if v == 0 {
+            0
+        } else {
+            self.name_ends[v - 1] as usize
+        };
+        format!("{}#{v}", &self.names[start..self.name_ends[v] as usize])
     }
 
     /// Declares an uninterpreted function.
@@ -198,6 +432,16 @@ impl Ctx {
     pub fn num_terms(&self) -> usize {
         self.terms.len()
     }
+
+    /// Forgets every term, variable and UF, keeping the buffers' capacity
+    /// and the hash key.
+    fn clear(&mut self) {
+        self.terms.clear();
+        self.slots.fill((0, 0));
+        self.names.clear();
+        self.name_ends.clear();
+        self.ufs.clear();
+    }
 }
 
 thread_local! {
@@ -209,12 +453,14 @@ pub fn with_ctx<R>(f: impl FnOnce(&mut Ctx) -> R) -> R {
     CTX.with(|c| f(&mut c.borrow_mut()))
 }
 
-/// Clears the thread's term context.
+/// Clears the thread's term context in place: the next term is id 0 and
+/// the next variable ordinal 0, while the arena, the index and the name
+/// buffer keep their capacity for the next item.
 ///
 /// Term ids issued before the reset become dangling; callers (benchmarks,
 /// independent verification queries) must not reuse them.
 pub fn reset_ctx() {
-    CTX.with(|c| *c.borrow_mut() = Ctx::default());
+    CTX.with(|c| c.borrow_mut().clear());
 }
 
 /// Truncates `v` to `w` bits.

@@ -3,9 +3,10 @@
 
 use crate::model::Model;
 use crate::solver::{check, check_with, verify, CheckResult, SolverConfig, VerifyResult};
-use crate::term::with_ctx;
+use crate::term::{with_ctx, Op, Sort, TermId, UfId};
 use crate::{reset_ctx, SBool, BV};
 use serval_check::prelude::*;
+use std::collections::HashMap;
 
 fn proved(assumptions: &[SBool], goal: SBool) -> bool {
     verify(assumptions, goal).is_proved()
@@ -1063,4 +1064,184 @@ fn narrowing_creates_fresh_variables_in_root_order() {
     for _ in 1..8 {
         assert_eq!(run(), first, "the same base presolves to the same terms");
     }
+}
+
+// ---------------------------------------------------------------------
+// The term store is a drop-in for a map from node to id
+// ---------------------------------------------------------------------
+
+type Node = (Op, Vec<TermId>, Sort);
+
+/// What the term store must behave as: a map from node to id, ids handed
+/// out in order from 0 after every reset, and variable names
+/// `"{name}#{ordinal}"`.
+#[derive(Default)]
+struct RefStore {
+    ids: HashMap<Node, TermId>,
+    nodes: Vec<Node>,
+    names: Vec<String>,
+}
+
+impl RefStore {
+    /// The id the store must return for a raw intern of `node`.
+    fn intern(&mut self, node: Node) -> TermId {
+        let next = TermId(self.nodes.len() as u32);
+        *self.ids.entry(node.clone()).or_insert_with(|| {
+            self.nodes.push(node);
+            next
+        })
+    }
+
+    /// Takes in the nodes a smart constructor built, checking that each
+    /// is new: a node interned twice means the store failed to share it.
+    fn sync(&mut self) {
+        with_ctx(|c| {
+            for i in self.nodes.len()..c.num_terms() {
+                let t = c.term(TermId(i as u32));
+                let node = (t.op.clone(), t.children.to_vec(), t.sort);
+                assert!(
+                    self.ids.insert(node.clone(), TermId(i as u32)).is_none(),
+                    "{node:?} interned twice"
+                );
+                self.nodes.push(node);
+            }
+        });
+    }
+
+    /// Every id's node and every variable's name agree with the store.
+    fn check(&self) {
+        with_ctx(|c| {
+            assert_eq!(c.num_terms(), self.nodes.len());
+            for (i, (op, children, sort)) in self.nodes.iter().enumerate() {
+                let t = c.term(TermId(i as u32));
+                assert_eq!(
+                    (&t.op, &t.children[..], t.sort),
+                    (op, &children[..], *sort),
+                    "term {i}"
+                );
+            }
+            for (v, name) in self.names.iter().enumerate() {
+                assert_eq!(&c.var_name(v as u32), name, "var {v}");
+            }
+        });
+    }
+}
+
+fn pick<T: Copy>(pool: &[T], i: u64) -> T {
+    pool[i as usize % pool.len()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random smart-constructor calls, raw interns (spilled `And`s and
+    /// 4-argument UF applications, 128-bit constants that differ only
+    /// above bit 64, `Extract`s) and resets, against [`RefStore`].
+    #[test]
+    fn prop_term_store_matches_a_reference_map(
+        steps in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..160),
+    ) {
+        reset_ctx();
+        let mut r = RefStore::default();
+        let mut bvs: Vec<BV> = Vec::new();
+        let mut bools: Vec<SBool> = Vec::new();
+        let mut uf4: Option<UfId> = None;
+        let fresh = |r: &mut RefStore, bvs: &mut Vec<BV>, name: &str| {
+            let ord = r.names.len() as u32;
+            let v = BV::fresh(8, name);
+            r.names.push(format!("{name}#{ord}"));
+            r.sync();
+            assert_eq!(with_ctx(|c| c.term(v.0).op.clone()), Op::Var(ord));
+            bvs.push(v);
+        };
+        for (kind, a, b) in steps {
+            if bvs.is_empty() {
+                fresh(&mut r, &mut bvs, "x");
+                assert_eq!(bvs[0].0, TermId(0), "a reset store numbers from 0");
+                bools.push(bvs[0].ult(BV::lit(8, 9)));
+                r.sync();
+            }
+            let any = |r: &RefStore, i: u64| TermId((i % r.nodes.len() as u64) as u32);
+            let raw = |r: &mut RefStore, op: Op, children: Vec<TermId>, sort: Sort| {
+                let got = with_ctx(|c| c.intern(op.clone(), &children, sort));
+                assert_eq!(got, r.intern((op, children, sort)));
+            };
+            match kind % 12 {
+                0 => fresh(&mut r, &mut bvs, ["x", "reg.a0", "", "mem#1"][a as usize % 4]),
+                1 => bvs.push(BV::lit(8, a as u128)),
+                2 => bvs.push(pick(&bvs, a) + pick(&bvs, b)),
+                3 => {
+                    let (x, y) = (pick(&bvs, a), pick(&bvs, b));
+                    bvs.push(if a % 2 == 0 { x & y } else { x ^ y });
+                }
+                4 => {
+                    let (x, y) = (pick(&bvs, a), pick(&bvs, b));
+                    bools.push(if b % 2 == 0 { x.eq_(y) } else { x.ult(y) });
+                }
+                5 => {
+                    let (p, q) = (pick(&bools, a), pick(&bools, b));
+                    bools.push(match b % 3 { 0 => p & q, 1 => p | q, _ => !p });
+                }
+                6 => bvs.push(pick(&bools, a).select(pick(&bvs, a), pick(&bvs, b))),
+                7 => {
+                    // Equal low 64 bits, and at width 8 the sort alone
+                    // tells a constant from its 128-bit twin.
+                    let (low, high) = (u128::from(a % 4), u128::from(b % 8));
+                    let (v, w) = if a % 3 == 0 { (low, 8) } else { (high << 64 | low, 128) };
+                    raw(&mut r, Op::BvConst(v), vec![], Sort::BitVec(w));
+                }
+                8 => {
+                    let (x, bounds) = (any(&r, a), Op::Extract((b % 16) as u32, (b / 16 % 16) as u32));
+                    raw(&mut r, bounds, vec![x], Sort::BitVec(1 + (a % 2) as u32));
+                }
+                9 => {
+                    let n = 4 + (b % 5);
+                    let kids = (0..n).map(|i| any(&r, a.wrapping_add(i.wrapping_mul(b)))).collect();
+                    raw(&mut r, Op::And, kids, Sort::Bool);
+                }
+                10 => {
+                    let g = *uf4.get_or_insert_with(|| with_ctx(|c| c.declare_uf("g", vec![8; 4], 8)));
+                    let kids = (0..4u64).map(|i| any(&r, a.wrapping_add(i.wrapping_mul(b)))).collect();
+                    raw(&mut r, Op::UfApply(g), kids, Sort::BitVec(8));
+                }
+                _ if b % 4 == 0 => {
+                    r.check();
+                    reset_ctx();
+                    r = RefStore::default();
+                    bvs.clear();
+                    bools.clear();
+                    uf4 = None;
+                    continue;
+                }
+                _ => {
+                    let kids = vec![any(&r, a), any(&r, b)];
+                    raw(&mut r, Op::BvAdd, kids, Sort::BitVec(8));
+                }
+            }
+            r.sync();
+        }
+        r.check();
+    }
+}
+
+/// Keys built to collide under a weak hash — 2^18 128-bit constants equal
+/// in their low 64 bits, and 2^18 `Extract`s of one variable that differ
+/// only in their bounds — still find their slot in a short probe.
+#[test]
+fn shaped_inputs_keep_probes_short() {
+    reset_ctx();
+    let x = BV::fresh(64, "x");
+    with_ctx(|c| {
+        for i in 0..1u128 << 18 {
+            c.intern(Op::BvConst(i << 64 | 0x5eed), &[], Sort::BitVec(128));
+        }
+        for i in 0..1u32 << 18 {
+            c.intern(Op::Extract(i >> 9, i & 511), &[x.0], Sort::BitVec(1));
+        }
+        assert_eq!(c.num_terms(), 1 + (1 << 19));
+        let longest = c.max_probe();
+        println!("term store: longest probe {longest} over {} terms", c.num_terms());
+        assert!(longest <= 64, "longest probe {longest}");
+    });
+    reset_ctx();
 }

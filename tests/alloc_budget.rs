@@ -1,4 +1,5 @@
-//! The allocation budgets of a certified session and of a warm batch.
+//! The allocation budgets of a certified session, of a warm batch and of
+//! a warm frontend pass.
 //!
 //! Two pool workers can only run two sessions side by side if the
 //! sessions stay out of the allocator: under one malloc arena (the
@@ -15,6 +16,11 @@
 //! batch-scoped keyer's buffers, so `submit_batch` makes about one heap
 //! call per obligation where it used to make fifty.
 //!
+//! The third pins the other side of that seam: the frontend of a warm
+//! re-proof (compile, symbolic evaluation, the smart constructors) with
+//! `submit_batch` left out. The term store interns into one arena with
+//! children inline, so heap calls per term stay a small constant.
+//!
 //! The counts are exact to within a call or two — a fixed input, no
 //! hash-order dependence in what is counted, the tests serialized, and
 //! only the harness's own thread beside them — so the bounds need no
@@ -30,6 +36,7 @@ use serval_repro::ir::OptLevel;
 use serval_repro::jit::{sweep_rv64, Rv64Jit};
 use serval_repro::monitors::certikos;
 use serval_repro::smt::solver::{SolverConfig, VerifyResult};
+use serval_repro::smt::with_ctx;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,9 +58,22 @@ const CALLS_PER_STEP_BOUND: f64 = 1.7;
 /// calls, 33 keyed of 565; the parent: 3837.09, all but a sliver of it
 /// normalizing the 532 queries a constant already proves). The bounds
 /// are the measurements with 2× headroom, both more than 10× under the
-/// parent's figures.
+/// parent's figures. Since the term store stopped allocating per node
+/// (no `Vec` per constructor call, no table rebuilt per item), the same
+/// two figures read 0.16 (34 calls) and 1.88 (62 calls).
 const WARM_SWEEP_BOUND: f64 = 2.1;
 const WARM_MONITOR_BOUND: f64 = 7.0;
+
+/// `malloc + realloc` calls allowed per interned term of a warm
+/// frontend pass — compile and symbolic evaluation of one certikos `-O1`
+/// call (`spawn`) against a warm engine, with the engine's own calls
+/// inside `submit_batch` not counted. Measured: 3.41 (6 752 calls over
+/// 1 979 terms; the parent commit, whose store kept a `HashMap` clone
+/// and a `Vec` per node and rebuilt its table per item, under this same
+/// test: 5.49, 10 866 calls). Most of what is left is compiling the
+/// binary and the callers' own buffers, not the store. The bound is the
+/// measurement with 2× headroom.
+const WARM_FRONTEND_BOUND: f64 = 6.8;
 
 struct Counting;
 
@@ -267,5 +287,62 @@ fn a_warm_batch_stays_out_of_the_allocator() {
     assert!(
         per_keyed <= WARM_MONITOR_BOUND,
         "{per_keyed:.2} malloc+realloc calls per non-trivial warm obligation, bound {WARM_MONITOR_BOUND}"
+    );
+}
+
+/// An engine at the seam that counts heap calls everywhere *but* inside
+/// `submit_batch` once `warm` is set: what is left is the frontend.
+struct Frontend {
+    engine: Engine,
+    warm: AtomicBool,
+}
+
+impl Discharge for Frontend {
+    fn submit_batch(&self, queries: Vec<Query>) -> Vec<QueryOutcome> {
+        COUNTING.store(false, Ordering::Relaxed);
+        let out = self.engine.submit_batch(queries);
+        COUNTING.store(self.warm.load(Ordering::Relaxed), Ordering::Relaxed);
+        out
+    }
+}
+
+#[test]
+fn a_warm_frontend_stays_out_of_the_allocator() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = SolverConfig::default();
+    let spawn = || {
+        drop(certikos::proofs::prove_op(
+            certikos::sys::SPAWN,
+            OptLevel::O1,
+            OptCfg::default(),
+            cfg,
+        ))
+    };
+    let frontend = Arc::new(Frontend {
+        engine: Engine::new(EngineCfg {
+            jobs: 1,
+            ..EngineCfg::default()
+        }),
+        warm: AtomicBool::new(false),
+    });
+    serval_engine::install_discharger(Arc::clone(&frontend) as Arc<dyn Discharge>);
+    spawn();
+    frontend.warm.store(true, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    spawn();
+    COUNTING.store(false, Ordering::Relaxed);
+    serval_engine::clear_discharger();
+
+    let calls = CALLS.swap(0, Ordering::Relaxed);
+    let terms = with_ctx(|c| c.num_terms());
+    let per_term = calls as f64 / terms as f64;
+    println!(
+        "alloc_budget: warm certikos -O1 spawn frontend: {calls} malloc+realloc calls / {terms} terms \
+         = {per_term:.3}"
+    );
+    assert!(terms > 1_000, "the item builds real terms: {terms}");
+    assert!(
+        per_term <= WARM_FRONTEND_BOUND,
+        "{per_term:.3} malloc+realloc calls per term of a warm frontend pass, bound {WARM_FRONTEND_BOUND}"
     );
 }

@@ -247,6 +247,28 @@ fn retired_variables_stay_retired() {
     }
 }
 
+/// The term store is one arena behind a keyed open-addressing index, and
+/// the smart constructors hand it slices: a `HashMap` (a second copy of
+/// every node, SipHash on every intern) or a `vec![` in the builder (a
+/// heap node per constructor call) would bring the per-term allocation
+/// back.
+#[test]
+fn term_store_stays_flat() {
+    let root = serval_bench::workspace_root();
+    let read = |rel: &str| {
+        let path = root.join(rel);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let term = read("crates/smt/src/term.rs");
+    for name in ["HashMap", "DefaultHasher", "SipHasher"] {
+        assert!(!term.contains(name), "crates/smt/src/term.rs names {name}");
+    }
+    assert!(
+        !read("crates/smt/src/build.rs").contains("vec!["),
+        "crates/smt/src/build.rs allocates a vec!"
+    );
+}
+
 /// DESIGN.md's "Buggify" paragraph is hand-kept: its bullets must name
 /// exactly the points planted under `crates/*/src`.
 #[test]
