@@ -565,3 +565,265 @@ fn hashes_are_stable_and_tamper_sensitive() {
     assert_eq!(chained, h1);
     assert_ne!(chained, hash_steps(&b));
 }
+
+// ---------------------------------------------------------------------
+// Soak: incremental sessions that eliminate, retract and purge
+// ---------------------------------------------------------------------
+
+/// A Tseitin gate `out = a ∧ b`, `a ∨ b` or `a ⊕ b` over earlier signals.
+#[derive(Clone, Copy)]
+struct Gate {
+    out: Var,
+    op: u64,
+    a: Lit,
+    b: Lit,
+}
+
+impl Gate {
+    fn eval(&self, vals: &[bool]) -> bool {
+        let (a, b) = (lit_value(vals, self.a), lit_value(vals, self.b));
+        match self.op {
+            0 => a && b,
+            1 => a || b,
+            _ => a != b,
+        }
+    }
+
+    /// The gate's full definition, both directions.
+    fn clauses(&self) -> Vec<Vec<Lit>> {
+        let (o, a, b) = (Lit::pos(self.out), self.a, self.b);
+        match self.op {
+            0 => vec![vec![!o, a], vec![!o, b], vec![o, !a, !b]],
+            1 => vec![vec![o, !a], vec![o, !b], vec![!o, a, b]],
+            _ => vec![vec![!o, a, b], vec![!o, !a, !b], vec![o, !a, b], vec![o, a, !b]],
+        }
+    }
+}
+
+fn lit_value(vals: &[bool], l: Lit) -> bool {
+    vals[l.var().index()] != l.is_neg()
+}
+
+/// One goal of a soak session: gates over the base signals (and its
+/// own earlier gates), guarded by `act` on the root literal.
+struct SoakGoal {
+    gates: Vec<Gate>,
+    root: Lit,
+    act: Lit,
+}
+
+/// What the soak saw across all sessions, so it can assert that every
+/// path it is meant to cover was taken.
+#[derive(Default, Debug)]
+struct SoakTally {
+    sat: u64,
+    unsat: u64,
+    eliminated: u64,
+    reintroduced: u64,
+    compacting_purges: u64,
+    quiet_purges: u64,
+}
+
+fn below(rng: &mut serval_check::rng::Xoshiro256, n: u64) -> u64 {
+    rng.next_u64() % n
+}
+
+/// A random literal over `signals`.
+fn any_signal(rng: &mut serval_check::rng::Xoshiro256, signals: &[Lit]) -> Lit {
+    let l = signals[below(rng, signals.len() as u64) as usize];
+    if below(rng, 2) == 0 {
+        l
+    } else {
+        !l
+    }
+}
+
+/// Adds a random gate over `signals` to `s`, returning it.
+fn soak_gate(rng: &mut serval_check::rng::Xoshiro256, s: &mut Solver, signals: &[Lit]) -> Gate {
+    let a = any_signal(rng, signals);
+    let mut b = any_signal(rng, signals);
+    while b.var() == a.var() {
+        b = any_signal(rng, signals);
+    }
+    let g = Gate { out: s.new_var(), op: below(rng, 3), a, b };
+    for c in g.clauses() {
+        s.add_clause(&c);
+    }
+    g
+}
+
+/// Whether base ∧ goal is satisfiable, by enumerating the inputs (every
+/// other variable is a gate, fixed by them).
+fn soak_brute(
+    inputs: &[Var],
+    base: &[Gate],
+    cnf: &[Vec<Lit>],
+    goal: &SoakGoal,
+    nvars: usize,
+) -> bool {
+    let mut vals = vec![false; nvars];
+    (0u32..1 << inputs.len()).any(|m| {
+        for (i, v) in inputs.iter().enumerate() {
+            vals[v.index()] = m >> i & 1 == 1;
+        }
+        for g in base.iter().chain(&goal.gates) {
+            vals[g.out.index()] = g.eval(&vals);
+        }
+        cnf.iter().all(|c| c.iter().any(|&l| lit_value(&vals, l))) && lit_value(&vals, goal.root)
+    })
+}
+
+/// One random session. A base of 4–6 inputs, 2–4 gates over them and up
+/// to three plain clauses; then 4–8 goals, each 1–3 gates over the base
+/// behind its own activation literal. A prefix of the goals is encoded
+/// before the first solve, whose inprocessing round eliminates under a
+/// random mask, so eliminated base gates carry the clauses of goal
+/// gates that read them; the rest are encoded as they come, which
+/// brings back any eliminated variable they mention. After each answer
+/// the goal is retracted, and its gates are purged now or later
+/// together with other retired goals' gates. Every `Sat` model must
+/// satisfy the base and the goal, eliminated variables included;
+/// every verdict must match brute force; every proof delta must pass
+/// the strict hinted checker, and every `Unsat` conclude its goal.
+fn soak_session(seed: u64, tally: &mut SoakTally) {
+    let rng = &mut serval_check::rng::Xoshiro256::from_seed(seed);
+    let mut s = Solver::new();
+    s.set_proof_logging(true);
+    s.set_inprocess(true, true);
+    let mut ck = Checker::new();
+    ck.set_strict_hints(true);
+
+    let inputs: Vec<Var> = (0..4 + below(rng, 3)).map(|_| s.new_var()).collect();
+    let mut signals: Vec<Lit> = inputs.iter().map(|&v| Lit::pos(v)).collect();
+    let mut base = Vec::new();
+    for _ in 0..2 + below(rng, 3) {
+        let g = soak_gate(rng, &mut s, &signals);
+        signals.push(Lit::pos(g.out));
+        base.push(g);
+    }
+    let cnf: Vec<Vec<Lit>> = (0..below(rng, 4))
+        .map(|_| (0..1 + below(rng, 3)).map(|_| any_signal(rng, &signals)).collect())
+        .collect();
+    for c in &cnf {
+        s.add_clause(c);
+    }
+
+    let encode = |rng: &mut serval_check::rng::Xoshiro256, s: &mut Solver| {
+        let mut own = signals.clone();
+        let gates: Vec<Gate> = (0..1 + below(rng, 3))
+            .map(|_| {
+                let g = soak_gate(rng, s, &own);
+                own.push(Lit::pos(g.out));
+                g
+            })
+            .collect();
+        let out = Lit::pos(gates[gates.len() - 1].out);
+        let root = if below(rng, 2) == 0 { out } else { !out };
+        let act = Lit::pos(s.new_var());
+        s.freeze_var(act.var());
+        s.add_clause(&[!act, root]);
+        SoakGoal { gates, root, act }
+    };
+    let n_goals = 4 + below(rng, 5) as usize;
+    let mut goals: Vec<SoakGoal> =
+        (0..1 + below(rng, n_goals as u64)).map(|_| encode(rng, &mut s)).collect();
+    let mut retired: Vec<Var> = Vec::new();
+    for gi in 0..n_goals {
+        if gi == goals.len() {
+            let g = encode(rng, &mut s);
+            goals.push(g);
+        }
+        if below(rng, 4) == 0 {
+            s.set_eliminable(None);
+        } else {
+            let mask: Vec<bool> = (0..s.num_vars()).map(|_| below(rng, 4) != 0).collect();
+            s.set_eliminable(Some(&mask));
+        }
+        let goal = &goals[gi];
+        let verdict = s.solve_assuming(&[goal.act]);
+        for (i, st) in s.take_proof().iter().enumerate() {
+            if let Err(e) = ck.apply(st) {
+                panic!("seed {seed} goal {gi}: delta step {i} rejected: {e:?}");
+            }
+        }
+        let conclusion = ck.take_conclusion();
+        let expected = soak_brute(&inputs, &base, &cnf, goal, s.num_vars());
+        match verdict {
+            SolveResult::Sat => {
+                assert!(expected, "seed {seed} goal {gi}: Sat, brute force says Unsat");
+                let mut vals = vec![false; s.num_vars()];
+                let gates = base.iter().chain(&goal.gates).map(|g| g.out);
+                let read = inputs.iter().copied().chain(gates);
+                for v in read {
+                    vals[v.index()] = s
+                        .value(v)
+                        .unwrap_or_else(|| panic!("seed {seed} goal {gi}: {v:?} has no value"));
+                }
+                for g in base.iter().chain(&goal.gates) {
+                    assert_eq!(
+                        vals[g.out.index()],
+                        g.eval(&vals),
+                        "seed {seed} goal {gi}: gate {:?} violated",
+                        g.out
+                    );
+                }
+                for c in &cnf {
+                    assert!(
+                        c.iter().any(|&l| lit_value(&vals, l)),
+                        "seed {seed} goal {gi}: base clause {c:?} violated"
+                    );
+                }
+                assert!(lit_value(&vals, goal.root), "seed {seed} goal {gi}: root false");
+                tally.sat += 1;
+            }
+            SolveResult::Unsat => {
+                assert!(!expected, "seed {seed} goal {gi}: Unsat, brute force says Sat");
+                let c =
+                    conclusion.unwrap_or_else(|| panic!("seed {seed} goal {gi}: no conclusion"));
+                assert!(conclusion_covers(&c, &[goal.act]), "seed {seed} goal {gi}: {c:?}");
+                tally.unsat += 1;
+            }
+            other => panic!("seed {seed} goal {gi}: {other:?}"),
+        }
+        s.retract(goal.act);
+        retired.extend(goal.gates.iter().map(|g| g.out));
+        if below(rng, 3) != 0 {
+            let mut garbage = vec![false; s.num_vars()];
+            for v in retired.drain(..) {
+                garbage[v.index()] = true;
+            }
+            let before = s.stats().compactions;
+            s.purge_vars(&garbage);
+            if s.stats().compactions > before {
+                tally.compacting_purges += 1;
+            } else {
+                tally.quiet_purges += 1;
+            }
+        }
+    }
+    for (i, st) in s.take_proof().iter().enumerate() {
+        if let Err(e) = ck.apply(st) {
+            panic!("seed {seed}: trailing delta step {i} rejected: {e:?}");
+        }
+    }
+    tally.eliminated += s.stats().eliminated_vars;
+    tally.reintroduced += s.stats().reintroduced_vars;
+}
+
+#[test]
+fn soak_incremental_sessions_against_brute_force_and_the_strict_checker() {
+    let mut tally = SoakTally::default();
+    for seed in 0..400 {
+        soak_session(seed, &mut tally);
+    }
+    let t = &tally;
+    assert!(
+        t.sat > 0
+            && t.unsat > 0
+            && t.eliminated > 0
+            && t.reintroduced > 0
+            && t.compacting_purges > 0
+            && t.quiet_purges > 0,
+        "a path went untested: {t:?}"
+    );
+}

@@ -2020,6 +2020,11 @@ fn session_fingerprints_match_the_pinned_values() {
     // staged; entries 2 and 3 re-taken when presolve stopped deriving
     // variable ranges from the base, so `y ≥ 4 ⊢ y ≥ 3` (a conjunct of
     // "p-conj") and "p-alone" reach the solver instead of folding.
+    // Entry 2 re-taken when `purge_vars` stopped reintroducing the
+    // eliminated variables whose stored clauses mention a purged one:
+    // those reintroductions' `Input` steps, and the `Delete` steps of
+    // the re-added clauses that mention purged variables, left the
+    // proof deltas. Every verdict is unchanged.
     use crate::{combine_cert_hashes, MIN_SHARD_GOALS as MIN};
     let fingerprints = |jobs: usize, sweep: usize, monitor: bool| -> Vec<u64> {
         reset_ctx();
@@ -2055,7 +2060,7 @@ fn session_fingerprints_match_the_pinned_values() {
 const PINNED_MIXED: [u64; 9] = [
     0x3dd3912984b4afc0,
     0,
-    0x9842b9e0f79ecdba,
+    0x12db68d89089216d,
     0xcd077f790ebb94a6,
     0xad319677479e1db6,
     0xe114152adfe1659a,

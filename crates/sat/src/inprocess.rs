@@ -184,6 +184,7 @@ impl Solver {
             _ => {
                 let start = self.clauses[ci].start as usize;
                 self.lit_arena[start..start + new.len()].copy_from_slice(new);
+                self.dead_lits += self.clauses[ci].len as usize - new.len();
                 self.clauses[ci].len = new.len() as u32;
                 // The derivation above put the new literal set in the
                 // proof, even if the old clause was an unlogged
@@ -780,6 +781,11 @@ impl Solver {
     /// possibly strengthened by RUP-logged steps), and in-tree callers
     /// never add clauses mid-proof after elimination, so certificates
     /// are unaffected. Drops `ok` if a returning clause conflicts.
+    ///
+    /// A stored clause that mentions a purged variable is dead (see
+    /// [`Solver::purge_vars`]): it is neither re-added nor followed to
+    /// the variables it mentions, and a purged variable's own entry
+    /// therefore brings nothing back.
     pub(super) fn reintroduce_touched(&mut self, lits: &[Lit]) {
         if self.elim_stack.is_empty() {
             return;
@@ -800,12 +806,15 @@ impl Solver {
             self.elim[v.index()] = false;
             self.model_overlay[v.index()] = LBool::Undef;
             self.stats.eliminated_vars = self.stats.eliminated_vars.saturating_sub(1);
+            self.stats.reintroduced_vars += 1;
             self.order.insert(v, &self.activity);
             if let Some(pos) = self.elim_stack.iter().position(|(u, _)| *u == v) {
                 let (_, stored) = self.elim_stack.remove(pos);
-                for l in stored.all_lits() {
-                    if self.elim[l.var().index()] {
-                        work.push(l.var());
+                for c in stored.iter().filter(|c| !mentions_purged(&self.purged, c)) {
+                    for l in c {
+                        if self.elim[l.var().index()] {
+                            work.push(l.var());
+                        }
                     }
                 }
                 to_add.push(stored);
@@ -815,7 +824,7 @@ impl Solver {
         // nested `add_clause` calls cannot recurse back in here.
         for stored in &to_add {
             for c in stored.iter() {
-                if !self.add_clause(c) {
+                if !mentions_purged(&self.purged, c) && !self.add_clause(c) {
                     return;
                 }
             }
@@ -833,6 +842,11 @@ impl Solver {
     /// `v` (its clauses were already deleted then), and variables
     /// eliminated after `v` are reconstructed first — so every literal
     /// read here is already valued.
+    ///
+    /// Entries of purged variables, and stored clauses that mention a
+    /// purged variable, are skipped: they are dead, and what is left
+    /// of each entry still satisfies the elimination guarantee (see
+    /// [`Solver::purge_vars`]). A purged variable gets no value.
     pub(super) fn reconstruct_model(&mut self) {
         if self.elim_stack.is_empty() {
             return;
@@ -842,8 +856,14 @@ impl Solver {
         }
         for i in (0..self.elim_stack.len()).rev() {
             let (v, ref stored) = self.elim_stack[i];
+            if self.purged[v.index()] {
+                continue;
+            }
             let mut forced = LBool::Undef;
             for c in stored.iter() {
+                if mentions_purged(&self.purged, c) {
+                    continue;
+                }
                 let mut sat_without = false;
                 let mut vlit: Option<Lit> = None;
                 for &l in c {

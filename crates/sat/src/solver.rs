@@ -78,10 +78,28 @@ impl StoredClauses {
         })
     }
 
-    /// Every literal of every stored clause.
-    fn all_lits(&self) -> impl Iterator<Item = &Lit> + '_ {
-        self.lits.iter()
+    /// Keeps only the stored clauses `keep` accepts, in order, in place.
+    fn retain(&mut self, mut keep: impl FnMut(&[Lit]) -> bool) {
+        let (mut from, mut to, mut kept) = (0usize, 0usize, 0usize);
+        for i in 0..self.ends.len() {
+            let end = self.ends[i] as usize;
+            if keep(&self.lits[from..end]) {
+                self.lits.copy_within(from..end, to);
+                to += end - from;
+                self.ends[kept] = to as u32;
+                kept += 1;
+            }
+            from = end;
+        }
+        self.lits.truncate(to);
+        self.ends.truncate(kept);
     }
+}
+
+/// Whether clause `c` mentions a variable `purged` marks.
+#[inline]
+fn mentions_purged(purged: &[bool], c: &[Lit]) -> bool {
+    c.iter().any(|l| purged[l.var().index()])
 }
 
 impl Clause {
@@ -133,6 +151,14 @@ pub struct SolverStats {
     /// computed backjump, because the backjump would have undone more
     /// than [`CHRONO_LEVELS`] levels (see [`Solver::backtrack`]).
     pub chrono_backtracks: u64,
+    /// Physical compactions of the clause arena (see
+    /// [`Solver::purge_vars`]): one per inprocessing round, plus one
+    /// whenever a retraction or purge sweep leaves more than half of
+    /// the arena dead.
+    pub compactions: u64,
+    /// Eliminated variables brought back by a clause or an assumption
+    /// that mentions them (see [`Solver::set_eliminable`]).
+    pub reintroduced_vars: u64,
 }
 
 /// Restart-boundary phase policy (see [`Solver::set_rephase`]): what to
@@ -158,6 +184,10 @@ pub struct Solver {
     live_clauses: usize,
     /// Flat literal storage for all clauses; see [`Clause`].
     lit_arena: Vec<Lit>,
+    /// Arena literals no live clause covers: deleted clauses' blocks
+    /// and the tails strengthening cut off. `maybe_compact` reclaims
+    /// them once they outweigh the live literals.
+    dead_lits: usize,
     watches: Vec<Vec<Watch>>,
     assign: Vec<LBool>,
     level: Vec<u32>,
@@ -279,6 +309,14 @@ pub struct Solver {
     /// Model-reconstruction stack: for each eliminated variable, in
     /// elimination order, the original clauses that mentioned it.
     elim_stack: Vec<(Var, StoredClauses)>,
+    /// Variables retired by [`Solver::purge_vars`]. Their entries on
+    /// `elim_stack`, and stored clauses that mention them, are dead:
+    /// reconstruction and reintroduction skip them, and the next
+    /// compaction drops them.
+    purged: Vec<bool>,
+    /// Set by `purge_vars`: `elim_stack` may hold dead entries or
+    /// clauses for the next compaction to drop.
+    elim_stack_stale: bool,
     /// Post-`Sat` values for eliminated variables, recomputed per solve
     /// by replaying `elim_stack` in reverse (SatELite-style model
     /// extension); consulted by [`Solver::value`] when `assign` is
@@ -317,6 +355,11 @@ const REPHASE_PERIOD: u64 = 10;
 /// over a large shared base otherwise undo and re-decide hundreds of
 /// base levels, to the same saved phases, after every conflict.
 const CHRONO_LEVELS: u32 = 100;
+/// Compaction waits until dead literals outnumber live ones: more than
+/// `1 / COMPACT_DEAD_SHARE` of the arena. A retraction or purge sweep
+/// then costs what it deletes, and each compaction's full watch-list
+/// remap is paid for by at least as many deleted literals.
+const COMPACT_DEAD_SHARE: usize = 2;
 /// Geometric restart growth factor (per restart, starting from
 /// `restart_base`), the classic MiniSat-style alternative to Luby.
 const GEOMETRIC_FACTOR: f64 = 1.2;
@@ -334,6 +377,7 @@ impl Solver {
             clauses: Vec::new(),
             live_clauses: 0,
             lit_arena: Vec::new(),
+            dead_lits: 0,
             watches: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
@@ -380,6 +424,8 @@ impl Solver {
             frozen: Vec::new(),
             elim: Vec::new(),
             elim_stack: Vec::new(),
+            purged: Vec::new(),
+            elim_stack_stale: false,
             model_overlay: Vec::new(),
             restart_geometric: false,
             rephase: Rephase::Off,
@@ -398,6 +444,7 @@ impl Solver {
         self.trail_pos.push(0);
         self.frozen.push(false);
         self.elim.push(false);
+        self.purged.push(false);
         self.model_overlay.push(LBool::Undef);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -616,6 +663,7 @@ impl Solver {
     fn mark_deleted(&mut self, ci: usize) {
         let c = &mut self.clauses[ci];
         c.deleted = true;
+        self.dead_lits += c.len as usize;
         if c.learnt {
             self.num_learnts -= 1;
         }
@@ -764,6 +812,11 @@ impl Solver {
     /// [`SWEEP_GRANULARITY`] clauses and bails early when set — an
     /// incomplete sweep leaves extra satisfied clauses behind, which is
     /// only a missed cleanup, never unsound.
+    ///
+    /// The sweep only marks clauses deleted; storage is reclaimed by
+    /// `maybe_compact`, once more than half of the arena is dead, so a
+    /// retraction that deletes a handful of guard clauses does not pay
+    /// for a rebuild of every watch list.
     pub fn simplify(&mut self) {
         self.backtrack(0);
         if !self.ok {
@@ -794,12 +847,13 @@ impl Solver {
                 self.delete_clause(ci);
             }
         }
-        self.compact_deleted();
+        self.maybe_compact();
     }
 
     /// Deletes every clause mentioning a variable marked in `garbage`
-    /// (variables past the end are not garbage). Used by incremental
-    /// sessions to retire a dead goal's gate clauses outright.
+    /// (variables past the end are not garbage), and retires those
+    /// variables for good. Used by incremental sessions to retire a
+    /// dead goal's gate clauses outright.
     ///
     /// # Soundness contract
     ///
@@ -809,7 +863,28 @@ impl Solver {
     /// future goal) qualify — any model of the surviving clause set
     /// extends over them, so deleting the clauses (including learnts
     /// that mention the variables, which may have been derived *from*
-    /// those gates) changes no future verdict.
+    /// those gates) changes no future verdict. A purged variable must
+    /// never be mentioned again: later models give it no value.
+    ///
+    /// # Eliminated variables
+    ///
+    /// An eliminated variable `x` (say a base gate that later
+    /// countermodels read) may have stored clauses that mention a
+    /// purged variable: the clauses of a goal gate that read `x`. Such
+    /// clauses are dead from here on. Reconstruction and
+    /// reintroduction skip them, and skip the entries of purged
+    /// variables, and the next compaction drops both. This is sound.
+    /// Every resolvent of `x`'s trimmed entry mentions no purged
+    /// variable, so it is still live, or was subsumed, strengthened or
+    /// satisfied at level 0, or moved into the entry of a variable
+    /// eliminated later, where it survives the trim. A model of the
+    /// live database therefore satisfies every such resolvent, and the
+    /// usual elimination argument gives `x` a value satisfying its
+    /// trimmed entry, which holds `x`'s own definition. The proof log
+    /// is not touched: the checker still holds the elided parents.
+    ///
+    /// The sweep only marks clauses deleted; see [`Solver::simplify`]
+    /// for when storage is reclaimed.
     pub fn purge_vars(&mut self, garbage: &[bool]) {
         self.backtrack(0);
         if !self.ok {
@@ -834,50 +909,19 @@ impl Solver {
                 self.delete_clause(ci);
             }
         }
-        // An eliminated variable whose stored clauses mention garbage
-        // cannot be reconstructed once those clauses' variables lose
-        // their values — and with session-scoped elimination the
-        // variable may be a *base* gate that later countermodels still
-        // read (and that other reconstruction entries chain through).
-        // Reintroduce such variables (always sound; their garbage-
-        // mentioning parents come back and are deleted by the sweep
-        // below on the next purge — or already were by the sweep above,
-        // which is exactly the conservative deletion this function's
-        // contract licenses), rather than dropping the entry and
-        // leaving a permanently unreconstructable hole.
-        let stranded: Vec<Lit> = self
-            .elim_stack
-            .iter()
-            .filter(|(_, stored)| {
-                stored
-                    .all_lits()
-                    .any(|l| garbage.get(l.var().index()).copied().unwrap_or(false))
-            })
-            .map(|&(v, _)| Lit::pos(v))
-            .collect();
-        if !stranded.is_empty() {
-            self.reintroduce_touched(&stranded);
-            // The returning parents may themselves mention garbage:
-            // delete those immediately (they are exactly the clauses
-            // the purge contract covers).
-            for ci in 0..self.clauses.len() {
-                if self.clauses[ci].deleted {
-                    continue;
-                }
-                let hit = self.lit_arena[self.clauses[ci].range()]
-                    .iter()
-                    .any(|l| garbage.get(l.var().index()).copied().unwrap_or(false));
-                if hit {
-                    self.delete_clause(ci);
-                }
-            }
+        for (p, &g) in self.purged.iter_mut().zip(garbage) {
+            *p |= g;
         }
-        debug_assert!(self.elim_stack.iter().all(|(_, stored)| {
-            !stored
-                .all_lits()
-                .any(|l| garbage.get(l.var().index()).copied().unwrap_or(false))
-        }));
-        self.compact_deleted();
+        self.elim_stack_stale |= !self.elim_stack.is_empty();
+        self.maybe_compact();
+    }
+
+    /// Compacts once dead literals outweigh live ones (see
+    /// [`COMPACT_DEAD_SHARE`]). Same preconditions as `compact_deleted`.
+    fn maybe_compact(&mut self) {
+        if self.dead_lits * COMPACT_DEAD_SHARE > self.lit_arena.len() {
+            self.compact_deleted();
+        }
     }
 
     /// Physically removes deleted clauses: live clauses (and their
@@ -891,7 +935,15 @@ impl Solver {
     /// reasons cleared (backtrack(0) clears reasons for unassigned
     /// vars; the callers clear the level-0 trail's), so watch lists
     /// hold the only clause references left to remap.
+    ///
+    /// Each call remaps every watch list, so sweeps reach it through
+    /// `maybe_compact` once half of the arena is dead; only the
+    /// inprocessing rebuild, which rebuilds every watch anyway, calls
+    /// it each time. After a purge it also drops the dead entries and
+    /// clauses from `elim_stack` (see [`Solver::purge_vars`]), so the
+    /// stack stays bounded by what is still eliminated.
     fn compact_deleted(&mut self) {
+        self.stats.compactions += 1;
         let mut remap: Vec<CRef> = vec![CRef::MAX; self.clauses.len()];
         let mut next = 0usize;
         let mut arena_next = 0usize;
@@ -915,7 +967,19 @@ impl Solver {
         }
         self.clauses.truncate(next);
         debug_assert_eq!(next, self.live_clauses);
+        debug_assert_eq!(self.lit_arena.len() - arena_next, self.dead_lits);
         self.lit_arena.truncate(arena_next);
+        self.dead_lits = 0;
+        if std::mem::take(&mut self.elim_stack_stale) {
+            let purged = &self.purged;
+            self.elim_stack.retain_mut(|(v, stored)| {
+                if purged[v.index()] {
+                    return false;
+                }
+                stored.retain(|c| !mentions_purged(purged, c));
+                true
+            });
+        }
         if !self.elided_hints.is_empty() {
             self.elided_hints = std::mem::take(&mut self.elided_hints)
                 .into_iter()
@@ -1819,6 +1883,31 @@ impl Solver {
             self.delete_clause(c as usize);
         }
         // Deleted clauses are dropped from watch lists lazily in propagate.
+    }
+}
+
+#[cfg(test)]
+impl Solver {
+    /// Every variable the elimination stack mentions: each entry's own
+    /// variable and those of its stored clauses.
+    pub(crate) fn elim_stack_mentions(&self) -> Vec<Var> {
+        let mut vs: Vec<Var> = self
+            .elim_stack
+            .iter()
+            .flat_map(|(v, stored)| std::iter::once(*v).chain(stored.lits.iter().map(|l| l.var())))
+            .collect();
+        vs.sort_unstable_by_key(|v| v.index());
+        vs.dedup();
+        vs
+    }
+
+    /// Compacts the clause arena now, whatever its dead share.
+    pub(crate) fn compact_now(&mut self) {
+        self.backtrack(0);
+        for i in 0..self.trail.len() {
+            self.reason[self.trail[i].var().index()] = None;
+        }
+        self.compact_deleted();
     }
 }
 

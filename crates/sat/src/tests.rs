@@ -613,6 +613,67 @@ fn assumptions_reintroduce_eliminated_vars() {
 }
 
 #[test]
+fn purge_strands_nothing() {
+    use crate::StepKind;
+    // Base gate x = a ∧ b, read by goal gate g = x ∨ c behind `act`.
+    // Only x may be eliminated, so its stored clauses are its own
+    // definition plus the two of g's clauses that mention it. A padding
+    // chain keeps the purge below the compaction threshold, so g's
+    // clauses are still on the stack when the next models are read.
+    let mut s = Solver::new();
+    s.set_proof_logging(true);
+    let [a, b, c, x, g] = [0; 5].map(|_| Lit::pos(s.new_var()));
+    let act = Lit::pos(s.new_var());
+    s.freeze_var(act.var());
+    let clauses: [&[Lit]; 7] =
+        [&[!x, a], &[!x, b], &[x, !a, !b], &[!g, x, c], &[g, !x], &[g, !c], &[!act, g]];
+    for cl in clauses {
+        s.add_clause(cl);
+    }
+    let pad = lits(&mut s, 12);
+    for w in pad.windows(2) {
+        s.add_clause(&[Lit::pos(w[0]), Lit::pos(w[1])]);
+    }
+    let mut mask = vec![false; s.num_vars()];
+    mask[x.var().index()] = true;
+    s.set_eliminable(Some(&mask));
+    assert_eq!(s.solve_assuming(&[act]), SolveResult::Sat);
+    assert!(s.stats().eliminated_vars >= 1, "x must be eliminated");
+    assert!(s.elim_stack_mentions().contains(&g.var()), "x's entry holds g's clauses");
+    assert!(s.retract(act));
+    // g = x ∨ c is forced false here, and keeps that saved phase once
+    // purged: a reconstruction still reading g's `g ∨ ¬x` would then
+    // force x false whatever a and b are.
+    assert_eq!(s.solve_assuming(&[!a, !c]), SolveResult::Sat);
+    assert_eq!(s.value_lit(g), Some(false));
+    s.take_proof();
+
+    let before = s.stats();
+    let mut garbage = vec![false; s.num_vars()];
+    garbage[g.var().index()] = true;
+    s.purge_vars(&garbage);
+    assert_eq!(s.stats().reintroduced_vars, before.reintroduced_vars, "nothing stranded");
+    assert_eq!(s.stats().compactions, before.compactions, "the purge crossed the threshold");
+    let delta = s.take_proof();
+    assert!(!delta.is_empty());
+    assert!(delta.iter().all(|st| st.kind == StepKind::Delete), "purge re-logged an input");
+
+    // Models read x through the trimmed entry: x = a ∧ b.
+    for assume in [[a, b], [!a, !c], [!b, c]] {
+        assert_eq!(s.solve_assuming(&assume), SolveResult::Sat);
+        let value = |l: Lit| s.value_lit(l).expect("every non-purged variable has a value");
+        assert_eq!(value(x), value(a) && value(b), "x's definition under {assume:?}");
+    }
+    assert_eq!(s.stats().reintroduced_vars, before.reintroduced_vars);
+
+    assert!(s.elim_stack_mentions().contains(&g.var()), "dead clauses wait for a compaction");
+    s.compact_now();
+    let left = s.elim_stack_mentions();
+    assert!(left.contains(&x.var()), "x is still eliminated");
+    assert!(!left.contains(&g.var()), "a purged variable stayed on the stack: {left:?}");
+}
+
+#[test]
 fn subsumption_shrinks_database() {
     // {a} ∪ {a, b, c...} pairs: the short clauses should subsume the
     // long ones during the first inprocessing round.
@@ -823,7 +884,8 @@ fn num_clauses_counts_live_clauses_through_every_deletion_path() {
     // a purge then takes one column's at-most-one clauses. With
     // inprocessing on, the same walk runs subsumption and elimination
     // deletions past the counter too (test builds assert it against the
-    // clause array at every compaction).
+    // clause array at every compaction). The sweeps delete more than
+    // half of the arena, so each crosses the compaction threshold.
     let holes = 5;
     let rows = holes + 1;
     let per_column = rows * (rows - 1) / 2;
@@ -860,6 +922,7 @@ fn num_clauses_counts_live_clauses_through_every_deletion_path() {
             s.purge_vars(&garbage);
             assert_eq!(s.num_clauses(), (holes - 1) * per_column);
         }
+        assert!(s.stats().compactions > 0, "no sweep compacted [inprocess={inprocess}]");
         assert_eq!(s.solve(), SolveResult::Sat);
     }
 }

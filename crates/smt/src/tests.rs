@@ -554,6 +554,56 @@ fn session_retirement_does_not_leak_between_goals() {
     ));
 }
 
+/// Per-goal housekeeping stays amortized. A planned stream of 103
+/// goals over one shared base: 34 base terms `c_j = x + K_j`, read by
+/// goal terms `t_j = c_j ^ y`, where goal 0 encodes every `t_j` and
+/// group `j`'s three goals read `t_j` again. Each `c_j` is mentioned
+/// only at goal 0, so it is eliminable from there on, and its stored
+/// clauses hold `t_j`'s clauses until group `j` retires and purges
+/// them. Every goal's retraction and purge sweep the database.
+///
+/// Measured (`solver_stats()` at the end of the stream): the parent
+/// commit, which compacted after every sweep and reintroduced every
+/// eliminated variable whose stored clauses mentioned a purged one,
+/// made 207 compactions (2.01 per goal) and reintroduced 1 186
+/// variables; now 8 compactions (0.078 per goal) and 0 reintroduced
+/// variables. The bounds are twice today's figures (for the
+/// reintroductions, that is still none), as
+/// `tests/alloc_budget.rs` sets its own: if this trips, a per-goal
+/// path went back to compacting on every sweep, or to reintroducing
+/// what a purge strands.
+#[test]
+fn session_housekeeping_stays_amortized() {
+    const COMPACTIONS_PER_GOAL: f64 = 0.16;
+    reset_ctx();
+    let x = BV::fresh(12, "x");
+    let y = BV::fresh(12, "y");
+    let c: Vec<BV> = (0..34).map(|j| x + BV::lit(12, 37 * j + 5)).collect();
+    let t: Vec<BV> = c.iter().map(|&cj| cj ^ y).collect();
+    let sum = t[1..].iter().fold(t[0], |acc, &tj| acc + tj);
+    let mut goals = vec![sum.ne_(BV::lit(12, 7))];
+    for (j, &tj) in t.iter().enumerate() {
+        let j = j as u128;
+        goals.push(tj.ult(BV::lit(12, 100 + j)));
+        goals.push((tj & BV::lit(12, 0xf0)).eq_(BV::lit(12, j << 4)));
+        goals.push(tj.ne_(x));
+    }
+    let cfg = SolverConfig { inprocess: true, session_bve: true, ..SolverConfig::default() };
+    let mut s = Session::new(cfg, None);
+    for cj in &c {
+        s.assume(cj.ne_(BV::lit(12, 0)));
+    }
+    s.plan_goals(&goals.iter().map(|&g| !g).collect::<Vec<_>>());
+    for &g in &goals {
+        let out = s.solve_goal(g);
+        assert!(matches!(out.result, CheckResult::Unsat | CheckResult::Sat(_)));
+    }
+    let (st, n) = (s.solver_stats(), goals.len());
+    let per_goal = st.compactions as f64 / n as f64;
+    assert!(per_goal <= COMPACTIONS_PER_GOAL, "{} compactions over {n} goals", st.compactions);
+    assert_eq!(st.reintroduced_vars, 0, "twice today's 0 is still 0");
+}
+
 /// Plan-driven purging with a shared divider circuit: `x udiv y` and
 /// `x urem y` (non-constant divisor) share one restoring-divider
 /// encoding, so retiring the udiv goal must *defer* until the urem
