@@ -22,6 +22,12 @@ cargo build --release --offline
 echo "== tests (whole workspace, offline; incl. config_matrix, alloc_budget) =="
 cargo test -q --workspace --offline
 
+# Broken intra-doc links fail the build: a doc comment that names an
+# item deleted or renamed since must be fixed with the code.
+echo "== docs (broken intra-doc links are errors) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc --no-deps --offline --workspace --document-private-items
+
 # The benchmark package builds its configurations as struct literals and
 # imports product items by name: this leg proves they still compile and
 # that the smoke workloads still agree with benchmark/expected/.

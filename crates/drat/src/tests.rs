@@ -24,8 +24,21 @@ fn concludes_empty(log: &ProofLog) -> bool {
 /// Solves the pigeonhole formula PHP(holes+1, holes) with proof logging
 /// and returns the certificate.
 fn php_certificate(holes: usize) -> ProofLog {
+    php_certificate_with(holes, true)
+}
+
+/// A PHP certificate whose derivations carry LRAT hints. Elimination
+/// stays off: with it on, PHP's learnt clauses consult elided
+/// resolvents, and a step with an antecedent the proof never saw is
+/// logged unhinted, so that certificate carries no hinted step.
+fn php_hinted_certificate(holes: usize) -> ProofLog {
+    php_certificate_with(holes, false)
+}
+
+fn php_certificate_with(holes: usize, bve: bool) -> ProofLog {
     let pigeons = holes + 1;
     let mut s = Solver::new();
+    s.set_inprocess(true, bve);
     s.set_proof_logging(true);
     let v: Vec<Vec<Var>> = (0..pigeons)
         .map(|_| (0..holes).map(|_| s.new_var()).collect())
@@ -72,6 +85,12 @@ fn pigeonhole_certificate_accepted() {
     assert!(proof.iter().any(|s| derived_of(s, 1)));
     assert!(concludes_empty(&proof));
     check_refutation(&proof, &[]).unwrap();
+    // An elided antecedent leaves its step unhinted, never mis-hinted.
+    let mut ck = Checker::new();
+    for st in proof.iter() {
+        ck.apply(st).unwrap();
+    }
+    assert_eq!(ck.hint_stats().1, 0, "a hint the checker had to fall back from");
 }
 
 #[test]
@@ -282,7 +301,7 @@ fn first_hinted(proof: &ProofLog) -> usize {
 
 #[test]
 fn php_certificate_checks_on_the_hinted_fast_path() {
-    let proof = php_certificate(4);
+    let proof = php_hinted_certificate(4);
     first_hinted(&proof);
     let mut ck = Checker::new();
     for st in proof.iter() {
@@ -299,7 +318,7 @@ fn php_certificate_checks_on_the_hinted_fast_path() {
 /// step by full RUP — same verdict, counted as a fallback.
 #[test]
 fn tampered_hints_fall_back_to_full_rup() {
-    let mut proof = php_certificate(4);
+    let mut proof = php_hinted_certificate(4);
     for i in 0..proof.len() {
         // Out-of-range ids: the hinted walk dies immediately.
         for h in proof.hints_mut(i) {
@@ -319,7 +338,7 @@ fn tampered_hints_fall_back_to_full_rup() {
 /// hint list is a rejected certificate, never a silently slower one.
 #[test]
 fn tampered_hints_rejected_in_strict_mode() {
-    let mut proof = php_certificate(4);
+    let mut proof = php_hinted_certificate(4);
     let at = first_hinted(&proof);
     let hints = proof.hints_mut(at);
     hints[0] = hints[0].wrapping_add(100_000);
@@ -337,7 +356,7 @@ fn tampered_hints_rejected_in_strict_mode() {
 /// strict mode rejects.
 #[test]
 fn reordered_hints_rejected_in_strict_mode() {
-    let mut proof = php_certificate(3);
+    let mut proof = php_hinted_certificate(3);
     // Find a hinted step whose reversal actually changes the order.
     let at = proof
         .iter()
@@ -407,7 +426,7 @@ fn a_hint_to_a_deleted_clause_walks_its_live_twin() {
 /// cannot be replayed under a doctored hint list.
 #[test]
 fn hint_lists_are_hashed_into_the_fingerprint() {
-    let proof = php_certificate(3);
+    let proof = php_hinted_certificate(3);
     let at = first_hinted(&proof);
     let mut doctored = proof.clone();
     let hints = doctored.hints_mut(at);

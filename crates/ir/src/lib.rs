@@ -11,9 +11,10 @@
 //!   `serval-core` memory model, with `bug_on` checks for oversized
 //!   shifts, division by zero, and out-of-bounds access (the §7 Keystone
 //!   bug classes);
-//! - [`compile`]: an *untrusted* compiler to RV64 at three optimization
-//!   levels, playing gcc's role in the monitors' build (paper §6.4
-//!   measures verification time against `-O0/-O1/-O2` binaries). Nothing
+//! - [`compile`](mod@compile): an *untrusted* compiler to RV64 at
+//!   three optimization levels, playing gcc's role in the monitors'
+//!   build (paper §6.4 measures verification time against
+//!   `-O0/-O1/-O2` binaries). Nothing
 //!   in the proofs trusts this compiler: the RISC-V verifier consumes its
 //!   output like any other binary.
 //!

@@ -1,22 +1,20 @@
-//! SatELite-style inprocessing: backward subsumption, self-subsuming
-//! resolution, and bounded variable elimination, run at level-0
-//! boundaries of the search (`Solver::maybe_inprocess`).
+//! SatELite-style inprocessing: level-0 cleanup and bounded variable
+//! elimination, run at level-0 boundaries of the search
+//! (`Solver::maybe_inprocess`).
 //!
 //! The round works directly on the parent module's flat clause arena in
-//! four phases:
+//! three phases:
 //!
 //! 1. **Scan** — delete level-0-satisfied clauses, strip level-0-false
-//!    literals, sort every live clause's literals in place, and build
-//!    literal-indexed occurrence lists plus 64-bit variable signatures.
-//! 2. **Subsumption sweep** — for each clause, check the occurrence
-//!    lists of its rarest variable for clauses it subsumes (deleted) or
-//!    strengthens by self-subsuming resolution (one literal removed).
-//! 3. **Bounded variable elimination** — resolve the positive against
+//!    literals, sort every live clause's literals in place, and, when
+//!    elimination runs this round, build literal-indexed occurrence
+//!    lists.
+//! 2. **Bounded variable elimination** — resolve the positive against
 //!    the negative occurrences of cheap unfrozen variables; when the
 //!    non-tautological resolvents do not outnumber the clauses they
 //!    replace, add the resolvents, delete the originals, and push the
 //!    originals onto the model-reconstruction stack.
-//! 4. **Rebuild** — phases 1–3 reorder literals inside the arena, so
+//! 3. **Rebuild** — phases 1–2 reorder literals inside the arena, so
 //!    the two-watched-literal invariant is void; rebuild every watch
 //!    list wholesale, compact deleted clauses, and re-propagate the
 //!    trail from scratch. This phase always runs (even when an earlier
@@ -24,22 +22,24 @@
 //!    with stale watches.
 //!
 //! Certified mode accepts inprocessed refutations unchanged, but most
-//! elimination traffic never reaches the proof. Subsumption deletions
-//! and strengthenings are logged while their premises are live, as
-//! usual. Variable elimination instead *elides* its parent deletions —
-//! the parents stay in the checker's database — and then a live parent
-//! pair simulates its resolvent under unit propagation: whenever the
-//! resolvent would propagate `l`, one parent becomes unit on the pivot
-//! and the other then unit on `l`. The simulation fails only when the
-//! parents share a non-pivot literal (both keep two free literals), so
-//! exactly those resolvents, plus unit resolvents (which must
-//! propagate persistently), are logged as RUP `Derived` steps; the
-//! rest are elided, keeping the certificate linear in the *search*
-//! effort instead of the elimination effort. Extra live clauses in the
-//! checker are always sound (they are entailed consequences), and the
+//! elimination traffic never reaches the proof. The scan's strengthened
+//! clauses are logged while their premises are live, as usual. Variable
+//! elimination instead *elides* its parent deletions — the parents stay
+//! in the checker's database — and then a live parent pair simulates
+//! its resolvent under unit propagation: whenever the resolvent would
+//! propagate `l`, one parent becomes unit on the pivot and the other
+//! then unit on `l`. The simulation fails only when the parents share a
+//! non-pivot literal (both keep two free literals), so exactly those
+//! resolvents, plus unit resolvents (which must propagate
+//! persistently), are logged as RUP `Derived` steps; the rest are
+//! elided, keeping the certificate linear in the *search* effort
+//! instead of the elimination effort. Extra live clauses in the checker
+//! are always sound (they are entailed consequences), and the
 //! simulation argument makes the logged refutation check through
 //! without the elided clauses, recursively through elimination
-//! cascades.
+//! cascades. An elided resolvent has no checker id, so a derivation
+//! that consults one is logged unhinted: the checker re-derives it by
+//! full unit propagation, from the live parents.
 
 use super::*;
 
@@ -48,64 +48,13 @@ use super::*;
 const BVE_OCC_CAP: usize = 10;
 /// Skip elimination when any resolvent would exceed this many literals.
 const BVE_RESOLVENT_LEN_CAP: usize = 32;
-/// Skip the subsumption attempt for a clause whose best candidate list
-/// is longer than this.
-const SUBSUME_CAND_CAP: usize = 600;
-/// Clauses between interrupt polls in the subsumption sweep (heavier
-/// per-clause work than the plain database sweeps).
-const SUBSUME_POLL: usize = 256;
-/// Longest stored hint expansion for an elided resolvent (see
-/// `Solver::elided_expansion`); deeper elimination cascades go
-/// unexpanded and conflicts touching them fall back to unhinted steps.
-const ELIDED_HINT_MAX: usize = 128;
 
-/// Occurrence lists (indexed by `Lit::index`) and per-clause variable
-/// signatures built by the scan phase. Only *original* (non-learnt)
-/// clauses are indexed: they are the subsumption and elimination
-/// substrate, and leaving the (much larger) learnt database out keeps
-/// every candidate list short. Lists go stale as clauses are deleted or
-/// strengthened; consumers re-verify membership on use.
-struct OccState {
-    occ: Vec<Vec<CRef>>,
-    sig: Vec<u64>,
-}
-
-#[inline]
-fn sig_bit(l: Lit) -> u64 {
-    1u64 << (l.var().index() & 63)
-}
-
-/// Does `a` subsume `b` (every literal of `a` appears in `b`), allowing
-/// at most one literal of `a` to appear *negated* in `b`?
-/// `Some(None)`: plain subsumption. `Some(Some(l))`: all of `a` matches
-/// except `l`, whose negation is in `b` — the self-subsuming-resolution
-/// case (remove `!l` from `b`). Both slices must be sorted and
-/// tautology-free.
-fn subsume_check(a: &[Lit], b: &[Lit]) -> Option<Option<Lit>> {
-    let mut flip: Option<Lit> = None;
-    let mut j = 0;
-    for &la in a {
-        let lo = if la < !la { la } else { !la };
-        while j < b.len() && b[j] < lo {
-            j += 1;
-        }
-        if j == b.len() {
-            return None;
-        }
-        if b[j] == la {
-            j += 1;
-        } else if b[j] == !la {
-            if flip.is_some() {
-                return None;
-            }
-            flip = Some(la);
-            j += 1;
-        } else {
-            return None;
-        }
-    }
-    Some(flip)
-}
+/// Occurrence lists, indexed by `Lit::index`, built by the scan phase
+/// for elimination. Only *original* (non-learnt) clauses are indexed:
+/// they are the elimination substrate, and leaving the (much larger)
+/// learnt database out keeps every list short. Lists go stale as
+/// clauses are deleted; consumers re-verify membership on use.
+type Occs = Vec<Vec<CRef>>;
 
 impl Solver {
     /// Runs one inprocessing round. Must be called at decision level 0
@@ -126,21 +75,13 @@ impl Solver {
         for i in 0..self.trail.len() {
             self.reason[self.trail[i].var().index()] = None;
         }
-        let mut st = OccState {
-            occ: vec![Vec::new(); 2 * self.assign.len()],
-            sig: vec![0; self.clauses.len()],
-        };
-        let complete = self.inprocess_scan(&mut st);
-        if self.ok && complete {
-            self.subsume_sweep(&mut st);
-        }
-        if self.ok
-            && complete
-            && self.inprocess_bve
-            && !self.bve_saturated
-            && !self.interrupted()
-        {
-            let finished = self.eliminate_vars(&mut st);
+        // Only elimination reads occurrence lists: a round without it
+        // (BVE off, or saturated) does not build them.
+        let bve = self.inprocess_bve && !self.bve_saturated;
+        let mut occ: Occs = vec![Vec::new(); if bve { 2 * self.assign.len() } else { 0 }];
+        let complete = self.inprocess_scan(bve, &mut occ);
+        if bve && self.ok && complete && !self.interrupted() {
+            let finished = self.eliminate_vars(&mut occ);
             self.bve_saturated = finished && self.ok;
         }
         if self.ok {
@@ -154,12 +95,12 @@ impl Solver {
     /// result enqueues the unit and deletes the clause; an empty result
     /// concludes the proof. Returns `false` when `ok` dropped.
     ///
-    /// `antecedents` names the clauses whose unit propagations justify
-    /// `new` (ordered: the falsified clause last), used as the LRAT
-    /// hint when every antecedent is in the proof.
-    fn rewrite_clause(&mut self, ci: usize, new: &mut [Lit], antecedents: &[CRef]) -> bool {
+    /// The LRAT hint is the old clause itself: its dropped literals are
+    /// false by the checker's persistent level-0 facts, so asserting
+    /// the new clause's negation falsifies it.
+    fn rewrite_clause(&mut self, ci: usize, new: &mut [Lit]) -> bool {
         new.sort_unstable();
-        self.log_derived(new, antecedents);
+        self.log_derived(new, &[ci as CRef]);
         if new.is_empty() {
             self.ok = false;
             return false;
@@ -205,63 +146,22 @@ impl Solver {
     }
 
     /// Maps antecedent clause refs to their proof-log ids for an LRAT
-    /// hint, into `self.hint_ids`; an antecedent that was never logged
-    /// (an elided elimination resolvent) is spliced into its stored
-    /// parent expansion. `false` when hints are off or an elided
-    /// antecedent has no expansion either — the step still RUP-checks
-    /// from that resolvent's live parents, just not by the direct walk.
+    /// hint, into `self.hint_ids`. `false` when hints are off or an
+    /// antecedent was never logged (an elided elimination resolvent):
+    /// the step still RUP-checks from that resolvent's live parents,
+    /// just not by the direct walk.
     fn antecedent_hints(&mut self, antecedents: &[CRef]) -> bool {
         if !self.lrat || self.proof.is_none() || antecedents.is_empty() {
             return false;
         }
         self.hint_ids.clear();
-        antecedents.iter().all(|&c| self.push_hint_ids(c))
+        antecedents.iter().all(|&c| self.push_hint_id(c))
     }
 
-    /// Hint expansion for an elided resolvent of `parents = [P, N]` on
-    /// some pivot `v` (`v ∈ P`, `!v ∈ N`): checker clause ids whose
-    /// in-order walk simulates the resolvent's unit propagation from
-    /// its live parents. The resolvent `A ∪ B` (with `P = {v} ∪ A`,
-    /// `N = {!v} ∪ B`) is unit on `l` exactly when all its other
-    /// literals are false; then the parent *not* containing `l` is unit
-    /// on the pivot, and the other parent — once the pivot resolves —
-    /// unit on `l`. Emitting `[P, N, P]` covers both cases because the
-    /// checker's hinted walk skips hints that are satisfied or leave
-    /// two literals free (`Checker::hinted_rup`). Elided parents
-    /// recurse into their own stored expansions; `None` when a parent
-    /// chain is unexpandable or the splice would exceed
-    /// [`ELIDED_HINT_MAX`] (conflicts consulting the resolvent then log
-    /// an unhinted `Derived` instead).
-    fn elided_expansion(&self, parents: &[CRef; 2]) -> Option<Vec<u32>> {
-        let one;
-        let p: &[u32] = match self.clauses[parents[0] as usize].proof_id {
-            NO_PROOF_ID => self.elided_hints.get(&parents[0])?,
-            pid => {
-                one = [pid];
-                &one
-            }
-        };
-        let two;
-        let n: &[u32] = match self.clauses[parents[1] as usize].proof_id {
-            NO_PROOF_ID => self.elided_hints.get(&parents[1])?,
-            pid => {
-                two = [pid];
-                &two
-            }
-        };
-        if p.len() * 2 + n.len() > ELIDED_HINT_MAX {
-            return None;
-        }
-        let mut out = Vec::with_capacity(p.len() * 2 + n.len());
-        out.extend_from_slice(p);
-        out.extend_from_slice(n);
-        out.extend_from_slice(p);
-        Some(out)
-    }
-
-    /// Phase 1: level-0 cleanup plus occurrence/signature construction.
-    /// Returns `false` when interrupted (or `ok` dropped) mid-scan.
-    fn inprocess_scan(&mut self, st: &mut OccState) -> bool {
+    /// Phase 1: level-0 cleanup, plus occurrence lists into `occ` when
+    /// `index` is set. Returns `false` when interrupted (or `ok`
+    /// dropped) mid-scan.
+    fn inprocess_scan(&mut self, index: bool, occ: &mut Occs) -> bool {
         for ci in 0..self.clauses.len() {
             if ci % SWEEP_GRANULARITY == 0 && self.interrupted() {
                 return false;
@@ -295,10 +195,7 @@ impl Solver {
                         .copied()
                         .filter(|&l| value_of(&self.assign, l) == LBool::Undef),
                 );
-                // Hint: the old clause itself — its stripped literals
-                // are false by the checker's persistent level-0 facts,
-                // so asserting the new clause's negation falsifies it.
-                let ok = self.rewrite_clause(ci, &mut live, &[ci as CRef]);
+                let ok = self.rewrite_clause(ci, &mut live);
                 self.add_buf = live;
                 if !ok {
                     return false;
@@ -310,115 +207,22 @@ impl Solver {
                 let r = self.clauses[ci].range();
                 self.lit_arena[r].sort_unstable();
             }
-            if self.clauses[ci].learnt {
-                continue; // cleaned, but not indexed (see [`OccState`])
+            if !index || self.clauses[ci].learnt {
+                continue; // cleaned, but not indexed (see [`Occs`])
             }
-            let r = self.clauses[ci].range();
-            let mut s = 0u64;
-            for k in r {
-                let l = self.lit_arena[k];
-                s |= sig_bit(l);
-                st.occ[l.index()].push(ci as CRef);
+            for k in self.clauses[ci].range() {
+                occ[self.lit_arena[k].index()].push(ci as CRef);
             }
-            st.sig[ci] = s;
         }
         true
     }
 
-    /// Phase 2: backward subsumption + self-subsuming resolution, over
-    /// the original clauses (learnts are consequences the `reduce_db`
-    /// policy already trims; sweeping them too made candidate lists an
-    /// order of magnitude longer for marginal deletions).
-    fn subsume_sweep(&mut self, st: &mut OccState) {
-        let mut ci_lits: Vec<Lit> = Vec::new();
-        for ci in 0..self.clauses.len() {
-            if ci % SUBSUME_POLL == 0 && self.interrupted() {
-                return;
-            }
-            if self.clauses[ci].deleted || self.clauses[ci].learnt {
-                continue;
-            }
-            // Pick the literal of `ci` with the fewest occurrences of
-            // its variable: every clause `ci` subsumes (or strengthens)
-            // contains that variable in one polarity or the other.
-            let range = self.clauses[ci].range();
-            let mut best: Option<(usize, Lit)> = None;
-            for k in range {
-                let l = self.lit_arena[k];
-                let cost = st.occ[l.index()].len() + st.occ[(!l).index()].len();
-                if best.map_or(true, |(c, _)| cost < c) {
-                    best = Some((cost, l));
-                }
-            }
-            let Some((cost, bl)) = best else { continue };
-            if cost > SUBSUME_CAND_CAP {
-                continue;
-            }
-            ci_lits.clear();
-            ci_lits.extend_from_slice(&self.lit_arena[self.clauses[ci].range()]);
-            let ci_sig = st.sig[ci];
-            for cand_lit in [bl, !bl] {
-                // Index loop: the occurrence list is only appended to
-                // (by elimination, a later phase), so positional
-                // iteration is stable and avoids cloning the list.
-                for idx in 0..st.occ[cand_lit.index()].len() {
-                    let cj = st.occ[cand_lit.index()][idx] as usize;
-                    if cj == ci || self.clauses[cj].deleted {
-                        continue;
-                    }
-                    let cj_range = self.clauses[cj].range();
-                    if cj_range.len() < ci_lits.len() || ci_sig & !st.sig[cj] != 0 {
-                        continue;
-                    }
-                    match subsume_check(&ci_lits, &self.lit_arena[cj_range]) {
-                        None => {}
-                        Some(None) => {
-                            self.delete_clause(cj);
-                            self.stats.subsumed += 1;
-                        }
-                        Some(Some(la)) => {
-                            // Resolving ci and cj on `la` yields
-                            // cj \ {!la}: strengthen cj in place.
-                            let mut new = std::mem::take(&mut self.add_buf);
-                            new.clear();
-                            new.extend(
-                                self.lit_arena[self.clauses[cj].range()]
-                                    .iter()
-                                    .copied()
-                                    .filter(|&l| l != !la),
-                            );
-                            // Hint: under the strengthened clause's
-                            // negation, `ci` is unit on `la` and `cj`
-                            // is then falsified.
-                            let ok =
-                                self.rewrite_clause(cj, &mut new, &[ci as CRef, cj as CRef]);
-                            self.add_buf = new;
-                            if !ok {
-                                return;
-                            }
-                            self.stats.strengthened += 1;
-                            if !self.clauses[cj].deleted {
-                                let mut s = 0u64;
-                                for k in self.clauses[cj].range() {
-                                    s |= sig_bit(self.lit_arena[k]);
-                                }
-                                st.sig[cj] = s;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The live, original (non-learnt) clauses currently containing `l`
-    /// — occurrence lists go stale, so membership is re-verified.
     /// Collects the live original clauses containing `l` into `out`,
-    /// pruning stale occurrence entries in passing (a clause deleted or
-    /// strengthened away from `l` never comes back within a round).
-    fn live_original_occs_into(&self, st: &mut OccState, l: Lit, out: &mut Vec<CRef>) {
+    /// pruning stale occurrence entries in passing (a clause deleted
+    /// never comes back within a round).
+    fn live_original_occs_into(&self, occ: &mut Occs, l: Lit, out: &mut Vec<CRef>) {
         out.clear();
-        let list = &mut st.occ[l.index()];
+        let list = &mut occ[l.index()];
         let mut i = 0;
         while i < list.len() {
             let c = &self.clauses[list[i] as usize];
@@ -436,8 +240,8 @@ impl Solver {
     /// without allocating its occurrence vector. Stale entries
     /// encountered on the way are pruned, so an elimination-heavy pass
     /// does not rescan its own dead parents for every later variable.
-    fn count_live_occs(&self, st: &mut OccState, l: Lit, cap: usize) -> usize {
-        let list = &mut st.occ[l.index()];
+    fn count_live_occs(&self, occ: &mut Occs, l: Lit, cap: usize) -> usize {
+        let list = &mut occ[l.index()];
         let mut n = 0;
         let mut i = 0;
         while i < list.len() {
@@ -532,9 +336,9 @@ impl Solver {
     /// re-watches whatever is left and an eliminated variable must not
     /// come back to life through a learnt unit. Returns whether the
     /// pass covered every variable (i.e. was not interrupted).
-    fn eliminate_vars(&mut self, st: &mut OccState) -> bool {
+    fn eliminate_vars(&mut self, occ: &mut Occs) -> bool {
         let killed_from = self.elim_stack.len();
-        let finished = self.eliminate_vars_inner(st);
+        let finished = self.eliminate_vars_inner(occ);
         if self.elim_stack.len() == killed_from {
             return finished;
         }
@@ -555,7 +359,7 @@ impl Solver {
     }
 
     /// Returns `false` when interrupted or when `ok` dropped mid-pass.
-    fn eliminate_vars_inner(&mut self, st: &mut OccState) -> bool {
+    fn eliminate_vars_inner(&mut self, occ: &mut Occs) -> bool {
         let mut frozen_now = self.frozen.clone();
         for &a in &self.assumptions {
             frozen_now[a.var().index()] = true;
@@ -601,13 +405,13 @@ impl Solver {
                 continue;
             }
             let v = Var(vi as u32);
-            if self.count_live_occs(st, Lit::pos(v), BVE_OCC_CAP) > BVE_OCC_CAP
-                || self.count_live_occs(st, Lit::neg(v), BVE_OCC_CAP) > BVE_OCC_CAP
+            if self.count_live_occs(occ, Lit::pos(v), BVE_OCC_CAP) > BVE_OCC_CAP
+                || self.count_live_occs(occ, Lit::neg(v), BVE_OCC_CAP) > BVE_OCC_CAP
             {
                 continue;
             }
-            self.live_original_occs_into(st, Lit::pos(v), &mut pos_refs);
-            self.live_original_occs_into(st, Lit::neg(v), &mut neg_refs);
+            self.live_original_occs_into(occ, Lit::pos(v), &mut pos_refs);
+            self.live_original_occs_into(occ, Lit::neg(v), &mut neg_refs);
             if pos_refs.is_empty() && neg_refs.is_empty() {
                 continue;
             }
@@ -695,25 +499,11 @@ impl Solver {
                         } else {
                             NO_PROOF_ID
                         };
-                        let cref = self.clauses.len() as CRef;
-                        let mut s = 0u64;
-                        for &l in r {
-                            s |= sig_bit(l);
-                            st.occ[l.index()].push(cref);
-                        }
-                        let attached = self.attach_new_clause(r, false);
-                        debug_assert_eq!(attached, cref);
+                        let cref = self.attach_new_clause(r, false);
                         self.clauses[cref as usize].proof_id = pid;
-                        // An elided resolvent is invisible to the
-                        // checker; store the parent expansion that lets
-                        // hinted walks see through it.
-                        if pid == NO_PROOF_ID && self.lrat && self.proof.is_some() {
-                            if let Some(exp) = self.elided_expansion(&parents) {
-                                self.elided_hints.insert(cref, exp);
-                            }
+                        for &l in r {
+                            occ[l.index()].push(cref);
                         }
-                        debug_assert_eq!(cref as usize, st.sig.len());
-                        st.sig.push(s);
                     }
                 }
             }

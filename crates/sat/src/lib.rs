@@ -24,10 +24,12 @@
 //! - Luby-sequence restarts (or a geometric series, for portfolio
 //!   diversity),
 //! - LBD ("glue")-based learnt-clause database reduction,
-//! - SatELite-style inprocessing at level-0 boundaries — backward
-//!   subsumption, self-subsuming resolution, and bounded variable
-//!   elimination with model reconstruction — every step logged to the
-//!   DRAT proof so certified mode survives it, and
+//! - SatELite-style inprocessing at level-0 boundaries — level-0
+//!   cleanup and bounded variable elimination with model
+//!   reconstruction. Certified mode survives it: every strengthening,
+//!   and every resolvent its live parents cannot simulate under unit
+//!   propagation, is logged to the DRAT proof; the other resolvents
+//!   are elided (see `inprocess.rs`), and
 //! - incremental solving under assumptions with final-conflict (core)
 //!   extraction.
 //!

@@ -1,6 +1,5 @@
 //! The CDCL solver proper.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -9,9 +8,9 @@ use crate::luby::luby;
 use crate::proof::{ProofLog, StepKind};
 use crate::types::{LBool, Lit, SolveResult, Var};
 
-/// SatELite-style inprocessing (subsumption, self-subsuming resolution,
-/// bounded variable elimination). A child module of `solver` so it can
-/// work directly on the private clause arena and watch lists.
+/// SatELite-style inprocessing (level-0 cleanup, bounded variable
+/// elimination). A child module of `solver` so it can work directly on
+/// the private clause arena and watch lists.
 #[path = "inprocess.rs"]
 mod inprocess;
 
@@ -141,10 +140,6 @@ pub struct SolverStats {
     /// Variables removed by bounded variable elimination (net of any
     /// later reintroductions; see [`Solver::set_inprocess`]).
     pub eliminated_vars: u64,
-    /// Clauses deleted by backward subsumption.
-    pub subsumed: u64,
-    /// Literals removed by self-subsuming resolution (strengthening).
-    pub strengthened: u64,
     /// Resolvent clauses added by variable elimination.
     pub resolvents: u64,
     /// Conflicts answered with a one-level backtrack instead of the
@@ -275,21 +270,13 @@ pub struct Solver {
     /// Trail position each variable was (last) assigned at; only read
     /// for currently-assigned variables during hint collection.
     trail_pos: Vec<u32>,
-    /// Hint expansions for *elided* elimination resolvents (clauses with
-    /// no proof id of their own): checker ids of the resolvent's live
-    /// parents, ordered `[P, N, P]` so the checker's skip-tolerant
-    /// hinted walk propagates whatever the resolvent would propagate
-    /// (see `Solver::elided_expansion`). Keyed by clause ref; remapped
-    /// on compaction, entries for deleted clauses dropped there.
-    elided_hints: HashMap<CRef, Vec<u32>>,
     stats: SolverStats,
-    /// Whether inprocessing (subsumption + self-subsuming resolution)
-    /// runs at solve start and restart boundaries.
+    /// Whether inprocessing (the level-0 cleanup) runs at solve start
+    /// and restart boundaries.
     inprocess_on: bool,
-    /// Whether inprocessing may also run bounded variable elimination.
-    /// Incremental sessions turn this off: future goals re-reference
-    /// memoized gate literals, and the frozen decision-scope cone covers
-    /// the whole live formula anyway.
+    /// Whether inprocessing also runs bounded variable elimination.
+    /// Incremental sessions pass `SolverConfig::session_bve` (on by
+    /// default) and confine it with an eliminability mask.
     inprocess_bve: bool,
     /// Cumulative-conflict threshold for the next inprocessing round.
     inprocess_next: u64,
@@ -297,14 +284,14 @@ pub struct Solver {
     /// current clause set. Search never adds *original* clauses, so
     /// elimination opportunities only reappear when the embedder adds a
     /// clause (which clears this); until then later rounds skip the
-    /// full-variable BVE scan and run subsumption only.
+    /// full-variable BVE scan and run the level-0 cleanup only.
     bve_saturated: bool,
     /// Variables that must never be eliminated (assumption variables
     /// and anything the caller pinned via [`Solver::freeze_var`]).
     frozen: Vec<bool>,
     /// Variables currently eliminated by BVE: never decided, absent
     /// from every live clause, re-added on demand (see
-    /// [`Solver::reintroduce_vars`]).
+    /// [`Solver::reintroduce_touched`]).
     elim: Vec<bool>,
     /// Model-reconstruction stack: for each eliminated variable, in
     /// elimination order, the original clauses that mentioned it.
@@ -415,7 +402,6 @@ impl Solver {
             min_stack: Vec::new(),
             lbd_levels: Vec::new(),
             trail_pos: Vec::new(),
-            elided_hints: HashMap::new(),
             stats: SolverStats::default(),
             inprocess_on: true,
             inprocess_bve: true,
@@ -544,11 +530,11 @@ impl Solver {
     }
 
     /// Enables or disables inprocessing (default: on, with BVE). With
-    /// `bve` false the rounds run subsumption and self-subsuming
-    /// resolution only — both equivalence-preserving, safe under any
-    /// use pattern. Incremental sessions pass `bve: false`: future
-    /// goals re-reference memoized gate literals, so eliminating
-    /// variables would only churn through reintroduction.
+    /// `bve` false the rounds run the level-0 cleanup only —
+    /// equivalence-preserving, safe under any use pattern. Incremental
+    /// sessions pass `SolverConfig::session_bve` (on by default) and
+    /// confine elimination with [`Solver::set_eliminable`], so that
+    /// variables a future goal re-mentions are never eliminated.
     pub fn set_inprocess(&mut self, enabled: bool, bve: bool) {
         self.inprocess_on = enabled;
         self.inprocess_bve = bve;
@@ -617,8 +603,6 @@ impl Solver {
     pub fn set_proof_logging(&mut self, on: bool) {
         self.proof = on.then(ProofLog::new);
         self.proof_adds = 0;
-        // Stored expansions name checker ids of the old log.
-        self.elided_hints.clear();
     }
 
     /// Enables or disables LRAT-style antecedent hints on learnt-clause
@@ -792,18 +776,6 @@ impl Solver {
         ok
     }
 
-    /// Resets the learnt-clause growth budget to its initial value.
-    /// Incremental sessions call this at goal boundaries: within one
-    /// search the budget grows geometrically so hard proofs can keep
-    /// more clauses, but carrying the inflated budget across dozens of
-    /// goals lets retained learnts pile up on the shared base cone and
-    /// tax every later propagation. After a reset the next goal trims
-    /// the carried database back down on its first `reduce_db`, keeping
-    /// the lowest-LBD survivors that cross-goal reuse actually wants.
-    pub fn reset_learnt_budget(&mut self) {
-        self.max_learnts = INITIAL_MAX_LEARNTS;
-    }
-
     /// Removes clauses satisfied at decision level 0 from the database.
     /// Safe at any time: the solver backtracks to level 0 first (wiping
     /// any Sat model trail, and leaving only level-0 literals, in
@@ -875,8 +847,8 @@ impl Solver {
     /// reintroduction skip them, and skip the entries of purged
     /// variables, and the next compaction drops both. This is sound.
     /// Every resolvent of `x`'s trimmed entry mentions no purged
-    /// variable, so it is still live, or was subsumed, strengthened or
-    /// satisfied at level 0, or moved into the entry of a variable
+    /// variable, so it is still live, or was shortened or satisfied at
+    /// level 0, or moved into the entry of a variable
     /// eliminated later, where it survives the trim. A model of the
     /// live database therefore satisfies every such resolvent, and the
     /// usual elimination argument gives `x` a value satisfying its
@@ -979,15 +951,6 @@ impl Solver {
                 stored.retain(|c| !mentions_purged(purged, c));
                 true
             });
-        }
-        if !self.elided_hints.is_empty() {
-            self.elided_hints = std::mem::take(&mut self.elided_hints)
-                .into_iter()
-                .filter_map(|(c, exp)| {
-                    let nc = remap[c as usize];
-                    (nc != CRef::MAX).then_some((nc, exp))
-                })
-                .collect();
         }
         for ws in &mut self.watches {
             ws.retain_mut(|w| {
@@ -1650,12 +1613,10 @@ impl Solver {
     /// so that, with the learnt clause's negation asserted, each
     /// antecedent in turn is unit (ascending trail position of its
     /// implied literal) and the conflict clause — last — is falsified.
-    /// An antecedent unknown to the proof log (an elided elimination
-    /// resolvent) is spliced into its stored parent expansion, which
-    /// simulates it under the checker's skip-tolerant walk; returns
-    /// `false` when hints are off or an elided antecedent has no
-    /// expansion either (the step is then logged unhinted rather than
-    /// with a hint the checker would only fall back from).
+    /// Returns `false` when hints are off or an antecedent is unknown
+    /// to the proof log (an elided elimination resolvent): the step is
+    /// then logged unhinted rather than with a hint the checker would
+    /// only fall back from.
     fn take_hints(&mut self, confl: CRef) -> bool {
         if !self.collect_hints {
             return false;
@@ -1663,22 +1624,20 @@ impl Solver {
         self.collect_hints = false;
         self.hint_buf.sort_unstable_by_key(|&(pos, _)| pos);
         self.hint_ids.clear();
-        (0..self.hint_buf.len()).all(|i| self.push_hint_ids(self.hint_buf[i].1))
-            && self.push_hint_ids(confl)
+        (0..self.hint_buf.len()).all(|i| self.push_hint_id(self.hint_buf[i].1))
+            && self.push_hint_id(confl)
     }
 
-    /// Appends to `self.hint_ids` what names clause `c` to the checker:
-    /// its proof id, or the stored parent expansion of an elided
-    /// elimination resolvent. `false` when it has neither.
-    fn push_hint_ids(&mut self, c: CRef) -> bool {
+    /// Appends clause `c`'s proof id to `self.hint_ids`; `false` when
+    /// the proof log never saw `c`.
+    fn push_hint_id(&mut self, c: CRef) -> bool {
         match self.clauses[c as usize].proof_id {
-            NO_PROOF_ID => match self.elided_hints.get(&c) {
-                Some(exp) => self.hint_ids.extend_from_slice(exp),
-                None => return false,
-            },
-            pid => self.hint_ids.push(pid),
+            NO_PROOF_ID => false,
+            pid => {
+                self.hint_ids.push(pid);
+                true
+            }
         }
-        true
     }
 
     /// Whether learnt-clause literal `l` is redundant: following reason

@@ -533,7 +533,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Inprocessing: subsumption, variable elimination, model reconstruction
+// Inprocessing: variable elimination, model reconstruction
 // ---------------------------------------------------------------------
 
 #[test]
@@ -674,22 +674,6 @@ fn purge_strands_nothing() {
 }
 
 #[test]
-fn subsumption_shrinks_database() {
-    // {a} ∪ {a, b, c...} pairs: the short clauses should subsume the
-    // long ones during the first inprocessing round.
-    let mut s = Solver::new();
-    let v = lits(&mut s, 8);
-    for i in 0..4 {
-        s.add_clause(&[Lit::pos(v[i]), Lit::pos(v[i + 4])]);
-        s.add_clause(&[Lit::pos(v[i]), Lit::pos(v[i + 4]), Lit::pos(v[(i + 1) % 4])]);
-    }
-    // Keep BVE out of the picture so the counter isolates subsumption.
-    s.set_inprocess(true, false);
-    assert_eq!(s.solve(), SolveResult::Sat);
-    assert!(s.stats().subsumed > 0, "long clauses should be subsumed");
-}
-
-#[test]
 fn restart_and_rephase_variants_preserve_verdicts() {
     use crate::Rephase;
     for (geom, rephase) in [
@@ -720,7 +704,7 @@ fn restart_and_rephase_variants_preserve_verdicts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The inprocessing solver (subsumption + SSR + BVE) must agree
+    /// The inprocessing solver (level-0 cleanup + BVE) must agree
     /// with the plain solver on random CNF, and its models —
     /// reconstructed over eliminated variables — must satisfy the
     /// *original* clauses.
@@ -882,9 +866,9 @@ fn num_clauses_counts_live_clauses_through_every_deletion_path() {
     // the at-most-one clauses do not. Retraction sweeps the rows and
     // every learnt clause (each resolves through a row, so holds `!act`);
     // a purge then takes one column's at-most-one clauses. With
-    // inprocessing on, the same walk runs subsumption and elimination
-    // deletions past the counter too (test builds assert it against the
-    // clause array at every compaction). The sweeps delete more than
+    // inprocessing on, the same walk runs level-0 cleanup and
+    // elimination deletions past the counter too (test builds assert it
+    // against the clause array at every compaction). The sweeps delete more than
     // half of the arena, so each crosses the compaction threshold.
     let holes = 5;
     let rows = holes + 1;

@@ -212,7 +212,7 @@ fn skipped_inprocessing_never_flips_a_verdict() {
 }
 
 /// Regression: degraded session elimination ("session-eliminate-skip"
-/// turns plan-scoped BVE into subsumption-only maintenance) must never
+/// leaves a session's inprocessing only its level-0 cleanup) must never
 /// flip a verdict — eliminated clauses are retraction-safe rewrites of
 /// the plan's own cone, so skipping the whole pass only costs speed.
 /// Seed 3 skips elimination inside the cold run's live session.

@@ -148,7 +148,7 @@ impl Session {
         // shrinks the shared base and retired cones without churning
         // through reintroduction. The `inprocess-skip` buggify degrades
         // inprocessing to a no-op and `session-eliminate-skip` degrades
-        // it to subsumption-only (the pre-elimination behaviour);
+        // it to the level-0 cleanup (the pre-elimination behaviour);
         // verdicts must not change either way (the sim sweep pins both).
         sat.set_inprocess(
             cfg.inprocess && !sim::buggify("inprocess-skip"),
@@ -507,11 +507,6 @@ impl Session {
         };
         if !matches!(result, CheckResult::Interrupted) {
             self.purge_expired();
-            // The learnt budget grew to fit *this* goal's search; don't
-            // let the inflated ceiling carry over, or retained learnts
-            // accumulate across the whole session and tax every later
-            // propagation. The next goal re-trims via reduce_db.
-            self.sat.reset_learnt_budget();
         }
 
         let now = self.sat.stats();
@@ -536,8 +531,8 @@ impl Session {
             // `eliminated_vars` is a net counter (reintroduction decrements
             // it), so the per-goal delta can be negative; clamp at zero.
             eliminated_vars: now.eliminated_vars.saturating_sub(prev.eliminated_vars),
-            subsumed: now.subsumed - prev.subsumed,
-            strengthened: now.strengthened - prev.strengthened,
+            subsumed: 0,
+            strengthened: 0,
             resolvents: now.resolvents - prev.resolvents,
             cert_steps: 0,
             cert_wall: std::time::Duration::ZERO,

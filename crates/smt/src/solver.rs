@@ -43,8 +43,8 @@ pub struct SolverConfig {
     /// Plaisted–Greenbaum polarity-aware CNF (default: on).
     pub polarity: bool,
     /// Plan-scoped variable elimination inside incremental sessions
-    /// (default: on; off restricts sessions to
-    /// subsumption/strengthening). Ignored by fresh per-query solves,
+    /// (default: on; off restricts sessions' inprocessing to the
+    /// level-0 cleanup). Ignored by fresh per-query solves,
     /// which always eliminate when `inprocess` is on.
     pub session_bve: bool,
     /// LRAT-style antecedent hints on logged proof steps (default: on).
@@ -113,9 +113,11 @@ pub struct QueryStats {
     /// Variables removed by bounded variable elimination (net of
     /// reintroductions; 0 = inprocessing off or nothing eliminated).
     pub eliminated_vars: u64,
-    /// Clauses deleted by backward subsumption.
+    /// Always 0: the SAT solver no longer runs backward subsumption.
+    /// Kept because the benchmark and the `net` wire codec read it.
     pub subsumed: u64,
-    /// Clauses shortened by self-subsuming resolution.
+    /// Always 0: the SAT solver no longer runs self-subsuming
+    /// resolution. Kept for the same readers as `subsumed`.
     pub strengthened: u64,
     /// Resolvents added by variable elimination.
     pub resolvents: u64,
@@ -151,8 +153,8 @@ impl QueryStats {
             presolve_vars_in,
             presolve_vars_out,
             eliminated_vars,
-            subsumed,
-            strengthened,
+            subsumed: _,
+            strengthened: _,
             resolvents,
             cert_steps,
             cert_wall,
@@ -173,8 +175,6 @@ impl QueryStats {
         self.presolve_vars_in += presolve_vars_in;
         self.presolve_vars_out += presolve_vars_out;
         self.eliminated_vars += eliminated_vars;
-        self.subsumed += subsumed;
-        self.strengthened += strengthened;
         self.resolvents += resolvents;
         self.cert_steps += cert_steps;
         self.cert_wall += cert_wall;
@@ -208,10 +208,10 @@ impl QueryStats {
                 self.presolve_vars_out
             ));
         }
-        if self.eliminated_vars + self.subsumed + self.strengthened + self.resolvents > 0 {
+        if self.eliminated_vars + self.resolvents > 0 {
             line.push_str(&format!(
-                " elim_vars={} subsumed={} strengthened={} resolvents={}",
-                self.eliminated_vars, self.subsumed, self.strengthened, self.resolvents
+                " elim_vars={} resolvents={}",
+                self.eliminated_vars, self.resolvents
             ));
         }
         if self.cert_steps > 0 {
@@ -389,8 +389,6 @@ fn check_full_impl(
     stats.clauses = sat.num_clauses();
     stats.vars = sat.num_vars();
     stats.eliminated_vars = s.eliminated_vars;
-    stats.subsumed = s.subsumed;
-    stats.strengthened = s.strengthened;
     stats.resolvents = s.resolvents;
     stats.wall = start.elapsed();
     CheckOutcome { result, stats, proof }

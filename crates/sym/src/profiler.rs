@@ -234,13 +234,10 @@ impl Profiler {
                     (1.0 - tout as f64 / tin as f64) * 100.0,
                 ));
             }
-            let inproc =
-                total.eliminated_vars + total.subsumed + total.strengthened + total.resolvents;
-            if inproc > 0 {
+            if total.eliminated_vars + total.resolvents > 0 {
                 out.push_str(&format!(
-                    "inprocess: {} vars eliminated ({} resolvents), \
-                     {} clauses subsumed, {} strengthened\n",
-                    total.eliminated_vars, total.resolvents, total.subsumed, total.strengthened,
+                    "inprocess: {} vars eliminated ({} resolvents)\n",
+                    total.eliminated_vars, total.resolvents,
                 ));
             }
         }

@@ -212,10 +212,15 @@ fn retired_variables_stay_retired() {
     // presolve switch, and the cache's second evict.
     // ... and the whole-goal normal-form key (0 hits in 3 367 probes)
     // with the model renumbering that existed to feed it.
+    // ... and, in sat, the hint expansions of elided resolvents, backward
+    // subsumption with self-subsuming resolution, and the per-goal
+    // learnt-budget reset.
     let gone = [
         "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
         "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
-        "evict_uncounted", "whole_key", "fn remap_portable",
+        "evict_uncounted", "whole_key", "fn remap_portable", "elided_hints",
+        "fn elided_expansion", "ELIDED_HINT_MAX", "fn subsume_sweep", "fn subsume_check",
+        "reset_learnt_budget",
     ];
     let mut panic_messages = 0;
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
