@@ -22,8 +22,8 @@ pub enum Verdict {
     Counterexample(Box<Model>, String),
     /// Solver budget exhausted — the paper's "timeout" outcome (§6.4).
     Unknown,
-    /// Solve cancelled cooperatively (portfolio losers never surface
-    /// here; this means the whole query was cancelled).
+    /// Solve cancelled cooperatively: the query's interrupt flag was
+    /// raised before it finished.
     Interrupted,
 }
 

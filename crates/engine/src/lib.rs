@@ -6,10 +6,9 @@
 //! term DAG they are phrased over is *thread-local*. This crate bridges
 //! the two: a [`Query`] (assumptions + goal + label) is re-serialized
 //! into a portable, alpha-invariant normal form ([`form`]), solved on
-//! scratch threads scoped to the batch ([`pool`]), memoized in a
-//! verdict cache over an optional disk tier ([`cache`]), and optionally
-//! raced across several solver configurations with cooperative
-//! cancellation ([`solve`]).
+//! scratch threads scoped to the batch ([`pool`]), and memoized in a
+//! verdict cache over an optional disk tier ([`cache`]). Each query is
+//! solved once, on one solver ([`solve`]).
 //!
 //! The cache is keyed two ways, each with one job. A query's *raw key*
 //! (its normal form as submitted) answers a resubmission: every query
@@ -47,7 +46,7 @@
 //! [`EngineCfg::from_env`], which a binary's `main` calls once and hands
 //! to [`install`]. An environment variable exists only for a run setting
 //! a user has a reason to change; algorithm toggles (`split`, `presolve`,
-//! `mode`, `portfolio`, the [`SolverConfig`] switches) are struct fields,
+//! `mode`, the [`SolverConfig`] switches) are struct fields,
 //! flipped by `tests/config_matrix.rs` as differential oracles.
 //!
 //! | Variable           | Meaning                                            |
@@ -78,7 +77,7 @@ use serval_smt::model::Model;
 use serval_smt::presolve;
 use serval_smt::solver::{QueryStats, SolverConfig, VerifyResult};
 use serval_smt::term::{Sort, TermId};
-use solve::{solve_one, solve_portfolio, solve_session, PortableModel, RawOutcome, RawVerdict};
+use solve::{solve_one, solve_session, PortableModel, RawOutcome, RawVerdict};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -105,8 +104,10 @@ pub enum DischargeMode {
 pub struct EngineCfg {
     /// Solver threads per batch (clamped to at least 1).
     pub jobs: usize,
-    /// Race [`solve::portfolio_variants`] per query instead of solving
-    /// each query once.
+    /// Retired: portfolio racing is deleted and every query is solved
+    /// once. The field stays only because the benchmark package spells
+    /// out every `EngineCfg` field; ROADMAP item 3's benchmark change
+    /// deletes it. [`Engine::new`] rejects `true`.
     pub portfolio: bool,
     /// Directory for the on-disk proved-key tier; `None` disables it.
     pub disk_cache: Option<PathBuf>,
@@ -119,8 +120,7 @@ pub struct EngineCfg {
     /// Whether sub-queries sharing an assumption set are discharged in
     /// one live incremental session (the default, and what every
     /// workload runs) or on one fresh solver each (the differential
-    /// reference). Has no effect when `portfolio` is on, since a
-    /// portfolio races *independent* solvers per query.
+    /// reference).
     /// Verdicts, cache keys and cache traffic are identical in both
     /// modes — the mode only changes how much encoding and search work
     /// is re-done.
@@ -259,9 +259,6 @@ pub struct QueryOutcome {
     pub wall: Duration,
     /// Whether the verdict came from the cache.
     pub cache_hit: bool,
-    /// Which portfolio variant won (0 when portfolio is off, and for
-    /// split queries, whose conjuncts each had a winner of their own).
-    pub variant: usize,
     /// Fingerprint of the checker-accepted proof certificate backing a
     /// `Proved` verdict (for split queries: the chained fingerprint over
     /// the per-conjunct certificates). `None` when certification is off
@@ -281,7 +278,6 @@ fn outcome(label: String, result: VerifyResult, cert: u64, cache_hit: bool) -> Q
         stats: None,
         wall: Duration::ZERO,
         cache_hit,
-        variant: 0,
         cert: (cert != 0).then_some(cert),
         error: None,
     }
@@ -520,16 +516,9 @@ fn presolve_live(live: &mut [Live]) {
 /// portable core is prepared here, caller-side (the caller owns the
 /// terms); a worker rebuilds it once and answers every goal on one live
 /// solver. It is one session unless [`shard_plan`] cuts it into several
-/// over contiguous goal chunks. Fresh discharge (`sessions` off, and
-/// `portfolio`, which races independent solvers) is the degenerate
-/// plan: every goal starts a chunk of its own.
-pub(crate) fn plan(
-    groups: &[Group],
-    sessions: bool,
-    portfolio: bool,
-    jobs: usize,
-    cert: bool,
-) -> Planned {
+/// over contiguous goal chunks. Fresh discharge (`sessions` off) is the
+/// degenerate plan: every goal starts a chunk of its own.
+pub(crate) fn plan(groups: &[Group], sessions: bool, jobs: usize, cert: bool) -> Planned {
     let mut tasks: Vec<Task> = Vec::new();
     let chunks = groups
         .iter()
@@ -550,13 +539,8 @@ pub(crate) fn plan(
                     )
                 } else {
                     let sp = prepare(&g.asms, g.goals[start]);
-                    let solve = if portfolio {
-                        solve_portfolio
-                    } else {
-                        solve_one
-                    };
                     (
-                        Box::new(move || vec![solve(&sp.core, cfg, None, cert)]),
+                        Box::new(move || vec![solve_one(&sp.core, cfg, None, cert)]),
                         sp.backmap,
                     )
                 };
@@ -578,7 +562,6 @@ pub(crate) fn plan(
 pub struct Engine {
     pool: Pool,
     cache: Cache,
-    portfolio: bool,
     split: bool,
     mode: DischargeMode,
     presolve: bool,
@@ -607,22 +590,11 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine. No thread starts here: workers are scoped to
     /// each batch ([`pool`]), so `jobs` bounds solver threads per batch.
-    ///
-    /// With portfolio mode on, every pool task spawns one solver thread
-    /// per [`solve::portfolio_variants`] variant, so the pool is shrunk
-    /// by that width (rounding up): total solver threads stay ≈ `jobs`
-    /// instead of oversubscribing the CPU 3x.
     pub fn new(cfg: EngineCfg) -> Engine {
-        let jobs = if cfg.portfolio {
-            let width = solve::portfolio_variants(SolverConfig::default()).len();
-            (cfg.jobs + width - 1) / width
-        } else {
-            cfg.jobs
-        };
+        assert!(!cfg.portfolio, "EngineCfg::portfolio is retired: every query is solved once");
         Engine {
-            pool: Pool::new(jobs),
+            pool: Pool::new(cfg.jobs),
             cache: Cache::new(cfg.disk_cache, cfg.cert),
-            portfolio: cfg.portfolio,
             split: cfg.split,
             mode: cfg.mode,
             presolve: cfg.presolve,
@@ -644,9 +616,9 @@ impl Engine {
     }
 
     /// Whether incremental discharge sessions are in use (the mode is
-    /// `Session` *and* not preempted by portfolio mode).
+    /// `Session`).
     pub fn incremental(&self) -> bool {
-        self.mode == DischargeMode::Session && !self.portfolio
+        self.mode == DischargeMode::Session
     }
 
     /// (session-discharged, fresh-discharged) assumption-group counts
@@ -741,8 +713,7 @@ impl Engine {
             &self.groups_fresh
         };
         counter.fetch_add(groups.len() as u64, Ordering::Relaxed);
-        let Planned { tasks, chunks } =
-            plan(&groups, sessions, self.portfolio, self.jobs(), self.cert);
+        let Planned { tasks, chunks } = plan(&groups, sessions, self.jobs(), self.cert);
         let discharged = Discharged {
             chunks,
             raw: self.pool.run_batch(tasks),
@@ -943,7 +914,6 @@ impl Engine {
         let split = subs.len() > 1;
         let mut stats: Option<QueryStats> = None;
         let mut wall = Duration::ZERO;
-        let mut variant = 0;
         let mut all_hit = true;
         let mut refuted: Option<Model> = None;
         let (mut unknown, mut interrupted) = (false, false);
@@ -987,9 +957,6 @@ impl Engine {
             total.session_goals = total.session_goals.max(out.stats.session_goals);
             total.absorb(&out.stats);
             wall = wall.max(out.stats.wall);
-            if !split {
-                variant = out.variant;
-            }
             self.count_cert(out.cert_hash, &out.cert_error);
             match &out.verdict {
                 RawVerdict::Proved => {
@@ -1041,7 +1008,6 @@ impl Engine {
         QueryOutcome {
             stats,
             wall,
-            variant,
             error,
             ..outcome(label, result, cert, all_hit)
         }

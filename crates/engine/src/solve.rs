@@ -1,7 +1,8 @@
 //! Worker-side solving: rebuild the portable form in the worker's own
 //! term context, discharge it, and translate any model into a portable
-//! shape. Portfolio mode races several solver configurations for one
-//! query and cancels the losers through the CDCL interrupt flag.
+//! shape. Every query is solved once, on one solver: a fresh one per
+//! query ([`solve_one`]) or one live session per assumption group
+//! ([`solve_session`]).
 
 use crate::form::{rebuild, rebuild_session, FormCore, SessionCore, SessionRebuilt};
 use serval_check::sim;
@@ -10,9 +11,9 @@ use serval_smt::model::Model;
 use serval_smt::session::{Session, SessionProof};
 use serval_smt::solver::{check_full, check_full_proof, CheckResult, QueryStats, SolverConfig};
 use serval_smt::term::{reset_ctx, Sort, TermId, UfId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::Builder;
 use std::time::{Duration, Instant};
 
@@ -37,7 +38,7 @@ pub enum RawVerdict {
     Refuted(PortableModel),
     /// Budget exhausted.
     Unknown,
-    /// Cancelled (only surfaces when every portfolio member was).
+    /// Cancelled: the solve's interrupt flag was raised.
     Interrupted,
 }
 
@@ -46,10 +47,8 @@ pub enum RawVerdict {
 pub struct RawOutcome {
     /// The verdict.
     pub verdict: RawVerdict,
-    /// Solver statistics of the winning solve.
+    /// Solver statistics of the solve.
     pub stats: QueryStats,
-    /// Which portfolio variant produced the verdict (0 = base config).
-    pub variant: usize,
     /// Fingerprint of the checker-accepted proof certificate backing a
     /// `Proved` verdict (0 = uncertified).
     pub cert_hash: u64,
@@ -65,8 +64,12 @@ pub struct RawOutcome {
 /// (`serval-drat`) accepts the certificate; a rejected certificate
 /// demotes the verdict to `Unknown` and reports why in `cert_error`.
 ///
-/// Must run on a thread whose term context is disposable (a pool worker
-/// or a portfolio thread): the context is reset first.
+/// A `cancel` flag raised mid-solve stops the search at its next poll
+/// (see [`serval_sat::Solver::set_interrupt`]), and the verdict is
+/// [`RawVerdict::Interrupted`].
+///
+/// Must run on a thread whose term context is disposable (a pool
+/// worker): the context is reset first.
 pub fn solve_one(
     core: &FormCore,
     cfg: SolverConfig,
@@ -114,7 +117,7 @@ pub fn solve_one(
             &rq.uf_ids,
         )),
     };
-    RawOutcome { verdict, stats, variant: 0, cert_hash, cert_error }
+    RawOutcome { verdict, stats, cert_hash, cert_error }
 }
 
 /// Projects a worker-side [`Model`] onto canonical var/UF indices so it
@@ -272,7 +275,6 @@ pub(crate) fn solve_goals(
             out.push(RawOutcome {
                 verdict: RawVerdict::Interrupted,
                 stats: QueryStats::default(),
-                variant: 0,
                 cert_hash: 0,
                 cert_error: None,
             });
@@ -307,7 +309,7 @@ pub(crate) fn solve_goals(
             )),
         };
         let stats = so.stats;
-        out.push(RawOutcome { verdict, stats, variant: 0, cert_hash: 0, cert_error: None });
+        out.push(RawOutcome { verdict, stats, cert_hash: 0, cert_error: None });
     }
     out
 }
@@ -378,167 +380,4 @@ pub(crate) fn check_deltas(
         certs.push(GoalCert { hash, error, steps, wall: t0.elapsed() });
     }
     certs
-}
-
-/// The portfolio: the base configuration (Luby restarts) plus two
-/// variants diversifying the restart series, rephasing policy, activity
-/// decay, and branching phase, so queries that stall one search strategy
-/// still finish quickly.
-pub fn portfolio_variants(base: SolverConfig) -> Vec<SolverConfig> {
-    let geometric_inverting = SolverConfig {
-        restart_geometric: true,
-        rephase: serval_smt::Rephase::Invert,
-        restart_base: 32,
-        var_decay: 0.90,
-        ..base
-    };
-    let positive_resetting = SolverConfig {
-        default_phase: true,
-        rephase: serval_smt::Rephase::Reset,
-        var_decay: 0.99,
-        ..base
-    };
-    vec![base, geometric_inverting, positive_resetting]
-}
-
-/// Races the portfolio over one query. The first *definitive* finisher
-/// (proved/refuted) wins and cancels the rest; an `Unknown` (budget
-/// exhausted) is kept as a fallback but does not cancel anyone, so a
-/// slower variant can still deliver a proof.
-///
-/// An external `cancel` is relayed into the race flag for the whole
-/// duration of the solve (not just sampled at the start), so a cancel
-/// arriving mid-solve interrupts every running variant within a few
-/// milliseconds.
-///
-/// Determinism note: when more than one variant reaches a definitive
-/// verdict, which one wins is a timing race. The *verdict kind*
-/// (proved vs. refuted) is identical across variants, but for refuted
-/// queries the reported counterexample model — and the `variant` stat —
-/// can differ run to run. `EngineCfg::portfolio` therefore preserves
-/// verdict determinism, not model determinism; see DESIGN.md.
-pub fn solve_portfolio(
-    core: &FormCore,
-    base: SolverConfig,
-    cancel: Option<Arc<AtomicBool>>,
-    cert: bool,
-) -> RawOutcome {
-    let variants = portfolio_variants(base);
-    if sim::active() {
-        return solve_portfolio_sim(core, &variants, cert);
-    }
-    let done = Arc::new(AtomicBool::new(false));
-    let live = AtomicUsize::new(variants.len());
-    let winner: Mutex<Option<RawOutcome>> = Mutex::new(None);
-    let fallback: Mutex<Option<RawOutcome>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        // Relay: copy the parent's cancellation into the shared race
-        // flag until the race is over (a winner set `done`, or every
-        // variant finished). The solvers poll `done` at restart
-        // boundaries, so an external cancel mid-solve stops the whole
-        // portfolio, as the public contract promises.
-        if let Some(parent) = cancel.clone() {
-            let done = Arc::clone(&done);
-            let live = &live;
-            s.spawn(move || {
-                while !done.load(Ordering::Relaxed) && live.load(Ordering::Relaxed) > 0 {
-                    if parent.load(Ordering::Relaxed) {
-                        done.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
-        }
-        for (vi, vcfg) in variants.iter().enumerate() {
-            let done = Arc::clone(&done);
-            let live = &live;
-            let winner = &winner;
-            let fallback = &fallback;
-            let core = &core;
-            let vcfg = *vcfg;
-            s.spawn(move || {
-                // Certificate checking runs inside solve_one, so a
-                // variant only wins the race with a *checked* proof.
-                let mut out = solve_one(core, vcfg, Some(Arc::clone(&done)), cert);
-                out.variant = vi;
-                match out.verdict {
-                    RawVerdict::Proved | RawVerdict::Refuted(_) => {
-                        let mut w = winner.lock().unwrap();
-                        if w.is_none() {
-                            *w = Some(out);
-                            done.store(true, Ordering::Release);
-                        }
-                    }
-                    RawVerdict::Unknown => {
-                        let mut f = fallback.lock().unwrap();
-                        if f.is_none() {
-                            *f = Some(out);
-                        }
-                    }
-                    RawVerdict::Interrupted => {}
-                }
-                live.fetch_sub(1, Ordering::Relaxed);
-            });
-        }
-    });
-    winner
-        .into_inner()
-        .unwrap()
-        .or_else(|| fallback.into_inner().unwrap())
-        .unwrap_or(RawOutcome {
-            verdict: RawVerdict::Interrupted,
-            stats: QueryStats::default(),
-            variant: 0,
-            cert_hash: 0,
-            cert_error: None,
-        })
-}
-
-/// The portfolio under simulation: no racing threads (the sim owns all
-/// scheduling), so the variants run *sequentially* in a seed-chosen
-/// order and the first definitive verdict wins. The contract is the
-/// same as the threaded race's — the verdict *kind* is
-/// variant-independent — but here the winning variant, its model, and
-/// the schedule trace are pure functions of the seed. Buggify can
-/// "cancel" a definitive finisher just before it claims the win,
-/// exercising the fallback path the real race only hits under
-/// contention.
-fn solve_portfolio_sim(core: &FormCore, variants: &[SolverConfig], cert: bool) -> RawOutcome {
-    let mut order: Vec<usize> = (0..variants.len()).collect();
-    // Seeded Fisher–Yates: the visit order is part of the schedule.
-    for i in (1..order.len()).rev() {
-        order.swap(i, sim::choose(i + 1));
-    }
-    let mut fallback: Option<RawOutcome> = None;
-    for &vi in &order {
-        sim::mark(format!("portfolio-variant-{vi}"));
-        let mut out = solve_one(core, variants[vi], None, cert);
-        out.variant = vi;
-        match out.verdict {
-            RawVerdict::Proved | RawVerdict::Refuted(_) => {
-                if sim::buggify("portfolio-drop-winner") {
-                    // The simulated race lost this finisher (cancelled
-                    // before it took the winner lock); another variant
-                    // has to carry the query, or it degrades to the
-                    // fallback — never to a wrong verdict.
-                    continue;
-                }
-                return out;
-            }
-            RawVerdict::Unknown => {
-                if fallback.is_none() {
-                    fallback = Some(out);
-                }
-            }
-            RawVerdict::Interrupted => {}
-        }
-    }
-    fallback.unwrap_or(RawOutcome {
-        verdict: RawVerdict::Interrupted,
-        stats: QueryStats::default(),
-        variant: 0,
-        cert_hash: 0,
-        cert_error: None,
-    })
 }

@@ -13,29 +13,13 @@ use serval_smt::solver::{SolverConfig, VerifyResult};
 use serval_smt::{reset_ctx, verify, SBool, BV};
 
 fn local_engine(jobs: usize) -> Engine {
-    Engine::new(EngineCfg {
-        jobs,
-        portfolio: false,
-        disk_cache: None,
-        split: true,
-        mode: DischargeMode::Session,
-        presolve: true,
-        cert: true,
-    })
+    Engine::new(EngineCfg { jobs, ..EngineCfg::default() })
 }
 
 /// Like [`local_engine`] but with incremental sessions off: one fresh
 /// solver per sub-query, the pre-session behavior.
 fn local_engine_fresh(jobs: usize) -> Engine {
-    Engine::new(EngineCfg {
-        jobs,
-        portfolio: false,
-        disk_cache: None,
-        split: true,
-        mode: DischargeMode::Fresh,
-        presolve: true,
-        cert: true,
-    })
+    Engine::new(EngineCfg { jobs, mode: DischargeMode::Fresh, ..EngineCfg::default() })
 }
 
 fn q(label: &str, assumptions: Vec<SBool>, goal: SBool) -> Query {
@@ -577,15 +561,7 @@ fn disk_cache_survives_engine_restarts() {
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
     let mk_engine = || {
-        Engine::new(EngineCfg {
-            jobs: 2,
-            portfolio: false,
-            disk_cache: Some(dir.clone()),
-            split: true,
-            mode: DischargeMode::Session,
-            presolve: true,
-            cert: true,
-        })
+        Engine::new(EngineCfg { jobs: 2, disk_cache: Some(dir.clone()), ..EngineCfg::default() })
     };
     let first = mk_engine();
     let o = first.submit(q("p", vec![], (x & y).ule(x)));
@@ -637,15 +613,7 @@ fn corrupted_disk_cache_is_a_miss_not_a_panic() {
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
     let mk_engine = || {
-        Engine::new(EngineCfg {
-            jobs: 1,
-            portfolio: false,
-            disk_cache: Some(dir.clone()),
-            split: true,
-            mode: DischargeMode::Session,
-            presolve: true,
-            cert: true,
-        })
+        Engine::new(EngineCfg { jobs: 1, disk_cache: Some(dir.clone()), ..EngineCfg::default() })
     };
     let goal = (x & y).ule(x);
     let o = mk_engine().submit(q("p", vec![], goal));
@@ -719,12 +687,9 @@ fn uncertified_disk_records_are_ignored_by_certified_engines() {
     let mk_engine = |cert: bool| {
         Engine::new(EngineCfg {
             jobs: 1,
-            portfolio: false,
             disk_cache: Some(dir.clone()),
-            split: true,
-            mode: DischargeMode::Session,
-            presolve: true,
             cert,
+            ..EngineCfg::default()
         })
     };
     let goal = ((x & y) + (x | y)).eq_(x + y);
@@ -816,12 +781,11 @@ fn genuine_refuted_entries_survive_revalidation() {
 fn cert_matrix_engine(incremental: bool, split: bool, presolve: bool, cert: bool) -> Engine {
     Engine::new(EngineCfg {
         jobs: 2,
-        portfolio: false,
-        disk_cache: None,
         split,
         mode: if incremental { DischargeMode::Session } else { DischargeMode::Fresh },
         presolve,
         cert,
+        ..EngineCfg::default()
     })
 }
 
@@ -968,37 +932,8 @@ proptest! {
 }
 
 #[test]
-fn portfolio_agrees_with_single_config() {
-    reset_ctx();
-    let x = BV::fresh(24, "x");
-    let y = BV::fresh(24, "y");
-    let single = local_engine(2);
-    let racing = Engine::new(EngineCfg {
-        jobs: 2,
-        portfolio: true,
-        disk_cache: None,
-        split: true,
-        mode: DischargeMode::Session,
-        presolve: true,
-        cert: true,
-    });
-    let make = || {
-        vec![
-            q("p", vec![], ((x & y) + (x | y)).eq_(x + y)),
-            q("r", vec![], (x * y).eq_(x + y)),
-        ]
-    };
-    let a = single.submit_batch(make());
-    let b = racing.submit_batch(make());
-    for (sa, sb) in a.iter().zip(&b) {
-        assert_eq!(sa.result.is_proved(), sb.result.is_proved());
-    }
-    assert!(b[0].variant < 3);
-}
-
-#[test]
-fn portfolio_external_cancel_interrupts_mid_solve() {
-    use crate::solve::solve_portfolio;
+fn external_cancel_interrupts_a_running_solve() {
+    use crate::solve::solve_one;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -1011,7 +946,7 @@ fn portfolio_external_cancel_interrupts_mid_solve() {
     // checking: far too hard for the CDCL solver to finish within the
     // cancellation window (empirically >200k conflicts / >40s), so any
     // verdict other than Interrupted means the external cancel never
-    // reached the running variants. (Commutativity identities cannot be
+    // reached the running search. (Commutativity identities cannot be
     // used here: the term builder folds them to `true` at construction.)
     let prepared = prepare(&[], (x * (y + z)).eq_(x * y + x * z));
     let cancel = Arc::new(AtomicBool::new(false));
@@ -1022,11 +957,11 @@ fn portfolio_external_cancel_interrupts_mid_solve() {
             cancel.store(true, Ordering::Relaxed);
         })
     };
-    let out = solve_portfolio(&prepared.core, SolverConfig::default(), Some(cancel), false);
+    let out = solve_one(&prepared.core, SolverConfig::default(), Some(cancel), false);
     killer.join().unwrap();
     assert!(
         matches!(out.verdict, RawVerdict::Interrupted),
-        "mid-solve cancel must interrupt the portfolio, got {:?}",
+        "mid-solve cancel must interrupt the solve, got {:?}",
         out.verdict
     );
 }
@@ -1052,15 +987,7 @@ fn poisoned_query_surfaces_as_error_not_crash() {
 // -----------------------------------------------------------------
 
 fn local_engine_unsplit(jobs: usize) -> Engine {
-    Engine::new(EngineCfg {
-        jobs,
-        portfolio: false,
-        disk_cache: None,
-        split: false,
-        mode: DischargeMode::Session,
-        presolve: true,
-        cert: true,
-    })
+    Engine::new(EngineCfg { jobs, split: false, ..EngineCfg::default() })
 }
 
 #[test]
@@ -1370,12 +1297,9 @@ fn shared_conjuncts_are_solved_once_across_batches() {
 fn local_engine_raw(jobs: usize, incremental: bool) -> Engine {
     Engine::new(EngineCfg {
         jobs,
-        portfolio: false,
-        disk_cache: None,
-        split: true,
         mode: if incremental { DischargeMode::Session } else { DischargeMode::Fresh },
         presolve: false,
-        cert: true,
+        ..EngineCfg::default()
     })
 }
 
@@ -1837,18 +1761,18 @@ fn planned_stage_makes_one_task_per_session_or_per_goal() {
     };
     // Sessions: one task per group; an assumption-free group alone on an
     // idle pool is cut, tasks numbered group-major.
-    let p = plan(&[based, free()], true, false, 2, true);
+    let p = plan(&[based, free()], true, 2, true);
     assert_eq!((p.tasks.len(), shape(&p)), (2, vec![vec![(0, 0)], vec![(0, 1)]]));
-    let p = plan(&[free()], true, false, 2, true);
+    let p = plan(&[free()], true, 2, true);
     assert_eq!((p.tasks.len(), shape(&p)), (2, vec![vec![(0, 0), (MIN, 1)]]));
     // Fresh discharge is the degenerate plan: every goal its own chunk.
-    let p = plan(&[free(), free()], false, false, 2, true);
+    let p = plan(&[free(), free()], false, 2, true);
     let per_goal = |first: usize| (0..2 * MIN).map(|i| (i, first + i)).collect::<Vec<_>>();
     assert_eq!((p.tasks.len(), shape(&p)), (4 * MIN, vec![per_goal(0), per_goal(2 * MIN)]));
 }
 
-fn raw(verdict: RawVerdict, cert_hash: u64, variant: usize) -> RawOutcome {
-    RawOutcome { verdict, stats: Default::default(), variant, cert_hash, cert_error: None }
+fn raw(verdict: RawVerdict, cert_hash: u64) -> RawOutcome {
+    RawOutcome { verdict, stats: Default::default(), cert_hash, cert_error: None }
 }
 
 #[test]
@@ -1885,7 +1809,7 @@ fn recombined_stage_folds_sub_verdicts() {
         };
         (engine.recombine(p, &d), engine)
     };
-    let proved = |h: u64| raw(RawVerdict::Proved, h, 0);
+    let proved = |h: u64| raw(RawVerdict::Proved, h);
     let model_x = |o: &crate::QueryOutcome| match &o.result {
         VerifyResult::Counterexample(m) => m.eval_bv(x.0),
         other => panic!("expected a counterexample, got {other:?}"),
@@ -1901,7 +1825,7 @@ fn recombined_stage_folds_sub_verdicts() {
     assert!(matches!(e.cache().get(b"k\0"), Some(CachedVerdict::Proved { cert: 12 })));
 
     // The first refuted conjunct's model wins, cached or solved.
-    let refuted = |v| raw(RawVerdict::Refuted(x_is(v)), 0, 0);
+    let refuted = |v| raw(RawVerdict::Refuted(x_is(v)), 0);
     let (o, e) = fold(vec![CachedVerdict::Refuted(x_is(1))], Ok(vec![refuted(2)]), true);
     assert_eq!(model_x(&o), 1);
     // A solved conjunct's countermodel is stored under the conjunct's
@@ -1919,9 +1843,9 @@ fn recombined_stage_folds_sub_verdicts() {
     // reason; a worker panic is Unknown with the panic message.
     let rejected = RawOutcome {
         cert_error: Some("rejected".to_string()),
-        ..raw(RawVerdict::Unknown, 0, 0)
+        ..raw(RawVerdict::Unknown, 0)
     };
-    let interrupted = || raw(RawVerdict::Interrupted, 0, 0);
+    let interrupted = || raw(RawVerdict::Interrupted, 0);
     let (o, e) = fold(vec![], Ok(vec![interrupted(), rejected, proved(11)]), true);
     assert!(matches!(o.result, VerifyResult::Unknown));
     assert_eq!((o.error.as_deref(), e.cert_counts()), (Some("rejected"), (1, 1)));
@@ -1931,16 +1855,14 @@ fn recombined_stage_folds_sub_verdicts() {
     assert!(matches!(o.result, VerifyResult::Unknown) && o.stats.is_none());
     assert_eq!((o.error.as_deref(), e.cache().len()), (Some("boom"), 0));
 
-    // One sub-query is the whole goal: its certificate, variant and
+    // One sub-query is the whole goal: its certificate and
     // countermodel pass through, and nothing is stored here — its only
     // key is the raw key, which finalization writes.
-    let (o, e) = fold(vec![], Ok(vec![raw(RawVerdict::Proved, 11, 2)]), false);
+    let (o, e) = fold(vec![], Ok(vec![proved(11)]), false);
     assert!(o.result.is_proved() && o.stats.is_some());
-    assert_eq!((o.cert, o.variant, e.cache().len()), (Some(11), 2, 0));
+    assert_eq!((o.cert, e.cache().len()), (Some(11), 0));
     let (o, e) = fold(vec![], Ok(vec![refuted(4)]), false);
     assert_eq!((model_x(&o), e.cache().len()), (4, 0));
-    let (o, _) = fold(vec![], Ok(vec![raw(RawVerdict::Proved, 11, 2), proved(12)]), true);
-    assert_eq!(o.variant, 0, "a split query has no single winning variant");
 }
 
 #[test]

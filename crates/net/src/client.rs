@@ -322,7 +322,6 @@ impl Encoded {
             stats: None,
             wall: Duration::ZERO,
             cache_hit: false,
-            variant: 0,
             cert: None,
             error: Some(format!("net: {why}")),
         })
@@ -362,7 +361,6 @@ pub fn outcome_of_wire(query: Query, out: WireOutcome, backmap: &BackMap) -> Que
         stats: out.stats,
         wall: Duration::from_micros(out.wall_micros),
         cache_hit: out.cache_hit,
-        variant: 0,
         cert: (out.cert != 0).then_some(out.cert),
         error,
     }

@@ -243,6 +243,22 @@ proptest! {
     }
 }
 
+/// A query's `var_decay` is decoded only inside the solver's own range
+/// `(0, 1]`: anything else is garbage at the frame, never a panic on a
+/// pool worker.
+#[test]
+fn var_decay_outside_the_solver_range_is_garbage() {
+    let batch = |var_decay: f64| {
+        let mut queries = sample_queries(&[0]);
+        queries[0].cfg = SolverConfig { var_decay, ..SolverConfig::default() };
+        decode_msg(&encode_msg(&Msg::Batch { id: 1, queries }))
+    };
+    for bad in [0.0, -0.0, f64::NAN, 1.0 + f64::EPSILON] {
+        assert_eq!(batch(bad).unwrap_err(), WireError::Garbage("var_decay out of range"), "{bad}");
+    }
+    assert!(batch(1.0).is_ok());
+}
+
 // ----------------------------------------------------------------------------
 // Framing edge cases
 // ----------------------------------------------------------------------------

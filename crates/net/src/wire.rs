@@ -477,7 +477,8 @@ fn read_cfg(rd: &mut Rd) -> Result<SolverConfig, WireError> {
     };
     let restart_base = rd.u64()?;
     let var_decay = f64::from_bits(rd.u64()?);
-    if !(0.0..=1.0).contains(&var_decay) {
+    // The solver's own range: a decay of 0 (or -0) would panic a worker.
+    if !(var_decay > 0.0 && var_decay <= 1.0) {
         return Err(WireError::Garbage("var_decay out of range"));
     }
     let default_phase = rd.bool()?;

@@ -21,8 +21,7 @@
 //!   and no conflict,
 //! - exponential VSIDS variable activities with a binary-heap order,
 //! - phase saving (with optional restart-boundary rephasing),
-//! - Luby-sequence restarts (or a geometric series, for portfolio
-//!   diversity),
+//! - Luby-sequence restarts (or, optionally, a geometric series),
 //! - LBD ("glue")-based learnt-clause database reduction,
 //! - SatELite-style inprocessing at level-0 boundaries — level-0
 //!   cleanup and bounded variable elimination with model

@@ -158,8 +158,8 @@ pub struct SolverStats {
 
 /// Restart-boundary phase policy (see [`Solver::set_rephase`]): what to
 /// do to the saved phases every [`REPHASE_PERIOD`] restarts. The
-/// portfolio races these modes so its variants search genuinely
-/// different assignments, not just differently-paced copies.
+/// default is [`Rephase::Off`]; the other modes send the search to
+/// different assignments, for a caller that sets them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Rephase {
     /// Keep saved phases untouched (classic phase saving).
@@ -323,11 +323,12 @@ const RESCALE_LIMIT: f64 = 1e100;
 const INITIAL_MAX_LEARNTS: f64 = 4096.0;
 const RESTART_BASE: u64 = 128;
 /// Conflicts between polls of the interrupt flag inside a restart
-/// interval (restart boundaries always poll).
+/// interval (restart boundaries always poll): this bounds how long a
+/// flag raised mid-solve waits to stop a running search.
 const INTERRUPT_GRANULARITY: u64 = 1024;
 /// Clauses between polls of the interrupt flag inside database sweeps
 /// (`reduce_db`, `simplify`). Sessions grow large learnt databases, and
-/// a portfolio cancel must not wait out a full O(clauses) sweep.
+/// a cancel must not wait out a full O(clauses) sweep.
 const SWEEP_GRANULARITY: usize = 4096;
 /// Conflicts between inprocessing rounds. The first round runs at solve
 /// start (threshold 0); later rounds wait for this much new search so a

@@ -2,17 +2,16 @@
 //! engine.
 //!
 //! FoundationDB-style testing: each scenario exercises one concurrent
-//! subsystem — the batch executor, the batch engine, the portfolio
-//! race, the shared disk cache, the certificate checker, the network
-//! service — under a [`sim`] context that owns scheduling, time, and IO
-//! failure. A scenario is a pure function of its seed: the schedule
-//! trace and the verdict summary are bit-identical across same-seed
-//! runs, so any failing schedule is a *replayable seed*, not a
-//! heisenbug.
+//! subsystem — the batch executor, the batch engine, the shared disk
+//! cache, the certificate checker, the network service — under a
+//! [`sim`] context that owns scheduling, time, and IO failure. A
+//! scenario is a pure function of its seed: the schedule trace and the
+//! verdict summary are bit-identical across same-seed runs, so any
+//! failing schedule is a *replayable seed*, not a heisenbug.
 //!
 //! Two knobs per run ([`SimConfig`]): `buggify` arms the rare-branch
-//! hooks planted in production code (lock-order edges, fallback paths,
-//! purge skips, SAT-inprocessing skips, proof corruption), and
+//! hooks planted in production code (load-repair skips, purge skips,
+//! SAT-inprocessing skips, proof corruption, shard misrouting), and
 //! `io_faults` arms torn/flipped/crashed disk writes in the verdict
 //! cache. The oracles here are
 //! written for *both* modes:
@@ -41,7 +40,6 @@ use serval_smt::{reset_ctx, SBool, BV};
 pub const SCENARIOS: &[&str] = &[
     "pool_determinism",
     "engine_batch",
-    "portfolio_cancel",
     "cache_writers",
     "cert_demotion",
     "net_batch",
@@ -137,7 +135,6 @@ pub fn run_scenario(name: &str, cfg: SimConfig) -> Result<ScenarioReport, Scenar
     let body: fn(&SimConfig) -> String = match name {
         "pool_determinism" => pool_determinism,
         "engine_batch" => engine_batch,
-        "portfolio_cancel" => portfolio_cancel,
         "cache_writers" => cache_writers,
         "cert_demotion" => cert_demotion,
         "net_batch" => net_batch,
@@ -274,15 +271,7 @@ fn engine_batch(cfg: &SimConfig) -> String {
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
     let z = BV::fresh(32, "z");
-    let engine = Engine::new(EngineCfg {
-        jobs: 3,
-        portfolio: false,
-        disk_cache: None,
-        split: true,
-        mode: DischargeMode::Session,
-        presolve: true,
-        cert: true,
-    });
+    let engine = Engine::new(EngineCfg { jobs: 3, ..EngineCfg::default() });
     // (assumptions, goal, is-valid-theorem)
     let oracle: Vec<(Vec<SBool>, SBool, bool)> = vec![
         (vec![], (x & y).ule(x), true),
@@ -332,43 +321,6 @@ fn engine_batch(cfg: &SimConfig) -> String {
     let cold_s: String = cold.iter().map(|o| letter(&o.result)).collect();
     let warm_s: String = warm.iter().map(|o| letter(&o.result)).collect();
     format!("cold={cold_s} warm={warm_s} acct={wh}h/{wm}m/{ws}q/{wt}t")
-}
-
-/// The portfolio race under simulation: sequential seed-ordered
-/// variants, first definitive verdict wins, buggify may "cancel" a
-/// winner. The verdict may degrade, never flip.
-fn portfolio_cancel(cfg: &SimConfig) -> String {
-    reset_ctx();
-    let x = BV::fresh(24, "x");
-    let y = BV::fresh(24, "y");
-    let engine = Engine::new(EngineCfg {
-        jobs: 3,
-        portfolio: true,
-        disk_cache: None,
-        split: true,
-        mode: DischargeMode::Session, // preempted by portfolio
-        presolve: true,
-        cert: true,
-    });
-    assert!(!engine.incremental(), "portfolio preempts sessions");
-    let oracle: Vec<(Vec<SBool>, SBool, bool)> = vec![
-        (vec![], (x ^ y).eq_(y ^ x), true),
-        (vec![], x.ule(x | y), true),
-        (vec![], x.ult(y), false),
-    ];
-    let queries: Vec<Query> = oracle
-        .iter()
-        .enumerate()
-        .map(|(i, (a, g, _))| q(&format!("pf{i}"), a.clone(), *g))
-        .collect();
-    let out = engine.submit_batch(queries);
-    check_verdicts(&out, &oracle, cfg);
-    let verdicts: String = out.iter().map(|o| letter(&o.result)).collect();
-    let variants: String = out
-        .iter()
-        .map(|o| char::from_digit(o.variant as u32 % 10, 10).unwrap())
-        .collect();
-    format!("verdicts={verdicts} variants={variants}")
 }
 
 /// Two cache instances sharing one directory under hostile IO (torn
@@ -452,12 +404,9 @@ fn cert_demotion(cfg: &SimConfig) -> String {
 fn cert_demotion_fresh(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
     let engine = Engine::new(EngineCfg {
         jobs: 2,
-        portfolio: false,
-        disk_cache: None,
         split: false,
         mode: DischargeMode::Fresh, // fresh solver per query: the corrupt-proof path
-        presolve: true,
-        cert: true,
+        ..EngineCfg::default()
     });
     let oracle: Vec<(Vec<SBool>, SBool, bool)> = vec![
         (vec![], (x & y).ule(x), true),
@@ -510,15 +459,7 @@ fn cert_demotion_fresh(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
 /// later goal (all are theorems, so all `Unsat`) demotes with the same
 /// error, while every earlier goal keeps its certificate.
 fn cert_demotion_session(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
-    let engine = Engine::new(EngineCfg {
-        jobs: 2,
-        portfolio: false,
-        disk_cache: None,
-        split: false,
-        mode: DischargeMode::Session,
-        presolve: true,
-        cert: true,
-    });
+    let engine = Engine::new(EngineCfg { jobs: 2, split: false, ..EngineCfg::default() });
     let base = y.ult(x);
     let oracle: Vec<(Vec<SBool>, SBool, bool)> = (0..6u128)
         .map(|i| {

@@ -133,26 +133,6 @@ fn a_corrupted_session_delta_demotes_its_goal_and_every_later_one() {
     assert_eq!(r.summary, "proved=4 demoted=0 session=PPUUUU");
 }
 
-/// Regression: dropping the portfolio's first definitive finisher
-/// ("portfolio-drop-winner") may cost a verdict, never flip one. Seed 16
-/// drops a winner and a later variant still recovers every verdict;
-/// seed 17 corrupts a proof (with hints also stripped) and degrades one
-/// query to Unknown.
-#[test]
-fn dropped_portfolio_winner_degrades_but_never_flips() {
-    let recovered = run("portfolio_cancel", SimConfig::hostile(16));
-    assert!(
-        recovered.fired("portfolio-drop-winner"),
-        "pinned seed no longer drops a winner"
-    );
-    assert_eq!(recovered.summary, "verdicts=PPR variants=001");
-
-    let degraded = run("portfolio_cancel", SimConfig::hostile(17));
-    assert!(degraded.fired("cert-corrupt-proof"));
-    assert!(degraded.fired("lrat-drop-hint"));
-    assert_eq!(degraded.summary, "verdicts=PUR variants=210");
-}
-
 /// Regression: a hostile seed that permutes the execution order keeps
 /// submission order. The scenario's oracle asserts the result order;
 /// here the pinned seed must really run both batches (16 tasks, then 5)

@@ -470,8 +470,8 @@ impl Session {
             }
             // The budget is per *goal*: the solver's budget check is
             // against cumulative conflicts, so rebase it each time.
-            self.sat
-                .set_conflict_budget(self.cfg.conflict_budget.map(|b| prev.conflicts + b));
+            let budget = self.cfg.conflict_budget.map(|b| prev.conflicts.saturating_add(b));
+            self.sat.set_conflict_budget(budget);
             let sr = self.sat.solve_assuming(&[act]);
             // Drain the proof delta *before* retraction: on Unsat the
             // delta then ends in this goal's concluding clause, and the

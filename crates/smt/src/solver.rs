@@ -6,8 +6,8 @@
 //!
 //! The `*_full` variants additionally surface per-query [`QueryStats`]
 //! (conflicts, decisions, propagations, learned clauses, blasted clause
-//! count) and accept a cooperative cancellation flag, which the engine
-//! crate's portfolio mode uses to stop losing solver variants.
+//! count) and accept a cooperative cancellation flag: raising it stops
+//! a running search, which then answers `Interrupted`.
 
 use crate::blast::Blaster;
 use crate::bv::SBool;
@@ -33,8 +33,7 @@ pub struct SolverConfig {
     pub var_decay: f64,
     /// Initial saved phase for fresh SAT variables (default: `false`).
     pub default_phase: bool,
-    /// Geometric restart series instead of Luby (portfolio diversity;
-    /// default: `false`).
+    /// Geometric restart series instead of Luby (default: `false`).
     pub restart_geometric: bool,
     /// Restart-boundary rephasing policy (default: [`Rephase::Off`]).
     pub rephase: Rephase,

@@ -524,6 +524,25 @@ fn session_basic_stream_of_goals() {
     assert_eq!(s.goals_discharged(), 3);
 }
 
+/// A per-goal budget is rebased on the session's cumulative conflicts;
+/// the largest budget a caller may ask for (a wire client may send any
+/// `u64`) must saturate there, not overflow, so a later goal is still
+/// answered definitively.
+#[test]
+fn session_max_conflict_budget_saturates_across_goals() {
+    reset_ctx();
+    let x = BV::fresh(4, "x");
+    let y = BV::fresh(4, "y");
+    let z = BV::fresh(4, "z");
+    let cfg = SolverConfig { conflict_budget: Some(u64::MAX), ..SolverConfig::default() };
+    let mut s = Session::new(cfg, None);
+    for goal in [(x * (y + z)).eq_(x * y + x * z), ((x & y) + (x | y)).eq_(x + y)] {
+        let out = s.solve_goal(goal);
+        assert!(matches!(out.result, CheckResult::Unsat), "got {:?}", out.result);
+        assert!(out.stats.conflicts > 0, "each goal must need search to test the rebase");
+    }
+}
+
 #[test]
 fn session_retirement_does_not_leak_between_goals() {
     reset_ctx();

@@ -134,7 +134,6 @@ impl Discharge for Capture {
                 stats: None,
                 wall: Duration::ZERO,
                 cache_hit: false,
-                variant: 0,
                 cert: None,
                 error: None,
             })

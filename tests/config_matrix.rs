@@ -63,7 +63,6 @@ fn rows() -> Vec<Row> {
         row("split=false", EngineCfg { split: false, ..e() }, s()),
         row("presolve=false", EngineCfg { presolve: false, ..e() }, s()),
         row("cert=false", EngineCfg { cert: false, ..e() }, s()),
-        row("portfolio", EngineCfg { portfolio: true, ..e() }, s()),
         row("mode=Fresh", EngineCfg { mode: Fresh, ..e() }, s()),
         row("jobs=1", EngineCfg { jobs: 1, ..e() }, s()),
         row("jobs=4", EngineCfg { jobs: 4, ..e() }, s()),
@@ -79,7 +78,7 @@ fn rows() -> Vec<Row> {
             EngineCfg { cert: false, ..e() },
             SolverConfig { inprocess: false, ..s() },
         ),
-        row("portfolio x cert=false", EngineCfg { portfolio: true, cert: false, ..e() }, s()),
+        row("Fresh x cert=false", EngineCfg { mode: Fresh, cert: false, ..e() }, s()),
         row(
             "Fresh x inprocess=false x lrat=false",
             EngineCfg { mode: Fresh, ..e() },
@@ -189,7 +188,7 @@ fn check_rows(rows: Vec<Row>, corpus: fn(SolverConfig), refuted: usize) -> Vec<V
     let mut baseline_counts = None;
     let mut depths = Vec::new();
     for Row { name, engine: cfg, solver } in rows {
-        let (mode, portfolio) = (cfg.mode, cfg.portfolio);
+        let mode = cfg.mode;
         let keyed_as_baseline = cfg.split && cfg.presolve;
         let checked = Arc::new(Checked {
             row: name,
@@ -234,7 +233,7 @@ fn check_rows(rows: Vec<Row>, corpus: fn(SolverConfig), refuted: usize) -> Vec<V
         );
         assert_eq!(checked.engine.cert_counts().1, 0, "[{name}] a certificate was rejected");
         let (sessions, fresh) = checked.engine.mode_counts();
-        if mode == DischargeMode::Session && !portfolio {
+        if mode == DischargeMode::Session {
             assert!(sessions > 0 && fresh == 0, "[{name}]");
         } else {
             assert!(sessions == 0 && fresh > 0, "[{name}]");

@@ -215,12 +215,15 @@ fn retired_variables_stay_retired() {
     // ... and, in sat, the hint expansions of elided resolvents, backward
     // subsumption with self-subsuming resolution, and the per-goal
     // learnt-budget reset.
+    // ... and portfolio racing: the racing solve, its variant list, its
+    // buggify point and its sim scenario.
     let gone = [
         "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
         "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
         "evict_uncounted", "whole_key", "fn remap_portable", "elided_hints",
         "fn elided_expansion", "ELIDED_HINT_MAX", "fn subsume_sweep", "fn subsume_check",
-        "reset_learnt_budget",
+        "reset_learnt_budget", "fn solve_portfolio", "portfolio_variants",
+        "portfolio-drop-winner", "portfolio_cancel",
     ];
     let mut panic_messages = 0;
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
