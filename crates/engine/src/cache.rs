@@ -72,7 +72,10 @@ pub enum CachedVerdict {
     Refuted(PortableModel),
 }
 
-const MAGIC: &[u8; 8] = b"SRVCACH2";
+/// Segment header. `SRVCACH3` segments hold wire-byte keys; a segment
+/// of an older format holds keys no query can hit again, and loading
+/// deletes it like any foreign file.
+const MAGIC: &[u8; 8] = b"SRVCACH3";
 
 /// Distinguishes segment files created by several cache instances in
 /// one process (benchmarks install engines repeatedly).

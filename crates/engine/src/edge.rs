@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn integers_must_parse_and_clear_the_minimum() {
         assert_eq!(parse(set("4"), "SERVAL_JOBS", POSITIVE, at_least(1)), Ok(Some(4)));
-        assert_eq!(parse(set("0"), "SERVAL_HOT_THRESHOLD", "an integer", at_least(0)), Ok(Some(0)));
+        assert_eq!(parse(set("0"), "SERVAL_JOBS", "an integer", at_least(0)), Ok(Some(0)));
         for v in ["0", "abc", "-1", "2.5", ""] {
             let err = parse(set(v), "SERVAL_JOBS", POSITIVE, at_least(1)).unwrap_err();
             assert!(err.contains("SERVAL_JOBS") && err.contains(POSITIVE), "{err}");

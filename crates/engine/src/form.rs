@@ -7,9 +7,11 @@
 //! query's assertion roots into a self-contained [`FormCore`]: nodes in
 //! deterministic postorder, symbolic constants renumbered by first
 //! encounter, uninterpreted functions likewise. The byte serialization of
-//! that core is the **cache key** — two queries that differ only in
-//! variable creation order, variable names, or assumption order produce
-//! identical keys, while any structural difference changes the bytes.
+//! the query — its *wire bytes* ([`Keyer::wire`], [`wire_bytes`]) — is the
+//! **cache key** and the frame a client ships, one normal form for both:
+//! two queries that differ only in variable creation order, variable
+//! names, or assumption order produce identical bytes, while any
+//! structural difference changes them.
 //!
 //! Soundness: the key *is* the full serialization, so key equality
 //! implies the queries are alpha-equivalent (same proof obligation). The
@@ -25,7 +27,7 @@
 //! touching the allocator once its buffers are warm. A warm batch is
 //! then *fold → key → probe*: [`folds`] answers a query a constant
 //! already proves before any of this runs, the keyer walks the rest
-//! once per root under one context borrow and leaves the key bytes in
+//! once per root under one context borrow and leaves the wire bytes in
 //! its own buffer, and a [`FormCore`] is built only for a caller that
 //! asks ([`Keyer::core`]). [`prepare`], [`prepare_session`] and
 //! [`prepare_wire`] are one-shot wrappers over the same keyer.
@@ -69,8 +71,8 @@ pub struct FormNode {
 pub struct FormCore {
     /// Term DAG in deterministic postorder.
     pub nodes: Vec<FormNode>,
-    /// Assertion roots (assumptions plus negated goal), deduplicated and
-    /// canonically ordered, as indices into `nodes`.
+    /// Assertion roots as indices into `nodes`: the assumptions,
+    /// deduplicated and canonically ordered, then the negated goal.
     pub roots: Vec<u32>,
     /// Sort of each canonical symbolic constant.
     pub var_sorts: Vec<Sort>,
@@ -107,7 +109,7 @@ pub struct Prepared {
     pub core: FormCore,
     /// Canonical-index → caller-term translation.
     pub backmap: BackMap,
-    /// Cache key: the byte serialization of `core`.
+    /// Cache key: the query's wire bytes ([`Keyer::wire`]).
     pub key: Vec<u8>,
 }
 
@@ -175,9 +177,9 @@ struct Parts {
 ///
 /// Lifetime: one batch on one thread. The memo of per-root local keys
 /// is indexed by `TermId`, so a keyer must not outlive a `reset_ctx`,
-/// and nothing of it is kept between batches. After [`Keyer::key`] or
-/// [`Keyer::wire`], [`Keyer::bytes`], [`Keyer::backmap`] and the core
-/// builders describe that query until the next one is keyed.
+/// and nothing of it is kept between batches. After [`Keyer::wire`],
+/// [`Keyer::bytes`], [`Keyer::backmap`] and [`Keyer::core`] describe that
+/// query until the next one is keyed.
 #[derive(Default)]
 pub struct Keyer {
     // Numbering of the walk in progress: term → node index, var ordinal
@@ -203,7 +205,7 @@ pub struct Keyer {
     spans: Vec<(u32, u32)>,
     // The keyed query: node index of every root (the canonically
     // ordered ones, then the appended ones), whether a constant-false
-    // root was seen, and the assembled key or wire bytes.
+    // root was seen, and the assembled wire bytes.
     root_ids: Vec<u32>,
     ordered: usize,
     trivially_unsat: bool,
@@ -290,22 +292,19 @@ impl Keyer {
         self.node_of.get(root.0).expect("the walk numbers its root")
     }
 
-    /// Fills `roots` with the distinct non-trivial roots among
-    /// `assumptions` and `extra`, ordered by their per-root
-    /// alpha-invariant local key (each root walked alone under a
-    /// numbering of its own), so submission order cannot influence the
-    /// normal form; equal keys keep submission order. An assumption
-    /// root's local key is computed once per batch — a discharge batch
-    /// phrases hundreds of queries over one base — while `extra`'s (a
-    /// negated goal, seen once) is dropped after the sort.
-    fn order_roots(&mut self, c: &Ctx, assumptions: &[SBool], extra: Option<TermId>) {
+    /// Fills `roots` with the distinct non-trivial `assumptions`,
+    /// ordered by their per-root alpha-invariant local key (each root
+    /// walked alone under a numbering of its own), so submission order
+    /// cannot influence the normal form; equal keys keep submission
+    /// order. A root's local key is computed once per batch: a discharge
+    /// batch phrases hundreds of queries over one base.
+    fn order_roots(&mut self, c: &Ctx, assumptions: &[SBool]) {
         self.roots.clear();
         self.trivially_unsat = false;
         // The node table is free until the walk begins: it is the
         // seen-set here.
         self.node_of.clear();
-        let mut shared = 0;
-        for (i, t) in assumptions.iter().map(|a| a.0).chain(extra).enumerate() {
+        for t in assumptions.iter().map(|a| a.0) {
             match c.term(t).op {
                 // Constant-true roots constrain nothing; drop them so
                 // queries differing only in vacuous assumptions
@@ -317,15 +316,11 @@ impl Keyer {
             if self.node_of.get(t.0).is_none() {
                 self.node_of.insert(t.0, 0);
                 self.roots.push((t, 0, 0));
-                if i < assumptions.len() {
-                    shared += 1;
-                }
             }
         }
         if self.roots.len() < 2 {
             return;
         }
-        let mut transient = None;
         for i in 0..self.roots.len() {
             let root = self.roots[i].0;
             let span = match self.local_of.get(root.0) {
@@ -336,12 +331,8 @@ impl Keyer {
                     let start = self.local.len() as u32;
                     self.local.extend_from_slice(&self.node_bytes);
                     let span = (start, self.local.len() as u32);
-                    if i < shared {
-                        self.local_of.insert(root.0, self.spans.len() as u32);
-                        self.spans.push(span);
-                    } else {
-                        transient = Some(start as usize);
-                    }
+                    self.local_of.insert(root.0, self.spans.len() as u32);
+                    self.spans.push(span);
                     span
                 }
             };
@@ -350,21 +341,12 @@ impl Keyer {
         let local = &self.local;
         self.roots
             .sort_by(|a, b| local[a.1 as usize..a.2 as usize].cmp(&local[b.1 as usize..b.2 as usize]));
-        if let Some(start) = transient {
-            self.local.truncate(start);
-        }
     }
 
     /// The one query walk: canonically ordered roots, then `appended`
     /// ones in the order given, under one numbering.
-    fn walk_query(
-        &mut self,
-        c: &Ctx,
-        assumptions: &[SBool],
-        extra: Option<TermId>,
-        appended: &[TermId],
-    ) {
-        self.order_roots(c, assumptions, extra);
+    fn walk_query(&mut self, c: &Ctx, assumptions: &[SBool], appended: &[TermId]) {
+        self.order_roots(c, assumptions);
         self.begin();
         self.root_ids.clear();
         self.ordered = self.roots.len();
@@ -386,31 +368,13 @@ impl Keyer {
         out.extend_from_slice(&self.sig_bytes);
     }
 
-    /// Keys `assumptions ∧ ¬goal`: the cache key of [`prepare`], left
-    /// in the keyer's buffer.
-    ///
-    /// Must run on the thread that owns the terms.
-    pub fn key(&mut self, assumptions: &[SBool], goal: SBool) -> &[u8] {
-        let negated_goal = !goal;
-        with_ctx(|c| self.walk_query(c, assumptions, Some(negated_goal.0), &[]));
-        let mut out = std::mem::take(&mut self.bytes);
-        out.clear();
-        out.extend_from_slice(KEY_MAGIC);
-        push_u32(&mut out, self.order.len() as u32);
-        out.extend_from_slice(&self.node_bytes);
-        push_u32s(&mut out, &self.root_ids);
-        self.decls(&mut out);
-        out.push(self.trivially_unsat as u8);
-        self.bytes = out;
-        &self.bytes
-    }
-
     /// Wire-encodes `(assumptions, goal)`: the bytes of [`wire_bytes`]
-    /// over [`prepare_wire`]'s core, left in the keyer's buffer.
+    /// over [`prepare_wire`]'s core, left in the keyer's buffer. They are
+    /// the query's cache key and the frame a client ships.
     ///
     /// Must run on the thread that owns the terms.
     pub fn wire(&mut self, assumptions: &[SBool], goal: SBool) -> &[u8] {
-        with_ctx(|c| self.walk_query(c, assumptions, None, &[goal.0]));
+        with_ctx(|c| self.walk_query(c, assumptions, &[goal.0]));
         let mut out = std::mem::take(&mut self.bytes);
         out.clear();
         out.extend_from_slice(WIRE_MAGIC);
@@ -423,7 +387,7 @@ impl Keyer {
         &self.bytes
     }
 
-    /// The bytes the last [`Keyer::key`] or [`Keyer::wire`] assembled.
+    /// The bytes the last [`Keyer::wire`] assembled.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -458,26 +422,34 @@ impl Keyer {
         })
     }
 
-    /// The portable core of the query [`Keyer::key`] last keyed: only a
-    /// caller about to solve it (or ship it to a worker) needs one.
+    /// The solver's core of the query [`Keyer::wire`] last encoded: the
+    /// wire walk's nodes plus one `Not` over the goal, asserted after the
+    /// assumption roots. Only a caller about to solve it (or ship it to a
+    /// worker) needs one.
     pub fn core(&self) -> FormCore {
-        let Parts { nodes, var_sorts, uf_sigs } = self.parts();
+        let Parts { mut nodes, var_sorts, uf_sigs } = self.parts();
+        let goal = self.root_ids[self.ordered];
+        let goal_true = nodes[goal as usize].op == Op::BoolConst(true);
+        let mut roots = self.root_ids[..self.ordered].to_vec();
+        roots.push(nodes.len() as u32);
+        nodes.push(FormNode { op: Op::Not, children: vec![goal], sort: Sort::Bool });
         FormCore {
             nodes,
-            roots: self.root_ids.clone(),
+            roots,
             var_sorts,
             uf_sigs,
-            trivially_unsat: self.trivially_unsat,
+            trivially_unsat: self.trivially_unsat || goal_true,
         }
     }
 }
 
-/// Extracts the normal form of `assumptions ∧ ¬goal`.
+/// Extracts the solver's core of `assumptions ∧ ¬goal`, keyed by the
+/// query's wire bytes.
 ///
 /// Must run on the thread that owns the terms.
 pub fn prepare(assumptions: &[SBool], goal: SBool) -> Prepared {
     let mut keyer = Keyer::new();
-    let key = keyer.key(assumptions, goal).to_vec();
+    let key = keyer.wire(assumptions, goal).to_vec();
     Prepared { core: keyer.core(), backmap: keyer.backmap, key }
 }
 
@@ -523,7 +495,7 @@ pub struct SessionPrepared {
 pub fn prepare_session(assumptions: &[SBool], goals: &[SBool]) -> SessionPrepared {
     let negated: Vec<TermId> = goals.iter().map(|&g| (!g).0).collect();
     let mut keyer = Keyer::new();
-    with_ctx(|c| keyer.walk_query(c, assumptions, None, &negated));
+    with_ctx(|c| keyer.walk_query(c, assumptions, &negated));
     let Parts { nodes, var_sorts, uf_sigs } = keyer.parts();
     let goal_roots = keyer.root_ids.split_off(keyer.ordered);
     SessionPrepared {
@@ -621,23 +593,6 @@ pub fn rebuild_session(core: &SessionCore) -> SessionRebuilt {
     })
 }
 
-/// Cache key version tag. Bump when the node encoding changes.
-const KEY_MAGIC: &[u8; 4] = b"SQ1\0";
-
-/// The cache key: a versioned, deterministic byte serialization of the
-/// whole core. The solver configuration is deliberately *not* part of
-/// the key — only definitive verdicts (proved / refuted) are cached, and
-/// those are independent of search parameters.
-pub fn cache_key(core: &FormCore) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(KEY_MAGIC);
-    encode_nodes(&core.nodes, &mut out);
-    push_u32s(&mut out, &core.roots);
-    encode_decls(&core.var_sorts, &core.uf_sigs, &mut out);
-    out.push(core.trivially_unsat as u8);
-    out
-}
-
 /// Flattens the top-level `And` structure of `goal` into its conjuncts,
 /// in left-to-right order; returns `[goal]` when the goal is not a
 /// conjunction. Splitting is the engine-side counterpart of the paper's
@@ -668,15 +623,15 @@ pub fn split_goal(goal: SBool, cap: usize) -> Vec<SBool> {
 }
 
 // ---------------------------------------------------------------------------
-// Wire form: the network-portable serialization of a query.
+// Wire form: the one serialization of a query, for the cache and the
+// network alike.
 //
-// The cache form above merges `assumptions ∧ ¬goal` into one root set,
-// which is exactly what a solver wants but loses the assumption/goal
-// distinction a *server* needs: the receiving engine re-runs the full
-// presolve/split/session pipeline, and those stages treat the goal
-// specially. The wire core therefore keeps assumption roots and the
-// (un-negated) goal root separate, and `wire_bytes`/`wire_from_bytes`
-// give it a versioned, *validated* byte encoding — the decoder must
+// A solver wants `assumptions ∧ ¬goal` as one root set ([`FormCore`]),
+// but the pipeline in front of it — presolve, splitting, sessions —
+// treats the goal specially, and so does a server re-running it. The
+// wire core therefore keeps assumption roots and the (un-negated) goal
+// root separate, and `wire_bytes`/`wire_from_bytes` give it a
+// versioned, *validated* byte encoding — the decoder must
 // survive arbitrary adversarial bytes, because it sits behind a TCP
 // socket, so every structural invariant the builders establish
 // (arities, sorts, widths, postorder child indices, var/UF consistency)
@@ -685,9 +640,9 @@ pub fn split_goal(goal: SBool, cap: usize) -> Vec<SBool> {
 
 /// The network-portable form of a query: assumption roots plus the
 /// un-negated goal root over one shared postorder node array. The byte
-/// encoding ([`wire_bytes`]) is alpha-invariant for the same reason the
-/// cache key is, so servers can key routing and hot-query detection on
-/// the raw frame bytes.
+/// encoding ([`wire_bytes`]) is alpha-invariant and is the engine's
+/// cache key, so a server routes on the raw frame bytes and answers a
+/// repeat from its home shard's cache under them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WireCore {
     /// Term DAG in deterministic postorder.

@@ -10,11 +10,14 @@
 //! verdict cache over an optional disk tier ([`cache`]). Each query is
 //! solved once, on one solver ([`solve`]).
 //!
-//! The cache is keyed two ways, each with one job. A query's *raw key*
-//! (its normal form as submitted) answers a resubmission: every query
-//! is probed under it before anything else happens, and every
-//! definitive outcome is stored under it. A *conjunct's key* (the
-//! normal form of one conjunct of a split goal, after presolve) shares
+//! Every key is a query's wire bytes ([`form::Keyer::wire`]), the same
+//! bytes a remote client ships, so a server reads its engine's cache
+//! under the frame it received ([`Engine::proved`]). The cache is keyed
+//! at two sites, each with one job. A query's *raw key* (its wire bytes
+//! as submitted) answers a resubmission: every query is probed under it
+//! before anything else happens, and every definitive outcome is stored
+//! under it. A *conjunct's key* (the wire bytes of one conjunct of a
+//! split goal under the presolved assumptions) shares
 //! work between goals: two conjunctions with a conjunct in common solve
 //! it once. Nothing else is keyed — in particular not the whole goal
 //! after presolve, a layer that answered none of its probes on the
@@ -760,6 +763,19 @@ impl Engine {
         found
     }
 
+    /// The certificate of the `Proved` verdict cached under `key`, a
+    /// query's wire bytes, if there is one. A server answers a repeat at
+    /// admission through this, before routing it to a shard. A stored
+    /// `Refuted` verdict is not returned: only [`Engine::probe`] may
+    /// answer it, after re-checking its countermodel. Not counted in
+    /// [`Engine::cache_stats`].
+    pub fn proved(&self, key: &[u8]) -> Option<u64> {
+        match self.cache.get(key)? {
+            CachedVerdict::Proved { cert } => Some(cert),
+            CachedVerdict::Refuted(_) => None,
+        }
+    }
+
     /// The certificate of a query [`form::folds`] answers: the canonical
     /// trivial one (0 with certification off).
     fn trivial_cert(&self) -> u64 {
@@ -787,7 +803,7 @@ impl Engine {
             let cert = self.trivial_cert();
             return Some((CachedVerdict::Proved { cert }, false));
         }
-        keyer.key(assumptions, goal);
+        keyer.wire(assumptions, goal);
         let found = self.probe(keyer.bytes(), keyer.backmap(), assumptions, goal)?;
         Some((found, true))
     }

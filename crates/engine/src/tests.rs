@@ -3,7 +3,7 @@
 //! each stage of `submit_batch` driven alone on hand-built input.
 
 use crate::cache::CachedVerdict;
-use crate::form::{cache_key, prepare, split_goal, Keyer, Query};
+use crate::form::{prepare, split_goal, Keyer, Query};
 use crate::pool::Pool;
 use crate::solve::{PortableModel, RawOutcome, RawVerdict};
 use crate::{Chunk, Discharged, Fixup, Live, Pending, Sub};
@@ -157,13 +157,22 @@ proptest! {
 
 #[test]
 fn cache_key_is_the_full_serialization() {
-    // Key equality must imply structural equality of the prepared core:
-    // re-serializing the core reproduces the key bit for bit.
+    // Key equality must imply structural equality of the query: the key
+    // is the wire serialization, bit for bit, and the solver's core is
+    // the wire walk's nodes plus the negated goal.
+    use crate::form::{prepare_wire, wire_bytes};
+    use serval_smt::term::Op;
     reset_ctx();
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
-    let p = prepare(&[x.ult(y)], (x + y).eq_(y + x));
-    assert_eq!(p.key, cache_key(&p.core));
+    let goal = (x - y).ult(y - x);
+    let p = prepare(&[x.ult(y)], goal);
+    let w = prepare_wire(&[x.ult(y)], goal).core;
+    assert_eq!(p.key, wire_bytes(&w));
+    let not = p.core.nodes.last().expect("the negated goal");
+    assert_eq!((&not.op, &not.children[..]), (&Op::Not, &[w.goal_root][..]));
+    assert_eq!(p.core.nodes[..w.nodes.len()], w.nodes[..]);
+    assert_eq!(p.core.roots, [w.asm_roots[..].to_vec(), vec![w.nodes.len() as u32]].concat());
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -206,10 +215,10 @@ fn golden_queries() -> Vec<(&'static str, Vec<SBool>, SBool)> {
 
 #[test]
 fn key_and_wire_bytes_match_the_pinned_digests() {
-    // FNV-1a of `prepare(..).key` and of the wire bytes, taken at the
-    // commit before the three walkers in `form.rs` became one keyer:
-    // disk caches, hot-tier keys and shard routing all hang off these
-    // bytes.
+    // FNV-1a of `prepare(..).key` and of the wire bytes — one normal form
+    // now, so one column — taken at the commit before the three walkers
+    // in `form.rs` became one keyer: disk caches, admission lookups and
+    // shard routing all hang off these bytes.
     use crate::form::{prepare_wire, wire_bytes};
     let got: Vec<(&str, u64, u64)> = golden_queries()
         .into_iter()
@@ -218,22 +227,23 @@ fn key_and_wire_bytes_match_the_pinned_digests() {
             (name, key, fnv1a(&wire_bytes(&prepare_wire(&asms, goal).core)))
         })
         .collect();
-    assert_eq!(got, PINNED_BYTES, "{got:#x?}");
+    let pinned: Vec<(&str, u64, u64)> = PINNED_BYTES.iter().map(|&(n, w)| (n, w, w)).collect();
+    assert_eq!(got, pinned, "{got:#x?}");
 }
 
-const PINNED_BYTES: [(&str, u64, u64); 12] = [
-    ("shared-var", 0xc6ff9cdba8131cc7, 0x1f3389092e45f0e9),
-    ("uf-base-and-goal", 0x2264eef946c554ee, 0xd02dc67d4b7ca32a),
-    ("two-ufs", 0xe4aa3db6e9e3e90c, 0x36f22fbd223c798e),
-    ("dup-and-true", 0x8cbe55657967ff33, 0x76ed1e1af8555c78),
-    ("equal-local-keys", 0xd6740101a1bf08ff, 0xeae954461fffa2c2),
-    ("equal-local-keys-rev", 0x5e4d02c3b3e83e9f, 0x5597a5770b8d1562),
-    ("goal-sorts-first", 0x2828096de41dd94a, 0x42896154e30cf2b1),
-    ("const-128", 0x8b36f6d7e017fc74, 0xc1fc0ede60871fe2),
-    ("extract", 0x9a375c025a83c455, 0x9e0ea0904c6698ad),
-    ("wide-mix", 0x98d7fcee04ee601c, 0xdc4bfade87ca80e6),
-    ("false-assumption", 0x17ba2100d4c7e2e6, 0x707901bd0aa4ced6),
-    ("true-goal", 0x122da2cbd4eebfcc, 0x86f65abb92d0638d),
+const PINNED_BYTES: [(&str, u64); 12] = [
+    ("shared-var", 0x1f3389092e45f0e9),
+    ("uf-base-and-goal", 0xd02dc67d4b7ca32a),
+    ("two-ufs", 0x36f22fbd223c798e),
+    ("dup-and-true", 0x76ed1e1af8555c78),
+    ("equal-local-keys", 0xeae954461fffa2c2),
+    ("equal-local-keys-rev", 0x5597a5770b8d1562),
+    ("goal-sorts-first", 0x42896154e30cf2b1),
+    ("const-128", 0xc1fc0ede60871fe2),
+    ("extract", 0x9e0ea0904c6698ad),
+    ("wide-mix", 0xdc4bfade87ca80e6),
+    ("false-assumption", 0x707901bd0aa4ced6),
+    ("true-goal", 0x86f65abb92d0638d),
 ];
 
 /// A decoded frame whose goal is one `And` of 10^5 variables rebuilds
@@ -279,52 +289,61 @@ fn duplicate_roots_cost_one_pass_and_key_like_their_deduplicated_self() {
     assert_eq!(prepare(&twice, goal).key, prepare(&once, goal).key);
 }
 
+/// The keyer suite's random queries: one per six picks, all in one
+/// fresh context — fresh variables and terms interned between queries,
+/// a UF, assumption roots shared across queries, duplicate and constant
+/// assumptions, constant goals and a goal that negates an assumption.
+/// `each` sees every query as soon as it is built.
+fn for_each_random_query(picks: &[u8], mut each: impl FnMut(&[SBool], SBool)) {
+    reset_ctx();
+    let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![16], 16));
+    let mut pool = vec![BV::fresh(16, "v"), BV::fresh(16, "v")];
+    let mut asms = vec![pool[0].ule(pool[1])];
+    for p in picks.chunks(6) {
+        if p[0] % 3 == 0 {
+            pool.push(BV::fresh(16, "v"));
+        }
+        let at = |i: u8| pool[i as usize % pool.len()];
+        let (a, b, k) = (at(p[1]), at(p[2]), BV::lit(16, u128::from(p[3])));
+        let t = match p[4] % 6 {
+            0 => a + b,
+            1 => a & k,
+            2 => (a ^ b) | k,
+            3 => BV(serval_smt::build::uf_apply(f, &[a.0])),
+            4 => a.extract(7, 0).zext(16),
+            _ => a - b,
+        };
+        pool.push(t);
+        asms.push(if p[5] % 2 == 0 { t.ule(a) } else { b.ult(t ^ k) });
+        let asm = |i: u8| asms[i as usize % asms.len()];
+        let assumptions = [asm(p[5]), asm(p[1]), SBool::lit(p[2] % 7 != 0), asm(p[5])];
+        let goal = match p[0] % 5 {
+            0 => t.ult(b),
+            1 => t.eq_(a),
+            2 => !asm(p[1]),
+            3 => asm(p[3]),
+            _ => SBool::lit(p[2] % 2 == 0),
+        };
+        each(&assumptions, goal);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// One keyer over 64 queries of one context — fresh variables and
-    /// terms interned between queries, assumption roots shared across
-    /// them, duplicates, constants, a goal that negates to an assumption
-    /// — agrees with a one-shot `prepare` per query on key, backmap and
-    /// core, and with `prepare_wire` on the wire bytes: a stale stamp, a
-    /// stale local-key memo or a table that did not grow would not.
+    /// One keyer over 64 random queries of one context agrees with a
+    /// one-shot `prepare` per query on key, backmap and core, and with
+    /// `prepare_wire` on the wire bytes: a stale stamp, a stale
+    /// local-key memo or a table that did not grow would not.
     #[test]
     fn prop_a_reused_keyer_matches_one_shot_prepare(
         picks in prop::collection::vec(any::<u8>(), 64 * 6),
     ) {
         use crate::form::{prepare_wire, wire_bytes};
-        reset_ctx();
-        let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![16], 16));
-        let mut pool = vec![BV::fresh(16, "v"), BV::fresh(16, "v")];
-        let mut asms = vec![pool[0].ule(pool[1])];
         let mut keyer = Keyer::new();
-        for p in picks.chunks(6) {
-            if p[0] % 3 == 0 {
-                pool.push(BV::fresh(16, "v"));
-            }
-            let at = |i: u8| pool[i as usize % pool.len()];
-            let (a, b, k) = (at(p[1]), at(p[2]), BV::lit(16, u128::from(p[3])));
-            let t = match p[4] % 6 {
-                0 => a + b,
-                1 => a & k,
-                2 => (a ^ b) | k,
-                3 => BV(serval_smt::build::uf_apply(f, &[a.0])),
-                4 => a.extract(7, 0).zext(16),
-                _ => a - b,
-            };
-            pool.push(t);
-            asms.push(if p[5] % 2 == 0 { t.ule(a) } else { b.ult(t ^ k) });
-            let asm = |i: u8| asms[i as usize % asms.len()];
-            let assumptions = [asm(p[5]), asm(p[1]), SBool::lit(p[2] % 7 != 0), asm(p[5])];
-            let goal = match p[0] % 5 {
-                0 => t.ult(b),
-                1 => t.eq_(a),
-                2 => !asm(p[1]),
-                3 => asm(p[3]),
-                _ => SBool::lit(p[2] % 2 == 0),
-            };
-            let one = prepare(&assumptions, goal);
-            prop_assert_eq!(keyer.key(&assumptions, goal), &one.key[..]);
+        for_each_random_query(&picks, |assumptions, goal| {
+            let one = prepare(assumptions, goal);
+            prop_assert_eq!(keyer.wire(assumptions, goal), &one.key[..]);
             let origins = |m: &crate::form::BackMap| {
                 let vars: Vec<_> = m.vars.iter().map(|v| (v.term, v.sort)).collect();
                 (vars, m.ufs.clone())
@@ -335,9 +354,28 @@ proptest! {
                 (&core.nodes, &core.roots, &core.var_sorts, &core.uf_sigs, core.trivially_unsat),
                 (&one.core.nodes, &one.core.roots, &one.core.var_sorts, &one.core.uf_sigs, one.core.trivially_unsat)
             );
-            let wire = wire_bytes(&prepare_wire(&assumptions, goal).core);
-            prop_assert_eq!(keyer.wire(&assumptions, goal), &wire[..]);
-        }
+            let wire = wire_bytes(&prepare_wire(assumptions, goal).core);
+            prop_assert_eq!(keyer.bytes(), &wire[..]);
+        });
+    }
+
+    /// What a server's admission relies on: the bytes a client sends are
+    /// the key the server's engine stores the query under. Decoding them,
+    /// rebuilding the core as real terms and encoding again reproduces
+    /// them exactly, and `prepare` keys the query by them.
+    #[test]
+    fn prop_wire_bytes_are_a_fixpoint_and_the_cache_key(
+        picks in prop::collection::vec(any::<u8>(), 64 * 6),
+    ) {
+        use crate::form::{rebuild_wire, wire_from_bytes};
+        let mut keyer = Keyer::new();
+        for_each_random_query(&picks, |assumptions, goal| {
+            let sent = keyer.wire(assumptions, goal).to_vec();
+            prop_assert_eq!(prepare(assumptions, goal).key, sent);
+            let rebuilt = rebuild_wire(&wire_from_bytes(&sent).expect("own bytes decode"));
+            let mut server = Keyer::new();
+            prop_assert_eq!(server.wire(&rebuilt.assumptions, rebuilt.goal), &sent[..]);
+        });
     }
 }
 
@@ -647,6 +685,29 @@ fn corrupted_disk_cache_is_a_miss_not_a_panic() {
     let o = mk_engine().submit(q("p", vec![], goal));
     assert!(matches!(o.result, VerifyResult::Proved));
     assert!(!o.cache_hit);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment of the `SRVCACH2` format holds keys of the retired `SQ1`
+/// normal form, which no query can hit again: loading counts none of its
+/// records and deletes it like any foreign file. The same record under
+/// today's header loads.
+#[test]
+fn an_old_format_segment_loads_nothing_and_is_removed() {
+    let dir = scratch_dir("srvcach2");
+    std::fs::create_dir_all(&dir).unwrap();
+    let segment = |magic: &[u8]| {
+        let key = b"SQ1\0an old key";
+        let record = [&(key.len() as u32).to_le_bytes()[..], key, &7u64.to_le_bytes()].concat();
+        [magic, &record, &fnv1a(&record).to_le_bytes()].concat()
+    };
+    let old = dir.join("seg-1-0.bin");
+    std::fs::write(&old, segment(b"SRVCACH2")).unwrap();
+    assert_eq!(crate::cache::Cache::new(Some(dir.clone()), true).len(), 0);
+    assert!(!old.exists(), "the old segment is deleted");
+
+    std::fs::write(dir.join("seg-1-1.bin"), segment(b"SRVCACH3")).unwrap();
+    assert_eq!(crate::cache::Cache::new(Some(dir.clone()), true).len(), 1, "the control loads");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

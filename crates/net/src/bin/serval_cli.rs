@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serval-cli ping              round-trip liveness probe
-//! serval-cli stats             print the server's shard/hot-tier stats
+//! serval-cli stats             print the server's shard/admission stats
 //! serval-cli probe             discharge two hand-built queries remotely
 //! serval-cli certikos [oN]     run the certikos refinement proof with all
 //!                              obligations discharged over the wire
@@ -133,8 +133,8 @@ fn print_stats(stats: &ServerStats) {
         );
     }
     println!(
-        "  hot tier: {} entries, {} hits | {} frames, {} protocol errors",
-        stats.hot_entries, stats.hot_hits, stats.frames, stats.protocol_errors
+        "  answered at admission: {} | {} frames, {} protocol errors",
+        stats.hot_hits, stats.frames, stats.protocol_errors
     );
 }
 

@@ -5,23 +5,26 @@
 //! engine's `SERVAL_JOBS` worker budget, and serves proof-discharge
 //! batches until killed.
 //!
-//! Flags (each overrides the corresponding environment knob):
+//! Flags (each overrides the corresponding environment knob, and
+//! accepts exactly what it accepts: `--shards 0` exits 2, naming the
+//! flag, as `SERVAL_SHARDS=0` does naming the variable):
 //!
 //! ```text
 //! servald [--addr HOST:PORT] [--addr-file PATH] [--shards N]
-//!         [--jobs N] [--max-inflight N] [--hot-threshold N]
+//!         [--jobs N] [--max-inflight N]
 //! ```
 //!
 //! `--addr-file` writes the *bound* address (ephemeral port resolved) to
 //! a file once the listener is up — scripts start servald on port 0 and
 //! read the real address from there (see `ci.sh`).
 
+use serval_engine::edge::{at_least, or_exit, parse, POSITIVE};
 use serval_net::service::NetCfg;
 use serval_net::Server;
 use std::io::Write;
 
 fn main() {
-    let mut cfg = serval_engine::edge::or_exit(NetCfg::from_env());
+    let mut cfg = or_exit(NetCfg::from_env());
     let mut addr_file: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -31,21 +34,21 @@ fn main() {
                 std::process::exit(2);
             })
         };
+        // A flag's value goes through the validator its variable uses.
+        let mut positive = |flag: &str| {
+            let v = value(flag);
+            or_exit(parse(|_| Some(v.into()), flag, POSITIVE, at_least(1))).expect("a value is set")
+        };
         match arg.as_str() {
             "--addr" => cfg.addr = value("--addr"),
             "--addr-file" => addr_file = Some(value("--addr-file").into()),
-            "--shards" => cfg.shards = parse(&value("--shards"), "--shards").max(1),
-            "--jobs" => cfg.engine.jobs = parse(&value("--jobs"), "--jobs").max(1),
-            "--max-inflight" => {
-                cfg.max_inflight = parse(&value("--max-inflight"), "--max-inflight").max(1)
-            }
-            "--hot-threshold" => {
-                cfg.hot_threshold = parse(&value("--hot-threshold"), "--hot-threshold") as u32
-            }
+            "--shards" => cfg.shards = positive("--shards"),
+            "--jobs" => cfg.engine.jobs = positive("--jobs"),
+            "--max-inflight" => cfg.max_inflight = positive("--max-inflight"),
             "--help" | "-h" => {
                 println!(
                     "usage: servald [--addr HOST:PORT] [--addr-file PATH] [--shards N] \
-                     [--jobs N] [--max-inflight N] [--hot-threshold N]"
+                     [--jobs N] [--max-inflight N]"
                 );
                 return;
             }
@@ -66,12 +69,11 @@ fn main() {
     };
     let core = server.core();
     println!(
-        "servald listening on {} ({} shards x {} workers, max_inflight={}, hot_threshold={})",
+        "servald listening on {} ({} shards x {} workers, max_inflight={})",
         server.local_addr(),
         core.shards().len(),
         core.shard_jobs(),
         core.cfg().max_inflight,
-        core.cfg().hot_threshold,
     );
     if let Some(path) = addr_file {
         // Write-then-rename so readers polling the path never observe a
@@ -89,11 +91,4 @@ fn main() {
     loop {
         std::thread::park();
     }
-}
-
-fn parse(v: &str, flag: &str) -> usize {
-    v.trim().parse().unwrap_or_else(|_| {
-        eprintln!("servald: {flag} expects an integer, got {v:?}");
-        std::process::exit(2);
-    })
 }

@@ -71,8 +71,6 @@ pub struct ServerInfo {
     pub shard_jobs: u32,
     /// Per-connection in-flight frame bound.
     pub max_inflight: u32,
-    /// Hot-tier promotion threshold.
-    pub hot_threshold: u32,
 }
 
 /// Submitted queries per `Batch` frame (see [`encode_batch`]): bounds
@@ -103,18 +101,18 @@ impl Client {
             stream,
             max_frame: wire::DEFAULT_MAX_FRAME,
             next_id: 1,
-            info: ServerInfo { shards: 0, shard_jobs: 0, max_inflight: 1, hot_threshold: 0 },
+            info: ServerInfo { shards: 0, shard_jobs: 0, max_inflight: 1 },
             last_stats: None,
             bytes_sent: 0,
             bytes_received: 0,
         };
         client.send(&Msg::Hello { version: wire::PROTO_VERSION })?;
         match client.recv()? {
-            Msg::HelloAck { version, shards, shard_jobs, max_inflight, hot_threshold } => {
+            Msg::HelloAck { version, shards, shard_jobs, max_inflight } => {
                 if version != wire::PROTO_VERSION {
                     return Err(NetError::Wire(wire::WireError::BadVersion(version)));
                 }
-                client.info = ServerInfo { shards, shard_jobs, max_inflight, hot_threshold };
+                client.info = ServerInfo { shards, shard_jobs, max_inflight };
                 Ok(client)
             }
             Msg::Error { msg } => Err(NetError::Server(msg)),

@@ -9,7 +9,9 @@
 //! worker shards (each shard owns an [`serval_engine::Engine`] with its
 //! own slice of the worker pool and its own verdict-cache partition),
 //! and streams back submission-order verdicts with certificate
-//! fingerprints and countermodels on the wire. `serval-cli` is the
+//! fingerprints and countermodels on the wire. A query's frame bytes are
+//! its engine cache key, so a repeat its home shard already proved is
+//! answered at admission, before routing. `serval-cli` is the
 //! matching client; [`client::RemoteEngine`] implements
 //! [`serval_engine::Discharge`], so any existing workload (the certikos
 //! refinement proof, the JIT checker sweep) runs against a remote server
@@ -18,9 +20,9 @@
 //! Layering, bottom up:
 //!
 //! - [`wire`] — frame format and message codec over untrusted bytes.
-//! - [`hot`] — repeat-key detection + the all-shard replicated hot tier.
-//! - [`service`] — [`service::ServerCore`]: routing, shards, stats; no
-//!   sockets, so the deterministic simulator can drive it directly.
+//! - [`service`] — [`service::ServerCore`]: admission, routing, shards,
+//!   stats; no sockets, so the deterministic simulator can drive it
+//!   directly.
 //! - [`server`] — the threaded TCP front end (accept loop, per-client
 //!   reader/writer pair, bounded in-flight frames).
 //! - [`client`] — blocking client + the [`serval_engine::Discharge`]
@@ -33,10 +35,9 @@
 //! | `SERVAL_ADDR`         | servald listen / client connect address (default `127.0.0.1:7557`) |
 //! | `SERVAL_SHARDS`       | worker shard count (default 2)                  |
 //! | `SERVAL_MAX_INFLIGHT` | per-connection in-flight frame bound (default 4)|
-//! | `SERVAL_HOT_THRESHOLD`| submissions before a query is promoted to the replicated hot tier (default 3; 0 disables) |
+//! | `SERVAL_MAX_FRAME`    | frame payload bound in bytes, at least 1024 (default 256 MiB) |
 
 pub mod client;
-pub mod hot;
 pub mod server;
 pub mod service;
 pub mod wire;

@@ -99,7 +99,7 @@ impl Gate {
 }
 
 /// Reassembles a batch into submission order: slots already answered
-/// (hot-tier hits) stay put, shard results land by slot index in
+/// (at admission) stay put, shard results land by slot index in
 /// whatever order the shards finish. Slots still empty when every shard
 /// sender is gone (shutdown, shard death) become error outcomes — the
 /// client always gets exactly one outcome per query.
@@ -390,11 +390,11 @@ mod reassembly_tests {
 
     /// The cross-shard ordering pin: shard results arriving in *any*
     /// completion order land in exact submission order, interleaved with
-    /// pre-answered hot slots.
+    /// slots answered at admission.
     #[test]
     fn collect_batch_restores_submission_order() {
         let (tx, rx) = mpsc::channel();
-        // Slot 2 was answered from the hot tier before dispatch.
+        // Slot 2 was answered at admission, before dispatch.
         let slots = vec![None, None, Some(out(SHARD_HOT)), None, None];
         // Shards finish out of order: 4, 0, 3, 1.
         for slot in [4usize, 0, 3, 1] {

@@ -1,11 +1,13 @@
-//! The transport-free server core: shards, routing, hot tier, stats.
+//! The transport-free server core: admission, shards, routing, stats.
 //!
 //! [`ServerCore`] is everything `servald` does *except* sockets: it
 //! owns N [`Shard`]s (each a private [`serval_engine::Engine`] with its
 //! own slice of the worker budget and its own verdict-cache partition),
 //! routes each query to its home shard by FNV-64 of the alpha-invariant
-//! normal-form bytes, answers repeat queries from the replicated hot
-//! tier, and assembles submission-order outcomes. The TCP front end
+//! normal-form bytes, and assembles submission-order outcomes. Those
+//! bytes are also the key the home shard's engine caches the query's
+//! verdict under, so a repeat that shard already proved is answered at
+//! admission ([`ServerCore::place`]) and never queued. The TCP front end
 //! ([`crate::server`]) layers connections and backpressure on top; the
 //! deterministic simulator (`crates/sim`'s `net_batch` scenario) drives
 //! this core directly through [`ServerCore::handle_payload`] with the
@@ -19,7 +21,6 @@
 //! connection reader, or a sim scenario holding its own terms) must keep
 //! its term context intact.
 
-use crate::hot::HotTier;
 use crate::wire::{
     self, Msg, ServerStats, ShardStatsRow, WireOutcome, WireQuery, WireVerdict, SHARD_HOT,
 };
@@ -42,7 +43,10 @@ pub struct NetCfg {
     pub shards: usize,
     /// Per-connection in-flight frame bound (`SERVAL_MAX_INFLIGHT`).
     pub max_inflight: usize,
-    /// Hot-tier promotion threshold (`SERVAL_HOT_THRESHOLD`, 0 = off).
+    /// Retired and ignored: the replicated hot tier is deleted, and a
+    /// repeat is answered at admission from its home shard's cache. The
+    /// field stays only because the benchmark package spells out every
+    /// `NetCfg` field; ROADMAP item 3's benchmark change deletes it.
     pub hot_threshold: u32,
     /// Frame payload bound (`SERVAL_MAX_FRAME`).
     pub max_frame: usize,
@@ -58,7 +62,7 @@ impl Default for NetCfg {
             addr: "127.0.0.1:7557".to_string(),
             shards: 2,
             max_inflight: 4,
-            hot_threshold: 3,
+            hot_threshold: 0,
             max_frame: wire::DEFAULT_MAX_FRAME,
             engine: EngineCfg::default(),
         }
@@ -67,8 +71,7 @@ impl Default for NetCfg {
 
 impl NetCfg {
     /// [`NetCfg::default`] overridden by `SERVAL_ADDR`, `SERVAL_SHARDS`,
-    /// `SERVAL_MAX_INFLIGHT`, `SERVAL_HOT_THRESHOLD`, `SERVAL_MAX_FRAME`
-    /// and the engine variables ([`EngineCfg::from_env`]), parsed
+    /// `SERVAL_MAX_INFLIGHT`, `SERVAL_MAX_FRAME` and the engine variables ([`EngineCfg::from_env`]), parsed
     /// strictly. For `fn main` only.
     pub fn from_env() -> Result<NetCfg, String> {
         use serval_engine::edge::{at_least, parse, POSITIVE};
@@ -82,10 +85,6 @@ impl NetCfg {
         }
         if let Some(n) = parse(var, "SERVAL_MAX_INFLIGHT", POSITIVE, at_least(1))? {
             cfg.max_inflight = n;
-        }
-        let threshold = |v: &str| v.parse().ok();
-        if let Some(n) = parse(var, "SERVAL_HOT_THRESHOLD", "a 32-bit integer >= 0", threshold)? {
-            cfg.hot_threshold = n;
         }
         if let Some(n) = parse(var, "SERVAL_MAX_FRAME", "an integer >= 1024", at_least(1024))? {
             cfg.max_frame = n;
@@ -103,9 +102,6 @@ pub struct RoutedQuery {
     /// Its core as admission decoded it: a shard never sees bytes that
     /// were not validated.
     pub core: WireCore,
-    /// Whether the repeat counter crossed the hot threshold at
-    /// submission (the shard promotes the verdict after solving).
-    pub hot: bool,
 }
 
 #[derive(Default)]
@@ -121,7 +117,6 @@ pub struct Shard {
     pub index: usize,
     engine: Arc<Engine>,
     counters: ShardCounters,
-    hot: Arc<HotTier>,
 }
 
 impl Shard {
@@ -172,7 +167,7 @@ impl Shard {
         self.counters.queued.fetch_add(batch.len() as u64, Ordering::Relaxed);
         let mut ready: Vec<(usize, WireOutcome)> = Vec::with_capacity(batch.len());
         let mut queries: Vec<Query> = Vec::new();
-        let mut pending: Vec<(usize, form::BackMap, Vec<u8>, bool)> = Vec::new();
+        let mut pending: Vec<(usize, form::BackMap)> = Vec::new();
         for rq in batch {
             let wr = form::rebuild_wire(&rq.core);
             queries.push(Query {
@@ -181,10 +176,10 @@ impl Shard {
                 goal: wr.goal,
                 cfg: rq.query.cfg,
             });
-            pending.push((rq.slot, wr.backmap, rq.query.core_bytes, rq.hot));
+            pending.push((rq.slot, wr.backmap));
         }
         let outcomes = self.engine.submit_batch(queries);
-        for (outcome, (slot, backmap, core_bytes, hot)) in outcomes.into_iter().zip(pending) {
+        for (outcome, (slot, backmap)) in outcomes.into_iter().zip(pending) {
             if outcome.cache_hit {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -198,15 +193,11 @@ impl Shard {
                 VerifyResult::Unknown => WireVerdict::Unknown,
                 VerifyResult::Interrupted => WireVerdict::Interrupted,
             };
-            let cert = outcome.cert.unwrap_or(0);
-            if hot {
-                self.hot.promote(&core_bytes, &verdict, cert);
-            }
             ready.push((
                 slot,
                 WireOutcome {
                     verdict,
-                    cert,
+                    cert: outcome.cert.unwrap_or(0),
                     cache_hit: outcome.cache_hit,
                     shard: self.index as u32,
                     wall_micros: outcome.wall.as_micros() as u64,
@@ -234,8 +225,9 @@ pub(crate) enum Step {
 pub struct ServerCore {
     cfg: NetCfg,
     shards: Vec<Arc<Shard>>,
-    hot: Arc<HotTier>,
     shard_jobs: usize,
+    /// Queries answered at admission.
+    admitted: AtomicU64,
     frames: AtomicU64,
     protocol_errors: AtomicU64,
 }
@@ -247,7 +239,6 @@ impl ServerCore {
     pub fn new(cfg: NetCfg) -> ServerCore {
         let n = cfg.shards.max(1);
         let shard_jobs = cfg.engine.jobs.div_ceil(n).max(1);
-        let hot = Arc::new(HotTier::new(cfg.hot_threshold));
         let shards = (0..n)
             .map(|index| {
                 let mut ecfg = cfg.engine.clone();
@@ -261,11 +252,17 @@ impl ServerCore {
                     index,
                     engine: Arc::new(Engine::new(ecfg)),
                     counters: ShardCounters::default(),
-                    hot: Arc::clone(&hot),
                 })
             })
             .collect();
-        ServerCore { cfg, shards, hot, shard_jobs, frames: AtomicU64::new(0), protocol_errors: AtomicU64::new(0) }
+        ServerCore {
+            cfg,
+            shards,
+            shard_jobs,
+            admitted: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+        }
     }
 
     /// The configuration the core was built with.
@@ -306,8 +303,11 @@ impl ServerCore {
         queries.into_iter().enumerate().map(decode).collect()
     }
 
-    /// Routes a decoded batch: hot-tier hits are answered in place, the
-    /// rest bucketed by home shard.
+    /// Admits a decoded batch: a query its home shard's engine has
+    /// already proved is answered in place, from that engine's cache
+    /// under the query's own frame bytes ([`Engine::proved`]); the rest
+    /// are bucketed by home shard. A cached `Refuted` verdict is left to
+    /// the shard, whose probe re-checks the countermodel before using it.
     pub fn place(
         &self,
         queries: Vec<(WireQuery, WireCore)>,
@@ -316,11 +316,12 @@ impl ServerCore {
         let mut buckets: Vec<Vec<RoutedQuery>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (slot, (query, core)) in queries.into_iter().enumerate() {
-            let hot = self.hot.note(&query.core_bytes);
-            if let Some(entry) = self.hot.get(&query.core_bytes) {
+            let home = self.route(&query.core_bytes);
+            if let Some(cert) = self.shards[home].engine.proved(&query.core_bytes) {
+                self.admitted.fetch_add(1, Ordering::Relaxed);
                 slots[slot] = Some(WireOutcome {
-                    verdict: entry.verdict,
-                    cert: entry.cert,
+                    verdict: WireVerdict::Proved,
+                    cert,
                     cache_hit: true,
                     shard: SHARD_HOT,
                     wall_micros: 0,
@@ -329,8 +330,7 @@ impl ServerCore {
                 });
                 continue;
             }
-            let home = self.route(&query.core_bytes);
-            buckets[home].push(RoutedQuery { slot, query, core, hot });
+            buckets[home].push(RoutedQuery { slot, query, core });
         }
         (slots, buckets)
     }
@@ -397,8 +397,7 @@ impl ServerCore {
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             shards: self.shards.iter().map(|s| s.stats_row()).collect(),
-            hot_hits: self.hot.hits(),
-            hot_entries: self.hot.len() as u64,
+            hot_hits: self.admitted.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
         }
@@ -478,7 +477,6 @@ impl ServerCore {
             shards: self.shards.len() as u32,
             shard_jobs: self.shard_jobs as u32,
             max_inflight: self.cfg.max_inflight as u32,
-            hot_threshold: self.cfg.hot_threshold,
         }
     }
 }

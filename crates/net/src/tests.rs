@@ -7,20 +7,20 @@
 //! a wedge, or an unbounded allocation. The loopback half runs a real
 //! `Server` on an ephemeral port and checks the end-to-end contracts:
 //! verdict parity with known ground truth, exact submission-order
-//! reassembly across shards, hot-tier promotion, and that one
+//! reassembly across shards, repeats answered at admission, and that one
 //! misbehaving connection never takes the server down for others.
 
 use crate::client::Client;
 use crate::service::NetCfg;
 use crate::wire::{
-    self, decode_msg, encode_msg, FrameReader, Msg, WireError, WireQuery, WireVerdict,
-    SHARD_HOT,
+    self, decode_msg, encode_msg, FrameReader, Msg, ServerStats, ShardStatsRow, WireError,
+    WireOutcome, WireQuery, WireVerdict, SHARD_HOT,
 };
 use crate::Server;
 use serval_check::prelude::*;
 use serval_engine::form;
 use serval_engine::Query;
-use serval_smt::solver::{SolverConfig, VerifyResult};
+use serval_smt::solver::{QueryStats, SolverConfig, VerifyResult};
 use serval_smt::{reset_ctx, SBool, BV};
 
 // ----------------------------------------------------------------------------
@@ -31,19 +31,82 @@ use serval_smt::{reset_ctx, SBool, BV};
 fn sample_msg(picks: &[u8]) -> Msg {
     let byte = |i: usize| picks.get(i).copied().unwrap_or(0);
     let word = |i: usize| u64::from_le_bytes([byte(i), byte(i + 1), byte(i + 2), 0, 0, 0, 0, 0]);
-    match byte(0) % 6 {
+    match byte(0) % 7 {
         0 => Msg::Hello { version: wire::PROTO_VERSION },
         1 => Msg::HelloAck {
             version: wire::PROTO_VERSION,
             shards: u32::from(byte(1)) + 1,
             shard_jobs: u32::from(byte(2)) + 1,
             max_inflight: u32::from(byte(3)) + 1,
-            hot_threshold: u32::from(byte(4)),
         },
         2 => Msg::Batch { id: word(1), queries: sample_queries(&picks[1..]) },
         3 => Msg::Ping { token: word(1) },
         4 => Msg::StatsReq,
+        5 => sample_reply(&picks[1..]),
         _ => Msg::Error { msg: format!("synthetic error {}", word(1)) },
+    }
+}
+
+/// A `BatchReply` whose outcomes carry solver stats, every field the
+/// wire holds drawn from `picks`: the layout of `QueryStats` and
+/// `ServerStats` on the wire.
+fn sample_reply(picks: &[u8]) -> Msg {
+    let word = |i: usize| u64::from(picks.get(i % picks.len().max(1)).copied().unwrap_or(0)) << (i % 7);
+    let outcome = |k: usize| WireOutcome {
+        verdict: WireVerdict::Proved,
+        cert: word(k),
+        cache_hit: k.is_multiple_of(2),
+        shard: k as u32,
+        wall_micros: word(k + 1),
+        stats: (k > 0).then(|| sample_stats(&word)),
+        error: None,
+    };
+    let row = |k: usize| ShardStatsRow {
+        shard: k as u32,
+        queued: word(k),
+        solved: word(k + 1),
+        hits: word(k + 2),
+        cert_checked: word(k + 3),
+        mode_session: word(k + 4),
+        mode_fresh: word(k + 5),
+    };
+    Msg::BatchReply {
+        id: word(0),
+        results: (0..3).map(outcome).collect(),
+        stats: ServerStats {
+            shards: (0..2).map(row).collect(),
+            hot_hits: word(6),
+            frames: word(7),
+            protocol_errors: word(8),
+        },
+    }
+}
+
+/// Solver stats with every field the wire carries drawn from `word`, and
+/// the two it does not (`subsumed`, `strengthened`) left 0.
+fn sample_stats(word: &dyn Fn(usize) -> u64) -> QueryStats {
+    QueryStats {
+        conflicts: word(10),
+        decisions: word(11),
+        propagations: word(12),
+        restarts: word(13),
+        learnts: word(14),
+        clauses: word(15) as usize,
+        vars: word(16) as usize,
+        reused_clauses: word(17) as usize,
+        reused_vars: word(18) as usize,
+        reused_learnts: word(19),
+        session_goals: word(20),
+        presolve_terms_in: word(21) as usize,
+        presolve_terms_out: word(22) as usize,
+        presolve_vars_in: word(23) as usize,
+        presolve_vars_out: word(24) as usize,
+        eliminated_vars: word(25),
+        resolvents: word(26),
+        cert_steps: word(27),
+        cert_wall: std::time::Duration::from_micros(word(28)),
+        wall: std::time::Duration::from_micros(word(29)),
+        ..QueryStats::default()
     }
 }
 
@@ -96,10 +159,9 @@ fn sample_obligation(picks: &[u8]) -> (Vec<SBool>, SBool) {
 
 /// A test server config: single-worker shards, no disk cache, so tests
 /// stay fast and hermetic.
-fn test_cfg(shards: usize, hot_threshold: u32) -> NetCfg {
+fn test_cfg(shards: usize) -> NetCfg {
     let mut cfg = NetCfg::default();
     cfg.shards = shards;
-    cfg.hot_threshold = hot_threshold;
     cfg.engine.jobs = 1;
     cfg.engine.disk_cache = None;
     cfg
@@ -134,6 +196,28 @@ proptest! {
         let payload = encode_msg(&sample_msg(&picks));
         let cut = usize::from(cut) % payload.len();
         prop_assert!(decode_msg(&payload[..cut]).is_err());
+    }
+
+    /// Solver stats survive the wire field for field: 20 words, every
+    /// `QueryStats` field but the two always-zero ones, which are not on
+    /// the wire and decode as 0.
+    #[test]
+    fn prop_stats_roundtrip(picks in prop::collection::vec(any::<u8>(), 1..24)) {
+        let Msg::BatchReply { results, .. } = sample_reply(&picks) else { unreachable!() };
+        let sent = results[1].stats.expect("the sample carries stats");
+        let bare = |stats: Option<QueryStats>| encode_msg(&Msg::BatchReply {
+            id: 0,
+            results: vec![WireOutcome { stats, ..WireOutcome::unknown(0, String::new()) }],
+            stats: ServerStats::default(),
+        });
+        prop_assert_eq!(bare(Some(sent)).len() - bare(None).len(), 20 * 8);
+        let forged = QueryStats { subsumed: 7, strengthened: 9, ..sent };
+        prop_assert_eq!(bare(Some(forged)), bare(Some(sent)));
+        let Ok(Msg::BatchReply { results, .. }) = decode_msg(&bare(Some(forged))) else {
+            panic!("own encoding must decode")
+        };
+        let got = results[0].stats.expect("stats decode");
+        prop_assert_eq!(format!("{got:?}"), format!("{sent:?}"));
     }
 
     /// Arbitrary garbage decodes to `Err`, never a panic — through both
@@ -396,7 +480,7 @@ fn forged_countermodel_degrades_to_unknown() {
 /// mapped back onto the caller's terms, genuinely refute the goal.
 #[test]
 fn loopback_verdicts_match_ground_truth() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
 
     reset_ctx();
@@ -429,7 +513,7 @@ fn loopback_verdicts_match_ground_truth() {
 /// countermodels prove slot `i` really holds query `i`'s answer.
 #[test]
 fn loopback_submission_order_across_shards() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(4, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(4)).unwrap();
     let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
 
     reset_ctx();
@@ -459,24 +543,48 @@ fn loopback_submission_order_across_shards() {
     server.shutdown();
 }
 
-/// A repeated query crosses the hot threshold and later submissions are
-/// served by the replicated hot tier with the same verdict.
+/// A repeat is answered at admission, from its home shard's cache under
+/// the bytes the client sent: the second submission of a proved query is
+/// a cache hit with the first one's certificate, and no shard queues it.
+/// A refuted query is never answered there: every repeat reaches its
+/// shard, whose probe re-checks the stored countermodel.
 #[test]
 fn loopback_hot_tier_serves_repeats() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 2)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
-
-    for round in 0..3 {
+    let queued = |client: &mut Client| -> u64 {
+        client.server_stats().unwrap().shards.iter().map(|row| row.queued).sum()
+    };
+    let submit = |client: &mut Client, refutable: bool| {
         reset_ctx();
         let x = BV::fresh(32, "x");
         let m = BV::fresh(32, "m");
-        let outcomes =
-            client.submit_batch(vec![query("hot/tauto", vec![], (x & m).ule(x))]).unwrap();
-        assert!(matches!(outcomes[0].result, VerifyResult::Proved), "round {round}");
+        let q = if refutable {
+            query("repeat/refutable", vec![x.uge(BV::lit(32, 3))], x.ult(BV::lit(32, 10)))
+        } else {
+            query("repeat/tauto", vec![], (x & m).ule(x))
+        };
+        client.submit_batch(vec![q]).unwrap().pop().expect("one outcome")
+    };
+
+    let first = submit(&mut client, false);
+    assert!(matches!(first.result, VerifyResult::Proved) && !first.cache_hit);
+    assert!(first.cert.is_some(), "the test server certifies");
+    let before = queued(&mut client);
+    let second = submit(&mut client, false);
+    assert!(matches!(second.result, VerifyResult::Proved) && second.cache_hit);
+    assert_eq!(second.cert, first.cert, "the cached certificate fingerprint");
+    assert_eq!(queued(&mut client), before, "no shard queued the repeat");
+    assert_eq!(client.server_stats().unwrap().hot_hits, 1);
+
+    for round in 0..3 {
+        let before = queued(&mut client);
+        let out = submit(&mut client, true);
+        assert!(matches!(out.result, VerifyResult::Counterexample(_)), "round {round}");
+        assert_eq!(out.cache_hit, round > 0, "round {round}: the shard's probe answered it");
+        assert_eq!(queued(&mut client), before + 1, "round {round}: the query reached its shard");
     }
-    let stats = client.server_stats().unwrap();
-    assert!(stats.hot_entries >= 1, "threshold 2 crossed, nothing promoted: {stats:?}");
-    assert!(stats.hot_hits >= 1, "third submission should hit the hot tier: {stats:?}");
+    assert_eq!(client.server_stats().unwrap().hot_hits, 1, "a refutation is not answered at admission");
     server.shutdown();
 }
 
@@ -484,7 +592,7 @@ fn loopback_hot_tier_serves_repeats() {
 /// keeps serving other clients afterwards.
 #[test]
 fn loopback_garbage_frame_gets_error_then_close() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let addr = server.local_addr().to_string();
 
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
@@ -504,7 +612,7 @@ fn loopback_garbage_frame_gets_error_then_close() {
 /// the server nor corrupts another client's concurrent work.
 #[test]
 fn loopback_mid_batch_disconnect_leaves_server_healthy() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let addr = server.local_addr().to_string();
 
     {
@@ -542,7 +650,7 @@ fn loopback_mid_batch_disconnect_leaves_server_healthy() {
 /// through `handle_payload` alike, since both drive `on_frame`.
 #[test]
 fn loopback_handshake_is_mandatory() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let addr = server.local_addr().to_string();
 
     reset_ctx();
@@ -580,7 +688,7 @@ fn loopback_handshake_is_mandatory() {
 /// connections are now reaped on every accept.
 #[test]
 fn loopback_finished_connections_are_reaped() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(1, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(1)).unwrap();
     let addr = server.local_addr().to_string();
     let cycle = || {
         let mut raw = std::net::TcpStream::connect(&addr).unwrap();
@@ -610,7 +718,7 @@ fn loopback_finished_connections_are_reaped() {
 /// admission (`Error` + close), before any shard sees it.
 #[test]
 fn loopback_malformed_core_rejected_at_admission() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let addr = server.local_addr().to_string();
 
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
@@ -640,7 +748,7 @@ fn loopback_malformed_core_rejected_at_admission() {
 /// neighbours are discharged as usual.
 #[test]
 fn discharge_answers_a_malformed_core_with_an_error_outcome() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     reset_ctx();
     let x = BV::fresh(32, "x");
     let wq = |label: &str, core_bytes: Vec<u8>| WireQuery {
@@ -663,25 +771,26 @@ fn discharge_answers_a_malformed_core_with_an_error_outcome() {
     server.shutdown();
 }
 
-/// Hot-tier hits report the `SHARD_HOT` sentinel so clients can tell
-/// replicated answers from shard answers.
+/// Answers at admission report the `SHARD_HOT` sentinel so clients can
+/// tell them from shard answers.
 #[test]
 fn loopback_hot_hits_report_sentinel_shard() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 1)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let core = server.core();
 
     reset_ctx();
     let x = BV::fresh(32, "x");
-    let wp = form::prepare_wire(&[], x.eq_(x));
+    let m = BV::fresh(32, "m");
+    let wp = form::prepare_wire(&[], (x & m).ule(x));
     let wq = || WireQuery {
         label: "hot".to_string(),
         cfg: SolverConfig::default(),
         core_bytes: form::wire_bytes(&wp.core),
     };
-    // Threshold 1: the first discharge promotes, the second must be a
-    // hot-tier hit.
+    // The first discharge proves it in its home shard; the second is
+    // answered at admission from that shard's cache.
     let first = core.discharge(vec![wq()]);
-    assert!(matches!(first[0].verdict, WireVerdict::Proved));
+    assert!(matches!(first[0].verdict, WireVerdict::Proved) && first[0].shard != SHARD_HOT);
     let second = core.discharge(vec![wq()]);
     assert!(matches!(second[0].verdict, WireVerdict::Proved));
     assert_eq!(second[0].shard, SHARD_HOT);
@@ -699,7 +808,7 @@ fn loopback_hot_hits_report_sentinel_shard() {
 #[test]
 fn loopback_folded_queries_never_leave_the_client() {
     use serval_engine::Discharge;
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     let remote = crate::RemoteEngine::connect(&server.local_addr().to_string()).unwrap();
 
     reset_ctx();
@@ -716,7 +825,7 @@ fn loopback_folded_queries_never_leave_the_client() {
             query(label, vec![asm, never], refutable)
         }
     };
-    let local = serval_engine::Engine::new(test_cfg(1, 0).engine).submit(trivial("ref", true));
+    let local = serval_engine::Engine::new(test_cfg(1).engine).submit(trivial("ref", true));
     let folded = |o: &serval_engine::QueryOutcome| {
         assert!(matches!(o.result, VerifyResult::Proved), "{}: {:?}", o.label, o.result);
         assert!(!o.cache_hit && o.stats.is_none() && o.error.is_none(), "{}", o.label);
@@ -784,7 +893,7 @@ fn frames_are_cut_by_submission_window() {
 /// by the server's own engine, with the same trivial certificate.
 #[test]
 fn unfolded_frames_from_an_old_client_are_still_answered() {
-    let server = Server::bind("127.0.0.1:0", test_cfg(2, 0)).unwrap();
+    let server = Server::bind("127.0.0.1:0", test_cfg(2)).unwrap();
     reset_ctx();
     let x = BV::fresh(32, "x");
     let never = x.ult(BV::lit(32, 0));

@@ -29,7 +29,11 @@ use std::time::Duration;
 ///
 /// v3: `SolverConfig` gained `session_bve` and `lrat`; `ShardStatsRow`
 /// gained the discharge-mode counters.
-pub const PROTO_VERSION: u32 = 3;
+///
+/// v4: the replicated hot tier is gone: `HelloAck` lost `hot_threshold`
+/// and `ServerStats` lost `hot_entries`. `QueryStats` lost its two
+/// always-zero slots, `subsumed` and `strengthened` (20 words, was 22).
+pub const PROTO_VERSION: u32 = 4;
 
 /// Default bound on a single frame's payload. Large enough for a whole
 /// certikos refinement batch chunk, small enough that a hostile length
@@ -84,9 +88,10 @@ pub struct WireQuery {
     pub label: String,
     /// Solver configuration (budget + search parameters).
     pub cfg: SolverConfig,
-    /// `form::wire_bytes` of the query core. The server keys routing and
-    /// hot-query detection on these bytes (they are alpha-invariant),
-    /// and decodes them through `form::wire_from_bytes` before solving.
+    /// `form::wire_bytes` of the query core. They are alpha-invariant and
+    /// are the engine's cache key: the server routes on them, answers a
+    /// repeat at admission under them, and decodes them through
+    /// `form::wire_from_bytes` before solving.
     pub core_bytes: Vec<u8>,
 }
 
@@ -105,8 +110,9 @@ pub enum WireVerdict {
     Interrupted,
 }
 
-/// Sentinel shard id for verdicts served from the replicated hot tier
-/// (no single shard did the work).
+/// Sentinel shard id for outcomes no shard produced: verdicts answered
+/// at admission from a home shard's cache, and errors raised before
+/// routing.
 pub const SHARD_HOT: u32 = u32::MAX;
 
 /// One query's outcome on the wire.
@@ -116,10 +122,10 @@ pub struct WireOutcome {
     pub verdict: WireVerdict,
     /// Certificate fingerprint backing a proved verdict (0 = none).
     pub cert: u64,
-    /// Whether the verdict came from a cache (shard verdict cache or the
-    /// hot tier).
+    /// Whether the verdict came from a shard's verdict cache, at
+    /// admission or in the shard.
     pub cache_hit: bool,
-    /// Which shard answered ([`SHARD_HOT`] for hot-tier hits).
+    /// Which shard answered ([`SHARD_HOT`] for answers at admission).
     pub shard: u32,
     /// Server-side wall time for this query, in microseconds.
     pub wall_micros: u64,
@@ -152,7 +158,7 @@ impl WireOutcome {
 pub struct ShardStatsRow {
     /// Shard index.
     pub shard: u32,
-    /// Queries routed to this shard (excludes hot-tier hits).
+    /// Queries routed to this shard (excludes answers at admission).
     pub queued: u64,
     /// Queries the shard resolved by solving (cache misses).
     pub solved: u64,
@@ -173,10 +179,9 @@ pub struct ShardStatsRow {
 pub struct ServerStats {
     /// One row per shard.
     pub shards: Vec<ShardStatsRow>,
-    /// Queries answered by the replicated hot tier.
+    /// Queries answered at admission, from their home shard's cache,
+    /// without being queued (the name predates the admission path).
     pub hot_hits: u64,
-    /// Entries currently promoted to the hot tier.
-    pub hot_entries: u64,
     /// Frames accepted across all connections.
     pub frames: u64,
     /// Protocol errors across all connections.
@@ -202,8 +207,6 @@ pub enum Msg {
         /// Per-connection in-flight frame bound (clients must not have
         /// more than this many unanswered `Batch` frames).
         max_inflight: u32,
-        /// Hot-tier promotion threshold (0 = disabled).
-        hot_threshold: u32,
     },
     /// A batch of queries. Replies arrive in frame order per connection;
     /// `id` is echoed so clients can cross-check.
@@ -525,8 +528,6 @@ fn push_stats(out: &mut Vec<u8>, s: &QueryStats) {
         s.presolve_vars_in as u64,
         s.presolve_vars_out as u64,
         s.eliminated_vars,
-        s.subsumed,
-        s.strengthened,
         s.resolvents,
         s.cert_steps,
         s.cert_wall.as_micros() as u64,
@@ -536,8 +537,10 @@ fn push_stats(out: &mut Vec<u8>, s: &QueryStats) {
     }
 }
 
+/// The inverse of [`push_stats`]. `subsumed` and `strengthened` are not
+/// on the wire (always 0 since sat lost subsumption) and decode as 0.
 fn read_stats(rd: &mut Rd) -> Result<QueryStats, WireError> {
-    let mut v = [0u64; 22];
+    let mut v = [0u64; 20];
     for slot in &mut v {
         *slot = rd.u64()?;
     }
@@ -558,12 +561,11 @@ fn read_stats(rd: &mut Rd) -> Result<QueryStats, WireError> {
         presolve_vars_in: v[13] as usize,
         presolve_vars_out: v[14] as usize,
         eliminated_vars: v[15],
-        subsumed: v[16],
-        strengthened: v[17],
-        resolvents: v[18],
-        cert_steps: v[19],
-        cert_wall: Duration::from_micros(v[20]),
-        wall: Duration::from_micros(v[21]),
+        resolvents: v[16],
+        cert_steps: v[17],
+        cert_wall: Duration::from_micros(v[18]),
+        wall: Duration::from_micros(v[19]),
+        ..QueryStats::default()
     })
 }
 
@@ -692,7 +694,6 @@ fn push_server_stats(out: &mut Vec<u8>, s: &ServerStats) {
         push_u64(out, row.mode_fresh);
     }
     push_u64(out, s.hot_hits);
-    push_u64(out, s.hot_entries);
     push_u64(out, s.frames);
     push_u64(out, s.protocol_errors);
 }
@@ -714,7 +715,6 @@ fn read_server_stats(rd: &mut Rd) -> Result<ServerStats, WireError> {
     Ok(ServerStats {
         shards,
         hot_hits: rd.u64()?,
-        hot_entries: rd.u64()?,
         frames: rd.u64()?,
         protocol_errors: rd.u64()?,
     })
@@ -732,13 +732,12 @@ pub fn encode_msg(m: &Msg) -> Vec<u8> {
             out.push(T_HELLO);
             push_u32(&mut out, *version);
         }
-        Msg::HelloAck { version, shards, shard_jobs, max_inflight, hot_threshold } => {
+        Msg::HelloAck { version, shards, shard_jobs, max_inflight } => {
             out.push(T_HELLO_ACK);
             push_u32(&mut out, *version);
             push_u32(&mut out, *shards);
             push_u32(&mut out, *shard_jobs);
             push_u32(&mut out, *max_inflight);
-            push_u32(&mut out, *hot_threshold);
         }
         Msg::Batch { id, queries } => {
             out.push(T_BATCH);
@@ -791,7 +790,6 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, WireError> {
             shards: rd.u32()?,
             shard_jobs: rd.u32()?,
             max_inflight: rd.u32()?,
-            hot_threshold: rd.u32()?,
         },
         T_BATCH => {
             let id = rd.u64()?;

@@ -519,11 +519,13 @@ fn cert_demotion_session(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
 /// `ServerCore::handle_payload`, the request state machine `servald`'s
 /// TCP reader drives too) against one sharded core. The query set is
 /// fixed — only scheduling varies with the seed — so plain-mode routing
-/// and hot-tier behavior are invariants, not probabilities:
+/// and admission behavior are invariants, not probabilities:
 ///
-/// - Three forms are submitted verbatim by all three clients; with the
-///   hot threshold at 2, the third submission of each one that reaches
-///   the server must be served by the replicated hot tier.
+/// - Three forms are submitted verbatim by all three clients. The one
+///   that is proved is solved once, by its home shard; its second and
+///   third submissions must be answered at admission, from that shard's
+///   cache. The refuted one is never answered there: its repeats reach
+///   the shard, whose probe re-checks the stored countermodel.
 /// - Two forms per client pin `x` to a client-unique constant and claim
 ///   false, so the only countermodel carries that constant: a lost,
 ///   duplicated, misrouted, or reordered batch entry is caught by the
@@ -538,8 +540,8 @@ fn cert_demotion_session(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
 ///   frame (the client retransmits it, preserving per-connection
 ///   order); `net-slow-client` stalls client 2 until the others have
 ///   fully drained — whose completion is then asserted, so a slow
-///   client provably never blocks the rest. `net-route-rehash` and
-///   `net-hot-skip` fire inside the core itself.
+///   client provably never blocks the rest. `net-route-rehash` fires
+///   inside the core itself.
 fn net_batch(cfg: &SimConfig) -> String {
     use serval_net::client::{encode_batch, Encoded};
     use serval_net::service::{NetCfg, ServerCore};
@@ -549,7 +551,6 @@ fn net_batch(cfg: &SimConfig) -> String {
     reset_ctx();
     let mut ncfg = NetCfg::default();
     ncfg.shards = 3;
-    ncfg.hot_threshold = 2;
     ncfg.engine.jobs = 2;
     ncfg.engine.disk_cache = None;
     let core = ServerCore::new(ncfg);
@@ -733,18 +734,18 @@ fn net_batch(cfg: &SimConfig) -> String {
             exercised >= 2,
             "fixed query set must spread across at least 2 of 3 shards, got {exercised}"
         );
-        assert!(
-            stats.hot_hits >= 1 && stats.hot_entries >= 1,
-            "three submissions over threshold 2 must produce hot-tier service: {stats:?}"
+        assert_eq!(
+            stats.hot_hits, 2,
+            "the second and third submissions of the proved shared form must be answered at \
+             admission, and nothing else: {stats:?}"
         );
     }
     format!(
-        "c0={} c1={} c2={} shards={exercised} hot={}h/{}e drops={}",
+        "c0={} c1={} c2={} shards={exercised} admitted={} drops={}",
         verdicts[0],
         verdicts[1],
         verdicts[2],
         stats.hot_hits,
-        stats.hot_entries,
         drops[0] + drops[1] + drops[2],
     )
 }

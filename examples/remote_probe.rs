@@ -21,7 +21,8 @@ use std::sync::Arc;
 fn main() {
     println!("== Serval remote probe: discharge over the wire ==\n");
 
-    // A loopback server: 2 shards, default hot tier, ephemeral port.
+    // A loopback server: 2 shards, ephemeral port. A repeat its home
+    // shard already proved is answered at admission, from that cache.
     let mut cfg = NetCfg::default();
     cfg.shards = 2;
     cfg.engine.disk_cache = None;

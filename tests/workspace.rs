@@ -189,7 +189,7 @@ fn retired_variables_stay_retired() {
     let root = serval_bench::workspace_root();
     let retired: Vec<String> = [
         "SPLIT", "INCREMENTAL", "PRESOLVE", "INPROCESS", "POLARITY", "SESSION_INPROCESS", "LRAT",
-        "NET_CHUNK", "ENGINE_DEBUG", "DEBUG_PC", "MODE", "PORTFOLIO",
+        "NET_CHUNK", "ENGINE_DEBUG", "DEBUG_PC", "MODE", "PORTFOLIO", "HOT_THRESHOLD",
     ]
     .iter()
     .map(|suffix| format!("SERVAL_{suffix}"))
@@ -217,13 +217,17 @@ fn retired_variables_stay_retired() {
     // learnt-budget reset.
     // ... and portfolio racing: the racing solve, its variant list, its
     // buggify point and its sim scenario.
+    // ... and the replicated hot tier with its flag and buggify point,
+    // and the second key format it existed to bridge (a repeat is
+    // answered at admission, under the one wire-byte key).
     let gone = [
         "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
         "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
         "evict_uncounted", "whole_key", "fn remap_portable", "elided_hints",
         "fn elided_expansion", "ELIDED_HINT_MAX", "fn subsume_sweep", "fn subsume_check",
         "reset_learnt_budget", "fn solve_portfolio", "portfolio_variants",
-        "portfolio-drop-winner", "portfolio_cancel",
+        "portfolio-drop-winner", "portfolio_cancel", "--hot-threshold", "net-hot-skip",
+        "struct HotTier", "KEY_MAGIC", "fn cache_key(",
     ];
     let mut panic_messages = 0;
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
@@ -333,8 +337,8 @@ fn long_functions(text: &str, max: usize) -> Vec<(String, usize)> {
 /// `Engine::submit_batch` is a driver over stages a test can drive alone
 /// (DESIGN.md, "Engine"); a function on the discharge path that outgrows
 /// 120 lines is a stage growing a second job. The keyer every stage keys
-/// through is on that path too: its walk, its root ordering and its two
-/// assemblers stay functions of their own. So is presolve, which rewrites
+/// through is on that path too: its walk, its root ordering and its
+/// assembler stay functions of their own. So is presolve, which rewrites
 /// every live query before it is keyed: its abstract walk and its
 /// transfer functions stay apart, and so do its harvest and its pass.
 /// The worker side is on it too: a certified session solves on one
@@ -349,7 +353,7 @@ fn discharge_path_functions_stay_small() {
     let form = std::fs::read_to_string(src.join("form.rs")).expect("the engine's form.rs is checked in");
     let keyer = form.split("\nimpl Keyer {\n").nth(1).expect("form.rs has the keyer's impl block");
     let keyer = keyer.split("\n}\n").next().expect("split yields a first piece");
-    assert!(keyer.contains("fn walk(") && keyer.contains("fn key("), "the keyer's functions moved");
+    assert!(keyer.contains("fn walk(") && keyer.contains("fn wire("), "the keyer's functions moved");
     assert_eq!(long_functions(keyer, 120), [], "crates/engine/src/form.rs, impl Keyer");
     let presolve = serval_bench::workspace_root().join("crates/smt/src/presolve.rs");
     let text = std::fs::read_to_string(presolve).expect("the smt presolve.rs is checked in");
