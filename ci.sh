@@ -22,6 +22,14 @@ cargo build --release --offline
 echo "== tests (whole workspace, offline; incl. config_matrix, alloc_budget) =="
 cargo test -q --workspace --offline
 
+# The one decoder of a query's wire bytes faces TCP, so its properties
+# (k-goal round trips, truncation, bit flips, re-pointed variable nodes
+# and raw garbage) also run at 100 000 cases each, under a fixed seed
+# other than the suite's default.
+echo "== decoder fuzz (serval-net, 100 000 cases per property) =="
+SERVAL_CHECK_CASES=100000 SERVAL_CHECK_SEED=41 \
+  cargo test -q --offline -p serval-net --lib -- prop_core_ prop_garbage_never_panics
+
 # Broken intra-doc links fail the build: a doc comment that names an
 # item deleted or renamed since must be fixed with the code.
 echo "== docs (broken intra-doc links are errors) =="

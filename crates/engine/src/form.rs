@@ -2,16 +2,20 @@
 //! verification query.
 //!
 //! Terms live in a *thread-local* hash-consed context (`smt::term`), so a
-//! `TermId` means nothing on another thread. To discharge queries on pool
-//! workers the engine re-serializes the term DAG reachable from the
-//! query's assertion roots into a self-contained [`FormCore`]: nodes in
+//! `TermId` means nothing on another thread. A query therefore travels
+//! as its *wire bytes*: the term DAG reachable from its roots, nodes in
 //! deterministic postorder, symbolic constants renumbered by first
-//! encounter, uninterpreted functions likewise. The byte serialization of
-//! the query — its *wire bytes* ([`Keyer::wire`], [`wire_bytes`]) — is the
-//! **cache key** and the frame a client ships, one normal form for both:
-//! two queries that differ only in variable creation order, variable
-//! names, or assumption order produce identical bytes, while any
-//! structural difference changes them.
+//! encounter, uninterpreted functions likewise. Those bytes are the one
+//! portable form of a query — the **cache key**, the frame a client
+//! ships, and, as a [`Core`], what a pool worker or a server shard
+//! interns and solves. Two queries that differ only in variable creation
+//! order, variable names, or assumption order produce identical bytes,
+//! while any structural difference changes them.
+//!
+//! A core carries k ≥ 1 goal roots, stored un-negated. A one-shot query
+//! is a core with one goal, so its core is its key; a session chunk is
+//! the same layout with each of its goals. A worker negates every goal
+//! as it interns the core ([`Core::materialize`]).
 //!
 //! Soundness: the key *is* the full serialization, so key equality
 //! implies the queries are alpha-equivalent (same proof obligation). The
@@ -28,9 +32,10 @@
 //! then *fold → key → probe*: [`folds`] answers a query a constant
 //! already proves before any of this runs, the keyer walks the rest
 //! once per root under one context borrow and leaves the wire bytes in
-//! its own buffer, and a [`FormCore`] is built only for a caller that
-//! asks ([`Keyer::core`]). [`prepare`], [`prepare_session`] and
-//! [`prepare_wire`] are one-shot wrappers over the same keyer.
+//! its own buffer, and a [`Core`] is copied out only for what is
+//! planned ([`Keyer::chunk`]). There is one reader of the bytes too,
+//! `Decoder`: [`Core::decode`] validates untrusted bytes through it,
+//! and [`Core::materialize`] interns through it.
 
 use serval_smt::bv::SBool;
 use serval_smt::solver::SolverConfig;
@@ -51,73 +56,31 @@ pub struct Query {
     pub cfg: SolverConfig,
 }
 
-/// One node of the portable term DAG. `children` index into
-/// [`FormCore::nodes`]; `Op::Var`/`Op::UfApply` payloads are *canonical*
-/// indices, not thread-local ordinals.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FormNode {
-    /// The operator (with canonicalized payload for vars and UFs).
-    pub op: Op,
-    /// Children as indices into the node array (always smaller than the
-    /// node's own index: the array is in postorder).
-    pub children: Vec<u32>,
-    /// The node's sort.
-    pub sort: Sort,
-}
-
-/// The portable normal form of a query: everything a worker thread needs
-/// to rebuild and solve it in a fresh term context.
-#[derive(Clone, Debug)]
-pub struct FormCore {
-    /// Term DAG in deterministic postorder.
-    pub nodes: Vec<FormNode>,
-    /// Assertion roots as indices into `nodes`: the assumptions,
-    /// deduplicated and canonically ordered, then the negated goal.
-    pub roots: Vec<u32>,
-    /// Sort of each canonical symbolic constant.
-    pub var_sorts: Vec<Sort>,
-    /// Signature (argument widths, result width) of each canonical UF.
-    pub uf_sigs: Vec<(Vec<u32>, u32)>,
-    /// True when some root is the constant `false`: the query is proved
-    /// without solving (mirrors the `check` fast path).
-    pub trivially_unsat: bool,
-}
-
-/// Where a canonical symbolic constant came from in the submitting
-/// thread, so counterexample models can be translated back.
+/// Where a canonical symbolic constant lives in some thread's term
+/// context: the caller's (a keyer's back map) or a worker's (a
+/// materialized core's).
 #[derive(Clone, Debug)]
 pub struct VarOrigin {
-    /// The original term id (valid only on the submitting thread).
+    /// The constant's term id (valid only on that thread).
     pub term: TermId,
     /// Sort of the constant.
     pub sort: Sort,
 }
 
-/// Caller-side translation table from canonical indices back to the
-/// submitting thread's term context.
+/// Translation table from canonical indices to one thread's term
+/// context, so models can cross between threads.
 #[derive(Clone, Debug, Default)]
 pub struct BackMap {
-    /// Canonical var index → original constant.
+    /// Canonical var index → constant.
     pub vars: Vec<VarOrigin>,
-    /// Canonical UF index → original UF id.
+    /// Canonical UF index → UF id.
     pub ufs: Vec<UfId>,
 }
 
-/// A query reduced to its normal form plus the caller-side back map.
-pub struct Prepared {
-    /// The portable core (shared with workers).
-    pub core: FormCore,
-    /// Canonical-index → caller-term translation.
-    pub backmap: BackMap,
-    /// Cache key: the query's wire bytes ([`Keyer::wire`]).
-    pub key: Vec<u8>,
-}
-
 /// Whether a constant already proves the query: some assumption is the
-/// constant `false`, or the goal is the constant `true` (so its negation
-/// is a constant-false root). Exactly [`FormCore::trivially_unsat`], read
-/// off the roots alone — nothing is interned, nothing is walked, and a
-/// caller that folds on it never needs the query's key.
+/// constant `false`, or the goal is the constant `true`. Read off the
+/// roots alone — nothing is interned, nothing is walked, and a caller
+/// that folds on it never needs the query's key.
 pub fn folds(assumptions: &[SBool], goal: SBool) -> bool {
     goal.is_true() || assumptions.iter().any(|a| a.is_false())
 }
@@ -164,22 +127,14 @@ impl Stamped {
     }
 }
 
-/// What the three portable cores share: the node array and the
-/// declarations its canonical indices refer to.
-struct Parts {
-    nodes: Vec<FormNode>,
-    var_sorts: Vec<Sort>,
-    uf_sigs: Vec<(Vec<u32>, u32)>,
-}
-
-/// The one normalizer: keys, wire-encodes and (on request) builds the
-/// portable core of query after query over one set of scratch buffers.
+/// The one normalizer: keys and wire-encodes query after query over one
+/// set of scratch buffers, and copies out a [`Core`] on request.
 ///
 /// Lifetime: one batch on one thread. The memo of per-root local keys
 /// is indexed by `TermId`, so a keyer must not outlive a `reset_ctx`,
-/// and nothing of it is kept between batches. After [`Keyer::wire`],
-/// [`Keyer::bytes`], [`Keyer::backmap`] and [`Keyer::core`] describe that
-/// query until the next one is keyed.
+/// and nothing of it is kept between batches. After [`Keyer::wire`] or
+/// [`Keyer::chunk`], [`Keyer::bytes`] and [`Keyer::backmap`] describe
+/// that query until the next one is keyed.
 #[derive(Default)]
 pub struct Keyer {
     // Numbering of the walk in progress: term → node index, var ordinal
@@ -189,9 +144,9 @@ pub struct Keyer {
     uf_of: Stamped,
     stack: Vec<TermId>,
     kids: Vec<u32>,
-    // The walk's flat output: node index → term, the encoded nodes, the
+    // The walk's flat output: the node count, the encoded nodes, the
     // encoded declarations, and the way back to the caller's terms.
-    order: Vec<TermId>,
+    nodes: u32,
     node_bytes: Vec<u8>,
     sort_bytes: Vec<u8>,
     sig_bytes: Vec<u8>,
@@ -204,11 +159,9 @@ pub struct Keyer {
     local_of: Stamped,
     spans: Vec<(u32, u32)>,
     // The keyed query: node index of every root (the canonically
-    // ordered ones, then the appended ones), whether a constant-false
-    // root was seen, and the assembled wire bytes.
+    // ordered assumptions, then the goals) and the assembled wire bytes.
     root_ids: Vec<u32>,
     ordered: usize,
-    trivially_unsat: bool,
     bytes: Vec<u8>,
 }
 
@@ -223,7 +176,7 @@ impl Keyer {
         self.node_of.clear();
         self.var_of.clear();
         self.uf_of.clear();
-        self.order.clear();
+        self.nodes = 0;
         self.node_bytes.clear();
         self.sort_bytes.clear();
         self.sig_bytes.clear();
@@ -286,8 +239,8 @@ impl Keyer {
                 self.kids.push(self.node_of.get(ch.0).expect("children are numbered first"));
             }
             encode_node(op, &self.kids, term.sort, &mut self.node_bytes);
-            self.node_of.insert(t.0, self.order.len() as u32);
-            self.order.push(t);
+            self.node_of.insert(t.0, self.nodes);
+            self.nodes += 1;
         }
         self.node_of.get(root.0).expect("the walk numbers its root")
     }
@@ -300,18 +253,14 @@ impl Keyer {
     /// batch phrases hundreds of queries over one base.
     fn order_roots(&mut self, c: &Ctx, assumptions: &[SBool]) {
         self.roots.clear();
-        self.trivially_unsat = false;
         // The node table is free until the walk begins: it is the
         // seen-set here.
         self.node_of.clear();
         for t in assumptions.iter().map(|a| a.0) {
-            match c.term(t).op {
-                // Constant-true roots constrain nothing; drop them so
-                // queries differing only in vacuous assumptions
-                // normalize identically.
-                Op::BoolConst(true) => continue,
-                Op::BoolConst(false) => self.trivially_unsat = true,
-                _ => {}
+            // Constant-true roots constrain nothing; drop them so queries
+            // differing only in vacuous assumptions normalize identically.
+            if c.term(t).op == Op::BoolConst(true) {
+                continue;
             }
             if self.node_of.get(t.0).is_none() {
                 self.node_of.insert(t.0, 0);
@@ -343,9 +292,9 @@ impl Keyer {
             .sort_by(|a, b| local[a.1 as usize..a.2 as usize].cmp(&local[b.1 as usize..b.2 as usize]));
     }
 
-    /// The one query walk: canonically ordered roots, then `appended`
-    /// ones in the order given, under one numbering.
-    fn walk_query(&mut self, c: &Ctx, assumptions: &[SBool], appended: &[TermId]) {
+    /// The one query walk: canonically ordered assumption roots, then
+    /// `goals` in the order given, under one numbering.
+    fn walk_query(&mut self, c: &Ctx, assumptions: &[SBool], goals: &[SBool]) {
         self.order_roots(c, assumptions);
         self.begin();
         self.root_ids.clear();
@@ -354,40 +303,57 @@ impl Keyer {
             let id = self.walk(c, self.roots[i].0);
             self.root_ids.push(id);
         }
-        for &t in appended {
-            let id = self.walk(c, t);
+        for g in goals {
+            let id = self.walk(c, g.0);
             self.root_ids.push(id);
         }
     }
 
-    /// The encoded declarations: var sorts, then UF signatures.
-    fn decls(&self, out: &mut Vec<u8>) {
-        push_u32(out, self.backmap.vars.len() as u32);
+    /// Walks `assumptions` under `goals` and assembles the wire bytes in
+    /// the keyer's buffer, in [`WIRE_MAGIC`]'s layout.
+    fn encode(&mut self, assumptions: &[SBool], goals: &[SBool]) {
+        with_ctx(|c| self.walk_query(c, assumptions, goals));
+        let mut out = std::mem::take(&mut self.bytes);
+        out.clear();
+        out.extend_from_slice(WIRE_MAGIC);
+        push_u32(&mut out, self.backmap.vars.len() as u32);
         out.extend_from_slice(&self.sort_bytes);
-        push_u32(out, self.backmap.ufs.len() as u32);
+        push_u32(&mut out, self.backmap.ufs.len() as u32);
         out.extend_from_slice(&self.sig_bytes);
+        push_u32(&mut out, self.nodes);
+        out.extend_from_slice(&self.node_bytes);
+        push_u32s(&mut out, &self.root_ids[..self.ordered]);
+        for &goal in &self.root_ids[self.ordered..] {
+            push_u32(&mut out, goal);
+        }
+        self.bytes = out;
     }
 
-    /// Wire-encodes `(assumptions, goal)`: the bytes of [`wire_bytes`]
-    /// over [`prepare_wire`]'s core, left in the keyer's buffer. They are
+    /// Wire-encodes `(assumptions, goal)`, left in the keyer's buffer:
     /// the query's cache key and the frame a client ships.
     ///
     /// Must run on the thread that owns the terms.
     pub fn wire(&mut self, assumptions: &[SBool], goal: SBool) -> &[u8] {
-        with_ctx(|c| self.walk_query(c, assumptions, &[goal.0]));
-        let mut out = std::mem::take(&mut self.bytes);
-        out.clear();
-        out.extend_from_slice(WIRE_MAGIC);
-        self.decls(&mut out);
-        push_u32(&mut out, self.order.len() as u32);
-        out.extend_from_slice(&self.node_bytes);
-        push_u32s(&mut out, &self.root_ids[..self.ordered]);
-        push_u32(&mut out, self.root_ids[self.ordered]);
-        self.bytes = out;
+        self.encode(assumptions, &[goal]);
         &self.bytes
     }
 
-    /// The bytes the last [`Keyer::wire`] assembled.
+    /// The core of `goals` (at least one) under the shared `assumptions`,
+    /// and its back map: what a pool worker solves. With one goal its
+    /// bytes are the query's key.
+    ///
+    /// Must run on the thread that owns the terms.
+    pub fn chunk(&mut self, assumptions: &[SBool], goals: &[SBool]) -> (Core, BackMap) {
+        self.encode(assumptions, goals);
+        let core = Core {
+            roots_at: self.bytes.len() - 4 * (1 + self.root_ids.len()),
+            bytes: self.bytes.clone(),
+            trivially_unsat: goals.iter().all(|&g| folds(assumptions, g)),
+        };
+        (core, self.backmap.clone())
+    }
+
+    /// The bytes the last [`Keyer::wire`] or [`Keyer::chunk`] assembled.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
@@ -396,201 +362,6 @@ impl Keyer {
     pub fn backmap(&self) -> &BackMap {
         &self.backmap
     }
-
-    /// The last query's walk as owned nodes and declarations. The flat
-    /// scratch holds everything but the operators, which are read back
-    /// from the context.
-    fn parts(&self) -> Parts {
-        let numbered = "the walk numbered everything it emitted";
-        with_ctx(|c| {
-            let node = |&t: &TermId| {
-                let term = c.term(t);
-                let op = match term.op {
-                    Op::Var(ord) => Op::Var(self.var_of.get(ord).expect(numbered)),
-                    Op::UfApply(uf) => Op::UfApply(UfId(self.uf_of.get(uf.0).expect(numbered))),
-                    ref other => other.clone(),
-                };
-                let child = |ch: &TermId| self.node_of.get(ch.0).expect(numbered);
-                FormNode { op, children: term.children.iter().map(child).collect(), sort: term.sort }
-            };
-            let sig = |&uf: &UfId| (c.uf_sig(uf).args.clone(), c.uf_sig(uf).result);
-            Parts {
-                nodes: self.order.iter().map(node).collect(),
-                var_sorts: self.backmap.vars.iter().map(|v| v.sort).collect(),
-                uf_sigs: self.backmap.ufs.iter().map(sig).collect(),
-            }
-        })
-    }
-
-    /// The solver's core of the query [`Keyer::wire`] last encoded: the
-    /// wire walk's nodes plus one `Not` over the goal, asserted after the
-    /// assumption roots. Only a caller about to solve it (or ship it to a
-    /// worker) needs one.
-    pub fn core(&self) -> FormCore {
-        let Parts { mut nodes, var_sorts, uf_sigs } = self.parts();
-        let goal = self.root_ids[self.ordered];
-        let goal_true = nodes[goal as usize].op == Op::BoolConst(true);
-        let mut roots = self.root_ids[..self.ordered].to_vec();
-        roots.push(nodes.len() as u32);
-        nodes.push(FormNode { op: Op::Not, children: vec![goal], sort: Sort::Bool });
-        FormCore {
-            nodes,
-            roots,
-            var_sorts,
-            uf_sigs,
-            trivially_unsat: self.trivially_unsat || goal_true,
-        }
-    }
-}
-
-/// Extracts the solver's core of `assumptions ∧ ¬goal`, keyed by the
-/// query's wire bytes.
-///
-/// Must run on the thread that owns the terms.
-pub fn prepare(assumptions: &[SBool], goal: SBool) -> Prepared {
-    let mut keyer = Keyer::new();
-    let key = keyer.wire(assumptions, goal).to_vec();
-    Prepared { core: keyer.core(), backmap: keyer.backmap, key }
-}
-
-/// The portable normal form of an incremental discharge session: the
-/// shared assumption set (as canonically ordered base roots) plus one
-/// *negated-goal* root per goal, all sharing a single node array so the
-/// worker materializes every term exactly once.
-#[derive(Clone, Debug)]
-pub struct SessionCore {
-    /// Term DAG in deterministic postorder (base roots first).
-    pub nodes: Vec<FormNode>,
-    /// Shared assumption roots, deduplicated and canonically ordered.
-    pub base_roots: Vec<u32>,
-    /// One entry per goal, in submission order: the node index of the
-    /// goal's *negation* (what the session solver asserts behind the
-    /// goal's activation literal).
-    pub goal_roots: Vec<u32>,
-    /// Sort of each canonical symbolic constant.
-    pub var_sorts: Vec<Sort>,
-    /// Signature (argument widths, result width) of each canonical UF.
-    pub uf_sigs: Vec<(Vec<u32>, u32)>,
-}
-
-/// A session reduced to its portable core plus the caller-side back map.
-///
-/// There is deliberately no cache key here: sessions are never cached as
-/// a unit — the engine consults the cache per sub-query (using
-/// each sub-query's own [`Prepared::key`]) before deciding what reaches
-/// a session at all.
-pub struct SessionPrepared {
-    /// The portable core (shared with the worker).
-    pub core: SessionCore,
-    /// Canonical-index → caller-term translation, covering every var and
-    /// UF reachable from the base *or any* goal.
-    pub backmap: BackMap,
-}
-
-/// Extracts the portable form of a session: `assumptions` shared by all
-/// of `goals` (each goal is negated here, on the caller thread, so the
-/// worker can assert it directly).
-///
-/// Must run on the thread that owns the terms.
-pub fn prepare_session(assumptions: &[SBool], goals: &[SBool]) -> SessionPrepared {
-    let negated: Vec<TermId> = goals.iter().map(|&g| (!g).0).collect();
-    let mut keyer = Keyer::new();
-    with_ctx(|c| keyer.walk_query(c, assumptions, &negated));
-    let Parts { nodes, var_sorts, uf_sigs } = keyer.parts();
-    let goal_roots = keyer.root_ids.split_off(keyer.ordered);
-    SessionPrepared {
-        core: SessionCore { nodes, base_roots: keyer.root_ids, goal_roots, var_sorts, uf_sigs },
-        backmap: keyer.backmap,
-    }
-}
-
-/// Rebuilds a [`FormCore`] inside the *current* thread's term context.
-pub struct Rebuilt {
-    /// The assertion roots, ready for `smt::check_full`.
-    pub roots: Vec<SBool>,
-    /// Canonical var index → term in this thread's context.
-    pub var_terms: Vec<TermId>,
-    /// Canonical UF index → UF id in this thread's context.
-    pub uf_ids: Vec<UfId>,
-}
-
-/// Interns a portable node array into `c`, declaring canonical UFs and
-/// vars along the way. Returns (node index → term, var terms, UF ids).
-fn materialize(
-    c: &mut Ctx,
-    nodes: &[FormNode],
-    var_sorts: &[Sort],
-    uf_sigs: &[(Vec<u32>, u32)],
-) -> (Vec<TermId>, Vec<TermId>, Vec<UfId>) {
-    let uf_ids: Vec<UfId> = uf_sigs
-        .iter()
-        .enumerate()
-        .map(|(i, (args, result))| c.declare_uf(&format!("uf{i}"), args.clone(), *result))
-        .collect();
-    let mut var_terms: Vec<TermId> = vec![TermId(0); var_sorts.len()];
-    let mut ids: Vec<TermId> = Vec::with_capacity(nodes.len());
-    let mut children: Vec<TermId> = Vec::new();
-    for node in nodes {
-        children.clear();
-        children.extend(node.children.iter().map(|&i| ids[i as usize]));
-        let id = match node.op {
-            // Each canonical var appears as exactly one node, so this
-            // assigns every `var_terms` slot exactly once.
-            Op::Var(k) => {
-                let t = c.fresh_var(node.sort, &format!("q{k}"));
-                var_terms[k as usize] = t;
-                t
-            }
-            Op::UfApply(UfId(k)) => c.intern(Op::UfApply(uf_ids[k as usize]), &children, node.sort),
-            ref op => c.intern(op.clone(), &children, node.sort),
-        };
-        ids.push(id);
-    }
-    (ids, var_terms, uf_ids)
-}
-
-/// Materializes the portable form as real terms on the current thread.
-pub fn rebuild(core: &FormCore) -> Rebuilt {
-    with_ctx(|c| {
-        let (ids, var_terms, uf_ids) =
-            materialize(c, &core.nodes, &core.var_sorts, &core.uf_sigs);
-        Rebuilt {
-            roots: core.roots.iter().map(|&r| SBool(ids[r as usize])).collect(),
-            var_terms,
-            uf_ids,
-        }
-    })
-}
-
-/// A [`SessionCore`] rebuilt inside the current thread's term context.
-pub struct SessionRebuilt {
-    /// The shared assumptions, ready for [`serval_smt::Session::assume`].
-    pub base: Vec<SBool>,
-    /// The *negated* goals, in submission order, ready for
-    /// [`serval_smt::Session::solve_negated`].
-    pub neg_goals: Vec<SBool>,
-    /// Canonical var index → term in this thread's context.
-    pub var_terms: Vec<TermId>,
-    /// Canonical UF index → UF id in this thread's context.
-    pub uf_ids: Vec<UfId>,
-}
-
-/// Materializes a session core as real terms on the current thread.
-pub fn rebuild_session(core: &SessionCore) -> SessionRebuilt {
-    with_ctx(|c| {
-        let (ids, var_terms, uf_ids) =
-            materialize(c, &core.nodes, &core.var_sorts, &core.uf_sigs);
-        SessionRebuilt {
-            base: core.base_roots.iter().map(|&r| SBool(ids[r as usize])).collect(),
-            neg_goals: core
-                .goal_roots
-                .iter()
-                .map(|&r| SBool(ids[r as usize]))
-                .collect(),
-            var_terms,
-            uf_ids,
-        }
-    })
 }
 
 /// Flattens the top-level `And` structure of `goal` into its conjuncts,
@@ -623,110 +394,230 @@ pub fn split_goal(goal: SBool, cap: usize) -> Vec<SBool> {
 }
 
 // ---------------------------------------------------------------------------
-// Wire form: the one serialization of a query, for the cache and the
-// network alike.
-//
-// A solver wants `assumptions ∧ ¬goal` as one root set ([`FormCore`]),
-// but the pipeline in front of it — presolve, splitting, sessions —
-// treats the goal specially, and so does a server re-running it. The
-// wire core therefore keeps assumption roots and the (un-negated) goal
-// root separate, and `wire_bytes`/`wire_from_bytes` give it a
-// versioned, *validated* byte encoding — the decoder must
-// survive arbitrary adversarial bytes, because it sits behind a TCP
-// socket, so every structural invariant the builders establish
-// (arities, sorts, widths, postorder child indices, var/UF consistency)
-// is re-checked before a single term is interned.
+// The core: a query's wire bytes, validated. It sits behind a TCP socket
+// too, so every structural invariant the keyer establishes (arities,
+// sorts, widths, postorder child indices, one node per declared variable
+// in declaration order, UF consistency) is re-checked before a single
+// term is interned.
 // ---------------------------------------------------------------------------
 
-/// The network-portable form of a query: assumption roots plus the
-/// un-negated goal root over one shared postorder node array. The byte
-/// encoding ([`wire_bytes`]) is alpha-invariant and is the engine's
-/// cache key, so a server routes on the raw frame bytes and answers a
-/// repeat from its home shard's cache under them.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireCore {
-    /// Term DAG in deterministic postorder.
-    pub nodes: Vec<FormNode>,
-    /// Assumption roots (deduplicated, canonically ordered).
-    pub asm_roots: Vec<u32>,
-    /// The goal root (NOT negated — the server's engine negates it).
-    pub goal_root: u32,
-    /// Sort of each canonical symbolic constant.
-    pub var_sorts: Vec<Sort>,
-    /// Signature (argument widths, result width) of each canonical UF.
-    pub uf_sigs: Vec<(Vec<u32>, u32)>,
+/// Wire encoding version tag. Layout (all integers little-endian):
+/// magic, var sorts, UF signatures, nodes, the assumption roots, then
+/// one goal root per goal up to the end of the buffer — each section but
+/// the last length-prefixed, declarations before nodes so one pass
+/// validates. Bump it, with the disk tier's `SRVCACH3`, when the layout
+/// or the node encoding changes.
+const WIRE_MAGIC: &[u8; 4] = b"SW1\0";
+
+/// The portable form of a query: its wire bytes, with k ≥ 1 un-negated
+/// goal roots over the shared assumption roots. Made only by a
+/// [`Keyer`] or by [`Core::decode`], so a core always holds bytes the
+/// decoder accepts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Core {
+    bytes: Vec<u8>,
+    /// Where the root section starts: the nodes end here.
+    roots_at: usize,
+    /// Retired: whether a constant proves every goal — some assumption
+    /// root is `false`, or every goal root is `true` ([`folds`], read
+    /// off the core). Only the benchmark package reads it; ROADMAP item
+    /// 3 deletes it.
+    pub trivially_unsat: bool,
 }
 
-/// A query reduced to wire form plus the client-side back map.
-pub struct WirePrepared {
-    /// The portable core.
-    pub core: WireCore,
-    /// Canonical-index → caller-term translation (for countermodels).
+/// A [`Core`] interned into the current thread's term context.
+pub struct Materialized {
+    /// The assumption roots.
+    pub assumptions: Vec<SBool>,
+    /// The goals in core order: negated when asked to be, ready for
+    /// [`serval_smt::Session::solve_negated`].
+    pub goals: Vec<SBool>,
+    /// Canonical index → this thread's terms, so a model found here can
+    /// be projected back onto the core's numbering.
     pub backmap: BackMap,
 }
 
-/// Extracts the wire form of `(assumptions, goal)`.
-///
-/// Must run on the thread that owns the terms.
-pub fn prepare_wire(assumptions: &[SBool], goal: SBool) -> WirePrepared {
-    let mut keyer = Keyer::new();
-    keyer.wire(assumptions, goal);
-    let Parts { nodes, var_sorts, uf_sigs } = keyer.parts();
-    let goal_root = keyer.root_ids.pop().expect("the goal is the last root walked");
-    WirePrepared {
-        core: WireCore { nodes, asm_roots: keyer.root_ids, goal_root, var_sorts, uf_sigs },
-        backmap: keyer.backmap,
+impl Core {
+    /// Validates untrusted bytes as a core. On any violation the whole
+    /// core is rejected — no partial decode.
+    pub fn decode(bytes: Vec<u8>) -> Result<Core, &'static str> {
+        let mut d = Decoder::open(&bytes)?;
+        let mut value: Vec<Option<bool>> = Vec::new();
+        d.nodes(|op, _, _| {
+            value.push(match *op {
+                Op::BoolConst(b) => Some(b),
+                _ => None,
+            })
+        })?;
+        let roots_at = d.rd.at;
+        let (asms, goals) = read_roots(&mut d.rd)?;
+        if asms.iter().chain(&goals).any(|&r| d.sorts.get(r as usize) != Some(&Sort::Bool)) {
+            return Err("root must be an in-range Bool node");
+        }
+        let is = |&r: &u32, b: bool| value[r as usize] == Some(b);
+        let trivially_unsat =
+            asms.iter().any(|r| is(r, false)) || goals.iter().all(|r| is(r, true));
+        Ok(Core { bytes, roots_at, trivially_unsat })
+    }
+
+    /// The wire bytes: a one-goal core's are its query's key and frame.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The root section: assumption roots, then goal roots.
+    fn roots(&self) -> (Vec<u32>, Vec<u32>) {
+        read_roots(&mut Rd { b: &self.bytes, at: self.roots_at }).expect(VALID)
+    }
+
+    /// How many goals the core carries.
+    pub fn goals(&self) -> usize {
+        self.roots().1.len()
+    }
+
+    /// Interns the core into the current thread's term context: UFs and
+    /// variables declared fresh, nodes in byte order. With `negate`,
+    /// each goal is replaced by its negation under the smart `!`,
+    /// interned right after the goal's last new node — where a walk of
+    /// the negated goal would have put it — so the interning order, and
+    /// with it a session's CNF, is that of the negated query.
+    pub fn materialize(&self, negate: bool) -> Materialized {
+        let (asm_roots, goal_roots) = self.roots();
+        let mut d = Decoder::open(&self.bytes).expect(VALID);
+        let sig = |(i, (args, result)): (usize, &(Vec<u32>, u32))| {
+            with_ctx(|c| c.declare_uf(&format!("uf{i}"), args.clone(), *result))
+        };
+        let ufs: Vec<UfId> = d.uf_sigs.iter().enumerate().map(sig).collect();
+        let mut ids: Vec<TermId> = Vec::new();
+        let mut vars: Vec<VarOrigin> = Vec::with_capacity(d.var_sorts.len());
+        let mut goals: Vec<SBool> = Vec::with_capacity(goal_roots.len());
+        let mut children: Vec<TermId> = Vec::new();
+        // A goal's nodes end at its root or, if an earlier root already
+        // numbered it, where the previous goal's ended.
+        let mut end = asm_roots.iter().map(|&r| r as usize + 1).max().unwrap_or(0);
+        d.nodes(|op, kids, sort| {
+            children.clear();
+            children.extend(kids.iter().map(|&k| ids[k as usize]));
+            let id = with_ctx(|c| match *op {
+                Op::Var(k) => {
+                    let term = c.fresh_var(sort, &format!("q{k}"));
+                    vars.push(VarOrigin { term, sort });
+                    term
+                }
+                Op::UfApply(UfId(k)) => c.intern(Op::UfApply(ufs[k as usize]), &children, sort),
+                ref op => c.intern(op.clone(), &children, sort),
+            });
+            ids.push(id);
+            while let Some(&g) = goal_roots.get(goals.len()).filter(|_| negate) {
+                let at = end.max(g as usize + 1);
+                if at != ids.len() {
+                    break;
+                }
+                end = at;
+                goals.push(!SBool(ids[g as usize]));
+            }
+        })
+        .expect(VALID);
+        if !negate {
+            goals.extend(goal_roots.iter().map(|&g| SBool(ids[g as usize])));
+        }
+        Materialized {
+            assumptions: asm_roots.iter().map(|&r| SBool(ids[r as usize])).collect(),
+            goals,
+            backmap: BackMap { vars, ufs },
+        }
     }
 }
 
-/// A [`WireCore`] rebuilt inside the current thread's term context.
-pub struct WireRebuilt {
-    /// The assumptions, as real terms.
-    pub assumptions: Vec<SBool>,
-    /// The goal, as a real term.
-    pub goal: SBool,
-    /// Canonical-index → this-thread translation, so a server can
-    /// project solver models back onto the *wire* numbering before
-    /// shipping them to the client.
-    pub backmap: BackMap,
+/// Why a [`Core`]'s bytes must decode.
+const VALID: &str = "a core holds bytes the decoder accepts";
+
+/// Reads a root section: the length-prefixed assumption roots, then goal
+/// roots to the end of the buffer, at least one.
+fn read_roots(rd: &mut Rd) -> Result<(Vec<u32>, Vec<u32>), &'static str> {
+    let n_asm = rd.count(4)?;
+    let asms = (0..n_asm).map(|_| rd.u32()).collect::<Result<Vec<u32>, _>>()?;
+    let rest = rd.b.len() - rd.at;
+    if rest == 0 || !rest.is_multiple_of(4) {
+        return Err("goal roots must fill the rest of the core, at least one");
+    }
+    let goals = (0..rest / 4).map(|_| rd.u32()).collect::<Result<Vec<u32>, _>>()?;
+    Ok((asms, goals))
 }
 
-/// Materializes a wire core as real terms on the current thread.
-pub fn rebuild_wire(core: &WireCore) -> WireRebuilt {
-    with_ctx(|c| {
-        let (ids, var_terms, uf_ids) =
-            materialize(c, &core.nodes, &core.var_sorts, &core.uf_sigs);
-        let backmap = BackMap {
-            vars: var_terms
-                .iter()
-                .zip(&core.var_sorts)
-                .map(|(&term, &sort)| VarOrigin { term, sort })
-                .collect(),
-            ufs: uf_ids,
-        };
-        WireRebuilt {
-            assumptions: core.asm_roots.iter().map(|&r| SBool(ids[r as usize])).collect(),
-            goal: SBool(ids[core.goal_root as usize]),
-            backmap,
+/// The one reader of a core's bytes: declarations first, then every node
+/// handed to the caller in postorder, each checked against the
+/// invariants the term builders and the keyer establish.
+struct Decoder<'a> {
+    rd: Rd<'a>,
+    var_sorts: Vec<Sort>,
+    uf_sigs: Vec<(Vec<u32>, u32)>,
+    /// Sort of each node read so far.
+    sorts: Vec<Sort>,
+}
+
+impl<'a> Decoder<'a> {
+    /// Checks the magic and reads the declarations.
+    fn open(bytes: &'a [u8]) -> Result<Decoder<'a>, &'static str> {
+        if bytes.get(..4) != Some(&WIRE_MAGIC[..]) {
+            return Err("bad wire magic");
         }
-    })
-}
+        let mut rd = Rd { b: bytes, at: 4 };
+        let n_vars = rd.count(1)?;
+        let mut var_sorts = Vec::with_capacity(n_vars);
+        for _ in 0..n_vars {
+            var_sorts.push(rd.sort()?);
+        }
+        let n_ufs = rd.count(8)?;
+        let mut uf_sigs = Vec::with_capacity(n_ufs);
+        for _ in 0..n_ufs {
+            let n_args = rd.count(4)?;
+            let mut args = Vec::with_capacity(n_args);
+            for _ in 0..n_args {
+                args.push(rd.width("UF argument width out of range")?);
+            }
+            let result = rd.width("UF result width out of range")?;
+            uf_sigs.push((args, result));
+        }
+        Ok(Decoder { rd, var_sorts, uf_sigs, sorts: Vec::new() })
+    }
 
-/// Wire encoding version tag. Bump when the node encoding changes.
-const WIRE_MAGIC: &[u8; 4] = b"SW1\0";
-
-/// Serializes a wire core. Layout (all integers little-endian):
-/// magic, var sorts, UF signatures, nodes, assumption roots, goal root —
-/// declarations before nodes so [`wire_from_bytes`] validates in one
-/// pass.
-pub fn wire_bytes(core: &WireCore) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(WIRE_MAGIC);
-    encode_decls(&core.var_sorts, &core.uf_sigs, &mut out);
-    encode_nodes(&core.nodes, &mut out);
-    push_u32s(&mut out, &core.asm_roots);
-    push_u32(&mut out, core.goal_root);
-    out
+    /// Reads the node section, handing `each` every node's operator,
+    /// children and sort. The k-th variable node must declare variable
+    /// k, and every declared variable must have its node: one canonical
+    /// variable is one term, wherever it came from.
+    fn nodes(&mut self, mut each: impl FnMut(&Op, &[u32], Sort)) -> Result<(), &'static str> {
+        let n_nodes = self.rd.count(6)?;
+        self.sorts.reserve(n_nodes);
+        let mut kids: Vec<u32> = Vec::new();
+        let mut vars = 0;
+        for idx in 0..n_nodes {
+            let op = self.rd.op()?;
+            let sort = self.rd.sort()?;
+            let n_children = self.rd.count(4)?;
+            kids.clear();
+            for _ in 0..n_children {
+                let c = self.rd.u32()?;
+                if c as usize >= idx {
+                    return Err("child index breaks postorder");
+                }
+                kids.push(c);
+            }
+            if let Op::Var(k) = op {
+                if k != vars {
+                    return Err("variable node out of declaration order");
+                }
+                vars += 1;
+            }
+            check_node(&op, &kids, sort, &self.sorts, &self.var_sorts, &self.uf_sigs)?;
+            self.sorts.push(sort);
+            each(&op, &kids, sort);
+        }
+        if vars as usize != self.var_sorts.len() {
+            return Err("declared variable has no node");
+        }
+        Ok(())
+    }
 }
 
 /// Little-endian cursor over untrusted bytes. Every read is
@@ -766,15 +657,65 @@ impl<'a> Rd<'a> {
     fn sort(&mut self) -> Result<Sort, &'static str> {
         match self.u8()? {
             0 => Ok(Sort::Bool),
-            1 => {
-                let w = self.u32()?;
-                if !(1..=128).contains(&w) {
-                    return Err("bitvector width out of range");
-                }
-                Ok(Sort::BitVec(w))
-            }
+            1 => Ok(Sort::BitVec(self.width("bitvector width out of range")?)),
             _ => Err("unknown sort tag"),
         }
+    }
+    /// Reads a bitvector width, rejecting one outside `1..=128`.
+    fn width(&mut self, why: &'static str) -> Result<u32, &'static str> {
+        let w = self.u32()?;
+        if (1..=128).contains(&w) {
+            Ok(w)
+        } else {
+            Err(why)
+        }
+    }
+    /// Reads an operator: its stable tag, then any payload.
+    fn op(&mut self) -> Result<Op, &'static str> {
+        Ok(match self.u8()? {
+            0 => match self.u8()? {
+                0 => Op::BoolConst(false),
+                1 => Op::BoolConst(true),
+                _ => return Err("bool constant payload invalid"),
+            },
+            1 => Op::BvConst(self.u128()?),
+            2 => Op::Var(self.u32()?),
+            3 => Op::Not,
+            4 => Op::And,
+            5 => Op::Or,
+            6 => Op::Xor,
+            7 => Op::Iff,
+            8 => Op::IteBool,
+            9 => Op::Eq,
+            10 => Op::Ult,
+            11 => Op::Ule,
+            12 => Op::Slt,
+            13 => Op::Sle,
+            14 => Op::BvNot,
+            15 => Op::BvNeg,
+            16 => Op::BvAnd,
+            17 => Op::BvOr,
+            18 => Op::BvXor,
+            19 => Op::BvAdd,
+            20 => Op::BvSub,
+            21 => Op::BvMul,
+            22 => Op::BvUdiv,
+            23 => Op::BvUrem,
+            24 => Op::BvShl,
+            25 => Op::BvLshr,
+            26 => Op::BvAshr,
+            27 => Op::Concat,
+            28 => {
+                let hi = self.u32()?;
+                let lo = self.u32()?;
+                Op::Extract(hi, lo)
+            }
+            29 => Op::ZeroExt,
+            30 => Op::SignExt,
+            31 => Op::IteBv,
+            32 => Op::UfApply(UfId(self.u32()?)),
+            _ => return Err("unknown operator tag"),
+        })
     }
 }
 
@@ -933,121 +874,6 @@ fn check_node(
     Ok(())
 }
 
-/// Decodes and fully validates a wire core from untrusted bytes.
-///
-/// Success means the core satisfies every invariant `materialize`
-/// assumes: postorder child indices, in-range var/UF references with
-/// consistent sorts, builder-legal arities and widths, Bool roots. On
-/// any violation the *whole* core is rejected — no partial decode.
-pub fn wire_from_bytes(bytes: &[u8]) -> Result<WireCore, &'static str> {
-    if bytes.len() < 4 || &bytes[..4] != WIRE_MAGIC {
-        return Err("bad wire magic");
-    }
-    let mut rd = Rd { b: bytes, at: 4 };
-    let n_vars = rd.count(1)?;
-    let mut var_sorts = Vec::with_capacity(n_vars);
-    for _ in 0..n_vars {
-        var_sorts.push(rd.sort()?);
-    }
-    let n_ufs = rd.count(8)?;
-    let mut uf_sigs = Vec::with_capacity(n_ufs);
-    for _ in 0..n_ufs {
-        let n_args = rd.count(4)?;
-        let mut args = Vec::with_capacity(n_args);
-        for _ in 0..n_args {
-            let w = rd.u32()?;
-            if !(1..=128).contains(&w) {
-                return Err("UF argument width out of range");
-            }
-            args.push(w);
-        }
-        let result = rd.u32()?;
-        if !(1..=128).contains(&result) {
-            return Err("UF result width out of range");
-        }
-        uf_sigs.push((args, result));
-    }
-    let n_nodes = rd.count(6)?;
-    let mut nodes: Vec<FormNode> = Vec::with_capacity(n_nodes);
-    let mut sorts: Vec<Sort> = Vec::with_capacity(n_nodes);
-    for idx in 0..n_nodes {
-        let op = match rd.u8()? {
-            0 => match rd.u8()? {
-                0 => Op::BoolConst(false),
-                1 => Op::BoolConst(true),
-                _ => return Err("bool constant payload invalid"),
-            },
-            1 => Op::BvConst(rd.u128()?),
-            2 => Op::Var(rd.u32()?),
-            3 => Op::Not,
-            4 => Op::And,
-            5 => Op::Or,
-            6 => Op::Xor,
-            7 => Op::Iff,
-            8 => Op::IteBool,
-            9 => Op::Eq,
-            10 => Op::Ult,
-            11 => Op::Ule,
-            12 => Op::Slt,
-            13 => Op::Sle,
-            14 => Op::BvNot,
-            15 => Op::BvNeg,
-            16 => Op::BvAnd,
-            17 => Op::BvOr,
-            18 => Op::BvXor,
-            19 => Op::BvAdd,
-            20 => Op::BvSub,
-            21 => Op::BvMul,
-            22 => Op::BvUdiv,
-            23 => Op::BvUrem,
-            24 => Op::BvShl,
-            25 => Op::BvLshr,
-            26 => Op::BvAshr,
-            27 => Op::Concat,
-            28 => {
-                let hi = rd.u32()?;
-                let lo = rd.u32()?;
-                Op::Extract(hi, lo)
-            }
-            29 => Op::ZeroExt,
-            30 => Op::SignExt,
-            31 => Op::IteBv,
-            32 => Op::UfApply(UfId(rd.u32()?)),
-            _ => return Err("unknown operator tag"),
-        };
-        let sort = rd.sort()?;
-        let n_children = rd.count(4)?;
-        let mut children = Vec::with_capacity(n_children);
-        for _ in 0..n_children {
-            let c = rd.u32()?;
-            if c as usize >= idx {
-                return Err("child index breaks postorder");
-            }
-            children.push(c);
-        }
-        check_node(&op, &children, sort, &sorts, &var_sorts, &uf_sigs)?;
-        sorts.push(sort);
-        nodes.push(FormNode { op, children, sort });
-    }
-    let n_asm = rd.count(4)?;
-    let mut asm_roots = Vec::with_capacity(n_asm);
-    for _ in 0..n_asm {
-        let r = rd.u32()?;
-        if sorts.get(r as usize) != Some(&Sort::Bool) {
-            return Err("assumption root must be an in-range Bool node");
-        }
-        asm_roots.push(r);
-    }
-    let goal_root = rd.u32()?;
-    if sorts.get(goal_root as usize) != Some(&Sort::Bool) {
-        return Err("goal root must be an in-range Bool node");
-    }
-    if rd.at != bytes.len() {
-        return Err("trailing garbage after wire core");
-    }
-    Ok(WireCore { nodes, asm_roots, goal_root, var_sorts, uf_sigs })
-}
-
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -1065,7 +891,8 @@ fn push_u128(out: &mut Vec<u8>, v: u128) {
 }
 
 /// Stable operator tags. Appending new operators is fine; renumbering
-/// existing ones invalidates on-disk caches (bump the `SQ` version).
+/// existing ones changes every key, so it bumps [`WIRE_MAGIC`] (`SW1\0`)
+/// and the disk tier's `MAGIC` (`SRVCACH3`) together.
 fn encode_node(op: &Op, children: &[u32], sort: Sort, out: &mut Vec<u8>) {
     match op {
         Op::BoolConst(b) => {
@@ -1122,26 +949,6 @@ fn encode_node(op: &Op, children: &[u32], sort: Sort, out: &mut Vec<u8>) {
     push_u32s(out, children);
 }
 
-/// A length-prefixed node array, as both encodings carry it.
-fn encode_nodes(nodes: &[FormNode], out: &mut Vec<u8>) {
-    push_u32(out, nodes.len() as u32);
-    for n in nodes {
-        encode_node(&n.op, &n.children, n.sort, out);
-    }
-}
-
-/// Var sorts, then UF signatures: the declarations of a core.
-fn encode_decls(var_sorts: &[Sort], uf_sigs: &[(Vec<u32>, u32)], out: &mut Vec<u8>) {
-    push_u32(out, var_sorts.len() as u32);
-    for &s in var_sorts {
-        encode_sort(s, out);
-    }
-    push_u32(out, uf_sigs.len() as u32);
-    for (args, result) in uf_sigs {
-        encode_sig(args, *result, out);
-    }
-}
-
 fn encode_sig(args: &[u32], result: u32, out: &mut Vec<u8>) {
     push_u32s(out, args);
     push_u32(out, result);
@@ -1155,4 +962,73 @@ fn encode_sort(s: Sort, out: &mut Vec<u8>) {
             push_u32(out, w);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Retired names. The benchmark package imports these, and only a
+// benchmark round may change it: ROADMAP item 3 deletes every item below.
+// Nothing outside that package uses them.
+// ---------------------------------------------------------------------------
+
+/// Retired: [`Core`] under its old name. ROADMAP item 3 deletes it.
+pub type FormCore = Core;
+
+/// Retired: [`prepare`]'s result. ROADMAP item 3 deletes it.
+pub struct Prepared {
+    /// The query's one-goal core.
+    pub core: Core,
+    /// Canonical-index → caller-term translation.
+    pub backmap: BackMap,
+    /// The core's bytes: the query's cache key.
+    pub key: Vec<u8>,
+}
+
+/// Retired: [`Keyer::chunk`] of one goal on a fresh keyer. ROADMAP item
+/// 3 deletes it.
+pub fn prepare(assumptions: &[SBool], goal: SBool) -> Prepared {
+    let (core, backmap) = Keyer::new().chunk(assumptions, &[goal]);
+    Prepared { key: core.bytes().to_vec(), core, backmap }
+}
+
+/// Retired: [`prepare`] under its wire name. ROADMAP item 3 deletes it.
+pub fn prepare_wire(assumptions: &[SBool], goal: SBool) -> Prepared {
+    prepare(assumptions, goal)
+}
+
+/// Retired: [`Core::bytes`], copied. ROADMAP item 3 deletes it.
+pub fn wire_bytes(core: &Core) -> Vec<u8> {
+    core.bytes().to_vec()
+}
+
+/// Retired: [`Core::decode`] of a copy. ROADMAP item 3 deletes it.
+pub fn wire_from_bytes(bytes: &[u8]) -> Result<Core, &'static str> {
+    Core::decode(bytes.to_vec())
+}
+
+/// Retired: [`rebuild`]'s result. ROADMAP item 3 deletes it.
+pub struct Rebuilt {
+    /// The assumptions, then the negated goals.
+    pub roots: Vec<SBool>,
+}
+
+/// Retired: [`Core::materialize`] with the goals negated, as one root
+/// list. ROADMAP item 3 deletes it.
+pub fn rebuild(core: &Core) -> Rebuilt {
+    let m = core.materialize(true);
+    Rebuilt { roots: [m.assumptions, m.goals].concat() }
+}
+
+/// Retired: [`rebuild_wire`]'s result. ROADMAP item 3 deletes it.
+pub struct WireRebuilt {
+    /// The assumptions.
+    pub assumptions: Vec<SBool>,
+    /// The first goal, un-negated.
+    pub goal: SBool,
+}
+
+/// Retired: [`Core::materialize`] with the goals as they are. ROADMAP
+/// item 3 deletes it.
+pub fn rebuild_wire(core: &Core) -> WireRebuilt {
+    let m = core.materialize(false);
+    WireRebuilt { assumptions: m.assumptions, goal: m.goals[0] }
 }

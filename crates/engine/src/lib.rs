@@ -31,7 +31,8 @@
 //! ([`form::folds`], most of a monitor's obligations) is answered before
 //! anything is normalized; the rest are keyed through one
 //! [`form::Keyer`] made for the batch, whose buffers hold the key the
-//! probe reads; and a portable core is built only for what is planned.
+//! probe reads; and a [`form::Core`] — the same wire bytes, with every
+//! goal of a session chunk — is copied out only for what is planned.
 //!
 //! Results stream back in deterministic submission order with identical
 //! verdicts regardless of worker count, so `SERVAL_JOBS=1` and
@@ -73,7 +74,7 @@ mod tests;
 pub use form::Query;
 
 use cache::{Cache, CachedVerdict};
-use form::{prepare, prepare_session, BackMap, Keyer};
+use form::{BackMap, Keyer};
 use pool::Pool;
 use serval_smt::bv::SBool;
 use serval_smt::model::Model;
@@ -196,8 +197,9 @@ fn default_jobs() -> usize {
 pub const SHARDS_PER_JOB: usize = 1;
 
 /// Fewest goals worth a session of their own: below this, the per-session
-/// set-up (term rebuild, solver and checker construction, re-encoding the
-/// sub-terms goals share across the cut) outweighs the overlap gained.
+/// set-up (materializing the core, solver and checker construction,
+/// re-encoding the sub-terms goals share across the cut) outweighs the
+/// overlap gained.
 pub const MIN_SHARD_GOALS: usize = 16;
 
 /// Plans how one sessioned assumption group is cut into session tasks:
@@ -515,13 +517,20 @@ fn presolve_live(live: &mut [Live]) {
     }
 }
 
-/// Planned stage: turns groups into pool tasks. A sessioned group's
-/// portable core is prepared here, caller-side (the caller owns the
-/// terms); a worker rebuilds it once and answers every goal on one live
-/// solver. It is one session unless [`shard_plan`] cuts it into several
-/// over contiguous goal chunks. Fresh discharge (`sessions` off) is the
-/// degenerate plan: every goal starts a chunk of its own.
-pub(crate) fn plan(groups: &[Group], sessions: bool, jobs: usize, cert: bool) -> Planned {
+/// Planned stage: turns groups into pool tasks. Each chunk's core is
+/// keyed here by the batch's keyer, caller-side (the caller owns the
+/// terms); a worker materializes it once and answers every goal on one
+/// live solver. A group is one session unless [`shard_plan`] cuts it
+/// into several over contiguous goal chunks. Fresh discharge (`sessions`
+/// off) is the degenerate plan: every goal is a chunk of its own, whose
+/// core is the goal's key.
+pub(crate) fn plan(
+    groups: &[Group],
+    sessions: bool,
+    jobs: usize,
+    cert: bool,
+    keyer: &mut Keyer,
+) -> Planned {
     let mut tasks: Vec<Task> = Vec::new();
     let chunks = groups
         .iter()
@@ -534,20 +543,12 @@ pub(crate) fn plan(groups: &[Group], sessions: bool, jobs: usize, cert: bool) ->
             let cfg = g.cfg;
             let chunk = |(k, &start): (usize, &usize)| {
                 let end = starts.get(k + 1).copied().unwrap_or(g.goals.len());
-                let (task, backmap): (Task, BackMap) = if sessions {
-                    let sp = prepare_session(&g.asms, &g.goals[start..end]);
-                    (
-                        Box::new(move || solve_session(&sp.core, cfg, None, cert)),
-                        sp.backmap,
-                    )
+                let (core, backmap) = keyer.chunk(&g.asms, &g.goals[start..end]);
+                tasks.push(if sessions {
+                    Box::new(move || solve_session(&core, cfg, None, cert))
                 } else {
-                    let sp = prepare(&g.asms, g.goals[start]);
-                    (
-                        Box::new(move || vec![solve_one(&sp.core, cfg, None, cert)]),
-                        sp.backmap,
-                    )
-                };
-                tasks.push(task);
+                    Box::new(move || vec![solve_one(&core, cfg, None, cert)])
+                });
                 Chunk {
                     start,
                     task: tasks.len() - 1,
@@ -716,7 +717,7 @@ impl Engine {
             &self.groups_fresh
         };
         counter.fetch_add(groups.len() as u64, Ordering::Relaxed);
-        let Planned { tasks, chunks } = plan(&groups, sessions, self.jobs(), self.cert);
+        let Planned { tasks, chunks } = plan(&groups, sessions, self.jobs(), self.cert, &mut keyer);
         let discharged = Discharged {
             chunks,
             raw: self.pool.run_batch(tasks),
@@ -922,8 +923,8 @@ impl Engine {
     /// certificate, a worker panic) before `Interrupted`. Every solved
     /// sub-query's certificate is tallied, and a solved conjunct's
     /// definitive verdict is stored under the conjunct's key, on the
-    /// way. A worker's countermodel is numbered in its chunk's session
-    /// core; it becomes a model over the caller's terms once, and a
+    /// way. A worker's countermodel is numbered in its chunk's core; it
+    /// becomes a model over the caller's terms once, and a
     /// conjunct stores that model's projection onto its own variables.
     pub(crate) fn recombine(&self, p: Pending, d: &Discharged) -> QueryOutcome {
         let Pending { label, subs, .. } = p;
@@ -1120,13 +1121,14 @@ pub fn countermodel_valid(
         .is_some_and(|m| assumptions.iter().all(|a| m.eval_bool(a.0)) && !m.eval_bool(goal.0))
 }
 
-/// Projects a caller-context model onto a back map's canonical indices —
-/// the inverse of [`portable_to_model`], used to record a finalized
-/// countermodel under the query's *raw* (pre-presolve) cache key. Every
-/// variable presolve narrowed was re-derived by finalization, so the raw back map covers everything the model needs;
-/// model entries the map doesn't reach are don't-cares and stay out. UF
-/// rows are sorted so the portable form (and hence the cache bytes) is
-/// deterministic.
+/// Projects a model onto a back map's canonical indices — the inverse of
+/// [`portable_to_model`]. A worker projects its solver's model through
+/// its materialized core's map; finalization projects a countermodel
+/// through the query's *raw* (pre-presolve) map to record it under the
+/// raw key, and every variable presolve narrowed was re-derived by then,
+/// so that map covers everything the model needs. Model entries the map
+/// doesn't reach are don't-cares and stay out. UF rows are sorted so the
+/// portable form (and hence the cache bytes) is deterministic.
 pub fn portable_of_caller_model(m: &Model, backmap: &BackMap) -> PortableModel {
     let mut pm = PortableModel::default();
     for (k, origin) in backmap.vars.iter().enumerate() {

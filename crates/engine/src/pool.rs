@@ -13,8 +13,8 @@
 //! one mostly idle checker beside its solver.
 //!
 //! A task never runs on the submitting thread, even with `jobs = 1`:
-//! tasks `reset_ctx()` to rebuild their query, and the caller owns live
-//! terms. Each task runs under `catch_unwind`, so a poisoned query fails
+//! tasks `reset_ctx()` to materialize their core, and the caller owns
+//! live terms. Each task runs under `catch_unwind`, so a poisoned query fails
 //! alone, and results come back **in submission order** whatever the
 //! completion order or worker count — the basis of the engine's
 //! determinism guarantee.

@@ -1,16 +1,16 @@
-//! Worker-side solving: rebuild the portable form in the worker's own
-//! term context, discharge it, and translate any model into a portable
+//! Worker-side solving: materialize a core in the worker's own term
+//! context, discharge it, and translate any model into a portable
 //! shape. Every query is solved once, on one solver: a fresh one per
 //! query ([`solve_one`]) or one live session per assumption group
 //! ([`solve_session`]).
 
-use crate::form::{rebuild, rebuild_session, FormCore, SessionCore, SessionRebuilt};
+use crate::form::{Core, Materialized};
+use crate::portable_of_caller_model;
 use serval_check::sim;
 use serval_sat::{ProofLog, StepKind};
-use serval_smt::model::Model;
 use serval_smt::session::{Session, SessionProof};
 use serval_smt::solver::{check_full, check_full_proof, CheckResult, QueryStats, SolverConfig};
-use serval_smt::term::{reset_ctx, Sort, TermId, UfId};
+use serval_smt::term::reset_ctx;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -57,7 +57,8 @@ pub struct RawOutcome {
     pub cert_error: Option<String>,
 }
 
-/// Solves `core` under one configuration in a fresh term context.
+/// Solves a one-goal `core` — its assumptions and its negated goal, as
+/// one root set — under one configuration in a fresh term context.
 ///
 /// With `cert` on, the solver logs a DRAT-style proof and an `Unsat`
 /// answer is upgraded to `Proved` only after the independent checker
@@ -71,17 +72,18 @@ pub struct RawOutcome {
 /// Must run on a thread whose term context is disposable (a pool
 /// worker): the context is reset first.
 pub fn solve_one(
-    core: &FormCore,
+    core: &Core,
     cfg: SolverConfig,
     cancel: Option<Arc<AtomicBool>>,
     cert: bool,
 ) -> RawOutcome {
     reset_ctx();
-    let rq = rebuild(core);
+    let m = core.materialize(true);
+    let roots = [&m.assumptions[..], &m.goals[..]].concat();
     let mut out = if cert {
-        check_full_proof(cfg, &rq.roots, cancel)
+        check_full_proof(cfg, &roots, cancel)
     } else {
-        check_full(cfg, &rq.roots, cancel)
+        check_full(cfg, &roots, cancel)
     };
     // Buggify: hand the checker a proof missing its last step (as a
     // flaky solver or a torn proof log would). The only acceptable
@@ -110,48 +112,11 @@ pub fn solve_one(
         CheckResult::Unsat => RawVerdict::Proved,
         CheckResult::Unknown => RawVerdict::Unknown,
         CheckResult::Interrupted => RawVerdict::Interrupted,
-        CheckResult::Sat(model) => RawVerdict::Refuted(portable_of_model(
-            &model,
-            &core.var_sorts,
-            &rq.var_terms,
-            &rq.uf_ids,
-        )),
+        CheckResult::Sat(model) => {
+            RawVerdict::Refuted(portable_of_caller_model(&model, &m.backmap))
+        }
     };
     RawOutcome { verdict, stats, cert_hash, cert_error }
-}
-
-/// Projects a worker-side [`Model`] onto canonical var/UF indices so it
-/// survives the trip back to the submitting thread.
-fn portable_of_model(
-    model: &Model,
-    var_sorts: &[Sort],
-    var_terms: &[TermId],
-    uf_ids: &[UfId],
-) -> PortableModel {
-    let mut pm = PortableModel::default();
-    for (k, &t) in var_terms.iter().enumerate() {
-        match var_sorts[k] {
-            Sort::Bool => {
-                if let Some(&b) = model.bool_values.get(&t) {
-                    pm.bools.push((k as u32, b));
-                }
-            }
-            Sort::BitVec(_) => {
-                if let Some(&v) = model.bv_values.get(&t) {
-                    pm.bvs.push((k as u32, v));
-                }
-            }
-        }
-    }
-    for (k, uf) in uf_ids.iter().enumerate() {
-        if let Some(table) = model.uf_tables.get(uf) {
-            let mut rows: Vec<(Vec<u128>, u128)> =
-                table.iter().map(|(a, &r)| (a.clone(), r)).collect();
-            rows.sort();
-            pm.ufs.push((k as u32, rows));
-        }
-    }
-    pm
 }
 
 /// Goal deltas a certified session may hand its checker ahead of the
@@ -172,7 +137,7 @@ pub(crate) struct GoalCert {
     pub(crate) wall: Duration,
 }
 
-/// Discharges a whole session core on one live solver: the shared
+/// Discharges a whole core on one live solver: the shared
 /// assumptions are asserted (and blasted) once, then every goal is
 /// answered in submission order with per-goal activation literals (see
 /// [`serval_smt::Session`]). Returns one outcome per goal, in order.
@@ -198,7 +163,7 @@ pub(crate) struct GoalCert {
 /// Must run on a thread whose term context is disposable (a pool
 /// worker): the context is reset first.
 pub fn solve_session(
-    core: &SessionCore,
+    core: &Core,
     cfg: SolverConfig,
     cancel: Option<Arc<AtomicBool>>,
     cert: bool,
@@ -211,7 +176,7 @@ pub fn solve_session(
                 .name("serval-engine-check".to_string())
                 .spawn_scoped(s, move || check_deltas(rx))
                 .expect("spawn certificate checker");
-            let out = solve_goals(&mut session, core, &rq, |delta| {
+            let out = solve_goals(&mut session, &rq, |delta| {
                 // A send fails only if the checker died; its join says so.
                 let _ = tx.send(delta);
             });
@@ -220,7 +185,7 @@ pub fn solve_session(
             (out, certs)
         })
     } else {
-        (solve_goals(&mut session, core, &rq, |_| {}), Vec::new())
+        (solve_goals(&mut session, &rq, |_| {}), Vec::new())
     };
     // A logging session sends one delta per solved goal, in order; the
     // goals skipped after an interrupt sent none.
@@ -236,25 +201,25 @@ pub fn solve_session(
     out
 }
 
-/// Rebuilds `core` in a fresh term context and opens its session: the
-/// base assumed, the goal stream announced.
+/// Materializes `core` in a fresh term context, its goals negated, and
+/// opens its session: the base assumed, the goal stream announced.
 pub(crate) fn open_session(
-    core: &SessionCore,
+    core: &Core,
     cfg: SolverConfig,
     cancel: Option<Arc<AtomicBool>>,
     cert: bool,
-) -> (SessionRebuilt, Session) {
+) -> (Materialized, Session) {
     reset_ctx();
-    let rq = rebuild_session(core);
+    let rq = core.materialize(true);
     let mut session = Session::new(cfg, cancel);
     session.set_proof_logging(cert);
-    for &a in &rq.base {
+    for &a in &rq.assumptions {
         session.assume(a);
     }
     // Announcing the goal stream up front lets the session *retire*
     // terms after their last use — purging dead goals' gate clauses
     // keeps long sessions' watch lists near the live-cone size.
-    session.plan_goals(&rq.neg_goals);
+    session.plan_goals(&rq.goals);
     (rq, session)
 }
 
@@ -264,13 +229,12 @@ pub(crate) fn open_session(
 /// `Proved` here; a certified caller demotes it if the check fails.
 pub(crate) fn solve_goals(
     session: &mut Session,
-    core: &SessionCore,
-    rq: &SessionRebuilt,
+    rq: &Materialized,
     mut on_delta: impl FnMut((SessionProof, bool)),
 ) -> Vec<RawOutcome> {
-    let mut out = Vec::with_capacity(rq.neg_goals.len());
+    let mut out = Vec::with_capacity(rq.goals.len());
     let mut dead = false;
-    for &ng in &rq.neg_goals {
+    for &ng in &rq.goals {
         if dead {
             out.push(RawOutcome {
                 verdict: RawVerdict::Interrupted,
@@ -301,12 +265,9 @@ pub(crate) fn solve_goals(
                 dead = true;
                 RawVerdict::Interrupted
             }
-            CheckResult::Sat(model) => RawVerdict::Refuted(portable_of_model(
-                &model,
-                &core.var_sorts,
-                &rq.var_terms,
-                &rq.uf_ids,
-            )),
+            CheckResult::Sat(model) => {
+                RawVerdict::Refuted(portable_of_caller_model(&model, &rq.backmap))
+            }
         };
         let stats = so.stats;
         out.push(RawOutcome { verdict, stats, cert_hash: 0, cert_error: None });

@@ -3,7 +3,7 @@
 //! each stage of `submit_batch` driven alone on hand-built input.
 
 use crate::cache::CachedVerdict;
-use crate::form::{prepare, split_goal, Keyer, Query};
+use crate::form::{split_goal, BackMap, Core, Keyer, Query};
 use crate::pool::Pool;
 use crate::solve::{PortableModel, RawOutcome, RawVerdict};
 use crate::{Chunk, Discharged, Fixup, Live, Pending, Sub};
@@ -11,6 +11,16 @@ use crate::{DischargeMode, Engine, EngineCfg};
 use serval_check::prelude::*;
 use serval_smt::solver::{SolverConfig, VerifyResult};
 use serval_smt::{reset_ctx, verify, SBool, BV};
+
+/// A query's key: its wire bytes, from a fresh keyer.
+fn key(assumptions: &[SBool], goal: SBool) -> Vec<u8> {
+    Keyer::new().wire(assumptions, goal).to_vec()
+}
+
+/// A query's one-goal core and back map, from a fresh keyer.
+fn keyed(assumptions: &[SBool], goal: SBool) -> (Core, BackMap) {
+    Keyer::new().chunk(assumptions, &[goal])
+}
 
 fn local_engine(jobs: usize) -> Engine {
     Engine::new(EngineCfg { jobs, ..EngineCfg::default() })
@@ -42,13 +52,13 @@ fn alpha_renamed_queries_share_a_key() {
     reset_ctx();
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
-    let k1 = prepare(&[x.ult(y)], (x + y).eq_((y + x) & BV::lit(32, u128::MAX))).key;
+    let k1 = key(&[x.ult(y)], (x + y).eq_((y + x) & BV::lit(32, u128::MAX)));
 
     reset_ctx();
     let _decoy = BV::fresh(8, "decoy"); // shifts all ordinals
     let b = BV::fresh(32, "banana");
     let a = BV::fresh(32, "apple");
-    let k2 = prepare(&[a.ult(b)], (a + b).eq_((b + a) & BV::lit(32, u128::MAX))).key;
+    let k2 = key(&[a.ult(b)], (a + b).eq_((b + a) & BV::lit(32, u128::MAX)));
     assert_eq!(k1, k2);
 }
 
@@ -62,8 +72,8 @@ fn assumption_order_does_not_change_the_key() {
     let a1 = x.ult(y);
     let a2 = y.ule(z);
     let goal = x.ult(z);
-    let k_fwd = prepare(&[a1, a2], goal).key;
-    let k_rev = prepare(&[a2, a1], goal).key;
+    let k_fwd = key(&[a1, a2], goal);
+    let k_rev = key(&[a2, a1], goal);
     assert_eq!(k_fwd, k_rev);
 }
 
@@ -73,8 +83,8 @@ fn duplicate_and_trivial_assumptions_normalize_away() {
     let x = BV::fresh(16, "x");
     let y = BV::fresh(16, "y");
     let goal = (x + y).eq_(y + x);
-    let plain = prepare(&[x.ult(y)], goal).key;
-    let noisy = prepare(&[x.ult(y), SBool::lit(true), x.ult(y)], goal).key;
+    let plain = key(&[x.ult(y)], goal);
+    let noisy = key(&[x.ult(y), SBool::lit(true), x.ult(y)], goal);
     assert_eq!(plain, noisy);
 }
 
@@ -100,7 +110,7 @@ fn distinct_queries_get_distinct_keys() {
     ];
     let keys: Vec<Vec<u8>> = queries
         .iter()
-        .map(|(a, g)| prepare(a, *g).key)
+        .map(|(a, g)| key(a, *g))
         .collect();
     for i in 0..keys.len() {
         for j in (i + 1)..keys.len() {
@@ -147,7 +157,7 @@ proptest! {
                 2 => ((x | y) - (x & y)).eq_(x ^ y),
                 _ => (x ^ y).eq_((x | y) & !(x & y)),
             };
-            prepare(&assumptions, goal).key
+            key(&assumptions, goal)
         };
         let k1 = build(false, "a");
         let k2 = build(true, "b");
@@ -158,21 +168,28 @@ proptest! {
 #[test]
 fn cache_key_is_the_full_serialization() {
     // Key equality must imply structural equality of the query: the key
-    // is the wire serialization, bit for bit, and the solver's core is
-    // the wire walk's nodes plus the negated goal.
-    use crate::form::{prepare_wire, wire_bytes};
-    use serval_smt::term::Op;
+    // is the wire serialization, bit for bit, and a group's one-goal core
+    // — what a worker solves — is the conjunct's key itself.
     reset_ctx();
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
-    let goal = (x - y).ult(y - x);
-    let p = prepare(&[x.ult(y)], goal);
-    let w = prepare_wire(&[x.ult(y)], goal).core;
-    assert_eq!(p.key, wire_bytes(&w));
-    let not = p.core.nodes.last().expect("the negated goal");
-    assert_eq!((&not.op, &not.children[..]), (&Op::Not, &[w.goal_root][..]));
-    assert_eq!(p.core.nodes[..w.nodes.len()], w.nodes[..]);
-    assert_eq!(p.core.roots, [w.asm_roots[..].to_vec(), vec![w.nodes.len() as u32]].concat());
+    let base = vec![y.ult(x), x.ult(BV::lit(32, 1000))];
+    let (c1, c2) = ((x - y).ult(y - x), (x & y).ule(y));
+    let engine = local_engine(1);
+    let mut keyer = Keyer::new();
+    let crate::Prepared { mut slots, live } =
+        engine.prepare_batch(vec![q("c1&c2", base, c1 & c2)], &mut keyer);
+    let keyed = engine.key_batch(live, &mut slots, &mut keyer);
+    let [g] = &keyed.groups[..] else { panic!("one group") };
+    let [p] = &keyed.pending[..] else { panic!("one query pending") };
+    assert_eq!(p.subs.len(), 2, "the goal split");
+    for (i, sub) in p.subs.iter().enumerate() {
+        let Sub::Wait { goal, conjunct: Some((key, _)), .. } = sub else {
+            panic!("conjunct {i} waits")
+        };
+        let (core, _) = keyer.chunk(&g.asms, &g.goals[*goal..*goal + 1]);
+        assert_eq!((core.bytes(), core.goals()), (&key[..], 1), "conjunct {i}");
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -215,16 +232,15 @@ fn golden_queries() -> Vec<(&'static str, Vec<SBool>, SBool)> {
 
 #[test]
 fn key_and_wire_bytes_match_the_pinned_digests() {
-    // FNV-1a of `prepare(..).key` and of the wire bytes — one normal form
+    // FNV-1a of the key and of a one-goal core's bytes — one normal form
     // now, so one column — taken at the commit before the three walkers
     // in `form.rs` became one keyer: disk caches, admission lookups and
     // shard routing all hang off these bytes.
-    use crate::form::{prepare_wire, wire_bytes};
     let got: Vec<(&str, u64, u64)> = golden_queries()
         .into_iter()
         .map(|(name, asms, goal)| {
-            let key = fnv1a(&prepare(&asms, goal).key);
-            (name, key, fnv1a(&wire_bytes(&prepare_wire(&asms, goal).core)))
+            let core = fnv1a(keyed(&asms, goal).0.bytes());
+            (name, fnv1a(&key(&asms, goal)), core)
         })
         .collect();
     let pinned: Vec<(&str, u64, u64)> = PINNED_BYTES.iter().map(|&(n, w)| (n, w, w)).collect();
@@ -246,31 +262,37 @@ const PINNED_BYTES: [(&str, u64); 12] = [
     ("true-goal", 0x86f65abb92d0638d),
 ];
 
-/// A decoded frame whose goal is one `And` of 10^5 variables rebuilds
-/// into a single spilled node with every child in frame order.
+/// A decoded frame whose goal is one `And` of 10^5 variables
+/// materializes into a single spilled node with every child in frame
+/// order. The frame is written byte by byte, in the `SW1` layout.
 #[test]
 fn a_wide_and_decodes_into_one_spilled_node() {
-    use crate::form::{rebuild_wire, wire_bytes, wire_from_bytes, FormNode, WireCore};
-    use serval_smt::term::{Op, Sort};
+    use serval_smt::term::Op;
     const N: u32 = 100_000;
-    let var = |k: u32| FormNode { op: Op::Var(k), children: vec![], sort: Sort::Bool };
-    let mut nodes: Vec<FormNode> = (0..N).map(var).collect();
-    nodes.push(FormNode { op: Op::And, children: (0..N).collect(), sort: Sort::Bool });
-    let core = WireCore {
-        nodes,
-        asm_roots: vec![],
-        goal_root: N,
-        var_sorts: vec![Sort::Bool; N as usize],
-        uf_sigs: Vec::<(Vec<u32>, u32)>::new(),
-    };
-    let bytes = wire_bytes(&core);
-    let decoded = wire_from_bytes(&bytes).expect("a wide And is a valid frame");
+    let mut frame = b"SW1\0".to_vec();
+    frame.extend_from_slice(&N.to_le_bytes());
+    frame.extend(std::iter::repeat_n(0u8, N as usize)); // N Bool vars
+    frame.extend_from_slice(&0u32.to_le_bytes()); // no UFs
+    frame.extend_from_slice(&(N + 1).to_le_bytes()); // nodes
+    for k in 0..N {
+        frame.push(2); // Var k: Bool, no children
+        frame.extend_from_slice(&k.to_le_bytes());
+        frame.extend_from_slice(&[0, 0, 0, 0, 0]);
+    }
+    frame.extend_from_slice(&[4, 0]); // And: Bool, N children
+    frame.extend_from_slice(&N.to_le_bytes());
+    for k in 0..N {
+        frame.extend_from_slice(&k.to_le_bytes());
+    }
+    frame.extend_from_slice(&0u32.to_le_bytes()); // no assumptions
+    frame.extend_from_slice(&N.to_le_bytes()); // the goal
+    let core = Core::decode(frame).expect("a wide And is a valid frame");
     reset_ctx();
-    let rebuilt = rebuild_wire(&decoded);
+    let m = core.materialize(false);
     serval_smt::with_ctx(|c| {
-        let goal = c.term(rebuilt.goal.0);
+        let goal = c.term(m.goals[0].0);
         assert_eq!(goal.op, Op::And);
-        let vars: Vec<_> = rebuilt.backmap.vars.iter().map(|v| v.term).collect();
+        let vars: Vec<_> = m.backmap.vars.iter().map(|v| v.term).collect();
         assert_eq!(&goal.children[..], &vars[..]);
         assert_eq!(c.num_terms(), N as usize + 1);
     });
@@ -286,7 +308,7 @@ fn duplicate_roots_cost_one_pass_and_key_like_their_deduplicated_self() {
     let once: Vec<SBool> = (0..4096).map(|_| SBool::fresh("p")).collect();
     let twice: Vec<SBool> = once.iter().chain(&once).copied().collect();
     let goal = SBool::fresh("g");
-    assert_eq!(prepare(&twice, goal).key, prepare(&once, goal).key);
+    assert_eq!(key(&twice, goal), key(&once, goal));
 }
 
 /// The keyer suite's random queries: one per six picks, all in one
@@ -332,49 +354,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// One keyer over 64 random queries of one context agrees with a
-    /// one-shot `prepare` per query on key, backmap and core, and with
-    /// `prepare_wire` on the wire bytes: a stale stamp, a stale
-    /// local-key memo or a table that did not grow would not.
+    /// fresh keyer per query on key, backmap and one-goal core, and its
+    /// core is its key: a stale stamp, a stale local-key memo or a table
+    /// that did not grow would not.
     #[test]
     fn prop_a_reused_keyer_matches_one_shot_prepare(
         picks in prop::collection::vec(any::<u8>(), 64 * 6),
     ) {
-        use crate::form::{prepare_wire, wire_bytes};
         let mut keyer = Keyer::new();
         for_each_random_query(&picks, |assumptions, goal| {
-            let one = prepare(assumptions, goal);
-            prop_assert_eq!(keyer.wire(assumptions, goal), &one.key[..]);
-            let origins = |m: &crate::form::BackMap| {
+            let (core, backmap) = keyed(assumptions, goal);
+            prop_assert_eq!(keyer.wire(assumptions, goal), core.bytes());
+            let origins = |m: &BackMap| {
                 let vars: Vec<_> = m.vars.iter().map(|v| (v.term, v.sort)).collect();
                 (vars, m.ufs.clone())
             };
-            prop_assert_eq!(origins(keyer.backmap()), origins(&one.backmap));
-            let core = keyer.core();
-            prop_assert_eq!(
-                (&core.nodes, &core.roots, &core.var_sorts, &core.uf_sigs, core.trivially_unsat),
-                (&one.core.nodes, &one.core.roots, &one.core.var_sorts, &one.core.uf_sigs, one.core.trivially_unsat)
-            );
-            let wire = wire_bytes(&prepare_wire(assumptions, goal).core);
-            prop_assert_eq!(keyer.bytes(), &wire[..]);
+            prop_assert_eq!(origins(keyer.backmap()), origins(&backmap));
+            let (reused, _) = keyer.chunk(assumptions, &[goal]);
+            prop_assert_eq!(&reused, &core);
+            prop_assert_eq!(core.trivially_unsat, crate::form::folds(assumptions, goal));
         });
     }
 
     /// What a server's admission relies on: the bytes a client sends are
     /// the key the server's engine stores the query under. Decoding them,
-    /// rebuilding the core as real terms and encoding again reproduces
-    /// them exactly, and `prepare` keys the query by them.
+    /// materializing the core as real terms and keying again reproduces
+    /// them exactly.
     #[test]
     fn prop_wire_bytes_are_a_fixpoint_and_the_cache_key(
         picks in prop::collection::vec(any::<u8>(), 64 * 6),
     ) {
-        use crate::form::{rebuild_wire, wire_from_bytes};
         let mut keyer = Keyer::new();
         for_each_random_query(&picks, |assumptions, goal| {
             let sent = keyer.wire(assumptions, goal).to_vec();
-            prop_assert_eq!(prepare(assumptions, goal).key, sent);
-            let rebuilt = rebuild_wire(&wire_from_bytes(&sent).expect("own bytes decode"));
+            let core = Core::decode(sent.clone()).expect("own bytes decode");
+            prop_assert_eq!(&core, &keyed(assumptions, goal).0);
+            let m = core.materialize(false);
             let mut server = Keyer::new();
-            prop_assert_eq!(server.wire(&rebuilt.assumptions, rebuilt.goal), &sent[..]);
+            prop_assert_eq!(server.wire(&m.assumptions, m.goals[0]), &sent[..]);
         });
     }
 }
@@ -458,7 +475,7 @@ fn pool_never_runs_a_task_on_the_callers_thread() {
     let x = BV::fresh(32, "x");
     let y = BV::fresh(32, "y");
     let goal = (x + y).eq_(y + x) & x.ule(x | y);
-    let key = prepare(&[x.ult(y)], goal).key;
+    let before = key(&[x.ult(y)], goal);
     let tasks: Vec<Box<dyn FnOnce() -> bool + Send>> = (0..4u32)
         .map(|i| {
             Box::new(move || {
@@ -469,7 +486,7 @@ fn pool_never_runs_a_task_on_the_callers_thread() {
         })
         .collect();
     assert_eq!(Pool::new(1).run_batch(tasks), vec![Ok(true); 4]);
-    assert_eq!(prepare(&[x.ult(y)], goal).key, key, "the caller's terms survived");
+    assert_eq!(key(&[x.ult(y)], goal), before, "the caller's terms survived");
     assert!(verify(&[x.ult(y)], goal).is_proved());
 }
 
@@ -787,12 +804,12 @@ fn poisoned_refuted_entry_is_evicted_and_resolved() {
         let engine = cert_matrix_engine(true, true, presolve, true);
         let poisoned = (x & y).ule(x);
         let goal = if conjunct { poisoned & (x | y).uge(x) } else { poisoned };
-        let prepared = prepare(&[], poisoned);
+        let (core, backmap) = keyed(&[], poisoned);
         let mut bogus = PortableModel::default();
-        for (i, _) in prepared.backmap.vars.iter().enumerate() {
+        for (i, _) in backmap.vars.iter().enumerate() {
             bogus.bvs.push((i as u32, 7));
         }
-        engine.cache.insert(prepared.key.clone(), CachedVerdict::Refuted(bogus));
+        engine.cache.insert(core.bytes().to_vec(), CachedVerdict::Refuted(bogus));
         // The hit revalidates the stored model against the term
         // semantics, finds it does not refute the goal, evicts, and
         // re-solves.
@@ -807,7 +824,7 @@ fn poisoned_refuted_entry_is_evicted_and_resolved() {
         assert_eq!(engine.cache_stats().0, 0, "[{layer}] the eviction reclassifies the hit");
         // The poisoned entry is gone: the slot now holds the proved verdict.
         assert!(
-            matches!(engine.cache.get(&prepared.key), Some(CachedVerdict::Proved { .. })),
+            matches!(engine.cache.get(core.bytes()), Some(CachedVerdict::Proved { .. })),
             "[{layer}]"
         );
         let o = engine.submit(q("p", vec![], goal));
@@ -1009,7 +1026,7 @@ fn external_cancel_interrupts_a_running_solve() {
     // verdict other than Interrupted means the external cancel never
     // reached the running search. (Commutativity identities cannot be
     // used here: the term builder folds them to `true` at construction.)
-    let prepared = prepare(&[], (x * (y + z)).eq_(x * y + x * z));
+    let (core, _) = keyed(&[], (x * (y + z)).eq_(x * y + x * z));
     let cancel = Arc::new(AtomicBool::new(false));
     let killer = {
         let cancel = Arc::clone(&cancel);
@@ -1018,7 +1035,7 @@ fn external_cancel_interrupts_a_running_solve() {
             cancel.store(true, Ordering::Relaxed);
         })
     };
-    let out = solve_one(&prepared.core, SolverConfig::default(), Some(cancel), false);
+    let out = solve_one(&core, SolverConfig::default(), Some(cancel), false);
     killer.join().unwrap();
     assert!(
         matches!(out.verdict, RawVerdict::Interrupted),
@@ -1822,12 +1839,13 @@ fn planned_stage_makes_one_task_per_session_or_per_goal() {
     };
     // Sessions: one task per group; an assumption-free group alone on an
     // idle pool is cut, tasks numbered group-major.
-    let p = plan(&[based, free()], true, 2, true);
+    let mut keyer = Keyer::new();
+    let p = plan(&[based, free()], true, 2, true, &mut keyer);
     assert_eq!((p.tasks.len(), shape(&p)), (2, vec![vec![(0, 0)], vec![(0, 1)]]));
-    let p = plan(&[free()], true, 2, true);
+    let p = plan(&[free()], true, 2, true, &mut keyer);
     assert_eq!((p.tasks.len(), shape(&p)), (2, vec![vec![(0, 0), (MIN, 1)]]));
     // Fresh discharge is the degenerate plan: every goal its own chunk.
-    let p = plan(&[free(), free()], false, 2, true);
+    let p = plan(&[free(), free()], false, 2, true, &mut keyer);
     let per_goal = |first: usize| (0..2 * MIN).map(|i| (i, first + i)).collect::<Vec<_>>();
     assert_eq!((p.tasks.len(), shape(&p)), (4 * MIN, vec![per_goal(0), per_goal(2 * MIN)]));
 }
@@ -1842,7 +1860,7 @@ fn recombined_stage_folds_sub_verdicts() {
     reset_ctx();
     let x = BV::fresh(16, "x");
     let goal = x.ult(BV::lit(16, 9));
-    let backmap = prepare(&[], goal).backmap;
+    let backmap = keyed(&[], goal).1;
     let x_is = |v: u128| PortableModel { bvs: vec![(0, v)], ..Default::default() };
     // Sub-query `i` waits on goal `i` of the one group, whose one task
     // returned `outs` (or panicked); `ready` sub-queries come first. The
@@ -1933,14 +1951,14 @@ fn every_probe_is_counted_and_a_presolved_twin_is_solved() {
     let z = BV::fresh(16, "z");
     let engine = local_engine(1);
     let goal = (x & z).ule(z);
-    let p = prepare(&[], goal);
+    let (core, backmap) = keyed(&[], goal);
     let bogus = PortableModel { bvs: vec![(0, 7), (1, 7)], ..Default::default() };
     engine.cache().insert(b"stored".to_vec(), CachedVerdict::Proved { cert: 9 });
-    engine.cache().insert(p.key.clone(), CachedVerdict::Refuted(bogus));
-    assert!(engine.probe(b"stored", &p.backmap, &[], goal).is_some());
-    assert!(engine.probe(b"absent", &p.backmap, &[], goal).is_none());
+    engine.cache().insert(core.bytes().to_vec(), CachedVerdict::Refuted(bogus));
+    assert!(engine.probe(b"stored", &backmap, &[], goal).is_some());
+    assert!(engine.probe(b"absent", &backmap, &[], goal).is_none());
     assert_eq!(engine.cache_stats(), (1, 1));
-    assert!(engine.probe(&p.key, &p.backmap, &[], goal).is_none(), "evicted, not returned");
+    assert!(engine.probe(core.bytes(), &backmap, &[], goal).is_none(), "evicted, not returned");
     assert_eq!((engine.cache_stats(), engine.cache().len()), ((1, 2), 1), "an evicted entry is a miss");
 
     // End to end: `with` misses under its raw key and presolve narrows
@@ -2065,10 +2083,10 @@ const PINNED_SWEEP_2: u64 = 0xb1973ddd85097597;
 
 /// A session core with a base, so it stays one session whatever the
 /// worker count: goal `i` proves on even `i` and refutes on odd `i`.
-fn certified_core() -> crate::form::SessionCore {
+fn certified_core() -> Core {
     reset_ctx();
     let base = BV::fresh(16, "y").ult(BV::lit(16, 9));
-    crate::form::prepare_session(&[base], &shardable_goals(8)).core
+    Keyer::new().chunk(&[base], &shardable_goals(8)).0
 }
 
 /// Runs `f` on a scratch thread, as a pool worker would: opening a
@@ -2087,7 +2105,7 @@ fn the_trailing_checker_matches_an_in_thread_check_and_poisons_what_follows() {
     let deltas = on_worker(|| {
         let (rq, mut session) = open_session(&core, cfg, None, true);
         let mut deltas = Vec::new();
-        solve_goals(&mut session, &core, &rq, |d| deltas.push(d));
+        solve_goals(&mut session, &rq, |d| deltas.push(d));
         deltas
     });
     let unsat: Vec<bool> = deltas.iter().map(|d| d.1).collect();
@@ -2142,7 +2160,7 @@ fn a_cancelled_certified_session_neither_hangs_nor_drops_a_goal() {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     let core = certified_core();
-    let n = core.goal_roots.len();
+    let n = core.goals();
     // Not scoped: if the session hung, the test must fail, not wait.
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {

@@ -340,7 +340,9 @@ fn connection(stream: TcpStream, core: Arc<ServerCore>, shard_txs: Vec<Sender<Sh
                 if !gate.acquire() {
                     break; // writer is gone
                 }
-                let (mut slots, buckets) = core.place(queries);
+                let mut slots: Vec<Option<WireOutcome>> =
+                    (0..queries.len()).map(|_| None).collect();
+                let buckets = core.place(&mut slots, queries);
                 let (tx, rx) = mpsc::channel::<(usize, WireOutcome)>();
                 for (home, batch) in buckets.into_iter().enumerate() {
                     if batch.is_empty() {

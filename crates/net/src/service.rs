@@ -16,8 +16,8 @@
 //! exercised under seeded hostile schedules without real sockets.
 //!
 //! Shard discharge runs on a scratch thread per shard
-//! (`std::thread::scope`), never on the caller's thread: rebuilding a
-//! wire core calls `reset_ctx()`, and the dispatching thread (a
+//! (`std::thread::scope`), never on the caller's thread: materializing a
+//! core calls `reset_ctx()`, and the dispatching thread (a
 //! connection reader, or a sim scenario holding its own terms) must keep
 //! its term context intact.
 
@@ -27,9 +27,9 @@ use crate::wire::{
 use crate::fnv64;
 use serval_check::runner::panic_message;
 use serval_check::sim;
-use serval_engine::form::{self, WireCore};
+use serval_engine::form::{self, Core};
 use serval_engine::{Engine, EngineCfg, Query};
-use serval_smt::solver::VerifyResult;
+use serval_smt::solver::{SolverConfig, VerifyResult};
 use serval_smt::term::reset_ctx;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,15 +93,17 @@ impl NetCfg {
     }
 }
 
-/// A query routed to a shard, tagged with its slot in the batch.
+/// An admitted query, tagged with its slot in the batch.
 pub struct RoutedQuery {
     /// Index into the submitting batch.
     pub slot: usize,
-    /// The query.
-    pub query: WireQuery,
-    /// Its core as admission decoded it: a shard never sees bytes that
-    /// were not validated.
-    pub core: WireCore,
+    /// Theorem label, echoed back in reports.
+    pub label: String,
+    /// Solver configuration.
+    pub cfg: SolverConfig,
+    /// The frame's bytes as admission validated them, one goal: a shard
+    /// never sees bytes that were not validated.
+    pub core: Core,
 }
 
 #[derive(Default)]
@@ -141,8 +143,8 @@ impl Shard {
 
     /// Discharges a routed batch, returning `(slot, outcome)` pairs.
     ///
-    /// Must run on a thread whose term context is disposable (the wire
-    /// cores are rebuilt into a fresh context here). Panics anywhere in
+    /// Must run on a thread whose term context is disposable (the cores
+    /// are materialized into a fresh context here). Panics anywhere in
     /// the pipeline are caught and reported as error outcomes — a
     /// hostile or buggy batch must never take the server down.
     pub fn discharge(&self, batch: Vec<RoutedQuery>) -> Vec<(usize, WireOutcome)> {
@@ -169,14 +171,14 @@ impl Shard {
         let mut queries: Vec<Query> = Vec::new();
         let mut pending: Vec<(usize, form::BackMap)> = Vec::new();
         for rq in batch {
-            let wr = form::rebuild_wire(&rq.core);
+            let m = rq.core.materialize(false);
             queries.push(Query {
-                label: rq.query.label,
-                assumptions: wr.assumptions,
-                goal: wr.goal,
-                cfg: rq.query.cfg,
+                label: rq.label,
+                assumptions: m.assumptions,
+                goal: m.goals[0],
+                cfg: rq.cfg,
             });
-            pending.push((rq.slot, wr.backmap));
+            pending.push((rq.slot, m.backmap));
         }
         let outcomes = self.engine.submit_batch(queries);
         for (outcome, (slot, backmap)) in outcomes.into_iter().zip(pending) {
@@ -216,9 +218,9 @@ pub(crate) enum Step {
     Reply(Msg),
     /// Write this message, then close the connection.
     Close(Msg),
-    /// A validated batch, each query beside its decoded core: discharge
-    /// it and answer with a `BatchReply`.
-    Dispatch { id: u64, queries: Vec<(WireQuery, WireCore)> },
+    /// A validated batch, each query admitted with its slot: discharge it
+    /// and answer with a `BatchReply`.
+    Dispatch { id: u64, queries: Vec<RoutedQuery> },
 }
 
 /// The sharded discharge service (everything but the sockets).
@@ -292,34 +294,38 @@ impl ServerCore {
         (fnv64(core_bytes) % self.shards.len() as u64) as usize
     }
 
-    /// Decodes every query core in a batch — the one validation a core
-    /// gets; what it yields travels with the query from here on — so
-    /// garbage becomes a protocol error, not a queued job.
-    fn decode_batch(queries: Vec<WireQuery>) -> Result<Vec<(WireQuery, WireCore)>, String> {
-        let decode = |(i, q): (usize, WireQuery)| match form::wire_from_bytes(&q.core_bytes) {
-            Ok(core) => Ok((q, core)),
-            Err(why) => Err(format!("query {i} ({}): {why}", q.label)),
-        };
-        queries.into_iter().enumerate().map(decode).collect()
+    /// Admits query `slot` of a batch: its frame is validated into a
+    /// [`Core`] — the one validation a frame gets; the core travels with
+    /// the query from here on — and must carry exactly one goal.
+    fn admit(slot: usize, q: WireQuery) -> Result<RoutedQuery, String> {
+        let core = Core::decode(q.core_bytes).and_then(|core| match core.goals() {
+            1 => Ok(core),
+            _ => Err("a query frame carries exactly one goal root"),
+        });
+        match core {
+            Ok(core) => Ok(RoutedQuery { slot, label: q.label, cfg: q.cfg, core }),
+            Err(why) => Err(format!("query {slot} ({}): {why}", q.label)),
+        }
     }
 
-    /// Admits a decoded batch: a query its home shard's engine has
+    /// Places an admitted batch: a query its home shard's engine has
     /// already proved is answered in place, from that engine's cache
     /// under the query's own frame bytes ([`Engine::proved`]); the rest
     /// are bucketed by home shard. A cached `Refuted` verdict is left to
     /// the shard, whose probe re-checks the countermodel before using it.
+    /// An answer goes into the query's slot of `slots`.
     pub fn place(
         &self,
-        queries: Vec<(WireQuery, WireCore)>,
-    ) -> (Vec<Option<WireOutcome>>, Vec<Vec<RoutedQuery>>) {
-        let mut slots: Vec<Option<WireOutcome>> = (0..queries.len()).map(|_| None).collect();
+        slots: &mut [Option<WireOutcome>],
+        queries: Vec<RoutedQuery>,
+    ) -> Vec<Vec<RoutedQuery>> {
         let mut buckets: Vec<Vec<RoutedQuery>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (slot, (query, core)) in queries.into_iter().enumerate() {
-            let home = self.route(&query.core_bytes);
-            if let Some(cert) = self.shards[home].engine.proved(&query.core_bytes) {
+        for rq in queries {
+            let home = self.route(rq.core.bytes());
+            if let Some(cert) = self.shards[home].engine.proved(rq.core.bytes()) {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
-                slots[slot] = Some(WireOutcome {
+                slots[rq.slot] = Some(WireOutcome {
                     verdict: WireVerdict::Proved,
                     cert,
                     cache_hit: true,
@@ -330,44 +336,45 @@ impl ServerCore {
                 });
                 continue;
             }
-            buckets[home].push(RoutedQuery { slot, query, core });
+            buckets[home].push(rq);
         }
-        (slots, buckets)
+        buckets
     }
 
     /// Discharges a batch that did not come through
     /// [`ServerCore::on_frame`] (tests and the simulator call this
-    /// directly), so it decodes the cores for itself: a malformed one is
+    /// directly), so it admits the queries itself: a malformed one is
     /// answered with an error outcome in its slot, the rest go through
-    /// [`ServerCore::discharge_decoded`].
+    /// [`ServerCore::discharge_admitted`].
     pub fn discharge(&self, queries: Vec<WireQuery>) -> Vec<WireOutcome> {
-        let mut out: Vec<Option<WireOutcome>> = Vec::with_capacity(queries.len());
-        let mut decoded = Vec::new();
-        for q in queries {
-            match form::wire_from_bytes(&q.core_bytes) {
-                Ok(core) => {
-                    decoded.push((q, core));
-                    out.push(None);
+        let mut slots: Vec<Option<WireOutcome>> = Vec::with_capacity(queries.len());
+        let mut admitted = Vec::new();
+        for (slot, q) in queries.into_iter().enumerate() {
+            match Self::admit(slot, q) {
+                Ok(rq) => {
+                    admitted.push(rq);
+                    slots.push(None);
                 }
                 Err(why) => {
                     let why = format!("malformed core: {why}");
-                    out.push(Some(WireOutcome::unknown(SHARD_HOT, why)));
+                    slots.push(Some(WireOutcome::unknown(SHARD_HOT, why)));
                 }
             }
         }
-        let mut answers = self.discharge_decoded(decoded).into_iter();
-        out.into_iter()
-            .map(|o| o.unwrap_or_else(|| answers.next().expect("one answer per decoded query")))
-            .collect()
+        self.discharge_admitted(slots, admitted)
     }
 
-    /// Discharges a decoded batch synchronously: shards run one after
-    /// another, each on a scratch thread (the caller's term context
-    /// survives). The TCP server uses long-lived shard threads instead;
-    /// this path serves the simulator (deterministic by construction),
-    /// tests, and `handle_payload`.
-    fn discharge_decoded(&self, queries: Vec<(WireQuery, WireCore)>) -> Vec<WireOutcome> {
-        let (mut slots, buckets) = self.place(queries);
+    /// Discharges an admitted batch into `slots` synchronously: shards
+    /// run one after another, each on a scratch thread (the caller's
+    /// term context survives). The TCP server uses long-lived shard
+    /// threads instead; this path serves the simulator (deterministic by
+    /// construction), tests, and `handle_payload`.
+    fn discharge_admitted(
+        &self,
+        mut slots: Vec<Option<WireOutcome>>,
+        queries: Vec<RoutedQuery>,
+    ) -> Vec<WireOutcome> {
+        let buckets = self.place(&mut slots, queries);
         for (home, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
                 continue;
@@ -442,10 +449,12 @@ impl ServerCore {
             Msg::StatsReq => Step::Reply(Msg::StatsReply { stats: self.stats() }),
             // Validate before the driver spends an in-flight slot:
             // garbage is a protocol error, not a queued job.
-            Msg::Batch { id, queries } => match Self::decode_batch(queries) {
-                Ok(queries) => Step::Dispatch { id, queries },
-                Err(why) => refuse(why),
-            },
+            Msg::Batch { id, queries } => {
+                match queries.into_iter().enumerate().map(|(i, q)| Self::admit(i, q)).collect() {
+                    Ok(queries) => Step::Dispatch { id, queries },
+                    Err(why) => refuse(why),
+                }
+            }
             Msg::HelloAck { .. }
             | Msg::BatchReply { .. }
             | Msg::Pong { .. }
@@ -463,7 +472,8 @@ impl ServerCore {
             Step::Reply(msg) => (msg, false),
             Step::Close(msg) => (msg, true),
             Step::Dispatch { id, queries } => {
-                let results = self.discharge_decoded(queries);
+                let slots = (0..queries.len()).map(|_| None).collect();
+                let results = self.discharge_admitted(slots, queries);
                 (Msg::BatchReply { id, results, stats: self.stats() }, false)
             }
         };

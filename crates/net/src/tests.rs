@@ -18,7 +18,7 @@ use crate::wire::{
 };
 use crate::Server;
 use serval_check::prelude::*;
-use serval_engine::form;
+use serval_engine::form::{BackMap, Core, Keyer};
 use serval_engine::Query;
 use serval_smt::solver::{QueryStats, SolverConfig, VerifyResult};
 use serval_smt::{reset_ctx, SBool, BV};
@@ -110,8 +110,19 @@ fn sample_stats(word: &dyn Fn(usize) -> u64) -> QueryStats {
     }
 }
 
-/// Real wire queries (the cores go through `prepare_wire`, so they are
-/// exactly what a genuine client would send).
+/// A query's wire bytes, exactly what a genuine client sends.
+fn frame(assumptions: &[SBool], goal: SBool) -> Vec<u8> {
+    Keyer::new().wire(assumptions, goal).to_vec()
+}
+
+/// The back map a client keeps for a query it sends.
+fn backmap(assumptions: &[SBool], goal: SBool) -> BackMap {
+    let mut keyer = Keyer::new();
+    keyer.wire(assumptions, goal);
+    keyer.backmap().clone()
+}
+
+/// Real wire queries, exactly what a genuine client would send.
 fn sample_queries(picks: &[u8]) -> Vec<WireQuery> {
     reset_ctx();
     let n = (picks.first().copied().unwrap_or(0) % 3) as usize + 1;
@@ -119,11 +130,10 @@ fn sample_queries(picks: &[u8]) -> Vec<WireQuery> {
         .map(|i| {
             let (assumptions, goal) =
                 sample_obligation(&picks[i.min(picks.len().saturating_sub(1))..]);
-            let wp = form::prepare_wire(&assumptions, goal);
             WireQuery {
                 label: format!("fuzz/{i}"),
                 cfg: SolverConfig::default(),
-                core_bytes: form::wire_bytes(&wp.core),
+                core_bytes: frame(&assumptions, goal),
             }
         })
         .collect()
@@ -225,7 +235,7 @@ proptest! {
     #[test]
     fn prop_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
         let _ = decode_msg(&bytes);
-        let _ = form::wire_from_bytes(&bytes);
+        let _ = Core::decode(bytes);
     }
 
     /// A single flipped bit in a valid payload either still decodes (it
@@ -276,22 +286,36 @@ proptest! {
         prop_assert_eq!(out, payloads);
     }
 
-    /// `prepare_wire` → `wire_bytes` → `wire_from_bytes` is lossless,
-    /// and rebuilding the core into a fresh term context then preparing
-    /// again reproduces the same bytes (the wire form is a fixpoint).
+    /// A core of k goals over shared assumptions — what a session chunk
+    /// ships to a worker — is a fixpoint: decoding its bytes,
+    /// materializing them into a fresh term context and keying the
+    /// result again reproduces them byte for byte. With one goal, they
+    /// are the query's key.
     #[test]
-    fn prop_core_roundtrip_fixpoint(picks in prop::collection::vec(any::<u8>(), 1..16)) {
+    fn prop_core_roundtrip_fixpoint(
+        picks in prop::collection::vec(any::<u8>(), 1..16),
+        k in 1usize..=4,
+    ) {
         reset_ctx();
-        let (assumptions, goal) = sample_obligation(&picks);
-        let wp = form::prepare_wire(&assumptions, goal);
-        let bytes = form::wire_bytes(&wp.core);
-        let core = form::wire_from_bytes(&bytes).expect("own core bytes must decode");
-        prop_assert_eq!(&core, &wp.core);
+        let (assumptions, first) = sample_obligation(&picks);
+        let mut goals = vec![first];
+        for i in 1..k {
+            let shifted: Vec<u8> = picks.iter().map(|&p| p.wrapping_add(i as u8 * 37)).collect();
+            goals.push(sample_obligation(&shifted).1);
+        }
+        let (core, _) = Keyer::new().chunk(&assumptions, &goals);
+        prop_assert_eq!(core.goals(), k);
+        if k == 1 {
+            prop_assert_eq!(core.bytes(), &frame(&assumptions, first)[..]);
+        }
+        let decoded = Core::decode(core.bytes().to_vec()).expect("own core bytes must decode");
+        prop_assert_eq!(&decoded, &core);
 
         reset_ctx();
-        let rebuilt = form::rebuild_wire(&core);
-        let wp2 = form::prepare_wire(&rebuilt.assumptions, rebuilt.goal);
-        prop_assert_eq!(form::wire_bytes(&wp2.core), bytes);
+        let m = decoded.materialize(false);
+        prop_assert_eq!(m.goals.len(), k);
+        let (again, _) = Keyer::new().chunk(&m.assumptions, &m.goals);
+        prop_assert_eq!(again.bytes(), core.bytes());
     }
 
     /// Truncated core bytes are always rejected.
@@ -302,13 +326,13 @@ proptest! {
     ) {
         reset_ctx();
         let (assumptions, goal) = sample_obligation(&picks);
-        let bytes = form::wire_bytes(&form::prepare_wire(&assumptions, goal).core);
+        let bytes = frame(&assumptions, goal);
         let cut = usize::from(cut) % bytes.len();
-        prop_assert!(form::wire_from_bytes(&bytes[..cut]).is_err());
+        prop_assert!(Core::decode(bytes[..cut].to_vec()).is_err());
     }
 
     /// A flipped bit in core bytes either errors or yields a core that
-    /// still validates — in which case rebuilding it must not panic.
+    /// still validates — in which case materializing it must not panic.
     #[test]
     fn prop_core_bit_flip_never_panics(
         picks in prop::collection::vec(any::<u8>(), 1..16),
@@ -317,14 +341,139 @@ proptest! {
     ) {
         reset_ctx();
         let (assumptions, goal) = sample_obligation(&picks);
-        let mut bytes = form::wire_bytes(&form::prepare_wire(&assumptions, goal).core);
+        let mut bytes = frame(&assumptions, goal);
         let at = usize::from(at) % bytes.len();
         bytes[at] ^= 1 << (bit % 8);
-        if let Ok(core) = form::wire_from_bytes(&bytes) {
+        if let Ok(core) = Core::decode(bytes) {
             reset_ctx();
-            let _ = form::rebuild_wire(&core);
+            let _ = core.materialize(true);
         }
     }
+
+    /// One canonical variable is one node: re-pointing a variable node of
+    /// a valid frame at another declared variable of the same sort —
+    /// two nodes of one variable, and none of the other — is rejected.
+    #[test]
+    fn prop_core_var_repointing_rejected(
+        picks in prop::collection::vec(any::<u8>(), 1..16),
+        pick in any::<u8>(),
+        to in any::<u8>(),
+    ) {
+        reset_ctx();
+        let (assumptions, goal) = sample_obligation(&picks);
+        let mut bytes = frame(&assumptions, goal);
+        let vars = var_nodes(&bytes);
+        let k = usize::from(pick) % vars.len().max(1);
+        let others: Vec<usize> =
+            (0..vars.len()).filter(|&o| o != k && vars[o].1 == vars[k].1).collect();
+        if let Some(&other) = others.get(usize::from(to) % others.len().max(1)) {
+            let at = vars[k].0;
+            bytes[at..at + 4].copy_from_slice(&(other as u32).to_le_bytes());
+            prop_assert!(Core::decode(bytes).is_err());
+        }
+    }
+}
+
+/// A frame's variable nodes in node order (so variable k is the k-th),
+/// each as (offset of its index payload, its sort bytes): a walk of the
+/// `SW1` layout written from its description, apart from the decoder
+/// under test.
+fn var_nodes(b: &[u8]) -> Vec<(usize, Vec<u8>)> {
+    let word = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap()) as usize;
+    let sort_len = |at: usize| if b[at] == 0 { 1 } else { 5 };
+    let mut at = 4;
+    let vars = word(at);
+    at += 4;
+    for _ in 0..vars {
+        at += sort_len(at);
+    }
+    let ufs = word(at);
+    at += 4;
+    for _ in 0..ufs {
+        at += 4 + 4 * word(at) + 4;
+    }
+    let nodes = word(at);
+    at += 4;
+    let mut out = Vec::new();
+    for _ in 0..nodes {
+        let tag = b[at];
+        at += 1;
+        let payload = match tag {
+            0 => 1,
+            1 => 16,
+            2 | 32 => 4,
+            28 => 8,
+            _ => 0,
+        };
+        let sort_at = at + payload;
+        let end = sort_at + sort_len(sort_at);
+        if tag == 2 {
+            out.push((at, b[sort_at..end].to_vec()));
+        }
+        at = end + 4 + 4 * word(end);
+    }
+    out
+}
+
+/// The frame `Var0 == Var0` over one 8-bit variable: two nodes of one
+/// variable, so no term a client could have built. A shard that
+/// interned it would make two distinct variables and answer `Refuted`
+/// with a model that does not refute the frame; admission rejects it.
+#[test]
+fn a_variable_with_two_nodes_is_a_malformed_core() {
+    let mut f = b"SW1\0".to_vec();
+    f.extend_from_slice(&1u32.to_le_bytes()); // one var: bv8
+    f.extend_from_slice(&[1, 8, 0, 0, 0]);
+    f.extend_from_slice(&0u32.to_le_bytes()); // no UFs
+    f.extend_from_slice(&3u32.to_le_bytes()); // three nodes
+    for _ in 0..2 {
+        f.extend_from_slice(&[2, 0, 0, 0, 0, 1, 8, 0, 0, 0, 0, 0, 0, 0]); // Var 0: bv8
+    }
+    f.extend_from_slice(&[9, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]); // Eq(0, 1): Bool
+    f.extend_from_slice(&0u32.to_le_bytes()); // no assumptions
+    f.extend_from_slice(&2u32.to_le_bytes()); // the goal
+    let server = Server::bind("127.0.0.1:0", test_cfg(1)).unwrap();
+    let out = server.core().discharge(vec![WireQuery {
+        label: "twice".to_string(),
+        cfg: SolverConfig::default(),
+        core_bytes: f,
+    }]);
+    assert!(matches!(out[0].verdict, WireVerdict::Unknown), "{:?}", out[0].verdict);
+    let why = out[0].error.as_deref().expect("the reason is reported");
+    assert!(why.starts_with("malformed core"), "{why}");
+    assert_eq!(server.core().stats().shards[0].queued, 0, "nothing reached a shard");
+    server.shutdown();
+}
+
+/// A frame that declares a variable no node uses is rejected, and so is
+/// a frame with more than one goal root at admission: a query is one
+/// goal.
+#[test]
+fn unused_declarations_and_extra_goals_are_rejected() {
+    let mut f = b"SW1\0".to_vec();
+    f.extend_from_slice(&2u32.to_le_bytes()); // two Bool vars
+    f.extend_from_slice(&[0, 0]);
+    f.extend_from_slice(&0u32.to_le_bytes()); // no UFs
+    f.extend_from_slice(&1u32.to_le_bytes()); // one node: Var 0
+    f.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+    f.extend_from_slice(&0u32.to_le_bytes()); // no assumptions
+    f.extend_from_slice(&0u32.to_le_bytes()); // the goal
+    assert_eq!(Core::decode(f), Err("declared variable has no node"));
+
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let goals = [x.ult(BV::lit(32, 9)), x.ule(BV::lit(32, 4))];
+    let (two, _) = Keyer::new().chunk(&[], &goals);
+    assert_eq!(Core::decode(two.bytes().to_vec()).map(|c| c.goals()), Ok(2));
+    let server = Server::bind("127.0.0.1:0", test_cfg(1)).unwrap();
+    let out = server.core().discharge(vec![WireQuery {
+        label: "two".to_string(),
+        cfg: SolverConfig::default(),
+        core_bytes: two.bytes().to_vec(),
+    }]);
+    let why = out[0].error.as_deref().expect("the reason is reported");
+    assert!(why.starts_with("malformed core") && why.contains("one goal root"), "{why}");
+    server.shutdown();
 }
 
 /// A query's `var_decay` is decoded only inside the solver's own range
@@ -396,7 +545,7 @@ fn malformed_countermodel_degrades_to_unknown() {
     let f = serval_smt::with_ctx(|c| c.declare_uf("f", vec![32], 32));
     let fx = BV(serval_smt::build::uf_apply(f, &[x.0]));
     let goal = b | fx.ult(x);
-    let backmap = form::prepare_wire(&[], goal).backmap;
+    let backmap = backmap(&[], goal);
     let bv_var = backmap.vars.iter().position(|v| v.term == x.0).unwrap() as u32;
     let bool_var = backmap.vars.iter().position(|v| v.term == b.0).unwrap() as u32;
     let reply = |pm: PortableModel| {
@@ -450,7 +599,7 @@ fn forged_countermodel_degrades_to_unknown() {
     let x = BV::fresh(32, "x");
     let base = vec![x.ult(BV::lit(32, 100))];
     let goal = x.ult(BV::lit(32, 10));
-    let backmap = form::prepare_wire(&base, goal).backmap;
+    let backmap = backmap(&base, goal);
     let x_is = |v: u128| {
         let pm = PortableModel { bvs: vec![(0, v)], ..Default::default() };
         let out = WireOutcome {
@@ -622,13 +771,12 @@ fn loopback_mid_batch_disconnect_leaves_server_healthy() {
         let _ = wire::read_frame(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap();
         reset_ctx();
         let x = BV::fresh(32, "x");
-        let wp = form::prepare_wire(&[], x.eq_(x));
         let batch = Msg::Batch {
             id: 7,
             queries: vec![WireQuery {
                 label: "doomed".to_string(),
                 cfg: SolverConfig::default(),
-                core_bytes: form::wire_bytes(&wp.core),
+                core_bytes: frame(&[], x.eq_(x)),
             }],
         };
         wire::write_frame(&mut raw, &encode_msg(&batch)).unwrap();
@@ -660,7 +808,7 @@ fn loopback_handshake_is_mandatory() {
         queries: vec![WireQuery {
             label: "early".to_string(),
             cfg: SolverConfig::default(),
-            core_bytes: form::wire_bytes(&form::prepare_wire(&[], x.eq_(x)).core),
+            core_bytes: frame(&[], x.eq_(x)),
         }],
     });
     let ping = encode_msg(&Msg::Ping { token: 1 });
@@ -756,7 +904,7 @@ fn discharge_answers_a_malformed_core_with_an_error_outcome() {
         cfg: SolverConfig::default(),
         core_bytes,
     };
-    let good = |goal: SBool| form::wire_bytes(&form::prepare_wire(&[], goal).core);
+    let good = |goal: SBool| frame(&[], goal);
     let out = server.core().discharge(vec![
         wq("proved", good((x & BV::lit(32, 1)).ule(BV::lit(32, 1)))),
         wq("bogus", b"SW1\0garbage".to_vec()),
@@ -781,11 +929,11 @@ fn loopback_hot_hits_report_sentinel_shard() {
     reset_ctx();
     let x = BV::fresh(32, "x");
     let m = BV::fresh(32, "m");
-    let wp = form::prepare_wire(&[], (x & m).ule(x));
+    let bytes = frame(&[], (x & m).ule(x));
     let wq = || WireQuery {
         label: "hot".to_string(),
         cfg: SolverConfig::default(),
-        core_bytes: form::wire_bytes(&wp.core),
+        core_bytes: bytes.clone(),
     };
     // The first discharge proves it in its home shard; the second is
     // answered at admission from that shard's cache.
@@ -900,7 +1048,7 @@ fn unfolded_frames_from_an_old_client_are_still_answered() {
     let wq = |label: &str, assumptions: &[SBool], goal: SBool| WireQuery {
         label: label.to_string(),
         cfg: SolverConfig::default(),
-        core_bytes: form::wire_bytes(&form::prepare_wire(assumptions, goal).core),
+        core_bytes: frame(assumptions, goal),
     };
     let out = server.core().discharge(vec![
         wq("by-goal", &[x.uge(BV::lit(32, 3))], SBool::lit(true)),

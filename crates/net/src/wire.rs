@@ -5,9 +5,10 @@
 //! length is bounded by the receiver's `max_frame` — an oversize prefix
 //! is a protocol error *before* any allocation, so a hostile client
 //! cannot request a 4 GiB buffer with five bytes. Payloads start with a
-//! one-byte message tag; queries travel as
-//! [`serval_engine::form::wire_bytes`] cores, which the server re-decodes
-//! through the fully validating [`serval_engine::form::wire_from_bytes`].
+//! one-byte message tag; a query travels as its wire bytes
+//! ([`serval_engine::form::Keyer::wire`]), which the server validates
+//! into a [`serval_engine::form::Core`] through the one decoder,
+//! [`serval_engine::form::Core::decode`].
 //!
 //! Everything here is written against *untrusted* input: every read is
 //! bounds-checked, every count is validated against the remaining byte
@@ -80,18 +81,19 @@ impl std::error::Error for WireError {}
 // Messages
 // --------------------------------------------------------------------------
 
-/// One query on the wire: a label, solver parameters, and the validated
-/// byte serialization of its [`serval_engine::form::WireCore`].
+/// One query on the wire: a label, solver parameters, and the query's
+/// wire bytes — the bytes of a one-goal [`serval_engine::form::Core`].
 #[derive(Clone, Debug)]
 pub struct WireQuery {
     /// Theorem label, echoed back in reports.
     pub label: String,
     /// Solver configuration (budget + search parameters).
     pub cfg: SolverConfig,
-    /// `form::wire_bytes` of the query core. They are alpha-invariant and
-    /// are the engine's cache key: the server routes on them, answers a
-    /// repeat at admission under them, and decodes them through
-    /// `form::wire_from_bytes` before solving.
+    /// The query's wire bytes ([`serval_engine::form::Keyer::wire`]).
+    /// They are alpha-invariant and are the engine's cache key: the
+    /// server validates them once at admission, into a one-goal
+    /// [`serval_engine::form::Core`], routes on them, answers a repeat
+    /// under them, and its shard materializes the query from them.
     pub core_bytes: Vec<u8>,
 }
 

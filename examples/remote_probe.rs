@@ -34,7 +34,7 @@ fn main() {
         server.core().shard_jobs()
     );
 
-    // Two obligations, serialized to alpha-invariant wire cores and
+    // Two obligations, serialized to alpha-invariant wire bytes and
     // streamed as one batch.
     let mut client = Client::connect(&addr).expect("connect");
     reset_ctx();

@@ -28,7 +28,7 @@
 //! the counting `#[global_allocator]` is process-wide, so it also counts
 //! the checker thread a certified session streams its proof to.
 
-use serval_engine::form::{prepare_session, SessionCore};
+use serval_engine::form::{Core, Keyer};
 use serval_engine::solve::{solve_session, RawVerdict};
 use serval_engine::{Discharge, Engine, EngineCfg, Query, QueryOutcome};
 use serval_repro::core_fw::OptCfg;
@@ -114,9 +114,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Turns the one batch a sweep submits into a session core and answers
-/// `Unknown` to everything: the sweep is only here to build the terms.
-struct Capture(Mutex<Option<SessionCore>>);
+/// Keys the one batch a sweep submits into a session core, the way the
+/// engine's planner keys a chunk, and answers `Unknown` to everything:
+/// the sweep is only here to build the terms.
+struct Capture(Mutex<Option<Core>>);
 
 impl Discharge for Capture {
     fn submit_batch(&self, queries: Vec<Query>) -> Vec<QueryOutcome> {
@@ -125,7 +126,8 @@ impl Discharge for Capture {
             "sweep queries share no base"
         );
         let goals: Vec<_> = queries.iter().map(|q| q.goal).collect();
-        *self.0.lock().expect("one thread") = Some(prepare_session(&[], &goals).core);
+        let (core, _) = Keyer::new().chunk(&[], &goals);
+        *self.0.lock().expect("one thread") = Some(core);
         queries
             .into_iter()
             .map(|q| QueryOutcome {

@@ -220,6 +220,9 @@ fn retired_variables_stay_retired() {
     // ... and the replicated hot tier with its flag and buggify point,
     // and the second key format it existed to bridge (a repeat is
     // answered at admission, under the one wire-byte key).
+    // ... and every portable form of a query but its wire bytes: the
+    // node-per-`Vec` array, the session core and its prepare/rebuild
+    // pair.
     let gone = [
         "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
         "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
@@ -227,7 +230,8 @@ fn retired_variables_stay_retired() {
         "fn elided_expansion", "ELIDED_HINT_MAX", "fn subsume_sweep", "fn subsume_check",
         "reset_learnt_budget", "fn solve_portfolio", "portfolio_variants",
         "portfolio-drop-winner", "portfolio_cancel", "--hot-threshold", "net-hot-skip",
-        "struct HotTier", "KEY_MAGIC", "fn cache_key(",
+        "struct HotTier", "KEY_MAGIC", "fn cache_key(", "struct FormNode", "struct SessionCore",
+        "fn prepare_session(", "fn rebuild_session(", "struct Parts",
     ];
     let mut panic_messages = 0;
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
@@ -237,6 +241,20 @@ fn retired_variables_stay_retired() {
         panic_messages += text.matches("fn panic_message(").count();
     }
     assert_eq!(panic_messages, 1, "one downcast of a panic payload, in serval-check");
+    // The names the benchmark package still imports stay in `form.rs`
+    // as retired wrappers for it alone: nothing else uses them.
+    let wrappers = [
+        "prepare_wire", "rebuild_wire", "wire_from_bytes", "wire_bytes(", "FormCore",
+        "form::prepare(", "form::rebuild(",
+    ];
+    for (path, text) in &texts {
+        if path.ends_with("crates/engine/src/form.rs") || path.ends_with("tests/workspace.rs") {
+            continue;
+        }
+        for name in wrappers {
+            assert!(!text.contains(name), "{} uses the retired {name}", path.display());
+        }
+    }
     // ... and the second and third walker of the normal form: the keyer's
     // is the one traversal of the caller's DAG in `form.rs`.
     let form = root.join("crates/engine/src/form.rs");
