@@ -30,6 +30,15 @@ echo "== decoder fuzz (serval-net, 100 000 cases per property) =="
 SERVAL_CHECK_CASES=100000 SERVAL_CHECK_SEED=41 \
   cargo test -q --offline -p serval-net --lib -- prop_core_ prop_garbage_never_panics
 
+# The certificate checker walks hints and has no search to fall back
+# on, so a solver path that logs a derivation without its hints, or a
+# resolvent twice, is a rejected certificate. drat's suite (the
+# incremental-session soak against brute force, the proof-mutation
+# tests and the inprocessed-replay property) runs here at ten times
+# the soak's 400 sessions.
+echo "== certificate soak (serval-drat, 4 000 sessions) =="
+SERVAL_CHECK_CASES=4000 cargo test -q --offline -p serval-drat --lib
+
 # Broken intra-doc links fail the build: a doc comment that names an
 # item deleted or renamed since must be fixed with the code.
 echo "== docs (broken intra-doc links are errors) =="

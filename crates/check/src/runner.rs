@@ -214,6 +214,17 @@ fn shrink<S: Strategy, F: Fn(S::Value)>(
     }
 }
 
+/// The number of cases to run where `default` is asked for: the
+/// `SERVAL_CHECK_CASES` override when it parses, else `default`. Also
+/// sizes seed-indexed soaks that are not written as properties, so one
+/// variable scales both.
+pub fn case_count(default: u32) -> u32 {
+    std::env::var("SERVAL_CHECK_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Runs a property to completion, returning the shrunk failure if any.
 /// This is the inspectable core of [`run_property`]; the self-tests use
 /// it to assert shrinking quality without unwinding.
@@ -227,10 +238,7 @@ pub fn run_property_result<S: Strategy, F: Fn(S::Value)>(
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(cfg.seed);
-    let cases = std::env::var("SERVAL_CHECK_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(cfg.cases);
+    let cases = case_count(cfg.cases);
     let mut case_seeds = SplitMix64::new(seed ^ hash_name(name));
     with_quiet_panics(|| {
         for case in 0..cases {

@@ -2,29 +2,37 @@
 //!
 //! `serval-sat` can log every clause it adds, derives, or deletes as a
 //! step of a [`ProofLog`] (see `serval_sat::Solver::set_proof_logging`).
-//! This crate replays such a log against its *own* clause database and unit
-//! propagation — sharing no solver data structures — and accepts it only
-//! if every `Derived` clause follows by **reverse unit propagation**
-//! (RUP): assert the negation of the clause's literals, propagate, and
-//! require a conflict. A log that ends in a derived clause containing
-//! only negated assumption literals (the empty clause when there are no
-//! assumptions) is a *certificate* of unsatisfiability: the checker's
-//! acceptance depends only on the logged `Input` clauses, so a buggy
-//! solver cannot smuggle an unsound refutation past it.
+//! This crate replays such a log against its *own* clause database —
+//! sharing no solver data structures — and accepts it only if every
+//! `Derived` clause follows by the **hinted walk** its step carries
+//! (LRAT-style): assert the negation of the clause's literals, then take
+//! the hinted clauses in order, each of which must be unit (assigning
+//! its last free literal) until one is falsified. The walk is a linear
+//! pass over the hints; the checker never searches for a derivation,
+//! so a step with a missing, reordered or wrong hint is rejected. A log
+//! that ends in a derived clause containing only negated assumption
+//! literals (the empty clause when there are no assumptions) is a
+//! *certificate* of unsatisfiability: the checker's acceptance depends
+//! only on the logged `Input` clauses, so a buggy solver cannot smuggle
+//! an unsound refutation past it.
 //!
 //! Conventions (mirroring drat-trim):
 //!
 //! - `Input` clauses are taken on faith; they define the formula the
 //!   certificate refutes.
-//! - `Derived` clauses are checked by RUP *before* being added. The empty
-//!   derived clause is accepted exactly when the database is already
-//!   contradictory.
+//! - `Derived` clauses are checked by their hinted walk *before* being
+//!   added. Once the database is contradictory every derived clause is
+//!   accepted (the empty one included).
 //! - `Delete` steps must name a live clause (matched as a sorted literal
 //!   multiset — watch-list reordering inside the solver does not change
 //!   the multiset); deleting a clause that was never added, or was
 //!   already deleted, is tamper evidence and rejected.
-//! - Unit propagation already performed persists across deletions, so
-//!   deletions only ever make later RUP checks harder, never unsound.
+//! - Unit clauses are persistent *facts*: a unit's literal is assigned
+//!   when the clause arrives and stays in force across deletions, so a
+//!   hint list never names the unit behind a level-0 fact, and
+//!   deletions only ever make later walks harder, never unsound. The
+//!   checker does no propagation of its own — no watch lists — so the
+//!   solver logs each level-0 literal a step leans on as a unit first.
 //!
 //! The checker is incremental: `serval-engine`'s session mode feeds one
 //! live [`Checker`] the per-goal proof deltas of an incremental SAT
@@ -43,7 +51,7 @@ pub enum CheckError {
         /// 0-based index of the offending step within the log.
         step: usize,
     },
-    /// A `Derived` clause did not follow by reverse unit propagation.
+    /// A `Derived` clause did not follow by its hinted walk.
     NotImplied {
         /// 0-based index of the offending step within the log.
         step: usize,
@@ -62,7 +70,7 @@ impl std::fmt::Display for CheckError {
                 write!(f, "proof step {step}: deleted clause is not in the database")
             }
             CheckError::NotImplied { step } => {
-                write!(f, "proof step {step}: clause not implied (RUP check failed)")
+                write!(f, "proof step {step}: clause not implied by its hints")
             }
             CheckError::NoConclusion => write!(f, "proof has no derived conclusion"),
             CheckError::BadConclusion => {
@@ -81,13 +89,8 @@ struct ClauseMeta {
     len_deleted: u32,
 }
 
-/// Live clause ids sharing one literal-set fingerprint. Almost every
-/// bucket holds exactly one id, so the first lives inline and only
-/// genuine duplicates (or collisions) allocate.
-struct Bucket {
-    first: u32,
-    rest: Vec<u32>,
-}
+/// End of a fingerprint's chain of live clause ids.
+const NO_CLAUSE: u32 = u32::MAX;
 
 impl ClauseMeta {
     fn new(start: usize, len: usize) -> ClauseMeta {
@@ -151,24 +154,30 @@ fn fp_lits(lits: &[Lit]) -> u64 {
     h
 }
 
-/// An incremental RUP proof checker.
+/// An incremental hinted-walk proof checker.
 #[derive(Default)]
 pub struct Checker {
-    /// Flat literal arena; clauses index into it.
+    /// Flat literal arena; clauses index into it, each normalized
+    /// (sorted, deduped).
     lits: Vec<Lit>,
     clauses: Vec<ClauseMeta>,
-    /// Literal-set fingerprint → live clause ids, for `Delete`
-    /// matching. Matches are verified against the actual literals, so
-    /// a fingerprint collision can never delete the wrong clause.
-    by_key: HashMap<u64, Bucket, FpBuild>,
+    /// Literal-set fingerprint → the most recently added live clause
+    /// id with it, for `Delete` matching; older ones chain through
+    /// `older`. Matches are verified against the actual literals, so a
+    /// fingerprint collision can never delete the wrong clause.
+    by_key: HashMap<u64, u32, FpBuild>,
+    /// Clause id → the next older live clause id on its fingerprint's
+    /// chain. Almost every chain is one id long (a twin or a collision
+    /// starts a longer one), so this map stays small, and `by_key` at
+    /// 16 bytes a slot.
+    older: HashMap<u32, u32>,
     /// Reusable normalization buffer (sort + dedup scratch).
     scratch: Vec<Lit>,
-    /// Two-watched-literal scheme, indexed by `Lit::index()`.
-    watches: Vec<Vec<u32>>,
-    /// Assignment per variable: 0 undef, 1 true, -1 false.
+    /// Assignment per variable: 0 undef, 1 true, -1 false. Below a
+    /// walk's checkpoint the trail holds the persistent facts (the
+    /// literals of unit clauses added), above it the walk's own.
     assign: Vec<i8>,
     trail: Vec<Lit>,
-    qhead: usize,
     /// Set once the database is contradictory; never cleared.
     contradiction: bool,
     /// Clause id of the most recent `Derived` clause, if any. Stored as
@@ -177,14 +186,6 @@ pub struct Checker {
     /// it once per goal.
     last_derived: Option<u32>,
     steps: u64,
-    /// When set, a hinted step whose hinted walk fails is rejected
-    /// outright instead of falling back to full RUP (see
-    /// [`Checker::set_strict_hints`]).
-    strict_hints: bool,
-    /// Hinted steps whose antecedent walk succeeded.
-    hinted_ok: u64,
-    /// Hinted steps that fell back to full RUP (lenient mode only).
-    hint_fallbacks: u64,
 }
 
 impl Checker {
@@ -206,27 +207,13 @@ impl Checker {
             }
             StepKind::Derived => {
                 // The hinted walk is an indexed replay of the claimed
-                // propagation chain — far cheaper than watch-driven
-                // RUP, and sound by construction: every literal it
-                // assigns is forced by the negated clause plus live
-                // database clauses, so reaching a falsified clause is a
-                // genuine implication regardless of where the hints
-                // came from. A failed walk therefore only ever costs
-                // acceptance: lenient checking falls back to full RUP
-                // (absent-or-wrong hints change nothing), strict
-                // checking treats it as tamper evidence and rejects.
-                let ok = if hints.is_empty() {
-                    self.rup(lits)
-                } else if self.hinted_rup(lits, hints) {
-                    self.hinted_ok += 1;
-                    true
-                } else if self.strict_hints {
-                    false
-                } else {
-                    self.hint_fallbacks += 1;
-                    self.rup(lits)
-                };
-                if !ok {
+                // propagation chain, and sound by construction: every
+                // literal it assigns is forced by the negated clause
+                // plus live database clauses, so reaching a falsified
+                // clause is a genuine implication wherever the hints
+                // came from. A walk that ends short of a conflict is
+                // tamper evidence (or a solver bug), and rejects.
+                if !self.hinted_rup(lits, hints) {
                     return Err(CheckError::NotImplied { step: idx });
                 }
                 let cid = self.add(lits);
@@ -235,20 +222,6 @@ impl Checker {
             }
             StepKind::Delete => self.delete(lits, idx),
         }
-    }
-
-    /// In strict mode, a hinted step must check by its hinted walk
-    /// alone — a wrong hint rejects the certificate instead of falling
-    /// back to full RUP. Default: lenient (fall back), so hints can
-    /// never make a previously-accepted certificate fail.
-    pub fn set_strict_hints(&mut self, on: bool) {
-        self.strict_hints = on;
-    }
-
-    /// `(hinted steps verified by their walk, hinted steps that fell
-    /// back to full RUP)` so far.
-    pub fn hint_stats(&self) -> (u64, u64) {
-        (self.hinted_ok, self.hint_fallbacks)
     }
 
     /// Number of proof steps applied so far.
@@ -266,12 +239,7 @@ impl Checker {
     /// derives nothing cannot inherit the previous goal's conclusion.
     pub fn take_conclusion(&mut self) -> Option<Vec<Lit>> {
         let cid = self.last_derived.take()?;
-        // The arena stores the clause deduped but watch handling may
-        // have permuted it; re-sort the copy so callers get the same
-        // normalized form as before.
-        let mut lits = self.lits[self.clauses[cid as usize].range()].to_vec();
-        lits.sort_unstable();
-        Some(lits)
+        Some(self.lits[self.clauses[cid as usize].range()].to_vec())
     }
 
     // ------------------------------------------------------------------
@@ -279,20 +247,12 @@ impl Checker {
     // ------------------------------------------------------------------
 
     fn ensure_capacity(&mut self, lits: &[Lit]) {
-        let mut max_var = 0usize;
-        for l in lits {
-            max_var = max_var.max(l.var().index() + 1);
-        }
+        let max_var = lits.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
         if self.assign.len() < max_var {
             self.assign.resize(max_var, 0);
-            self.watches.resize(max_var * 2, Vec::new());
         }
     }
 
-    /// Adds a clause persistently (no implication check — callers check
-    /// `Derived` clauses first). Satisfied and tautological clauses are
-    /// stored inert (matchable by `Delete`, never propagating); unit
-    /// clauses propagate persistently.
     /// Normalizes `lits_in` into the reusable scratch buffer and takes
     /// it (callers put it back via `self.scratch = ...`).
     fn normalize(&mut self, lits_in: &[Lit]) -> Vec<Lit> {
@@ -304,107 +264,64 @@ impl Checker {
         norm
     }
 
+    /// Adds a clause persistently (no implication check — callers check
+    /// `Derived` clauses first). A unit clause's literal becomes a
+    /// persistent fact; the empty clause, or a unit whose literal a
+    /// fact already falsifies, makes the database contradictory. No
+    /// other clause is looked at: the checker does no propagation of
+    /// its own, and a walk learns every fact it leans on from a unit
+    /// clause the solver logged.
     fn add(&mut self, lits_in: &[Lit]) -> u32 {
         let norm = self.normalize(lits_in);
-        let taut = norm.windows(2).any(|w| w[1] == !w[0]);
         self.ensure_capacity(&norm);
         let cid = self.clauses.len() as u32;
         let start = self.lits.len();
+        // The arena and the records only grow, and are the checker's
+        // largest buffers: grow them by half, not by doubling, which
+        // past a power of two strands up to half of each.
+        grow_by_half(&mut self.lits, norm.len());
+        grow_by_half(&mut self.clauses, 1);
         self.lits.extend_from_slice(&norm);
         self.clauses.push(ClauseMeta::new(start, norm.len()));
-        match self.by_key.entry(fp_lits(&norm)) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Bucket { first: cid, rest: Vec::new() });
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                e.into_mut().rest.push(cid);
-            }
+        if let Some(older) = self.by_key.insert(fp_lits(&norm), cid) {
+            self.older.insert(cid, older);
         }
-        if taut || self.contradiction {
-            self.scratch = norm;
-            return cid;
+        match norm[..] {
+            [] => self.contradiction = true,
+            [l] => match self.value(l) {
+                0 => self.enqueue(l),
+                -1 => self.contradiction = true,
+                _ => {}
+            },
+            _ => {}
         }
-        // One scan: bail if satisfied by persistent facts (stored
-        // inert), else record the first two non-false positions.
-        let mut non_false = [0usize; 2];
-        let mut found = 0usize;
-        for (i, &l) in norm.iter().enumerate() {
-            match value_of(&self.assign, l) {
-                1 => {
-                    self.scratch = norm; // satisfied: inert
-                    return cid;
-                }
-                -1 => {}
-                _ => {
-                    if found < 2 {
-                        non_false[found] = i;
-                        found += 1;
-                    }
-                }
-            }
-        }
-        let unit = norm.get(non_false[0]).copied();
         self.scratch = norm;
-        match found {
-            0 => self.contradiction = true, // includes the empty clause
-            1 => {
-                self.enqueue(unit.expect("non-empty clause"));
-                if self.propagate() {
-                    self.contradiction = true;
-                }
-            }
-            _ => {
-                // Watch two non-false literals (swapped into slots 0, 1).
-                let r = self.clauses[cid as usize].range();
-                let lits = &mut self.lits[r];
-                lits.swap(0, non_false[0]);
-                let second = (1..lits.len())
-                    .find(|&i| value_of(&self.assign, lits[i]) != -1)
-                    .expect("second non-false literal");
-                lits.swap(1, second);
-                let (w0, w1) = (lits[0], lits[1]);
-                self.watches[w0.index()].push(cid);
-                self.watches[w1.index()].push(cid);
-            }
-        }
         cid
     }
 
     fn delete(&mut self, lits_in: &[Lit], step: usize) -> Result<(), CheckError> {
         let norm = self.normalize(lits_in);
         let key = fp_lits(&norm);
-        let mut deleted: Option<u32> = None;
-        let mut emptied = false;
-        if let Some(bucket) = self.by_key.get_mut(&key) {
-            // Verify the literal set exactly within the bucket (watch
-            // handling permutes stored clauses, so compare as sets —
-            // both sides are deduped, so length + membership suffices).
-            let matches = |meta: ClauseMeta, lits: &[Lit]| same_set(&lits[meta.range()], &norm);
-            // Most-recent first, mirroring the old LIFO pop.
-            for i in (0..bucket.rest.len()).rev() {
-                if matches(self.clauses[bucket.rest[i] as usize], &self.lits) {
-                    deleted = Some(bucket.rest.swap_remove(i));
-                    break;
-                }
-            }
-            if deleted.is_none() && matches(self.clauses[bucket.first as usize], &self.lits) {
-                deleted = Some(bucket.first);
-                match bucket.rest.pop() {
-                    Some(next) => bucket.first = next,
-                    None => emptied = true,
-                }
-            }
-        }
-        if emptied {
-            self.by_key.remove(&key);
+        // The most recent live clause with exactly these literals, and
+        // the newer one whose chain link points at it.
+        let (mut newer, mut cid) = (None, self.by_key.get(&key).copied().unwrap_or(NO_CLAUSE));
+        while cid != NO_CLAUSE && self.lits[self.clauses[cid as usize].range()] != norm[..] {
+            (newer, cid) = (Some(cid), self.older_than(cid));
         }
         self.scratch = norm;
-        let Some(cid) = deleted else {
+        if cid == NO_CLAUSE {
             return Err(CheckError::DeleteMissing { step });
-        };
+        }
+        let next = self.older.remove(&cid);
+        match (newer, next) {
+            (Some(n), Some(next)) => drop(self.older.insert(n, next)),
+            (Some(n), None) => drop(self.older.remove(&n)),
+            (None, Some(next)) => drop(self.by_key.insert(key, next)),
+            (None, None) => drop(self.by_key.remove(&key)),
+        }
+        // Facts a deleted unit established stay in force (drat-trim
+        // convention).
         self.clauses[cid as usize].delete();
-        // Watch lists drop deleted clauses lazily in propagate; persistent
-        // facts already derived stay in force (drat-trim convention).
         Ok(())
     }
 
@@ -414,23 +331,26 @@ impl Checker {
     /// have dropped the id a later hint names while its twin lives on.
     /// The twin serves the hinted walk as well: the walk reads only the
     /// clause's literals.
-    fn live_twin(&mut self, dead: ClauseMeta) -> Option<ClauseMeta> {
-        let mut norm = std::mem::take(&mut self.scratch);
-        norm.clear();
-        norm.extend_from_slice(&self.lits[dead.range()]);
-        norm.sort_unstable();
-        let twin = self.by_key.get(&fp_lits(&norm)).and_then(|bucket| {
-            std::iter::once(bucket.first)
-                .chain(bucket.rest.iter().copied())
-                .map(|cid| self.clauses[cid as usize])
-                .find(|meta| same_set(&self.lits[meta.range()], &norm))
-        });
-        self.scratch = norm;
-        twin
+    fn live_twin(&self, dead: ClauseMeta) -> Option<ClauseMeta> {
+        let lits = &self.lits[dead.range()];
+        let mut cid = self.by_key.get(&fp_lits(lits)).copied().unwrap_or(NO_CLAUSE);
+        while cid != NO_CLAUSE {
+            let meta = self.clauses[cid as usize];
+            if self.lits[meta.range()] == *lits {
+                return Some(meta);
+            }
+            cid = self.older_than(cid);
+        }
+        None
+    }
+
+    /// The next older live clause on `cid`'s fingerprint chain.
+    fn older_than(&self, cid: u32) -> u32 {
+        self.older.get(&cid).copied().unwrap_or(NO_CLAUSE)
     }
 
     // ------------------------------------------------------------------
-    // Propagation and RUP
+    // The hinted walk
     // ------------------------------------------------------------------
 
     #[inline]
@@ -443,127 +363,25 @@ impl Checker {
         self.trail.push(l);
     }
 
-    /// Propagates to fixpoint from `qhead`. Returns `true` on conflict
-    /// (an all-false clause).
-    fn propagate(&mut self) -> bool {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            let false_lit = !p;
-            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
-            let mut i = 0;
-            let mut conflict = false;
-            while i < ws.len() {
-                let cid = ws[i] as usize;
-                if self.clauses[cid].deleted() {
-                    ws.swap_remove(i);
-                    continue;
-                }
-                let r = self.clauses[cid].range();
-                let (first, relocated) = {
-                    let lits = &mut self.lits[r];
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
-                    let first = lits[0];
-                    if value_of(&self.assign, first) == 1 {
-                        (first, None)
-                    } else {
-                        let mut moved = None;
-                        for k in 2..lits.len() {
-                            if value_of(&self.assign, lits[k]) != -1 {
-                                lits.swap(1, k);
-                                moved = Some(lits[1]);
-                                break;
-                            }
-                        }
-                        (first, moved)
-                    }
-                };
-                if self.value(first) == 1 {
-                    i += 1;
-                    continue;
-                }
-                if let Some(new_watch) = relocated {
-                    self.watches[new_watch.index()].push(ws[i] as u32);
-                    ws.swap_remove(i);
-                    continue;
-                }
-                match self.value(first) {
-                    0 => {
-                        self.enqueue(first);
-                        i += 1;
-                    }
-                    _ => {
-                        conflict = true;
-                        break;
-                    }
-                }
-            }
-            self.watches[false_lit.index()] = ws;
-            if conflict {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Reverse-unit-propagation check: is `lits` implied by the current
-    /// database? Temporary assignments are undone before returning.
-    fn rup(&mut self, lits: &[Lit]) -> bool {
-        if self.contradiction {
-            return true;
-        }
-        self.ensure_capacity(lits);
-        let checkpoint = self.trail.len();
-        debug_assert_eq!(self.qhead, checkpoint);
-        let mut implied = false;
-        for &l in lits {
-            match self.value(l) {
-                // Satisfied under the forced assignment (also covers
-                // tautologies: the earlier negation-enqueue of the
-                // complementary literal makes this one true).
-                1 => {
-                    implied = true;
-                    break;
-                }
-                -1 => {}
-                _ => self.enqueue(!l),
-            }
-        }
-        if !implied {
-            // If every literal was already false, no new assignment was
-            // made and propagation cannot surface a fresh conflict; that
-            // state only arises from a contradictory database, which the
-            // contradiction flag already covers. Reject (sound side).
-            implied = self.trail.len() > checkpoint && self.propagate();
-        }
-        for i in checkpoint..self.trail.len() {
-            self.assign[self.trail[i].var().index()] = 0;
-        }
-        self.trail.truncate(checkpoint);
-        self.qhead = checkpoint;
-        implied
-    }
-
     /// LRAT-style hinted implication check: assert the negation of
-    /// `lits`, then walk `hints` in order — each named clause should be
-    /// unit (assign its last free literal) or falsified (conflict:
-    /// implication established). Hints naming out-of-range or deleted
-    /// clauses end the walk unsuccessfully; hints that are satisfied or
-    /// leave two literals free are skipped. Every assignment made is
-    /// forced by the negated clause and live database clauses, so a
-    /// `true` return is a sound implication no matter what the hints
-    /// were; `false` only means "not established by this walk".
-    /// Temporary assignments are undone before returning.
+    /// `lits` over the persistent facts, then walk `hints` in order —
+    /// each named clause should be unit (assign its last free literal)
+    /// or falsified (conflict: implication established). A hint naming
+    /// a deleted clause walks that clause's live twin
+    /// ([`Checker::live_twin`]) instead; one naming an out-of-range id,
+    /// or a deleted clause with no live twin, ends the walk
+    /// unsuccessfully. Hints that are satisfied or leave two literals
+    /// free are skipped. Every assignment made is forced by the negated
+    /// clause and live database clauses, so a `true` return is a sound
+    /// implication no matter what the hints were; `false` means "not
+    /// established by this walk", and the step is rejected. Temporary
+    /// assignments are undone before returning.
     fn hinted_rup(&mut self, lits: &[Lit], hints: &[u32]) -> bool {
         if self.contradiction {
             return true;
         }
         self.ensure_capacity(lits);
         let checkpoint = self.trail.len();
-        debug_assert_eq!(self.qhead, checkpoint);
         let mut implied = false;
         for &l in lits {
             match self.value(l) {
@@ -580,13 +398,12 @@ impl Checker {
                 let Some(&meta) = self.clauses.get(h as usize) else {
                     break;
                 };
-                let meta = if meta.deleted() {
-                    match self.live_twin(meta) {
+                let meta = match meta.deleted() {
+                    false => meta,
+                    true => match self.live_twin(meta) {
                         Some(twin) => twin,
                         None => break,
-                    }
-                } else {
-                    meta
+                    },
                 };
                 let mut free: Option<Lit> = None;
                 for k in meta.range() {
@@ -615,15 +432,16 @@ impl Checker {
             self.assign[self.trail[i].var().index()] = 0;
         }
         self.trail.truncate(checkpoint);
-        self.qhead = checkpoint;
         implied
     }
 }
 
-/// Whether a stored clause holds exactly the literals of `norm`. Both
-/// sides are deduped, so length plus membership suffices.
-fn same_set(stored: &[Lit], norm: &[Lit]) -> bool {
-    stored.len() == norm.len() && norm.iter().all(|l| stored.contains(l))
+/// Makes room in `v` for `more` elements, growing its capacity by half
+/// of its length when it must grow at all.
+fn grow_by_half<T>(v: &mut Vec<T>, more: usize) {
+    if v.capacity() - v.len() < more {
+        v.reserve_exact(v.len() / 2 + more);
+    }
 }
 
 #[inline]

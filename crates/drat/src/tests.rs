@@ -22,23 +22,10 @@ fn concludes_empty(log: &ProofLog) -> bool {
 }
 
 /// Solves the pigeonhole formula PHP(holes+1, holes) with proof logging
-/// and returns the certificate.
+/// and inprocessing (elimination included) and returns the certificate.
 fn php_certificate(holes: usize) -> ProofLog {
-    php_certificate_with(holes, true)
-}
-
-/// A PHP certificate whose derivations carry LRAT hints. Elimination
-/// stays off: with it on, PHP's learnt clauses consult elided
-/// resolvents, and a step with an antecedent the proof never saw is
-/// logged unhinted, so that certificate carries no hinted step.
-fn php_hinted_certificate(holes: usize) -> ProofLog {
-    php_certificate_with(holes, false)
-}
-
-fn php_certificate_with(holes: usize, bve: bool) -> ProofLog {
     let pigeons = holes + 1;
     let mut s = Solver::new();
-    s.set_inprocess(true, bve);
     s.set_proof_logging(true);
     let v: Vec<Vec<Var>> = (0..pigeons)
         .map(|_| (0..holes).map(|_| s.new_var()).collect())
@@ -56,6 +43,11 @@ fn php_certificate_with(holes: usize, bve: bool) -> ProofLog {
     }
     assert_eq!(s.solve(), SolveResult::Unsat);
     s.take_proof()
+}
+
+/// Whether every `Derived` step of `log` carries hints.
+fn all_hinted(log: &ProofLog) -> bool {
+    log.iter().all(|st| st.kind != StepKind::Derived || !st.hints.is_empty())
 }
 
 /// A two-goal incremental gadget: each goal's gate clauses force a
@@ -84,21 +76,35 @@ fn pigeonhole_certificate_accepted() {
     let proof = php_certificate(4);
     assert!(proof.iter().any(|s| derived_of(s, 1)));
     assert!(concludes_empty(&proof));
+    // Elimination elides resolvents; the ones a derivation consults are
+    // logged on first use, so every step still carries its hints.
+    assert!(all_hinted(&proof), "an unhinted derivation");
     check_refutation(&proof, &[]).unwrap();
-    // An elided antecedent leaves its step unhinted, never mis-hinted.
-    let mut ck = Checker::new();
-    for st in proof.iter() {
-        ck.apply(st).unwrap();
-    }
-    assert_eq!(ck.hint_stats().1, 0, "a hint the checker had to fall back from");
 }
 
 #[test]
 fn empty_input_clause_is_a_refutation() {
     let mut proof = ProofLog::new();
     proof.push(StepKind::Input, &[], &[]);
-    proof.push(StepKind::Derived, &[], &[]);
+    proof.push(StepKind::Derived, &[], &[0]);
     check_refutation(&proof, &[]).unwrap();
+}
+
+/// With no search to fall back on, a derived clause the database does
+/// imply is still rejected when its hints do not walk to a conflict.
+#[test]
+fn an_unhinted_step_is_rejected_unless_trivial() {
+    let [a, b] = [0, 1].map(|v| Lit::pos(Var(v)));
+    let mut ck = Checker::new();
+    ck.apply(step(StepKind::Input, &[a, b])).unwrap();
+    ck.apply(step(StepKind::Input, &[a, !b])).unwrap();
+    assert_eq!(
+        ck.apply(step(StepKind::Derived, &[a])),
+        Err(CheckError::NotImplied { step: 2 })
+    );
+    ck.apply(Step { kind: StepKind::Derived, lits: &[a], hints: &[0, 1] }).unwrap();
+    // Satisfied by a persistent unit: true before any hint is read.
+    ck.apply(step(StepKind::Derived, &[a, b])).unwrap();
 }
 
 #[test]
@@ -201,12 +207,11 @@ fn session_deltas_check_incrementally() {
 // ---------------------------------------------------------------------
 
 /// An elimination whose parents share a non-pivot literal: resolving
-/// `{v, a, b}` against `{!v, a, c}` on `v` gives `{a, b, c}`, which the
-/// live parents cannot simulate under unit propagation (both stay
-/// two-free when only `b` and `c` are false) — so the solver must log
-/// it as a `Derived` step. `a`, `b`, `c` are frozen so `v` is the only
-/// elimination candidate. The later contradiction over `{a, b, c}`
-/// makes the combined log a refutation that *uses* the resolvent.
+/// `{v, a, b}` against `{!v, a, c}` on `v` gives `{a, b, c}`. `a`, `b`,
+/// `c` are frozen so `v` is the only elimination candidate. The
+/// resolvent is elided when it is made; the later contradiction over
+/// `{a, b, c}` makes the solver use it, so it is logged then, hinted by
+/// its parents, and the combined log is a refutation through it.
 /// Returns the log and the index of the logged resolvent.
 fn elimination_certificate() -> (ProofLog, usize) {
     let mut s = Solver::new();
@@ -221,17 +226,18 @@ fn elimination_certificate() -> (ProofLog, usize) {
     s.add_clause(&[Lit::neg(v), Lit::pos(a), Lit::pos(c)]);
     assert_eq!(s.solve(), SolveResult::Sat);
     let mut proof = s.take_proof();
-    let resolvent_at = proof
-        .iter()
-        .position(|st| derived_of(st, 2))
-        .expect("a shared-literal resolvent must be logged");
-    // Refute through the resolvent: with a and b false the checker's
-    // only path to c is the Derived {a, b, c}.
+    assert!(!proof.iter().any(|st| derived_of(st, 2)), "the resolvent is elided when made");
+    // Refute through the resolvent: with a and b false, c follows from
+    // {a, b, c} alone.
     assert!(s.add_clause(&[Lit::neg(a)]));
     assert!(s.add_clause(&[Lit::neg(b)]));
     assert!(!s.add_clause(&[Lit::neg(c)]));
     proof.extend(&s.take_proof());
     assert!(concludes_empty(&proof));
+    let resolvent_at = proof
+        .iter()
+        .position(|st| derived_of(st, 3))
+        .expect("the refutation logs the resolvent it uses");
     (proof, resolvent_at)
 }
 
@@ -247,8 +253,10 @@ fn elimination_certificate_accepted() {
 
 /// The complement of `elimination_certificate`: an implication chain
 /// whose elimination resolvents all have disjoint parents. None of them
-/// may appear in the log — the live parents simulate them — and the
-/// refutation must still replay.
+/// is logged when it is made; the cascade ends in the unit `{x15}`,
+/// which is, and its hint names the two resolvents it was resolved
+/// from — so those are logged first, each once, deepest ancestor
+/// first, and the refutation replays.
 #[test]
 fn elided_elimination_certificate_accepted() {
     let mut s = Solver::new();
@@ -261,10 +269,14 @@ fn elided_elimination_certificate_accepted() {
     assert_eq!(s.solve(), SolveResult::Sat);
     assert!(s.stats().eliminated_vars > 0, "the chain must be eliminated");
     let mut proof = s.take_proof();
-    assert!(
-        !proof.iter().any(|st| derived_of(st, 2)),
-        "disjoint-parent resolvents must be elided from the proof"
-    );
+    let logged: Vec<Vec<Lit>> =
+        proof.iter().filter(|&st| derived_of(st, 2)).map(|st| st.lits.to_vec()).collect();
+    assert_eq!(logged.len() as u64, s.stats().lazy_resolvents);
+    assert!(s.stats().lazy_resolvents < s.stats().resolvents, "some resolvent must stay elided");
+    for (i, c) in logged.iter().enumerate() {
+        assert!(!logged[..i].contains(c), "resolvent {c:?} logged twice");
+    }
+    assert!(all_hinted(&proof), "an unhinted derivation");
     // !x15 forces the whole (reintroduced) chain false, conflicting
     // with {x0, x15} at level 0; the conclusion is logged by add_clause.
     assert!(!s.add_clause(&[Lit::neg(v[15])]));
@@ -287,111 +299,72 @@ fn mutation_tampered_resolvent_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// LRAT hints: fast-path acceptance, tamper rejection, fallback
+// LRAT hints: acceptance, tamper rejection
 // ---------------------------------------------------------------------
 
-/// Index of the first hinted step with a non-empty hint list, or a
-/// panic — the solver must produce hinted steps on PHP.
-fn first_hinted(proof: &ProofLog) -> usize {
+/// Index of the first step hinted by three clauses or more, or a panic
+/// — the solver must produce such derivations on PHP. (A resolvent's
+/// two hints walk in either order: one parent is unit on the pivot.)
+fn first_multi_hinted(proof: &ProofLog) -> usize {
     proof
         .iter()
-        .position(|st| !st.hints.is_empty())
-        .expect("PHP certificates must carry hinted derivations")
+        .position(|st| st.hints.len() >= 3 && st.hints[0] != st.hints[st.hints.len() - 1])
+        .expect("PHP certificates must carry multi-hint derivations")
 }
 
-#[test]
-fn php_certificate_checks_on_the_hinted_fast_path() {
-    let proof = php_hinted_certificate(4);
-    first_hinted(&proof);
+/// Replays `proof` on a fresh checker, stopping at the first rejection.
+fn replay(proof: &ProofLog) -> Result<(), CheckError> {
     let mut ck = Checker::new();
-    for st in proof.iter() {
-        ck.apply(st).unwrap();
-    }
-    assert!(ck.take_conclusion().is_some(), "PHP log must conclude");
-    let (hinted_ok, fallbacks) = ck.hint_stats();
-    assert!(hinted_ok > 0, "hints must drive the fast path");
-    assert_eq!(fallbacks, 0, "solver-produced hints must never miss");
+    proof.iter().try_for_each(|st| ck.apply(st))
 }
 
-/// Hints are a performance contract, not a soundness one: a lenient
-/// checker treats a wrecked hint list as "no hints" and re-derives the
-/// step by full RUP — same verdict, counted as a fallback.
+/// A tampered hint list is a rejected certificate, never a silently
+/// slower one: the checker has no search to fall back on.
 #[test]
-fn tampered_hints_fall_back_to_full_rup() {
-    let mut proof = php_hinted_certificate(4);
-    for i in 0..proof.len() {
-        // Out-of-range ids: the hinted walk dies immediately.
-        for h in proof.hints_mut(i) {
-            *h = h.wrapping_add(100_000);
-        }
-    }
-    let mut ck = Checker::new();
-    for st in proof.iter() {
-        ck.apply(st).unwrap();
-    }
-    assert!(ck.take_conclusion().is_some());
-    let (_, fallbacks) = ck.hint_stats();
-    assert!(fallbacks > 0, "wrecked hints must be counted as fallbacks");
-}
-
-/// Strict mode turns that same fallback into a rejection: a tampered
-/// hint list is a rejected certificate, never a silently slower one.
-#[test]
-fn tampered_hints_rejected_in_strict_mode() {
-    let mut proof = php_hinted_certificate(4);
-    let at = first_hinted(&proof);
+fn tampered_hints_rejected() {
+    let mut proof = php_certificate(4);
+    let at = first_multi_hinted(&proof);
     let hints = proof.hints_mut(at);
     hints[0] = hints[0].wrapping_add(100_000);
-    let mut ck = Checker::new();
-    ck.set_strict_hints(true);
-    let err = proof.iter().try_for_each(|st| ck.apply(st));
+    let err = replay(&proof);
     assert!(
         matches!(err, Err(CheckError::NotImplied { step }) if step == at),
-        "strict mode must reject at the tampered step, got {err:?}"
+        "must reject at the tampered step, got {err:?}"
     );
 }
 
-/// Reordering a hint list also breaks the unit-propagation replay
-/// (each hint must become unit in order); lenient mode falls back,
-/// strict mode rejects.
+/// Reordering a hint list breaks the unit-propagation replay (each hint
+/// must become unit in order), and so does dropping its last hint (the
+/// clause the walk ends on falsified).
 #[test]
-fn reordered_hints_rejected_in_strict_mode() {
-    let mut proof = php_hinted_certificate(3);
-    // Find a hinted step whose reversal actually changes the order.
-    let at = proof
-        .iter()
-        .position(|st| st.hints.len() >= 2 && st.hints[0] != st.hints[st.hints.len() - 1])
-        .expect("PHP must produce a multi-hint derivation");
-    proof.hints_mut(at).reverse();
-    let mut lenient = Checker::new();
-    for st in proof.iter() {
-        lenient.apply(st).unwrap();
+fn reordered_or_dropped_hints_rejected() {
+    let proof = php_certificate(3);
+    let at = first_multi_hinted(&proof);
+    let mut reordered = proof.clone();
+    reordered.hints_mut(at).reverse();
+    assert!(matches!(replay(&reordered), Err(CheckError::NotImplied { step }) if step == at));
+    let mut dropped = ProofLog::new();
+    for (i, st) in proof.iter().enumerate() {
+        let hints = if i == at { &st.hints[..st.hints.len() - 1] } else { st.hints };
+        dropped.push(st.kind, st.lits, hints);
     }
-    assert!(lenient.hint_stats().1 > 0, "reversal must force a fallback");
-    let mut strict = Checker::new();
-    strict.set_strict_hints(true);
-    let err = proof.iter().try_for_each(|st| strict.apply(st));
-    assert!(matches!(err, Err(CheckError::NotImplied { step }) if step == at));
+    assert!(matches!(replay(&dropped), Err(CheckError::NotImplied { step }) if step == at));
 }
 
 /// No hint list can force acceptance of a clause that does not follow:
-/// every literal the hinted walk enqueues is genuinely implied, so a
-/// fabricated derivation fails the walk *and* the full-RUP fallback.
+/// every literal the hinted walk enqueues is genuinely implied.
 #[test]
 fn hints_cannot_launder_an_underived_clause() {
     let a = Lit::pos(Var(0));
     let b = Lit::pos(Var(1));
-    for strict in [false, true] {
-        let mut ck = Checker::new();
-        ck.set_strict_hints(strict);
-        ck.apply(step(StepKind::Input, &[a, b])).unwrap();
-        // {a, b} alone does not imply {a}, whatever the hints claim.
-        let err = ck.apply(Step { kind: StepKind::Derived, lits: &[a], hints: &[0] });
-        assert!(
-            matches!(err, Err(CheckError::NotImplied { step: 1 })),
-            "strict={strict}: fabricated hints must not launder the step, got {err:?}"
-        );
-    }
+    let mut ck = Checker::new();
+    ck.apply(step(StepKind::Input, &[a, b])).unwrap();
+    // {a, b} alone does not imply {a}, whatever the hints claim.
+    let err = ck.apply(Step { kind: StepKind::Derived, lits: &[a], hints: &[0] });
+    assert!(
+        matches!(err, Err(CheckError::NotImplied { step: 1 })),
+        "fabricated hints must not launder the step, got {err:?}"
+    );
 }
 
 /// A hint naming a deleted clause walks that clause's live twin (same
@@ -404,7 +377,6 @@ fn a_hint_to_a_deleted_clause_walks_its_live_twin() {
     let derive = Step { kind: StepKind::Derived, lits: &[b, c], hints: &[1, 2] };
     for deletes in [1, 2] {
         let mut ck = Checker::new();
-        ck.set_strict_hints(true);
         ck.apply(step(StepKind::Input, &[a, b, c])).unwrap(); // id 0
         ck.apply(step(StepKind::Input, &[c, b, a])).unwrap(); // id 1, its twin
         for _ in 0..deletes {
@@ -414,7 +386,6 @@ fn a_hint_to_a_deleted_clause_walks_its_live_twin() {
         let got = ck.apply(derive);
         if deletes == 1 {
             assert_eq!(got, Ok(()));
-            assert_eq!(ck.hint_stats(), (1, 0));
         } else {
             assert_eq!(got, Err(CheckError::NotImplied { step: 5 }), "no live twin left");
         }
@@ -426,8 +397,8 @@ fn a_hint_to_a_deleted_clause_walks_its_live_twin() {
 /// cannot be replayed under a doctored hint list.
 #[test]
 fn hint_lists_are_hashed_into_the_fingerprint() {
-    let proof = php_hinted_certificate(3);
-    let at = first_hinted(&proof);
+    let proof = php_certificate(3);
+    let at = first_multi_hinted(&proof);
     let mut doctored = proof.clone();
     let hints = doctored.hints_mut(at);
     hints[0] = hints[0].wrapping_add(1);
@@ -462,6 +433,7 @@ mod inprocessed_replay {
             }
             if s.solve() == SolveResult::Unsat {
                 let proof = s.take_proof();
+                prop_assert!(all_hinted(&proof), "an unhinted derivation");
                 prop_assert!(
                     check_refutation(&proof, &[]).is_ok(),
                     "inprocessed refutation rejected"
@@ -523,13 +495,8 @@ fn chronological_refutations_check_on_their_hints() {
         chrono += c;
         let Some(proof) = proof else { continue };
         refuted += 1;
+        assert!(all_hinted(&proof), "seed {seed}: an unhinted derivation");
         assert!(check_refutation(&proof, &[]).is_ok(), "seed {seed}: refutation rejected");
-        let mut strict = Checker::new();
-        strict.set_strict_hints(true);
-        for st in proof.iter() {
-            strict.apply(st).unwrap_or_else(|e| panic!("seed {seed}: strict hints: {e:?}"));
-        }
-        assert_eq!(strict.hint_stats().1, 0, "seed {seed}");
     }
     assert!(refuted > 0 && chrono > 0, "{refuted} refutations, {chrono} chronological backtracks");
 }
@@ -542,6 +509,7 @@ fn inprocessed_chronological_refutations_check() {
         chrono += c;
         let Some(proof) = proof else { continue };
         refuted += 1;
+        assert!(all_hinted(&proof), "seed {seed}: an unhinted derivation");
         assert!(check_refutation(&proof, &[]).is_ok(), "seed {seed}: refutation rejected");
     }
     assert!(refuted > 0 && chrono > 0, "{refuted} refutations, {chrono} chronological backtracks");
@@ -641,6 +609,60 @@ struct SoakTally {
     reintroduced: u64,
     compacting_purges: u64,
     quiet_purges: u64,
+    /// Elided resolvents logged on first use (`SolverStats`).
+    lazy_resolvents: u64,
+    /// Purges whose garbage included a variable of a parent of a
+    /// resolvent already in the proof.
+    retired_parents: u64,
+}
+
+/// A mirror of the checker's clause ids, built from the steps alone, that
+/// recognizes logged resolvents: `Derived` steps hinted by exactly two
+/// clauses that clash on one variable and whose resolvent they are.
+/// (That a resolvent is logged at most once the solver asserts itself,
+/// in `Solver::hint_id`.)
+#[derive(Default)]
+struct ResolventWatch {
+    /// Literals of every added step, by checker id.
+    clauses: Vec<Vec<Lit>>,
+    /// Variables of the resolvents' parents.
+    parent_vars: Vec<bool>,
+}
+
+impl ResolventWatch {
+    /// Records `st`.
+    fn see(&mut self, st: Step<'_>) {
+        if st.kind == StepKind::Delete {
+            return;
+        }
+        if let [h0, h1] = *st.hints {
+            let (a, b) = (&self.clauses[h0 as usize], &self.clauses[h1 as usize]);
+            let clash: Vec<Lit> = a.iter().copied().filter(|&l| b.contains(&!l)).collect();
+            if let [pivot] = clash[..] {
+                let mut res: Vec<Lit> =
+                    a.iter().chain(b).copied().filter(|l| l.var() != pivot.var()).collect();
+                res.sort_unstable();
+                res.dedup();
+                let mut lits = st.lits.to_vec();
+                lits.sort_unstable();
+                if res == lits {
+                    for l in a.iter().chain(b) {
+                        let v = l.var().index();
+                        if self.parent_vars.len() <= v {
+                            self.parent_vars.resize(v + 1, false);
+                        }
+                        self.parent_vars[v] = true;
+                    }
+                }
+            }
+        }
+        self.clauses.push(st.lits.to_vec());
+    }
+
+    /// Whether `garbage` marks a variable of a logged resolvent's parent.
+    fn retires_a_parent(&self, garbage: &[bool]) -> bool {
+        garbage.iter().zip(&self.parent_vars).any(|(&g, &p)| g && p)
+    }
 }
 
 fn below(rng: &mut serval_check::rng::Xoshiro256, n: u64) -> u64 {
@@ -702,15 +724,27 @@ fn soak_brute(
 /// the goal is retracted, and its gates are purged now or later
 /// together with other retired goals' gates. Every `Sat` model must
 /// satisfy the base and the goal, eliminated variables included;
-/// every verdict must match brute force; every proof delta must pass
-/// the strict hinted checker, and every `Unsat` conclude its goal.
+/// every verdict must match brute force; every proof delta must carry
+/// hints on every derivation and pass the checker, and every `Unsat`
+/// conclude its goal.
 fn soak_session(seed: u64, tally: &mut SoakTally) {
     let rng = &mut serval_check::rng::Xoshiro256::from_seed(seed);
     let mut s = Solver::new();
     s.set_proof_logging(true);
     s.set_inprocess(true, true);
     let mut ck = Checker::new();
-    ck.set_strict_hints(true);
+    let mut watch = ResolventWatch::default();
+    let apply = |ck: &mut Checker, watch: &mut ResolventWatch, proof: ProofLog, what: &str| {
+        for (i, st) in proof.iter().enumerate() {
+            if st.kind == StepKind::Derived && st.hints.is_empty() {
+                panic!("seed {seed} {what}: delta step {i} is unhinted: {st:?}");
+            }
+            if let Err(e) = ck.apply(st) {
+                panic!("seed {seed} {what}: delta step {i} rejected: {e:?}");
+            }
+            watch.see(st);
+        }
+    };
 
     let inputs: Vec<Var> = (0..4 + below(rng, 3)).map(|_| s.new_var()).collect();
     let mut signals: Vec<Lit> = inputs.iter().map(|&v| Lit::pos(v)).collect();
@@ -760,11 +794,7 @@ fn soak_session(seed: u64, tally: &mut SoakTally) {
         }
         let goal = &goals[gi];
         let verdict = s.solve_assuming(&[goal.act]);
-        for (i, st) in s.take_proof().iter().enumerate() {
-            if let Err(e) = ck.apply(st) {
-                panic!("seed {seed} goal {gi}: delta step {i} rejected: {e:?}");
-            }
-        }
+        apply(&mut ck, &mut watch, s.take_proof(), &format!("goal {gi}"));
         let conclusion = ck.take_conclusion();
         let expected = soak_brute(&inputs, &base, &cnf, goal, s.num_vars());
         match verdict {
@@ -812,6 +842,10 @@ fn soak_session(seed: u64, tally: &mut SoakTally) {
                 garbage[v.index()] = true;
             }
             let before = s.stats().compactions;
+            // Whatever the solver retires, the checker keeps every
+            // clause a logged resolvent was derived from.
+            apply(&mut ck, &mut watch, s.take_proof(), "retraction");
+            tally.retired_parents += u64::from(watch.retires_a_parent(&garbage));
             s.purge_vars(&garbage);
             if s.stats().compactions > before {
                 tally.compacting_purges += 1;
@@ -820,19 +854,18 @@ fn soak_session(seed: u64, tally: &mut SoakTally) {
             }
         }
     }
-    for (i, st) in s.take_proof().iter().enumerate() {
-        if let Err(e) = ck.apply(st) {
-            panic!("seed {seed}: trailing delta step {i} rejected: {e:?}");
-        }
-    }
+    apply(&mut ck, &mut watch, s.take_proof(), "trailing");
     tally.eliminated += s.stats().eliminated_vars;
     tally.reintroduced += s.stats().reintroduced_vars;
+    tally.lazy_resolvents += s.stats().lazy_resolvents;
 }
 
+/// 400 sessions; `SERVAL_CHECK_CASES` sets another count (`ci.sh`'s
+/// certificate-soak leg runs ten times as many).
 #[test]
 fn soak_incremental_sessions_against_brute_force_and_the_strict_checker() {
     let mut tally = SoakTally::default();
-    for seed in 0..400 {
+    for seed in 0..u64::from(serval_check::runner::case_count(400)) {
         soak_session(seed, &mut tally);
     }
     let t = &tally;
@@ -842,7 +875,9 @@ fn soak_incremental_sessions_against_brute_force_and_the_strict_checker() {
             && t.eliminated > 0
             && t.reintroduced > 0
             && t.compacting_purges > 0
-            && t.quiet_purges > 0,
+            && t.quiet_purges > 0
+            && t.lazy_resolvents > 0
+            && t.retired_parents > 0,
         "a path went untested: {t:?}"
     );
 }

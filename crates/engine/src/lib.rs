@@ -223,10 +223,11 @@ pub fn shard_plan(goals: usize, base_terms: usize, tasks: usize, jobs: usize) ->
     (0..shards).map(|k| k * goals / shards).collect()
 }
 
-/// Every field of a [`SolverConfig`] as a hashable value (`f64` by bit
-/// pattern): the half of a session group's key that keeps a query from
-/// being solved under another query's configuration.
-type CfgKey = (Option<u64>, u64, u64, u8, [bool; 6]);
+/// Every field of a [`SolverConfig`] the solver reads, as a hashable
+/// value (`f64` by bit pattern): the half of a session group's key that
+/// keeps a query from being solved under another query's configuration.
+/// The retired `lrat` is left out, so it never splits a group.
+type CfgKey = (Option<u64>, u64, u64, u8, [bool; 5]);
 
 fn cfg_key(cfg: &SolverConfig) -> CfgKey {
     let SolverConfig {
@@ -239,14 +240,14 @@ fn cfg_key(cfg: &SolverConfig) -> CfgKey {
         inprocess,
         polarity,
         session_bve,
-        lrat,
+        lrat: _,
     } = *cfg;
     (
         conflict_budget,
         restart_base,
         var_decay.to_bits(),
         rephase as u8,
-        [default_phase, restart_geometric, inprocess, polarity, session_bve, lrat],
+        [default_phase, restart_geometric, inprocess, polarity, session_bve],
     )
 }
 

@@ -471,6 +471,8 @@ fn push_cfg(out: &mut Vec<u8>, cfg: &SolverConfig) {
     out.push(cfg.inprocess as u8);
     out.push(cfg.polarity as u8);
     out.push(cfg.session_bve as u8);
+    // Retired, but still on the wire: the byte keeps every key and
+    // frame as it was, and nothing reads it on the other side.
     out.push(cfg.lrat as u8);
 }
 

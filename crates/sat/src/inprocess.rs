@@ -23,23 +23,27 @@
 //!
 //! Certified mode accepts inprocessed refutations unchanged, but most
 //! elimination traffic never reaches the proof. The scan's strengthened
-//! clauses are logged while their premises are live, as usual. Variable
+//! clauses are logged while their premises are live, as usual, after
+//! the level-0 literals they drop are logged as unit facts. Variable
 //! elimination instead *elides* its parent deletions — the parents stay
-//! in the checker's database — and then a live parent pair simulates
-//! its resolvent under unit propagation: whenever the resolvent would
-//! propagate `l`, one parent becomes unit on the pivot and the other
-//! then unit on `l`. The simulation fails only when the parents share a
-//! non-pivot literal (both keep two free literals), so exactly those
-//! resolvents, plus unit resolvents (which must propagate
-//! persistently), are logged as RUP `Derived` steps; the rest are
-//! elided, keeping the certificate linear in the *search* effort
-//! instead of the elimination effort. Extra live clauses in the checker
-//! are always sound (they are entailed consequences), and the
-//! simulation argument makes the logged refutation check through
-//! without the elided clauses, recursively through elimination
-//! cascades. An elided resolvent has no checker id, so a derivation
-//! that consults one is logged unhinted: the checker re-derives it by
-//! full unit propagation, from the live parents.
+//! in the checker's database for the rest of the session — and logs a
+//! resolvent only if the solver ever leans on it. Unit resolvents are
+//! logged when made (they become level-0 facts). Every other resolvent
+//! is recorded with its two parents' proof ids in `Solver::elided`,
+//! reached through the resolvent's `Clause::proof_id`, and logged the
+//! first time a hint names it — as an antecedent of conflict analysis,
+//! of a strengthening or of a level-0 fact — as a `Derived` step hinted
+//! by its parents. A parent that was itself an elided resolvent (an
+//! elimination cascade) had its literals saved when it died, and is
+//! logged first, recursively. Each resolvent is logged at most once,
+//! and only if used, which keeps the certificate linear in the *search*
+//! effort instead of the elimination effort. No parent's `Delete` is
+//! ever logged (a purge, a reintroduction or a retirement deletes live
+//! clauses only, and a parent is dead in the solver from its
+//! elimination on), so the parents a late first use needs are always in
+//! the checker, or a live twin with their literals, which the walk
+//! follows. Compaction drops the entries no live clause can reach
+//! (`Solver::compact_elided`).
 
 use super::*;
 
@@ -64,17 +68,14 @@ impl Solver {
     /// been logged.
     pub(super) fn inprocess(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            self.log(StepKind::Derived, &[], &[]);
+        if let Some(confl) = self.propagate() {
+            self.refute(confl);
             return;
         }
         // Level-0 reasons are never consulted again (conflict analysis
         // skips level 0); clear them so the clauses they point into can
         // be deleted and compacted.
-        for i in 0..self.trail.len() {
-            self.reason[self.trail[i].var().index()] = None;
-        }
+        self.forget_level0_reasons();
         // Only elimination reads occurrence lists: a round without it
         // (BVE off, or saturated) does not build them.
         let bve = self.inprocess_bve && !self.bve_saturated;
@@ -102,9 +103,11 @@ impl Solver {
         new.sort_unstable();
         self.log_derived(new, &[ci as CRef]);
         if new.is_empty() {
+            self.empty_id = self.last_proof_id();
             self.ok = false;
             return false;
         }
+        let unit_id = self.last_proof_id();
         self.log_delete(ci);
         match new.len() {
             1 => {
@@ -112,12 +115,13 @@ impl Solver {
                 match value_of(&self.assign, new[0]) {
                     LBool::True => true,
                     LBool::False => {
+                        // The unit just logged is false at level 0.
                         self.ok = false;
-                        self.log(StepKind::Derived, &[], &[]);
+                        self.log_empty(unit_id);
                         false
                     }
                     LBool::Undef => {
-                        self.enqueue_at(new[0], 0, None);
+                        self.fix_unit(new[0]);
                         true
                     }
                 }
@@ -138,24 +142,187 @@ impl Solver {
 
     /// Logs `lits` as a `Derived` step, hinted with `antecedents` (the
     /// clauses whose unit propagations justify it, the falsified one
-    /// last) when every one of them can be named to the checker.
+    /// last).
     fn log_derived(&mut self, lits: &[Lit], antecedents: &[CRef]) {
-        let hints: &[u32] =
-            if self.antecedent_hints(antecedents) { &self.hint_ids } else { &[] };
-        log_to(&mut self.proof, &mut self.proof_adds, StepKind::Derived, lits, hints);
-    }
-
-    /// Maps antecedent clause refs to their proof-log ids for an LRAT
-    /// hint, into `self.hint_ids`. `false` when hints are off or an
-    /// antecedent was never logged (an elided elimination resolvent):
-    /// the step still RUP-checks from that resolvent's live parents,
-    /// just not by the direct walk.
-    fn antecedent_hints(&mut self, antecedents: &[CRef]) -> bool {
-        if !self.lrat || self.proof.is_none() || antecedents.is_empty() {
-            return false;
+        if self.proof.is_none() {
+            return;
         }
         self.hint_ids.clear();
-        antecedents.iter().all(|&c| self.push_hint_id(c))
+        for &c in antecedents {
+            let id = self.hint_id(c);
+            self.hint_ids.push(id);
+        }
+        log_to(&mut self.proof, &mut self.proof_adds, StepKind::Derived, lits, &self.hint_ids);
+    }
+
+    /// The checker id of clause `c` for a hint. An elided resolvent is
+    /// logged first — a `Derived` step hinted by its two parents, whose
+    /// own elided ancestors are logged before it — and keeps the
+    /// logged id from then on, so each resolvent reaches the log at
+    /// most once, and only if some hint names it.
+    pub(super) fn hint_id(&mut self, c: CRef) -> u32 {
+        let pid = self.clauses[c as usize].proof_id;
+        if logged(pid) {
+            return pid;
+        }
+        debug_assert_ne!(pid, NO_PROOF_ID, "hints are only taken with logging on");
+        let e = (pid & !ELIDED) as usize;
+        debug_assert!(self.logged_as(e).is_none(), "an elided resolvent logged twice");
+        let parents = self.parent_ids(e);
+        let r = self.clauses[c as usize].range();
+        log_to(
+            &mut self.proof,
+            &mut self.proof_adds,
+            StepKind::Derived,
+            &self.lit_arena[r],
+            &parents,
+        );
+        let id = self.last_proof_id();
+        self.stats.lazy_resolvents += 1;
+        self.elided[e].parents = [id, NO_PROOF_ID];
+        self.clauses[c as usize].proof_id = id;
+        id
+    }
+
+    /// The logged ids of elided resolvent `e`'s two parents. A parent
+    /// that is itself an elided resolvent died as an elimination parent
+    /// with its literals saved; it, and its own unlogged ancestors, are
+    /// logged first, deepest first. The walk keeps its own stack:
+    /// elimination cascades can run thousands of resolvents deep.
+    fn parent_ids(&mut self, e: usize) -> [u32; 2] {
+        if self.unlogged_parents(e).next().is_some() {
+            let mut stack = vec![e];
+            while let Some(&top) = stack.last() {
+                if let Some(p) = self.unlogged_parents(top).next() {
+                    stack.push(p);
+                    continue;
+                }
+                stack.pop();
+                if top == e {
+                    break;
+                }
+                let ids = self.logged_parents(top);
+                let at = self.elided[top].lits as usize;
+                let len = self.elided_lits[at].0 as usize;
+                let lits = &self.elided_lits[at + 1..at + 1 + len];
+                log_to(&mut self.proof, &mut self.proof_adds, StepKind::Derived, lits, &ids);
+                self.elided[top].parents = [self.last_proof_id(), NO_PROOF_ID];
+                self.stats.lazy_resolvents += 1;
+            }
+        }
+        self.logged_parents(e)
+    }
+
+    /// Elided resolvent `e`'s checker id, once logged.
+    fn logged_as(&self, e: usize) -> Option<u32> {
+        let [id, mark] = self.elided[e].parents;
+        (mark == NO_PROOF_ID).then_some(id)
+    }
+
+    /// The parents of elided resolvent `e` that are elided resolvents
+    /// not logged yet (none once `e` itself is logged).
+    fn unlogged_parents(&self, e: usize) -> impl Iterator<Item = usize> + '_ {
+        self.elided[e]
+            .parents
+            .into_iter()
+            .filter(|&p| !logged(p) && p != NO_PROOF_ID)
+            .map(|p| (p & !ELIDED) as usize)
+            .filter(|&i| self.logged_as(i).is_none())
+    }
+
+    /// `e`'s parents' ids, every one already logged.
+    fn logged_parents(&self, e: usize) -> [u32; 2] {
+        self.elided[e].parents.map(|p| {
+            if logged(p) {
+                p
+            } else {
+                self.logged_as((p & !ELIDED) as usize).expect("parents are logged first")
+            }
+        })
+    }
+
+    /// Drops the elided resolvents no hint can reach any more — neither
+    /// a live clause's nor, through its unlogged ancestors, one a live
+    /// clause was resolved from — with their saved literals, so the
+    /// table follows the live database instead of every resolvent a
+    /// session ever made. A logged ancestor is named by its id from
+    /// then on. Part of `compact_deleted`, at the same cost.
+    pub(super) fn compact_elided(&mut self) {
+        if self.elided.is_empty() {
+            return;
+        }
+        let mut keep = vec![false; self.elided.len()];
+        let mut stack: Vec<usize> = Vec::new();
+        for c in &self.clauses {
+            if !logged(c.proof_id) && c.proof_id != NO_PROOF_ID {
+                stack.push((c.proof_id & !ELIDED) as usize);
+            }
+        }
+        while let Some(e) = stack.pop() {
+            if std::mem::replace(&mut keep[e], true) {
+                continue;
+            }
+            stack.extend(self.unlogged_parents(e));
+        }
+        let mut remap = vec![NO_PROOF_ID; self.elided.len()];
+        let (mut kept, mut lits) = (Vec::new(), Vec::new());
+        for e in 0..self.elided.len() {
+            if !keep[e] {
+                continue;
+            }
+            remap[e] = ELIDED | kept.len() as u32;
+            let mut entry = self.elided[e];
+            if entry.lits != NO_PROOF_ID {
+                let at = entry.lits as usize;
+                let len = self.elided_lits[at].0 as usize;
+                entry.lits = lits.len() as u32;
+                lits.extend_from_slice(&self.elided_lits[at..=at + len]);
+            }
+            kept.push(entry);
+        }
+        for entry in &mut kept {
+            for p in &mut entry.parents {
+                if !logged(*p) {
+                    let i = (*p & !ELIDED) as usize;
+                    *p = self.logged_as(i).unwrap_or(remap[i]);
+                }
+            }
+        }
+        for c in &mut self.clauses {
+            if !logged(c.proof_id) && c.proof_id != NO_PROOF_ID {
+                c.proof_id = remap[(c.proof_id & !ELIDED) as usize];
+            }
+        }
+        (self.elided, self.elided_lits) = (kept, lits);
+    }
+
+    /// Records a resolvent of `p` and `n` without logging it, returning
+    /// its [`ELIDED`] proof id ([`NO_PROOF_ID`] with logging off).
+    fn elide(&mut self, p: CRef, n: CRef) -> u32 {
+        if self.proof.is_none() {
+            return NO_PROOF_ID;
+        }
+        let e = self.elided.len();
+        assert!(e < ELIDED as usize, "elided resolvents outgrew the ELIDED tag");
+        self.elided.push(Elided {
+            parents: [self.clauses[p as usize].proof_id, self.clauses[n as usize].proof_id],
+            lits: NO_PROOF_ID,
+        });
+        ELIDED | e as u32
+    }
+
+    /// Saves the literals of elimination parent `c`, about to be
+    /// deleted, if it is an elided resolvent a later hint may still
+    /// reach through a resolvent of its own.
+    fn save_elided(&mut self, c: CRef) {
+        let pid = self.clauses[c as usize].proof_id;
+        if logged(pid) || pid == NO_PROOF_ID {
+            return;
+        }
+        let r = self.clauses[c as usize].range();
+        self.elided[(pid & !ELIDED) as usize].lits = self.elided_lits.len() as u32;
+        self.elided_lits.push(Lit(r.len() as u32));
+        self.elided_lits.extend_from_slice(&self.lit_arena[r]);
     }
 
     /// Phase 1: level-0 cleanup, plus occurrence lists into `occ` when
@@ -187,6 +354,11 @@ impl Solver {
                 continue;
             }
             if false_lits > 0 {
+                for k in range.clone() {
+                    if value_of(&self.assign, self.lit_arena[k]) == LBool::False {
+                        self.log_fact(self.lit_arena[k].var());
+                    }
+                }
                 let mut live = std::mem::take(&mut self.add_buf);
                 live.clear();
                 live.extend(
@@ -260,12 +432,8 @@ impl Solver {
     }
 
     /// Appends the resolvent of clauses `p` and `n` on variable `v`
-    /// (`v` in `p` positively, in `n` negatively) to `out`; `None` for
-    /// tautologies (leaving `out` untouched). The returned flag is
-    /// `true` when the parents share a non-pivot literal — the one
-    /// case where the parents do *not* simulate the resolvent under
-    /// unit propagation (see `eliminate_vars_inner`), so the resolvent
-    /// must be logged to the proof.
+    /// (`v` in `p` positively, in `n` negatively) to `out`; `false` for
+    /// tautologies (leaving `out` untouched).
     ///
     /// Both parents are sorted and duplicate-free (the scan phase sorts
     /// every live clause, and every clause BVE adds or strengthens
@@ -280,13 +448,12 @@ impl Solver {
         n: usize,
         v: Var,
         out: &mut Vec<Lit>,
-    ) -> Option<bool> {
+    ) -> bool {
         let a = &self.lit_arena[self.clauses[p].range()];
         let b = &self.lit_arena[self.clauses[n].range()];
         debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
         let start = out.len();
-        let mut shared = false;
         let mut i = 0;
         let mut j = 0;
         loop {
@@ -294,10 +461,10 @@ impl Solver {
                 (Some(&la), Some(&lb)) => {
                     if la == lb {
                         // The pivot appears with opposite polarities,
-                        // so an equal pair is a shared non-pivot lit.
+                        // so an equal pair is a shared non-pivot lit,
+                        // taken once.
                         i += 1;
                         j += 1;
-                        shared = true;
                         la
                     } else if la < lb {
                         i += 1;
@@ -322,11 +489,11 @@ impl Solver {
             }
             if out.len() > start && out[out.len() - 1] == !next {
                 out.truncate(start);
-                return None;
+                return false;
             }
             out.push(next);
         }
-        Some(shared)
+        true
     }
 
     /// Phase 3: bounded variable elimination. The learnt database is
@@ -395,7 +562,6 @@ impl Solver {
         // with clause-end offsets, reused across variables.
         let mut res_lits: Vec<Lit> = Vec::new();
         let mut res_ends: Vec<u32> = Vec::new();
-        let mut res_shared: Vec<bool> = Vec::new();
         let mut res_parents: Vec<(CRef, CRef)> = Vec::new();
         for vi in 0..self.assign.len() {
             if vi % 64 == 0 && self.interrupted() {
@@ -418,21 +584,17 @@ impl Solver {
             let limit = pos_refs.len() + neg_refs.len();
             res_lits.clear();
             res_ends.clear();
-            res_shared.clear();
             res_parents.clear();
             let mut blown = false;
             'pairs: for &p in &pos_refs {
                 for &n in &neg_refs {
                     let start = res_lits.len();
-                    if let Some(shared) =
-                        self.resolve_on_into(p as usize, n as usize, v, &mut res_lits)
-                    {
+                    if self.resolve_on_into(p as usize, n as usize, v, &mut res_lits) {
                         if res_lits.len() - start > BVE_RESOLVENT_LEN_CAP {
                             blown = true;
                             break 'pairs;
                         }
                         res_ends.push(res_lits.len() as u32);
-                        res_shared.push(shared);
                         res_parents.push((p, n));
                         if res_ends.len() > limit {
                             blown = true;
@@ -446,17 +608,13 @@ impl Solver {
             }
             // Commit. Stored clauses are snapshotted (for reconstruction
             // and reintroduction). The parents' deletions are *not*
-            // logged, so they stay live in the checker's database — and
-            // a live parent pair simulates its resolvent under unit
-            // propagation: when the resolvent would propagate `l`, one
-            // parent is unit on the pivot and the other then unit on
-            // `l`. That simulation only fails when the parents share a
-            // non-pivot literal `l` (both parents keep two free
-            // literals), so exactly those resolvents — plus units,
-            // which must propagate *persistently* in the checker — are
-            // logged as `Derived` (RUP from the live parents); the
-            // rest are elided, which keeps the certificate linear in
-            // the *search* effort instead of the elimination effort.
+            // logged, so they stay live in the checker's database for
+            // the rest of the session. A unit resolvent is logged now,
+            // hinted by its parents, since it becomes a level-0 fact;
+            // every other resolvent is elided: recorded with its
+            // parents' proof ids and logged only if a hint ever names
+            // it (`hint_id`), which keeps the certificate linear in the
+            // *search* effort instead of the elimination effort.
             let mut stored = StoredClauses::new();
             for &c in pos_refs.iter().chain(&neg_refs) {
                 stored.push(&self.lit_arena[self.clauses[c as usize].range()]);
@@ -465,10 +623,9 @@ impl Solver {
             for i in 0..res_ends.len() {
                 let re = res_ends[i] as usize;
                 let r = &res_lits[rs..re];
-                let shared = res_shared[i];
-                // Hint for a logged resolvent: under its negation the
-                // positive parent is unit on the pivot, the negative
-                // parent then falsified.
+                // A resolvent's hint: under its negation the positive
+                // parent is unit on the pivot, the negative parent then
+                // falsified.
                 let parents = [res_parents[i].0, res_parents[i].1];
                 rs = re;
                 self.stats.resolvents += 1;
@@ -476,7 +633,8 @@ impl Solver {
                     0 => {
                         // Both parents were units — cannot happen with a
                         // unit-free database, but conclude soundly.
-                        self.log(StepKind::Derived, &[], &[]);
+                        self.log_derived(&[], &parents);
+                        self.empty_id = self.last_proof_id();
                         self.ok = false;
                         return false;
                     }
@@ -486,19 +644,14 @@ impl Solver {
                             LBool::True => {}
                             LBool::False => {
                                 self.ok = false;
-                                self.log(StepKind::Derived, &[], &[]);
+                                self.log_empty(self.last_proof_id());
                                 return false;
                             }
-                            LBool::Undef => self.enqueue_at(r[0], 0, None),
+                            LBool::Undef => self.fix_unit(r[0]),
                         }
                     }
                     _ => {
-                        let pid = if shared {
-                            self.log_derived(r, &parents);
-                            self.last_proof_id()
-                        } else {
-                            NO_PROOF_ID
-                        };
+                        let pid = self.elide(parents[0], parents[1]);
                         let cref = self.attach_new_clause(r, false);
                         self.clauses[cref as usize].proof_id = pid;
                         for &l in r {
@@ -508,6 +661,7 @@ impl Solver {
                 }
             }
             for &c in pos_refs.iter().chain(&neg_refs) {
+                self.save_elided(c);
                 self.mark_deleted(c as usize);
             }
             self.elim[vi] = true;
@@ -557,9 +711,8 @@ impl Solver {
         }
         self.compact_deleted();
         self.qhead = 0;
-        if self.propagate().is_some() {
-            self.ok = false;
-            self.log(StepKind::Derived, &[], &[]);
+        if let Some(confl) = self.propagate() {
+            self.refute(confl);
         }
     }
 

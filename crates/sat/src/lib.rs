@@ -25,10 +25,10 @@
 //! - LBD ("glue")-based learnt-clause database reduction,
 //! - SatELite-style inprocessing at level-0 boundaries — level-0
 //!   cleanup and bounded variable elimination with model
-//!   reconstruction. Certified mode survives it: every strengthening,
-//!   and every resolvent its live parents cannot simulate under unit
-//!   propagation, is logged to the DRAT proof; the other resolvents
-//!   are elided (see `inprocess.rs`), and
+//!   reconstruction. Certified mode survives it: every strengthening
+//!   and every unit resolvent is logged to the proof; the other
+//!   resolvents are elided, and each is logged once, on first use, when
+//!   a hint names it (see `inprocess.rs`), and
 //! - incremental solving under assumptions with final-conflict (core)
 //!   extraction.
 //!

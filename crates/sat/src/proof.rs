@@ -6,7 +6,7 @@
 //! *certificate*: the ordered step log, ending in a derived clause that
 //! contains only negated assumption literals (the empty clause when
 //! solving without assumptions). The `serval-drat` crate checks such
-//! certificates by reverse unit propagation, independently of the
+//! certificates by walking each step's hints, independently of the
 //! solver's own data structures.
 //!
 //! The logging discipline mirrors drat-trim's input conventions:
@@ -18,14 +18,17 @@
 //!   logged so far, so the retraction unit is part of the formula for
 //!   every later goal.
 //! - `Derived` steps must each be implied by the clauses currently in the
-//!   checker's database (reverse unit propagation); this covers learnt
-//!   clauses (including ccmin-2-minimized ones), input clauses strengthened
-//!   by level-0 literal elimination, assumption-core conflict clauses, and
-//!   the empty clause.
+//!   checker's database, by the unit-propagation walk their hints spell
+//!   out; this covers learnt clauses (including ccmin-2-minimized ones),
+//!   input clauses strengthened by level-0 literal elimination,
+//!   elimination resolvents, level-0 units, assumption-core conflict
+//!   clauses, and the empty clause. The solver hints every one.
 //! - `Delete` steps must name a clause previously added and not yet
-//!   deleted; the checker drops it. Unit propagation already performed
-//!   stays in force (the drat-trim convention), so deletions can only make
-//!   later `Derived` checks *harder*, never unsound.
+//!   deleted; the checker drops it. A deleted unit's fact stays in force
+//!   (the drat-trim convention), so deletions can only make later
+//!   `Derived` checks *harder*, never unsound.
+//! - The checker propagates nothing itself: every level-0 literal a
+//!   step leans on has been logged as a unit clause before it.
 //!
 //! # Format
 //!
@@ -45,7 +48,7 @@ pub enum StepKind {
     /// The empty input clause encodes a constant-false assertion.
     Input,
     /// A clause the solver claims follows from the database (checked by
-    /// reverse unit propagation).
+    /// walking its hints).
     Derived,
     /// A clause removed from the database (`simplify`, `purge_vars`,
     /// `reduce_db` sweeps).
@@ -59,17 +62,15 @@ pub struct Step<'a> {
     pub kind: StepKind,
     /// The step's clause.
     pub lits: &'a [Lit],
-    /// LRAT-style antecedent hints, on `Derived` steps only (empty =
-    /// unhinted): the ids of the clauses whose unit propagations, taken
-    /// in order under the negated clause, end in a conflict. Ids are
-    /// 0-based counts of *added* steps (`Input` and `Derived`; `Delete`
-    /// does not count) since logging began — exactly the order a
-    /// replaying checker numbers its database. Hints are a performance
-    /// contract, not a soundness one: a checker may verify the step by
-    /// the hinted walk alone (indexed lookup instead of watch-driven
-    /// propagation) and must fall back to full reverse unit propagation
-    /// — or reject — when a hint is wrong, so a bad hint can only ever
-    /// cost acceptance, never soundness.
+    /// LRAT-style antecedent hints, on `Derived` steps only: the ids of
+    /// the clauses whose unit propagations, taken in order under the
+    /// negated clause, end in a conflict. Ids are 0-based counts of
+    /// *added* steps (`Input` and `Derived`; `Delete` does not count)
+    /// since logging began — exactly the order a replaying checker
+    /// numbers its database. The checker verifies a step by this walk
+    /// alone and rejects it when the walk ends short of a conflict, so
+    /// a bad hint costs acceptance, never soundness: every literal the
+    /// walk assigns is forced by live clauses whatever the hints say.
     pub hints: &'a [u32],
 }
 

@@ -1,5 +1,6 @@
 //! The CDCL solver proper.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -34,20 +35,50 @@ struct Clause {
     deleted: bool,
     /// The clause's id in the proof checker's database — the 0-based
     /// count of added proof steps at the moment this clause's current
-    /// literal content was logged — or [`NO_PROOF_ID`] when the log
-    /// never saw it. Variable elimination adds most resolvents
-    /// *without* logging them (see `inprocess.rs`: their parents stay
-    /// live in the checker and simulate them under unit propagation);
-    /// deletions of such clauses must not be logged either, or the
-    /// checker would reject the `Delete` of a clause it never saw.
-    /// Logged clauses' ids are what LRAT-style antecedent hints are
-    /// made of (see [`crate::Step::hints`]).
+    /// literal content was logged — or [`NO_PROOF_ID`] with logging
+    /// off. Variable elimination adds most resolvents *without*
+    /// logging them (see `inprocess.rs`): such a clause holds
+    /// [`ELIDED`] plus its index into `Solver::elided`, and is logged
+    /// the first time a hint names it (`Solver::hint_id`), which swaps
+    /// the logged id in. Deletions of a clause the log never saw are
+    /// not logged either, or the checker would reject the `Delete` of a
+    /// clause it never saw. Logged clauses' ids are what LRAT-style
+    /// antecedent hints are made of (see [`crate::Step::hints`]).
     proof_id: u32,
 }
 
-/// Sentinel for [`Clause::proof_id`]: the proof log never saw this
-/// clause (logging off, or an elided elimination resolvent).
+/// Sentinel for [`Clause::proof_id`]: logging is off.
 const NO_PROOF_ID: u32 = u32::MAX;
+
+/// Tag bit of a [`Clause::proof_id`] (and of an [`Elided`] parent)
+/// naming an elided elimination resolvent: the low bits index
+/// `Solver::elided`. Logged ids stay below it.
+const ELIDED: u32 = 1 << 31;
+
+/// Whether proof id `pid` names a clause the checker holds.
+#[inline]
+fn logged(pid: u32) -> bool {
+    pid < ELIDED
+}
+
+/// An elimination resolvent the proof log has not seen yet: what it
+/// takes to log it later, once, as a `Derived` step hinted by its two
+/// parents. The parents were original clauses whose deletion the
+/// elimination did not log, so the checker holds them for the rest of
+/// the session; a parent that was itself an elided resolvent is logged
+/// first, recursively through elimination cascades.
+#[derive(Clone, Copy)]
+struct Elided {
+    /// Proof ids of the positive and the negative parent, each logged
+    /// or [`ELIDED`]-tagged; once the resolvent itself is logged, its
+    /// own id and [`NO_PROOF_ID`].
+    parents: [u32; 2],
+    /// Where the resolvent's literals start in `Solver::elided_lits`,
+    /// behind their count, once saved: when the clause died as an
+    /// elimination parent itself (a live clause's literals are in the
+    /// arena).
+    lits: u32,
+}
 
 /// The original clauses of one eliminated variable, snapshotted for
 /// model reconstruction and reintroduction — flattened into one literal
@@ -154,6 +185,9 @@ pub struct SolverStats {
     /// Eliminated variables brought back by a clause or an assumption
     /// that mentions them (see [`Solver::set_eliminable`]).
     pub reintroduced_vars: u64,
+    /// Elided elimination resolvents logged to the proof because a
+    /// hint named them (each at most once; see `inprocess.rs`).
+    pub lazy_resolvents: u64,
 }
 
 /// Restart-boundary phase policy (see [`Solver::set_rephase`]): what to
@@ -243,12 +277,26 @@ pub struct Solver {
     /// session's checker replays every delta into one database, so ids
     /// keep counting across goals.
     proof_adds: u32,
-    /// Whether learnt-clause `Derived` steps carry LRAT-style antecedent
-    /// hints (see [`Solver::set_lrat_hints`]).
-    lrat: bool,
     /// True while the current `analyze` call is collecting antecedents
-    /// (proof logging on + `lrat`).
+    /// (proof logging on).
     collect_hints: bool,
+    /// The elimination resolvents the proof log has not seen, indexed
+    /// by the low bits of an [`ELIDED`] proof id (see [`Elided`]).
+    elided: Vec<Elided>,
+    /// Saved literals of elided resolvents that died as elimination
+    /// parents, each block behind its length (as a `Lit`).
+    elided_lits: Vec<Lit>,
+    /// The checker id of the last empty clause logged, which hints the
+    /// empty clause re-logged by every later `solve` once `ok` dropped.
+    empty_id: u32,
+    /// Per variable: whether its level-0 value is a unit clause the
+    /// checker holds, a *fact*. The checker does no propagation of its
+    /// own, so every level-0 literal a logged step leans on must be one
+    /// (see [`Solver::log_fact`]).
+    fact: Vec<bool>,
+    /// Variable → the checker id of its fact's unit clause. A map:
+    /// level-0 facts are few next to the variables.
+    fact_id: HashMap<u32, u32>,
     /// Antecedents of the learnt clause currently being analyzed:
     /// `(trail position of the implied literal, reason clause)` pairs,
     /// sorted ascending before emission so the checker's hinted walk
@@ -393,8 +441,12 @@ impl Solver {
             eliminable: None,
             proof: None,
             proof_adds: 0,
-            lrat: true,
             collect_hints: false,
+            elided: Vec::new(),
+            elided_lits: Vec::new(),
+            empty_id: NO_PROOF_ID,
+            fact: Vec::new(),
+            fact_id: HashMap::new(),
             hint_buf: Vec::new(),
             hint_ids: Vec::new(),
             learnt: Vec::new(),
@@ -429,6 +481,7 @@ impl Solver {
         self.phase.push(self.default_phase);
         self.seen.push(false);
         self.trail_pos.push(0);
+        self.fact.push(false);
         self.frozen.push(false);
         self.elim.push(false);
         self.purged.push(false);
@@ -601,19 +654,18 @@ impl Solver {
     /// logging is off are missing from the log, and certificates built
     /// from it would claim unsatisfiability of the wrong formula.
     /// Enabling clears any previous log.
+    ///
+    /// Every `Derived` step carries LRAT-style antecedent hints: the
+    /// checker verifies each one by an indexed walk over the clauses
+    /// it names, never by a search.
     pub fn set_proof_logging(&mut self, on: bool) {
         self.proof = on.then(ProofLog::new);
         self.proof_adds = 0;
-    }
-
-    /// Enables or disables LRAT-style antecedent hints on learnt-clause
-    /// proof steps (default: on; only effective while proof logging is
-    /// on). Hints let the checker verify each learnt clause by an
-    /// indexed walk over its antecedents instead of full watched-literal
-    /// unit propagation; they never change which certificates are
-    /// *accepted* by a fallback-checking verifier, only how fast.
-    pub fn set_lrat_hints(&mut self, on: bool) {
-        self.lrat = on;
+        self.elided.clear();
+        self.elided_lits.clear();
+        self.fact.iter_mut().for_each(|f| *f = false);
+        self.fact_id.clear();
+        self.empty_id = NO_PROOF_ID;
     }
 
     /// Whether proof logging is on.
@@ -634,10 +686,10 @@ impl Solver {
     }
 
     /// Logs the deletion of clause `ci` (caller marks it deleted).
-    /// No-op for clauses the proof log never saw (unlogged resolvents).
+    /// No-op for clauses the proof log never saw (elided resolvents).
     fn log_delete(&mut self, ci: usize) {
         let c = &self.clauses[ci];
-        if c.proof_id != NO_PROOF_ID {
+        if logged(c.proof_id) {
             let lits = &self.lit_arena[c.range()];
             log_to(&mut self.proof, &mut self.proof_adds, StepKind::Delete, lits, &[]);
         }
@@ -668,6 +720,86 @@ impl Solver {
             self.proof_adds - 1
         } else {
             NO_PROOF_ID
+        }
+    }
+
+    /// Assigns `l` at level 0 with no reason: the unit clause just
+    /// logged (if logging is on) makes it a fact.
+    fn fix_unit(&mut self, l: Lit) {
+        self.enqueue_at(l, 0, None);
+        if self.proof.is_some() {
+            self.fact[l.var().index()] = true;
+            self.fact_id.insert(l.var().0, self.last_proof_id());
+        }
+    }
+
+    /// Makes `v`'s level-0 value a fact, logging it once: a `Derived`
+    /// unit hinted by the reason that implied it, after the facts that
+    /// reason's other literals rest on (deepest first, on a stack of
+    /// its own: level-0 implication chains can be long). A unit the
+    /// solver fixed is a fact already, and so is every literal whose
+    /// reason `forget_level0_reasons` has cleared.
+    fn log_fact(&mut self, v: Var) {
+        if self.proof.is_none() || self.fact[v.index()] {
+            return;
+        }
+        let mut stack = vec![v];
+        while let Some(&u) = stack.last() {
+            let Some(r) = self.reason[u.index()].filter(|_| !self.fact[u.index()]) else {
+                stack.pop();
+                continue;
+            };
+            let range = self.clauses[r as usize].range();
+            let needs = self.lit_arena[range]
+                .iter()
+                .map(|l| l.var())
+                .find(|w| !self.fact[w.index()] && *w != u);
+            if let Some(w) = needs {
+                stack.push(w);
+                continue;
+            }
+            stack.pop();
+            let hint = self.hint_id(r);
+            let l = Lit::new(u, self.assign[u.index()] == LBool::False);
+            self.log(StepKind::Derived, &[l], &[hint]);
+            self.fact[u.index()] = true;
+            self.fact_id.insert(u.0, self.last_proof_id());
+        }
+    }
+
+    /// Clears the reasons of the level-0 trail (callers are about to
+    /// delete or move clauses, and conflict analysis never reads a
+    /// level-0 reason), making each literal a fact first: once its
+    /// reason is gone, only its unit can name it.
+    fn forget_level0_reasons(&mut self) {
+        for i in 0..self.trail.len() {
+            let v = self.trail[i].var();
+            self.log_fact(v);
+            self.reason[v.index()] = None;
+        }
+    }
+
+    /// Logs the empty clause, hinted by `hint`: a clause the checker's
+    /// facts falsify, or the empty clause logged before.
+    fn log_empty(&mut self, hint: u32) {
+        if self.proof.is_some() {
+            self.log(StepKind::Derived, &[], &[hint]);
+            self.empty_id = self.last_proof_id();
+        }
+    }
+
+    /// Drops `ok` on a level-0 conflict and logs the empty clause,
+    /// hinted by the conflict clause, once each of its (level-0 false)
+    /// literals is a fact.
+    fn refute(&mut self, confl: CRef) {
+        self.ok = false;
+        if self.proof.is_some() {
+            let hint = self.hint_id(confl);
+            let range = self.clauses[confl as usize].range();
+            for k in range {
+                self.log_fact(self.lit_arena[k].var());
+            }
+            self.log_empty(hint);
         }
     }
 
@@ -713,28 +845,30 @@ impl Solver {
         // the level-0 strengthening below is re-derived by the checker
         // from the logged level-0 units.
         self.log(StepKind::Input, c, &[]);
+        let input_id = self.last_proof_id();
         // Drop literals already false at level 0; detect clauses already
         // satisfied at level 0.
         if c.iter().any(|&l| self.value_lbool(l) == LBool::True) {
             return true;
         }
         let given = c.len();
+        if self.proof.is_some() {
+            for &l in c.iter() {
+                if value_of(&self.assign, l) == LBool::False {
+                    self.log_fact(l.var());
+                }
+            }
+        }
         c.retain(|&l| value_of(&self.assign, l) == LBool::Undef);
         if c.len() != given {
+            // The one antecedent is the Input: after the checker
+            // negates the strengthened clause (the empty one included),
+            // the input's remaining literals are exactly the level-0
+            // false ones just made facts, so the input is falsified
+            // outright and the hinted walk concludes in one lookup.
             if c.is_empty() {
-                // The conclusion of a refutation stays an unhinted
-                // `Derived []` — the checker accepts it from its
-                // contradiction flag.
-                self.log(StepKind::Derived, &[], &[]);
+                self.log_empty(input_id);
             } else {
-                // The one antecedent is the Input step just logged:
-                // after the checker negates the strengthened clause, the
-                // input's remaining literals are exactly the
-                // level-0-false ones it already holds persistently, so
-                // the clause is falsified outright and the hinted walk
-                // concludes in one indexed lookup (a full RUP pass
-                // re-derives the same thing if the hint ever misses).
-                let input_id = self.last_proof_id();
                 self.log(StepKind::Derived, c, &[input_id]);
             }
         }
@@ -744,10 +878,9 @@ impl Solver {
                 false
             }
             1 => {
-                self.enqueue_at(c[0], 0, None);
-                self.ok = self.propagate().is_none();
-                if !self.ok {
-                    self.log(StepKind::Derived, &[], &[]);
+                self.fix_unit(c[0]);
+                if let Some(confl) = self.propagate() {
+                    self.refute(confl);
                 }
                 self.ok
             }
@@ -795,17 +928,14 @@ impl Solver {
         if !self.ok {
             return;
         }
-        if self.propagate().is_some() {
-            self.ok = false;
-            self.log(StepKind::Derived, &[], &[]);
+        if let Some(confl) = self.propagate() {
+            self.refute(confl);
             return;
         }
         // Level-0 assignments are permanent facts: their reason clauses
         // are never needed again (conflict analysis skips level 0), so
         // clear them before deleting clauses they might point into.
-        for i in 0..self.trail.len() {
-            self.reason[self.trail[i].var().index()] = None;
-        }
+        self.forget_level0_reasons();
         for ci in 0..self.clauses.len() {
             if ci % SWEEP_GRANULARITY == 0 && self.interrupted() {
                 return;
@@ -863,9 +993,7 @@ impl Solver {
         if !self.ok {
             return;
         }
-        for i in 0..self.trail.len() {
-            self.reason[self.trail[i].var().index()] = None;
-        }
+        self.forget_level0_reasons();
         for ci in 0..self.clauses.len() {
             if ci % SWEEP_GRANULARITY == 0 && self.interrupted() {
                 // Bail early on cancellation: an incomplete purge only
@@ -953,6 +1081,7 @@ impl Solver {
                 true
             });
         }
+        self.compact_elided();
         for ws in &mut self.watches {
             ws.retain_mut(|w| {
                 let nc = remap[w.cref as usize];
@@ -978,9 +1107,9 @@ impl Solver {
         self.conflict_core.clear();
         if !self.ok {
             // The empty clause was already derived in an earlier call;
-            // re-log it so this call's proof delta still ends in the
-            // concluding clause (trivially accepted by the checker).
-            self.log(StepKind::Derived, &[], &[]);
+            // re-log it, hinted by that one, so this call's proof delta
+            // still ends in the concluding clause.
+            self.log_empty(self.empty_id);
             return SolveResult::Unsat;
         }
         // An assumption over an eliminated variable reactivates it (its
@@ -988,7 +1117,7 @@ impl Solver {
         // would otherwise constrain nothing).
         self.reintroduce_touched(assumptions);
         if !self.ok {
-            self.log(StepKind::Derived, &[], &[]);
+            self.log_empty(self.empty_id);
             return SolveResult::Unsat;
         }
         self.assumptions.clear();
@@ -1122,8 +1251,7 @@ impl Solver {
                 // current level: analysis runs at the clause's own level.
                 let (confl_level, missed) = self.conflict_level(confl);
                 if confl_level == 0 {
-                    self.ok = false;
-                    self.log(StepKind::Derived, &[], &[]);
+                    self.refute(confl);
                     return Some(SolveResult::Unsat);
                 }
                 if missed {
@@ -1141,14 +1269,13 @@ impl Solver {
                 self.backtrack(confl_level);
                 let (back_level, lbd) = self.analyze(confl);
                 if self.proof.is_some() {
-                    let hints: &[u32] =
-                        if self.take_hints(confl) { &self.hint_ids } else { &[] };
+                    self.take_hints(confl);
                     log_to(
                         &mut self.proof,
                         &mut self.proof_adds,
                         StepKind::Derived,
                         &self.learnt,
-                        hints,
+                        &self.hint_ids,
                     );
                 }
                 // A deep backjump would undo levels whose decisions phase
@@ -1163,7 +1290,7 @@ impl Solver {
                 }
                 let learnt = std::mem::take(&mut self.learnt);
                 if learnt.len() == 1 {
-                    self.enqueue_at(learnt[0], 0, None);
+                    self.fix_unit(learnt[0]);
                 } else {
                     let cref = self.attach_new_clause(&learnt, true);
                     self.clauses[cref as usize].lbd = lbd;
@@ -1188,11 +1315,18 @@ impl Solver {
                         if self.proof.is_some() {
                             // The conflict core A ⊆ assumptions was refuted:
                             // the clause {!a : a ∈ A} is implied by the
-                            // database and concludes this solve's proof.
+                            // database and concludes this solve's proof,
+                            // hinted by the reasons `analyze_final` walked.
                             let mut core = std::mem::take(&mut self.add_buf);
                             core.clear();
                             core.extend(self.conflict_core.iter().map(|&a| !a));
-                            self.log(StepKind::Derived, &core, &[]);
+                            log_to(
+                                &mut self.proof,
+                                &mut self.proof_adds,
+                                StepKind::Derived,
+                                &core,
+                                &self.hint_ids,
+                            );
                             self.add_buf = core;
                         }
                         return Some(SolveResult::Unsat);
@@ -1511,7 +1645,7 @@ impl Solver {
         // Collect the resolution antecedents (every reason clause this
         // analysis consults) for the learnt clause's LRAT hint; see
         // `take_hints`.
-        self.collect_hints = self.lrat && self.proof.is_some();
+        self.collect_hints = self.proof.is_some();
         self.hint_buf.clear();
         loop {
             let range = self.clauses[cref as usize].range();
@@ -1529,6 +1663,10 @@ impl Solver {
                     } else {
                         learnt.push(q);
                     }
+                } else if self.collect_hints && self.level[v.index()] == 0 {
+                    // Dropped from the learnt clause: the walk leans on
+                    // its fact instead.
+                    self.log_fact(v);
                 }
             }
             // Walk the trail backwards to the next seen literal at the
@@ -1614,30 +1752,23 @@ impl Solver {
     /// so that, with the learnt clause's negation asserted, each
     /// antecedent in turn is unit (ascending trail position of its
     /// implied literal) and the conflict clause — last — is falsified.
-    /// Returns `false` when hints are off or an antecedent is unknown
-    /// to the proof log (an elided elimination resolvent): the step is
-    /// then logged unhinted rather than with a hint the checker would
-    /// only fall back from.
-    fn take_hints(&mut self, confl: CRef) -> bool {
-        if !self.collect_hints {
-            return false;
-        }
+    /// An antecedent the log has not seen (an elided elimination
+    /// resolvent) is logged first, once (see [`Solver::hint_id`]).
+    fn take_hints(&mut self, confl: CRef) {
         self.collect_hints = false;
         self.hint_buf.sort_unstable_by_key(|&(pos, _)| pos);
-        self.hint_ids.clear();
-        (0..self.hint_buf.len()).all(|i| self.push_hint_id(self.hint_buf[i].1))
-            && self.push_hint_id(confl)
+        self.hint_ids_of_buf();
+        let id = self.hint_id(confl);
+        self.hint_ids.push(id);
     }
 
-    /// Appends clause `c`'s proof id to `self.hint_ids`; `false` when
-    /// the proof log never saw `c`.
-    fn push_hint_id(&mut self, c: CRef) -> bool {
-        match self.clauses[c as usize].proof_id {
-            NO_PROOF_ID => false,
-            pid => {
-                self.hint_ids.push(pid);
-                true
-            }
+    /// Replaces `self.hint_ids` with the checker ids of the clauses in
+    /// `self.hint_buf`, in its order.
+    fn hint_ids_of_buf(&mut self) {
+        self.hint_ids.clear();
+        for i in 0..self.hint_buf.len() {
+            let id = self.hint_id(self.hint_buf[i].1);
+            self.hint_ids.push(id);
         }
     }
 
@@ -1677,7 +1808,13 @@ impl Solver {
             for k in self.clauses[cref as usize].range() {
                 let q = self.lit_arena[k];
                 let v = q.var();
-                if v == p.var() || self.seen[v.index()] || self.level[v.index()] == 0 {
+                if v == p.var() || self.seen[v.index()] {
+                    continue;
+                }
+                if self.level[v.index()] == 0 {
+                    if self.collect_hints {
+                        self.log_fact(v);
+                    }
                     continue;
                 }
                 if self.reason[v.index()].is_none()
@@ -1708,10 +1845,23 @@ impl Solver {
     /// `trail_lim[0]` (a learnt unit asserted mid-search): it is never
     /// marked, and a `failed` falsified at level 0 needs no other
     /// assumption, whatever the decision level.
+    ///
+    /// With logging on, leaves the core clause's LRAT hint in
+    /// `self.hint_ids`: the reasons walked, in trail order, so that
+    /// with the core's assumptions asserted each is unit in turn and
+    /// the reason of `!failed` — last — is falsified. A `failed`
+    /// falsified at level 0 is hinted by its fact's unit clause.
     fn analyze_final(&mut self, failed: Lit) {
         self.conflict_core.clear();
         self.conflict_core.push(failed);
+        self.hint_buf.clear();
+        let logging = self.proof.is_some();
         if self.level[failed.var().index()] == 0 {
+            self.hint_ids.clear();
+            if logging {
+                self.log_fact(failed.var());
+                self.hint_ids.extend(self.fact_id.get(&failed.var().0));
+            }
             return;
         }
         let mut marked = std::mem::take(&mut self.marked);
@@ -1726,13 +1876,21 @@ impl Solver {
             }
             match self.reason[v.index()] {
                 Some(cref) => {
+                    if logging {
+                        self.hint_buf.push((i as u32, cref));
+                    }
                     let range = self.clauses[cref as usize].range();
                     for k in range {
                         let q = self.lit_arena[k];
                         let qv = q.var();
-                        if qv != v && !self.seen[qv.index()] && self.level[qv.index()] > 0 {
+                        if qv == v || self.seen[qv.index()] {
+                            continue;
+                        }
+                        if self.level[qv.index()] > 0 {
                             self.seen[qv.index()] = true;
                             marked.push(qv);
+                        } else if logging {
+                            self.log_fact(qv);
                         }
                     }
                 }
@@ -1749,6 +1907,9 @@ impl Solver {
         self.marked = marked;
         self.conflict_core.sort_unstable();
         self.conflict_core.dedup();
+        // Collected walking the trail backwards: reverse into trail order.
+        self.hint_buf.reverse();
+        self.hint_ids_of_buf();
     }
 
     // ------------------------------------------------------------------
@@ -1864,9 +2025,7 @@ impl Solver {
     /// Compacts the clause arena now, whatever its dead share.
     pub(crate) fn compact_now(&mut self) {
         self.backtrack(0);
-        for i in 0..self.trail.len() {
-            self.reason[self.trail[i].var().index()] = None;
-        }
+        self.forget_level0_reasons();
         self.compact_deleted();
     }
 }
@@ -1877,6 +2036,8 @@ impl Solver {
 fn log_to(proof: &mut Option<ProofLog>, adds: &mut u32, kind: StepKind, lits: &[Lit], hints: &[u32]) {
     if let Some(p) = proof {
         if kind != StepKind::Delete {
+            // A logged id must stay clear of the `ELIDED` tag bit.
+            assert!(*adds < ELIDED, "proof ids outgrew the ELIDED tag");
             *adds += 1;
         }
         p.push(kind, lits, hints);

@@ -207,16 +207,18 @@ fn skipped_session_elimination_never_flips_a_verdict() {
 }
 
 /// Regression: stripping the LRAT hints off every proof step (as a
-/// solver version skew would) must leave all verdicts intact with zero
-/// certificate rejections — hints are a checker fast path, and the
-/// lenient checker falls back to full RUP on every de-hinted step. A
-/// demotion would surface as a `U` in the summary.
+/// solver version skew would) gets the certificates rejected — the
+/// checker walks hints and has no search to fall back on — so the
+/// cold run's last two theorems demote to `Unknown` (`U`) and stay
+/// uncached, while no verdict flips; the warm rerun solves them again
+/// and proves them. Re-pinned when the checker's full-RUP fallback was
+/// deleted: the summary was `cold=PPRPP warm=PPRPP acct=4h/0m/5q/1t`.
 #[test]
-fn dropped_lrat_hints_fall_back_without_losing_verdicts() {
+fn dropped_lrat_hints_demote_but_never_flip() {
     let r = run("engine_batch", SimConfig::hostile(1));
     assert!(
         r.fired("lrat-drop-hint"),
         "pinned seed no longer strips LRAT hints"
     );
-    assert_eq!(r.summary, "cold=PPRPP warm=PPRPP acct=4h/0m/5q/1t");
+    assert_eq!(r.summary, "cold=PPRUU warm=PPRPP acct=3h/3m/5q/1t");
 }

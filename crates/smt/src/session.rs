@@ -154,7 +154,6 @@ impl Session {
             cfg.inprocess && !sim::buggify("inprocess-skip"),
             cfg.session_bve && !sim::buggify("session-eliminate-skip"),
         );
-        sat.set_lrat_hints(cfg.lrat);
         sat.set_interrupt(interrupt);
         let mut blaster = Blaster::new();
         blaster.set_polarity(cfg.polarity);

@@ -46,10 +46,11 @@ pub struct SolverConfig {
     /// level-0 cleanup). Ignored by fresh per-query solves,
     /// which always eliminate when `inprocess` is on.
     pub session_bve: bool,
-    /// LRAT-style antecedent hints on logged proof steps (default: on).
-    /// Hints only change how fast the certificate checker verifies
-    /// derived clauses, never which certificates it accepts. Only
-    /// meaningful with proof logging on.
+    /// Retired: every logged proof step carries LRAT-style hints, and
+    /// the certificate checker walks them instead of searching, so
+    /// hints are not a choice. Ignored, and left out of session-group
+    /// keys; the field stays only because `benchmark/` spells out every
+    /// field (ROADMAP item 3 deletes it).
     pub lrat: bool,
 }
 
@@ -309,19 +310,19 @@ pub fn check_full_proof(
 }
 
 /// The certificate of a query with a constant-false assertion: the
-/// formula contains the empty clause, which refutes it outright.
+/// formula contains the empty clause (id 0), which refutes it outright
+/// and hints the concluding empty clause.
 pub fn trivial_refutation() -> ProofLog {
     let mut steps = ProofLog::new();
     steps.push(StepKind::Input, &[], &[]);
-    steps.push(StepKind::Derived, &[], &[]);
+    steps.push(StepKind::Derived, &[], &[0]);
     steps
 }
 
 /// Buggify: strip the LRAT hints off every hinted proof step, as a
-/// solver version skew or torn hint encoding would. Hints are a
-/// performance contract only — the checker must fall back to full RUP
-/// and accept the certificate with identical verdicts; the sim sweep
-/// pins that.
+/// solver version skew or torn hint encoding would. The checker walks
+/// hints and never searches, so it must reject such a certificate: the
+/// verdict demotes to `Unknown`, never flips; the sim sweep pins that.
 pub(crate) fn buggify_drop_hints(steps: &mut ProofLog) {
     if sim::buggify("lrat-drop-hint") {
         steps.drop_hints();
@@ -348,7 +349,6 @@ fn check_full_impl(
     // rewrite, so every verdict must be identical with or without it —
     // the sim sweep pins that.
     sat.set_inprocess(cfg.inprocess && !sim::buggify("inprocess-skip"), true);
-    sat.set_lrat_hints(cfg.lrat);
     sat.set_interrupt(interrupt);
     let mut blaster = Blaster::new();
     blaster.set_polarity(cfg.polarity);

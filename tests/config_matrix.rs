@@ -69,7 +69,8 @@ fn rows() -> Vec<Row> {
         row("inprocess=false", e(), SolverConfig { inprocess: false, ..s() }),
         row("polarity=false", e(), SolverConfig { polarity: false, ..s() }),
         row("session_bve=false", e(), SolverConfig { session_bve: false, ..s() }),
-        // Certified with unhinted proofs: the one pair ci.sh crossed.
+        // A client's `lrat: false` is ignored (the field is retired):
+        // its certificates still carry hints and are still accepted.
         row("cert x lrat=false", e(), SolverConfig { lrat: false, ..s() }),
         // Pairs no CI leg ever crossed.
         row("presolve=false x Fresh", EngineCfg { presolve: false, mode: Fresh, ..e() }, s()),

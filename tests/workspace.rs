@@ -223,6 +223,9 @@ fn retired_variables_stay_retired() {
     // ... and every portable form of a query but its wire bytes: the
     // node-per-`Vec` array, the session core and its prepare/rebuild
     // pair.
+    // ... and the certificate checker's search: the watch-driven RUP
+    // check, its lenient fallback with the strict switch and counters,
+    // and the solver switch that could turn hints off.
     let gone = [
         "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
         "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
@@ -231,7 +234,8 @@ fn retired_variables_stay_retired() {
         "reset_learnt_budget", "fn solve_portfolio", "portfolio_variants",
         "portfolio-drop-winner", "portfolio_cancel", "--hot-threshold", "net-hot-skip",
         "struct HotTier", "KEY_MAGIC", "fn cache_key(", "struct FormNode", "struct SessionCore",
-        "fn prepare_session(", "fn rebuild_session(", "struct Parts",
+        "fn prepare_session(", "fn rebuild_session(", "struct Parts", "fn rup(",
+        "set_strict_hints", "hint_fallbacks", "hint_stats", "set_lrat_hints",
     ];
     let mut panic_messages = 0;
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
