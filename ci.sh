@@ -39,6 +39,13 @@ SERVAL_CHECK_CASES=100000 SERVAL_CHECK_SEED=41 \
 echo "== certificate soak (serval-drat, 4 000 sessions) =="
 SERVAL_CHECK_CASES=4000 cargo test -q --offline -p serval-drat --lib
 
+# Chronological backtracking keeps out-of-order literals on the trail,
+# which plain CDCL never does: the padded brute-force tests, whose
+# conflicts ask for backjumps past the cut (mid-depth and deep, plain
+# and under assumptions), run here at ten times their 200 instances.
+echo "== chronological backtracking soak (serval-sat, 2 000 instances) =="
+SERVAL_CHECK_CASES=2000 cargo test -q --offline -p serval-sat --lib
+
 # Broken intra-doc links fail the build: a doc comment that names an
 # item deleted or renamed since must be fixed with the code.
 echo "== docs (broken intra-doc links are errors) =="

@@ -449,15 +449,16 @@ mod inprocessed_replay {
 
 /// The refutation of a deep-backjump instance, or `None` when it is
 /// satisfiable: a random 3-CNF over 12 core variables (30..70 clauses,
-/// from `seed`) plus 200 padding clauses on two fresh variables each.
-/// The core's variables come first, so the all-zero-activity order heap
-/// decides variable 0, then the padding, then the rest of the core:
-/// learnt clauses ask for backjumps of ~200 levels and the solver
-/// backtracks chronologically. The same construction drives the
+/// from `seed`) plus `padding` padding clauses on two fresh variables
+/// each. The core's variables come first, so the all-zero-activity
+/// order heap decides variable 0, then the padding, then the rest of
+/// the core: learnt clauses ask for backjumps of ~`padding` levels and,
+/// past the solver's chronological cut (20 levels), it backtracks
+/// chronologically. The same construction drives the
 /// solver's own brute-force test. With `inprocess` on, the padding is
 /// frozen so elimination cannot dissolve it. Also returns the solver's
 /// chronological-backtrack count.
-fn deep_refutation(seed: u64, inprocess: bool) -> (Option<ProofLog>, u64) {
+fn deep_refutation(seed: u64, inprocess: bool, padding: usize) -> (Option<ProofLog>, u64) {
     let mut rng = serval_check::rng::Xoshiro256::from_seed(seed);
     let mut s = Solver::new();
     s.set_inprocess(inprocess, inprocess);
@@ -474,7 +475,7 @@ fn deep_refutation(seed: u64, inprocess: bool) -> (Option<ProofLog>, u64) {
                 .collect()
         })
         .collect();
-    for _ in 0..200 {
+    for _ in 0..padding {
         let (a, b) = (s.new_var(), s.new_var());
         s.freeze_var(a);
         s.freeze_var(b);
@@ -487,11 +488,13 @@ fn deep_refutation(seed: u64, inprocess: bool) -> (Option<ProofLog>, u64) {
     (unsat.then(|| s.take_proof()), s.stats().chrono_backtracks)
 }
 
-#[test]
-fn chronological_refutations_check_on_their_hints() {
+/// Checks the refutations of 200 padded instances on their hints alone:
+/// each must be accepted with every step hinted, and some conflict
+/// must have backtracked chronologically.
+fn chronological_refutations_check(inprocess: bool, padding: usize) {
     let (mut refuted, mut chrono) = (0, 0);
     for seed in 0..200 {
-        let (proof, c) = deep_refutation(seed, false);
+        let (proof, c) = deep_refutation(seed, inprocess, padding);
         chrono += c;
         let Some(proof) = proof else { continue };
         refuted += 1;
@@ -502,17 +505,20 @@ fn chronological_refutations_check_on_their_hints() {
 }
 
 #[test]
+fn chronological_refutations_check_on_their_hints() {
+    chronological_refutations_check(false, 200);
+}
+
+#[test]
 fn inprocessed_chronological_refutations_check() {
-    let (mut refuted, mut chrono) = (0, 0);
-    for seed in 0..200 {
-        let (proof, c) = deep_refutation(seed, true);
-        chrono += c;
-        let Some(proof) = proof else { continue };
-        refuted += 1;
-        assert!(all_hinted(&proof), "seed {seed}: an unhinted derivation");
-        assert!(check_refutation(&proof, &[]).is_ok(), "seed {seed}: refutation rejected");
-    }
-    assert!(refuted > 0 && chrono > 0, "{refuted} refutations, {chrono} chronological backtracks");
+    chronological_refutations_check(true, 200);
+}
+
+/// Backjumps of ~60 levels: past the chronological cut, below the 100
+/// levels it was before.
+#[test]
+fn mid_depth_chronological_refutations_check_on_their_hints() {
+    chronological_refutations_check(false, 60);
 }
 
 #[test]

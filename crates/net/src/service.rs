@@ -93,6 +93,11 @@ impl NetCfg {
     }
 }
 
+/// Why a shard refuses a frame whose bytes differ from their own
+/// re-keying.
+pub(crate) const NOT_NORMAL: &str =
+    "core is not in normal form: re-key it with `form::Keyer::wire` before sending";
+
 /// An admitted query, tagged with its slot in the batch.
 pub struct RoutedQuery {
     /// Index into the submitting batch.
@@ -170,8 +175,19 @@ impl Shard {
         let mut ready: Vec<(usize, WireOutcome)> = Vec::with_capacity(batch.len());
         let mut queries: Vec<Query> = Vec::new();
         let mut pending: Vec<(usize, form::BackMap)> = Vec::new();
+        let mut keyer = form::Keyer::new();
         for rq in batch {
             let m = rq.core.materialize(false);
+            // The engine caches a verdict under the query's re-keyed
+            // bytes, and admission looks a repeat up under the frame's:
+            // a valid frame that is not in normal form (its assumption
+            // roots out of canonical order, say) would reach a shard on
+            // every repeat, so it is refused.
+            if keyer.wire(&m.assumptions, m.goals[0]) != rq.core.bytes() {
+                let why = format!("query {} ({}): {NOT_NORMAL}", rq.slot, rq.label);
+                ready.push((rq.slot, WireOutcome::unknown(self.index as u32, why)));
+                continue;
+            }
             queries.push(Query {
                 label: rq.label,
                 assumptions: m.assumptions,

@@ -946,6 +946,48 @@ fn loopback_hot_hits_report_sentinel_shard() {
     server.shutdown();
 }
 
+/// A valid frame that is not in normal form — here, its two assumption
+/// roots swapped — is refused with an error by its shard, on every
+/// repeat, and never solved: the shard would cache its verdict under the
+/// re-keyed bytes, so admission, which looks repeats up under the
+/// frame's own, could never answer it.
+#[test]
+fn a_frame_out_of_normal_form_is_refused() {
+    let core = crate::service::ServerCore::new(test_cfg(2));
+    reset_ctx();
+    let x = BV::fresh(32, "x");
+    let y = BV::fresh(32, "y");
+    let canonical = frame(&[x.ult(y), y.ult(BV::lit(32, 9))], x.ult(BV::lit(32, 8)));
+    // The roots section ends `count, a0, a1, goal` (u32 each).
+    let n = canonical.len();
+    let mut swapped = canonical.clone();
+    swapped[n - 12..n - 4].rotate_left(4);
+    assert_ne!(swapped, canonical);
+    Core::decode(swapped.clone()).expect("the swapped frame is still valid");
+    let wq = |bytes: &Vec<u8>| WireQuery {
+        label: "swapped".to_string(),
+        cfg: SolverConfig::default(),
+        core_bytes: bytes.clone(),
+    };
+    let solved = |core: &crate::service::ServerCore| -> u64 {
+        core.stats().shards.iter().map(|row| row.solved + row.hits).sum()
+    };
+    for round in 0..2 {
+        let out = core.discharge(vec![wq(&swapped)]);
+        assert!(matches!(out[0].verdict, WireVerdict::Unknown), "round {round}");
+        let error = out[0].error.as_deref().unwrap_or("");
+        assert!(error.contains(crate::service::NOT_NORMAL), "round {round}: {error}");
+        assert_eq!(solved(&core), 0, "round {round}: the swapped frame was solved");
+    }
+    // The canonical frame of the same query is solved once, then
+    // answered at admission.
+    let first = core.discharge(vec![wq(&canonical)]);
+    assert!(matches!(first[0].verdict, WireVerdict::Proved) && first[0].shard != SHARD_HOT);
+    let second = core.discharge(vec![wq(&canonical)]);
+    assert!(matches!(second[0].verdict, WireVerdict::Proved) && second[0].shard == SHARD_HOT);
+    assert_eq!(core.stats().hot_hits, 1);
+}
+
 // ----------------------------------------------------------------------------
 // The client-side fold
 // ----------------------------------------------------------------------------

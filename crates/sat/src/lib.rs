@@ -11,7 +11,7 @@
 //! - two-watched-literal unit propagation,
 //! - first-UIP conflict analysis with clause minimization,
 //! - chronological backtracking: a conflict whose backjump would undo
-//!   more than 100 levels backtracks one level instead, and the learnt
+//!   more than 20 levels backtracks one level instead, and the learnt
 //!   clause asserts its literal at its own lower level. The trail may
 //!   then hold *out-of-order* literals (a literal's level below that of
 //!   the segment it sits in); every reason's literals still sit earlier

@@ -390,7 +390,18 @@ const REPHASE_PERIOD: u64 = 10;
 /// (chronological backtracking, Nadel & Ryvchin SAT 2018). Sessions
 /// over a large shared base otherwise undo and re-decide hundreds of
 /// base levels, to the same saved phases, after every conflict.
-const CHRONO_LEVELS: u32 = 100;
+///
+/// 20, from a paired sweep over {10, 20, 40, 100} on the three cold
+/// benchmark workloads (DESIGN.md, "Chronological backtracking"). At
+/// 100, the value tuned on single-shot competition instances, almost
+/// half of `refine_cold`'s conflicts took a 21–100-level backjump in
+/// full, and popping the order heap to re-decide what it undid was a
+/// quarter to a third of cold CPU. At 20 VSIDS decisions fall by a
+/// quarter (`refine_cold`) to almost half (`jit_sweep`), conflicts stay
+/// within 4%, and both workloads' `wall_s` fall in every round; 40
+/// leaves `jit_sweep` where 100 was, and 10 saves few more decisions
+/// while propagating more.
+const CHRONO_LEVELS: u32 = 20;
 /// Compaction waits until dead literals outnumber live ones: more than
 /// `1 / COMPACT_DEAD_SHARE` of the arena. A retraction or purge sweep
 /// then costs what it deletes, and each compaction's full watch-list

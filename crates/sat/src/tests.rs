@@ -940,8 +940,12 @@ fn scoped_search_decides_only_in_scope_variables() {
 const DEEP_CORE_VARS: usize = 12;
 /// Padding clauses of a deep-backjump instance: each on two fresh
 /// variables of its own, so each costs one decision level and none
-/// takes part in a conflict.
+/// takes part in a conflict. Far above the chronological cut.
 const DEEP_PADDING: usize = 200;
+/// Padding of a mid-depth instance: backjumps of ~60 levels, past the
+/// chronological cut (20) but below 100, a range a cut of 100 took in
+/// full.
+const MID_PADDING: usize = 60;
 
 /// A random 3-CNF over the deep-backjump core, 30..70 clauses (both
 /// verdicts occur), from a fixed seed.
@@ -960,21 +964,25 @@ fn deep_core(seed: u64) -> Vec<Vec<(usize, bool)>> {
         .collect()
 }
 
-/// Loads `core` plus the padding into a fresh solver with inprocessing
-/// off (elimination would remove the padding). The core's variables
-/// come first, so with every activity still zero the order heap hands
-/// out variable 0, then the padding (highest index first), then the
-/// rest of the core: conflicts surface ~200 levels above a core
-/// literal, and their learnt clauses ask for backjumps of that depth.
-/// Returns the core's variables and every clause loaded.
-fn load_deep(s: &mut Solver, core: &[Vec<(usize, bool)>]) -> (Vec<Var>, Vec<Vec<Lit>>) {
+/// Loads `core` plus `padding` padding clauses into a fresh solver with
+/// inprocessing off (elimination would remove the padding). The core's
+/// variables come first, so with every activity still zero the order
+/// heap hands out variable 0, then the padding (highest index first),
+/// then the rest of the core: conflicts surface ~`padding` levels above
+/// a core literal, and their learnt clauses ask for backjumps of that
+/// depth. Returns the core's variables and every clause loaded.
+fn load_deep(
+    s: &mut Solver,
+    core: &[Vec<(usize, bool)>],
+    padding: usize,
+) -> (Vec<Var>, Vec<Vec<Lit>>) {
     s.set_inprocess(false, false);
     let vars = lits(s, DEEP_CORE_VARS);
     let mut cnf: Vec<Vec<Lit>> = core
         .iter()
         .map(|c| c.iter().map(|&(v, neg)| Lit::new(vars[v], neg)).collect())
         .collect();
-    for _ in 0..DEEP_PADDING {
+    for _ in 0..padding {
         cnf.push(vec![Lit::pos(s.new_var()), Lit::pos(s.new_var())]);
     }
     for c in &cnf {
@@ -983,14 +991,18 @@ fn load_deep(s: &mut Solver, core: &[Vec<(usize, bool)>]) -> (Vec<Var>, Vec<Vec<
     (vars, cnf)
 }
 
-#[test]
-fn deep_backjumps_backtrack_chronologically_and_agree_with_brute_force() {
-    let mut chrono = 0;
+/// Solves `case_count(200)` padded instances, plain and under
+/// assumptions over the core, against brute force: every model must
+/// satisfy every clause loaded, every assumption core must be refuted
+/// by the formula, and some conflict must backtrack chronologically,
+/// both plain and under assumptions.
+fn padded_instances_agree_with_brute_force(padding: usize) {
+    let (mut plain, mut assuming) = (0, 0);
     let (mut sat, mut unsat) = (0, 0);
-    for seed in 0..200u64 {
+    for seed in 0..serval_check::runner::case_count(200) as u64 {
         let core = deep_core(seed);
         let mut s = Solver::new();
-        let (vars, cnf) = load_deep(&mut s, &core);
+        let (vars, cnf) = load_deep(&mut s, &core, padding);
         let expected = brute_force_sat(DEEP_CORE_VARS, &core);
         let got = s.solve();
         assert_eq!(got == SolveResult::Sat, expected, "seed {seed}");
@@ -1002,7 +1014,7 @@ fn deep_backjumps_backtrack_chronologically_and_agree_with_brute_force() {
         } else {
             unsat += 1;
         }
-        chrono += s.stats().chrono_backtracks;
+        plain += s.stats().chrono_backtracks;
 
         // Under assumptions over the core, on a fresh solver so the
         // assumption levels sit below the padding.
@@ -1011,7 +1023,7 @@ fn deep_backjumps_backtrack_chronologically_and_agree_with_brute_force() {
             .collect();
         let asml: Vec<Lit> = asm.iter().map(|&(v, neg)| Lit::new(vars[v], neg)).collect();
         let mut s = Solver::new();
-        load_deep(&mut s, &core);
+        load_deep(&mut s, &core, padding);
         let mut full = core.clone();
         full.extend(asm.iter().map(|&a| vec![a]));
         let got = s.solve_assuming(&asml);
@@ -1028,11 +1040,24 @@ fn deep_backjumps_backtrack_chronologically_and_agree_with_brute_force() {
             }
             assert!(!brute_force_sat(DEEP_CORE_VARS, &refuted), "seed {seed}: core is satisfiable");
         }
-        chrono += s.stats().chrono_backtracks;
+        assuming += s.stats().chrono_backtracks;
     }
     assert!(sat > 0 && unsat > 0, "{sat} sat / {unsat} unsat: the set must hold both");
-    assert!(chrono > 0, "no conflict took a chronological backtrack");
-    eprintln!("deep backjumps: {sat} sat, {unsat} unsat, {chrono} chronological backtracks");
+    assert!(plain > 0, "no conflict took a chronological backtrack");
+    assert!(assuming > 0, "no conflict under assumptions took a chronological backtrack");
+    eprintln!(
+        "padding {padding}: {sat} sat, {unsat} unsat, {plain} + {assuming} chronological backtracks"
+    );
+}
+
+#[test]
+fn deep_backjumps_backtrack_chronologically_and_agree_with_brute_force() {
+    padded_instances_agree_with_brute_force(DEEP_PADDING);
+}
+
+#[test]
+fn mid_depth_backjumps_backtrack_chronologically_and_agree_with_brute_force() {
+    padded_instances_agree_with_brute_force(MID_PADDING);
 }
 
 #[test]

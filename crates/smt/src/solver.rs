@@ -123,7 +123,11 @@ pub struct QueryStats {
     pub resolvents: u64,
     /// Proof-certificate steps checked for this query (0 = uncertified).
     pub cert_steps: u64,
-    /// Wall time spent in the independent certificate checker.
+    /// Time the independent certificate checker spent on this query's
+    /// proof: the checking thread's own CPU time, so time it spent
+    /// descheduled behind the solving workers is not counted (wall time
+    /// where the platform has no per-thread CPU clock). The name is
+    /// kept because the benchmark reads the field.
     pub cert_wall: Duration,
     /// Wall time of the whole check (blast + solve + model extraction).
     pub wall: Duration,
