@@ -10,9 +10,8 @@
 //! - [`opts`]: the symbolic optimizations (§4) — `split_pc`, `split_cases`,
 //!   and in-struct offset concretization with soundness side conditions.
 //!   Each can be disabled individually for the §6.4 ablation.
-//! - [`spec`]: the specification library (§3.3) — state-machine refinement,
-//!   one-/two-safety properties, step consistency, and Nickel-style
-//!   intransitive noninterference.
+//! - [`spec`]: the specification library (§3.3) — state-machine refinement
+//!   and step consistency, the lemmas the verifiers prove through it.
 //! - [`report`]: proof reports with rendered counterexamples.
 //! - [`BugOn`]: undefined-behaviour checks (`bug_on`) collected as proof
 //!   obligations, as in Fig. 4.
@@ -25,7 +24,7 @@ pub mod spec;
 pub use mem::{Block, Layout, Mem, MemCfg, PathElem};
 pub use opts::{enumerate_pc, split_cases, split_pc, OptCfg, PcCases};
 pub use report::{discharge, discharge_obligations, ProofReport, TheoremResult, Verdict};
-pub use spec::{prove_local_respect, prove_one_safety, prove_refinement, prove_step_consistency, Policy, Refinement};
+pub use spec::{prove_refinement, prove_step_consistency, Refinement};
 
 use serval_smt::SBool;
 use serval_sym::SymCtx;

@@ -185,3 +185,18 @@ fn boot_establishes_initial_state() {
     let report = prove_boot(serval_ir::OptLevel::O1, cfg());
     assert!(report.all_proved(), "\n{}", report.render());
 }
+
+#[test]
+fn failed_evaluation_says_why() {
+    // Without split_pc every code address is a case of the merged pc and
+    // the paths run out of fuel: the evaluation fails before any query
+    // exists, and the report says so instead of blaming a solver budget.
+    let no_split = OptCfg { split_pc: false, ..OptCfg::default() };
+    let report = prove_op(sys::GET_QUOTA, OptLevel::O1, no_split, cfg());
+    let [t] = &report.theorems[..] else { panic!("one theorem:\n{}", report.render()) };
+    assert_eq!(t.name, "certikos get_quota: symbolic evaluation");
+    assert!(report.any_unknown() && t.stats.is_none());
+    let reason = t.reason.as_deref().expect("a failed evaluation names its cause");
+    assert!(report.render().contains(reason), "\n{}", report.render());
+    assert!(!report.render().contains("budget exhausted"), "\n{}", report.render());
+}

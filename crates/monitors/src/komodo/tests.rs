@@ -198,3 +198,15 @@ fn boot_establishes_initial_state() {
     let report = prove_boot(serval_ir::OptLevel::O1, cfg());
     assert!(report.all_proved(), "\n{}", report.render());
 }
+
+#[test]
+fn failed_evaluation_says_why() {
+    let no_split = serval_core::OptCfg { split_pc: false, ..serval_core::OptCfg::default() };
+    let report = prove_op(sys::INIT_ADDRSPACE, serval_ir::OptLevel::O1, no_split, cfg());
+    let [t] = &report.theorems[..] else { panic!("one theorem:\n{}", report.render()) };
+    assert_eq!(t.name, "komodo InitAddrspace: symbolic evaluation");
+    assert!(report.any_unknown() && t.stats.is_none());
+    let reason = t.reason.as_deref().expect("a failed evaluation names its cause");
+    assert!(report.render().contains(reason), "\n{}", report.render());
+    assert!(!report.render().contains("budget exhausted"), "\n{}", report.render());
+}

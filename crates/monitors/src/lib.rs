@@ -16,8 +16,12 @@
 //! verifier first; then the *binary* (compiled by the untrusted IR→RV64
 //! compiler plus a hand-written trap-dispatch stub) is verified with the
 //! RISC-V verifier. Functional correctness is proved by state-machine
-//! refinement; noninterference over the specification.
+//! refinement; noninterference over the specification. The binary-level
+//! proofs share one trap harness (`trap`): the symbolic trap-entry
+//! state, the handler run, and the goals every monitor checks at trap
+//! return.
 
 pub mod certikos;
 pub mod keystone;
 pub mod komodo;
+mod trap;

@@ -226,6 +226,9 @@ fn retired_variables_stay_retired() {
     // ... and the certificate checker's search: the watch-driven RUP
     // check, its lenient fallback with the strict switch and counters,
     // and the solver switch that could turn hints off.
+    // ... and the specification-library entries no verifier called, the
+    // monitors' own copies of the trap-entry harness, and the wire's
+    // copy of the engine's verdict enum.
     let gone = [
         "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
         "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
@@ -236,6 +239,7 @@ fn retired_variables_stay_retired() {
         "struct HotTier", "KEY_MAGIC", "fn cache_key(", "struct FormNode", "struct SessionCore",
         "fn prepare_session(", "fn rebuild_session(", "struct Parts", "fn rup(",
         "set_strict_hints", "hint_fallbacks", "hint_stats", "set_lrat_hints",
+        "fn prove_one_safety", "struct Policy", "struct EntryState", "enum WireVerdict",
     ];
     let mut panic_messages = 0;
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
