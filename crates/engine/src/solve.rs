@@ -29,14 +29,16 @@ pub struct PortableModel {
     pub ufs: Vec<(u32, Vec<(Vec<u128>, u128)>)>,
 }
 
-/// Verdict of a worker-side solve, before caller-side translation.
+/// Verdict of a worker-side solve, before caller-side translation; also
+/// the verdict a server ships (`serval-net`'s `WireOutcome`).
 #[derive(Clone, Debug)]
 pub enum RawVerdict {
     /// Assertions unsatisfiable: the query's goal is proved.
     Proved,
     /// Assertions satisfiable: the goal is refuted by this model.
     Refuted(PortableModel),
-    /// Budget exhausted.
+    /// Budget exhausted, or the certificate was rejected (the outcome's
+    /// error says which).
     Unknown,
     /// Cancelled: the solve's interrupt flag was raised.
     Interrupted,

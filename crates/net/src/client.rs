@@ -16,8 +16,9 @@
 //! existing workload — the certikos refinement proof, the JIT checker
 //! sweep — through the server without touching proof code.
 
-use crate::wire::{self, Msg, ServerStats, WireOutcome, WireQuery, WireVerdict};
+use crate::wire::{self, Msg, ServerStats, WireOutcome, WireQuery};
 use serval_engine::form::{self, BackMap};
+use serval_engine::solve::RawVerdict;
 use serval_engine::{countermodel_valid, Discharge, Query, QueryOutcome};
 use serval_smt::solver::VerifyResult;
 use std::net::TcpStream;
@@ -340,8 +341,8 @@ pub fn outcome_of_wire(query: Query, out: WireOutcome, backmap: &BackMap) -> Que
         VerifyResult::Unknown
     };
     let result = match out.verdict {
-        WireVerdict::Proved => VerifyResult::Proved,
-        WireVerdict::Refuted(pm) => match serval_engine::portable_to_model(&pm, backmap) {
+        RawVerdict::Proved => VerifyResult::Proved,
+        RawVerdict::Refuted(pm) => match serval_engine::portable_to_model(&pm, backmap) {
             None => unknown(
                 "net: malformed countermodel (an index or sort outside the query's variables)",
             ),
@@ -350,8 +351,8 @@ pub fn outcome_of_wire(query: Query, out: WireOutcome, backmap: &BackMap) -> Que
             }
             Some(model) => VerifyResult::Counterexample(Box::new(model)),
         },
-        WireVerdict::Unknown => VerifyResult::Unknown,
-        WireVerdict::Interrupted => VerifyResult::Interrupted,
+        RawVerdict::Unknown => VerifyResult::Unknown,
+        RawVerdict::Interrupted => VerifyResult::Interrupted,
     };
     QueryOutcome {
         label: query.label,

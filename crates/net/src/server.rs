@@ -376,11 +376,11 @@ fn connection(stream: TcpStream, core: Arc<ServerCore>, shard_txs: Vec<Sender<Sh
 #[cfg(test)]
 mod reassembly_tests {
     use super::*;
-    use crate::wire::WireVerdict;
+    use serval_engine::solve::RawVerdict;
 
     fn out(shard: u32) -> WireOutcome {
         WireOutcome {
-            verdict: WireVerdict::Proved,
+            verdict: RawVerdict::Proved,
             cert: shard as u64 + 1,
             cache_hit: false,
             shard,

@@ -22,12 +22,13 @@
 //! its term context intact.
 
 use crate::wire::{
-    self, Msg, ServerStats, ShardStatsRow, WireOutcome, WireQuery, WireVerdict, SHARD_HOT,
+    self, Msg, ServerStats, ShardStatsRow, WireOutcome, WireQuery, SHARD_HOT,
 };
 use crate::fnv64;
 use serval_check::runner::panic_message;
 use serval_check::sim;
 use serval_engine::form::{self, Core};
+use serval_engine::solve::RawVerdict;
 use serval_engine::{Engine, EngineCfg, Query};
 use serval_smt::solver::{SolverConfig, VerifyResult};
 use serval_smt::term::reset_ctx;
@@ -204,12 +205,12 @@ impl Shard {
                 self.counters.solved.fetch_add(1, Ordering::Relaxed);
             }
             let verdict = match outcome.result {
-                VerifyResult::Proved => WireVerdict::Proved,
-                VerifyResult::Counterexample(m) => WireVerdict::Refuted(
+                VerifyResult::Proved => RawVerdict::Proved,
+                VerifyResult::Counterexample(m) => RawVerdict::Refuted(
                     serval_engine::portable_of_caller_model(&m, &backmap),
                 ),
-                VerifyResult::Unknown => WireVerdict::Unknown,
-                VerifyResult::Interrupted => WireVerdict::Interrupted,
+                VerifyResult::Unknown => RawVerdict::Unknown,
+                VerifyResult::Interrupted => RawVerdict::Interrupted,
             };
             ready.push((
                 slot,
@@ -342,7 +343,7 @@ impl ServerCore {
             if let Some(cert) = self.shards[home].engine.proved(rq.core.bytes()) {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
                 slots[rq.slot] = Some(WireOutcome {
-                    verdict: WireVerdict::Proved,
+                    verdict: RawVerdict::Proved,
                     cert,
                     cache_hit: true,
                     shard: SHARD_HOT,

@@ -14,11 +14,12 @@ use crate::client::Client;
 use crate::service::NetCfg;
 use crate::wire::{
     self, decode_msg, encode_msg, FrameReader, Msg, ServerStats, ShardStatsRow, WireError,
-    WireOutcome, WireQuery, WireVerdict, SHARD_HOT,
+    WireOutcome, WireQuery, SHARD_HOT,
 };
 use crate::Server;
 use serval_check::prelude::*;
 use serval_engine::form::{BackMap, Core, Keyer};
+use serval_engine::solve::RawVerdict;
 use serval_engine::Query;
 use serval_smt::solver::{QueryStats, SolverConfig, VerifyResult};
 use serval_smt::{reset_ctx, SBool, BV};
@@ -53,7 +54,7 @@ fn sample_msg(picks: &[u8]) -> Msg {
 fn sample_reply(picks: &[u8]) -> Msg {
     let word = |i: usize| u64::from(picks.get(i % picks.len().max(1)).copied().unwrap_or(0)) << (i % 7);
     let outcome = |k: usize| WireOutcome {
-        verdict: WireVerdict::Proved,
+        verdict: RawVerdict::Proved,
         cert: word(k),
         cache_hit: k.is_multiple_of(2),
         shard: k as u32,
@@ -438,7 +439,7 @@ fn a_variable_with_two_nodes_is_a_malformed_core() {
         cfg: SolverConfig::default(),
         core_bytes: f,
     }]);
-    assert!(matches!(out[0].verdict, WireVerdict::Unknown), "{:?}", out[0].verdict);
+    assert!(matches!(out[0].verdict, RawVerdict::Unknown), "{:?}", out[0].verdict);
     let why = out[0].error.as_deref().expect("the reason is reported");
     assert!(why.starts_with("malformed core"), "{why}");
     assert_eq!(server.core().stats().shards[0].queued, 0, "nothing reached a shard");
@@ -550,7 +551,7 @@ fn malformed_countermodel_degrades_to_unknown() {
     let bool_var = backmap.vars.iter().position(|v| v.term == b.0).unwrap() as u32;
     let reply = |pm: PortableModel| {
         let out = WireOutcome {
-            verdict: WireVerdict::Refuted(pm),
+            verdict: RawVerdict::Refuted(pm),
             cert: 0,
             cache_hit: false,
             shard: 0,
@@ -603,7 +604,7 @@ fn forged_countermodel_degrades_to_unknown() {
     let x_is = |v: u128| {
         let pm = PortableModel { bvs: vec![(0, v)], ..Default::default() };
         let out = WireOutcome {
-            verdict: WireVerdict::Refuted(pm),
+            verdict: RawVerdict::Refuted(pm),
             error: None,
             ..WireOutcome::unknown(0, String::new())
         };
@@ -910,11 +911,11 @@ fn discharge_answers_a_malformed_core_with_an_error_outcome() {
         wq("bogus", b"SW1\0garbage".to_vec()),
         wq("refuted", good(x.ult(BV::lit(32, 9)))),
     ]);
-    assert!(matches!(out[0].verdict, WireVerdict::Proved) && out[0].error.is_none());
-    assert!(matches!(out[1].verdict, WireVerdict::Unknown) && out[1].cert == 0);
+    assert!(matches!(out[0].verdict, RawVerdict::Proved) && out[0].error.is_none());
+    assert!(matches!(out[1].verdict, RawVerdict::Unknown) && out[1].cert == 0);
     let why = out[1].error.as_deref().expect("the reason is reported");
     assert!(why.starts_with("malformed core"), "{why}");
-    assert!(matches!(out[2].verdict, WireVerdict::Refuted(_)));
+    assert!(matches!(out[2].verdict, RawVerdict::Refuted(_)));
     assert_eq!(server.core().stats().shards.iter().map(|s| s.queued).sum::<u64>(), 2);
     server.shutdown();
 }
@@ -938,9 +939,9 @@ fn loopback_hot_hits_report_sentinel_shard() {
     // The first discharge proves it in its home shard; the second is
     // answered at admission from that shard's cache.
     let first = core.discharge(vec![wq()]);
-    assert!(matches!(first[0].verdict, WireVerdict::Proved) && first[0].shard != SHARD_HOT);
+    assert!(matches!(first[0].verdict, RawVerdict::Proved) && first[0].shard != SHARD_HOT);
     let second = core.discharge(vec![wq()]);
-    assert!(matches!(second[0].verdict, WireVerdict::Proved));
+    assert!(matches!(second[0].verdict, RawVerdict::Proved));
     assert_eq!(second[0].shard, SHARD_HOT);
     assert!(second[0].cache_hit);
     server.shutdown();
@@ -974,7 +975,7 @@ fn a_frame_out_of_normal_form_is_refused() {
     };
     for round in 0..2 {
         let out = core.discharge(vec![wq(&swapped)]);
-        assert!(matches!(out[0].verdict, WireVerdict::Unknown), "round {round}");
+        assert!(matches!(out[0].verdict, RawVerdict::Unknown), "round {round}");
         let error = out[0].error.as_deref().unwrap_or("");
         assert!(error.contains(crate::service::NOT_NORMAL), "round {round}: {error}");
         assert_eq!(solved(&core), 0, "round {round}: the swapped frame was solved");
@@ -982,9 +983,9 @@ fn a_frame_out_of_normal_form_is_refused() {
     // The canonical frame of the same query is solved once, then
     // answered at admission.
     let first = core.discharge(vec![wq(&canonical)]);
-    assert!(matches!(first[0].verdict, WireVerdict::Proved) && first[0].shard != SHARD_HOT);
+    assert!(matches!(first[0].verdict, RawVerdict::Proved) && first[0].shard != SHARD_HOT);
     let second = core.discharge(vec![wq(&canonical)]);
-    assert!(matches!(second[0].verdict, WireVerdict::Proved) && second[0].shard == SHARD_HOT);
+    assert!(matches!(second[0].verdict, RawVerdict::Proved) && second[0].shard == SHARD_HOT);
     assert_eq!(core.stats().hot_hits, 1);
 }
 
@@ -1098,7 +1099,7 @@ fn unfolded_frames_from_an_old_client_are_still_answered() {
     ]);
     let trivial = serval_engine::folded_outcome(String::new()).cert.expect("certified");
     for o in &out {
-        assert!(matches!(o.verdict, WireVerdict::Proved) && !o.cache_hit && o.stats.is_none());
+        assert!(matches!(o.verdict, RawVerdict::Proved) && !o.cache_hit && o.stats.is_none());
         assert_eq!(o.cert, trivial);
     }
     server.shutdown();

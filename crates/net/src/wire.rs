@@ -16,7 +16,7 @@
 //! connection that sent it. The property suite in `tests.rs` feeds this
 //! module truncations, garbage, and bit flips.
 
-use serval_engine::solve::PortableModel;
+use serval_engine::solve::{PortableModel, RawVerdict};
 use serval_smt::solver::{QueryStats, SolverConfig};
 use serval_smt::Rephase;
 use std::io::{Read, Write};
@@ -97,21 +97,6 @@ pub struct WireQuery {
     pub core_bytes: Vec<u8>,
 }
 
-/// A verdict on the wire. Countermodels are phrased over the *wire
-/// core's* canonical variable numbering, so the client can map them back
-/// onto its own terms with its `BackMap`.
-#[derive(Clone, Debug)]
-pub enum WireVerdict {
-    /// Goal proved (certificate fingerprint in [`WireOutcome::cert`]).
-    Proved,
-    /// Goal refuted by this countermodel.
-    Refuted(PortableModel),
-    /// Budget exhausted or certificate rejected (see `error`).
-    Unknown,
-    /// Solve cancelled.
-    Interrupted,
-}
-
 /// Sentinel shard id for outcomes no shard produced: verdicts answered
 /// at admission from a home shard's cache, and errors raised before
 /// routing.
@@ -120,8 +105,10 @@ pub const SHARD_HOT: u32 = u32::MAX;
 /// One query's outcome on the wire.
 #[derive(Clone, Debug)]
 pub struct WireOutcome {
-    /// The verdict.
-    pub verdict: WireVerdict,
+    /// The verdict. A countermodel is phrased over the wire core's
+    /// canonical variable numbering, so the client maps it back onto its
+    /// own terms with its `BackMap`.
+    pub verdict: RawVerdict,
     /// Certificate fingerprint backing a proved verdict (0 = none).
     pub cert: u64,
     /// Whether the verdict came from a shard's verdict cache, at
@@ -143,7 +130,7 @@ impl WireOutcome {
     /// attributed to `shard`, carrying the reason.
     pub fn unknown(shard: u32, why: String) -> WireOutcome {
         WireOutcome {
-            verdict: WireVerdict::Unknown,
+            verdict: RawVerdict::Unknown,
             cert: 0,
             cache_hit: false,
             shard,
@@ -633,13 +620,13 @@ fn read_model(rd: &mut Rd) -> Result<PortableModel, WireError> {
 
 fn push_outcome(out: &mut Vec<u8>, o: &WireOutcome) {
     match &o.verdict {
-        WireVerdict::Proved => out.push(0),
-        WireVerdict::Refuted(pm) => {
+        RawVerdict::Proved => out.push(0),
+        RawVerdict::Refuted(pm) => {
             out.push(1);
             push_model(out, pm);
         }
-        WireVerdict::Unknown => out.push(2),
-        WireVerdict::Interrupted => out.push(3),
+        RawVerdict::Unknown => out.push(2),
+        RawVerdict::Interrupted => out.push(3),
     }
     push_u64(out, o.cert);
     out.push(o.cache_hit as u8);
@@ -663,10 +650,10 @@ fn push_outcome(out: &mut Vec<u8>, o: &WireOutcome) {
 
 fn read_outcome(rd: &mut Rd) -> Result<WireOutcome, WireError> {
     let verdict = match rd.u8()? {
-        0 => WireVerdict::Proved,
-        1 => WireVerdict::Refuted(read_model(rd)?),
-        2 => WireVerdict::Unknown,
-        3 => WireVerdict::Interrupted,
+        0 => RawVerdict::Proved,
+        1 => RawVerdict::Refuted(read_model(rd)?),
+        2 => RawVerdict::Unknown,
+        3 => RawVerdict::Interrupted,
         _ => return Err(WireError::Garbage("bad verdict tag")),
     };
     let cert = rd.u64()?;
