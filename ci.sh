@@ -93,9 +93,15 @@ SERVAL_ADDR="$(cat target/servald.addr)" ./target/release/serval-cli parity o1
 SERVAL_ADDR="$(cat target/servald.addr)" ./target/release/serval-cli parity o1
 kill "$SERVALD_PID"
 
+# The monitor examples are, apart from unit tests, the only end-to-end
+# callers of certikos noninterference, the legacy-spawn covert channel
+# and the Keystone audit.
 echo "== examples =="
 cargo run --release --offline --example quickstart
 cargo run --release --offline --example bpf_jit_check
 cargo run --release --offline --example remote_probe
+cargo run --release --offline --example certikos_monitor
+cargo run --release --offline --example komodo_enclave
+cargo run --release --offline --example keystone_audit
 
 echo "CI OK"
