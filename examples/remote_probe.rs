@@ -86,7 +86,6 @@ fn main() {
         &ctx,
         SolverConfig::default(),
         "xor-roundtrip",
-        &[],
         ((a ^ b) ^ b).eq_(a),
     );
     println!("  xor-roundtrip: {:?} (discharged remotely)", thm.verdict);
