@@ -25,10 +25,11 @@ cargo test -q --workspace --offline
 # The one decoder of a query's wire bytes faces TCP, so its properties
 # (k-goal round trips, truncation, bit flips, re-pointed variable nodes
 # and raw garbage) also run at 100 000 cases each, under a fixed seed
-# other than the suite's default.
+# other than the suite's default. So does the frame reader the server
+# and the client run on their sockets, over reads torn at every size.
 echo "== decoder fuzz (serval-net, 100 000 cases per property) =="
 SERVAL_CHECK_CASES=100000 SERVAL_CHECK_SEED=41 \
-  cargo test -q --offline -p serval-net --lib -- prop_core_ prop_garbage_never_panics
+  cargo test -q --offline -p serval-net --lib -- prop_core_ prop_garbage_never_panics prop_read_frame_
 
 # The certificate checker walks hints and has no search to fall back
 # on, so a solver path that logs a derivation without its hints, or a

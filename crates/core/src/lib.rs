@@ -7,9 +7,9 @@
 //! - [`mem`]: the unified memory model shared by the verifiers (§3.4) —
 //!   memory as disjoint typed blocks (structured blocks, uniform blocks,
 //!   cells), with symbol-table-driven construction and validity checks.
-//! - [`opts`]: the symbolic optimizations (§4) — `split_pc`, `split_cases`,
-//!   and in-struct offset concretization with soundness side conditions.
-//!   Each can be disabled individually for the §6.4 ablation.
+//! - [`opts`]: the symbolic optimizations (§4) — `split_pc` and in-struct
+//!   offset concretization with soundness side conditions. Each can be
+//!   disabled individually for the §6.4 ablation.
 //! - [`spec`]: the specification library (§3.3) — state-machine refinement
 //!   and step consistency, the lemmas the verifiers prove through it.
 //! - [`report`]: proof reports with rendered counterexamples.
@@ -22,7 +22,7 @@ pub mod report;
 pub mod spec;
 
 pub use mem::{Block, Layout, Mem, MemCfg, PathElem};
-pub use opts::{enumerate_pc, split_cases, split_pc, OptCfg, PcCases};
+pub use opts::{enumerate_pc, split_pc, OptCfg, PcCases};
 pub use report::{discharge, discharge_obligations, ProofReport, TheoremResult, Verdict};
 pub use spec::{prove_refinement, prove_step_consistency, Refinement};
 

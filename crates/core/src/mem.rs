@@ -413,19 +413,18 @@ impl Mem {
             .unwrap_or_else(|| panic!("no region {name}"))
     }
 
-    /// Base address of region `name`.
-    pub fn base_of(&self, name: &str) -> u64 {
-        self.region(name).base
-    }
-
     // ------------------------------------------------------------------
     // Address-based access (used by machine-code interpreters)
     // ------------------------------------------------------------------
 
     /// Loads `bytes` bytes at `addr` (64-bit), returning a `bytes*8`-wide
-    /// value. Records bounds/alignment obligations via `bug_on`.
+    /// value. Records bounds/alignment obligations via `bug_on`; an access
+    /// no region can hold reads 0 under its refuted obligation.
     pub fn load(&mut self, ctx: &mut SymCtx, addr: BV, bytes: u32) -> BV {
         let cases = self.resolve(ctx, addr, bytes);
+        if cases.is_empty() {
+            return BV::lit(bytes * 8, 0);
+        }
         let cfg = self.cfg;
         let mut out: Vec<(SBool, BV)> = Vec::new();
         for (guard, idx, offset) in &cases {
@@ -437,7 +436,8 @@ impl Mem {
         merge_many(&out)
     }
 
-    /// Stores `value` (width `bytes*8`) at `addr`.
+    /// Stores `value` (width `bytes*8`) at `addr`; an access no region can
+    /// hold touches nothing.
     pub fn store(&mut self, ctx: &mut SymCtx, addr: BV, value: BV, bytes: u32) {
         debug_assert_eq!(value.width(), bytes * 8);
         let cases = self.resolve(ctx, addr, bytes);
@@ -461,7 +461,8 @@ impl Mem {
     /// Fast path: the canonical constant part of the address identifies a
     /// unique region (symbol + offset addressing, as produced by real
     /// compilers and extracted by the paper via `objdump`). Slow path:
-    /// all regions guarded by range checks.
+    /// all regions guarded by range checks. No case at all (a wild
+    /// constant address) is undefined behaviour, left to the obligation.
     fn resolve(&self, ctx: &mut SymCtx, addr: BV, bytes: u32) -> Vec<(SBool, usize, BV)> {
         let w = addr.width();
         debug_assert_eq!(w, 64);
@@ -500,10 +501,6 @@ impl Mem {
             }
         }
         ctx.bug_on(!any, "access outside all memory regions");
-        assert!(
-            !cases.is_empty(),
-            "address resolves to no region; add a region covering it"
-        );
         cases
     }
 
@@ -937,6 +934,31 @@ mod tests {
                 .any(|ob| !verify(&[], ob.condition).is_proved()),
             "an out-of-bounds obligation must fail without bounds assumptions"
         );
+    }
+
+    #[test]
+    fn wild_constant_address_is_undefined_behaviour() {
+        reset_ctx();
+        let mut ctx = SymCtx::new();
+        let mut mem = Mem::new(MemCfg::default());
+        mem.add_region(
+            "cell",
+            0x1000,
+            Layout::Struct(vec![("value".into(), Layout::Cell(8))]).instantiate_zero("cell"),
+        );
+        let wild = BV::lit(64, 0x9000);
+        assert_eq!(mem.load(&mut ctx, wild, 8).as_const(), Some(0));
+        mem.store(&mut ctx, wild, BV::lit(64, 7), 8);
+        assert_eq!(mem.read_path("cell", &[PathElem::Field("value")]).as_const(), Some(0));
+        let obs = ctx.take_obligations();
+        assert_eq!(obs.len(), 2, "one obligation per access");
+        for ob in obs {
+            assert!(
+                matches!(verify(&[], ob.condition), serval_smt::VerifyResult::Counterexample(_)),
+                "{} must be refuted",
+                ob.label
+            );
+        }
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! - [`split_pc`]: concretizes a symbolic program counter by enumerating
 //!   the constant leaves of its `ite` tree and evaluating each separately,
 //!   maximizing partial evaluation of instruction fetch.
-//! - [`split_cases`]: decomposes monolithic trap dispatch by case-splitting
-//!   a symbolic value (e.g. the system-call number) on a developer-provided
-//!   list of concrete values, with a residual default case.
 //! - Offset concretization lives in [`crate::mem`] and is controlled by
-//!   [`MemCfg`](crate::mem::MemCfg); [`OptCfg`] gathers all knobs for the
-//!   §6.4 ablation.
+//!   [`MemCfg`](crate::mem::MemCfg); [`OptCfg`] gathers the switches for
+//!   the §6.4 ablation.
+//!
+//! Split-cases has no function here: the monitors' trap harness pins the
+//! system-call number per call, and their monolithic proof is its
+//! ablation.
 
 use serval_smt::build;
 use serval_smt::{SBool, BV};
@@ -27,22 +28,15 @@ pub struct OptCfg {
     /// Enable [`split_pc`]; when off, callers fall back to merged-pc
     /// evaluation, which diverges on real systems (paper §6.4).
     pub split_pc: bool,
-    /// Enable [`split_cases`] for trap dispatch.
-    pub split_cases: bool,
     /// Enable in-struct offset concretization in the memory model.
     pub concretize_offsets: bool,
-    /// Enable representation-invariant-driven rewriting of system
-    /// registers to concrete values (paper §4, "symbolic system registers").
-    pub concrete_sysregs: bool,
 }
 
 impl Default for OptCfg {
     fn default() -> Self {
         OptCfg {
             split_pc: true,
-            split_cases: true,
             concretize_offsets: true,
-            concrete_sysregs: true,
         }
     }
 }
@@ -52,9 +46,7 @@ impl OptCfg {
     pub fn none() -> OptCfg {
         OptCfg {
             split_pc: false,
-            split_cases: false,
             concretize_offsets: false,
-            concrete_sysregs: false,
         }
     }
 }
@@ -128,36 +120,6 @@ pub fn split_pc<S: Merge, R: Merge>(
     // Guards can be concretely false on this path (the ite collapsed);
     // `split` skips infeasible cases syntactically.
     Ok(ctx.split(state, &cases, |ctx, s, v| f(ctx, s, v)))
-}
-
-/// The `split-cases` symbolic optimization (paper §4).
-///
-/// Case-splits symbolic value `x` on the concrete `cases` (e.g. system-call
-/// numbers): for each `c`, runs `f` with the literal `c` under the path
-/// condition `x == c`; a final residual case runs `f` with the original
-/// symbolic `x` under the condition that it differs from every listed
-/// value. This decomposes monolithic trap-dispatch constraints into
-/// per-handler queries.
-pub fn split_cases<S: Merge, R: Merge>(
-    ctx: &mut SymCtx,
-    state: &mut S,
-    x: BV,
-    cases: &[u128],
-    mut f: impl FnMut(&mut SymCtx, &mut S, BV) -> R,
-) -> R {
-    let w = x.width();
-    let mut guarded: Vec<(SBool, Option<u128>)> = cases
-        .iter()
-        .map(|&c| (x.eq_(BV::lit(w, c)), Some(c)))
-        .collect();
-    let residual = cases
-        .iter()
-        .fold(SBool::lit(true), |acc, &c| acc & x.ne_(BV::lit(w, c)));
-    guarded.push((residual, None));
-    ctx.split(state, &guarded, |ctx, s, payload| match payload {
-        Some(c) => f(ctx, s, BV::lit(w, c)),
-        None => f(ctx, s, x),
-    })
 }
 
 /// Matches the "in-struct offset" pattern `i*C0 + C1` (or `i*C0`, or `C1`)
@@ -269,23 +231,6 @@ mod tests {
         assert!(verify(&[c], r.eq_(BV::lit(8, 11))).is_proved());
         assert!(verify(&[!c], r.eq_(BV::lit(8, 21))).is_proved());
         assert!(verify(&[c], state.eq_(BV::lit(8, 1))).is_proved());
-    }
-
-    #[test]
-    fn split_cases_residual() {
-        reset_ctx();
-        let mut ctx = SymCtx::new();
-        let x = BV::fresh(64, "sysno");
-        let mut state = ();
-        let r = split_cases(&mut ctx, &mut state, x, &[1, 2], |_, _, v| {
-            if let Some(c) = v.as_const() {
-                BV::lit(8, c * 10)
-            } else {
-                BV::lit(8, 0xff) // default handler sees the symbolic value
-            }
-        });
-        assert!(verify(&[x.eq_(BV::lit(64, 2))], r.eq_(BV::lit(8, 20))).is_proved());
-        assert!(verify(&[x.eq_(BV::lit(64, 9))], r.eq_(BV::lit(8, 0xff))).is_proved());
     }
 
     #[test]

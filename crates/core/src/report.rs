@@ -77,11 +77,6 @@ impl ProofReport {
             .any(|t| matches!(t.verdict, Verdict::Unknown))
     }
 
-    /// Total solver wall time.
-    pub fn total_time(&self) -> Duration {
-        self.theorems.iter().map(|t| t.time).sum()
-    }
-
     /// Merges another report into this one.
     pub fn extend(&mut self, other: ProofReport) {
         self.theorems.extend(other.theorems);

@@ -289,8 +289,3 @@ fn emit_imm(out: &mut Vec<Rv>, rd: u8, v: i64) {
         out.push(Rv::OpImmW { op: IAluWOp::Addiw, rd, rs1: rd, imm: low });
     }
 }
-
-/// Exposes temporaries for the checker's clobber set.
-pub fn temp_regs() -> [u8; 2] {
-    [TMP1, TMP2]
-}

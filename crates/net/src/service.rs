@@ -10,8 +10,9 @@
 //! admission ([`ServerCore::place`]) and never queued. The TCP front end
 //! ([`crate::server`]) layers connections and backpressure on top; the
 //! deterministic simulator (`crates/sim`'s `net_batch` scenario) drives
-//! this core directly through [`ServerCore::handle_payload`] with the
-//! real codec; both go through the one request state machine,
+//! this core directly through [`ServerCore::handle_payload`], one whole
+//! payload at a time, with the real message codec; both go through the
+//! one request state machine,
 //! [`ServerCore::on_frame`], so the protocol `servald` speaks is the one
 //! exercised under seeded hostile schedules without real sockets.
 //!

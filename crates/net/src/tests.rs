@@ -13,7 +13,7 @@
 use crate::client::Client;
 use crate::service::NetCfg;
 use crate::wire::{
-    self, decode_msg, encode_msg, FrameReader, Msg, ServerStats, ShardStatsRow, WireError,
+    self, decode_msg, encode_msg, Msg, ServerStats, ShardStatsRow, WireError,
     WireOutcome, WireQuery, SHARD_HOT,
 };
 use crate::Server;
@@ -256,10 +256,12 @@ proptest! {
         }
     }
 
-    /// Frames split at arbitrary byte boundaries reassemble exactly, in
-    /// order, through `FrameReader`.
+    /// Frames torn at arbitrary byte boundaries reassemble exactly, in
+    /// order, through `read_frame`, the reader `servald` and the client
+    /// run on their sockets: each read returns at most the next chunk
+    /// size, so the prefix and the payload both arrive in pieces.
     #[test]
-    fn prop_frame_reader_reassembles(
+    fn prop_read_frame_reassembles_torn_reads(
         picks in prop::collection::vec(any::<u8>(), 1..24),
         chunks in prop::collection::vec(any::<u8>(), 1..16),
     ) {
@@ -270,19 +272,10 @@ proptest! {
         for p in &payloads {
             wire::write_frame(&mut stream, p).unwrap();
         }
-        let mut reader = FrameReader::new(wire::DEFAULT_MAX_FRAME);
+        let mut torn = Trickle { rest: &stream, chunks: &chunks, calls: 0 };
         let mut out = Vec::new();
-        let mut at = 0;
-        let mut pick = 0;
-        while at < stream.len() {
-            let step = usize::from(chunks[pick % chunks.len()]) % 7 + 1;
-            pick += 1;
-            let end = (at + step).min(stream.len());
-            reader.push(&stream[at..end]);
-            at = end;
-            while let Some(frame) = reader.next_frame().unwrap() {
-                out.push(frame);
-            }
+        while let Some(frame) = wire::read_frame(&mut torn, wire::DEFAULT_MAX_FRAME).unwrap() {
+            out.push(frame);
         }
         prop_assert_eq!(out, payloads);
     }
@@ -497,18 +490,33 @@ fn var_decay_outside_the_solver_range_is_garbage() {
 // Framing edge cases
 // ----------------------------------------------------------------------------
 
-/// An oversize length prefix is rejected before any allocation, both in
-/// the blocking reader and the incremental one.
+/// A byte stream whose reads return at most the next of `chunks` (each
+/// taken mod 7, plus one) bytes, cycling: a socket handing frames over
+/// in pieces.
+struct Trickle<'a> {
+    rest: &'a [u8],
+    chunks: &'a [u8],
+    calls: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = usize::from(self.chunks[self.calls % self.chunks.len()]) % 7 + 1;
+        self.calls += 1;
+        let n = step.min(buf.len()).min(self.rest.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
+    }
+}
+
+/// An oversize length prefix is rejected before any allocation.
 #[test]
 fn oversize_prefix_rejected_without_allocation() {
     let mut frame = (u32::MAX).to_le_bytes().to_vec();
     frame.extend_from_slice(b"xx");
     let err = wire::read_frame(&mut frame.as_slice(), 1 << 20).unwrap_err();
     assert_eq!(err, WireError::Oversize { len: u64::from(u32::MAX), max: 1 << 20 });
-
-    let mut reader = FrameReader::new(1 << 20);
-    reader.push(&frame);
-    assert!(reader.next_frame().is_err());
 }
 
 /// EOF cleanly between frames is `Ok(None)`; EOF inside a frame is

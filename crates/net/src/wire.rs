@@ -14,7 +14,7 @@
 //! bounds-checked, every count is validated against the remaining byte
 //! budget before allocation, and a decode error poisons only the one
 //! connection that sent it. The property suite in `tests.rs` feeds this
-//! module truncations, garbage, and bit flips.
+//! module truncations, garbage, bit flips, and frames torn across reads.
 
 use serval_engine::solve::{PortableModel, RawVerdict};
 use serval_smt::solver::{QueryStats, SolverConfig};
@@ -263,7 +263,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 }
 
 /// Reads one frame. `Ok(None)` is a clean EOF *between* frames; an EOF
-/// mid-frame is [`WireError::Truncated`].
+/// mid-frame is [`WireError::Truncated`]. A stream may hand the frame
+/// over in pieces of any size: both the prefix and the payload are read
+/// until complete.
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>, WireError> {
     let mut len_buf = [0u8; 4];
     let mut got = 0;
@@ -292,51 +294,6 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>
         }
     }
     Ok(Some(payload))
-}
-
-/// Incremental frame reassembly for byte streams that arrive in chunks
-/// (the sim scenario feeds connections a few bytes at a time to explore
-/// torn-frame interleavings).
-#[derive(Debug)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    max_frame: usize,
-}
-
-impl FrameReader {
-    /// A reader enforcing `max_frame` on every length prefix.
-    pub fn new(max_frame: usize) -> FrameReader {
-        FrameReader { buf: Vec::new(), max_frame }
-    }
-
-    /// Appends raw bytes from the stream.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pops the next complete frame, if one is buffered. An oversize
-    /// length prefix fails immediately — no amount of further input can
-    /// make it valid.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
-        if len > self.max_frame {
-            return Err(WireError::Oversize { len: len as u64, max: self.max_frame as u64 });
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
-        Ok(Some(payload))
-    }
 }
 
 // --------------------------------------------------------------------------

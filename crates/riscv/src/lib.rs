@@ -15,22 +15,20 @@
 //! - [`interp`]: the fetch-decode-execute loop under symbolic evaluation,
 //!   with `split-pc` applied before every fetch (paper §4) and trap-return
 //!   (`mret`) as the exit point of a handler run (paper §3.4, Fig. 6).
-//! - [`pmp`]: a specification of RISC-V physical memory protection used by
-//!   the monitors' noninterference proofs (paper §6.1).
-//! - [`vm`]: the Sv39 three-level page-walk specification modelling S/U
-//!   memory accesses (paper §6.1), composing with PMP.
+//!
+//! The PMP CSRs are machine state, not a model: the monitors' proofs
+//! compare them with the configuration each call must install. S/U-mode
+//! code is not interpreted, so no page walk is modelled.
 
 pub mod asm;
 pub mod insn;
 pub mod interp;
 pub mod machine;
-pub mod pmp;
-pub mod vm;
 
 pub use asm::Asm;
 pub use insn::{decode, encode, Insn};
 pub use interp::{Interp, RunOutcome};
-pub use machine::{Csrs, Machine, Mode};
+pub use machine::{Csrs, Machine};
 
 /// ABI register numbers.
 pub mod reg {

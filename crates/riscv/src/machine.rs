@@ -4,18 +4,6 @@ use serval_core::Mem;
 use serval_smt::{SBool, BV};
 use serval_sym::{Merge, SymCtx};
 
-/// Privilege modes (paper §6.1). Monitor code under verification always
-/// executes in M-mode; S/U code is never interpreted, only modelled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// User mode.
-    U,
-    /// Supervisor mode.
-    S,
-    /// Machine mode.
-    M,
-}
-
 /// CSR numbers used by the monitors.
 pub mod csr {
     pub const SATP: u16 = 0x180;
@@ -34,6 +22,8 @@ pub mod csr {
 
 /// The control and status registers modelled by the verifier: the Zicsr
 /// state the two security monitors manipulate (trap handling, PMP, paging).
+/// Monitor code under verification always executes in M-mode; S/U code is
+/// never interpreted.
 #[derive(Clone, Debug)]
 pub struct Csrs {
     pub mstatus: BV,

@@ -420,6 +420,29 @@ fn merged_pc_agrees_with_split_pc() {
     assert!(verify(&[], m1.reg(A1).eq_(m2.reg(A1))).is_proved());
 }
 
+/// A load from an address no region holds is undefined behaviour: the
+/// handler still runs to `mret`, and the access's obligation is refuted.
+#[test]
+fn wild_load_is_refuted_not_a_panic() {
+    reset_ctx();
+    let mut ctx = SymCtx::new();
+    let mut asm = Asm::new();
+    asm.ld(A0, 0, ZERO);
+    asm.i(Insn::Mret);
+    let words = asm.assemble(0x8000_0000);
+    let interp = Interp::from_words(0x8000_0000, &words, 8).unwrap();
+    let mut m = Machine::fresh_at(0x8000_0000, Mem::new(MemCfg::default()), "m");
+    let o = interp.run(&mut ctx, &mut m);
+    assert!(o.ok(), "{o:?}");
+    let refuted: Vec<String> = ctx
+        .take_obligations()
+        .into_iter()
+        .filter(|ob| matches!(verify(&[], ob.condition), serval_smt::VerifyResult::Counterexample(_)))
+        .map(|ob| ob.label)
+        .collect();
+    assert_eq!(refuted, ["bug-on: access outside all memory regions"]);
+}
+
 /// An opaque pc (jump through an arbitrary register) is reported, matching
 /// the paper's "unconstrained program counter indicates a security bug".
 #[test]

@@ -53,7 +53,7 @@ mod solver;
 mod types;
 
 pub use proof::{ProofLog, Step, StepKind};
-pub use solver::{Rephase, Solver, SolverStats};
+pub use solver::{Rephase, Solver, SolverStats, RESTART_BASE, VAR_DECAY};
 pub use types::{Lit, SolveResult, Var};
 
 #[cfg(test)]

@@ -364,12 +364,16 @@ pub struct Solver {
     rephase: Rephase,
 }
 
-const VAR_DECAY: f64 = 0.95;
+/// VSIDS activity decay factor; `smt`'s `SolverConfig::default()` reads
+/// it, so every engine solve starts from this value.
+pub const VAR_DECAY: f64 = 0.95;
 const RESCALE_LIMIT: f64 = 1e100;
 /// Initial learnt-clause budget; `reduce_db` fires when the live learnt
 /// count exceeds the budget, which then grows geometrically.
 const INITIAL_MAX_LEARNTS: f64 = 4096.0;
-const RESTART_BASE: u64 = 128;
+/// Luby restart unit in conflicts; like [`VAR_DECAY`], the default of
+/// `smt`'s `SolverConfig`.
+pub const RESTART_BASE: u64 = 128;
 /// Conflicts between polls of the interrupt flag inside a restart
 /// interval (restart boundaries always poll): this bounds how long a
 /// flag raised mid-solve waits to stop a running search.

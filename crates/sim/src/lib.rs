@@ -513,9 +513,27 @@ fn cert_demotion_session(cfg: &SimConfig, x: BV, y: BV, z: BV) -> String {
     out.iter().map(|o| letter(&o.result)).collect()
 }
 
+/// A byte stream that arrives in the given pieces: each read returns at
+/// most the rest of the current piece, as a TCP socket may.
+struct Torn<'a>(std::collections::VecDeque<&'a [u8]>);
+
+impl std::io::Read for Torn<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(piece) = self.0.front_mut() else { return Ok(0) };
+        let n = piece.len().min(buf.len());
+        buf[..n].copy_from_slice(&piece[..n]);
+        *piece = &piece[n..];
+        if piece.is_empty() {
+            self.0.pop_front();
+        }
+        Ok(n)
+    }
+}
+
 /// The networked discharge service end to end, minus sockets: three
 /// in-memory clients open with `Hello` and stream chunked query batches
-/// through the real wire codec (frame writer → `FrameReader` →
+/// through the real wire codec (frame writer → seeded torn reads through
+/// `read_frame`, the reader `servald` runs on its sockets →
 /// `ServerCore::handle_payload`, the request state machine `servald`'s
 /// TCP reader drives too) against one sharded core. The query set is
 /// fixed — only scheduling varies with the seed — so plain-mode routing
@@ -630,16 +648,18 @@ fn net_batch(cfg: &SimConfig) -> String {
         for (_, payload, _) in &frames {
             nwire::write_frame(&mut stream, payload).expect("in-memory write cannot fail");
         }
-        let mut reader = nwire::FrameReader::new(nwire::DEFAULT_MAX_FRAME);
-        let mut reassembled = Vec::new();
+        let mut torn = Torn(VecDeque::new());
         let mut at = 0;
         while at < stream.len() {
             let end = (at + sim::choose(9) + 1).min(stream.len());
-            reader.push(&stream[at..end]);
+            torn.0.push_back(&stream[at..end]);
             at = end;
-            while let Some(f) = reader.next_frame().expect("own frames must reassemble") {
-                reassembled.push(f);
-            }
+        }
+        let mut reassembled = Vec::new();
+        while let Some(f) = nwire::read_frame(&mut torn, nwire::DEFAULT_MAX_FRAME)
+            .expect("own frames must reassemble")
+        {
+            reassembled.push(f);
         }
         assert_eq!(
             reassembled,

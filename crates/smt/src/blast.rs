@@ -301,12 +301,6 @@ impl Blaster {
         self.bool_map[&t]
     }
 
-    /// The literal vector (LSB first) encoding bitvector term `t`.
-    pub fn bits_of(&mut self, sat: &mut Solver, t: TermId) -> Vec<Lit> {
-        self.ensure(sat, t);
-        self.bv_map[&t].clone()
-    }
-
     /// Emits pending Ackermann congruence constraints. Must be called after
     /// the last `assert_true` and before solving.
     pub fn finalize(&mut self, sat: &mut Solver) {

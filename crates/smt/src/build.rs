@@ -79,17 +79,6 @@ pub fn as_mul(t: TermId) -> Option<(TermId, TermId)> {
     })
 }
 
-/// Decomposes `t` as `a urem b`.
-pub fn as_urem(t: TermId) -> Option<(TermId, TermId)> {
-    with_ctx(|c| {
-        let n = c.term(t);
-        match n.op {
-            Op::BvUrem => Some((n.children[0], n.children[1])),
-            _ => None,
-        }
-    })
-}
-
 // ---------------------------------------------------------------------
 // Leaves
 // ---------------------------------------------------------------------

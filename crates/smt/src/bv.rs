@@ -81,11 +81,6 @@ impl SBool {
     pub fn select(self, t: BV, e: BV) -> BV {
         BV(build::ite_bv(self.0, t.0, e.0))
     }
-
-    /// Converts to a 1-bit bitvector (`true` → 1).
-    pub fn to_bv(self, w: u32) -> BV {
-        self.select(BV::lit(w, 1), BV::lit(w, 0))
-    }
 }
 
 impl ops::Not for SBool {

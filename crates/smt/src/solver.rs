@@ -27,9 +27,9 @@ pub struct SolverConfig {
     /// evaluation uses this to demonstrate that proofs without symbolic
     /// optimizations time out (paper §6.4).
     pub conflict_budget: Option<u64>,
-    /// Luby restart unit in conflicts (CDCL default: 128).
+    /// Luby restart unit in conflicts (default: [`serval_sat::RESTART_BASE`]).
     pub restart_base: u64,
-    /// VSIDS activity decay factor (CDCL default: 0.95).
+    /// VSIDS activity decay factor (default: [`serval_sat::VAR_DECAY`]).
     pub var_decay: f64,
     /// Initial saved phase for fresh SAT variables (default: `false`).
     pub default_phase: bool,
@@ -58,8 +58,8 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             conflict_budget: None,
-            restart_base: 128,
-            var_decay: 0.95,
+            restart_base: serval_sat::RESTART_BASE,
+            var_decay: serval_sat::VAR_DECAY,
             default_phase: false,
             restart_geometric: false,
             rephase: Rephase::Off,

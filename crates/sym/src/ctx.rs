@@ -141,8 +141,7 @@ impl SymCtx {
 
     /// Evaluates `f` once per case, cloning the state, and merges all
     /// results. Cases whose guard is infeasible on the current path are
-    /// skipped. This is the engine under `split_pc` and `split_cases`
-    /// (paper §4).
+    /// skipped. This is the engine under `split_pc` (paper §4).
     pub fn split<S: Merge, R: Merge, T: Copy>(
         &mut self,
         state: &mut S,

@@ -229,6 +229,9 @@ fn retired_variables_stay_retired() {
     // ... and the specification-library entries no verifier called, the
     // monitors' own copies of the trap-entry harness, and the wire's
     // copy of the engine's verdict enum.
+    // ... and the verifier code no proof ran: the PMP and Sv39 models,
+    // the split-cases function with the two `OptCfg` switches nothing
+    // read, and the incremental frame reader no server used.
     let gone = [
         "session_score", "AUTO_SESSION_THRESHOLD", "cone_split", "Work::Fresh",
         "pool-submit-injector", "pool-claim-steal-first", "drain_sim", "set_presolve",
@@ -240,6 +243,8 @@ fn retired_variables_stay_retired() {
         "fn prepare_session(", "fn rebuild_session(", "struct Parts", "fn rup(",
         "set_strict_hints", "hint_fallbacks", "hint_stats", "set_lrat_hints",
         "fn prove_one_safety", "struct Policy", "struct EntryState", "enum WireVerdict",
+        "fn pmp_allows", "fn su_access_allowed", "fn split_cases", "concrete_sysregs",
+        "struct FrameReader",
     ];
     let mut panic_messages = 0;
     for (path, text) in serval_bench::rust_sources(&root.join("crates")) {
